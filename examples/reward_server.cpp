@@ -14,18 +14,29 @@ int main() {
   using namespace itree;
 
   const MechanismPtr live = make_default(MechanismKind::kGeometric);
-  RecordingService deployment(*live);
+  RewardService service(*live);
+  // The deployment keeps its event history beside the live service.
+  EventLog history;
+  const auto join = [&](NodeId referrer, double contribution) {
+    const JoinEvent event{referrer, contribution};
+    history.append(event);
+    return service.apply(event);
+  };
+  const auto contribute = [&](NodeId participant, double amount) {
+    const ContributeEvent event{participant, amount};
+    history.append(event);
+    service.apply(event);
+  };
 
   // A week of traffic.
-  const NodeId ada = deployment.join(kRoot, 5.0);
-  const NodeId bob = deployment.join(ada, 3.0);
-  const NodeId cai = deployment.join(ada, 2.0);
-  deployment.contribute(bob, 1.5);
-  const NodeId dee = deployment.join(bob, 4.0);
-  deployment.contribute(ada, 2.0);
-  const NodeId eve = deployment.join(cai, 1.0);
+  const NodeId ada = join(kRoot, 5.0);
+  const NodeId bob = join(ada, 3.0);
+  const NodeId cai = join(ada, 2.0);
+  contribute(bob, 1.5);
+  const NodeId dee = join(bob, 4.0);
+  contribute(ada, 2.0);
+  const NodeId eve = join(cai, 1.0);
 
-  const RewardService& service = deployment.service();
   std::cout << "Live mechanism: " << live->display_name()
             << (service.incremental() ? " (incremental fast path)\n"
                                       : " (batch path)\n")
@@ -43,8 +54,8 @@ int main() {
             << compact_number(service.audit(), 12) << "\n\n";
 
   // Persist and replay: the deployment is its event log.
-  const std::string persisted = deployment.log().serialize();
-  std::cout << "Event log (" << deployment.log().size() << " events):\n"
+  const std::string persisted = history.serialize();
+  std::cout << "Event log (" << history.size() << " events):\n"
             << persisted << '\n';
   const RewardService replayed =
       EventLog::parse(persisted).replay(*live);

@@ -25,6 +25,11 @@
 # recovers bit-for-bit — including a cross-generation bootstrap, since
 # the daemon starts from variant 3's v5 image before draining to v4.
 #
+# Variant 5 — text export: `itree recover --export` writes each
+# campaign as its compacted event log, and `itree replay` of every
+# exported log must rebuild as many participants as `recover` reports
+# for that campaign.
+#
 # Usage: scripts/crash_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -117,4 +122,22 @@ fi
 grep '^campaign ' "$WORK/recover_v4.log" | sort > "$WORK/post_drain_v4.txt"
 diff -u "$WORK/pre_drain_v4.txt" "$WORK/post_drain_v4.txt"
 echo "-- v4 image adoption reproduces the replayed state bit-for-bit"
+
+echo "== variant 5: exported logs replay to the recovered campaigns =="
+"$ITREE" recover "$WORK/data" --export "$WORK/export" \
+    | tee "$WORK/recover_export.log"
+MECHANISM=$(sed -n 's/^mechanism //p' "$WORK/data/MANIFEST")
+PARAMS=$(sed -n 's/^params //p' "$WORK/data/MANIFEST")
+for C in 0 1 2; do
+  WANT=$(sed -n "s/^campaign $C: participants \([0-9]*\),.*/\1/p" \
+      "$WORK/recover_export.log")
+  GOT=$("$ITREE" replay "$WORK/export/campaign_$C.log" "$MECHANISM" \
+      --params "$PARAMS" | sed -n 's/^participants \([0-9]*\),.*/\1/p')
+  if [ -z "$WANT" ] || [ "$GOT" != "$WANT" ]; then
+    echo "campaign $C: export replays to '$GOT' participants," \
+        "recover reports '$WANT'" >&2
+    exit 1
+  fi
+  echo "-- campaign $C: $GOT participants after export and replay"
+done
 echo "crash smoke passed"

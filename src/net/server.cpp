@@ -1253,7 +1253,6 @@ void Server::run() {
     // no WAL tail to replay.
     storage_->snapshot_now();
   }
-  persist_logs();
 }
 
 std::optional<NodeId> Server::apply_event(std::uint32_t campaign_index,
@@ -1442,16 +1441,6 @@ Response Server::handle_replication(const Request& request) {
                             "not a replication frame");
   }
   return response;
-}
-
-void Server::persist_logs() const {
-  if (config_.persist_dir.empty()) {
-    return;
-  }
-  for (std::size_t i = 0; i < campaigns_.size(); ++i) {
-    campaigns_[i]->log().save(config_.persist_dir + "/campaign_" +
-                              std::to_string(i) + ".log");
-  }
 }
 
 }  // namespace itree::net

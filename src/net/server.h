@@ -34,8 +34,8 @@
 //   * idle sessions are closed after `idle_timeout_seconds`
 //   * request_shutdown() (async-signal-safe) stops accepting on every
 //     reactor, settles in-flight cross-reactor traffic, flushes every
-//     pending response, optionally persists the per-campaign event
-//     logs, and returns from run()
+//     pending response, checkpoints the storage engine when one is
+//     configured, and returns from run()
 #pragma once
 
 #include <atomic>
@@ -112,9 +112,6 @@ struct ServerConfig {
   /// stops reading from that session (slow-reader backpressure) until
   /// the buffer drains below half the mark.
   std::size_t max_write_buffer = 4u << 20;
-  /// When non-empty: on shutdown each campaign's event log is saved to
-  /// `<persist_dir>/campaign_<i>.log`.
-  std::string persist_dir;
   /// Whether a SHUTDOWN frame drains the server (a private deployment
   /// convenience; disable when clients are untrusted).
   bool allow_remote_shutdown = true;
@@ -239,8 +236,6 @@ class Server {
 
   /// Builds the SERVER_STATS response body from the live counters.
   ServerStatsBody live_server_stats() const;
-
-  void persist_logs() const;
 
   ServerConfig config_;
   std::uint16_t port_ = 0;

@@ -174,6 +174,7 @@ RewardService EventLog::replay(const Mechanism& mechanism) const {
 
 EventLog EventLog::from_tree(const Tree& tree) {
   EventLog log;
+  log.events_.reserve(tree.node_count() - 1);
   // Ids are assigned sequentially by the apply path and parents always
   // precede children in the arena, so one join per participant in id
   // order replays back to the identical tree.
@@ -181,46 +182,6 @@ EventLog EventLog::from_tree(const Tree& tree) {
     log.append(JoinEvent{tree.parent(u), tree.contribution(u)});
   }
   return log;
-}
-
-NodeId RecordingService::join(NodeId referrer, double initial_contribution) {
-  const JoinEvent event{referrer, initial_contribution};
-  const NodeId id = service_.apply(event);
-  log_.append(event);
-  return id;
-}
-
-void RecordingService::contribute(NodeId participant, double amount) {
-  const ContributeEvent event{participant, amount};
-  service_.apply(event);
-  log_.append(event);
-}
-
-std::optional<NodeId> RecordingService::apply(const Event& event) {
-  const std::optional<NodeId> id = service_.apply(event);
-  log_.append(event);
-  return id;
-}
-
-void RecordingService::restore_snapshot(const Tree& tree,
-                                        std::uint64_t events_applied) {
-  service_.restore_snapshot(tree, events_applied);
-  log_ = EventLog::from_tree(tree);
-}
-
-void RecordingService::restore_snapshot(
-    const Tree& tree, std::uint64_t events_applied,
-    const std::vector<double>& aggregates) {
-  service_.restore_snapshot(tree, events_applied, aggregates);
-  log_ = EventLog::from_tree(tree);
-}
-
-void RecordingService::adopt_snapshot(Tree&& tree,
-                                      std::uint64_t events_applied,
-                                      const std::vector<double>& aggregates) {
-  // The compacted log must be built before the tree is moved away.
-  log_ = EventLog::from_tree(tree);
-  service_.adopt_snapshot(std::move(tree), events_applied, aggregates);
 }
 
 }  // namespace itree

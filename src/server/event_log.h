@@ -67,17 +67,23 @@ class EventLog {
   std::vector<Event> events_;
 };
 
-/// Records every event applied to a service so the deployment can be
-/// replayed or audited later. Thin wrapper keeping log and service in
-/// lockstep.
+/// One campaign's serving state: a pass-through to RewardService that
+/// the daemon, storage recovery and replica bootstrap hold per
+/// campaign. It keeps no history of its own — the WAL is the durable
+/// record, and `itree recover --export` writes the state-equivalent
+/// compacted log (EventLog::from_tree) when a text form is wanted.
 class RecordingService {
  public:
   explicit RecordingService(const Mechanism& mechanism,
                             RewardServiceOptions options = {})
       : service_(mechanism, options) {}
 
-  NodeId join(NodeId referrer, double initial_contribution);
-  void contribute(NodeId participant, double amount);
+  NodeId join(NodeId referrer, double initial_contribution) {
+    return service_.apply(JoinEvent{referrer, initial_contribution});
+  }
+  void contribute(NodeId participant, double amount) {
+    service_.apply(ContributeEvent{participant, amount});
+  }
 
   /// Batch-coalescing passthroughs (see RewardService::begin_batch).
   void begin_batch() { service_.begin_batch(); }
@@ -87,37 +93,40 @@ class RecordingService {
     service_.set_require_incremental(strict);
   }
 
-  /// Applies any event (join or contribute) and records it; returns
-  /// the assigned id for joins. Nothing is recorded when the service
-  /// rejects the event.
-  std::optional<NodeId> apply(const Event& event);
+  /// Applies any event (join or contribute); returns the assigned id
+  /// for joins.
+  std::optional<NodeId> apply(const Event& event) {
+    return service_.apply(event);
+  }
 
-  /// Resets service and log to a checkpointed tree: the service
-  /// replays one synthetic join per participant through its normal
-  /// apply path (bit-exact state) and the log becomes the equivalent
-  /// compacted history (EventLog::from_tree). `events_applied` restores
-  /// the pre-checkpoint event counter. The aggregates overload also
-  /// imports the snapshotted FP accumulators (see
-  /// RewardService::export_aggregates) so incremental state resumes
-  /// bit-identically to the uninterrupted run.
-  void restore_snapshot(const Tree& tree, std::uint64_t events_applied);
+  /// Resets the service to a checkpointed tree by replaying one
+  /// synthetic join per participant through its normal apply path
+  /// (bit-exact state). `events_applied` restores the pre-checkpoint
+  /// event counter. The aggregates overload also imports the
+  /// snapshotted FP accumulators (see RewardService::export_aggregates)
+  /// so incremental state resumes bit-identically to the uninterrupted
+  /// run.
+  void restore_snapshot(const Tree& tree, std::uint64_t events_applied) {
+    service_.restore_snapshot(tree, events_applied);
+  }
   void restore_snapshot(const Tree& tree, std::uint64_t events_applied,
-                        const std::vector<double>& aggregates);
+                        const std::vector<double>& aggregates) {
+    service_.restore_snapshot(tree, events_applied, aggregates);
+  }
 
   /// Bulk counterpart (see RewardService::adopt_snapshot): the tree is
   /// moved straight into the service's arena and the accumulators are
-  /// imported from the blob — no synthetic-join replay. The log becomes
-  /// the same compacted history restore_snapshot would produce.
-  /// Incremental services require a non-empty matching blob.
+  /// imported from the blob — no synthetic-join replay. Incremental
+  /// services require a non-empty matching blob.
   void adopt_snapshot(Tree&& tree, std::uint64_t events_applied,
-                      const std::vector<double>& aggregates);
+                      const std::vector<double>& aggregates) {
+    service_.adopt_snapshot(std::move(tree), events_applied, aggregates);
+  }
 
   const RewardService& service() const { return service_; }
-  const EventLog& log() const { return log_; }
 
  private:
   RewardService service_;
-  EventLog log_;
 };
 
 }  // namespace itree

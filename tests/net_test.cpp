@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <span>
 #include <thread>
 #include <vector>
@@ -488,42 +487,6 @@ TEST_F(NetTest, ShutdownFrameDrainsTheServer) {
   client.shutdown_server();  // blocks until the OK frame arrives
   loop_.join();
   EXPECT_EQ(server_->campaign(0).service().events_applied(), 1u);
-}
-
-TEST_F(NetTest, PersistsEventLogsOnShutdown) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "itree_net_persist_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  ServerConfig config;
-  config.campaigns = 2;
-  config.persist_dir = dir.string();
-  start(*mechanism, config);
-  {
-    Client client = connect();
-    drive_workload(7, 60, [&](NodeId node, double amount, bool is_join) {
-      if (is_join) {
-        client.join(1, node, amount);
-      } else {
-        client.contribute(1, node, amount);
-      }
-    });
-  }
-  stop();
-
-  // The saved log replays to the exact server-side deployment.
-  const EventLog log = EventLog::load((dir / "campaign_1.log").string());
-  const RewardService replayed = log.replay(*mechanism);
-  const RewardService& live = server_->campaign(1).service();
-  ASSERT_EQ(replayed.tree().node_count(), live.tree().node_count());
-  for (NodeId u = 1; u < replayed.tree().node_count(); ++u) {
-    EXPECT_EQ(replayed.reward(u), live.reward(u));
-  }
-  EXPECT_EQ(EventLog::load((dir / "campaign_0.log").string()).size(), 0u);
-  fs::remove_all(dir);
 }
 
 // --- EVENT_BATCH semantics ------------------------------------------

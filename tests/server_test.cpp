@@ -210,19 +210,17 @@ TEST(EventLogTest, SaveWritesAuditableIdsThatLoadBack) {
 
 TEST(EventLogTest, FromTreeCompactsToStateEquivalentJoins) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  RecordingService recording(*mechanism);
-  const NodeId a = recording.join(kRoot, 4.0);
-  const NodeId b = recording.join(a, 2.0);
-  recording.contribute(b, 1.5);
-  recording.join(b, 0.5);
+  RewardService service(*mechanism);
+  const NodeId a = service.apply(JoinEvent{kRoot, 4.0});
+  const NodeId b = service.apply(JoinEvent{a, 2.0});
+  service.apply(ContributeEvent{b, 1.5});
+  service.apply(JoinEvent{b, 0.5});
 
-  const EventLog compacted =
-      EventLog::from_tree(recording.service().tree());
+  const EventLog compacted = EventLog::from_tree(service.tree());
   // One join per participant, contributions folded in.
-  EXPECT_EQ(compacted.size(),
-            recording.service().tree().participant_count());
+  EXPECT_EQ(compacted.size(), service.tree().participant_count());
   const RewardService replayed = compacted.replay(*mechanism);
-  EXPECT_EQ(replayed.rewards(), recording.service().rewards());
+  EXPECT_EQ(replayed.rewards(), service.rewards());
   EXPECT_EQ(replayed.tree().contribution(b), 3.5);
 }
 
@@ -248,20 +246,26 @@ TEST(EventLogTest, SaveAndLoadRoundTripThroughAFile) {
 
 TEST(EventLogTest, ReplayReconstructsTheDeployment) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  RecordingService recording(*mechanism);
-  const NodeId a = recording.join(kRoot, 4.0);
-  const NodeId b = recording.join(a, 2.0);
-  recording.contribute(b, 1.5);
-  recording.join(b, 0.5);
+  // The deployment keeps its history beside the live service.
+  RewardService service(*mechanism);
+  EventLog log;
+  const auto record = [&](const Event& event) {
+    log.append(event);
+    return service.apply(event);
+  };
+  const NodeId a = *record(JoinEvent{kRoot, 4.0});
+  const NodeId b = *record(JoinEvent{a, 2.0});
+  record(ContributeEvent{b, 1.5});
+  record(JoinEvent{b, 0.5});
 
-  const EventLog parsed = EventLog::parse(recording.log().serialize());
+  const EventLog parsed = EventLog::parse(log.serialize());
+  EXPECT_EQ(parsed.events(), log.events());
   const RewardService replayed = parsed.replay(*mechanism);
-  ASSERT_EQ(replayed.tree().node_count(),
-            recording.service().tree().node_count());
+  ASSERT_EQ(replayed.tree().node_count(), service.tree().node_count());
   for (NodeId u = 1; u < replayed.tree().node_count(); ++u) {
-    EXPECT_DOUBLE_EQ(replayed.reward(u), recording.service().reward(u));
+    EXPECT_DOUBLE_EQ(replayed.reward(u), service.reward(u));
     EXPECT_DOUBLE_EQ(replayed.tree().contribution(u),
-                     recording.service().tree().contribution(u));
+                     service.tree().contribution(u));
   }
 }
 
@@ -270,10 +274,16 @@ TEST(EventLogTest, ReplayUnderDifferentMechanismReusesHistory) {
   // mechanism — e.g. to evaluate a migration before switching.
   const MechanismPtr geometric = make_default(MechanismKind::kGeometric);
   const MechanismPtr cdrm = make_default(MechanismKind::kCdrmReciprocal);
-  RecordingService recording(*geometric);
-  const NodeId a = recording.join(kRoot, 4.0);
-  recording.join(a, 2.0);
-  const RewardService repriced = recording.log().replay(*cdrm);
+  RewardService live(*geometric);
+  EventLog log;
+  const auto record = [&](const Event& event) {
+    log.append(event);
+    return live.apply(event);
+  };
+  const NodeId a = *record(JoinEvent{kRoot, 4.0});
+  record(JoinEvent{a, 2.0});
+  const RewardService repriced = log.replay(*cdrm);
+  EXPECT_NE(repriced.reward(a), live.reward(a));
   EXPECT_NEAR(repriced.reward(a),
               (0.5 - 0.4 / (1.0 + 4.0 + 2.0)) * 4.0, 1e-12);
 }

@@ -254,6 +254,8 @@ int cmd_recover(const ArgParser& args) {
   // read-only recovery: the data directory is never modified (a torn
   // WAL tail is skipped in memory, not truncated on disk). The
   // mechanism comes from the directory's MANIFEST, no flags needed.
+  // --export writes each campaign as its compacted log (one join per
+  // participant, EventLog::from_tree), which replays to the same tree.
   const std::vector<std::string>& positional = args.positional();
   if (positional.size() < 2) {
     std::cerr << "usage: itree recover <data-dir> [--export <dir>] "
@@ -298,7 +300,8 @@ int cmd_recover(const ArgParser& args) {
     for (std::size_t c = 0; c < recovered.campaigns.size(); ++c) {
       const std::string path =
           *export_dir + "/campaign_" + std::to_string(c) + ".log";
-      recovered.campaigns[c]->log().save(path);
+      EventLog::from_tree(recovered.campaigns[c]->service().tree())
+          .save(path);
       std::cout << "exported campaign " << c << " -> " << path << '\n';
     }
   }
@@ -413,7 +416,8 @@ int main(int argc, char** argv) {
   args.add_flag("--digest",
                 "print the fnv1a64 rewards digest (replay, recover)", false);
   args.add_flag("--export",
-                "write recovered campaign logs to this directory (recover)");
+                "write each recovered campaign as a compacted event log to "
+                "this directory (recover)");
 
   if (!args.parse(argc, argv)) {
     std::cerr << args.error() << '\n';

@@ -12,7 +12,7 @@
 // Examples:
 //   itree-served --port 7431 --campaigns 8 --mechanism geometric
 //   itree-served --reactors 4 --campaigns 8   # four epoll loops
-//   itree-served --port 0 --persist-dir /var/lib/itree  # ephemeral port
+//   itree-served --port 0 --campaigns 4     # ephemeral port
 //   itree-served --data-dir /var/lib/itree/data --fsync always
 //
 // With --data-dir the daemon runs on the crash-safe storage engine
@@ -77,8 +77,6 @@ int main(int argc, char** argv) {
   args.add_flag("--params", "mechanism parameters, e.g. \"a=0.4,b=0.2\"");
   args.add_flag("--idle-timeout",
                 "close sessions idle for this many seconds (0 = never)");
-  args.add_flag("--persist-dir",
-                "save each campaign's event log here on shutdown");
   args.add_flag("--data-dir",
                 "crash-safe storage directory (WAL + snapshots)");
   args.add_flag("--fsync",
@@ -136,7 +134,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int_or("--reactors", 1));
     config.idle_timeout_seconds =
         args.get_double_or("--idle-timeout", 0.0);
-    config.persist_dir = args.get_or("--persist-dir", "");
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
     config.require_incremental = args.has("--require-incremental");
     config.storage.data_dir = args.get_or("--data-dir", "");
