@@ -6,7 +6,8 @@
 #   1. bench_e13_scalability --scale small — the 10k-node determinism
 #      probe computes every feasible mechanism's total-reward digest;
 #      the digests must equal scripts/perf_goldens/e13_digests.golden
-#      byte-for-byte. Any flat-kernel change that alters reward bits
+#      byte-for-byte. Any batch-kernel change that alters reward bits
+#      (the arena sweeps of tree/subtree_sums.h and Mechanism::compute)
 #      fails here before it can silently rewrite the BENCH_* trajectory.
 #   1b. bench_e13_scalability --scale giant --giant-nodes 200000 — the
 #      SoA-arena giant-tree sweep at a CI-sized node count: builds the

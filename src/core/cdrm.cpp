@@ -18,21 +18,18 @@ CdrmMechanism::CdrmMechanism(BudgetParams budget, std::string name,
 }
 
 RewardVector CdrmMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void CdrmMechanism::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                                 RewardVector& out) const {
-  compute_subtree_data(view, ws.data);
-  const std::size_t n = view.node_count();
-  out.assign(n, 0.0);
-  for (NodeId u = 1; u < n; ++u) {
-    const double x = view.contribution(u);
-    const double y = ws.data.subtree_contribution[u] - x;
+  const std::vector<double> subtree =
+      compute_subtree_data(tree).subtree_contribution;
+  const std::span<const double> contribution = tree.contribution_array();
+  RewardVector out(tree.node_count(), 0.0);
+  for (NodeId u = 1; u < out.size(); ++u) {
+    const double x = contribution[u];
+    const double y = subtree[u] - x;
     // R(x, y) is only constrained for x > 0; a zero contribution earns
     // zero reward (keeps phi-RPC tight and the budget safe).
     out[u] = (x > 0.0) ? function_(x, y) : 0.0;
   }
+  return out;
 }
 
 PropertySet CdrmMechanism::claimed_properties() const {

@@ -37,8 +37,6 @@ class CdrmMechanism : public Mechanism {
   std::string name() const override { return name_; }
   std::string params_string() const override { return params_; }
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// CDRM rewards are pure functions R(x_p, y_p) of (own, subtree-self)

@@ -19,18 +19,12 @@ std::string GeometricMechanism::params_string() const {
 }
 
 RewardVector GeometricMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void GeometricMechanism::compute_into(const FlatTreeView& view,
-                                      TreeWorkspace& ws,
-                                      RewardVector& out) const {
-  geometric_subtree_sums(view, a_, ws.sums);
-  out.assign(ws.sums.begin(), ws.sums.end());
-  for (NodeId u = 1; u < view.node_count(); ++u) {
+  RewardVector out = geometric_subtree_sums(tree, a_);
+  for (NodeId u = 1; u < out.size(); ++u) {
     out[u] *= b_;
   }
   out[kRoot] = 0.0;
+  return out;
 }
 
 PropertySet GeometricMechanism::claimed_properties() const {

@@ -21,8 +21,6 @@ class GeometricMechanism : public Mechanism {
   std::string name() const override { return "Geometric"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// R(u) = b * S_a(u): served from the decay-a subtree aggregate, with

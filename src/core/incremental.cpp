@@ -108,8 +108,13 @@ void IncrementalSubtreeState::rebuild_binary_depths() {
   bd_.assign(n, 1);
   bd_first_.assign(n, 0);
   bd_second_.assign(n, 0);
-  for (NodeId u : tree_.postorder()) {
-    for (NodeId child : tree_.children(u)) {
+  // parent(u) < u: a descending sweep finishes every child first. Pure
+  // integer work, so the visiting order cannot change the result.
+  const NodeId* first_child = tree_.first_child_array().data();
+  const NodeId* next_sibling = tree_.next_sibling_array().data();
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+    for (NodeId child = first_child[u]; child != kInvalidNode;
+         child = next_sibling[child]) {
       const std::uint32_t d = bd_[child];
       if (d > bd_first_[u]) {
         bd_second_[u] = bd_first_[u];
@@ -172,6 +177,13 @@ double IncrementalSubtreeState::subtree_aggregate(NodeId u) const {
   return sums_[u];
 }
 
+std::span<const double> IncrementalSubtreeState::subtree_aggregates() const {
+  require(pending_.empty(),
+          "IncrementalSubtreeState: pending batched walks; flush_batch() "
+          "before querying");
+  return sums_;
+}
+
 double IncrementalSubtreeState::x_of(NodeId u) const {
   require(tree_.contains(u) && u != kRoot,
           "IncrementalSubtreeState::x_of: not a participant");
@@ -194,6 +206,13 @@ std::uint32_t IncrementalSubtreeState::binary_depth(NodeId u) const {
           "IncrementalSubtreeState::binary_depth: not tracked");
   require(u < bd_.size(), "IncrementalSubtreeState::binary_depth");
   return bd_[u];
+}
+
+std::span<const std::uint32_t> IncrementalSubtreeState::binary_depths()
+    const {
+  require(config_.track_binary_depth,
+          "IncrementalSubtreeState::binary_depths: not tracked");
+  return bd_;
 }
 
 std::vector<double> IncrementalSubtreeState::export_aggregates() const {

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/tdrm.h"
@@ -87,6 +88,10 @@ class IncrementalSubtreeState {
   /// walks (the serving layer flushes before querying).
   double subtree_aggregate(NodeId u) const;
 
+  /// S(u) for every node, indexed by id (the column behind
+  /// subtree_aggregate()). Requires no pending walks.
+  std::span<const double> subtree_aggregates() const;
+
   /// Alias for the decay = 1 reading: C(T_u).
   double subtree_contribution(NodeId u) const {
     return subtree_aggregate(u);
@@ -103,6 +108,9 @@ class IncrementalSubtreeState {
   /// recurrence; tree/subtree_sums.h). Exact — a pure integer function
   /// of the tree shape. Requires track_binary_depth.
   std::uint32_t binary_depth(NodeId u) const;
+
+  /// BD(u) for every node, indexed by id. Requires track_binary_depth.
+  std::span<const std::uint32_t> binary_depths() const;
 
   const Tree& tree() const { return tree_; }
   const Config& config() const { return config_; }

@@ -1,7 +1,5 @@
 #include "core/l_transform.h"
 
-#include "tree/flat_view.h"
-#include "tree/subtree_sums.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -9,14 +7,15 @@ namespace itree {
 
 namespace {
 
-void scaled_shares_into(const Lottree& lottree, const FlatTreeView& view,
-                        TreeWorkspace& ws, double Phi, RewardVector& out) {
-  lottree.shares_into(view, ws, out);
-  const double scale = Phi * view.total_contribution();
+RewardVector scaled_shares(const Lottree& lottree, const Tree& tree,
+                           double Phi) {
+  RewardVector out = lottree.shares(tree);
+  const double scale = Phi * tree.total_contribution();
   for (double& r : out) {
     r *= scale;
   }
   out[kRoot] = 0.0;
+  return out;
 }
 
 }  // namespace
@@ -35,13 +34,7 @@ std::string LTransformMechanism::name() const {
 std::string LTransformMechanism::params_string() const { return ""; }
 
 RewardVector LTransformMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void LTransformMechanism::compute_into(const FlatTreeView& view,
-                                       TreeWorkspace& ws,
-                                       RewardVector& out) const {
-  scaled_shares_into(*lottree_, view, ws, Phi(), out);
+  return scaled_shares(*lottree_, tree, Phi());
 }
 
 PropertySet LTransformMechanism::claimed_properties() const { return claims_; }
@@ -57,12 +50,7 @@ std::string LLuxorMechanism::params_string() const {
 }
 
 RewardVector LLuxorMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void LLuxorMechanism::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                                   RewardVector& out) const {
-  scaled_shares_into(luxor_, view, ws, Phi(), out);
+  return scaled_shares(luxor_, tree, Phi());
 }
 
 AggregateSupport LLuxorMechanism::aggregate_support() const {
@@ -98,13 +86,7 @@ std::string LPachiraMechanism::params_string() const {
 }
 
 RewardVector LPachiraMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void LPachiraMechanism::compute_into(const FlatTreeView& view,
-                                     TreeWorkspace& ws,
-                                     RewardVector& out) const {
-  scaled_shares_into(pachira_, view, ws, Phi(), out);
+  return scaled_shares(pachira_, tree, Phi());
 }
 
 PropertySet LPachiraMechanism::claimed_properties() const {

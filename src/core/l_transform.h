@@ -27,8 +27,6 @@ class LTransformMechanism : public Mechanism {
   std::string name() const override;
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   const Lottree& lottree() const { return *lottree_; }
@@ -48,8 +46,6 @@ class LLuxorMechanism : public Mechanism {
   std::string name() const override { return "L-Luxor"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// L-Luxor(delta) == Geometric(a=delta, b=Phi*(1-delta)), so the
@@ -73,8 +69,6 @@ class LPachiraMechanism : public Mechanism {
   std::string name() const override { return "L-Pachira"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   double beta() const { return pachira_.beta(); }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "tree/flat_view.h"
-#include "tree/subtree_sums.h"
 #include "util/check.h"
 
 namespace itree {
@@ -15,22 +13,6 @@ void BudgetParams::validate() const {
 
 Mechanism::Mechanism(BudgetParams budget) : budget_(budget) {
   budget_.validate();
-}
-
-void Mechanism::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                             RewardVector& out) const {
-  (void)ws;
-  require(view.source() != nullptr,
-          "Mechanism::compute_into: view has no source tree");
-  out = compute(*view.source());
-}
-
-RewardVector Mechanism::compute_via_flat(const Tree& tree) const {
-  const FlatTreeView view(tree);
-  TreeWorkspace ws;
-  RewardVector out;
-  compute_into(view, ws, out);
-  return out;
 }
 
 double Mechanism::reward_from_aggregates(const NodeAggregates&) const {

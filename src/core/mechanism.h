@@ -5,6 +5,13 @@
 // R(T) <= Phi * C(T). The system-wide budget parameters are
 //   Phi — the fraction of total contribution the organizer pays out, and
 //   phi — the per-participant fairness floor of phi-RPC (phi <= Phi).
+//
+// Each mechanism has exactly one batch form, compute(const Tree&), which
+// sweeps the tree's arena columns in place (tree/subtree_sums.h explains
+// the descending-id sweep and why it is bit-identical to a postorder
+// walk). Serving deployments avoid it altogether through the aggregate
+// hooks below; RewardService::audit() runs it once per payout to check
+// the served rewards.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +23,6 @@
 #include "tree/tree.h"
 
 namespace itree {
-
-class FlatTreeView;
-struct TreeWorkspace;
 
 /// Rewards indexed by NodeId; entry kRoot is always 0.
 using RewardVector = std::vector<double>;
@@ -77,22 +81,14 @@ class Mechanism {
   virtual std::string params_string() const = 0;
 
   /// Computes all rewards for the given referral tree. The result has
-  /// one entry per node id; the imaginary root's entry is 0.
+  /// one entry per node id; the imaginary root's entry is 0. A tree
+  /// adopted from a mapped snapshot is read in place, without a copy.
   ///
   /// Thread-safety contract: compute/reward_of are pure functions of
   /// (parameters, tree) — implementations must not keep mutable state,
   /// so one mechanism instance is safely callable from many threads
   /// concurrently (the parallel matrix and attack search rely on this).
   virtual RewardVector compute(const Tree& tree) const = 0;
-
-  /// Steady-state batch form: computes all rewards into `out`, reusing
-  /// the scratch buffers of `ws` — allocation-free once the buffers have
-  /// grown to the tree size. Bit-for-bit equal to compute(tree): the
-  /// core mechanisms route their Tree overload through this one. The
-  /// base default falls back to compute(*view.source()). Same
-  /// thread-safety contract as compute(); one (ws, out) pair per thread.
-  virtual void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                            RewardVector& out) const;
 
   /// Reward of a single participant. Default: full compute; mechanisms
   /// with cheaper single-node paths may override. Same thread-safety
@@ -122,10 +118,6 @@ class Mechanism {
 
  protected:
   explicit Mechanism(BudgetParams budget);
-
-  /// Helper for subclasses whose compute(tree) is a thin wrapper over
-  /// compute_into: builds a one-shot view + workspace and dispatches.
-  RewardVector compute_via_flat(const Tree& tree) const;
 
  private:
   BudgetParams budget_;

@@ -1,9 +1,5 @@
 #include "core/normalized.h"
 
-#include <algorithm>
-
-#include "tree/flat_view.h"
-
 namespace itree {
 
 NormalizedPreliminaryTdrm::NormalizedPreliminaryTdrm(BudgetParams budget,
@@ -24,21 +20,16 @@ double NormalizedPreliminaryTdrm::scale_for(const Tree& tree) const {
 }
 
 RewardVector NormalizedPreliminaryTdrm::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void NormalizedPreliminaryTdrm::compute_into(const FlatTreeView& view,
-                                             TreeWorkspace& ws,
-                                             RewardVector& out) const {
-  raw_.compute_into(view, ws, out);
+  RewardVector out = raw_.compute(tree);
   const double total = total_reward(out);
-  const double cap = Phi() * view.total_contribution();
+  const double cap = Phi() * tree.total_contribution();
   if (total > cap && total > 0.0) {
     const double scale = cap / total;
     for (double& r : out) {
       r *= scale;
     }
   }
+  return out;
 }
 
 PropertySet NormalizedPreliminaryTdrm::claimed_properties() const {

@@ -26,8 +26,6 @@ class NormalizedPreliminaryTdrm : public Mechanism {
   std::string name() const override { return "NormPreliminaryTDRM"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// The scaling factor applied for this tree (1 when within budget).

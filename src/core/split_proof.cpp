@@ -23,25 +23,20 @@ std::string SplitProofMechanism::params_string() const {
 }
 
 RewardVector SplitProofMechanism::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void SplitProofMechanism::compute_into(const FlatTreeView& view,
-                                       TreeWorkspace& ws,
-                                       RewardVector& out) const {
-  binary_subtree_depths(view, ws.depths);
-  const std::size_t n = view.node_count();
-  out.assign(n, 0.0);
-  for (NodeId u = 1; u < n; ++u) {
+  const std::vector<std::uint32_t> depths = binary_subtree_depths(tree);
+  const std::span<const double> contribution = tree.contribution_array();
+  RewardVector out(tree.node_count(), 0.0);
+  for (NodeId u = 1; u < out.size(); ++u) {
     const double depth_bonus =
-        1.0 - std::exp2(1.0 - static_cast<double>(ws.depths[u]));
-    out[u] = view.contribution(u) * (b_ + lambda_ * depth_bonus);
+        1.0 - std::exp2(1.0 - static_cast<double>(depths[u]));
+    out[u] = contribution[u] * (b_ + lambda_ * depth_bonus);
   }
+  return out;
 }
 
 double SplitProofMechanism::reward_from_aggregates(
     const NodeAggregates& aggregates) const {
-  // Identical expression to compute_into, so the serving path is
+  // Identical expression to compute(), so the serving path is
   // bit-for-bit the batch reward (BD is an integer, maintained exactly).
   const double depth_bonus =
       1.0 - std::exp2(1.0 - static_cast<double>(aggregates.binary_depth));

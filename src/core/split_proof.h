@@ -34,8 +34,6 @@ class SplitProofMechanism : public Mechanism {
   std::string name() const override { return "SplitProof"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// R(u) depends only on C(u) and BD(u), so the aggregate engine

@@ -17,17 +17,13 @@ std::string PreliminaryTdrm::params_string() const {
 }
 
 RewardVector PreliminaryTdrm::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void PreliminaryTdrm::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                                   RewardVector& out) const {
-  geometric_subtree_sums(view, a_, ws.sums);
-  const std::size_t n = view.node_count();
-  out.assign(n, 0.0);
-  for (NodeId u = 1; u < n; ++u) {
-    out[u] = view.contribution(u) * b_ * ws.sums[u];
+  const std::vector<double> sums = geometric_subtree_sums(tree, a_);
+  const std::span<const double> contribution = tree.contribution_array();
+  RewardVector out(tree.node_count(), 0.0);
+  for (NodeId u = 1; u < out.size(); ++u) {
+    out[u] = contribution[u] * b_ * sums[u];
   }
+  return out;
 }
 
 PropertySet PreliminaryTdrm::claimed_properties() const {
@@ -84,11 +80,6 @@ RewardVector Tdrm::compute_via_rct(const Tree& tree) const {
 }
 
 RewardVector Tdrm::compute(const Tree& tree) const {
-  return compute_via_flat(tree);
-}
-
-void Tdrm::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                        RewardVector& out) const {
   // Virtual-RCT evaluation. For each referral node u (children first),
   // unroll CH_u bottom-up: the tail's geometric sum seeds from u's own
   // tail weight plus a * S_a(head of CH_v) over u's referral children v
@@ -96,51 +87,53 @@ void Tdrm::compute_into(const FlatTreeView& view, TreeWorkspace& ws,
   // weight on top of a * (sum below). The per-node arithmetic and the
   // head-to-tail reward accumulation order replicate compute_via_rct
   // operation-for-operation, so the results are bit-identical while
-  // touching O(n + total chain length) memory sequentially and
-  // allocating nothing at steady state.
-  const std::size_t n = view.node_count();
+  // touching O(n + total chain length) memory sequentially.
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  const double* contribution = tree.contribution_array().data();
   const double a = params_.a;
   const double mu = params_.mu;
   const double scale = params_.lambda / params_.mu * params_.b;
   const double floor = phi();
 
-  ws.heads.assign(n, 0.0);  // S_a(head of CH_u) per referral node
-  out.assign(n, 0.0);
+  std::vector<double> heads(n, 0.0);  // S_a(head of CH_u) per referral node
+  std::vector<double> chain;          // S_a per chain node (0 = head)
+  RewardVector out(n, 0.0);
 
-  for (NodeId u : view.postorder()) {
-    if (u == kRoot) {
-      continue;
-    }
-    const double c = view.contribution(u);
+  // parent(u) < u, so a descending sweep finishes every child first.
+  for (NodeId u = static_cast<NodeId>(n); u-- > 1;) {
+    const double c = contribution[u];
     const std::size_t len = rct_chain_length(c, mu);
     const double head_contribution = c - static_cast<double>(len - 1) * mu;
-    if (ws.chain.size() < len) {
-      ws.chain.resize(len);
+    if (chain.size() < len) {
+      chain.resize(len);
     }
 
-    // Geometric sums bottom-up along the chain; chain[i] = S_a of the
-    // i-th chain node (0 = head). Only the tail sees the children.
+    // Geometric sums bottom-up along the chain. Only the tail sees the
+    // children.
     double s = (len == 1) ? head_contribution : mu;
-    for (NodeId v : view.children(u)) {
-      s += a * ws.heads[v];
+    for (NodeId v = first_child[u]; v != kInvalidNode; v = next_sibling[v]) {
+      s += a * heads[v];
     }
-    ws.chain[len - 1] = s;
+    chain[len - 1] = s;
     for (std::size_t i = len - 1; i-- > 0;) {
       const double ci = (i == 0) ? head_contribution : mu;
       s = ci + a * s;
-      ws.chain[i] = s;
+      chain[i] = s;
     }
-    ws.heads[u] = s;
+    heads[u] = s;
 
     // R(u) = sum over the chain, head first (the RCT id order).
     double r = 0.0;
     for (std::size_t i = 0; i < len; ++i) {
       const double ci = (i == 0) ? head_contribution : mu;
-      const double rw = scale * ci * ws.chain[i] + floor * ci;
+      const double rw = scale * ci * chain[i] + floor * ci;
       r += rw;
     }
     out[u] = r;
   }
+  return out;
 }
 
 PropertySet Tdrm::claimed_properties() const {

@@ -32,8 +32,6 @@ class PreliminaryTdrm : public Mechanism {
   std::string name() const override { return "PreliminaryTDRM"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
   PropertySet claimed_properties() const override;
 
   /// R(u) = C(u) * b * S_a(u): a pure function of (own, decay-a
@@ -67,14 +65,12 @@ class Tdrm : public Mechanism {
 
   std::string name() const override { return "TDRM"; }
   std::string params_string() const override;
-  RewardVector compute(const Tree& tree) const override;
 
-  /// Flat batch kernel: evaluates the chains *virtually*, walking the
-  /// referral tree in postorder and unrolling each CH_u on the fly —
-  /// never materializing the RCT. Bit-for-bit equal to the
+  /// Batch kernel: evaluates the chains *virtually*, sweeping the
+  /// referral tree's arena children-first and unrolling each CH_u on
+  /// the fly — never materializing the RCT. Bit-for-bit equal to the
   /// materializing path (compute_via_rct), which tests assert.
-  void compute_into(const FlatTreeView& view, TreeWorkspace& ws,
-                    RewardVector& out) const override;
+  RewardVector compute(const Tree& tree) const override;
   PropertySet claimed_properties() const override;
 
   const TdrmParams& params() const { return params_; }
@@ -87,7 +83,7 @@ class Tdrm : public Mechanism {
 
   /// The original Algorithm 4 path (materialize the RCT, run the
   /// geometric rule on it, fold chain rewards back). Kept as the
-  /// reference the flat kernel is checked against.
+  /// reference the virtual-RCT kernel of compute() is checked against.
   RewardVector compute_via_rct(const Tree& tree) const;
 
  private:

@@ -15,9 +15,6 @@
 
 namespace itree {
 
-class FlatTreeView;
-struct TreeWorkspace;
-
 class Lottree {
  public:
   virtual ~Lottree() = default;
@@ -28,12 +25,6 @@ class Lottree {
   /// imaginary root's share is 0, and the total is <= 1 (probability mass
   /// not allocated to participants stays with the organizer).
   virtual std::vector<double> shares(const Tree& tree) const = 0;
-
-  /// Flat batch form of shares(): writes into `out` reusing `ws`
-  /// scratch, allocation-free at steady state and bit-for-bit equal to
-  /// shares(tree). The base default falls back through view.source().
-  virtual void shares_into(const FlatTreeView& view, TreeWorkspace& ws,
-                           std::vector<double>& out) const;
 };
 
 }  // namespace itree

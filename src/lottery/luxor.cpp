@@ -10,25 +10,17 @@ Luxor::Luxor(double delta) : delta_(delta) {
 }
 
 std::vector<double> Luxor::shares(const Tree& tree) const {
-  const FlatTreeView view(tree);
-  TreeWorkspace ws;
-  std::vector<double> out;
-  shares_into(view, ws, out);
-  return out;
-}
-
-void Luxor::shares_into(const FlatTreeView& view, TreeWorkspace& ws,
-                        std::vector<double>& out) const {
-  const std::size_t n = view.node_count();
-  out.assign(n, 0.0);
-  const double total = view.total_contribution();
+  const std::size_t n = tree.node_count();
+  std::vector<double> out(n, 0.0);
+  const double total = tree.total_contribution();
   if (total <= 0.0) {
-    return;
+    return out;
   }
-  geometric_subtree_sums(view, delta_, ws.sums);
+  const std::vector<double> sums = geometric_subtree_sums(tree, delta_);
   for (NodeId u = 1; u < n; ++u) {
-    out[u] = (1.0 - delta_) / total * ws.sums[u];
+    out[u] = (1.0 - delta_) / total * sums[u];
   }
+  return out;
 }
 
 }  // namespace itree

@@ -20,8 +20,6 @@ class Luxor : public Lottree {
 
   std::string name() const override { return "Luxor"; }
   std::vector<double> shares(const Tree& tree) const override;
-  void shares_into(const FlatTreeView& view, TreeWorkspace& ws,
-                   std::vector<double>& out) const override;
 
   double delta() const { return delta_; }
 

@@ -17,29 +17,22 @@ double Pachira::pi(double x) const {
 }
 
 std::vector<double> Pachira::shares(const Tree& tree) const {
-  const FlatTreeView view(tree);
-  TreeWorkspace ws;
-  std::vector<double> out;
-  shares_into(view, ws, out);
-  return out;
-}
-
-void Pachira::shares_into(const FlatTreeView& view, TreeWorkspace& ws,
-                          std::vector<double>& out) const {
-  const std::size_t n = view.node_count();
-  out.assign(n, 0.0);
-  const double total = view.total_contribution();
+  const std::size_t n = tree.node_count();
+  std::vector<double> out(n, 0.0);
+  const double total = tree.total_contribution();
   if (total <= 0.0) {
-    return;
+    return out;
   }
-  compute_subtree_data(view, ws.data);
+  const std::vector<double> subtree =
+      compute_subtree_data(tree).subtree_contribution;
   for (NodeId u = 1; u < n; ++u) {
-    double share = pi(ws.data.subtree_contribution[u] / total);
-    for (NodeId child : view.children(u)) {
-      share -= pi(ws.data.subtree_contribution[child] / total);
+    double share = pi(subtree[u] / total);
+    for (NodeId child : tree.children(u)) {
+      share -= pi(subtree[child] / total);
     }
     out[u] = share;
   }
+  return out;
 }
 
 }  // namespace itree

@@ -21,8 +21,6 @@ class Pachira : public Lottree {
 
   std::string name() const override { return "Pachira"; }
   std::vector<double> shares(const Tree& tree) const override;
-  void shares_into(const FlatTreeView& view, TreeWorkspace& ws,
-                   std::vector<double>& out) const override;
 
   double beta() const { return beta_; }
   double delta() const { return delta_; }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 
 #include "core/tdrm.h"
@@ -279,13 +280,34 @@ const RewardVector& RewardService::rewards() const {
       note_batch_fallback();  // logs once
       cached_rewards_ = mechanism_->compute(tree());
     } else {
-      // Fill from the incremental O(1) queries; the batch mechanism is
-      // deliberately not touched (tests instrument compute() to prove
-      // this stays true).
-      const Tree& t = tree();
-      cached_rewards_.assign(t.node_count(), 0.0);
-      for (NodeId u = 1; u < t.node_count(); ++u) {
-        cached_rewards_[u] = reward(u);
+      // Fill from the incremental state in one pass — the same
+      // arithmetic reward(u) does per node, without its per-call checks
+      // and flush test. The batch mechanism is deliberately not touched
+      // (tests instrument compute() to prove this stays true).
+      ensure_flushed();
+      const std::size_t n = tree().node_count();
+      cached_rewards_.assign(n, 0.0);
+      if (mode_ == Mode::kAggregate) {
+        const std::span<const double> own =
+            aggregate_state_->tree().contribution_array();
+        const std::span<const double> subtree =
+            aggregate_state_->subtree_aggregates();
+        const std::span<const std::uint32_t> binary_depth =
+            support_.binary_depth ? aggregate_state_->binary_depths()
+                                  : std::span<const std::uint32_t>{};
+        NodeAggregates aggregates;
+        for (NodeId u = 1; u < n; ++u) {
+          aggregates.own = own[u];
+          aggregates.subtree = subtree[u];
+          if (support_.binary_depth) {
+            aggregates.binary_depth = binary_depth[u];
+          }
+          cached_rewards_[u] = mechanism_->reward_from_aggregates(aggregates);
+        }
+      } else {
+        for (NodeId u = 1; u < n; ++u) {
+          cached_rewards_[u] = rct_state_->reward(u);
+        }
       }
     }
     dirty_ = false;
@@ -311,11 +333,13 @@ double RewardService::audit() const {
   if (mode_ == Mode::kBatch) {
     return 0.0;
   }
-  ensure_flushed();
+  // rewards() is the vector REWARDS_BATCH serves, bit-identical to
+  // reward(u); one batch compute is checked against all of it.
+  const RewardVector& served = rewards();
   const RewardVector batch = mechanism_->compute(tree());
   double worst = 0.0;
-  for (NodeId u = 1; u < tree().node_count(); ++u) {
-    worst = std::max(worst, std::fabs(batch[u] - reward(u)));
+  for (NodeId u = 1; u < batch.size(); ++u) {
+    worst = std::max(worst, std::fabs(batch[u] - served[u]));
   }
   return worst;
 }

@@ -125,8 +125,8 @@ class RewardService {
   double reward(NodeId participant) const;
 
   /// Current rewards of everyone (root entry is 0). Incremental modes
-  /// fill the cache from their O(1) per-participant queries — the batch
-  /// mechanism is NOT invoked. The reference stays valid until the next
+  /// fill the cache in one pass over their aggregate columns, bit for
+  /// bit what reward(u) returns — the batch mechanism is NOT invoked. The reference stays valid until the next
   /// applied event. In strict mode (require_incremental) a batch-only
   /// mechanism throws std::invalid_argument here instead.
   const RewardVector& rewards() const;
@@ -138,7 +138,8 @@ class RewardService {
   bool incremental() const { return mode_ != Mode::kBatch; }
 
   /// Largest |incremental - batch| divergence across participants
-  /// (0 for batch-mode services). A production deployment runs this
+  /// (0 for batch-mode services): one batch compute() compared with
+  /// rewards(), the served vector. A production deployment runs this
   /// before each payout cycle.
   double audit() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tree/subtree_sums.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -167,12 +166,9 @@ EpochStats SimulationEngine::step() {
   stats.reward_gini = gini(std::move(participant_rewards));
   stats.mean_marginal_reward =
       (marginal_stats.count() > 0) ? marginal_stats.mean() : 0.0;
-  const SubtreeData data = compute_subtree_data(tree_);
-  std::uint32_t max_depth = 0;
-  for (NodeId u = 1; u < tree_.node_count(); ++u) {
-    max_depth = std::max(max_depth, data.depth[u]);
-  }
-  stats.max_depth = static_cast<double>(max_depth);
+  const std::span<const std::uint32_t> depth = tree_.depth_array();
+  stats.max_depth =
+      static_cast<double>(*std::max_element(depth.begin(), depth.end()));
 
   // Per-person reward-per-contribution by strategy (a Sybil person's
   // identity chain is aggregated before the ratio).

@@ -52,7 +52,10 @@ void write_u32_section(std::string& out, std::size_t offset,
                        std::span<const NodeId> values) {
   static_assert(sizeof(NodeId) == 4);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data() + offset, values.data(), values.size() * 4);
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (!values.empty()) {
+      std::memcpy(out.data() + offset, values.data(), values.size() * 4);
+    }
   } else {
     char* p = out.data() + offset;
     for (const NodeId v : values) {
@@ -66,7 +69,9 @@ void write_u32_section(std::string& out, std::size_t offset,
 void write_f64_section(std::string& out, std::size_t offset,
                        std::span<const double> values) {
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data() + offset, values.data(), values.size() * 8);
+    if (!values.empty()) {
+      std::memcpy(out.data() + offset, values.data(), values.size() * 8);
+    }
   } else {
     char* p = out.data() + offset;
     for (const double d : values) {
@@ -80,7 +85,9 @@ void write_f64_section(std::string& out, std::size_t offset,
 
 void read_u32_section(std::string_view src, NodeId* dst, std::size_t count) {
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(dst, src.data(), count * 4);
+    if (count > 0) {
+      std::memcpy(dst, src.data(), count * 4);
+    }
   } else {
     const auto* p = reinterpret_cast<const std::uint8_t*>(src.data());
     for (std::size_t i = 0; i < count; ++i) {
@@ -95,7 +102,9 @@ void read_u32_section(std::string_view src, NodeId* dst, std::size_t count) {
 
 void read_f64_section(std::string_view src, double* dst, std::size_t count) {
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(dst, src.data(), count * 8);
+    if (count > 0) {
+      std::memcpy(dst, src.data(), count * 8);
+    }
   } else {
     const auto* p = reinterpret_cast<const std::uint8_t*>(src.data());
     for (std::size_t i = 0; i < count; ++i) {

@@ -19,7 +19,7 @@ TreeMetrics compute_metrics(const Tree& tree) {
     return metrics;
   }
 
-  const SubtreeData data = compute_subtree_data(tree);
+  const std::span<const std::uint32_t> depths = tree.depth_array();
   const std::vector<std::uint32_t> strahler = binary_subtree_depths(tree);
 
   OnlineStats depth_stats;
@@ -27,7 +27,7 @@ TreeMetrics compute_metrics(const Tree& tree) {
   std::vector<double> contributions;
   contributions.reserve(metrics.participants);
   for (NodeId u = 1; u < tree.node_count(); ++u) {
-    const std::size_t depth = data.depth[u];
+    const std::size_t depth = depths[u];
     depth_stats.add(static_cast<double>(depth));
     metrics.max_depth = std::max<std::size_t>(metrics.max_depth, depth);
     const std::size_t out_degree = tree.children(u).size();

@@ -4,55 +4,46 @@
 
 namespace itree {
 
-void compute_subtree_data(const FlatTreeView& view, SubtreeData& out) {
-  const std::size_t n = view.node_count();
-  out.subtree_contribution.assign(n, 0.0);
-  out.subtree_size.assign(n, 1);
-  out.depth.assign(n, 0);
-
-  for (NodeId u : view.postorder()) {
-    out.subtree_contribution[u] += view.contribution(u);
-    if (u != kRoot) {
-      const NodeId p = view.parent(u);
-      out.subtree_contribution[p] += out.subtree_contribution[u];
-      out.subtree_size[p] += out.subtree_size[u];
-    }
-  }
-  for (NodeId u : view.preorder()) {
-    if (u != kRoot) {
-      out.depth[u] = out.depth[view.parent(u)] + 1;
-    }
-  }
-}
-
 SubtreeData compute_subtree_data(const Tree& tree) {
-  const FlatTreeView view(tree);
-  SubtreeData data;
-  compute_subtree_data(view, data);
-  return data;
-}
-
-void geometric_subtree_sums(const FlatTreeView& view, double a,
-                            std::vector<double>& out) {
-  out.assign(view.node_count(), 0.0);
-  for (NodeId u : view.postorder()) {
-    double s = view.contribution(u);
-    for (NodeId child : view.children(u)) {
-      s += a * out[child];
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  const double* contribution = tree.contribution_array().data();
+  SubtreeData out;
+  out.subtree_contribution.resize(n);
+  out.subtree_size.resize(n);
+  const std::span<const std::uint32_t> depth = tree.depth_array();
+  out.depth.assign(depth.begin(), depth.end());
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+    double sum = 0.0;
+    std::uint32_t size = 1;
+    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+      sum += out.subtree_contribution[c];
+      size += out.subtree_size[c];
     }
-    out[u] = s;
+    out.subtree_contribution[u] = sum + contribution[u];
+    out.subtree_size[u] = size;
   }
+  return out;
 }
 
 std::vector<double> geometric_subtree_sums(const Tree& tree, double a) {
-  const FlatTreeView view(tree);
-  std::vector<double> sums;
-  geometric_subtree_sums(view, a, sums);
-  return sums;
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  const double* contribution = tree.contribution_array().data();
+  std::vector<double> out(n);
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+    double s = contribution[u];
+    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+      s += a * out[c];
+    }
+    out[u] = s;
+  }
+  return out;
 }
 
-void binary_subtree_depths(const FlatTreeView& view,
-                           std::vector<std::uint32_t>& out) {
+std::vector<std::uint32_t> binary_subtree_depths(const Tree& tree) {
   // Depth of the deepest complete binary tree embeddable (as a minor)
   // in T_u — the Strahler-number recurrence. A complete binary tree of
   // depth k+1 needs two disjoint subtrees each embedding depth k, so with
@@ -61,12 +52,15 @@ void binary_subtree_depths(const FlatTreeView& view,
   // split-proof mechanism bases rewards on (paper Sec. 4.3): a chain has
   // constant depth no matter how long it grows, which is exactly why
   // that mechanism fails CSI.
-  out.assign(view.node_count(), 1);
-  for (NodeId u : view.postorder()) {
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  std::vector<std::uint32_t> out(n);
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
     std::uint32_t first = 0;   // largest child depth
     std::uint32_t second = 0;  // second largest child depth
-    for (NodeId child : view.children(u)) {
-      const std::uint32_t d = out[child];
+    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+      const std::uint32_t d = out[c];
       if (d > first) {
         second = first;
         first = d;
@@ -76,13 +70,7 @@ void binary_subtree_depths(const FlatTreeView& view,
     }
     out[u] = std::max<std::uint32_t>({1, first, second + 1});
   }
-}
-
-std::vector<std::uint32_t> binary_subtree_depths(const Tree& tree) {
-  const FlatTreeView view(tree);
-  std::vector<std::uint32_t> depths;
-  binary_subtree_depths(view, depths);
-  return depths;
+  return out;
 }
 
 }  // namespace itree

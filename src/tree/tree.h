@@ -455,9 +455,10 @@ class Tree {
   std::vector<NodeId> participants() const;
 
   /// Raw arena columns, indexed by node id (entry 0 is the imaginary
-  /// root: parent kInvalidNode, contribution 0). FlatTreeView rebuilds
-  /// and the snapshot-image writers bulk-copy these instead of walking
-  /// accessors. Valid until the next mutation.
+  /// root: parent kInvalidNode, contribution 0). The batch kernels
+  /// (tree/subtree_sums.h, Mechanism::compute) sweep these in place and
+  /// the snapshot-image writers bulk-copy them, instead of walking
+  /// checked accessors. Valid until the next mutation.
   std::span<const NodeId> parent_array() const { return parent_.span(); }
   std::span<const double> contribution_array() const {
     return contribution_.span();

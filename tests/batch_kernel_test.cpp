@@ -1,0 +1,429 @@
+// Tests for the batch kernels (tree/subtree_sums.h and every
+// Mechanism::compute), which sweep the Tree arena's columns in place:
+// descending ids for bottom-up passes, pulling children along the
+// sibling chain. Each result must be bit-for-bit equal to the classic
+// recurrence run over Tree::postorder()/preorder() — written out here as
+// test-local references — on every tree shape, including a 100k-deep
+// chain and a tree adopted from a mapped v5 snapshot whose columns are
+// still borrowed. The BENCH_* digest trajectory depends on this.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
+
+#include "core/cdrm.h"
+#include "core/factory.h"
+#include "core/geometric.h"
+#include "core/l_transform.h"
+#include "core/normalized.h"
+#include "core/registry.h"
+#include "core/split_proof.h"
+#include "core/tdrm.h"
+#include "lottery/pachira.h"
+#include "server/reward_service.h"
+#include "storage/snapshot.h"
+#include "tree/generators.h"
+#include "tree/io.h"
+#include "tree/subtree_sums.h"
+
+namespace itree {
+namespace {
+
+namespace fs = std::filesystem;
+
+// --- Test-local references: the recurrences over postorder/preorder ----
+
+std::vector<double> reference_geometric_sums(const Tree& tree, double a) {
+  std::vector<double> sums(tree.node_count(), 0.0);
+  for (NodeId u : tree.postorder()) {
+    double s = tree.contribution(u);
+    for (NodeId child : tree.children(u)) {
+      s += a * sums[child];
+    }
+    sums[u] = s;
+  }
+  return sums;
+}
+
+SubtreeData reference_subtree_data(const Tree& tree) {
+  const std::size_t n = tree.node_count();
+  SubtreeData data{std::vector<double>(n, 0.0),
+                   std::vector<std::uint32_t>(n, 1),
+                   std::vector<std::uint32_t>(n, 0)};
+  // Push form: a node adds its own contribution once every child has
+  // pushed its finished total into it.
+  for (NodeId u : tree.postorder()) {
+    data.subtree_contribution[u] += tree.contribution(u);
+    if (u != kRoot) {
+      const NodeId p = tree.parent(u);
+      data.subtree_contribution[p] += data.subtree_contribution[u];
+      data.subtree_size[p] += data.subtree_size[u];
+    }
+  }
+  for (NodeId u : tree.preorder()) {
+    if (u != kRoot) {
+      data.depth[u] = data.depth[tree.parent(u)] + 1;
+    }
+  }
+  return data;
+}
+
+std::vector<std::uint32_t> reference_binary_depths(const Tree& tree) {
+  std::vector<std::uint32_t> depths(tree.node_count(), 1);
+  for (NodeId u : tree.postorder()) {
+    std::uint32_t first = 0;
+    std::uint32_t second = 0;
+    for (NodeId child : tree.children(u)) {
+      const std::uint32_t d = depths[child];
+      if (d > first) {
+        second = first;
+        first = d;
+      } else if (d > second) {
+        second = d;
+      }
+    }
+    depths[u] = std::max<std::uint32_t>({1, first, second + 1});
+  }
+  return depths;
+}
+
+RewardVector reference_tdrm(const Tree& tree, const TdrmParams& params,
+                            double phi) {
+  const std::size_t n = tree.node_count();
+  const double scale = params.lambda / params.mu * params.b;
+  std::vector<double> heads(n, 0.0);
+  std::vector<double> chain;
+  RewardVector out(n, 0.0);
+  for (NodeId u : tree.postorder()) {
+    if (u == kRoot) {
+      continue;
+    }
+    const double c = tree.contribution(u);
+    const std::size_t len = rct_chain_length(c, params.mu);
+    const double head = c - static_cast<double>(len - 1) * params.mu;
+    chain.resize(len);
+    double s = (len == 1) ? head : params.mu;
+    for (NodeId v : tree.children(u)) {
+      s += params.a * heads[v];
+    }
+    chain[len - 1] = s;
+    for (std::size_t i = len - 1; i-- > 0;) {
+      s = ((i == 0) ? head : params.mu) + params.a * s;
+      chain[i] = s;
+    }
+    heads[u] = s;
+    double r = 0.0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const double ci = (i == 0) ? head : params.mu;
+      r += scale * ci * chain[i] + phi * ci;
+    }
+    out[u] = r;
+  }
+  return out;
+}
+
+/// The old per-mechanism reward formulas over the reference aggregates.
+/// Mechanism parameters are read back through the concrete classes;
+/// NormalizedPreliminaryTdrm exposes none, so its factory defaults
+/// (a = 0.5, b = 0.2) are spelled out.
+RewardVector reference_rewards(const Mechanism& m, const Tree& tree) {
+  const std::size_t n = tree.node_count();
+  const double total = tree.total_contribution();
+  const double l_scale = m.Phi() * total;  // L-transform: Phi * C(T)
+  RewardVector out(n, 0.0);
+  if (const auto* g = dynamic_cast<const GeometricMechanism*>(&m)) {
+    const std::vector<double> s = reference_geometric_sums(tree, g->a());
+    for (NodeId u = 1; u < n; ++u) {
+      out[u] = s[u] * g->b();
+    }
+  } else if (const auto* l = dynamic_cast<const LLuxorMechanism*>(&m)) {
+    const std::vector<double> s = reference_geometric_sums(tree, l->delta());
+    for (NodeId u = 1; u < n && total > 0.0; ++u) {
+      out[u] = (1.0 - l->delta()) / total * s[u] * l_scale;
+    }
+  } else if (const auto* p = dynamic_cast<const LPachiraMechanism*>(&m)) {
+    const Pachira pachira(p->beta(), p->delta());
+    const SubtreeData data = reference_subtree_data(tree);
+    for (NodeId u = 1; u < n && total > 0.0; ++u) {
+      double share = pachira.pi(data.subtree_contribution[u] / total);
+      for (NodeId child : tree.children(u)) {
+        share -= pachira.pi(data.subtree_contribution[child] / total);
+      }
+      out[u] = share * l_scale;
+    }
+  } else if (const auto* sp = dynamic_cast<const SplitProofMechanism*>(&m)) {
+    const std::vector<std::uint32_t> bd = reference_binary_depths(tree);
+    for (NodeId u = 1; u < n; ++u) {
+      const double bonus = 1.0 - std::exp2(1.0 - static_cast<double>(bd[u]));
+      out[u] = tree.contribution(u) * (sp->b() + sp->lambda() * bonus);
+    }
+  } else if (const auto* pt = dynamic_cast<const PreliminaryTdrm*>(&m)) {
+    const std::vector<double> s = reference_geometric_sums(tree, pt->a());
+    for (NodeId u = 1; u < n; ++u) {
+      out[u] = tree.contribution(u) * pt->b() * s[u];
+    }
+  } else if (dynamic_cast<const NormalizedPreliminaryTdrm*>(&m) != nullptr) {
+    out = reference_rewards(PreliminaryTdrm(m.budget(), 0.5, 0.2), tree);
+    const double raw = total_reward(out);
+    const double cap = m.Phi() * total;
+    for (double& r : out) {
+      r *= (raw > cap && raw > 0.0) ? cap / raw : 1.0;
+    }
+  } else if (const auto* t = dynamic_cast<const Tdrm*>(&m)) {
+    out = reference_tdrm(tree, t->params(), m.phi());
+  } else {
+    const auto& c = dynamic_cast<const CdrmMechanism&>(m);
+    const SubtreeData data = reference_subtree_data(tree);
+    for (NodeId u = 1; u < n; ++u) {
+      const double x = tree.contribution(u);
+      const double y = data.subtree_contribution[u] - x;
+      out[u] = (x > 0.0) ? c.reward_function(x, y) : 0.0;
+    }
+  }
+  return out;
+}
+
+// --- Tree shapes --------------------------------------------------------
+
+/// Round-trips `tree` through a v5 snapshot file and returns the tree
+/// adopted from the mapping, every column still borrowed. The directory
+/// is per process: ctest runs test cases as parallel processes.
+Tree adopt_through_v5(const Tree& tree) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("itree_batch_kernel_v5_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  storage::SnapshotData data;
+  data.last_seq = 1;
+  data.mechanism = "any";
+  storage::CampaignSnapshot campaign;
+  campaign.events_applied = tree.participant_count();
+  campaign.tree = tree;
+  data.campaigns.push_back(std::move(campaign));
+  storage::save_snapshot(dir.string(), data);
+  Tree adopted = storage::MappedSnapshot(
+                     (dir / storage::snapshot_name(data.last_seq)).string())
+                     .materialize()
+                     .campaigns[0]
+                     .tree;
+  fs::remove_all(dir);  // the mapping stays pinned by the keepalive
+  return adopted;
+}
+
+constexpr const char* kFactoryMechanisms[] = {
+    "geometric", "l-luxor", "l-pachira", "split-proof", "preliminary-tdrm",
+    "norm-preliminary-tdrm", "tdrm", "cdrm-1", "cdrm-2"};
+
+struct Shape {
+  std::string name;
+  Tree tree;
+};
+
+std::vector<Shape> shapes() {
+  std::vector<Shape> out;
+  out.push_back({"root-only", Tree{}});
+  out.push_back({"hand", parse_tree("(5 (3 (4)) (2))")});
+  Rng rng(7);
+  out.push_back({"random-recursive",
+                 random_recursive_tree(3000, uniform_contribution(0.0, 3.0),
+                                       rng)});
+  out.push_back({"chain-100k", make_chain(100000, 1.5)});
+  out.push_back({"star", make_star(500, 2.0, 1.0)});
+  out.push_back({"caterpillar", make_caterpillar(200, 3, 1.25)});
+  Tree shrunk = random_recursive_tree(
+      1000, capped_contribution(pareto_contribution(0.5, 1.2), 40.0), rng);
+  for (int i = 0; i < 5; ++i) {
+    shrunk.remove_last_node();
+  }
+  out.push_back({"after-remove-last-node", std::move(shrunk)});
+  Tree adopted = adopt_through_v5(random_recursive_tree(
+      2000, capped_contribution(pareto_contribution(0.5, 1.2), 40.0), rng));
+  EXPECT_EQ(adopted.borrowed_column_count(), 8u);
+  out.push_back({"v5-adopted", std::move(adopted)});
+  return out;
+}
+
+void expect_bit_equal(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t u = 0; u < want.size(); ++u) {
+    // Bit equality (EXPECT_EQ on doubles would also accept +0 == -0).
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[u]),
+              std::bit_cast<std::uint64_t>(want[u]))
+        << what << " node " << u << ": " << got[u] << " vs " << want[u];
+  }
+}
+
+TEST(BatchKernels, EveryShapeNumbersParentsBeforeChildren) {
+  // The descending-id sweep is a valid postorder only because every
+  // parent has a smaller id than its children, and it pulls exactly the
+  // children the sibling chain lists.
+  for (const Shape& shape : shapes()) {
+    std::size_t listed = 0;
+    for (NodeId u = 0; u < shape.tree.node_count(); ++u) {
+      ASSERT_TRUE(u == kRoot || shape.tree.parent(u) < u) << shape.name;
+      for (NodeId child : shape.tree.children(u)) {
+        ASSERT_EQ(shape.tree.parent(child), u) << shape.name;
+        ++listed;
+      }
+    }
+    EXPECT_EQ(listed, shape.tree.participant_count()) << shape.name;
+  }
+}
+
+TEST(BatchKernels, GeometricSumsBitEqualToPostorderReference) {
+  for (const Shape& shape : shapes()) {
+    for (const double a : {0.3, 0.5, 0.9}) {
+      expect_bit_equal(geometric_subtree_sums(shape.tree, a),
+                       reference_geometric_sums(shape.tree, a),
+                       shape.name + " S_a");
+    }
+  }
+}
+
+TEST(BatchKernels, SubtreeDataBitEqualToPostorderReference) {
+  for (const Shape& shape : shapes()) {
+    const SubtreeData data = compute_subtree_data(shape.tree);
+    const SubtreeData want = reference_subtree_data(shape.tree);
+    expect_bit_equal(data.subtree_contribution, want.subtree_contribution,
+                     shape.name + " C(T_u)");
+    EXPECT_EQ(data.subtree_size, want.subtree_size) << shape.name;
+    EXPECT_EQ(data.depth, want.depth) << shape.name;
+  }
+}
+
+TEST(BatchKernels, BinaryDepthsEqualPostorderReference) {
+  for (const Shape& shape : shapes()) {
+    EXPECT_EQ(binary_subtree_depths(shape.tree),
+              reference_binary_depths(shape.tree))
+        << shape.name;
+  }
+}
+
+TEST(BatchKernels, EveryFactoryMechanismBitEqualToPostorderReference) {
+  const std::vector<Shape> trees = shapes();
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    for (const Shape& shape : trees) {
+      expect_bit_equal(mechanism->compute(shape.tree),
+                       reference_rewards(*mechanism, shape.tree),
+                       std::string(name) + " on " + shape.name);
+    }
+  }
+}
+
+TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
+  // Every kernel computes on a mapped v5 tree in place (its results are
+  // checked on the "v5-adopted" shape above): no column is copied.
+  Rng rng(19);
+  const Tree adopted = adopt_through_v5(
+      random_recursive_tree(2500, uniform_contribution(0.0, 3.0), rng));
+  for (const char* name : kFactoryMechanisms) {
+    EXPECT_EQ(make_mechanism(name)->compute(adopted).size(), 2501u) << name;
+  }
+  (void)compute_subtree_data(adopted);
+  (void)binary_subtree_depths(adopted);
+  EXPECT_EQ(adopted.borrowed_column_count(), 8u);
+  EXPECT_EQ(adopted.allocation_count(), 0u);
+}
+
+TEST(BatchKernels, OnePassRewardsBitEqualToPointQueries) {
+  // rewards() fills its cache in one pass over the aggregate columns;
+  // each entry must carry the bits reward(u) returns, after plain
+  // events and after a deferred batch alike.
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    RewardService service(*mechanism);
+    Rng rng(23);
+    for (const bool batch : {false, true, false}) {
+      if (batch) {
+        service.begin_batch();
+      }
+      for (int event = 0; event < 300; ++event) {
+        const std::size_t n = service.tree().participant_count();
+        if (n == 0 || rng.bernoulli(0.6)) {
+          service.apply(JoinEvent{static_cast<NodeId>(rng.index(n + 1)),
+                                  rng.uniform(0.0, 2.5)});
+        } else {
+          service.apply(ContributeEvent{static_cast<NodeId>(1 + rng.index(n)),
+                                        rng.uniform(0.0, 1.5)});
+        }
+      }
+      const RewardVector all = service.rewards();  // flushes the batch
+      RewardVector points(all.size(), 0.0);
+      for (NodeId u = 1; u < points.size(); ++u) {
+        points[u] = service.reward(u);
+      }
+      expect_bit_equal(all, points, name);
+      service.flush_batch();
+    }
+  }
+}
+
+TEST(BatchKernels, VirtualRctTdrmBitEqualToMaterializedRct) {
+  // The TDRM kernel unrolls each eps-chain on the fly; the reference
+  // path materializes the whole RCT. Same arithmetic order ->
+  // bit-identical rewards.
+  const MechanismPtr mechanism = make_default(MechanismKind::kTdrm);
+  const auto* tdrm = dynamic_cast<const Tdrm*>(mechanism.get());
+  ASSERT_NE(tdrm, nullptr);
+  for (const Shape& shape : shapes()) {
+    if (shape.tree.node_count() > 10000) {
+      continue;  // the materialized RCT of the deep chain is the slow path
+    }
+    expect_bit_equal(tdrm->compute(shape.tree),
+                     tdrm->compute_via_rct(shape.tree), shape.name);
+  }
+}
+
+TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
+  // An adopted service whose imported accumulators disagree with its
+  // tree must fail the audit; the faithful blob must audit exactly like
+  // the service that exported it. Small-integer contributions under a
+  // dyadic decay keep every aggregate exact, so for the aggregate-engine
+  // mechanisms that audit is exactly 0. The perturbed entry is a
+  // participant's S(u) (aggregate engine) or A(u) (TDRM chain state,
+  // layout [D | H | A | total]).
+  Rng rng(11);
+  Tree tree;
+  for (NodeId u = 1; u < 400; ++u) {
+    tree.add_node(static_cast<NodeId>(rng.uniform_int(0, u - 1)),
+                  static_cast<double>(u % 4 + 1));
+  }
+  const NodeId victim = 123;
+  for (const MechanismKind kind :
+       {MechanismKind::kGeometric, MechanismKind::kPreliminaryTdrm,
+        MechanismKind::kTdrm}) {
+    const MechanismPtr mechanism = make_default(kind);
+    RewardService source(*mechanism);
+    for (NodeId u = 1; u < tree.node_count(); ++u) {
+      source.apply(JoinEvent{tree.parent(u), tree.contribution(u)});
+    }
+    const std::vector<double> blob = source.export_aggregates();
+    const bool chain_state = kind == MechanismKind::kTdrm;
+    const std::size_t slot =
+        chain_state ? 2 * tree.node_count() + victim : victim;
+
+    RewardService faithful(*mechanism);
+    faithful.adopt_snapshot(Tree(source.tree()), source.events_applied(),
+                            blob);
+    EXPECT_EQ(faithful.audit(), source.audit()) << mechanism->display_name();
+    if (!chain_state) {
+      EXPECT_EQ(faithful.audit(), 0.0) << mechanism->display_name();
+    }
+
+    std::vector<double> perturbed = blob;
+    perturbed[slot] += 1e-6;
+    RewardService corrupt(*mechanism);
+    corrupt.adopt_snapshot(Tree(source.tree()), source.events_applied(),
+                           perturbed);
+    EXPECT_GT(corrupt.audit(), 1e-7) << mechanism->display_name();
+  }
+}
+
+}  // namespace
+}  // namespace itree
