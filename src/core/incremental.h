@@ -37,6 +37,7 @@
 
 #include "core/tdrm.h"
 #include "tree/tree.h"
+#include "util/prefetch.h"
 
 namespace itree {
 
@@ -115,6 +116,28 @@ class IncrementalSubtreeState {
   const Tree& tree() const { return tree_; }
   const Config& config() const { return config_; }
 
+  /// Replay hint: prefetches the rows an event at `u` reads first —
+  /// parent, S, contribution, last_child, depth and skip pointer. `u`
+  /// may lie past the tree's end (a join inside the caller's lookahead
+  /// window has not been applied yet); it is clamped to the last node.
+  void prefetch_rows(NodeId u) const {
+    u = clamp_node(u);
+    prefetch_read(tree_.parent_array().data() + u);
+    prefetch_read(sums_.data() + u);
+    prefetch_read(tree_.contribution_array().data() + u);
+    prefetch_read(tree_.last_child_array().data() + u);
+    prefetch_read(tree_.depth_array().data() + u);
+    prefetch_read(tree_.jump_array().data() + u);
+  }
+
+  /// Replay hint one ancestor level up: loads parent[u] and jump[u]
+  /// (clamped as above) and prefetches both of those nodes' rows.
+  void prefetch_ancestor_rows(NodeId u) const {
+    u = clamp_node(u);
+    prefetch_rows(tree_.parent_array()[u]);
+    prefetch_rows(tree_.jump_array()[u]);
+  }
+
   /// [S(0..n-1) | total]: the history-dependent FP accumulators, for
   /// bit-exact snapshot resumption (see IncrementalRctState). Binary
   /// depths are *not* exported — they are recomputed exactly from the
@@ -154,6 +177,12 @@ class IncrementalSubtreeState {
 
   /// Rebuilds bd_/bd_first_/bd_second_ from the tree shape in O(n).
   void rebuild_binary_depths();
+
+  /// min(u, node_count() - 1): an id safe to index every column with.
+  NodeId clamp_node(NodeId u) const {
+    const auto last = static_cast<NodeId>(tree_.node_count() - 1);
+    return u < last ? u : last;
+  }
 
   Config config_;
   Tree tree_;

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,9 @@ class RecordingService {
   std::optional<NodeId> apply(const Event& event) {
     return service_.apply(event);
   }
+
+  /// Applies a run of events in order (see RewardService::replay).
+  void replay(std::span<const Event> events) { service_.replay(events); }
 
   /// Resets the service to a checkpointed tree by replaying one
   /// synthetic join per participant through its normal apply path

@@ -94,6 +94,44 @@ std::optional<NodeId> RewardService::apply(const Event& event) {
   return std::nullopt;
 }
 
+namespace {
+
+/// The node an event reads first: a join's referrer, a contribution's
+/// participant. Unvalidated; the prefetch hints clamp it.
+NodeId event_node(const Event& event) {
+  if (const auto* join = std::get_if<JoinEvent>(&event)) {
+    return join->referrer;
+  }
+  return std::get<ContributeEvent>(event).participant;
+}
+
+}  // namespace
+
+void RewardService::replay(std::span<const Event> events) {
+  if (mode_ != Mode::kAggregate) {
+    for (const Event& event : events) {
+      apply(event);
+    }
+    return;
+  }
+  // A join's tree append and the first ancestor steps miss the cache on
+  // a large tree; issuing those loads a few events early overlaps them
+  // with the current event's walk. Hints only: apply() is unchanged.
+  constexpr std::size_t kRowsAhead = 16;
+  constexpr std::size_t kAncestorsAhead = 8;
+  const std::size_t count = events.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kRowsAhead < count) {
+      aggregate_state_->prefetch_rows(event_node(events[i + kRowsAhead]));
+    }
+    if (i + kAncestorsAhead < count) {
+      aggregate_state_->prefetch_ancestor_rows(
+          event_node(events[i + kAncestorsAhead]));
+    }
+    apply(events[i]);
+  }
+}
+
 void RewardService::begin_batch() {
   switch (mode_) {
     case Mode::kAggregate:

@@ -1,6 +1,11 @@
 #include "storage/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace itree::storage {
 namespace {
@@ -36,10 +41,47 @@ const Tables& tables() {
   return instance;
 }
 
+#if defined(__x86_64__)
+/// The SSE4.2 `crc32` instruction computes exactly this polynomial's
+/// reflected update (without the pre/post inversion), 8 bytes per
+/// instruction. Compiled for SSE4.2 at function level only, so the rest
+/// of the binary still runs on any x86-64; crc32c() calls it only after
+/// the CPU reported the feature.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const void* data, std::size_t size, std::uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t crc = ~seed;
+  while (size >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    size -= 8;
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (size-- > 0) {
+    crc32 = _mm_crc32_u8(crc32, *p++);
+  }
+  return ~crc32;
+}
+#endif
+
+using Crc32cFn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+Crc32cFn select_crc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) {
+    return crc32c_sse42;
+  }
+#endif
+  return crc32c_portable;
+}
+
 }  // namespace
 
-std::uint32_t crc32c(const void* data, std::size_t size,
-                     std::uint32_t seed) {
+std::uint32_t crc32c_portable(const void* data, std::size_t size,
+                              std::uint32_t seed) {
   const auto& t = tables().t;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
@@ -59,6 +101,12 @@ std::uint32_t crc32c(const void* data, std::size_t size,
     crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+std::uint32_t crc32c(const void* data, std::size_t size,
+                     std::uint32_t seed) {
+  static const Crc32cFn impl = select_crc32c();
+  return impl(data, size, seed);
 }
 
 }  // namespace itree::storage

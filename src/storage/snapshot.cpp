@@ -952,9 +952,9 @@ MappedSnapshot::MappedSnapshot(const std::string& path) {
     if (map != MAP_FAILED) {
       holder->map = map;
       holder->size = size;
-      // The verify/adopt pass streams the whole image front to back;
-      // tell the kernel so readahead keeps up and the first fault
-      // doesn't stall on a cold page cache.
+      // The verify pass streams the whole image front to back; tell
+      // the kernel so readahead keeps up and the first fault doesn't
+      // stall on a cold page cache. verify() resets the advice.
 #ifdef MADV_SEQUENTIAL
       ::madvise(map, size, MADV_SEQUENTIAL);
 #endif
@@ -1006,6 +1006,14 @@ void MappedSnapshot::verify() const {
     verify_v4_sections(bytes(), parse_v4_header(bytes()));
   }
   verified_ = true;
+#ifdef MADV_NORMAL
+  // The stream is over: an adopted mapping serves random point reads
+  // for the daemon's lifetime, which MADV_SEQUENTIAL would penalize
+  // (readahead on every fault, its pages reclaimed first).
+  if (holder_->map != nullptr) {
+    ::madvise(holder_->map, holder_->size, MADV_NORMAL);
+  }
+#endif
 }
 
 SnapshotData MappedSnapshot::materialize() const {

@@ -13,8 +13,9 @@
 // Recovery invariants (asserted by tests/storage_test.cpp and the CI
 // crash smoke):
 //   * Determinism: recover() replays the WAL tail through the same
-//     RewardService apply path an uninterrupted run uses, in sequence
-//     order, so the recovered per-campaign reward vectors are
+//     RewardService apply path an uninterrupted run uses, each
+//     campaign's events in sequence order (campaigns share no state),
+//     so the recovered per-campaign reward vectors are
 //     bit-identical to an uninterrupted run over the surviving event
 //     prefix — at any thread count.
 //   * Prefix durability: per campaign the surviving events are always
@@ -98,8 +99,17 @@ struct RecoveryReport {
   std::uint64_t tail_records = 0;    ///< WAL records replayed
   std::uint64_t segments_scanned = 0;
   std::uint64_t truncated_bytes = 0; ///< torn tail discarded
+  // Wall seconds per recovery stage; together at most the whole
+  // recover_campaigns() call.
+  double snapshot_s = 0.0;  ///< map + verify + adopt the newest snapshot
+  double wal_scan_s = 0.0;  ///< read, CRC-check and split the WAL tail
+  double replay_s = 0.0;    ///< apply the tail to the campaigns
   std::vector<std::string> warnings;
 };
+
+/// "snapshot_s <s>, wal_scan_s <s>, replay_s <s>": the stage split the
+/// daemon and `itree recover` print after their recovery summary.
+std::string stage_seconds_text(const RecoveryReport& report);
 
 /// Result of the pure (read-only) recovery pass: the rebuilt
 /// campaigns plus what a writable open would truncate.
@@ -114,9 +124,10 @@ struct RecoveryResult {
 };
 
 /// Rebuilds deployment state from `dir` without modifying it: latest
-/// valid snapshot, then the WAL tail in sequence order through the
-/// normal apply path. Throws std::runtime_error on mechanism/campaign
-/// mismatch, WAL gaps, or mid-log corruption.
+/// valid snapshot, then the WAL tail through the normal apply path,
+/// each campaign's events in sequence order (RewardService::replay).
+/// Throws std::runtime_error on mechanism/campaign mismatch, WAL gaps,
+/// or mid-log corruption.
 RecoveryResult recover_campaigns(const Mechanism& mechanism,
                                  std::size_t campaign_count,
                                  const std::string& dir);

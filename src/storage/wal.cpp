@@ -1,6 +1,7 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,9 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "storage/codec.h"
@@ -147,16 +146,22 @@ WalScan scan_wal(std::string_view bytes) {
 }
 
 WalScan scan_wal_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw std::runtime_error("cannot open WAL segment " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
+  struct ::stat st {};
+  std::string bytes;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    ok = io::read_exact(fd, bytes.data(), bytes.size());
+  }
+  ::close(fd);
+  if (!ok) {
     throw std::runtime_error("cannot read WAL segment " + path);
   }
-  return scan_wal(buffer.view());
+  return scan_wal(bytes);
 }
 
 std::string wal_segment_name(std::uint64_t first_seq) {

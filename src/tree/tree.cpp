@@ -1,6 +1,8 @@
 #include "tree/tree.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 #include "util/check.h"
 #include "util/parallel.h"
@@ -12,6 +14,23 @@ namespace {
 /// the output is bit-identical either way, so the threshold only moves
 /// work between code paths, never changes results.
 constexpr std::size_t kParallelBuildThreshold = 1u << 16;
+
+/// Tree::adopt_columns' safety predicates, one mask bit each; a failing
+/// scan block reports its lowest set bit.
+constexpr const char* kAdoptViolations[] = {
+    "Tree::adopt_columns: last child of a leaf",
+    "Tree::adopt_columns: child link out of range",
+    "Tree::adopt_columns: parent id does not precede the node",
+    "Tree::adopt_columns: negative contribution",
+    "Tree::adopt_columns: depth out of range",
+    "Tree::adopt_columns: next-sibling out of range",
+    "Tree::adopt_columns: prev-sibling out of range",
+    "Tree::adopt_columns: skip pointer out of range",
+};
+/// The two child-link bits: the only predicates the root row scans.
+constexpr unsigned kAdoptChildLinkBits = 0b11u;
+/// Nodes per adopt_columns scan block (one parallel_for task each).
+constexpr std::size_t kAdoptScanBlock = 1u << 16;
 
 }  // namespace
 
@@ -256,7 +275,9 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
               prev_sibling[kRoot] == kInvalidNode,
           "Tree::adopt_columns: malformed root row");
   const bool has_jump = !columns.jump.empty();
-  const NodeId* jump = has_jump ? columns.jump.data() : nullptr;
+  // Without a skip column, `jump` aliases `parent` for the scan below,
+  // which then passes jump[u] <= parent[u] trivially.
+  const NodeId* jump = has_jump ? columns.jump.data() : parent;
   if (has_jump) {
     require(jump[kRoot] == kRoot, "Tree::adopt_columns: root skip pointer");
   }
@@ -273,34 +294,40 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   // (downward walks strictly increase), and ids never reach
   // node_count. Semantic link integrity is the caller's trust boundary
   // — the snapshot layer's per-section CRCs.
-  parallel_for(n, [&](std::size_t ui) {
-    const auto u = static_cast<NodeId>(ui);
-    const NodeId fc = first_child[u];
-    const NodeId lc = last_child[u];
-    if (fc == kInvalidNode) {
-      require(lc == kInvalidNode, "Tree::adopt_columns: last child of a leaf");
-    } else {
-      require(fc > u && fc < n && lc >= fc && lc < n,
-              "Tree::adopt_columns: child link out of range");
+  //
+  // Each block is one branch-free loop that ORs every node's failed
+  // predicates into a mask (bit i = kAdoptViolations[i]); only a
+  // non-zero mask is looked at, and its lowest bit names the violation.
+  const std::size_t blocks = (n + kAdoptScanBlock - 1) / kAdoptScanBlock;
+  parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t lo = b * kAdoptScanBlock;
+    const std::size_t hi = std::min(n, lo + kAdoptScanBlock);
+    unsigned mask = 0;
+    for (std::size_t ui = lo; ui < hi; ++ui) {
+      const auto u = static_cast<NodeId>(ui);
+      const NodeId fc = first_child[u];
+      const NodeId lc = last_child[u];
+      const NodeId nx = next_sibling[u];
+      const NodeId pv = prev_sibling[u];
+      const bool leaf = fc == kInvalidNode;
+      const bool children_ok = (fc > u) & (fc < n) & (lc >= fc) & (lc < n);
+      const unsigned bad =
+          static_cast<unsigned>(leaf & (lc != kInvalidNode)) |
+          static_cast<unsigned>(!leaf & !children_ok) << 1 |
+          static_cast<unsigned>(parent[u] >= u) << 2 |
+          static_cast<unsigned>(!(contribution[u] >= 0.0)) << 3 |
+          // depth in [1, u]; depth 0 wraps to the maximum.
+          static_cast<unsigned>(depth[u] - 1u >= u) << 4 |
+          static_cast<unsigned>((nx != kInvalidNode) & ((nx <= u) | (nx >= n)))
+              << 5 |
+          static_cast<unsigned>((pv != kInvalidNode) & (pv >= u)) << 6 |
+          static_cast<unsigned>(jump[u] > parent[u]) << 7;
+      // The root row's participant checks were done above; only its
+      // child links are scanned here.
+      mask |= bad & (u == kRoot ? kAdoptChildLinkBits : ~0u);
     }
-    if (u == kRoot) {
-      return;
-    }
-    require(parent[u] < u,
-            "Tree::adopt_columns: parent id does not precede the node");
-    require(contribution[u] >= 0.0,
-            "Tree::adopt_columns: negative contribution");
-    require(depth[u] >= 1 && depth[u] <= u,
-            "Tree::adopt_columns: depth out of range");
-    const NodeId nx = next_sibling[u];
-    require(nx == kInvalidNode || (nx > u && nx < n),
-            "Tree::adopt_columns: next-sibling out of range");
-    const NodeId pv = prev_sibling[u];
-    require(pv == kInvalidNode || pv < u,
-            "Tree::adopt_columns: prev-sibling out of range");
-    if (has_jump) {
-      require(jump[u] <= parent[u],
-              "Tree::adopt_columns: skip pointer out of range");
+    if (mask != 0) {
+      throw std::invalid_argument(kAdoptViolations[std::countr_zero(mask)]);
     }
   });
 
@@ -317,15 +344,15 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   } else {
     // Optional section absent: recompute the skip pointers — a pure
     // integer function of parent/depth — in one forward scan.
-    std::vector<NodeId> jump(n);
-    jump[kRoot] = kRoot;
+    std::vector<NodeId> skip(n);
+    skip[kRoot] = kRoot;
     for (NodeId u = 1; u < n; ++u) {
       const NodeId p = parent[u];
-      const NodeId j1 = jump[p];
-      const NodeId j2 = jump[j1];
-      jump[u] = (depth[p] - depth[j1] == depth[j1] - depth[j2]) ? j2 : p;
+      const NodeId j1 = skip[p];
+      const NodeId j2 = skip[j1];
+      skip[u] = (depth[p] - depth[j1] == depth[j1] - depth[j2]) ? j2 : p;
     }
-    tree.jump_.take(std::move(jump));
+    tree.jump_.take(std::move(skip));
   }
   tree.total_contribution_ = total_contribution;
   tree.keepalive_ = std::move(keepalive);

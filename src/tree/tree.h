@@ -357,7 +357,7 @@ class Tree {
   /// given spans — zero per-node construction work — and `keepalive` is
   /// pinned for the lifetime of the tree and all its copies (pass the
   /// mmap holder). Adoption runs a *safety* scan, not a semantic one:
-  /// purely sequential per-column range checks (parents and skip
+  /// purely sequential range checks (parents and skip
   /// pointers precede their nodes, sibling/child links stay in
   /// (u, node_count), contributions non-negative, well-formed root row)
   /// that guarantee every traversal terminates and never reads out of

@@ -23,6 +23,7 @@
 #include "storage/snapshot.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
+#include "util/bench_json.h"  // monotonic_seconds
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -100,6 +101,36 @@ TEST(Crc32c, DetectsSingleBitFlips) {
       flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
       EXPECT_NE(crc32c(flipped), good);
     }
+  }
+}
+
+TEST(Crc32c, DispatchMatchesPortable) {
+  // crc32c() picks the SSE4.2 instruction when the CPU has it; the
+  // slice-by-8 fallback must give the same value for every length,
+  // alignment, seed and streaming split, so either path can read what
+  // the other wrote.
+  Rng rng(3);
+  std::vector<unsigned char> bytes((1u << 20) + 8);
+  for (unsigned char& byte : bytes) {
+    byte = static_cast<unsigned char>(rng.index(256));
+  }
+  for (const std::uint32_t seed : {0u, 1u, 0xFFFFFFFFu}) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      for (std::size_t length = 0; length <= 300; ++length) {
+        const unsigned char* data = bytes.data() + align;
+        ASSERT_EQ(crc32c(data, length, seed),
+                  crc32c_portable(data, length, seed))
+            << "seed " << seed << " align " << align << " length " << length;
+      }
+    }
+    EXPECT_EQ(crc32c(bytes.data(), 1u << 20, seed),
+              crc32c_portable(bytes.data(), 1u << 20, seed));
+  }
+  for (std::size_t split = 0; split <= 40; ++split) {
+    const std::uint32_t head = crc32c(bytes.data(), split);
+    EXPECT_EQ(crc32c(bytes.data() + split, 40 - split, head),
+              crc32c_portable(bytes.data(), 40))
+        << "split " << split;
   }
 }
 
@@ -928,6 +959,119 @@ TEST(Storage, RecoveredStateIsIdenticalAtEveryThreadCount) {
     fs::remove_all(dir);
   }
   set_thread_count(0);
+}
+
+/// Per-campaign stream whose joins refer to participants created at
+/// most 16 events earlier and whose contributions hit the newest ids,
+/// so the replay's lookahead keeps naming ids the tree does not hold
+/// yet.
+std::vector<Event> make_recent_stream(std::uint64_t seed, std::size_t count) {
+  Rng rng(seed);
+  std::vector<Event> events;
+  events.reserve(count);
+  std::size_t participants = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t recent = std::min<std::size_t>(participants, 16);
+    if (participants == 0 || rng.bernoulli(0.6)) {
+      const NodeId referrer =
+          participants == 0
+              ? kRoot
+              : static_cast<NodeId>(participants - rng.index(recent));
+      events.push_back(JoinEvent{referrer, rng.uniform(0.0, 3.0)});
+      ++participants;
+    } else {
+      events.push_back(
+          ContributeEvent{static_cast<NodeId>(participants - rng.index(recent)),
+                          rng.uniform(0.0, 2.0)});
+    }
+  }
+  return events;
+}
+
+TEST(Storage, ReplayLookaheadPastTheTreeEnd) {
+  // Three campaigns interleaved at random in the WAL, recovered from
+  // the empty state and from a mid-run snapshot. Replay prefetches 16
+  // and 8 events ahead, where joins and contributions name ids that
+  // are not in the tree yet; the hints must clamp them, and the
+  // recovered rewards must equal an uninterrupted run bit for bit.
+  const std::size_t kCampaigns = 3;
+  const std::size_t kEvents = 1500;
+  std::vector<std::vector<Event>> streams;
+  for (std::size_t c = 0; c < kCampaigns; ++c) {
+    streams.push_back(make_recent_stream(1300 + c, kEvents));
+  }
+  for (const char* name : {"geometric", "cdrm-1", "split-proof", "tdrm"}) {
+    const MechanismPtr mechanism =
+        make_mechanism(name, parse_param_string(""));
+    for (const bool with_snapshot : {false, true}) {
+      const fs::path dir = fresh_dir("itree_storage_lookahead");
+      {
+        StorageConfig config;
+        config.data_dir = dir.string();
+        config.fsync = FsyncPolicy::kNever;
+        Storage storage(*mechanism, kCampaigns, config);
+        Rng order(77);
+        std::vector<std::size_t> next(kCampaigns, 0);
+        std::size_t applied = 0;
+        while (applied < kCampaigns * kEvents) {
+          const std::size_t c = order.index(kCampaigns);
+          if (next[c] == kEvents) {
+            continue;
+          }
+          storage.apply(static_cast<std::uint32_t>(c), streams[c][next[c]++]);
+          if (++applied == kEvents / 2 && with_snapshot) {
+            storage.snapshot_now();
+          }
+        }
+        storage.commit();
+      }
+      const RecoveryResult recovered =
+          recover_campaigns(*mechanism, kCampaigns, dir.string());
+      EXPECT_EQ(recovered.report.used_snapshot, with_snapshot);
+      EXPECT_EQ(recovered.report.tail_records,
+                kCampaigns * kEvents - (with_snapshot ? kEvents / 2 : 0));
+      for (std::size_t c = 0; c < kCampaigns; ++c) {
+        RewardService live(*mechanism);
+        for (const Event& event : streams[c]) {
+          live.apply(event);
+        }
+        const RewardVector& got = recovered.campaigns[c]->service().rewards();
+        const RewardVector& want = live.rewards();
+        ASSERT_EQ(got.size(), want.size()) << name << " campaign " << c;
+        for (std::size_t u = 0; u < want.size(); ++u) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[u]),
+                    std::bit_cast<std::uint64_t>(want[u]))
+              << name << " campaign " << c << " node " << u
+              << (with_snapshot ? " (snapshot + tail)" : " (tail only)");
+        }
+      }
+      fs::remove_all(dir);
+    }
+  }
+}
+
+TEST(Storage, RecoveryReportTimesEachStage) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_storage_stages");
+  const std::size_t kEvents = 150;
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  run_workload(*mechanism, {make_stream(41, kEvents), make_stream(42, kEvents)},
+               config, kEvents / 2);
+
+  const double start = monotonic_seconds();
+  const RecoveryResult recovered =
+      recover_campaigns(*mechanism, 2, dir.string());
+  const double wall = monotonic_seconds() - start;
+  const RecoveryReport& report = recovered.report;
+  ASSERT_TRUE(report.used_snapshot);
+  ASSERT_GT(report.tail_records, 0u);
+  EXPECT_GT(report.snapshot_s, 0.0);
+  EXPECT_GT(report.wal_scan_s, 0.0);
+  EXPECT_GT(report.replay_s, 0.0);
+  EXPECT_LE(report.snapshot_s + report.wal_scan_s + report.replay_s, wall);
+  fs::remove_all(dir);
 }
 
 TEST(Storage, WritableOpenTruncatesTheTornTailAndContinues) {

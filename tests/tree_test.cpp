@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -489,6 +490,73 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
     c.depth.pop_back();  // column size mismatch
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
+}
+
+/// The invalid_argument message adopt_columns throws ("" if none).
+std::string adopt_error(const OwnedColumns& columns, double total) {
+  try {
+    Tree::adopt_columns(columns.view(), total, nullptr);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(TreeAdopt, RejectsUnsafeColumnsAcrossScanBlocks) {
+  // The safety scan runs in blocks of 1 << 16 nodes. Each invariant
+  // RejectsUnsafeColumns breaks on a tiny tree is broken here at the
+  // first and last node of an interior block and at the last node, and
+  // must be reported with its own message at every thread count.
+  Rng rng(29);
+  const Tree src =
+      random_recursive_tree(200000, uniform_contribution(0.0, 2.0), rng);
+  const double total = src.total_contribution();
+  const NodeId last = static_cast<NodeId>(src.node_count() - 1);
+  OwnedColumns c(src);
+  struct Corruption {
+    const char* message;
+    std::function<void(NodeId)> apply;
+  };
+  const std::vector<Corruption> corruptions = {
+      {"Tree::adopt_columns: last child of a leaf",
+       [&](NodeId u) {
+         c.first_child[u] = kInvalidNode;
+         c.last_child[u] = u + 1;
+       }},
+      {"Tree::adopt_columns: child link out of range",
+       [&](NodeId u) {
+         c.first_child[u] = u + 1;
+         c.last_child[u] = kInvalidNode;
+       }},
+      {"Tree::adopt_columns: parent id does not precede the node",
+       [&](NodeId u) { c.parent[u] = u; }},
+      {"Tree::adopt_columns: negative contribution",
+       [&](NodeId u) { c.contribution[u] = -1.0; }},
+      {"Tree::adopt_columns: depth out of range",
+       [&](NodeId u) { c.depth[u] = 0; }},
+      {"Tree::adopt_columns: depth out of range",
+       [&](NodeId u) { c.depth[u] = u + 1; }},
+      {"Tree::adopt_columns: next-sibling out of range",
+       [&](NodeId u) { c.next_sibling[u] = u; }},
+      {"Tree::adopt_columns: prev-sibling out of range",
+       [&](NodeId u) { c.prev_sibling[u] = u; }},
+      {"Tree::adopt_columns: skip pointer out of range",
+       [&](NodeId u) { c.jump[u] = u; }},
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    EXPECT_EQ(adopt_error(c, total), "");
+    for (const NodeId u : {NodeId{1u << 16}, NodeId{(2u << 16) - 1}, last}) {
+      for (const Corruption& corruption : corruptions) {
+        const OwnedColumns clean = c;
+        corruption.apply(u);
+        EXPECT_EQ(adopt_error(c, total), corruption.message)
+            << "node " << u << ", " << threads << " threads";
+        c = clean;
+      }
+    }
+  }
+  set_thread_count(0);
 }
 
 TEST(TreeAdopt, ValidateLinksCatchesSafeButInconsistentLinks) {

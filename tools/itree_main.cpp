@@ -281,7 +281,8 @@ int cmd_recover(const ArgParser& args) {
             << "snapshot seq " << recovered.report.snapshot_seq
             << ", WAL tail records " << recovered.report.tail_records
             << ", segments scanned " << recovered.report.segments_scanned
-            << ", torn bytes " << recovered.report.truncated_bytes << '\n';
+            << ", torn bytes " << recovered.report.truncated_bytes << ", "
+            << storage::stage_seconds_text(recovered.report) << '\n';
   for (std::size_t c = 0; c < recovered.campaigns.size(); ++c) {
     const RewardService& service = recovered.campaigns[c]->service();
     // Same line shape and digest rendering as itree-loadgen, so crash

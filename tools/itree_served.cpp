@@ -202,7 +202,8 @@ int main(int argc, char** argv) {
                 << recovery.snapshot_seq << ", WAL tail records "
                 << recovery.tail_records << ", truncated bytes "
                 << recovery.truncated_bytes << ", fsync policy "
-                << to_string(config.storage.fsync) << '\n';
+                << to_string(config.storage.fsync) << ", "
+                << storage::stage_seconds_text(recovery) << '\n';
     }
     g_server = &server;
     std::signal(SIGTERM, handle_signal);
