@@ -9,13 +9,12 @@
 // determinism probe and its digests are identical in every
 // configuration. `--scale giant` skips the google-benchmark suites and
 // instead sweeps SoA-arena build rate, snapshot save time, and the
-// three load paths over multi-million-node trees — rebuild-load (v3
-// record stream), v4 mmap-load (columns through Tree::from_arrays),
-// and v5 mmap-adopt (full-arena image stood up in place, split into
-// map+header / CRC walk / adopt / first-mutation privatization) — the
-// O(file) and zero-rebuild recovery claims of docs/storage.md —
-// asserting that all load paths produce bit-identical rewards, and (at
-// >= 1M nodes) that the v5 mmap-adopt beats the rebuild load by >= 3x.
+// mmap-adopt load over multi-million-node trees (full-arena image
+// stood up in place, split into map+header / CRC walk / adopt /
+// first-mutation privatization) — the zero-rebuild recovery claim of
+// docs/storage.md — asserting that the adopted tree yields rewards
+// bit-identical to the in-memory source, and (at 10M nodes) that the
+// load beats an add_node rebuild of the same tree by >= 3x.
 // Arena allocation counts are reported so pre-sizing regressions show
 // up. `--giant-nodes N` overrides the sweep's sizes (CI smoke uses a
 // small N; the default sweep tops out at 10M nodes).
@@ -151,14 +150,15 @@ ScaleConfig take_scale_flags(int* argc, char** argv) {
   return config;
 }
 
-/// The giant-tree sweep: per size, builds an SoA arena tree, writes v4
-/// and v5 images, then times the load paths — the v3 record-stream
-/// rebuild, the v4 mmap + from_arrays load, and the v5 mmap-adopt
-/// (split into map+header, CRC walk, in-place adoption, and
-/// first-mutation privatization) — and gates on every decoded tree
-/// yielding bit-identical geometric rewards (plus, at >= 1M nodes, the
-/// v5 path beating the rebuild by >= 3x). Returns the number of
-/// divergences/gate failures (0 = pass).
+/// The giant-tree sweep: per size, builds an SoA arena tree, writes its
+/// snapshot image, then times the mmap-adopt load (split into
+/// map+header, CRC walk, in-place adoption, and first-mutation
+/// privatization) against the baseline a recovery without an image
+/// pays: one Tree::add_node per participant over the source's parent
+/// and contribution columns. Gates on the adopted tree yielding
+/// geometric rewards and a node count bit-identical to the source (plus,
+/// at >= 10M nodes, the load beating the add_node rebuild by >= 3x).
+/// Returns the number of divergences/gate failures (0 = pass).
 int run_giant_sweep(itree::BenchHarness& harness,
                     const std::vector<std::int64_t>& sizes) {
   namespace fs = std::filesystem;
@@ -183,56 +183,41 @@ int run_giant_sweep(itree::BenchHarness& harness,
     snap.events_applied = static_cast<std::uint64_t>(n);
     snap.tree = std::move(tree);
     data.campaigns.push_back(std::move(snap));
+    const Tree& source = data.campaigns[0].tree;
+
+    // Baseline: the tree rebuilt one add_node per participant (pre-sized,
+    // so the baseline pays no reallocation).
+    t0 = monotonic_seconds();
+    Tree rebuilt;
+    rebuilt.reserve(source.node_count());
+    for (NodeId u = 1; u < source.node_count(); ++u) {
+      rebuilt.add_node(source.parent(u), source.contribution(u));
+    }
+    const double rebuild_seconds = monotonic_seconds() - t0;
 
     t0 = monotonic_seconds();
-    storage::save_snapshot(dir.string(), data, storage::SnapshotFormat::kV4);
+    storage::save_snapshot(dir.string(), data);
     const double save_seconds = monotonic_seconds() - t0;
     const fs::path image = dir / storage::snapshot_name(data.last_seq);
     const double image_bytes = static_cast<double>(fs::file_size(image));
 
-    // Rebuild-load: the v3 record stream, decoded participant by
-    // participant (the pre-v4 recovery cost).
-    const std::string v3 = storage::encode_snapshot(data);
     t0 = monotonic_seconds();
-    const storage::SnapshotData rebuilt = storage::decode_snapshot(v3);
-    const double rebuild_seconds = monotonic_seconds() - t0;
-
-    // v4 mmap-load: header parse + one CRC pass + columns through the
-    // (parallel) from_arrays link reconstruction.
+    storage::MappedSnapshot mapped(image.string());
+    const double map_seconds = monotonic_seconds() - t0;
     t0 = monotonic_seconds();
-    const storage::SnapshotData mapped =
-        storage::MappedSnapshot(image.string()).materialize();
-    const double mmap_seconds = monotonic_seconds() - t0;
-    fs::remove(image);
-
-    // v5 full-arena image: save, then the zero-rebuild load split.
+    mapped.verify();
+    const double crc_seconds = monotonic_seconds() - t0;
     t0 = monotonic_seconds();
-    storage::save_snapshot(dir.string(), data, storage::SnapshotFormat::kV5);
-    const double save_v5_seconds = monotonic_seconds() - t0;
-    const double image_v5_bytes = static_cast<double>(fs::file_size(image));
-
-    t0 = monotonic_seconds();
-    storage::MappedSnapshot mapped_v5(image.string());
-    const double v5_map_seconds = monotonic_seconds() - t0;
-    t0 = monotonic_seconds();
-    mapped_v5.verify();
-    const double v5_crc_seconds = monotonic_seconds() - t0;
-    t0 = monotonic_seconds();
-    storage::SnapshotData adopted = mapped_v5.materialize();
-    const double v5_adopt_seconds = monotonic_seconds() - t0;
-    const double v5_seconds = v5_map_seconds + v5_crc_seconds +
-                              v5_adopt_seconds;
+    storage::SnapshotData adopted = mapped.materialize();
+    const double adopt_seconds = monotonic_seconds() - t0;
+    const double load_seconds = map_seconds + crc_seconds + adopt_seconds;
     const double adopt_borrowed = static_cast<double>(
         adopted.campaigns[0].tree.borrowed_column_count());
     const double adopt_allocations = static_cast<double>(
         adopted.campaigns[0].tree.allocation_count());
 
-    const std::string reward_rebuild = itree::compact_number(
-        itree::total_reward(mechanism->compute(rebuilt.campaigns[0].tree)),
-        9);
-    const std::string reward_mmap = itree::compact_number(
-        itree::total_reward(mechanism->compute(mapped.campaigns[0].tree)),
-        9);
+    const std::string reward_source = itree::compact_number(
+        itree::total_reward(mechanism->compute(source)), 9);
     const std::string reward_v5 = itree::compact_number(
         itree::total_reward(mechanism->compute(adopted.campaigns[0].tree)),
         9);
@@ -246,54 +231,38 @@ int run_giant_sweep(itree::BenchHarness& harness,
     const double privatize_allocations =
         static_cast<double>(adopted.campaigns[0].tree.allocation_count());
 
-    if (reward_mmap != reward_rebuild ||
-        mapped.campaigns[0].tree.node_count() !=
-            rebuilt.campaigns[0].tree.node_count()) {
-      std::cerr << "e13 giant: mmap-loaded tree diverges from the "
-                   "rebuild-loaded tree at n="
-                << n << '\n';
-      ++divergences;
-    }
-    if (reward_v5 != reward_rebuild ||
-        adopted.campaigns[0].tree.node_count() !=
-            rebuilt.campaigns[0].tree.node_count()) {
-      std::cerr << "e13 giant: v5 mmap-adopted tree diverges from the "
-                   "rebuild-loaded tree at n="
+    if (reward_v5 != reward_source ||
+        adopted.campaigns[0].tree.node_count() != source.node_count()) {
+      std::cerr << "e13 giant: mmap-adopted tree diverges from the source "
+                   "tree at n="
                 << n << '\n';
       ++divergences;
     }
     // The headline perf contract (docs/perf.md): at the 10M-node scale
-    // the zero-rebuild adoption must beat the record-stream rebuild by
-    // >= 3x. Smaller sizes are reported but not gated — below ~10M the
-    // rebuild is fast enough that the fixed CRC pass compresses the
-    // ratio into timing-noise territory on a 1-core box.
-    if (n >= 10000000 && v5_seconds * 3.0 > rebuild_seconds) {
-      std::cerr << "e13 giant: v5 mmap-adopt gate failed at n=" << n
-                << ": " << v5_seconds << "s vs rebuild " << rebuild_seconds
-                << "s (" << rebuild_seconds / v5_seconds << "x < 3x)\n";
+    // the zero-rebuild adoption must beat the add_node rebuild by >= 3x.
+    // Smaller sizes are reported but not gated — below ~10M the rebuild
+    // is fast enough that the fixed CRC pass compresses the ratio into
+    // timing-noise territory on a 1-core box.
+    if (n >= 10000000 && load_seconds * 3.0 > rebuild_seconds) {
+      std::cerr << "e13 giant: mmap-adopt gate failed at n=" << n << ": "
+                << load_seconds << "s vs add_node rebuild " << rebuild_seconds
+                << "s (" << rebuild_seconds / load_seconds << "x < 3x)\n";
       ++divergences;
     }
-    harness.json().add_digest(tag + "_mmap_total_reward", reward_mmap);
     harness.json().add_digest(tag + "_v5_total_reward", reward_v5);
     harness.json().add_metric(tag + "_build_nodes_per_sec",
                               static_cast<double>(n) / build_seconds);
     harness.json().add_metric(tag + "_build_allocations", build_allocations);
-    harness.json().add_metric(tag + "_image_bytes", image_bytes);
-    harness.json().add_metric(tag + "_image_v5_bytes", image_v5_bytes);
-    harness.json().add_metric(tag + "_save_v4_seconds", save_seconds);
-    harness.json().add_metric(tag + "_save_v5_seconds", save_v5_seconds);
-    harness.json().add_metric(tag + "_load_rebuild_seconds",
+    harness.json().add_metric(tag + "_rebuild_add_node_seconds",
                               rebuild_seconds);
-    harness.json().add_metric(tag + "_load_mmap_seconds", mmap_seconds);
-    harness.json().add_metric(tag + "_mmap_speedup",
-                              rebuild_seconds / mmap_seconds);
-    harness.json().add_metric(tag + "_load_v5_map_seconds", v5_map_seconds);
-    harness.json().add_metric(tag + "_load_v5_crc_seconds", v5_crc_seconds);
-    harness.json().add_metric(tag + "_load_v5_adopt_seconds",
-                              v5_adopt_seconds);
-    harness.json().add_metric(tag + "_load_v5_seconds", v5_seconds);
+    harness.json().add_metric(tag + "_image_v5_bytes", image_bytes);
+    harness.json().add_metric(tag + "_save_v5_seconds", save_seconds);
+    harness.json().add_metric(tag + "_load_v5_map_seconds", map_seconds);
+    harness.json().add_metric(tag + "_load_v5_crc_seconds", crc_seconds);
+    harness.json().add_metric(tag + "_load_v5_adopt_seconds", adopt_seconds);
+    harness.json().add_metric(tag + "_load_v5_seconds", load_seconds);
     harness.json().add_metric(tag + "_v5_speedup",
-                              rebuild_seconds / v5_seconds);
+                              rebuild_seconds / load_seconds);
     harness.json().add_metric(tag + "_v5_privatize_seconds",
                               privatize_seconds);
     harness.json().add_metric(tag + "_adopt_borrowed_columns",
@@ -301,15 +270,12 @@ int run_giant_sweep(itree::BenchHarness& harness,
     harness.json().add_metric(tag + "_adopt_allocations", adopt_allocations);
     harness.json().add_metric(tag + "_privatize_allocations",
                               privatize_allocations);
-    std::cout << tag << ": build " << build_seconds << "s, save(v4) "
-              << save_seconds << "s, save(v5) " << save_v5_seconds
-              << "s, load rebuild " << rebuild_seconds << "s, load mmap(v4) "
-              << mmap_seconds << "s (" << rebuild_seconds / mmap_seconds
-              << "x), load mmap-adopt(v5) " << v5_seconds << "s ("
-              << rebuild_seconds / v5_seconds << "x; map " << v5_map_seconds
-              << " + crc " << v5_crc_seconds << " + adopt "
-              << v5_adopt_seconds << "), privatize " << privatize_seconds
-              << "s\n";
+    std::cout << tag << ": build " << build_seconds << "s, add_node rebuild "
+              << rebuild_seconds << "s, save " << save_seconds
+              << "s, load mmap-adopt " << load_seconds << "s ("
+              << rebuild_seconds / load_seconds << "x; map " << map_seconds
+              << " + crc " << crc_seconds << " + adopt " << adopt_seconds
+              << "), privatize " << privatize_seconds << "s\n";
     fs::remove(image);
   }
   fs::remove_all(dir);

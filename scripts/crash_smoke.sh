@@ -13,19 +13,13 @@
 # (recovery + torn-tail truncation), and require a fresh loadgen
 # --check pass plus a clean graceful drain.
 #
-# Variant 3 — v5 snapshot image adoption (the default generation): the
-# drain snapshot must be an ITSNAP05 full-arena image, and `itree
-# recover --digest` over it (mmap + zero-rebuild column adoption, empty
-# WAL tail) must reproduce the campaign lines of a pre-drain recovery
-# (snapshot + WAL-tail replay) byte-for-byte.
+# Variant 3 — snapshot image adoption: the drain snapshot must be an
+# ITSNAP05 full-arena image, and `itree recover --digest` over it (mmap
+# + zero-rebuild column adoption, empty WAL tail) must reproduce the
+# campaign lines of a pre-drain recovery (snapshot + WAL-tail replay)
+# byte-for-byte.
 #
-# Variant 4 — v4 snapshot image adoption: the same drain/recover
-# round-trip with `--snapshot-format v4` forced, proving the previous
-# generation (ITSNAP04, parents+contributions + linked rebuild) still
-# recovers bit-for-bit — including a cross-generation bootstrap, since
-# the daemon starts from variant 3's v5 image before draining to v4.
-#
-# Variant 5 — text export: `itree recover --export` writes each
+# Variant 4 — text export: `itree recover --export` writes each
 # campaign as its compacted event log, and `itree replay` of every
 # exported log must rebuild as many participants as `recover` reports
 # for that campaign.
@@ -103,27 +97,7 @@ grep '^campaign ' "$WORK/recover_v5.log" | sort > "$WORK/post_drain.txt"
 diff -u "$WORK/pre_drain.txt" "$WORK/post_drain.txt"
 echo "-- v5 image adoption reproduces the replayed state bit-for-bit"
 
-echo "== variant 4: v4 snapshot adoption matches WAL-tail replay =="
-# Bootstrap from the v5 drain image, add traffic, then drain to the
-# previous on-disk generation and round-trip through it.
-start_daemon --fsync interval --snapshot-every 500 --snapshot-format v4
-"$LOADGEN" --port "$PORT" --connections 3 --campaigns 3 \
-    --requests 300 --check
-"$ITREE" recover "$WORK/data" --digest | grep '^campaign ' | sort \
-    > "$WORK/pre_drain_v4.txt"
-kill -TERM "$PID"
-wait "$PID"
-SNAP=$(ls "$WORK/data"/snap-*.snap | sort | tail -1)
-if [ "$(head -c 8 "$SNAP")" != "ITSNAP04" ]; then
-  echo "drain snapshot is not a v4 image: $SNAP" >&2
-  exit 1
-fi
-"$ITREE" recover "$WORK/data" --digest | tee "$WORK/recover_v4.log"
-grep '^campaign ' "$WORK/recover_v4.log" | sort > "$WORK/post_drain_v4.txt"
-diff -u "$WORK/pre_drain_v4.txt" "$WORK/post_drain_v4.txt"
-echo "-- v4 image adoption reproduces the replayed state bit-for-bit"
-
-echo "== variant 5: exported logs replay to the recovered campaigns =="
+echo "== variant 4: exported logs replay to the recovered campaigns =="
 "$ITREE" recover "$WORK/data" --export "$WORK/export" \
     | tee "$WORK/recover_export.log"
 MECHANISM=$(sed -n 's/^mechanism //p' "$WORK/data/MANIFEST")

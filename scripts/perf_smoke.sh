@@ -11,14 +11,14 @@
 #      fails here before it can silently rewrite the BENCH_* trajectory.
 #   1b. bench_e13_scalability --scale giant --giant-nodes 200000 — the
 #      SoA-arena giant-tree sweep at a CI-sized node count: builds the
-#      arena, writes v4 and v5 snapshot images, loads the state back
-#      three ways (v3 record-stream rebuild, v4 mmap bulk adoption, v5
-#      mmap column adoption) and fails on any bit divergence between
-#      them; both mmap reward digests must equal
+#      arena, writes its snapshot image, mmap-adopts it back and fails
+#      on any bit divergence from the in-memory source tree; the
+#      adopted tree's reward digest must equal
 #      scripts/perf_goldens/e13_giant_digest.golden.
 #   1c. (opt-in: PERF_SMOKE_V5_GATE=1) the same sweep at 10M nodes,
-#      where the bench enforces the v5 mmap-adopt >= 3x load-speedup
-#      gate over the rebuild path (docs/perf.md). Takes ~30s and is
+#      where the bench enforces the mmap-adopt >= 3x load-speedup gate
+#      over an add_node rebuild of the same tree — what a recovery
+#      without an image pays (docs/perf.md). Takes ~30s and is
 #      timing-sensitive, so it is not part of the default CI run.
 #   2. bench_e14_service_throughput --mechanism {tdrm,cdrm1,geometric}
 #      — drives the epoll daemon's *incremental* serving paths (the
@@ -70,8 +70,9 @@ diff -u "$GOLDENS/e13_giant_digest.golden" "$WORK/e13_giant_digest.txt" || {
 
 if [[ "${PERF_SMOKE_V5_GATE:-0}" == "1" ]]; then
   echo "== e13 10M-node v5 mmap-adopt speedup gate (opt-in) =="
-  # The bench exits non-zero when the v5 load is not >= 3x faster than
-  # the record-stream rebuild at the 10M-node scale, or on any bit divergence.
+  # The bench exits non-zero when the mmap-adopt load is not >= 3x faster
+  # than the add_node rebuild at the 10M-node scale, or on any bit
+  # divergence.
   "$BUILD_DIR/bench/bench_e13_scalability" --scale giant \
       --giant-nodes 10000000 --json "$WORK/e13_gate.json"
 fi

@@ -226,20 +226,10 @@ std::vector<double> IncrementalSubtreeState::export_aggregates() const {
 
 void IncrementalSubtreeState::import_aggregates(
     const std::vector<double>& blob) {
-  const std::size_t n = tree_.node_count();
-  require(blob.size() == n + 1 || blob.size() == n,
+  require(blob.size() == tree_.node_count() + 1,
           "IncrementalSubtreeState::import_aggregates: blob size mismatch");
-  if (blob.size() == n + 1) {
-    sums_.assign(blob.begin(), blob.end() - 1);
-    total_sum_ = blob.back();
-  } else {
-    // Legacy pre-v3 layout: per-node totals without the running total.
-    sums_ = blob;
-    total_sum_ = 0.0;
-    for (NodeId u = 1; u < n; ++u) {
-      total_sum_ += sums_[u];
-    }
-  }
+  sums_.assign(blob.begin(), blob.end() - 1);
+  total_sum_ = blob.back();
 }
 
 void IncrementalSubtreeState::adopt_tree(Tree&& tree) {

@@ -145,19 +145,16 @@ class IncrementalSubtreeState {
   std::vector<double> export_aggregates() const;
 
   /// Restores accumulators exported by export_aggregates() from a state
-  /// over an identical tree. Also accepts the legacy node_count()-sized
-  /// layout (pre-v3 snapshots of plain subtree totals, no trailing
-  /// total) — the total is then recomputed from the per-node sums.
+  /// over an identical tree.
   void import_aggregates(const std::vector<double>& blob);
 
   /// Bulk restore: takes ownership of a checkpointed tree with the FP
   /// accumulators zeroed; the caller must immediately
   /// import_aggregates() a blob exported over an identical tree (the
-  /// import overwrites every FP value, so adopt + import is
-  /// bit-identical to replaying the joins + import — without the
-  /// O(sum of depths) ancestor walks). Binary depths, a pure integer
-  /// function of the shape, are rebuilt exactly. Requires a fresh
-  /// state.
+  /// import overwrites every FP value, so adopt + import resumes
+  /// bit-identically without any ancestor walks). Binary depths, a pure
+  /// integer function of the shape, are rebuilt exactly. Requires a
+  /// fresh state.
   void adopt_tree(Tree&& tree);
 
  private:

@@ -54,7 +54,7 @@ enum class MsgType : std::uint8_t {
   // an ordinary pipelining client of the primary; shipping is pull-based
   // so it composes with the strictly request/response framing.
   kReplHello = 0x10,     ///< protocol version, replica's last applied seq
-  kReplSnapshot = 0x11,  ///< no fields; full snapshot v3 image
+  kReplSnapshot = 0x11,  ///< no fields; full snapshot image (ITSNAP05)
   kReplSegment = 0x12,   ///< from seq, max records
   kReplHeartbeat = 0x13, ///< no fields; primary's committed seq
 };
@@ -69,7 +69,7 @@ enum class Status : std::uint8_t {
   kOkServerStats = 0x86,  ///< live operational counters
   kOkShardMap = 0x87,     ///< campaigns + per-shard endpoint/health
   kOkReplHello = 0x90,    ///< version, campaigns, committed/min seq, mech
-  kOkReplSnapshot = 0x91, ///< committed seq + snapshot v3 image
+  kOkReplSnapshot = 0x91, ///< committed seq + snapshot image (ITSNAP05)
   kOkReplSegment = 0x92,  ///< committed/min seq + raw WAL record bytes
   kOkReplHeartbeat = 0x93,///< committed seq
   kError = 0xff,    ///< error code + message

@@ -22,7 +22,7 @@ struct PrimaryInfo {
 
 struct SnapshotFetch {
   std::uint64_t committed_seq = 0;
-  std::string image;  ///< snapshot v3 encoding
+  std::string image;  ///< ITSNAP05 snapshot image
 };
 
 struct SegmentFetch {

@@ -87,13 +87,12 @@ PrimaryInfo prepare_replica_data_dir(const std::string& data_dir,
   fs::create_directories(data_dir);
   if (info.committed_seq > 0) {
     const SnapshotFetch fetch = client.fetch_snapshot();
-    // Validate in place (magic/length/CRCs — for a v4/v5 image every
-    // section is checksummed without decoding a single participant)
-    // and persist the primary's bytes verbatim (temp + fsync + rename):
-    // no decode/re-encode round trip, and the saved image keeps the
-    // primary's format so local recovery can mmap-adopt it directly (a
-    // shipped v5 image stands the replica's trees up straight over the
-    // mapping — no per-node work between fetch and serving).
+    // Validate in place (header and every section CRC, without
+    // decoding a single participant) and persist the primary's bytes
+    // verbatim (temp + fsync + rename): no decode/re-encode round trip,
+    // so local recovery mmap-adopts the image directly and stands the
+    // replica's trees up straight over the mapping — no per-node work
+    // between fetch and serving.
     const std::uint64_t last_seq =
         storage::validate_snapshot_image(fetch.image);
     storage::save_snapshot_image(data_dir, fetch.image, last_seq);
@@ -163,11 +162,9 @@ void ReplicaSync::bootstrap_from_snapshot(const PrimaryInfo& info) {
         std::to_string(server_->campaign_count()));
   }
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
-    // Same adopt-or-replay policy as storage recovery: bulk-adopt the
-    // decoded tree when the aggregate blob matches, replay otherwise.
+    // Same policy as storage recovery: check the kind byte, then adopt.
     storage::restore_campaign_from_snapshot(server_->mutable_campaign(c),
-                                            std::move(data.campaigns[c]), c,
-                                            nullptr);
+                                            std::move(data.campaigns[c]), c);
   }
   shipped_ = data.last_seq;
   (void)info;

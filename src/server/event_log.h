@@ -103,25 +103,10 @@ class RecordingService {
   /// Applies a run of events in order (see RewardService::replay).
   void replay(std::span<const Event> events) { service_.replay(events); }
 
-  /// Resets the service to a checkpointed tree by replaying one
-  /// synthetic join per participant through its normal apply path
-  /// (bit-exact state). `events_applied` restores the pre-checkpoint
-  /// event counter. The aggregates overload also imports the
-  /// snapshotted FP accumulators (see RewardService::export_aggregates)
-  /// so incremental state resumes bit-identically to the uninterrupted
-  /// run.
-  void restore_snapshot(const Tree& tree, std::uint64_t events_applied) {
-    service_.restore_snapshot(tree, events_applied);
-  }
-  void restore_snapshot(const Tree& tree, std::uint64_t events_applied,
-                        const std::vector<double>& aggregates) {
-    service_.restore_snapshot(tree, events_applied, aggregates);
-  }
-
-  /// Bulk counterpart (see RewardService::adopt_snapshot): the tree is
-  /// moved straight into the service's arena and the accumulators are
-  /// imported from the blob — no synthetic-join replay. Incremental
-  /// services require a non-empty matching blob.
+  /// Restores a fresh service from a checkpoint (see
+  /// RewardService::adopt_snapshot): the tree is moved straight into
+  /// the service's arena and the accumulators are imported from the
+  /// blob. Incremental services require a non-empty matching blob.
   void adopt_snapshot(Tree&& tree, std::uint64_t events_applied,
                       const std::vector<double>& aggregates) {
     service_.adopt_snapshot(std::move(tree), events_applied, aggregates);

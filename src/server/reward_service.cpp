@@ -192,43 +192,6 @@ void RewardService::note_batch_fallback() const {
   }
 }
 
-void RewardService::restore_snapshot(const Tree& tree,
-                                     std::size_t events_applied) {
-  require(this->tree().node_count() == 1 && events_applied_ == 0,
-          "RewardService::restore_snapshot: service already has state");
-  require(events_applied >= tree.participant_count(),
-          "RewardService::restore_snapshot: event counter below "
-          "participant count");
-  for (NodeId u = 1; u < tree.node_count(); ++u) {
-    apply(JoinEvent{tree.parent(u), tree.contribution(u)});
-  }
-  events_applied_ = events_applied;
-  dirty_ = true;
-}
-
-void RewardService::restore_snapshot(const Tree& tree,
-                                     std::size_t events_applied,
-                                     const std::vector<double>& aggregates) {
-  restore_snapshot(tree, events_applied);
-  if (aggregates.empty()) {
-    return;
-  }
-  switch (mode_) {
-    case Mode::kAggregate:
-      aggregate_state_->import_aggregates(aggregates);
-      break;
-    case Mode::kTdrm:
-      rct_state_->import_aggregates(aggregates);
-      break;
-    case Mode::kBatch:
-      // Batch mode exports no aggregates; tolerate a stray blob (e.g. a
-      // snapshot written under a different service configuration) —
-      // batch rewards are a pure function of the tree anyway.
-      break;
-  }
-  dirty_ = true;
-}
-
 void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
                                    const std::vector<double>& aggregates) {
   require(this->tree().node_count() == 1 && events_applied_ == 0,
@@ -240,14 +203,14 @@ void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
     case Mode::kAggregate:
       require(!aggregates.empty(),
               "RewardService::adopt_snapshot: incremental service needs the "
-              "aggregate blob (use restore_snapshot to replay instead)");
+              "aggregate blob");
       aggregate_state_->adopt_tree(std::move(tree));
       aggregate_state_->import_aggregates(aggregates);
       break;
     case Mode::kTdrm:
       require(!aggregates.empty(),
               "RewardService::adopt_snapshot: incremental service needs the "
-              "aggregate blob (use restore_snapshot to replay instead)");
+              "aggregate blob");
       rct_state_->adopt_tree(std::move(tree));
       rct_state_->import_aggregates(aggregates);
       break;

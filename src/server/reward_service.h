@@ -33,7 +33,7 @@
 namespace itree {
 
 /// Which incremental accumulator family a service persists in
-/// snapshots. Stored as the aggregate-kind byte of snapshot format v3
+/// snapshots. Stored as the aggregate-kind byte of the snapshot image
 /// (storage/snapshot.h), so recovery can detect a blob written by a
 /// differently-configured service instead of mis-importing it.
 enum class AggregateKind : std::uint8_t {
@@ -87,35 +87,16 @@ class RewardService {
   /// True while begin_batch() is in effect on the incremental state.
   bool batching() const;
 
-  /// Rebuilds a freshly constructed service from a checkpointed tree by
-  /// replaying one synthetic join per participant through the normal
-  /// apply path, then restores the event counter. The service must not
-  /// have applied any events yet. Note: incremental FP accumulators are
-  /// history-dependent, so after a compacting restore they can differ
-  /// from the uninterrupted run in final ulps — use the aggregates
-  /// overload for bit-exact resumption.
-  void restore_snapshot(const Tree& tree, std::size_t events_applied);
-
-  /// As above, but additionally imports the FP accumulators captured by
-  /// export_aggregates() on the snapshotting service, making the
-  /// restored incremental state bit-identical to the uninterrupted
-  /// run's (the crash-safe storage engine persists this blob). An empty
-  /// blob skips the import (batch mode, or a pre-v2 snapshot).
-  void restore_snapshot(const Tree& tree, std::size_t events_applied,
-                        const std::vector<double>& aggregates);
-
-  /// Bulk restore: moves the checkpointed tree straight into the
-  /// incremental state's arena and overwrites the FP accumulators from
-  /// `aggregates` — bit-identical to restore_snapshot(tree, events,
-  /// aggregates) (the replay's FP values are overwritten by the import
-  /// there anyway), but O(n) column adoption instead of an
-  /// O(sum of depths) synthetic-join replay. Incremental modes require
-  /// a non-empty blob (whose family must match aggregate_kind(); sizes
-  /// are validated) — without one, only the replay path reproduces the
-  /// historical FP accumulation order, so callers fall back to
-  /// restore_snapshot. Batch mode ignores the blob. The service must
-  /// not have applied any events yet. A tree adopted from a mapped v5
-  /// snapshot (Tree::adopt_columns) moves in with its columns still
+  /// Restores a freshly constructed service from a checkpoint: moves
+  /// the tree straight into the incremental state's arena and
+  /// overwrites the FP accumulators from `aggregates`, the blob
+  /// export_aggregates() produced on the snapshotting service — so the
+  /// restored state is bit-identical to the uninterrupted run's, at
+  /// O(n) column-adoption cost. Incremental modes require a non-empty
+  /// blob (whose family must match aggregate_kind(); sizes are
+  /// validated). Batch mode ignores the blob. The service must not have
+  /// applied any events yet. A tree adopted from a mapped snapshot
+  /// (Tree::adopt_columns) moves in with its columns still
   /// *borrowing* the mapping — the service then serves reward queries
   /// straight from the page cache, and the first mutating event
   /// privatizes only the columns it touches.
@@ -127,7 +108,7 @@ class RewardService {
   std::vector<double> export_aggregates() const;
 
   /// The accumulator family export_aggregates() produces — persisted as
-  /// the snapshot-v3 kind byte.
+  /// the snapshot image's kind byte.
   AggregateKind aggregate_kind() const;
 
   /// Current reward of one participant.

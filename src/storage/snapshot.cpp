@@ -8,13 +8,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -41,7 +40,7 @@ constexpr std::uint64_t align_up(std::uint64_t v) {
   return (v + kSnapshotPageSize - 1) / kSnapshotPageSize * kSnapshotPageSize;
 }
 
-// ---- v4 section payloads ------------------------------------------------
+// ---- section payloads ----------------------------------------------------
 //
 // Sections are little-endian arrays. On little-endian hardware (every
 // target this repo serves) that is the in-memory representation of the
@@ -117,151 +116,7 @@ void read_f64_section(std::string_view src, double* dst, std::size_t count) {
   }
 }
 
-// ---- v4 header ----------------------------------------------------------
-
-struct V4Campaign {
-  std::uint64_t events_applied = 0;
-  std::uint64_t participants = 0;
-  std::uint64_t aggregate_count = 0;
-  std::uint8_t aggregate_kind = 0;
-  std::uint64_t parents_offset = 0;
-  std::uint64_t contributions_offset = 0;
-  std::uint64_t aggregates_offset = 0;
-  std::uint32_t parents_crc = 0;
-  std::uint32_t contributions_crc = 0;
-  std::uint32_t aggregates_crc = 0;
-};
-
-struct V4Header {
-  std::uint64_t last_seq = 0;
-  std::string mechanism;
-  std::vector<V4Campaign> campaigns;
-};
-
-// Fixed bytes per campaign entry in the header payload.
-constexpr std::size_t kV4CampaignEntryBytes = 8 * 6 + 1 + 4 * 3;
-
-void check_section(std::uint64_t offset, std::uint64_t count,
-                   std::uint64_t elem_size, std::uint64_t file_size) {
-  reject(offset % kSnapshotPageSize == 0, "section offset not page-aligned");
-  reject(offset <= file_size, "section offset beyond file");
-  reject(count <= (file_size - offset) / elem_size,
-         "section extends beyond file");
-}
-
-/// Parses and fully validates the header record: magic, lengths, header
-/// CRC, declared file size, and every section's page-aligned geometry.
-/// After this, every (offset, count) pair is in bounds — section bytes
-/// themselves are only vouched for once their CRCs are checked.
-V4Header parse_v4_header(std::string_view bytes) {
-  reject(bytes.size() >= kSnapshotMagicV4.size() + 8, "file too short");
-  reject(bytes.substr(0, kSnapshotMagicV4.size()) == kSnapshotMagicV4,
-         "bad magic");
-  ByteReader fixed(bytes.substr(kSnapshotMagicV4.size(), 8));
-  const std::uint32_t length = fixed.u32();
-  const std::uint32_t expected_crc = fixed.u32();
-  reject(length <= bytes.size() - kSnapshotMagicV4.size() - 8,
-         "header length exceeds file");
-  const std::string_view payload =
-      bytes.substr(kSnapshotMagicV4.size() + 8, length);
-  reject(crc32c(payload) == expected_crc, "header checksum mismatch");
-
-  ByteReader in(payload);
-  V4Header header;
-  header.last_seq = in.u64();
-  const std::uint64_t file_size = in.u64();
-  reject(file_size == bytes.size(), "file size mismatch (truncated image?)");
-  reject(in.u32() == kSnapshotPageSize, "unsupported page size");
-  const std::uint32_t campaigns = in.u32();
-  const std::uint32_t name_length = in.u32();
-  reject(name_length <= in.remaining(), "mechanism name truncated");
-  header.mechanism = std::string(in.bytes(name_length));
-  reject(campaigns <= in.remaining() / kV4CampaignEntryBytes,
-         "campaign count exceeds header");
-  header.campaigns.reserve(campaigns);
-  for (std::uint32_t c = 0; c < campaigns; ++c) {
-    V4Campaign campaign;
-    campaign.events_applied = in.u64();
-    campaign.participants = in.u64();
-    campaign.aggregate_count = in.u64();
-    campaign.aggregate_kind = in.u8();
-    campaign.parents_offset = in.u64();
-    campaign.contributions_offset = in.u64();
-    campaign.aggregates_offset = in.u64();
-    campaign.parents_crc = in.u32();
-    campaign.contributions_crc = in.u32();
-    campaign.aggregates_crc = in.u32();
-    reject(campaign.participants < kInvalidNode, "impossible participant count");
-    check_section(campaign.parents_offset, campaign.participants, 4,
-                  file_size);
-    check_section(campaign.contributions_offset, campaign.participants, 8,
-                  file_size);
-    check_section(campaign.aggregates_offset, campaign.aggregate_count, 8,
-                  file_size);
-    header.campaigns.push_back(campaign);
-  }
-  in.finish();
-  return header;
-}
-
-void verify_v4_sections(std::string_view bytes, const V4Header& header) {
-  for (const V4Campaign& campaign : header.campaigns) {
-    reject(crc32c(bytes.substr(campaign.parents_offset,
-                               campaign.participants * 4)) ==
-               campaign.parents_crc,
-           "parents section checksum mismatch");
-    reject(crc32c(bytes.substr(campaign.contributions_offset,
-                               campaign.participants * 8)) ==
-               campaign.contributions_crc,
-           "contributions section checksum mismatch");
-    reject(crc32c(bytes.substr(campaign.aggregates_offset,
-                               campaign.aggregate_count * 8)) ==
-               campaign.aggregates_crc,
-           "aggregates section checksum mismatch");
-  }
-}
-
-/// Builds the live arenas from an already CRC-verified v4 image
-/// (decode_snapshot_v4 verifies first; MappedSnapshot::materialize()
-/// shares the verify() CRC walk instead of repeating it).
-SnapshotData build_v4(std::string_view bytes, const V4Header& header) {
-  SnapshotData data;
-  data.last_seq = header.last_seq;
-  data.mechanism = header.mechanism;
-  data.campaigns.reserve(header.campaigns.size());
-  std::vector<NodeId> parents;
-  std::vector<double> contributions;
-  for (const V4Campaign& entry : header.campaigns) {
-    CampaignSnapshot campaign;
-    campaign.events_applied = entry.events_applied;
-    campaign.aggregate_kind = entry.aggregate_kind;
-    const std::size_t n = entry.participants;
-    parents.resize(n);
-    contributions.resize(n);
-    read_u32_section(bytes.substr(entry.parents_offset, n * 4),
-                     parents.data(), n);
-    read_f64_section(bytes.substr(entry.contributions_offset, n * 8),
-                     contributions.data(), n);
-    // from_arrays re-validates topology (parents[i] <= i) and
-    // non-negative contributions, so even a CRC-colliding corruption
-    // cannot build an inconsistent tree.
-    campaign.tree = Tree::from_arrays(parents, contributions);
-    campaign.aggregates.resize(entry.aggregate_count);
-    read_f64_section(
-        bytes.substr(entry.aggregates_offset, entry.aggregate_count * 8),
-        campaign.aggregates.data(), entry.aggregate_count);
-    data.campaigns.push_back(std::move(campaign));
-  }
-  return data;
-}
-
-SnapshotData decode_snapshot_v4(std::string_view bytes) {
-  const V4Header header = parse_v4_header(bytes);
-  verify_v4_sections(bytes, header);
-  return build_v4(bytes, header);
-}
-
-// ---- v5 header ----------------------------------------------------------
+// ---- header -------------------------------------------------------------
 
 /// Section order within one campaign's entry (offsets, CRCs, and the
 /// on-disk layout all use it).
@@ -324,14 +179,31 @@ struct V5Header {
 constexpr std::size_t kV5CampaignEntryBytes =
     8 * 4 + 1 + 8 + kV5SectionCount * (8 + 4);
 
-/// Parses and fully validates the v5 header record, exactly like
-/// parse_v4_header: after this every section's (offset, count) pair is
-/// page-aligned and in bounds; section bytes are vouched for by
-/// verify_v5_sections.
+void check_section(std::uint64_t offset, std::uint64_t count,
+                   std::uint64_t elem_size, std::uint64_t file_size) {
+  reject(offset % kSnapshotPageSize == 0, "section offset not page-aligned");
+  reject(offset <= file_size, "section offset beyond file");
+  reject(count <= (file_size - offset) / elem_size,
+         "section extends beyond file");
+}
+
+/// Parses and fully validates the header record: magic, lengths, header
+/// CRC, declared file size, and every section's page-aligned geometry.
+/// After this every section's (offset, count) pair is in bounds; section
+/// bytes are vouched for by verify_v5_sections.
 V5Header parse_v5_header(std::string_view bytes) {
   reject(bytes.size() >= kSnapshotMagicV5.size() + 8, "file too short");
-  reject(bytes.substr(0, kSnapshotMagicV5.size()) == kSnapshotMagicV5,
-         "bad magic");
+  const std::string_view magic = bytes.substr(0, kSnapshotMagicV5.size());
+  if (magic != kSnapshotMagicV5 && magic.starts_with("ITSNAP") &&
+      std::isdigit(static_cast<unsigned char>(magic[6])) != 0 &&
+      std::isdigit(static_cast<unsigned char>(magic[7])) != 0) {
+    // An earlier generation: name it, so an operator sees why a
+    // well-formed file was passed over.
+    throw std::invalid_argument("snapshot: unsupported snapshot generation " +
+                                std::string(magic) + "; only " +
+                                std::string(kSnapshotMagicV5) + " is read");
+  }
+  reject(magic == kSnapshotMagicV5, "bad magic");
   ByteReader fixed(bytes.substr(kSnapshotMagicV5.size(), 8));
   const std::uint32_t length = fixed.u32();
   const std::uint32_t expected_crc = fixed.u32();
@@ -510,69 +382,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
   return data;
 }
 
-SnapshotData decode_snapshot_v5(std::string_view bytes) {
-  const V5Header header = parse_v5_header(bytes);
-  verify_v5_sections(bytes, header);
-  // No mapping to adopt from a transient buffer: the copy path gives
-  // the trees their own (shared) storage.
-  return build_v5(bytes, header, nullptr);
-}
-
-SnapshotData decode_snapshot_legacy(std::string_view bytes) {
-  reject(bytes.size() >= kSnapshotMagic.size() + 8, "file too short");
-  const std::string_view magic = bytes.substr(0, kSnapshotMagic.size());
-  const bool v3 = magic == kSnapshotMagic;
-  const bool v2 = magic == kSnapshotMagicV2;
-  reject(v3 || v2 || magic == kSnapshotMagicV1, "bad magic");
-  ByteReader header(bytes.substr(kSnapshotMagic.size(), 8));
-  const std::uint32_t length = header.u32();
-  const std::uint32_t expected_crc = header.u32();
-  reject(length <= kMaxSnapshotBytes, "impossible payload length");
-  const std::string_view payload = bytes.substr(kSnapshotMagic.size() + 8);
-  reject(payload.size() == length, "payload length mismatch");
-  reject(crc32c(payload) == expected_crc, "checksum mismatch");
-
-  ByteReader in(payload);
-  SnapshotData data;
-  data.last_seq = in.u64();
-  const std::uint32_t campaigns = in.u32();
-  const std::uint32_t name_length = in.u32();
-  reject(name_length <= in.remaining(), "mechanism name truncated");
-  data.mechanism = std::string(in.bytes(name_length));
-  // 12 bytes per participant entry bounds campaign count sanity below.
-  reject(campaigns <= kMaxSnapshotBytes / 16, "impossible campaign count");
-  data.campaigns.reserve(campaigns);
-  for (std::uint32_t c = 0; c < campaigns; ++c) {
-    CampaignSnapshot campaign;
-    campaign.events_applied = in.u64();
-    const std::uint64_t participants = in.u64();
-    reject(participants <= in.remaining() / 12,
-           "participant count exceeds payload");
-    campaign.tree.reserve(participants + 1);
-    for (std::uint64_t u = 0; u < participants; ++u) {
-      const std::uint32_t parent = in.u32();
-      const double contribution = in.f64();
-      // Tree::add_node validates parent-exists and contribution >= 0
-      // (throws std::invalid_argument), so a CRC-colliding corruption
-      // still cannot build an inconsistent tree.
-      campaign.tree.add_node(static_cast<NodeId>(parent), contribution);
-    }
-    if (v3 || v2) {
-      campaign.aggregate_kind = v3 ? in.u8() : kAggregateKindUnspecified;
-      const std::uint64_t aggregates = in.u64();
-      reject(aggregates <= in.remaining() / 8,
-             "aggregate count exceeds payload");
-      campaign.aggregates.reserve(aggregates);
-      for (std::uint64_t i = 0; i < aggregates; ++i) {
-        campaign.aggregates.push_back(in.f64());
-      }
-    }
-    data.campaigns.push_back(std::move(campaign));
-  }
-  in.finish();
-  return data;
-}
-
 /// Temp + fsync + rename + dir-fsync write of one encoded image.
 void write_image_durably(const std::string& dir, std::string_view image,
                          std::uint64_t last_seq) {
@@ -599,111 +408,11 @@ void write_image_durably(const std::string& dir, std::string_view image,
 
 }  // namespace
 
-std::string encode_snapshot(const SnapshotData& data) {
-  std::string payload;
-  put_u64(payload, data.last_seq);
-  put_u32(payload, static_cast<std::uint32_t>(data.campaigns.size()));
-  put_u32(payload, static_cast<std::uint32_t>(data.mechanism.size()));
-  payload += data.mechanism;
-  for (const CampaignSnapshot& campaign : data.campaigns) {
-    put_u64(payload, campaign.events_applied);
-    put_u64(payload, campaign.tree.participant_count());
-    for (NodeId u = 1; u < campaign.tree.node_count(); ++u) {
-      put_u32(payload, campaign.tree.parent(u));
-      put_f64(payload, campaign.tree.contribution(u));
-    }
-    put_u8(payload, campaign.aggregate_kind);
-    put_u64(payload, campaign.aggregates.size());
-    for (double value : campaign.aggregates) {
-      put_f64(payload, value);
-    }
-  }
-  std::string out;
-  out.reserve(kSnapshotMagic.size() + 8 + payload.size());
-  out += kSnapshotMagic;
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload));
-  out += payload;
-  return out;
-}
-
-std::string encode_snapshot_v4(const SnapshotData& data) {
-  // Pass 1: compute the layout. Header record first, then each
-  // campaign's three sections, every section page-aligned.
-  const std::size_t payload_size =
-      8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
-      data.campaigns.size() * kV4CampaignEntryBytes;
-  const std::uint64_t header_bytes =
-      align_up(kSnapshotMagicV4.size() + 8 + payload_size);
-  struct Layout {
-    std::uint64_t parents, contributions, aggregates;
-  };
-  std::vector<Layout> layout;
-  layout.reserve(data.campaigns.size());
-  std::uint64_t cursor = header_bytes;
-  for (const CampaignSnapshot& campaign : data.campaigns) {
-    const std::uint64_t n = campaign.tree.participant_count();
-    Layout sections{};
-    sections.parents = cursor;
-    cursor += align_up(n * 4);
-    sections.contributions = cursor;
-    cursor += align_up(n * 8);
-    sections.aggregates = cursor;
-    cursor += align_up(campaign.aggregates.size() * 8);
-    layout.push_back(sections);
-  }
-  const std::uint64_t file_size = cursor;
-
-  // Pass 2: fill the sections (zero padding comes free from resize),
-  // checksumming each one for the header table.
-  std::string out(file_size, '\0');
-  std::string payload;
-  payload.reserve(payload_size);
-  put_u64(payload, data.last_seq);
-  put_u64(payload, file_size);
-  put_u32(payload, kSnapshotPageSize);
-  put_u32(payload, static_cast<std::uint32_t>(data.campaigns.size()));
-  put_u32(payload, static_cast<std::uint32_t>(data.mechanism.size()));
-  payload += data.mechanism;
-  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
-    const CampaignSnapshot& campaign = data.campaigns[c];
-    const std::uint64_t n = campaign.tree.participant_count();
-    // The arena's columns ARE the section payloads (index 0 is the
-    // root; participants start at 1).
-    write_u32_section(out, layout[c].parents,
-                      campaign.tree.parent_array().subspan(1));
-    write_f64_section(out, layout[c].contributions,
-                      campaign.tree.contribution_array().subspan(1));
-    write_f64_section(out, layout[c].aggregates, campaign.aggregates);
-    put_u64(payload, campaign.events_applied);
-    put_u64(payload, n);
-    put_u64(payload, campaign.aggregates.size());
-    put_u8(payload, campaign.aggregate_kind);
-    put_u64(payload, layout[c].parents);
-    put_u64(payload, layout[c].contributions);
-    put_u64(payload, layout[c].aggregates);
-    put_u32(payload, crc32c({out.data() + layout[c].parents, n * 4}));
-    put_u32(payload, crc32c({out.data() + layout[c].contributions, n * 8}));
-    put_u32(payload, crc32c({out.data() + layout[c].aggregates,
-                             campaign.aggregates.size() * 8}));
-  }
-  ensure(payload.size() == payload_size, "snapshot v4: header layout drift");
-
-  std::string header;
-  header.reserve(kSnapshotMagicV4.size() + 8 + payload.size());
-  header += kSnapshotMagicV4;
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  put_u32(header, crc32c(payload));
-  header += payload;
-  std::memcpy(out.data(), header.data(), header.size());
-  return out;
-}
-
 std::string encode_snapshot_v5(const SnapshotData& data) {
   // Pass 1: compute the layout. Header record first, then each
   // campaign's nine sections, every section page-aligned. The skip
-  // section is optional in the format but this writer always emits it —
-  // readers that drop it (or older writers) fall back to a recompute.
+  // section is optional in the format but this writer always emits it;
+  // a reader that finds it absent recomputes it.
   const std::size_t payload_size =
       8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
       data.campaigns.size() * kV5CampaignEntryBytes;
@@ -785,41 +494,17 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
 }
 
 SnapshotData decode_snapshot(std::string_view bytes) {
-  reject(bytes.size() >= kSnapshotMagicV4.size(), "file too short");
-  if (bytes.substr(0, kSnapshotMagicV5.size()) == kSnapshotMagicV5) {
-    return decode_snapshot_v5(bytes);
-  }
-  if (bytes.substr(0, kSnapshotMagicV4.size()) == kSnapshotMagicV4) {
-    return decode_snapshot_v4(bytes);
-  }
-  return decode_snapshot_legacy(bytes);
+  const V5Header header = parse_v5_header(bytes);
+  verify_v5_sections(bytes, header);
+  // No mapping to adopt from a transient buffer: the copy path gives
+  // the trees their own (shared) storage.
+  return build_v5(bytes, header, nullptr);
 }
 
 std::uint64_t validate_snapshot_image(std::string_view bytes) {
-  reject(bytes.size() >= kSnapshotMagicV4.size() + 8, "file too short");
-  if (bytes.substr(0, kSnapshotMagicV5.size()) == kSnapshotMagicV5) {
-    const V5Header header = parse_v5_header(bytes);
-    verify_v5_sections(bytes, header);
-    return header.last_seq;
-  }
-  if (bytes.substr(0, kSnapshotMagicV4.size()) == kSnapshotMagicV4) {
-    const V4Header header = parse_v4_header(bytes);
-    verify_v4_sections(bytes, header);
-    return header.last_seq;
-  }
-  const std::string_view magic = bytes.substr(0, kSnapshotMagic.size());
-  reject(magic == kSnapshotMagic || magic == kSnapshotMagicV2 ||
-             magic == kSnapshotMagicV1,
-         "bad magic");
-  ByteReader header(bytes.substr(kSnapshotMagic.size(), 8));
-  const std::uint32_t length = header.u32();
-  const std::uint32_t expected_crc = header.u32();
-  reject(length <= kMaxSnapshotBytes, "impossible payload length");
-  const std::string_view payload = bytes.substr(kSnapshotMagic.size() + 8);
-  reject(payload.size() == length, "payload length mismatch");
-  reject(crc32c(payload) == expected_crc, "checksum mismatch");
-  ByteReader in(payload);
-  return in.u64();  // last_seq leads the payload in every legacy version
+  const V5Header header = parse_v5_header(bytes);
+  verify_v5_sections(bytes, header);
+  return header.last_seq;
 }
 
 std::string snapshot_name(std::uint64_t last_seq) {
@@ -852,13 +537,8 @@ std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
 }
 
 void save_snapshot(const std::string& dir, const SnapshotData& data,
-                   SnapshotFormat format) {
-  const std::string image = format == SnapshotFormat::kV5
-                                ? encode_snapshot_v5(data)
-                            : format == SnapshotFormat::kV4
-                                ? encode_snapshot_v4(data)
-                                : encode_snapshot(data);
-  write_image_durably(dir, image, data.last_seq);
+                   SnapshotFormat /*format*/) {
+  write_image_durably(dir, encode_snapshot_v5(data), data.last_seq);
 }
 
 void save_snapshot_image(const std::string& dir, std::string_view image,
@@ -872,30 +552,9 @@ std::optional<SnapshotData> load_latest_snapshot(
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     const std::string path = dir + "/" + it->second;
     try {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        if (warnings != nullptr) {
-          warnings->push_back("cannot open snapshot " + it->second);
-        }
-        continue;
-      }
-      // Sniff the magic: v4/v5 images load through an mmap so the
-      // columns stream straight from the page cache (and a v5 image's
-      // columns are adopted in place, pinned by the trees' keepalive);
-      // older generations are buffered and decoded record by record.
-      char magic[8] = {};
-      in.read(magic, sizeof(magic));
-      if (in.gcount() == sizeof(magic) &&
-          (std::string_view(magic, sizeof(magic)) == kSnapshotMagicV4 ||
-           std::string_view(magic, sizeof(magic)) == kSnapshotMagicV5)) {
-        in.close();
-        return MappedSnapshot(path).materialize();
-      }
-      in.clear();
-      in.seekg(0);
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return decode_snapshot(buffer.view());
+      // The columns stream straight from the page cache and are adopted
+      // in place, pinned by the trees' keepalive.
+      return MappedSnapshot(path).materialize();
     } catch (const std::invalid_argument& error) {
       if (warnings != nullptr) {
         warnings->push_back("skipping snapshot " + it->second + ": " +
@@ -974,19 +633,9 @@ MappedSnapshot::MappedSnapshot(const std::string& path) {
   ::close(fd);
   // If header parsing throws, holder_'s destructor unmaps.
   holder_ = std::move(holder);
-  const std::string_view image = holder_->bytes();
-  if (image.size() >= kSnapshotMagicV5.size() &&
-      image.substr(0, kSnapshotMagicV5.size()) == kSnapshotMagicV5) {
-    version_ = 5;
-    const V5Header header = parse_v5_header(image);
-    last_seq_ = header.last_seq;
-    mechanism_ = header.mechanism;
-  } else {
-    version_ = 4;
-    const V4Header header = parse_v4_header(image);
-    last_seq_ = header.last_seq;
-    mechanism_ = header.mechanism;
-  }
+  const V5Header header = parse_v5_header(holder_->bytes());
+  last_seq_ = header.last_seq;
+  mechanism_ = header.mechanism;
 }
 
 MappedSnapshot::~MappedSnapshot() = default;
@@ -1000,11 +649,7 @@ void MappedSnapshot::verify() const {
   if (verified_) {
     return;  // the image is immutable; one section-CRC walk suffices
   }
-  if (version_ == 5) {
-    verify_v5_sections(bytes(), parse_v5_header(bytes()));
-  } else {
-    verify_v4_sections(bytes(), parse_v4_header(bytes()));
-  }
+  verify_v5_sections(bytes(), parse_v5_header(bytes()));
   verified_ = true;
 #ifdef MADV_NORMAL
   // The stream is over: an adopted mapping serves random point reads
@@ -1018,16 +663,13 @@ void MappedSnapshot::verify() const {
 
 SnapshotData MappedSnapshot::materialize() const {
   verify();
-  if (version_ == 5) {
-    // Adopt straight out of the mapping when there is one; the buffered
-    // fallback copies (std::string gives no alignment guarantee).
-    std::shared_ptr<const void> mapping;
-    if (holder_->map != nullptr) {
-      mapping = holder_;
-    }
-    return build_v5(bytes(), parse_v5_header(bytes()), std::move(mapping));
+  // Adopt straight out of the mapping when there is one; the buffered
+  // fallback copies (std::string gives no alignment guarantee).
+  std::shared_ptr<const void> mapping;
+  if (holder_->map != nullptr) {
+    mapping = holder_;
   }
-  return build_v4(bytes(), parse_v4_header(bytes()));
+  return build_v5(bytes(), parse_v5_header(bytes()), std::move(mapping));
 }
 
 }  // namespace itree::storage

@@ -2,56 +2,26 @@
 //
 // A snapshot captures every campaign of a deployment at one WAL
 // watermark: all events with seq <= last_seq are reflected, so restart
-// cost becomes O(snapshot + WAL tail) instead of O(all events). The
-// tree is stored per participant in id order — ids are assigned
-// sequentially by the apply path, so parents always precede children
-// and the tree rebuilds bit-exactly.
+// cost becomes O(snapshot + WAL tail) instead of O(all events).
 //
-// Two on-disk generations share the `snap-<last_seq, 16 hex>.snap`
-// naming; the loader sniffs the magic.
-//
-// v1–v3 ("ITSNAP01".."ITSNAP03"): one checksummed record —
-//
-//     8 bytes  magic
-//     u32 LE   payload length
-//     u32 LE   CRC32C(payload)
-//     payload:
-//       u64 last_seq
-//       u32 campaign count
-//       u32 mechanism-name length + bytes   (display name, validated
-//                                            against the live mechanism
-//                                            on recovery)
-//       per campaign:
-//         u64 events applied
-//         u64 participant count
-//         per participant (id order): u32 parent, f64 contribution
-//         u8  aggregate kind                (v3 only: which incremental
-//                                            accumulator family wrote
-//                                            the blob — the
-//                                            server::AggregateKind value;
-//                                            lets recovery detect a blob
-//                                            from a differently-
-//                                            configured service)
-//         u64 aggregate count + f64 each    (v2+: the service's
-//                                            incremental FP accumulators,
-//                                            RewardService::
-//                                            export_aggregates(); makes
-//                                            a compacting restore
-//                                            bit-identical to the
-//                                            uninterrupted run)
-//
-// v2 snapshots (no kind byte) still decode — the kind comes back as
-// kAggregateKindUnspecified, which recovery treats as "trust the blob
-// if its size fits" (the pre-v3 behaviour). v1 snapshots (no aggregate
-// section at all) decode with empty aggregates, i.e. the replay-joins
-// path.
-//
-// v4 ("ITSNAP04"): an immutable, page-aligned tree image laid out so a
-// loader can mmap the file and bulk-adopt the columns without decoding
-// per-participant records —
+// One on-disk generation, "ITSNAP05", named `snap-<last_seq, 16 hex>.snap`.
+// The image is an immutable, page-aligned copy of the *entire* 8-column
+// tree arena — parent, first_child, last_child, next_sibling,
+// prev_sibling, depth, contribution, plus the optional skew-binary
+// ancestor-skip column — each as its own page-aligned, individually
+// CRC'd section, with the imaginary root's row included (node_count =
+// participants + 1). A mapped image therefore needs *no link
+// reconstruction at all*: Tree::adopt_columns points the arena columns
+// straight into the read-only mapping (after a parallel O(1)-per-node
+// read-only validation pass), and columns privatize
+// copy-on-first-mutation, so a read-heavy replica serves reward queries
+// directly from the page cache without ever copying the link columns.
+// The image also carries each service's live FP accumulators
+// (RewardService::export_aggregates()), so a restart resumes bit for
+// bit —
 //
 //     header record (zero-padded to a page multiple):
-//       8 bytes  magic "ITSNAP04"
+//       8 bytes  magic "ITSNAP05"
 //       u32 LE   header payload length
 //       u32 LE   CRC32C(header payload)
 //       payload:
@@ -60,62 +30,17 @@
 //                                   before any section is touched)
 //         u32 page size            (kSnapshotPageSize)
 //         u32 campaign count
-//         u32 mechanism-name length + bytes
-//         per campaign:
-//           u64 events applied
-//           u64 participant count
-//           u64 aggregate count
-//           u8  aggregate kind
-//           u64 parents offset     (page-aligned)
-//           u64 contributions offset
-//           u64 aggregates offset
-//           u32 parents CRC32C
-//           u32 contributions CRC32C
-//           u32 aggregates CRC32C
-//     sections (each page-aligned, zero-padded, in campaign order):
-//       parents         participant count x u32 LE (participant u's
-//                       parent at index u-1)
-//       contributions   participant count x f64 LE
-//       aggregates      aggregate count x f64 LE
-//
-// On little-endian hardware the sections are exactly the live arena's
-// parent/contribution columns and the aggregate blob, so encode and
-// decode are memcpy-class, and a mapped image feeds Tree::from_arrays
-// straight from the page cache — snapshot load cost is O(file), not
-// O(rebuild). Every section carries its own CRC32C; decode verifies all
-// of them (MappedSnapshot::verify() does the same for validate-only
-// paths).
-//
-// v5 ("ITSNAP05"): the zero-rebuild generation. Same record framing as
-// v4, but the image persists the *entire* 8-column arena — parent,
-// first_child, last_child, next_sibling, prev_sibling, depth,
-// contribution, plus the optional skew-binary ancestor-skip column —
-// each as its own page-aligned, individually CRC'd section, with the
-// imaginary root's row included (node_count = participants + 1). A
-// mapped v5 image therefore needs *no link reconstruction at all*:
-// Tree::adopt_columns points the arena columns straight into the
-// read-only mapping (after a parallel O(1)-per-node read-only
-// validation pass), and columns privatize copy-on-first-mutation, so a
-// read-heavy replica serves reward queries directly from the page
-// cache without ever copying the link columns —
-//
-//     header record (zero-padded to a page multiple):
-//       8 bytes  magic "ITSNAP05"
-//       u32 LE   header payload length
-//       u32 LE   CRC32C(header payload)
-//       payload:
-//         u64 last_seq
-//         u64 file size
-//         u32 page size            (kSnapshotPageSize)
-//         u32 campaign count
-//         u32 mechanism-name length + bytes
+//         u32 mechanism-name length + bytes   (display name, validated
+//                                              against the live mechanism
+//                                              on recovery)
 //         per campaign:
 //           u64 events applied
 //           u64 node count         (INCLUDING the imaginary root)
 //           u64 aggregate count
 //           u64 skip count         (0 = skip section absent, else node
 //                                   count; readers recompute when absent)
-//           u8  aggregate kind
+//           u8  aggregate kind     (server::AggregateKind of the writer:
+//                                   which accumulator family the blob is)
 //           f64 total contribution (the writer's live accumulated C(T) —
 //                                   history-dependent FP, adopted
 //                                   bit-exactly for exact resumption)
@@ -131,12 +56,16 @@
 //       skip                                  skip count x u32 LE
 //       aggregates                            aggregate count x f64 LE
 //
+// On little-endian hardware the sections are exactly the live arena's
+// columns, so encode is memcpy-class and load is an mmap plus one CRC
+// walk.
+//
 // Snapshots are written to a temp file, fsynced, then renamed into
 // place (with a directory fsync), so a crash mid-snapshot leaves the
 // previous snapshot intact. The loaders validate magic, lengths and
-// CRCs and throw std::invalid_argument on any mismatch — a torn or
-// corrupted snapshot is skipped in favour of an older one, never
-// half-loaded.
+// CRCs and throw std::invalid_argument on any mismatch — a torn,
+// corrupted or pre-ITSNAP05 file is skipped in favour of an older one,
+// never half-loaded.
 #pragma once
 
 #include <cstdint>
@@ -150,32 +79,20 @@
 namespace itree::storage {
 
 inline constexpr std::string_view kSnapshotMagicV5 = "ITSNAP05";
-inline constexpr std::string_view kSnapshotMagicV4 = "ITSNAP04";
-inline constexpr std::string_view kSnapshotMagic = "ITSNAP03";
-inline constexpr std::string_view kSnapshotMagicV2 = "ITSNAP02";
-inline constexpr std::string_view kSnapshotMagicV1 = "ITSNAP01";
-/// Cap on one v1–v3 snapshot's payload (bounds loader allocation on a
-/// corrupt length field): 1 GiB ~ 80M participants. v4 images carry
-/// their own file size instead and validate section extents against it.
-inline constexpr std::uint32_t kMaxSnapshotBytes = 1u << 30;
-/// Section alignment of v4 images.
+/// Section alignment of the image.
 inline constexpr std::uint32_t kSnapshotPageSize = 4096;
 
-/// Kind byte of v2 snapshots, which predate the field: the writer's
-/// accumulator family is unknown; recovery accepts the blob as before.
-inline constexpr std::uint8_t kAggregateKindUnspecified = 255;
-
-/// Which generation save_snapshot()/Storage write. Decode always sniffs.
-enum class SnapshotFormat : std::uint8_t { kV3 = 3, kV4 = 4, kV5 = 5 };
+/// The one generation save_snapshot() writes; kept only because
+/// perfbench/load.cpp still passes it explicitly.
+enum class SnapshotFormat : std::uint8_t { kV5 = 5 };
 
 struct CampaignSnapshot {
   std::uint64_t events_applied = 0;
   Tree tree;
-  /// server::AggregateKind of the writing service (v3/v4), 0 for v1, or
-  /// kAggregateKindUnspecified for v2 images.
+  /// server::AggregateKind of the writing service.
   std::uint8_t aggregate_kind = 0;
   /// RewardService::export_aggregates() at snapshot time; empty for
-  /// batch-mode services and v1 snapshots.
+  /// batch-mode services.
   std::vector<double> aggregates;
 };
 
@@ -185,27 +102,20 @@ struct SnapshotData {
   std::vector<CampaignSnapshot> campaigns;
 };
 
-/// Encodes the v3 file image (magic + header + payload).
-std::string encode_snapshot(const SnapshotData& data);
-
-/// Encodes the v4 page-aligned image.
-std::string encode_snapshot_v4(const SnapshotData& data);
-
-/// Encodes the v5 full-arena page-aligned image (always writes the
+/// Encodes the full-arena page-aligned image (always writes the
 /// optional skip section).
 std::string encode_snapshot_v5(const SnapshotData& data);
 
-/// Decodes a file image of any generation (sniffs the magic); throws
-/// std::invalid_argument on anything malformed (bad magic, torn
-/// payload, CRC mismatch, invalid tree). v4/v5 images are fully
-/// CRC-verified (header and every section).
+/// Decodes an in-memory image into trees that own copies of its
+/// columns; throws std::invalid_argument on anything malformed (bad or
+/// pre-ITSNAP05 magic, torn image, CRC mismatch, invalid tree). The
+/// header and every section are CRC-verified.
 SnapshotData decode_snapshot(std::string_view bytes);
 
-/// Validates an image without building any tree: magic/length/CRC for
-/// v1–v3, header + geometry + section CRCs for v4/v5. Returns the
-/// image's last_seq; throws std::invalid_argument on any mismatch. This
-/// is the replica-bootstrap trust boundary: O(file) CRC scan, no O(n)
-/// participant decode.
+/// Validates an image without building any tree: header, geometry and
+/// every section CRC. Returns the image's last_seq; throws
+/// std::invalid_argument on any mismatch. This is the replica-bootstrap
+/// trust boundary: O(file) CRC scan, no O(n) participant decode.
 std::uint64_t validate_snapshot_image(std::string_view bytes);
 
 std::string snapshot_name(std::uint64_t last_seq);
@@ -228,22 +138,21 @@ void save_snapshot(const std::string& dir, const SnapshotData& data,
 void save_snapshot_image(const std::string& dir, std::string_view image,
                          std::uint64_t last_seq);
 
-/// Loads the newest snapshot that validates; skipped corrupt ones are
-/// reported through `warnings`. Returns nullopt when none is usable.
-/// v4/v5 images are loaded through an mmap (MappedSnapshot), so the
-/// bytes stream from the page cache instead of a read-into-buffer copy
-/// — and a v5 image's arena columns are adopted in place: the returned
-/// trees serve directly from the mapping (which stays pinned by their
-/// keepalive) until first mutation.
+/// Loads the newest snapshot that validates; skipped corrupt or
+/// pre-ITSNAP05 ones are reported through `warnings`. Returns nullopt
+/// when none is usable. Images are loaded through an mmap
+/// (MappedSnapshot) and their arena columns are adopted in place: the
+/// returned trees serve directly from the mapping (which stays pinned
+/// by their keepalive) until first mutation.
 std::optional<SnapshotData> load_latest_snapshot(
     const std::string& dir, std::vector<std::string>* warnings);
 
 /// The mapping (or buffered fallback) behind a MappedSnapshot, shared
-/// so trees adopted out of a v5 image can pin it past the
+/// so trees adopted out of the image can pin it past the
 /// MappedSnapshot's own lifetime. Unmaps on destruction.
 struct MappingHolder;
 
-/// A v4/v5 snapshot file mapped read-only into memory. The constructor
+/// A snapshot file mapped read-only into memory. The constructor
 /// maps the file (falling back to a buffered read when mmap is
 /// unavailable), advises the kernel of the upcoming sequential scan
 /// (madvise), and validates the header record — magic, length, CRC,
@@ -251,7 +160,7 @@ struct MappingHolder;
 /// trustworthy immediately; section payloads stay untouched (and
 /// unfaulted) until verify() or materialize() streams them. Throws
 /// std::runtime_error on I/O failure, std::invalid_argument when the
-/// file is not a well-formed v4/v5 image.
+/// file is not a well-formed ITSNAP05 image.
 class MappedSnapshot {
  public:
   explicit MappedSnapshot(const std::string& path);
@@ -265,8 +174,6 @@ class MappedSnapshot {
   std::string_view bytes() const;
   std::uint64_t last_seq() const { return last_seq_; }
   const std::string& mechanism() const { return mechanism_; }
-  /// 4 or 5 — the image generation the magic declared.
-  int version() const { return version_; }
 
   /// CRC-verifies every section and caches the result, so verify() +
   /// materialize() (or repeated verify()) cost exactly one section-CRC
@@ -274,18 +181,16 @@ class MappedSnapshot {
   void verify() const;
 
   /// Decodes the image into live arenas (verifies everything, like
-  /// decode_snapshot; the section-CRC walk is shared with verify()).
-  /// v4: the tree columns feed Tree::from_arrays straight from the
-  /// mapping. v5 on little-endian hardware: the returned trees *adopt*
-  /// the mapped columns in place — zero per-node construction work —
-  /// and keep the mapping alive for as long as they borrow from it.
+  /// decode_snapshot; the section-CRC walk is shared with verify()). On
+  /// little-endian hardware the returned trees *adopt* the mapped
+  /// columns in place — zero per-node construction work — and keep the
+  /// mapping alive for as long as they borrow from it.
   SnapshotData materialize() const;
 
  private:
   std::shared_ptr<const MappingHolder> holder_;
   std::uint64_t last_seq_ = 0;
   std::string mechanism_;
-  int version_ = 4;
   /// Set once the section-CRC walk has passed (merged verify/decode
   /// CRC pass); the underlying image is immutable.
   mutable bool verified_ = false;

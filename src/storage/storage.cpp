@@ -33,9 +33,6 @@ void write_manifest(const std::string& dir, const Manifest& manifest) {
   out << "mechanism " << manifest.mechanism_name << '\n';
   out << "params " << manifest.mechanism_params << '\n';
   out << "display " << manifest.display << '\n';
-  if (!manifest.snapshot_format.empty()) {
-    out << "snapshot-format " << manifest.snapshot_format << '\n';
-  }
   const std::string text = out.str();
   const std::string path = manifest_path(dir);
   const std::string tmp = path + ".tmp";
@@ -105,10 +102,8 @@ Manifest read_manifest(const std::string& dir) {
       manifest.mechanism_params = value;
     } else if (key == "display") {
       manifest.display = value;
-    } else if (key == "snapshot-format") {
-      manifest.snapshot_format = value;
     }
-    // Unknown keys are tolerated so newer layouts stay readable.
+    // Unknown keys are tolerated so other layouts stay readable.
   }
   if (!have_campaigns || manifest.display.empty()) {
     throw std::runtime_error("storage: incomplete MANIFEST in " + dir);
@@ -124,38 +119,22 @@ std::string stage_seconds_text(const RecoveryReport& report) {
 
 void restore_campaign_from_snapshot(RecordingService& campaign,
                                     CampaignSnapshot&& snap,
-                                    std::size_t index,
-                                    std::vector<std::string>* warnings) {
-  const auto service_kind = campaign.service().aggregate_kind();
+                                    std::size_t index) {
+  const AggregateKind service_kind = campaign.service().aggregate_kind();
   const auto expected_kind = static_cast<std::uint8_t>(service_kind);
-  if (!snap.aggregates.empty() &&
-      snap.aggregate_kind != kAggregateKindUnspecified &&
-      snap.aggregate_kind != expected_kind) {
-    // The blob was written by a differently-configured service (e.g. a
-    // mode change between runs). Rewards are still a pure function of
-    // the tree, so recover from the tree alone; only the final-ulp
-    // bit-exactness of resumed accumulators is lost.
-    if (warnings != nullptr) {
-      warnings->push_back(
-          "campaign " + std::to_string(index) + ": snapshot aggregate kind " +
-          std::to_string(snap.aggregate_kind) + " does not match the "
-          "service's kind " + std::to_string(expected_kind) +
-          "; restoring without aggregates");
-    }
-    campaign.restore_snapshot(snap.tree, snap.events_applied);
-    return;
+  const bool foreign_blob =
+      !snap.aggregates.empty() && snap.aggregate_kind != expected_kind;
+  const bool missing_blob =
+      snap.aggregates.empty() && service_kind != AggregateKind::kNone;
+  if (foreign_blob || missing_blob) {
+    throw std::runtime_error(
+        "storage: campaign " + std::to_string(index) +
+        ": snapshot aggregate kind " + std::to_string(snap.aggregate_kind) +
+        " with " + std::to_string(snap.aggregates.size()) +
+        " values cannot restore a service of kind " +
+        std::to_string(expected_kind) +
+        "; refusing a restore that cannot resume bit for bit");
   }
-  if (snap.aggregates.empty() && service_kind != AggregateKind::kNone) {
-    // No blob (a v1 image, or a batch-configured writer feeding an
-    // incremental reader): only the synthetic-join replay reproduces a
-    // valid FP accumulation history for the incremental state.
-    campaign.restore_snapshot(snap.tree, snap.events_applied);
-    return;
-  }
-  // Blob present and compatible (or a batch service, which needs none):
-  // bulk-adopt the tree and import — the import overwrites every FP
-  // accumulator, so this is bit-identical to replay + import without
-  // the O(sum of depths) ancestor walks.
   campaign.adopt_snapshot(std::move(snap.tree), snap.events_applied,
                           snap.aggregates);
 }
@@ -186,8 +165,7 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
     }
     for (std::size_t c = 0; c < campaign_count; ++c) {
       restore_campaign_from_snapshot(*result.campaigns[c],
-                                     std::move(snapshot->campaigns[c]), c,
-                                     &result.report.warnings);
+                                     std::move(snapshot->campaigns[c]), c);
     }
     snapshot_seq = snapshot->last_seq;
     result.report.used_snapshot = true;
@@ -311,10 +289,6 @@ Storage::Storage(const Mechanism& mechanism, std::size_t campaigns,
     manifest.mechanism_name = config_.mechanism_name;
     manifest.mechanism_params = config_.mechanism_params;
     manifest.display = mechanism.display_name();
-    manifest.snapshot_format =
-        config_.snapshot_format == SnapshotFormat::kV5   ? "v5"
-        : config_.snapshot_format == SnapshotFormat::kV4 ? "v4"
-                                                         : "v3";
     write_manifest(config_.data_dir, manifest);
   }
 
@@ -466,13 +440,7 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
   return window;
 }
 
-std::string Storage::encode_state_snapshot() {
-  const std::unique_lock<std::shared_mutex> state(state_mutex_);
-  {
-    const std::lock_guard<std::mutex> lock(wal_mutex_);
-    writer_->sync();
-    committed_seq_.store(writer_->next_seq() - 1, std::memory_order_release);
-  }
+SnapshotData Storage::capture_locked() const {
   SnapshotData data;
   data.last_seq = writer_->next_seq() - 1;
   data.mechanism = mechanism_->display_name();
@@ -486,11 +454,17 @@ std::string Storage::encode_state_snapshot() {
     snap.aggregates = campaign->service().export_aggregates();
     data.campaigns.push_back(std::move(snap));
   }
-  return config_.snapshot_format == SnapshotFormat::kV5
-             ? encode_snapshot_v5(data)
-         : config_.snapshot_format == SnapshotFormat::kV4
-             ? encode_snapshot_v4(data)
-             : encode_snapshot(data);
+  return data;
+}
+
+std::string Storage::encode_state_snapshot() {
+  const std::unique_lock<std::shared_mutex> state(state_mutex_);
+  {
+    const std::lock_guard<std::mutex> lock(wal_mutex_);
+    writer_->sync();
+    committed_seq_.store(writer_->next_seq() - 1, std::memory_order_release);
+  }
+  return encode_snapshot_v5(capture_locked());
 }
 
 void Storage::commit() {
@@ -528,20 +502,8 @@ void Storage::snapshot_locked() {
   writer_->rotate();
   committed_seq_.store(writer_->next_seq() - 1, std::memory_order_release);
 
-  SnapshotData data;
-  data.last_seq = writer_->next_seq() - 1;
-  data.mechanism = mechanism_->display_name();
-  data.campaigns.reserve(campaigns_.size());
-  for (const auto& campaign : campaigns_) {
-    CampaignSnapshot snap;
-    snap.events_applied = campaign->service().events_applied();
-    snap.tree = campaign->service().tree();
-    snap.aggregate_kind =
-        static_cast<std::uint8_t>(campaign->service().aggregate_kind());
-    snap.aggregates = campaign->service().export_aggregates();
-    data.campaigns.push_back(std::move(snap));
-  }
-  save_snapshot(config_.data_dir, data, config_.snapshot_format);
+  const SnapshotData data = capture_locked();
+  save_snapshot(config_.data_dir, data);
   ++counters_.snapshots_written;
   events_since_snapshot_ = 0;
 

@@ -54,12 +54,6 @@ struct StorageConfig {
   FsyncPolicy fsync = FsyncPolicy::kInterval;
   /// kInterval: maximum seconds of acknowledged-but-unsynced data.
   double fsync_interval_seconds = 0.02;
-  /// On-disk generation for snapshots this storage writes (recovery
-  /// reads every generation regardless). v5 is the full-arena image
-  /// whose columns are adopted in place from the mapping (zero link
-  /// rebuild); v4 is the mmap-able parents+contributions image; v3 is
-  /// the record-per-participant form.
-  SnapshotFormat snapshot_format = SnapshotFormat::kV5;
   /// Total events between automatic snapshots; 0 disables periodic
   /// snapshots (the server still writes one on graceful drain).
   std::uint64_t snapshot_every = 0;
@@ -82,15 +76,11 @@ struct Manifest {
   std::string mechanism_name;   ///< factory name for make_mechanism()
   std::string mechanism_params; ///< raw parameter text ("" = defaults)
   std::string display;          ///< Mechanism::display_name(), validated
-  /// Informational: the snapshot generation configured when the
-  /// directory was created ("v3"/"v4"/"v5"). Recovery sniffs each
-  /// file's magic, so this is documentation for operators, not a
-  /// contract.
-  std::string snapshot_format;
 };
 
 /// Parses `dir`/MANIFEST; throws std::runtime_error when missing or
-/// malformed.
+/// malformed. Unknown keys are skipped, so directories written by
+/// other versions stay readable.
 Manifest read_manifest(const std::string& dir);
 
 struct RecoveryReport {
@@ -133,19 +123,17 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
                                  const std::string& dir);
 
 /// Restores one freshly-constructed campaign from a decoded snapshot —
-/// the policy shared by recover_campaigns() and replica bootstrap.
-/// When the aggregate blob is present and its kind matches the
-/// service's accumulator family, the tree is bulk-adopted and the blob
-/// imported (bit-identical to replay + import, O(n) column moves
-/// instead of an O(sum of depths) synthetic-join replay). A missing
-/// blob falls back to the replay path (the only one reproducing the
-/// historical FP accumulation order); a kind mismatch restores from the
-/// tree alone and notes it in `warnings` (may be null). `index` labels
-/// the warning.
+/// the policy shared by recover_campaigns() and replica bootstrap:
+/// check the aggregate kind byte, then adopt the tree and import the
+/// blob (RewardService::adopt_snapshot). A blob of another accumulator
+/// family, or an incremental service without one, can only come from a
+/// foreign image (a service's mode is a pure function of its
+/// mechanism), so both throw std::runtime_error naming campaign `index`
+/// and the two kinds instead of serving a state that cannot resume bit
+/// for bit.
 void restore_campaign_from_snapshot(RecordingService& campaign,
                                     CampaignSnapshot&& snap,
-                                    std::size_t index,
-                                    std::vector<std::string>* warnings);
+                                    std::size_t index);
 
 struct StorageCounters {
   std::uint64_t events_appended = 0;
@@ -210,8 +198,7 @@ class Storage {
   ReplicationWindow read_replication_window(std::uint64_t from_seq,
                                             std::uint32_t max_records);
 
-  /// Encodes a snapshot image (config().snapshot_format generation) of
-  /// the full deployment at the current
+  /// Encodes a snapshot image of the full deployment at the current
   /// watermark *without* writing it to disk or compacting — the
   /// replica-bootstrap payload. Quiesces apply/commit (exclusive lock)
   /// and makes every assigned sequence durable first, so the image's
@@ -255,6 +242,9 @@ class Storage {
  private:
   /// Snapshot body; caller holds state_mutex_ exclusively.
   void snapshot_locked();
+  /// Every campaign's state at the current writer watermark; caller
+  /// holds state_mutex_ exclusively.
+  SnapshotData capture_locked() const;
   /// Appends to the replication tail buffer; caller holds wal_mutex_.
   void push_repl_tail_locked(std::uint64_t seq, std::uint32_t campaign,
                              const Event& event);

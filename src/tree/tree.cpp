@@ -10,11 +10,6 @@
 namespace itree {
 namespace {
 
-/// Below this size the serial append path wins (pool dispatch overhead);
-/// the output is bit-identical either way, so the threshold only moves
-/// work between code paths, never changes results.
-constexpr std::size_t kParallelBuildThreshold = 1u << 16;
-
 /// Tree::adopt_columns' safety predicates, one mask bit each; a failing
 /// scan block reports its lowest set bit.
 constexpr const char* kAdoptViolations[] = {
@@ -71,7 +66,9 @@ NodeId Tree::jump_for(NodeId parent) const {
   return (d - depth_[j1] == depth_[j1] - depth_[j2]) ? j2 : parent;
 }
 
-void Tree::append_unchecked(NodeId parent, double contribution) {
+NodeId Tree::add_node(NodeId parent, double contribution) {
+  check_node(parent, "Tree::add_node");
+  require(contribution >= 0.0, "Tree::add_node: contribution must be >= 0");
   const auto id = static_cast<NodeId>(parent_.size());
   // Read the link state *before* any push_back: a reallocation must not
   // invalidate what the chain splice below needs.
@@ -93,161 +90,7 @@ void Tree::append_unchecked(NodeId parent, double contribution) {
   }
   last_child_.mut(parent) = id;
   total_contribution_ += contribution;
-}
-
-NodeId Tree::add_node(NodeId parent, double contribution) {
-  check_node(parent, "Tree::add_node");
-  require(contribution >= 0.0, "Tree::add_node: contribution must be >= 0");
-  const auto id = static_cast<NodeId>(parent_.size());
-  append_unchecked(parent, contribution);
   return id;
-}
-
-void Tree::build_links_serial(std::span<const NodeId> parents,
-                              std::span<const double> contributions) {
-  reserve(parents.size() + 1);
-  for (std::size_t i = 0; i < parents.size(); ++i) {
-    // Ids are assigned sequentially, so "parent already exists" is
-    // exactly parents[i] <= i (participant i + 1's parent is at most i).
-    require(parents[i] <= i,
-            "Tree::from_arrays: parent id does not precede the node");
-    require(contributions[i] >= 0.0,
-            "Tree::from_arrays: contribution must be >= 0");
-    append_unchecked(parents[i], contributions[i]);
-  }
-}
-
-Tree Tree::from_arrays(std::span<const NodeId> parents,
-                       std::span<const double> contributions) {
-  require(parents.size() == contributions.size(),
-          "Tree::from_arrays: parent / contribution array size mismatch");
-  Tree tree;
-  const std::size_t n = parents.size();
-  if (n < kParallelBuildThreshold || thread_count() == 1) {
-    tree.build_links_serial(parents, contributions);
-    return tree;
-  }
-
-  // Parallel link reconstruction: a deterministic block-stable counting
-  // sort of the children by parent bucket (no atomics — per-(block,
-  // bucket) counts make every write's destination a pure function of
-  // the input), then an independent sibling-chain splice per bucket.
-  // Every output is a uniquely determined integer, and the one FP value
-  // (the contribution total) is summed serially in id order, so the
-  // result is bit-identical to the serial append path at any thread
-  // count.
-  const std::size_t node_count = n + 1;
-  const std::size_t blocks =
-      std::min<std::size_t>(thread_count() * 4,
-                            (n + kParallelBuildThreshold / 4 - 1) /
-                                (kParallelBuildThreshold / 4));
-  const std::size_t block_size = (n + blocks - 1) / blocks;
-  const std::size_t buckets = blocks;  // over parent-id space [0, n]
-  const std::size_t bucket_width = (node_count + buckets - 1) / buckets;
-
-  // Pass 1 — validate + count children per (input block, parent bucket).
-  std::vector<std::uint32_t> counts(blocks * buckets, 0);
-  parallel_for(blocks, [&](std::size_t b) {
-    const std::size_t lo = b * block_size;
-    const std::size_t hi = std::min(n, lo + block_size);
-    std::uint32_t* mine = counts.data() + b * buckets;
-    for (std::size_t i = lo; i < hi; ++i) {
-      require(parents[i] <= i,
-              "Tree::from_arrays: parent id does not precede the node");
-      require(contributions[i] >= 0.0,
-              "Tree::from_arrays: contribution must be >= 0");
-      ++mine[parents[i] / bucket_width];
-    }
-  });
-
-  // Exclusive scan, bucket-major: each (block, bucket) pair gets a
-  // contiguous destination range, so a bucket's region holds its
-  // children ordered by (block, index) — ascending id, i.e. join order.
-  std::vector<std::uint32_t> starts(blocks * buckets);
-  std::vector<std::uint32_t> bucket_start(buckets + 1);
-  std::uint32_t cursor = 0;
-  for (std::size_t p = 0; p < buckets; ++p) {
-    bucket_start[p] = cursor;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      starts[b * buckets + p] = cursor;
-      cursor += counts[b * buckets + p];
-    }
-  }
-  bucket_start[buckets] = cursor;
-  ensure(cursor == n, "Tree::from_arrays: counting sort drift");
-
-  // Pass 2 — scatter the child ids into bucket order.
-  std::vector<NodeId> sorted(n);
-  parallel_for(blocks, [&](std::size_t b) {
-    const std::size_t lo = b * block_size;
-    const std::size_t hi = std::min(n, lo + block_size);
-    std::uint32_t* cur = starts.data() + b * buckets;
-    for (std::size_t i = lo; i < hi; ++i) {
-      sorted[cur[parents[i] / bucket_width]++] = static_cast<NodeId>(i + 1);
-    }
-  });
-
-  // Pass 3 — splice the sibling chains, one bucket of parents per task.
-  // A bucket owns a contiguous parent-id range exclusively; every write
-  // (first/last_child of an owned parent, next/prev_sibling of its
-  // children) has a unique writing bucket, so the passes are race-free
-  // without synchronization.
-  std::vector<NodeId> parent_col(node_count);
-  parent_col[kRoot] = kInvalidNode;
-  std::memcpy(parent_col.data() + 1, parents.data(), n * sizeof(NodeId));
-  std::vector<NodeId> first_child(node_count, kInvalidNode);
-  std::vector<NodeId> last_child(node_count, kInvalidNode);
-  std::vector<NodeId> next_sibling(node_count, kInvalidNode);
-  std::vector<NodeId> prev_sibling(node_count, kInvalidNode);
-  parallel_for(buckets, [&](std::size_t p) {
-    for (std::uint32_t s = bucket_start[p]; s < bucket_start[p + 1]; ++s) {
-      const NodeId id = sorted[s];
-      const NodeId parent = parent_col[id];
-      const NodeId tail = last_child[parent];
-      prev_sibling[id] = tail;
-      if (tail == kInvalidNode) {
-        first_child[parent] = id;
-      } else {
-        next_sibling[tail] = id;
-      }
-      last_child[parent] = id;
-    }
-  });
-
-  // Depth and skip columns: forward scans (parent < child), cheap
-  // relative to the scatter; the FP total is summed in id order — the
-  // exact order the serial appends accumulate it in.
-  std::vector<std::uint32_t> depth(node_count);
-  std::vector<NodeId> jump(node_count);
-  depth[kRoot] = 0;
-  jump[kRoot] = kRoot;
-  for (NodeId u = 1; u < node_count; ++u) {
-    const NodeId parent = parent_col[u];
-    depth[u] = depth[parent] + 1;
-    const NodeId j1 = jump[parent];
-    const NodeId j2 = jump[j1];
-    jump[u] = (depth[parent] - depth[j1] == depth[j1] - depth[j2]) ? j2
-                                                                   : parent;
-  }
-  std::vector<double> contribution(node_count);
-  contribution[kRoot] = 0.0;
-  std::memcpy(contribution.data() + 1, contributions.data(),
-              n * sizeof(double));
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += contributions[i];
-  }
-
-  tree.parent_.take(std::move(parent_col));
-  tree.first_child_.take(std::move(first_child));
-  tree.last_child_.take(std::move(last_child));
-  tree.next_sibling_.take(std::move(next_sibling));
-  tree.prev_sibling_.take(std::move(prev_sibling));
-  tree.depth_.take(std::move(depth));
-  tree.jump_.take(std::move(jump));
-  tree.contribution_.take(std::move(contribution));
-  tree.total_contribution_ = total;
-  return tree;
 }
 
 Tree Tree::adopt_columns(const Columns& columns, double total_contribution,

@@ -339,19 +339,6 @@ class Tree {
   /// trees build without reallocation.
   void reserve(std::size_t nodes);
 
-  /// Bulk-builds a tree from parallel participant arrays in id order:
-  /// participant u = i + 1 has parent parents[i] (< u) and contribution
-  /// contributions[i] (>= 0) — the snapshot-image layout. Runs the link
-  /// reconstruction (child/sibling chains) in parallel over
-  /// util/parallel when the tree is large enough to pay for it; the
-  /// result is bit-identical to the serial append path at any thread
-  /// count (links and depths are uniquely determined integers, and the
-  /// contribution total is summed serially in id order — the same order
-  /// the appends would use). Throws std::invalid_argument on any
-  /// out-of-order parent or negative contribution.
-  static Tree from_arrays(std::span<const NodeId> parents,
-                          std::span<const double> contributions);
-
   /// Stands up a fully linked tree directly over externally owned
   /// column storage (the v5 snapshot path): every column *borrows* the
   /// given spans — zero per-node construction work — and `keepalive` is
@@ -491,15 +478,8 @@ class Tree {
 
  private:
   void check_node(NodeId u, const char* what) const;
-  /// Arena append without the parent/contribution validation — the
-  /// from_arrays bulk path has already validated.
-  void append_unchecked(NodeId parent, double contribution);
   /// The skew-binary skip pointer for a node whose parent is `parent`.
   NodeId jump_for(NodeId parent) const;
-  /// Serial single-pass link reconstruction (small trees, and the
-  /// reference the parallel path is tested against).
-  void build_links_serial(std::span<const NodeId> parents,
-                          std::span<const double> contributions);
 
   ArenaColumn<NodeId> parent_;
   ArenaColumn<NodeId> first_child_;

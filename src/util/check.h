@@ -19,8 +19,8 @@ inline void require(bool condition, const std::string& message) {
 }
 
 /// Literal-message overload: nothing is constructed on the success
-/// path, so per-node validation loops (Tree::from_arrays,
-/// Tree::adopt_columns) stay allocation-free.
+/// path, so per-node validation loops (Tree::adopt_columns) stay
+/// allocation-free.
 inline void require(bool condition, const char* message) {
   if (!condition) [[unlikely]] {
     throw std::invalid_argument(message);

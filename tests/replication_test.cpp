@@ -93,10 +93,12 @@ class ReplicationTest : public ::testing::Test {
   /// fixture owns the mechanism: servers drain in TearDown(), which
   /// runs after test-body locals are destroyed, so the mechanism must
   /// not live on the test body's stack.
-  void start_primary(MechanismKind kind, std::size_t reactors = 1) {
+  void start_primary(MechanismKind kind, std::size_t reactors = 1,
+                     std::uint64_t snapshot_every = 0) {
     kind_ = kind;
     mechanism_ = make_default(kind);
     ServerConfig config;
+    config.storage.snapshot_every = snapshot_every;
     config.port = 0;
     config.campaigns = kCampaigns;
     config.reactors = reactors;
@@ -246,6 +248,20 @@ INSTANTIATE_TEST_SUITE_P(
                       DigestCase{MechanismKind::kCdrmReciprocal, 2},
                       DigestCase{MechanismKind::kGeometric, 1},
                       DigestCase{MechanismKind::kGeometric, 2}));
+
+TEST_F(ReplicationTest, InMemoryReplicaBootstrapsFromACompactedPrimary) {
+  // Once the primary's log is compacted past seq 1, an in-memory replica
+  // must start from the primary's snapshot image: decoded from the
+  // network buffer, each campaign adopted after the kind-byte check,
+  // then the WAL tail shipped on top.
+  start_primary(MechanismKind::kCdrmReciprocal, 1, /*snapshot_every=*/100);
+  const std::uint64_t committed = drive_workload(360);
+  ASSERT_GT(primary_->server->mutable_storage()->min_available_seq(), 1u);
+
+  ServerHandle& replica = start_replica();
+  wait_caught_up(replica, committed);
+  expect_bit_identical(replica);
+}
 
 // --- Consistency tokens ---------------------------------------------
 

@@ -280,7 +280,7 @@ TEST(ServingPath, RewardBitsInvariantUnderThreadCount) {
 
 TEST(ServingPath, AggregateRoundTripIsBitExact) {
   // export/import of the opaque accumulator blob must reproduce the
-  // running state's rewards bit-for-bit (the crash-safe snapshot v3
+  // running state's rewards bit-for-bit (the crash-safe snapshot
   // contract; see storage/snapshot.h) — for the RCT chain state and for
   // every mechanism on the generalized aggregate engine.
   for (MechanismKind kind :
@@ -304,8 +304,8 @@ TEST(ServingPath, AggregateRoundTripIsBitExact) {
       }
     }
     RewardService restored(*mechanism);
-    restored.restore_snapshot(original.tree(), original.events_applied(),
-                              original.export_aggregates());
+    restored.adopt_snapshot(Tree(original.tree()), original.events_applied(),
+                            original.export_aggregates());
     const RewardVector expected = original.rewards();
     const RewardVector& actual = restored.rewards();
     ASSERT_EQ(actual.size(), expected.size());

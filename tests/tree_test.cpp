@@ -7,13 +7,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/registry.h"
 #include "tree/generators.h"
 #include "tree/io.h"
 #include "tree/tree.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace itree {
 namespace {
@@ -217,38 +215,6 @@ TEST(Tree, RemoveLastNodeKeepsTheForestRootChainIntact) {
             (std::vector<NodeId>{a, b, c}));
 }
 
-TEST(Tree, FromArraysRebuildsTheArenaBitExactly) {
-  // The snapshot-image decode path: bulk-build from the parent and
-  // contribution columns must reproduce every arena relation — parents,
-  // contributions, cached depths, child order — of the incrementally
-  // built original.
-  const Tree want = parse_tree("(5 (3 (4) (1)) (2)) (7 (6))");
-  const Tree got = Tree::from_arrays(want.parent_array().subspan(1),
-                                     want.contribution_array().subspan(1));
-  ASSERT_EQ(got.node_count(), want.node_count());
-  EXPECT_EQ(got.total_contribution(), want.total_contribution());
-  for (NodeId u = 0; u < want.node_count(); ++u) {
-    EXPECT_EQ(got.parent(u), want.parent(u));
-    EXPECT_EQ(got.contribution(u), want.contribution(u));
-    EXPECT_EQ(got.depth(u), want.depth(u));
-    EXPECT_EQ(got.children(u).to_vector(), want.children(u).to_vector());
-  }
-  EXPECT_EQ(to_string(got), to_string(want));
-}
-
-TEST(Tree, FromArraysRejectsMalformedColumns) {
-  const std::vector<double> ones = {1.0, 1.0};
-  // Participant 2's parent must precede it (id <= 1).
-  const std::vector<NodeId> forward = {0, 2};
-  EXPECT_THROW(Tree::from_arrays(forward, ones), std::invalid_argument);
-  const std::vector<NodeId> chain = {0, 1};
-  const std::vector<double> negative = {1.0, -2.0};
-  EXPECT_THROW(Tree::from_arrays(chain, negative), std::invalid_argument);
-  const std::vector<double> short_contribs = {1.0};
-  EXPECT_THROW(Tree::from_arrays(chain, short_contribs),
-               std::invalid_argument);
-}
-
 TEST(Tree, GraftSubtreeCarriesContributionsAndDepths) {
   // Grafting re-anchors the copied subtree: contributions carry over
   // bit-exactly and the cached depths are recomputed at the new anchor.
@@ -316,7 +282,7 @@ TEST(Tree, SkipColumnSurvivesRemoveLastNodeProbes) {
   tree.validate_links();
 }
 
-// --- Bulk builds: parallel from_arrays and column adoption ----------
+// --- Bulk builds: column adoption -----------------------------------
 
 /// Borrow-view of every column of an existing tree (the shape the v5
 /// snapshot decoder hands to adopt_columns).
@@ -572,56 +538,6 @@ TEST(TreeAdopt, ValidateLinksCatchesSafeButInconsistentLinks) {
       Tree::adopt_columns(c.view(), src.total_contribution(), nullptr);
   EXPECT_THROW(adopted.validate_links(), std::invalid_argument);
   src.validate_links();  // the untampered arena proves clean
-}
-
-TEST(Tree, FromArraysParallelIsBitIdenticalAcrossThreadCounts) {
-  // 70k participants clears the parallel-build threshold (1 << 16), so
-  // threads > 1 exercises the counting-sort CSR path against the serial
-  // append reference — every column, the FP contribution total, and
-  // every mechanism's reward digest must come out bit-identical.
-  Rng rng(1234);
-  const Tree want =
-      random_recursive_tree(70000, uniform_contribution(0.0, 2.0), rng);
-  std::vector<std::string> want_digests;
-  for (const MechanismPtr& mechanism : all_mechanisms()) {
-    want_digests.push_back(hex_doubles(mechanism->compute(want)));
-  }
-  const std::size_t restore = thread_count();
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    set_thread_count(threads);
-    const Tree got = Tree::from_arrays(want.parent_array().subspan(1),
-                                       want.contribution_array().subspan(1));
-    ASSERT_EQ(got.node_count(), want.node_count()) << threads << " threads";
-    const auto expect_column_equal = [&](auto got_span, auto want_span,
-                                         const char* name) {
-      ASSERT_EQ(got_span.size(), want_span.size()) << name;
-      EXPECT_TRUE(
-          std::equal(got_span.begin(), got_span.end(), want_span.begin()))
-          << name << " at " << threads << " threads";
-    };
-    expect_column_equal(got.parent_array(), want.parent_array(), "parent");
-    expect_column_equal(got.first_child_array(), want.first_child_array(),
-                        "first_child");
-    expect_column_equal(got.last_child_array(), want.last_child_array(),
-                        "last_child");
-    expect_column_equal(got.next_sibling_array(), want.next_sibling_array(),
-                        "next_sibling");
-    expect_column_equal(got.prev_sibling_array(), want.prev_sibling_array(),
-                        "prev_sibling");
-    expect_column_equal(got.depth_array(), want.depth_array(), "depth");
-    expect_column_equal(got.jump_array(), want.jump_array(), "jump");
-    expect_column_equal(got.contribution_array(), want.contribution_array(),
-                        "contribution");
-    EXPECT_EQ(got.total_contribution(), want.total_contribution());
-    got.validate_links();
-    std::size_t m = 0;
-    for (const MechanismPtr& mechanism : all_mechanisms()) {
-      EXPECT_EQ(hex_doubles(mechanism->compute(got)), want_digests[m++])
-          << mechanism->display_name() << " at " << threads << " threads";
-    }
-  }
-  set_thread_count(restore);
 }
 
 TEST(TreeIo, RoundTripsSExpressions) {

@@ -86,10 +86,6 @@ int main(int argc, char** argv) {
   args.add_flag("--snapshot-every",
                 "snapshot + compact after this many events (0 = only on "
                 "shutdown)");
-  args.add_flag("--snapshot-format",
-                "on-disk snapshot generation: v5 (full-arena mmap-adopted "
-                "image, default), v4 (mmap-able parents+contributions "
-                "image) or v3 (record-per-participant)");
   args.add_flag("--no-remote-shutdown",
                 "ignore SHUTDOWN frames (signals only)", false);
   args.add_flag("--require-incremental",
@@ -143,17 +139,6 @@ int main(int argc, char** argv) {
         args.get_double_or("--fsync-interval", 0.02);
     config.storage.snapshot_every = static_cast<std::uint64_t>(
         args.get_int_or("--snapshot-every", 0));
-    const std::string snapshot_format =
-        args.get_or("--snapshot-format", "v5");
-    if (snapshot_format == "v3") {
-      config.storage.snapshot_format = storage::SnapshotFormat::kV3;
-    } else if (snapshot_format == "v4") {
-      config.storage.snapshot_format = storage::SnapshotFormat::kV4;
-    } else if (snapshot_format != "v5") {
-      throw std::invalid_argument(
-          "--snapshot-format must be v3, v4 or v5, got '" + snapshot_format +
-          "'");
-    }
     config.storage.mechanism_name = args.get_or("--mechanism", "geometric");
     config.storage.mechanism_params = args.get_or("--params", "");
 
