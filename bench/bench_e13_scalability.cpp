@@ -1,5 +1,5 @@
-// E13 — systems hygiene: reward computation throughput for every
-// mechanism (google-benchmark), plus the giant-tree snapshot sweep.
+// E13 — systems hygiene: reward computation throughput (ns per node)
+// for every mechanism, plus the giant-tree snapshot sweep.
 // All mechanisms run in O(n) (TDRM in O(total RCT chain length)); this
 // bench pins that down across tree sizes and shapes.
 //
@@ -7,7 +7,7 @@
 // (default full). `--scale small` caps tree sizes at 10k nodes so CI
 // can run the bench as a digest-drift smoke test in seconds; the
 // determinism probe and its digests are identical in every
-// configuration. `--scale giant` skips the google-benchmark suites and
+// configuration. `--scale giant` skips the ns/node suites and
 // instead sweeps SoA-arena build rate, snapshot save time, and the
 // mmap-adopt load over multi-million-node trees (full-arena image
 // stood up in place, split into map+header / CRC walk / adopt /
@@ -18,9 +18,6 @@
 // Arena allocation counts are reported so pre-sizing regressions show
 // up. `--giant-nodes N` overrides the sweep's sizes (CI smoke uses a
 // small N; the default sweep tops out at 10M nodes).
-// google-benchmark's own flags pass through.
-#include <benchmark/benchmark.h>
-
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -52,48 +49,56 @@ Tree make_tree(std::int64_t n, int shape) {
   }
 }
 
-void run_mechanism(benchmark::State& state, MechanismKind kind, int shape) {
-  const MechanismPtr mechanism = make_default(kind);
-  const Tree tree = make_tree(state.range(0), shape);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism->compute(tree));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
 struct Suite {
   const char* name;
   MechanismKind kind;
   int shape;
-  std::int64_t large;  // largest Arg; `--scale small` drops it
+  std::int64_t large;  // largest size; `--scale small` drops it
 };
 
-// 1M-node runs dominate the full-scale wall time; TdrmHeavyTail stays
+// 1M-node runs dominate the full-scale wall time; tdrm_heavy_tail stays
 // at 100k because Pareto contributions expand every node into a long
 // RCT chain.
 constexpr Suite kSuites[] = {
-    {"BM_Geometric", MechanismKind::kGeometric, 0, 1000000},
-    {"BM_LLuxor", MechanismKind::kLLuxor, 0, 1000000},
-    {"BM_LPachira", MechanismKind::kLPachira, 0, 1000000},
-    {"BM_SplitProof", MechanismKind::kSplitProof, 0, 1000000},
-    {"BM_Tdrm", MechanismKind::kTdrm, 0, 1000000},
-    {"BM_TdrmHeavyTail", MechanismKind::kTdrm, 2, 100000},
-    {"BM_TdrmDeepChain", MechanismKind::kTdrm, 1, 1000000},
-    {"BM_CdrmReciprocal", MechanismKind::kCdrmReciprocal, 0, 1000000},
-    {"BM_CdrmLogarithmic", MechanismKind::kCdrmLogarithmic, 0, 1000000},
+    {"geometric", MechanismKind::kGeometric, 0, 1000000},
+    {"l_luxor", MechanismKind::kLLuxor, 0, 1000000},
+    {"l_pachira", MechanismKind::kLPachira, 0, 1000000},
+    {"split_proof", MechanismKind::kSplitProof, 0, 1000000},
+    {"tdrm", MechanismKind::kTdrm, 0, 1000000},
+    {"tdrm_heavy_tail", MechanismKind::kTdrm, 2, 100000},
+    {"tdrm_deep_chain", MechanismKind::kTdrm, 1, 1000000},
+    {"cdrm_reciprocal", MechanismKind::kCdrmReciprocal, 0, 1000000},
+    {"cdrm_logarithmic", MechanismKind::kCdrmLogarithmic, 0, 1000000},
 };
 
-void register_suites(bool small) {
+/// Times Mechanism::compute for every suite at 100 and 10k nodes (plus
+/// its large size unless `small`): repeats until kMinSeconds elapsed,
+/// then records `<suite>_<n>_ns_per_node` and prints it.
+void run_suites(BenchHarness& harness, bool small) {
+  constexpr double kMinSeconds = 0.2;
   for (const Suite& suite : kSuites) {
-    auto* bench = benchmark::RegisterBenchmark(
-        suite.name,
-        [&suite](benchmark::State& state) {
-          run_mechanism(state, suite.kind, suite.shape);
-        });
-    bench->Arg(100)->Arg(10000);
+    const MechanismPtr mechanism = make_default(suite.kind);
+    std::vector<std::int64_t> sizes = {100, 10000};
     if (!small) {
-      bench->Arg(suite.large);
+      sizes.push_back(suite.large);
+    }
+    for (const std::int64_t n : sizes) {
+      const Tree tree = make_tree(n, suite.shape);
+      std::uint64_t runs = 0;
+      [[maybe_unused]] volatile double sink = 0.0;  // keeps compute() live
+      const double start = monotonic_seconds();
+      double elapsed = 0.0;
+      do {
+        sink = mechanism->compute(tree).back();
+        ++runs;
+        elapsed = monotonic_seconds() - start;
+      } while (elapsed < kMinSeconds);
+      const double ns_per_node =
+          elapsed * 1e9 / (static_cast<double>(runs) * static_cast<double>(n));
+      const std::string key =
+          std::string(suite.name) + "_" + std::to_string(n) + "_ns_per_node";
+      harness.json().add_metric(key, ns_per_node);
+      std::cout << key << ' ' << ns_per_node << " (" << runs << " runs)\n";
     }
   }
 }
@@ -287,14 +292,15 @@ int run_giant_sweep(itree::BenchHarness& harness,
 int main(int argc, char** argv) {
   itree::BenchHarness harness("e13_scalability", &argc, argv);
   const ScaleConfig scale = take_scale_flags(&argc, argv);
+  if (argc > 1) {
+    std::cerr << "unknown flag '" << argv[1] << "'\n";
+    return 2;
+  }
   int divergences = 0;
   if (scale.giant) {
     divergences = run_giant_sweep(harness, scale.giant_sizes);
   } else {
-    register_suites(scale.small);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    run_suites(harness, scale.small);
   }
   // Determinism probe for the trajectory: total reward of every
   // mechanism on a fixed 10k-node tree must never drift across PRs.

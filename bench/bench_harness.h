@@ -1,9 +1,9 @@
 // Shared flag plumbing for the bench binaries: --threads N and
 // --json <path>.
 //
-// The harness strips the two flags from argv (so google-benchmark mains
-// can pass the remainder to benchmark::Initialize), applies the thread
-// count to the process-wide pool, starts the wall clock, and on finish()
+// The harness strips the two flags from argv (so a bench's own flag
+// parsing sees only the rest), applies the thread count to the
+// process-wide pool, starts the wall clock, and on finish()
 // writes {bench, threads, wall_seconds, peak_rss_bytes, metrics,
 // digests} to the JSON path — the BENCH_*.json perf-trajectory format
 // that accumulates across PRs. Benches that drive an event stream call

@@ -500,15 +500,18 @@ Response decode_response(std::string_view payload) {
 }
 
 std::string frame(std::string_view payload) {
+  std::string out;
+  append_frame(out, payload);
+  return out;
+}
+
+void append_frame(std::string& out, std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxFrameBytes) {
     throw ProtocolError("frame payload size out of range: " +
                         std::to_string(payload.size()));
   }
-  std::string out;
-  out.reserve(4 + payload.size());
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out += payload;
-  return out;
 }
 
 void append_framed_response(std::string& out, const Response& response) {

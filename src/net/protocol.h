@@ -59,6 +59,17 @@ enum class MsgType : std::uint8_t {
   kReplHeartbeat = 0x13, ///< no fields; primary's committed seq
 };
 
+/// JOIN, CONTRIBUTE and EVENT_BATCH: the frames that change a campaign.
+inline bool is_write(MsgType type) {
+  return type == MsgType::kJoin || type == MsgType::kContribute ||
+         type == MsgType::kEventBatch;
+}
+
+/// REPL_*: the replication stream, served by a primary worker only.
+inline bool is_replication(MsgType type) {
+  return type >= MsgType::kReplHello && type <= MsgType::kReplHeartbeat;
+}
+
 enum class Status : std::uint8_t {
   kOk = 0x80,       ///< no body
   kOkId = 0x81,     ///< u64 assigned participant id
@@ -249,6 +260,10 @@ Response decode_response(std::string_view payload);
 /// Prepends the 4-byte length prefix. Throws ProtocolError when the
 /// payload is empty or exceeds kMaxFrameBytes.
 std::string frame(std::string_view payload);
+
+/// Appends the framed `payload` to `out` (frame() without the
+/// temporary); same ProtocolError, leaving `out` unchanged.
+void append_frame(std::string& out, std::string_view payload);
 
 /// Appends the framed encoding of `response` directly to `out` —
 /// the serving hot path's zero-temporary variant of

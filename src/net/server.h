@@ -1,41 +1,30 @@
 // Multi-reactor epoll reward-service daemon core.
 //
 // One Server hosts N campaigns behind `config.reactors` shared-nothing
-// reactor threads. Every reactor owns its own SO_REUSEPORT listening
-// socket, epoll loop, sessions and counters; the kernel spreads
-// incoming connections across the reactors. Campaigns are statically
-// partitioned: campaign c is owned by reactor (c mod reactors), and all
-// of c's events and queries are applied by that reactor — the hot loop
-// never shares mechanism state. A request arriving on a session of a
-// *different* reactor is forwarded to the owner over a lock-free SPSC
-// ring (one ring per ordered reactor pair; see net/spsc_ring.h) and its
-// response travels back the same way; a per-session sequence number
-// reorders cross-reactor responses so one connection always sees its
-// answers in request order, exactly as the single-loop server did.
+// reactor threads. Each reactor runs its own net::EventLoop
+// (net/event_loop.h), which owns the transport: the port-sharing
+// listener, sessions, in-order response release, backpressure, the idle
+// sweep and the drain. Campaign c is owned by reactor (c mod reactors),
+// and only that reactor applies c's events and queries — the hot loop
+// never shares mechanism state. A request arriving on a session of
+// another reactor is forwarded to the owner over a lock-free SPSC ring
+// (one per ordered reactor pair; net/spsc_ring.h) and its response
+// travels back the same way.
 //
-// Within a reactor each tick decodes everything its readable sessions
-// produced, groups requests by campaign (dirty-set batching per
-// campaign, EVENT_BATCH frames applied in one pass), group-commits the
-// storage engine *before* any response is flushed (ack-after-durable),
-// and gathers queued response chunks into vectored sendmsg calls.
-// Campaigns are disjoint state and within a campaign arrival order is
-// preserved, so with one connection per campaign the whole deployment
-// is bit-deterministic at any reactor or thread count — which the
-// loopback tests and bench_e14 assert.
+// Each tick groups the decoded requests by campaign (dirty-set
+// batching per campaign, EVENT_BATCH frames applied in one pass) and
+// group-commits the storage engine *before* any response is flushed
+// (ack-after-durable). Campaigns are disjoint state and within a
+// campaign arrival order is preserved, so with one connection per
+// campaign the whole deployment is bit-deterministic at any reactor or
+// thread count — which the loopback tests and bench_e14 assert.
 //
-// Robustness guarantees (exercised by tests/net_test.cpp):
-//   * malformed payloads get an error frame; the session stays open
-//   * an impossible length prefix gets one error frame, then the
-//     session closes (the byte stream can no longer be trusted)
-//   * mid-frame disconnects discard the partial frame only — an
-//     EVENT_BATCH frame is all-or-nothing at the framing layer
-//   * slow readers are backpressured: past `max_write_buffer` pending
-//     bytes the server stops reading that session until the peer drains
-//   * idle sessions are closed after `idle_timeout_seconds`
-//   * request_shutdown() (async-signal-safe) stops accepting on every
-//     reactor, settles in-flight cross-reactor traffic, flushes every
-//     pending response, checkpoints the storage engine when one is
-//     configured, and returns from run()
+// Beyond the transport guarantees (tests/net_test.cpp): a malformed
+// payload gets an error frame and the session stays open; an
+// EVENT_BATCH frame is all-or-nothing at the framing layer; and
+// request_shutdown() (async-signal-safe) also settles in-flight
+// cross-reactor traffic and checkpoints the storage engine when one is
+// configured before run() returns.
 #pragma once
 
 #include <atomic>
@@ -102,9 +91,10 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; see Server::port()
   std::size_t campaigns = 1;
-  /// Reactor threads, each with its own SO_REUSEPORT listener and epoll
-  /// loop. Campaign c is owned by reactor (c mod reactors). 1 preserves
-  /// the classic single-loop behaviour (cross-reactor machinery idle).
+  /// Reactor threads, each with its own listener on the shared port and
+  /// its own epoll loop. Campaign c is owned by reactor (c mod
+  /// reactors). 1 preserves the classic single-loop behaviour
+  /// (cross-reactor machinery idle).
   std::size_t reactors = 1;
   /// Sessions with no traffic for this long are closed; 0 disables.
   double idle_timeout_seconds = 0.0;
@@ -171,7 +161,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// The actually bound port (resolves config.port == 0); shared by
-  /// every reactor's SO_REUSEPORT listener.
+  /// every reactor's listener.
   std::uint16_t port() const { return port_; }
 
   /// Runs reactor 0 on the calling thread and the remaining reactors
@@ -249,7 +239,6 @@ class Server {
   std::unique_ptr<storage::Storage> storage_;  ///< null when in-memory
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::atomic<bool> drain_requested_{false};
   /// SERVER_STATS poll counter (ServerStatsBody::stats_seq); mutable
   /// because serving a read-only stats body bumps it.
   mutable std::atomic<std::uint64_t> stats_seq_{0};

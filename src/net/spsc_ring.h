@@ -10,7 +10,7 @@
 //
 // Capacity is rounded up to a power of two. push() returns false when
 // the ring is full (the caller decides whether to retry after draining
-// its own inbound rings — see Reactor::forward_request); pop() returns
+// its own inbound rings — see Reactor::push); pop() returns
 // false when empty.
 #pragma once
 

@@ -4,23 +4,20 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
+#include "net/endpoint.h"
+#include "net/event_loop.h"
 #include "net/retry.h"
 #include "net/spsc_ring.h"
 #include "util/bench_json.h"  // monotonic_seconds
@@ -29,23 +26,15 @@
 namespace itree::router {
 
 using net::ErrorCode;
+using net::EventLoop;
 using net::FrameDecoder;
 using net::MsgType;
 using net::Response;
 using net::ServerStatsBody;
+using net::Session;
 using net::Status;
 
 namespace {
-
-/// A peer that neither reads nor disconnects could stall a graceful
-/// drain forever; after this many seconds the drain force-closes.
-constexpr double kDrainDeadlineSeconds = 5.0;
-
-/// Response chunks are coalesced up to this size, then a fresh chunk
-/// starts; a flush gathers up to kMaxFlushIov chunks into one sendmsg
-/// (the net/server.h flush idiom).
-constexpr std::size_t kOutChunkBytes = 256 * 1024;
-constexpr int kMaxFlushIov = 64;
 
 /// Backend reconnect schedule: 10 ms doubling to 640 ms (net/retry.h).
 /// A supervisor restart notification resets it to dial immediately.
@@ -55,33 +44,6 @@ constexpr std::chrono::milliseconds kReconnectCap(640);
 /// Restart-notification ring capacity per reactor; a full ring only
 /// delays the redial to the next backoff attempt, so small is fine.
 constexpr std::size_t kRestartRingCapacity = 64;
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-/// Splits "host:port"; throws std::invalid_argument on anything else.
-std::pair<std::string, std::uint16_t> parse_endpoint(
-    const std::string& text) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == text.size()) {
-    throw std::invalid_argument("expected HOST:PORT, got '" + text + "'");
-  }
-  char* end = nullptr;
-  const unsigned long port =
-      std::strtoul(text.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || port == 0 || port > 65535) {
-    throw std::invalid_argument("bad port in '" + text + "'");
-  }
-  return {text.substr(0, colon), static_cast<std::uint16_t>(port)};
-}
-
-std::string framed(const Response& response) {
-  std::string out;
-  net::append_framed_response(out, response);
-  return out;
-}
 
 /// Little-endian u32 at `offset` of a raw request payload (the routing
 /// peek — the router never decodes a routed frame beyond this).
@@ -111,33 +73,20 @@ bool carries_campaign(MsgType type) {
   }
 }
 
-bool is_replication(MsgType type) {
-  switch (type) {
-    case MsgType::kReplHello:
-    case MsgType::kReplSnapshot:
-    case MsgType::kReplSegment:
-    case MsgType::kReplHeartbeat:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 // --- RouterReactor ----------------------------------------------------
 
-class RouterReactor {
+/// One router reactor thread: an EventLoop (net/event_loop.h) carries the
+/// client sessions; the reactor peeks each frame's campaign, relays it
+/// over its pooled backend connection to the owning shard, and answers
+/// SHARD_MAP / SERVER_STATS / SHUTDOWN itself.
+class RouterReactor final : public net::LoopHandler {
  public:
   enum Counter : std::size_t {
-    kSessionsAccepted,
-    kSessionsClosed,
     kRequestsRouted,
     kResponsesRelayed,
     kAnsweredLocally,
-    kProtocolErrors,
-    kSessionsTimedOut,
-    kBackpressureStalls,
     kShardDownErrors,
     kBackendFailures,
     kBackendReconnects,
@@ -149,12 +98,10 @@ class RouterReactor {
   /// body (or the first failure's error frame) is delivered to the
   /// client once every leg resolved.
   struct StatsJoin {
-    int fd = -1;
-    std::uint64_t serial = 0;
-    std::uint64_t seq = 0;
+    net::ResponseSlot slot;
     std::size_t remaining = 0;
     bool failed = false;
-    std::string error_frame;  ///< first failing leg's framed response
+    std::string error_payload;  ///< first failing leg's response
     ServerStatsBody sum;
   };
 
@@ -162,43 +109,14 @@ class RouterReactor {
   /// strictly in request order per connection, so a FIFO of these per
   /// backend is the whole correlation state.
   struct Pending {
-    int fd = -1;  ///< client session (serial guards fd reuse)
-    std::uint64_t serial = 0;
-    std::uint64_t seq = 0;  ///< the session sequencer slot to release
+    net::ResponseSlot slot;  ///< the client slot the response fills
     std::shared_ptr<StatsJoin> stats;  ///< non-null: a fan-out leg
-  };
-
-  struct Session {
-    int fd = -1;
-    std::uint64_t serial = 0;
-    FrameDecoder decoder;
-    std::deque<std::string> outq;
-    std::size_t front_sent = 0;
-    std::size_t out_bytes = 0;
-    /// PR 6 sequencer: every decoded frame takes next_seq; framed
-    /// response bytes are released strictly in sequence, out-of-order
-    /// completions (responses racing back from different shards)
-    /// parked in `held`.
-    std::uint64_t next_seq = 0;
-    std::uint64_t next_send = 0;
-    std::map<std::uint64_t, std::string> held;
-    double last_activity = 0.0;
-    bool reading = true;
-    bool close_after_flush = false;
-    bool broken = false;
-    bool touched = false;
-
-    std::size_t pending_bytes() const { return out_bytes; }
-    bool fully_released() const {
-      return next_send == next_seq && held.empty();
-    }
   };
 
   /// One pooled, pipelined connection to a shard worker.
   struct Backend {
     std::uint32_t shard = 0;
-    std::string host;
-    std::uint16_t port = 0;
+    net::Endpoint address;
     std::string endpoint;  ///< original "host:port" for error frames
     int fd = -1;
     bool connecting = false;
@@ -217,31 +135,33 @@ class RouterReactor {
     std::size_t out_bytes() const { return out.size() - out_sent; }
   };
 
-  RouterReactor(Router& router, std::size_t index, std::uint16_t port);
+  RouterReactor(Router& router, std::uint16_t port);
   ~RouterReactor();
 
-  std::uint16_t bound_port() const { return bound_port_; }
-
-  /// Async-signal-safe: a single eventfd write.
-  void wake() {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n =
-        ::write(wake_fd_, &one, sizeof(one));
-  }
+  EventLoop& loop() { return loop_; }
+  const EventLoop& loop() const { return loop_; }
 
   /// Supervisor monitor thread -> this reactor: worker `shard` came
   /// back; redial without waiting out the backoff.
   void push_restart(std::uint32_t shard) {
     // A full ring only delays the redial to the next backoff attempt.
     restart_ring_.push(std::uint32_t{shard});
-    wake();
+    loop_.wake();
   }
 
+  /// Dials every shard, then runs the loop until the drain completes.
   void run();
 
   std::uint64_t counter(Counter c) const {
     return counters_[c].load(std::memory_order_relaxed);
   }
+
+  // net::LoopHandler
+  void on_frame(Session& session, std::uint64_t seq,
+                std::string&& payload) override;
+  void on_fd_ready(int fd, std::uint32_t events) override;
+  void on_tick() override;
+  int timeout_ms() const override;
 
  private:
   void count(Counter c, std::uint64_t n = 1) {
@@ -253,11 +173,6 @@ class RouterReactor {
            static_cast<std::uint32_t>(backends_.size());
   }
 
-  void accept_ready();
-  void on_readable(int fd);
-  void on_writable(int fd);
-  void route_frame(Session& session, std::uint64_t seq,
-                   std::string&& payload);
   void serve_shard_map(Session& session, std::uint64_t seq);
   void serve_server_stats(Session& session, std::uint64_t seq,
                           const std::string& payload);
@@ -266,6 +181,8 @@ class RouterReactor {
   void complete_stats(StatsJoin& join);
   void forward(Backend& backend, std::string_view payload,
                Pending&& pending);
+  void deliver_error(Session& session, std::uint64_t seq, ErrorCode code,
+                     std::string message);
 
   void start_connect(Backend& backend);
   void on_backend_connected(Backend& backend);
@@ -275,135 +192,46 @@ class RouterReactor {
   void schedule_reconnect(Backend& backend);
   void flush_backend(Backend& backend);
   void update_backend_interest(Backend& backend);
-  std::string shard_down_frame(const Backend& backend,
-                               const std::string& reason);
+  Response shard_down(const Backend& backend, const std::string& reason);
   void drain_restart_ring();
-  void evaluate_backend_pressure();
-
-  void deliver(Session& session, std::uint64_t seq, std::string&& frame);
-  void release(Session& session, std::string&& frame);
-  void deliver_error(Session& session, std::uint64_t seq, ErrorCode code,
-                     std::string message);
-  void flush(Session& session);
-  void flush_touched();
-  void maybe_resume_reading(Session& session);
-  void update_interest(Session& session);
-  Session* session_for(int fd, std::uint64_t serial);
-  void close_session(int fd);
-  void harvest_idle(double now);
-  void begin_drain();
-  int tick_timeout_ms(double now) const;
 
   Router& router_;
-  const std::size_t index_;
-  std::uint16_t bound_port_ = 0;
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  bool draining_ = false;
-  double drain_started_ = 0.0;
-  /// Any backend past max_backend_buffer stalls reads on every session
-  /// (coarse head-of-line backpressure; docs/sharding.md).
-  bool backend_stalled_ = false;
-
-  std::uint64_t next_serial_ = 0;
-  std::vector<std::unique_ptr<Session>> sessions_;  ///< indexed by fd
-  std::vector<Backend> backends_;                   ///< indexed by shard
+  EventLoop loop_;
+  std::vector<Backend> backends_;  ///< indexed by shard
   std::unordered_map<int, std::size_t> backend_by_fd_;
-  std::vector<int> touched_;  ///< session fds with queued output
   /// Supervisor restart notifications (producer: monitor thread).
   net::SpscRing<std::uint32_t> restart_ring_{kRestartRingCapacity};
   std::atomic<std::uint64_t> counters_[kCounterCount] = {};
-
-  friend class Router;
 };
 
-RouterReactor::RouterReactor(Router& router, std::size_t index,
-                             std::uint16_t port)
-    : router_(router), index_(index) {
-  backends_.resize(router_.shard_endpoints_.size());
+RouterReactor::RouterReactor(Router& router, std::uint16_t port)
+    : router_(router),
+      loop_(*this, EventLoop::Options{
+                       .host = router.config_.host,
+                       .port = port,
+                       .idle_timeout_seconds =
+                           router.config_.idle_timeout_seconds,
+                       .max_write_buffer = router.config_.max_write_buffer,
+                       .owner = "Router"}) {
+  backends_.resize(router_.config_.shards.size());
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     Backend& backend = backends_[i];
     backend.shard = static_cast<std::uint32_t>(i);
-    backend.host = router_.shard_endpoints_[i].first;
-    backend.port = router_.shard_endpoints_[i].second;
     backend.endpoint = router_.config_.shards[i];
+    backend.address = net::parse_endpoint(backend.endpoint);
   }
-
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    fail("socket");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, router_.config_.host.c_str(),
-                  &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("Router: bad host '" + router_.config_.host +
-                             "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 512) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("Router: cannot listen on " +
-                             router_.config_.host + ":" +
-                             std::to_string(port) + ": " + what);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                &bound_len);
-  bound_port_ = ntohs(bound.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    fail("epoll_create1/eventfd");
-  }
-  epoll_event event{};
-  event.events = EPOLLIN;
-  event.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event);
-  event.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event);
 }
 
 RouterReactor::~RouterReactor() {
-  for (auto& session : sessions_) {
-    if (session) {
-      ::close(session->fd);
-    }
-  }
   for (Backend& backend : backends_) {
     if (backend.fd >= 0) {
       ::close(backend.fd);
     }
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-  }
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-  }
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-  }
 }
 
-int RouterReactor::tick_timeout_ms(double now) const {
-  if (draining_) {
-    return 20;
-  }
+int RouterReactor::timeout_ms() const {
+  const double now = monotonic_seconds();
   double deadline_ms = -1.0;
   for (const Backend& backend : backends_) {
     if (backend.fd >= 0) {
@@ -417,226 +245,63 @@ int RouterReactor::tick_timeout_ms(double now) const {
       deadline_ms = wait_ms;
     }
   }
-  if (deadline_ms >= 0.0) {
-    return std::max(1, static_cast<int>(deadline_ms) + 1);
-  }
-  return router_.config_.idle_timeout_seconds > 0 ? 100 : -1;
+  return deadline_ms < 0.0 ? -1
+                           : std::max(1, static_cast<int>(deadline_ms) + 1);
 }
 
 void RouterReactor::run() {
-  static constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-
   // Dial every shard up front; failures land on the backoff schedule.
   for (Backend& backend : backends_) {
     start_connect(backend);
   }
-
-  while (true) {
-    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents,
-                                   tick_timeout_ms(monotonic_seconds()));
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      fail("epoll_wait");
-    }
-    for (int i = 0; i < ready; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        accept_ready();
-        continue;
-      }
-      if (fd == wake_fd_) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const ssize_t n =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        drain_restart_ring();
-        continue;
-      }
-      const auto backend_it = backend_by_fd_.find(fd);
-      if (backend_it != backend_by_fd_.end()) {
-        Backend& backend = backends_[backend_it->second];
-        if (backend.fd != fd) {
-          continue;  // replaced earlier this tick
-        }
-        if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-          fail_backend(backend, "connection to worker lost");
-          continue;
-        }
-        if (events[i].events & EPOLLOUT) {
-          on_backend_writable(backend);
-        }
-        if (backend.fd == fd && (events[i].events & EPOLLIN)) {
-          on_backend_readable(backend);
-        }
-        continue;
-      }
-      Session* session = (static_cast<std::size_t>(fd) < sessions_.size())
-                             ? sessions_[fd].get()
-                             : nullptr;
-      if (session == nullptr) {
-        continue;  // closed earlier this tick
-      }
-      if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-        session->broken = true;
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) && !draining_) {
-        on_readable(fd);
-      }
-      if (events[i].events & EPOLLOUT) {
-        on_writable(fd);
-      }
-    }
-
-    const double now = monotonic_seconds();
-    for (Backend& backend : backends_) {
-      if (backend.fd < 0 && now >= backend.next_attempt) {
-        start_connect(backend);
-      }
-      if (backend.touched) {
-        backend.touched = false;
-        if (backend.connected()) {
-          flush_backend(backend);
-        }
-      }
-    }
-    evaluate_backend_pressure();
-    flush_touched();
-
-    for (std::size_t fd = 0; fd < sessions_.size(); ++fd) {
-      Session* session = sessions_[fd].get();
-      if (session != nullptr &&
-          (session->broken ||
-           (session->close_after_flush && session->pending_bytes() == 0 &&
-            session->fully_released()))) {
-        close_session(static_cast<int>(fd));
-      }
-    }
-
-    if (router_.config_.idle_timeout_seconds > 0 && !draining_) {
-      harvest_idle(now);
-    }
-
-    if (router_.drain_requested_.load(std::memory_order_acquire) &&
-        !draining_) {
-      begin_drain();
-      drain_started_ = now;
-    }
-    if (draining_) {
-      const bool deadline =
-          now - drain_started_ > kDrainDeadlineSeconds;
-      bool sessions_settled = true;
-      for (std::size_t fd = 0; fd < sessions_.size(); ++fd) {
-        Session* session = sessions_[fd].get();
-        if (session == nullptr) {
-          continue;
-        }
-        if ((session->pending_bytes() == 0 && session->fully_released()) ||
-            deadline) {
-          close_session(static_cast<int>(fd));
-        } else {
-          sessions_settled = false;
-        }
-      }
-      if (sessions_settled || deadline) {
-        break;
-      }
-    }
-  }
+  loop_.run();
 }
 
-void RouterReactor::accept_ready() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;
-      }
-      if (errno == EINTR || errno == ECONNABORTED) {
-        continue;
-      }
-      return;  // EMFILE etc.: drop the pending connection, stay up
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (static_cast<std::size_t>(fd) >= sessions_.size()) {
-      sessions_.resize(fd + 1);
-    }
-    auto session = std::make_unique<Session>();
-    session->fd = fd;
-    session->serial = ++next_serial_;
-    session->last_activity = monotonic_seconds();
-    session->reading = !backend_stalled_;
-    epoll_event event{};
-    event.events = session->reading ? EPOLLIN : 0u;
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
-      ::close(fd);
-      continue;
-    }
-    sessions_[fd] = std::move(session);
-    count(kSessionsAccepted);
-  }
-}
-
-void RouterReactor::on_readable(int fd) {
-  Session& session = *sessions_[fd];
-  char buffer[65536];
-  bool saw_eof = false;
-  while (session.reading) {
-    std::size_t received = 0;
-    const io::IoStatus status =
-        io::recv_some(fd, buffer, sizeof(buffer), &received);
-    if (status == io::IoStatus::kProgress) {
-      session.decoder.feed(buffer, received);
-      session.last_activity = monotonic_seconds();
-      if (received < sizeof(buffer)) {
-        break;
-      }
-      continue;
-    }
-    if (status == io::IoStatus::kEof) {
-      saw_eof = true;
-      break;
-    }
-    if (status == io::IoStatus::kWouldBlock) {
-      break;
-    }
-    session.broken = true;
+void RouterReactor::on_fd_ready(int fd, std::uint32_t events) {
+  const auto backend_it = backend_by_fd_.find(fd);
+  if (backend_it == backend_by_fd_.end()) {
     return;
   }
-
-  std::string payload;
-  while (session.decoder.next(&payload)) {
-    const std::uint64_t seq = session.next_seq++;
-    route_frame(session, seq, std::move(payload));
-    if (session.broken) {
-      return;
-    }
+  Backend& backend = backends_[backend_it->second];
+  if (backend.fd != fd) {
+    return;  // replaced earlier this pass
   }
-  if (session.decoder.corrupt()) {
-    count(kProtocolErrors);
-    deliver_error(session, session.next_seq++, ErrorCode::kBadRequest,
-                  session.decoder.corruption());
-    session.close_after_flush = true;
-    if (session.reading) {
-      session.reading = false;
-      update_interest(session);
-    }
+  if (events & (EPOLLERR | EPOLLHUP)) {
+    fail_backend(backend, "connection to worker lost");
+    return;
   }
-  if (saw_eof) {
-    if (session.decoder.buffered() != 0 && !session.decoder.corrupt()) {
-      count(kProtocolErrors);  // mid-frame disconnect
-    }
-    session.broken = true;
+  if (events & EPOLLOUT) {
+    on_backend_writable(backend);
+  }
+  if (backend.fd == fd && (events & EPOLLIN)) {
+    on_backend_readable(backend);
   }
 }
 
-void RouterReactor::route_frame(Session& session, std::uint64_t seq,
-                                std::string&& payload) {
+void RouterReactor::on_tick() {
+  drain_restart_ring();
+  const double now = monotonic_seconds();
+  bool stalled = false;
+  for (Backend& backend : backends_) {
+    if (backend.fd < 0 && now >= backend.next_attempt) {
+      start_connect(backend);
+    }
+    if (backend.touched) {
+      backend.touched = false;
+      if (backend.connected()) {
+        flush_backend(backend);
+      }
+    }
+    stalled = stalled ||
+              backend.out_bytes() > router_.config_.max_backend_buffer;
+  }
+  // Any backend past max_backend_buffer stalls reads on every session
+  // (coarse head-of-line backpressure; docs/sharding.md).
+  loop_.set_reads_paused(stalled);
+}
+
+void RouterReactor::on_frame(Session& session, std::uint64_t seq,
+                             std::string&& payload) {
   // The routing peek: type byte + (for campaign frames) the campaign
   // id. Everything else in the payload is the worker's business — the
   // frame crosses the router byte-for-byte, so a malformed body earns
@@ -646,7 +311,7 @@ void RouterReactor::route_frame(Session& session, std::uint64_t seq,
       static_cast<std::uint8_t>(payload[0]));
   if (carries_campaign(type)) {
     if (payload.size() < 5) {
-      count(kProtocolErrors);
+      loop_.count_protocol_error();
       deliver_error(session, seq, ErrorCode::kBadRequest,
                     "message body truncated");
       return;
@@ -660,14 +325,12 @@ void RouterReactor::route_frame(Session& session, std::uint64_t seq,
     Backend& backend = backends_[shard_of(campaign)];
     if (!backend.connected()) {
       count(kShardDownErrors);
-      deliver(session, seq,
-              shard_down_frame(backend, "no connection to worker"));
+      loop_.deliver(session, seq,
+                    shard_down(backend, "no connection to worker"));
       return;
     }
     Pending pending;
-    pending.fd = session.fd;
-    pending.serial = session.serial;
-    pending.seq = seq;
+    pending.slot = session.slot(seq);
     forward(backend, payload, std::move(pending));
     count(kRequestsRouted);
     return;
@@ -676,7 +339,7 @@ void RouterReactor::route_frame(Session& session, std::uint64_t seq,
     case MsgType::kShutdown:
       if (router_.config_.allow_remote_shutdown) {
         router_.request_shutdown();
-        deliver(session, seq, std::string(net::ok_frame()));
+        loop_.deliver(session, seq, Response{});  // kOk
         count(kAnsweredLocally);
       } else {
         deliver_error(session, seq, ErrorCode::kRejected,
@@ -690,7 +353,7 @@ void RouterReactor::route_frame(Session& session, std::uint64_t seq,
       serve_shard_map(session, seq);
       return;
     default:
-      if (is_replication(type)) {
+      if (net::is_replication(type)) {
         // A replication stream is one shard's WAL; fanning it through
         // the router would splice shard histories. Replicas dial their
         // shard's worker directly (docs/sharding.md).
@@ -699,7 +362,7 @@ void RouterReactor::route_frame(Session& session, std::uint64_t seq,
                       "directly, not the router");
         return;
       }
-      count(kProtocolErrors);
+      loop_.count_protocol_error();
       deliver_error(
           session, seq, ErrorCode::kBadRequest,
           "unknown request type " +
@@ -722,7 +385,7 @@ void RouterReactor::serve_shard_map(Session& session, std::uint64_t seq) {
                          : 0;
     response.shard_map.shards.push_back(std::move(entry));
   }
-  deliver(session, seq, framed(response));
+  loop_.deliver(session, seq, response);
   count(kAnsweredLocally);
 }
 
@@ -733,15 +396,13 @@ void RouterReactor::serve_server_stats(Session& session, std::uint64_t seq,
   for (Backend& backend : backends_) {
     if (!backend.connected()) {
       count(kShardDownErrors);
-      deliver(session, seq,
-              shard_down_frame(backend, "no connection to worker"));
+      loop_.deliver(session, seq,
+                    shard_down(backend, "no connection to worker"));
       return;
     }
   }
   auto join = std::make_shared<StatsJoin>();
-  join->fd = session.fd;
-  join->serial = session.serial;
-  join->seq = seq;
+  join->slot = session.slot(seq);
   join->remaining = backends_.size();
   join->sum.stats_seq =
       router_.stats_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -763,7 +424,7 @@ void RouterReactor::handle_stats_leg(Backend& backend,
     if (response.status != Status::kOkServerStats) {
       if (!join.failed) {
         join.failed = true;
-        join.error_frame = net::frame(payload);  // pass the error through
+        join.error_payload = payload;  // pass the error through
       }
     } else {
       const ServerStatsBody& s = response.server_stats;
@@ -798,10 +459,10 @@ void RouterReactor::handle_stats_leg(Backend& backend,
   } catch (const net::ProtocolError&) {
     if (!join.failed) {
       join.failed = true;
-      join.error_frame =
-          framed(net::error_response(ErrorCode::kBadRequest,
-                                     "undecodable SERVER_STATS from shard " +
-                                         std::to_string(backend.shard)));
+      join.error_payload = net::encode_response(
+          net::error_response(ErrorCode::kBadRequest,
+                              "undecodable SERVER_STATS from shard " +
+                                  std::to_string(backend.shard)));
     }
   }
   if (join.remaining == 0) {
@@ -810,28 +471,25 @@ void RouterReactor::handle_stats_leg(Backend& backend,
 }
 
 void RouterReactor::complete_stats(StatsJoin& join) {
-  Session* session = session_for(join.fd, join.serial);
-  if (session == nullptr || session->broken) {
+  Session* session = loop_.session_for(join.slot);
+  if (session == nullptr) {
     return;
   }
   if (join.failed) {
-    deliver(*session, join.seq, std::move(join.error_frame));
+    loop_.deliver(*session, join.slot.seq, [&join](std::string& out) {
+      net::append_frame(out, join.error_payload);
+    });
     return;
   }
   Response response;
   response.status = Status::kOkServerStats;
   response.server_stats = join.sum;
-  deliver(*session, join.seq, framed(response));
+  loop_.deliver(*session, join.slot.seq, response);
 }
 
 void RouterReactor::forward(Backend& backend, std::string_view payload,
                             Pending&& pending) {
-  std::string& out = backend.out;
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
-  }
-  out += payload;
+  net::append_frame(backend.out, payload);
   backend.pending.push_back(std::move(pending));
   backend.touched = true;
 }
@@ -849,8 +507,9 @@ void RouterReactor::start_connect(Backend& backend) {
   ::setsockopt(backend.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(backend.port);
-  if (::inet_pton(AF_INET, backend.host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(backend.address.port);
+  if (::inet_pton(AF_INET, backend.address.host.c_str(), &addr.sin_addr) !=
+      1) {
     // Validated at Router construction; unreachable without a raced
     // config mutation. Keep retrying rather than crash the proxy.
     ::close(backend.fd);
@@ -867,12 +526,10 @@ void RouterReactor::start_connect(Backend& backend) {
     return;
   }
   backend.connecting = rc != 0;
-  epoll_event event{};
-  event.events = EPOLLIN | (backend.connecting || backend.out_bytes() > 0
+  if (!loop_.ctl(EPOLL_CTL_ADD, backend.fd,
+                 EPOLLIN | (backend.connecting || backend.out_bytes() > 0
                                 ? EPOLLOUT
-                                : 0u);
-  event.data.fd = backend.fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, backend.fd, &event) != 0) {
+                                : 0u))) {
     ::close(backend.fd);
     backend.fd = -1;
     schedule_reconnect(backend);
@@ -910,22 +567,9 @@ void RouterReactor::on_backend_writable(Backend& backend) {
 }
 
 void RouterReactor::on_backend_readable(Backend& backend) {
-  char buffer[65536];
-  while (true) {
-    std::size_t received = 0;
-    const io::IoStatus status =
-        io::recv_some(backend.fd, buffer, sizeof(buffer), &received);
-    if (status == io::IoStatus::kProgress) {
-      backend.decoder.feed(buffer, received);
-      if (received < sizeof(buffer)) {
-        break;
-      }
-      continue;
-    }
-    if (status == io::IoStatus::kWouldBlock) {
-      break;
-    }
-    // EOF or hard error: in-flight requests fail over to kShardDown.
+  const io::IoStatus status = net::recv_frames(backend.fd, backend.decoder);
+  if (status == io::IoStatus::kEof || status == io::IoStatus::kError) {
+    // In-flight requests fail over to kShardDown.
     fail_backend(backend, status == io::IoStatus::kEof
                               ? "worker closed the connection"
                               : std::string("recv: ") +
@@ -945,12 +589,13 @@ void RouterReactor::on_backend_readable(Backend& backend) {
       handle_stats_leg(backend, pending, payload);
       continue;
     }
-    Session* session = session_for(pending.fd, pending.serial);
-    if (session != nullptr && !session->broken) {
+    if (Session* session = loop_.session_for(pending.slot)) {
       // Byte-for-byte relay: re-frame the payload, never re-encode it —
       // write-ack tokens, NOT_PRIMARY redirects and error details cross
       // unchanged.
-      deliver(*session, pending.seq, net::frame(payload));
+      loop_.deliver(*session, pending.slot.seq, [&payload](std::string& out) {
+        net::append_frame(out, payload);
+      });
       count(kResponsesRelayed);
     }
   }
@@ -960,19 +605,19 @@ void RouterReactor::on_backend_readable(Backend& backend) {
   }
 }
 
-std::string RouterReactor::shard_down_frame(const Backend& backend,
-                                            const std::string& reason) {
-  return framed(net::error_response(
+Response RouterReactor::shard_down(const Backend& backend,
+                                  const std::string& reason) {
+  return net::error_response(
       ErrorCode::kShardDown, "shard " + std::to_string(backend.shard) +
                                  " (" + backend.endpoint +
-                                 ") is down: " + reason));
+                                 ") is down: " + reason);
 }
 
 void RouterReactor::fail_backend(Backend& backend,
                                  const std::string& reason) {
   if (backend.fd >= 0) {
     backend_by_fd_.erase(backend.fd);
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, backend.fd, nullptr);
+    loop_.ctl(EPOLL_CTL_DEL, backend.fd, 0);
     ::close(backend.fd);
     backend.fd = -1;
   }
@@ -993,16 +638,15 @@ void RouterReactor::fail_backend(Backend& backend,
       --join.remaining;
       if (!join.failed) {
         join.failed = true;
-        join.error_frame = shard_down_frame(backend, reason);
+        join.error_payload = net::encode_response(shard_down(backend, reason));
       }
       if (join.remaining == 0) {
         complete_stats(join);
       }
       continue;
     }
-    Session* session = session_for(pending.fd, pending.serial);
-    if (session != nullptr && !session->broken) {
-      deliver(*session, pending.seq, shard_down_frame(backend, reason));
+    if (Session* session = loop_.session_for(pending.slot)) {
+      loop_.deliver(*session, pending.slot.seq, shard_down(backend, reason));
     }
   }
   backend.pending.clear();
@@ -1050,12 +694,10 @@ void RouterReactor::update_backend_interest(Backend& backend) {
   if (backend.fd < 0) {
     return;
   }
-  epoll_event event{};
-  event.events =
-      EPOLLIN |
-      (backend.connecting || backend.out_bytes() > 0 ? EPOLLOUT : 0u);
-  event.data.fd = backend.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, backend.fd, &event);
+  loop_.ctl(EPOLL_CTL_MOD, backend.fd,
+            EPOLLIN | (backend.connecting || backend.out_bytes() > 0
+                           ? EPOLLOUT
+                           : 0u));
 }
 
 void RouterReactor::drain_restart_ring() {
@@ -1077,216 +719,10 @@ void RouterReactor::drain_restart_ring() {
   }
 }
 
-void RouterReactor::evaluate_backend_pressure() {
-  bool stalled = false;
-  for (const Backend& backend : backends_) {
-    if (backend.out_bytes() > router_.config_.max_backend_buffer) {
-      stalled = true;
-      break;
-    }
-  }
-  if (stalled == backend_stalled_) {
-    return;
-  }
-  backend_stalled_ = stalled;
-  for (auto& owned : sessions_) {
-    Session* session = owned.get();
-    if (session == nullptr || session->broken) {
-      continue;
-    }
-    if (stalled) {
-      if (session->reading) {
-        session->reading = false;
-        count(kBackpressureStalls);
-        update_interest(*session);
-      }
-    } else {
-      maybe_resume_reading(*session);
-      update_interest(*session);
-    }
-  }
-}
-
-// --- Client-side plumbing (the net/server.h session idiom) ------------
-
-void RouterReactor::deliver(Session& session, std::uint64_t seq,
-                            std::string&& frame) {
-  if (seq != session.next_send) {
-    session.held.emplace(seq, std::move(frame));
-    return;
-  }
-  release(session, std::move(frame));
-  ++session.next_send;
-  auto it = session.held.begin();
-  while (it != session.held.end() && it->first == session.next_send) {
-    release(session, std::move(it->second));
-    ++session.next_send;
-    it = session.held.erase(it);
-  }
-}
-
-void RouterReactor::release(Session& session, std::string&& frame) {
-  if (session.outq.empty() ||
-      session.outq.back().size() >= kOutChunkBytes) {
-    session.outq.emplace_back();
-  }
-  session.outq.back() += frame;
-  session.out_bytes += frame.size();
-  if (!session.touched) {
-    session.touched = true;
-    touched_.push_back(session.fd);
-  }
-  if (session.reading &&
-      session.pending_bytes() > router_.config_.max_write_buffer) {
-    session.reading = false;
-    count(kBackpressureStalls);
-  }
-}
-
 void RouterReactor::deliver_error(Session& session, std::uint64_t seq,
                                   ErrorCode code, std::string message) {
-  deliver(session, seq,
-          framed(net::error_response(code, std::move(message))));
+  loop_.deliver(session, seq, net::error_response(code, std::move(message)));
   count(kAnsweredLocally);
-}
-
-void RouterReactor::flush(Session& session) {
-  while (session.out_bytes > 0) {
-    iovec iov[kMaxFlushIov];
-    int iovcnt = 0;
-    for (std::size_t c = 0;
-         c < session.outq.size() && iovcnt < kMaxFlushIov; ++c) {
-      const std::string& chunk = session.outq[c];
-      const std::size_t skip = (c == 0) ? session.front_sent : 0;
-      if (chunk.size() == skip) {
-        continue;
-      }
-      iov[iovcnt].iov_base = const_cast<char*>(chunk.data() + skip);
-      iov[iovcnt].iov_len = chunk.size() - skip;
-      ++iovcnt;
-    }
-    if (iovcnt == 0) {
-      break;
-    }
-    std::size_t sent = 0;
-    const io::IoStatus status =
-        io::sendv_some(session.fd, iov, iovcnt, &sent);
-    if (status == io::IoStatus::kProgress) {
-      session.last_activity = monotonic_seconds();
-      session.out_bytes -= sent;
-      while (sent > 0) {
-        std::string& front = session.outq.front();
-        const std::size_t avail = front.size() - session.front_sent;
-        if (sent >= avail) {
-          sent -= avail;
-          session.outq.pop_front();
-          session.front_sent = 0;
-        } else {
-          session.front_sent += sent;
-          sent = 0;
-        }
-      }
-      continue;
-    }
-    if (status == io::IoStatus::kWouldBlock) {
-      break;
-    }
-    session.broken = true;
-    return;
-  }
-}
-
-void RouterReactor::flush_touched() {
-  for (const int fd : touched_) {
-    Session* session = (static_cast<std::size_t>(fd) < sessions_.size())
-                           ? sessions_[fd].get()
-                           : nullptr;
-    if (session == nullptr) {
-      continue;
-    }
-    session->touched = false;
-    if (session->broken) {
-      continue;
-    }
-    flush(*session);
-    if (!session->broken) {
-      maybe_resume_reading(*session);
-      update_interest(*session);
-    }
-  }
-  touched_.clear();
-}
-
-void RouterReactor::on_writable(int fd) {
-  Session& session = *sessions_[fd];
-  flush(session);
-  if (session.broken) {
-    return;
-  }
-  maybe_resume_reading(session);
-  update_interest(session);
-}
-
-void RouterReactor::maybe_resume_reading(Session& session) {
-  if (!session.reading && !session.close_after_flush && !draining_ &&
-      !backend_stalled_ &&
-      session.pending_bytes() < router_.config_.max_write_buffer / 2) {
-    session.reading = true;
-  }
-}
-
-void RouterReactor::update_interest(Session& session) {
-  epoll_event event{};
-  event.events = (session.reading && !draining_ ? EPOLLIN : 0u) |
-                 (session.pending_bytes() > 0 ? EPOLLOUT : 0u);
-  event.data.fd = session.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &event);
-}
-
-RouterReactor::Session* RouterReactor::session_for(int fd,
-                                                   std::uint64_t serial) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= sessions_.size()) {
-    return nullptr;
-  }
-  Session* session = sessions_[fd].get();
-  return (session != nullptr && session->serial == serial) ? session
-                                                           : nullptr;
-}
-
-void RouterReactor::close_session(int fd) {
-  if (static_cast<std::size_t>(fd) >= sessions_.size() ||
-      sessions_[fd] == nullptr) {
-    return;
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  sessions_[fd].reset();
-  count(kSessionsClosed);
-}
-
-void RouterReactor::harvest_idle(double now) {
-  for (std::size_t fd = 0; fd < sessions_.size(); ++fd) {
-    Session* session = sessions_[fd].get();
-    if (session != nullptr && session->pending_bytes() == 0 &&
-        session->fully_released() &&
-        now - session->last_activity >
-            router_.config_.idle_timeout_seconds) {
-      count(kSessionsTimedOut);
-      close_session(static_cast<int>(fd));
-    }
-  }
-}
-
-void RouterReactor::begin_drain() {
-  draining_ = true;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  // Stop reading client sessions; backends stay live so in-flight
-  // responses can come home and release their sequencer slots.
-  for (auto& session : sessions_) {
-    if (session) {
-      update_interest(*session);
-    }
-  }
 }
 
 // --- Router -----------------------------------------------------------
@@ -1301,55 +737,28 @@ Router::Router(RouterConfig config) : config_(std::move(config)) {
   if (config_.reactors == 0) {
     config_.reactors = 1;
   }
-  shard_endpoints_.reserve(config_.shards.size());
-  for (const std::string& endpoint : config_.shards) {
-    shard_endpoints_.push_back(parse_endpoint(endpoint));
-  }
   reactors_.reserve(config_.reactors);
-  reactors_.push_back(
-      std::make_unique<RouterReactor>(*this, 0, config_.port));
-  port_ = reactors_[0]->bound_port();
+  reactors_.push_back(std::make_unique<RouterReactor>(*this, config_.port));
+  port_ = reactors_[0]->loop().port();
   for (std::size_t i = 1; i < config_.reactors; ++i) {
-    reactors_.push_back(std::make_unique<RouterReactor>(*this, i, port_));
+    reactors_.push_back(std::make_unique<RouterReactor>(*this, port_));
   }
 }
 
 Router::~Router() = default;
 
 void Router::run() {
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(reactors_.size());
-  threads.reserve(reactors_.size() - 1);
-  for (std::size_t i = 1; i < reactors_.size(); ++i) {
-    threads.emplace_back([this, i, &errors] {
-      try {
-        reactors_[i]->run();
-      } catch (...) {
-        errors[i] = std::current_exception();
-        request_shutdown();
-      }
-    });
-  }
-  try {
-    reactors_[0]->run();
-  } catch (...) {
-    errors[0] = std::current_exception();
-    request_shutdown();
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
+  const std::exception_ptr error = net::run_on_threads(
+      reactors_.size(), [this](std::size_t i) { reactors_[i]->run(); },
+      [this] { request_shutdown(); });
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 
 void Router::request_shutdown() {
-  drain_requested_.store(true, std::memory_order_release);
   for (const auto& reactor : reactors_) {
-    reactor->wake();
+    reactor->loop().request_drain();
   }
 }
 
@@ -1367,22 +776,21 @@ void Router::set_restart_counter(
 RouterCounters Router::counters() const {
   RouterCounters total;
   for (const auto& reactor : reactors_) {
-    total.sessions_accepted +=
-        reactor->counter(RouterReactor::kSessionsAccepted);
-    total.sessions_closed +=
-        reactor->counter(RouterReactor::kSessionsClosed);
+    const EventLoop& loop = reactor->loop();
+    total.sessions_accepted += loop.counter(EventLoop::kSessionsAccepted);
+    total.sessions_closed += loop.counter(EventLoop::kSessionsClosed);
+    total.protocol_errors += loop.counter(EventLoop::kProtocolErrors);
+    total.sessions_timed_out += loop.counter(EventLoop::kSessionsTimedOut);
+    total.backpressure_stalls +=
+        loop.counter(EventLoop::kBackpressureStalls);
+    // A corrupt stream's one error frame is answered by the router.
+    total.requests_answered_locally +=
+        loop.counter(EventLoop::kCorruptStreams) +
+        reactor->counter(RouterReactor::kAnsweredLocally);
     total.requests_routed +=
         reactor->counter(RouterReactor::kRequestsRouted);
     total.responses_relayed +=
         reactor->counter(RouterReactor::kResponsesRelayed);
-    total.requests_answered_locally +=
-        reactor->counter(RouterReactor::kAnsweredLocally);
-    total.protocol_errors +=
-        reactor->counter(RouterReactor::kProtocolErrors);
-    total.sessions_timed_out +=
-        reactor->counter(RouterReactor::kSessionsTimedOut);
-    total.backpressure_stalls +=
-        reactor->counter(RouterReactor::kBackpressureStalls);
     total.shard_down_errors +=
         reactor->counter(RouterReactor::kShardDownErrors);
     total.backend_failures +=

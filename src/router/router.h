@@ -12,17 +12,13 @@
 // routes to the same shard that issued it (same campaign, same modulo),
 // so read-your-writes survives the indirection (docs/sharding.md).
 //
-// Topology per reactor (shared-nothing, like net/server.h):
-//   * its own SO_REUSEPORT listener + epoll loop + client sessions
-//   * one pooled, pipelined backend connection per shard. Workers
-//     answer strictly in request order per connection, so a FIFO of
-//     pending descriptors per backend maps each backend response back
-//     to its (session, request seq) without response ids on the wire.
-//   * the PR 6 per-session sequencer: requests take a per-session
-//     sequence at decode; responses — which complete out of order when
-//     one connection's requests fan out across shards — are released to
-//     the wire strictly in request order, out-of-order completions
-//     parked in a held map.
+// Each reactor (shared-nothing, like net/server.h) runs its own
+// net::EventLoop (net/event_loop.h) for the client sessions and keeps
+// one pooled, pipelined connection per shard in the same epoll set.
+// Workers answer strictly in request order per connection, so a FIFO of
+// pending descriptors per backend maps each response back to its
+// (session, request seq), and the loop's sequencer releases responses
+// that complete out of order across shards in request order.
 //
 // Frames the router answers itself:
 //   * SHARD_MAP  — the campaign -> shard map + per-shard endpoint,
@@ -69,13 +65,13 @@ struct RouterConfig {
   /// router's lifetime. A restarted worker must come back on the same
   /// endpoint (the supervisor guarantees this).
   std::vector<std::string> shards;
-  /// Router reactor threads, each with its own SO_REUSEPORT listener
-  /// and its own backend connection per shard.
+  /// Router reactor threads, each with its own listener on the shared
+  /// port and its own backend connection per shard.
   std::size_t reactors = 1;
   /// Sessions with no traffic for this long are closed; 0 disables.
   double idle_timeout_seconds = 0.0;
   /// Per-session write-buffer high-water mark (slow-reader
-  /// backpressure, as in net/server.h).
+  /// backpressure; see net/event_loop.h).
   std::size_t max_write_buffer = 4u << 20;
   /// Per-backend outbound high-water mark: past it the reactor stops
   /// reading from every client session until the worker drains (coarse
@@ -154,11 +150,8 @@ class Router {
 
   RouterConfig config_;
   std::uint16_t port_ = 0;
-  /// Parsed config_.shards, resolved once at startup.
-  std::vector<std::pair<std::string, std::uint16_t>> shard_endpoints_;
   std::function<std::uint64_t(std::uint32_t)> restart_counter_;
   std::vector<std::unique_ptr<RouterReactor>> reactors_;
-  std::atomic<bool> drain_requested_{false};
   /// stats_seq of the router's own aggregated SERVER_STATS bodies.
   std::atomic<std::uint64_t> stats_seq_{0};
 };

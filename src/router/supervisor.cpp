@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "net/endpoint.h"
 #include "net/retry.h"
 #include "util/bench_json.h"  // monotonic_seconds
 
@@ -30,9 +31,6 @@ constexpr const char kReadinessMarker[] = "listening on ";
 /// Returns 0 when no complete line is present yet.
 std::uint16_t scrape_port(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    return 0;
-  }
   std::uint16_t port = 0;
   std::string line;
   while (std::getline(in, line)) {
@@ -40,15 +38,13 @@ std::uint16_t scrape_port(const std::string& path) {
     if (at == std::string::npos) {
       continue;
     }
-    const std::size_t colon =
-        line.find(':', at + sizeof(kReadinessMarker) - 1);
-    if (colon == std::string::npos) {
-      continue;
-    }
-    const unsigned long parsed =
-        std::strtoul(line.c_str() + colon + 1, nullptr, 10);
-    if (parsed > 0 && parsed <= 65535) {
-      port = static_cast<std::uint16_t>(parsed);
+    const std::size_t begin = at + sizeof(kReadinessMarker) - 1;
+    try {
+      port = net::parse_endpoint(std::string_view(line).substr(
+                                     begin, line.find(' ', begin) - begin))
+                 .port;
+    } catch (const std::invalid_argument&) {
+      // Not (yet) a whole "host:port": keep the last complete line's.
     }
   }
   return port;
@@ -216,7 +212,7 @@ void Supervisor::monitor_loop() {
       break;
     }
     // Respawn on the SAME port so the router's static endpoint map
-    // stays valid; SO_REUSEPORT in the server listener makes the
+    // stays valid; the server's port-sharing listener makes the
     // rebind race-free against lingering sockets. The worker recovers
     // its campaigns from its WAL before its readiness line reappears.
     backoffs[shard].sleep_next();

@@ -9,8 +9,8 @@
 //     line ("itree-served: listening on host:port") from the log to
 //     learn the bound port — the same discipline the smoke scripts use.
 //   * monitor() runs a waitpid loop on a background thread. A crashed
-//     worker is respawned on the SAME port (SO_REUSEPORT makes the
-//     rebind safe) after a bounded backoff (net/retry.h), recovers its
+//     worker is respawned on the SAME port (the server's listeners
+//     share their port, which makes the rebind safe) after a bounded backoff (net/retry.h), recovers its
 //     state from its WAL, and once its readiness line reappears the
 //     restart callback fires — the router uses it to short-circuit its
 //     reconnect backoff (Router::note_shard_restarted) and to report

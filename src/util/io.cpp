@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -34,27 +33,6 @@ IoStatus send_some(int fd, const char* data, std::size_t size,
                    std::size_t* sent) {
   while (true) {
     const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n >= 0) {
-      *sent = static_cast<std::size_t>(n);
-      return IoStatus::kProgress;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return IoStatus::kWouldBlock;
-    }
-    return IoStatus::kError;
-  }
-}
-
-IoStatus sendv_some(int fd, const struct iovec* iov, int iovcnt,
-                    std::size_t* sent) {
-  msghdr msg{};
-  msg.msg_iov = const_cast<struct iovec*>(iov);
-  msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
-  while (true) {
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n >= 0) {
       *sent = static_cast<std::size_t>(n);
       return IoStatus::kProgress;

@@ -17,8 +17,6 @@
 #include <cstddef>
 #include <string>
 
-struct iovec;  // <sys/uio.h>
-
 namespace itree::io {
 
 /// Outcome of one non-blocking transfer attempt.
@@ -38,13 +36,6 @@ IoStatus recv_some(int fd, char* data, std::size_t size,
 /// *sent is the byte count (>= 1).
 IoStatus send_some(int fd, const char* data, std::size_t size,
                    std::size_t* sent);
-
-/// One vectored sendmsg(MSG_NOSIGNAL) attempt with EINTR retry — the
-/// multi-reactor server's response flush, gathering a session's queued
-/// response chunks into one syscall. On kProgress, *sent is the total
-/// byte count (>= 1; may end mid-iovec).
-IoStatus sendv_some(int fd, const struct iovec* iov, int iovcnt,
-                    std::size_t* sent);
 
 /// Sends all `size` bytes on a blocking socket (MSG_NOSIGNAL),
 /// retrying EINTR and resuming short writes. False on hard error

@@ -1,20 +1,28 @@
 // Integration tests for the reward-service daemon: protocol codecs,
-// loopback equivalence with the in-process service, and the robustness
-// guarantees (malformed frames, mid-frame disconnects, backpressure,
-// idle timeouts, graceful drain, persistence).
+// endpoint parsing, loopback equivalence with the in-process service,
+// and the robustness guarantees (malformed frames, mid-frame
+// disconnects, backpressure, idle timeouts, graceful drain). The
+// transport guarantees of the shared event loop run against both front
+// ends: the server directly and a router in front of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/registry.h"
 #include "net/client.h"
+#include "net/endpoint.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/spsc_ring.h"
+#include "router/router.h"
 #include "server/event_log.h"
 #include "util/rng.h"
 
@@ -197,6 +205,39 @@ TEST(Protocol, EventBatchDecoderRejectsCountMismatchAndBadKind) {
   EXPECT_THROW(decode_request(bad_kind), ProtocolError);
 }
 
+// --- Endpoint parsing ------------------------------------------------
+
+TEST(Endpoint, ParsesHostPortAndRejectsAnythingElse) {
+  const Endpoint good = parse_endpoint("127.0.0.1:7431");
+  EXPECT_EQ(good.host, "127.0.0.1");
+  EXPECT_EQ(good.port, 7431);
+  EXPECT_EQ(parse_endpoint("localhost:1").port, 1);
+  EXPECT_EQ(parse_endpoint("10.0.0.2:65535").port, 65535);
+  const char* const rejected[] = {
+      "127.0.0.1",        // missing colon
+      "",                 // nothing at all
+      ":7431",            // empty host
+      "127.0.0.1:",       // empty port
+      "127.0.0.1:7431x",  // trailing junk
+      "127.0.0.1:abc",    // not a number
+      "127.0.0.1:0",      // out of range
+      "127.0.0.1:65536",  // out of range
+      "127.0.0.1:+80",    // a sign is not a digit
+      "127.0.0.1: 80",    // neither is a space
+      "127.0.0.1:99999999999999999999",
+  };
+  for (const char* text : rejected) {
+    try {
+      parse_endpoint(text);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("'") + text + "'"),
+                std::string::npos)
+          << "the message names the input: " << error.what();
+    }
+  }
+}
+
 // --- SPSC ring unit tests -------------------------------------------
 
 TEST(SpscRing, FifoOrderWrapAroundAndFullness) {
@@ -268,6 +309,83 @@ class NetTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
   std::thread loop_;
 };
+
+enum class FrontEnd { kServer, kRouter };
+
+/// Runs a transport test against the server directly (kServer) or
+/// through a one-shard Router in front of it (kRouter). The session
+/// limits under test (idle timeout, write-buffer mark, reactor count)
+/// apply to the front end the client talks to.
+class FrontEndTest : public NetTest,
+                     public ::testing::WithParamInterface<FrontEnd> {
+ protected:
+  ~FrontEndTest() override { stop_router(); }
+
+  void start_front(const Mechanism& mechanism, ServerConfig config = {}) {
+    if (GetParam() == FrontEnd::kServer) {
+      start(mechanism, std::move(config));
+      return;
+    }
+    ServerConfig worker;
+    worker.campaigns = config.campaigns;
+    worker.reactors = config.reactors;
+    start(mechanism, worker);
+    router::RouterConfig front;
+    front.campaigns = static_cast<std::uint32_t>(config.campaigns);
+    front.shards = {"127.0.0.1:" + std::to_string(server_->port())};
+    front.reactors = config.reactors;
+    front.idle_timeout_seconds = config.idle_timeout_seconds;
+    front.max_write_buffer = config.max_write_buffer;
+    router_ = std::make_unique<router::Router>(front);
+    router_thread_ = std::thread([this] { router_->run(); });
+    // Backends are dialled once run() starts; wait for the link.
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+      if (connect().shard_map().shards.at(0).healthy) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    FAIL() << "the router never reached its shard";
+  }
+
+  Client connect() {
+    return Client("127.0.0.1",
+                  router_ != nullptr ? router_->port() : server_->port());
+  }
+
+  /// The front end's counters of interest, exact after stopping it.
+  struct FrontCounters {
+    std::uint64_t sessions_timed_out = 0;
+    std::uint64_t backpressure_stalls = 0;
+  };
+  FrontCounters stop_front() {
+    if (router_ != nullptr) {
+      stop_router();
+      const router::RouterCounters c = router_->counters();
+      return {c.sessions_timed_out, c.backpressure_stalls};
+    }
+    stop();
+    const ServerCounters c = server_->counters();
+    return {c.sessions_timed_out, c.backpressure_stalls};
+  }
+
+  void stop_router() {
+    if (router_ != nullptr && router_thread_.joinable()) {
+      router_->request_shutdown();
+      router_thread_.join();
+    }
+  }
+
+  std::unique_ptr<router::Router> router_;
+  std::thread router_thread_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, FrontEndTest,
+    ::testing::Values(FrontEnd::kServer, FrontEnd::kRouter),
+    [](const ::testing::TestParamInfo<FrontEnd>& info) {
+      return info.param == FrontEnd::kServer ? "Server" : "Router";
+    });
 
 /// Applies the seeded random stream from server_test.cpp through
 /// `apply`, which receives (referrer-or-participant, amount, is_join)
@@ -391,9 +509,9 @@ TEST_F(NetTest, MalformedPayloadGetsErrorFrameAndSessionSurvives) {
   EXPECT_EQ(client.join(0, kRoot, 1.0), 1u);
 }
 
-TEST_F(NetTest, OversizedFrameGetsErrorThenClose) {
+TEST_P(FrontEndTest, OversizedFrameGetsErrorThenClose) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  start(*mechanism);
+  start_front(*mechanism);
   Client client = connect();
   const std::uint32_t length = kMaxFrameBytes + 7;
   char prefix[4];
@@ -411,9 +529,9 @@ TEST_F(NetTest, OversizedFrameGetsErrorThenClose) {
   EXPECT_EQ(fresh.join(0, kRoot, 1.0), 1u);
 }
 
-TEST_F(NetTest, MidFrameDisconnectLeavesServerHealthy) {
+TEST_P(FrontEndTest, MidFrameDisconnectLeavesServerHealthy) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  start(*mechanism);
+  start_front(*mechanism);
   {
     Client client = connect();
     const std::string full = frame(encode_request(
@@ -456,17 +574,17 @@ TEST_F(NetTest, PipelinedBurstIsAnsweredInOrder) {
   EXPECT_EQ(client.stats(0).events, 201u);
 }
 
-TEST_F(NetTest, IdleSessionsAreClosed) {
+TEST_P(FrontEndTest, IdleSessionsAreClosed) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
   ServerConfig config;
   config.idle_timeout_seconds = 0.2;
-  start(*mechanism, config);
+  start_front(*mechanism, config);
   Client client = connect();
   EXPECT_EQ(client.join(0, kRoot, 1.0), 1u);
   // No traffic: the server must hang up on us within a few sweeps.
   EXPECT_THROW(client.read_response(), std::runtime_error);
-  stop();  // counters are only synchronized once run() has returned
-  EXPECT_GE(server_->counters().sessions_timed_out, 1u);
+  // Counters are only synchronized once run() has returned.
+  EXPECT_GE(stop_front().sessions_timed_out, 1u);
 }
 
 TEST_F(NetTest, RemoteShutdownCanBeDisabled) {
@@ -602,7 +720,7 @@ TEST_F(NetTest, MidBatchDisconnectAppliesNothing) {
   EXPECT_EQ(fresh.join(0, kRoot, 1.0), 1u);
 }
 
-TEST_F(NetTest, PipelinedBatchesUnderBackpressureStayOrdered) {
+TEST_P(FrontEndTest, PipelinedBatchesUnderBackpressureStayOrdered) {
   // EVENT_BATCH frames interleaved with full-vector queries, pipelined
   // without reading, against a low write-buffer mark and two reactors:
   // the responses must come back in request order even while sessions
@@ -611,7 +729,7 @@ TEST_F(NetTest, PipelinedBatchesUnderBackpressureStayOrdered) {
   ServerConfig config;
   config.max_write_buffer = 64 * 1024;
   config.reactors = 2;
-  start(*mechanism, config);
+  start_front(*mechanism, config);
   Client client = connect();
 
   // A wide campaign so every REWARDS_BATCH response is ~16 KB.
@@ -646,8 +764,7 @@ TEST_F(NetTest, PipelinedBatchesUnderBackpressureStayOrdered) {
   }
   EXPECT_EQ(client.stats(0).events,
             2000u + 2u * static_cast<std::uint64_t>(kRounds));
-  stop();
-  EXPECT_GT(server_->counters().backpressure_stalls, 0u)
+  EXPECT_GT(stop_front().backpressure_stalls, 0u)
       << "the test must actually exercise the pause/resume path";
 }
 

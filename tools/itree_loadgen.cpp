@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "net/client.h"
+#include "net/endpoint.h"
 #include "util/args.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
@@ -63,35 +64,17 @@ struct ConnectionReport {
 };
 
 /// Parses "host:port[,host:port...]" (the --replica flag).
-std::vector<std::pair<std::string, std::uint16_t>> parse_endpoints(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  if (text.empty()) {
-    return endpoints;
-  }
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) {
-      end = text.size();
+std::vector<net::Endpoint> parse_endpoints(const std::string& text) {
+  std::vector<net::Endpoint> endpoints;
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    try {
+      endpoints.push_back(net::parse_endpoint(
+          std::string_view(text).substr(begin, end - begin)));
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(std::string("--replica: ") + error.what());
     }
-    const std::string part = text.substr(begin, end - begin);
-    const std::size_t colon = part.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == part.size()) {
-      throw std::invalid_argument("--replica: expected HOST:PORT, got '" +
-                                  part + "'");
-    }
-    const int port = std::stoi(part.substr(colon + 1));
-    if (port <= 0 || port > 65535) {
-      throw std::invalid_argument("--replica: bad port in '" + part + "'");
-    }
-    endpoints.emplace_back(part.substr(0, colon),
-                           static_cast<std::uint16_t>(port));
     begin = end + 1;
-    if (end == text.size()) {
-      break;
-    }
   }
   return endpoints;
 }
@@ -158,7 +141,7 @@ Decision next_decision(Rng& rng, std::uint32_t campaign, std::uint64_t i,
 void drive_connection(
     const std::string& host, std::uint16_t port, std::uint32_t campaign,
     std::uint64_t requests, Rng rng,
-    const std::vector<std::pair<std::string, std::uint16_t>>& replicas,
+    const std::vector<net::Endpoint>& replicas,
     ConnectionReport* report) {
   try {
     net::Client client = net::Client::connect_with_retry(host, port);
@@ -452,7 +435,7 @@ int main(int argc, char** argv) {
     }
     stream.rate_per_connection =
         open_loop_rate / static_cast<double>(connections);
-    const std::vector<std::pair<std::string, std::uint16_t>> replicas =
+    const std::vector<net::Endpoint> replicas =
         parse_endpoints(args.get_or("--replica", ""));
     if (!replicas.empty() && streamed) {
       // Streamed frames mix events and queries in one pipeline; a read

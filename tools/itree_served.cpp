@@ -26,13 +26,13 @@
 // resolved port (useful with --port 0).
 #include <algorithm>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/factory.h"
+#include "net/endpoint.h"
 #include "net/server.h"
 #include "replication/replica.h"
 #include "util/args.h"
@@ -47,22 +47,6 @@ void handle_signal(int) {
   if (g_server != nullptr) {
     g_server->request_shutdown();  // one async-signal-safe eventfd write
   }
-}
-
-/// Splits "host:port"; throws std::invalid_argument on anything else.
-std::pair<std::string, std::uint16_t> parse_endpoint(
-    const std::string& text) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == text.size()) {
-    throw std::invalid_argument("expected HOST:PORT, got '" + text + "'");
-  }
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(text.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || port == 0 || port > 65535) {
-    throw std::invalid_argument("bad port in '" + text + "'");
-  }
-  return {text.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 }  // namespace
@@ -145,7 +129,7 @@ int main(int argc, char** argv) {
     const std::string replica_of = args.get_or("--replica-of", "");
     replication::ReplicaOptions replica_options;
     if (!replica_of.empty()) {
-      const auto [primary_host, primary_port] = parse_endpoint(replica_of);
+      const auto [primary_host, primary_port] = net::parse_endpoint(replica_of);
       replica_options.primary_host = primary_host;
       replica_options.primary_port = primary_port;
       replica_options.serve_stale_seconds =
