@@ -36,7 +36,12 @@ class CdrmMechanism : public Mechanism {
 
   std::string name() const override { return name_; }
   std::string params_string() const override { return params_; }
+  /// One C(T_u) sweep that prices each participant as its subtree
+  /// finishes.
   RewardVector compute(const Tree& tree) const override;
+  /// The same sweep, folding each R(u) into the maximum instead.
+  double max_divergence(const Tree& tree,
+                        std::span<const double> served) const override;
   PropertySet claimed_properties() const override;
 
   /// CDRM rewards are pure functions R(x_p, y_p) of (own, subtree-self)
@@ -62,10 +67,16 @@ class CdrmMechanism : public Mechanism {
 };
 
 /// Algorithm 5(i): R(p) = (Phi - theta/(1 + x_p + y_p)) * x_p.
+/// Both proven instances run the batch sweeps with their concrete R,
+/// which inlines; their CdrmFunction serves reward_function() and the
+/// aggregate path.
 class CdrmReciprocal : public CdrmMechanism {
  public:
   CdrmReciprocal(BudgetParams budget, double theta);
   double theta() const { return theta_; }
+  RewardVector compute(const Tree& tree) const override;
+  double max_divergence(const Tree& tree,
+                        std::span<const double> served) const override;
 
  private:
   double theta_;
@@ -76,6 +87,9 @@ class CdrmLogarithmic : public CdrmMechanism {
  public:
   CdrmLogarithmic(BudgetParams budget, double theta);
   double theta() const { return theta_; }
+  RewardVector compute(const Tree& tree) const override;
+  double max_divergence(const Tree& tree,
+                        std::span<const double> served) const override;
 
  private:
   double theta_;

@@ -27,6 +27,19 @@ RewardVector GeometricMechanism::compute(const Tree& tree) const {
   return out;
 }
 
+double GeometricMechanism::max_divergence(
+    const Tree& tree, std::span<const double> served) const {
+  require(served.size() == tree.node_count(),
+          "Geometric::max_divergence: one served reward per node id");
+  double worst = 0.0;
+  (void)geometric_sum_sweep(tree, a_, [&](NodeId u, double s) {
+    if (u != kRoot) {
+      worst = fold_divergence(worst, s * b_, served[u]);
+    }
+  });
+  return worst;
+}
+
 PropertySet GeometricMechanism::claimed_properties() const {
   // Theorem 1: everything except USA and UGSA.
   return PropertySet::all().without(Property::kUSA).without(Property::kUGSA);

@@ -21,6 +21,9 @@ class GeometricMechanism : public Mechanism {
   std::string name() const override { return "Geometric"; }
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
+  /// Folds b * S_a(u) into the maximum inside the S_a sweep.
+  double max_divergence(const Tree& tree,
+                        std::span<const double> served) const override;
   PropertySet claimed_properties() const override;
 
   /// R(u) = b * S_a(u): served from the decay-a subtree aggregate, with

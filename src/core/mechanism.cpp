@@ -20,6 +20,18 @@ double Mechanism::reward_from_aggregates(const NodeAggregates&) const {
                          " declares no aggregate support");
 }
 
+double Mechanism::max_divergence(const Tree& tree,
+                                 std::span<const double> served) const {
+  require(served.size() == tree.node_count(),
+          "Mechanism::max_divergence: one served reward per node id");
+  const RewardVector batch = compute(tree);
+  double worst = 0.0;
+  for (NodeId u = 1; u < batch.size(); ++u) {
+    worst = fold_divergence(worst, batch[u], served[u]);
+  }
+  return worst;
+}
+
 double Mechanism::reward_of(const Tree& tree, NodeId u) const {
   const RewardVector rewards = compute(tree);
   require(u < rewards.size(), "Mechanism::reward_of: node out of range");

@@ -10,12 +10,15 @@
 // sweeps the tree's arena columns in place (tree/subtree_sums.h explains
 // the descending-id sweep and why it is bit-identical to a postorder
 // walk). Serving deployments avoid it altogether through the aggregate
-// hooks below; RewardService::audit() runs it once per payout to check
-// the served rewards.
+// hooks below. RewardService::audit() checks the served rewards once
+// per payout through max_divergence(), which runs the same sweep.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +93,16 @@ class Mechanism {
   /// concurrently (the parallel matrix and attack search rely on this).
   virtual RewardVector compute(const Tree& tree) const = 0;
 
+  /// Largest |R(u) - served[u]| over the participants (the root entry
+  /// is skipped); `served` has one entry per node id. This is the
+  /// payout audit. Default: compute() plus a compare pass. Mechanisms
+  /// whose kernel is a single bottom-up sweep override it to fold each
+  /// R(u) into the maximum as the sweep finishes u, with no output
+  /// vector; the value is bit-identical either way. Same thread-safety
+  /// contract as compute().
+  virtual double max_divergence(const Tree& tree,
+                                std::span<const double> served) const;
+
   /// Reward of a single participant. Default: full compute; mechanisms
   /// with cheaper single-node paths may override. Same thread-safety
   /// contract as compute().
@@ -126,6 +139,12 @@ class Mechanism {
 using MechanismPtr = std::unique_ptr<Mechanism>;
 
 // --- RewardVector helpers ---------------------------------------------------
+
+/// One participant's step of max_divergence(): max(worst, |batch -
+/// served|). A NaN difference leaves `worst` as it is.
+inline double fold_divergence(double worst, double batch, double served) {
+  return std::max(worst, std::fabs(batch - served));
+}
 
 /// R(T): total reward paid to all participants.
 double total_reward(const RewardVector& rewards);

@@ -23,8 +23,7 @@ std::vector<double> Pachira::shares(const Tree& tree) const {
   if (total <= 0.0) {
     return out;
   }
-  const std::vector<double> subtree =
-      compute_subtree_data(tree).subtree_contribution;
+  const std::vector<double> subtree = subtree_contributions(tree);
   for (NodeId u = 1; u < n; ++u) {
     double share = pi(subtree[u] / total);
     for (NodeId child : tree.children(u)) {

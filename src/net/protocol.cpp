@@ -2,31 +2,64 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
 
 namespace itree::net {
 namespace {
 
-// All integers travel little-endian, assembled byte-by-byte so the
-// encoding does not depend on host endianness.
+// All integers and doubles travel little-endian. Scalars are written
+// byte by byte, so their encoding does not depend on host endianness; a
+// reward vector is one bulk copy of its IEEE-754 array on a
+// little-endian host and the same byte loop elsewhere.
+//
+// The writers are templates over the output: std::string, or ByteCount,
+// which measures an encoding without writing it.
 
-void put_u8(std::string& out, std::uint8_t v) {
+/// Stands in for the output string to size an encoding exactly.
+struct ByteCount {
+  std::size_t size = 0;
+  void push_back(char) { ++size; }
+  void append(const char*, std::size_t n) { size += n; }
+  ByteCount& operator+=(std::string_view bytes) {
+    size += bytes.size();
+    return *this;
+  }
+};
+
+template <typename Out>
+void put_u8(Out& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
+template <typename Out>
+void put_u32(Out& out, std::uint32_t v) {
   for (int shift = 0; shift < 32; shift += 8) {
     out.push_back(static_cast<char>((v >> shift) & 0xff));
   }
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
+template <typename Out>
+void put_u64(Out& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     out.push_back(static_cast<char>((v >> shift) & 0xff));
   }
 }
 
-void put_f64(std::string& out, double v) {
+template <typename Out>
+void put_f64(Out& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+template <typename Out>
+void put_f64_array(Out& out, std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out.append(reinterpret_cast<const char*>(values.data()),
+               values.size() * sizeof(double));
+  } else {
+    for (const double v : values) {
+      put_f64(out, v);
+    }
+  }
 }
 
 /// Bounds-checked little-endian reader over one payload.
@@ -63,6 +96,22 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
+  /// Fills `out` with out.size() consecutive doubles.
+  void f64_array(std::span<double> out) {
+    need(out.size() * sizeof(double));
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) {
+        std::memcpy(out.data(), data_.data() + pos_,
+                    out.size() * sizeof(double));
+        pos_ += out.size() * sizeof(double);
+      }
+    } else {
+      for (double& v : out) {
+        v = f64();
+      }
+    }
+  }
+
   std::string bytes(std::size_t n) {
     need(n);
     std::string out(data_.substr(pos_, n));
@@ -89,7 +138,8 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void encode_error_tail(std::string& out, ErrorCode code,
+template <typename Out>
+void encode_error_tail(Out& out, ErrorCode code,
                        const std::string& message) {
   put_u8(out, static_cast<std::uint8_t>(code));
   put_u32(out, static_cast<std::uint32_t>(message.size()));
@@ -107,7 +157,8 @@ void decode_error_tail(Reader& reader, Response& response) {
 }
 
 /// Appends the payload of `response` (no length prefix) to `out`.
-void encode_response_into(std::string& out, const Response& response) {
+template <typename Out>
+void encode_response_into(Out& out, const Response& response) {
   put_u8(out, static_cast<std::uint8_t>(response.status));
   switch (response.status) {
     case Status::kOk:
@@ -126,9 +177,7 @@ void encode_response_into(std::string& out, const Response& response) {
       break;
     case Status::kOkVector:
       put_u64(out, response.rewards.size());
-      for (const double reward : response.rewards) {
-        put_f64(out, reward);
-      }
+      put_f64_array(out, response.rewards);
       break;
     case Status::kOkStats:
       put_u64(out, response.stats.events);
@@ -383,13 +432,12 @@ Response decode_response(std::string_view payload) {
     case Status::kOkVector: {
       response.status = Status::kOkVector;
       const std::uint64_t count = reader.u64();
-      if (count * 8 > reader.remaining()) {
+      // Divide rather than multiply: count * 8 wraps for counts >= 2^61.
+      if (count > reader.remaining() / sizeof(double)) {
         throw ProtocolError("reward vector longer than payload");
       }
-      response.rewards.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        response.rewards.push_back(reader.f64());
-      }
+      response.rewards.resize(static_cast<std::size_t>(count));
+      reader.f64_array(response.rewards);
       break;
     }
     case Status::kOkStats:
@@ -515,24 +563,18 @@ void append_frame(std::string& out, std::string_view payload) {
 }
 
 void append_framed_response(std::string& out, const Response& response) {
-  const std::size_t start = out.size();
-  out.append(4, '\0');  // length prefix, patched below
-  try {
-    encode_response_into(out, response);
-  } catch (...) {
-    out.resize(start);
-    throw;
-  }
-  const std::size_t payload_size = out.size() - start - 4;
-  if (payload_size == 0 || payload_size > kMaxFrameBytes) {
-    out.resize(start);
+  // Size the payload first: an invalid or oversized response throws
+  // before `out` is touched, and the frame is then written into exactly
+  // the room it needs.
+  ByteCount payload;
+  encode_response_into(payload, response);
+  if (payload.size == 0 || payload.size > kMaxFrameBytes) {
     throw ProtocolError("frame payload size out of range: " +
-                        std::to_string(payload_size));
+                        std::to_string(payload.size));
   }
-  for (int i = 0; i < 4; ++i) {
-    out[start + i] =
-        static_cast<char>((payload_size >> (8 * i)) & 0xff);
-  }
+  out.reserve(out.size() + 4 + payload.size);
+  put_u32(out, static_cast<std::uint32_t>(payload.size));
+  encode_response_into(out, response);
 }
 
 const std::string& ok_frame() {
@@ -576,7 +618,11 @@ bool FrameDecoder::next(std::string* payload) {
     consumed_ = 0;
     return false;
   }
-  if (buffer_.size() - consumed_ < 4 + static_cast<std::size_t>(length)) {
+  const std::size_t frame_end = consumed_ + 4 + length;
+  if (buffer_.size() < frame_end) {
+    // Grow once to the announced size (bounded by kMaxFrameBytes above)
+    // instead of doubling through every feed() of a large frame.
+    buffer_.reserve(frame_end);
     return false;
   }
   payload->assign(buffer_, consumed_ + 4, length);

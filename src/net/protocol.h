@@ -267,9 +267,10 @@ void append_frame(std::string& out, std::string_view payload);
 
 /// Appends the framed encoding of `response` directly to `out` —
 /// the serving hot path's zero-temporary variant of
-/// `out += frame(encode_response(response))`. The length prefix is
-/// patched in place after the payload is encoded. Throws ProtocolError
-/// (leaving `out` unchanged) when the payload exceeds kMaxFrameBytes.
+/// `out += frame(encode_response(response))`. The payload is sized
+/// before anything is written, and `out` grows once to fit the frame.
+/// Throws ProtocolError (leaving `out` unchanged) when the payload
+/// exceeds kMaxFrameBytes.
 void append_framed_response(std::string& out, const Response& response);
 
 /// The pre-encoded frame of a plain OK response (CONTRIBUTE ack) — the

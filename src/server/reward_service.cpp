@@ -1,6 +1,5 @@
 #include "server/reward_service.h"
 
-#include <cmath>
 #include <iostream>
 #include <span>
 #include <stdexcept>
@@ -335,14 +334,8 @@ double RewardService::audit() const {
     return 0.0;
   }
   // rewards() is the vector REWARDS_BATCH serves, bit-identical to
-  // reward(u); one batch compute is checked against all of it.
-  const RewardVector& served = rewards();
-  const RewardVector batch = mechanism_->compute(tree());
-  double worst = 0.0;
-  for (NodeId u = 1; u < batch.size(); ++u) {
-    worst = std::max(worst, std::fabs(batch[u] - served[u]));
-  }
-  return worst;
+  // reward(u); one batch sweep is checked against all of it.
+  return mechanism_->max_divergence(tree(), rewards());
 }
 
 }  // namespace itree

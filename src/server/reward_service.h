@@ -18,7 +18,9 @@
 // caller pairing the calls.
 //
 // `audit()` recomputes from scratch and reports the largest divergence
-// — the operation a real deployment runs before paying out.
+// — the operation a real deployment runs before paying out. It is the
+// mechanism's max_divergence(): one batch sweep over the tree, folded
+// against the served vector as it goes.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +130,9 @@ class RewardService {
   bool incremental() const { return mode_ != Mode::kBatch; }
 
   /// Largest |incremental - batch| divergence across participants
-  /// (0 for batch-mode services): one batch compute() compared with
-  /// rewards(), the served vector. A production deployment runs this
-  /// before each payout cycle.
+  /// (0 for batch-mode services): Mechanism::max_divergence() of the
+  /// tree against rewards(), the served vector. A production
+  /// deployment runs this before each payout cycle.
   double audit() const;
 
   void set_require_incremental(bool strict) {

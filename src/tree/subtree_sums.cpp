@@ -4,42 +4,30 @@
 
 namespace itree {
 
-SubtreeData compute_subtree_data(const Tree& tree) {
-  const std::size_t n = tree.node_count();
-  const NodeId* first_child = tree.first_child_array().data();
-  const NodeId* next_sibling = tree.next_sibling_array().data();
-  const double* contribution = tree.contribution_array().data();
-  SubtreeData out;
-  out.subtree_contribution.resize(n);
-  out.subtree_size.resize(n);
-  const std::span<const std::uint32_t> depth = tree.depth_array();
-  out.depth.assign(depth.begin(), depth.end());
-  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
-    double sum = 0.0;
-    std::uint32_t size = 1;
-    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
-      sum += out.subtree_contribution[c];
-      size += out.subtree_size[c];
-    }
-    out.subtree_contribution[u] = sum + contribution[u];
-    out.subtree_size[u] = size;
-  }
-  return out;
+std::vector<double> geometric_subtree_sums(const Tree& tree, double a) {
+  return geometric_sum_sweep(tree, a, [](NodeId, double) {});
 }
 
-std::vector<double> geometric_subtree_sums(const Tree& tree, double a) {
-  const std::size_t n = tree.node_count();
+std::vector<double> subtree_contributions(const Tree& tree) {
+  return subtree_contribution_sweep(tree, [](NodeId, double) {});
+}
+
+SubtreeData compute_subtree_data(const Tree& tree) {
   const NodeId* first_child = tree.first_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
-  const double* contribution = tree.contribution_array().data();
-  std::vector<double> out(n);
-  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
-    double s = contribution[u];
-    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
-      s += a * out[c];
-    }
-    out[u] = s;
-  }
+  SubtreeData out;
+  out.subtree_size.resize(tree.node_count());
+  out.subtree_contribution =
+      subtree_contribution_sweep(tree, [&](NodeId u, double) {
+        std::uint32_t size = 1;
+        for (NodeId c = first_child[u]; c != kInvalidNode;
+             c = next_sibling[c]) {
+          size += out.subtree_size[c];
+        }
+        out.subtree_size[u] = size;
+      });
+  const std::span<const std::uint32_t> depth = tree.depth_array();
+  out.depth.assign(depth.begin(), depth.end());
   return out;
 }
 

@@ -3,7 +3,7 @@
 // All the paper's mechanisms reduce to subtree recurrences:
 //   * Geometric / TDRM:  S_a(u) = C(u) + a * sum_{child c} S_a(c)
 //     so that R(u) = b * S_a(u)  (Alg. 1) — one bottom-up pass.
-//   * Pachira: needs C(T_u) per node — same pass.
+//   * Pachira and the CDRM family: need C(T_u) per node — same pass.
 //
 // Every kernel walks the Tree arena's own columns in place (no copy,
 // no materialized traversal): every tree has parent(u) < u, so a sweep
@@ -23,6 +23,61 @@
 
 namespace itree {
 
+/// Visiting forms of the S_a and C(T_u) sweeps: `visit(u, value)` is
+/// called as node u finishes, in descending-id order (every child of u
+/// before u, the root last), and the finished column is returned. A
+/// fused consumer — the payout audit — reads each value as it is born
+/// instead of making a second pass over a materialized output. The
+/// no-op-visitor instantiations are the plain kernels, so each
+/// recurrence is written exactly once.
+///
+/// S_a(u) = C(u) + a * S_a(c1) + ... + a * S_a(ck), children in join order.
+template <typename Visit>
+std::vector<double> geometric_sum_sweep(const Tree& tree, double a,
+                                        Visit&& visit) {
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  const double* contribution = tree.contribution_array().data();
+  std::vector<double> out(n);
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+    double s = contribution[u];
+    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+      s += a * out[c];
+    }
+    out[u] = s;
+    visit(u, s);
+  }
+  return out;
+}
+
+/// C(T_u) = ((0 + C(T_c1)) + ... + C(T_ck)) + C(u), children in join order.
+template <typename Visit>
+std::vector<double> subtree_contribution_sweep(const Tree& tree,
+                                               Visit&& visit) {
+  const std::size_t n = tree.node_count();
+  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* next_sibling = tree.next_sibling_array().data();
+  const double* contribution = tree.contribution_array().data();
+  std::vector<double> out(n);
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+    double sum = 0.0;
+    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+      sum += out[c];
+    }
+    sum += contribution[u];
+    out[u] = sum;
+    visit(u, sum);
+  }
+  return out;
+}
+
+/// S_a(u) = sum_{v in T_u} a^{dep_u(v)} C(v), for all u, in O(n).
+std::vector<double> geometric_subtree_sums(const Tree& tree, double a);
+
+/// C(T_u) for all u, in O(n).
+std::vector<double> subtree_contributions(const Tree& tree);
+
 /// Per-node structural aggregates, computed in one bottom-up pass.
 struct SubtreeData {
   std::vector<double> subtree_contribution;  ///< C(T_u)
@@ -30,12 +85,8 @@ struct SubtreeData {
   std::vector<std::uint32_t> depth;          ///< dep_root(u)
 };
 
-/// C(T_u) is accumulated as ((0 + C(T_c1)) + ... + C(T_ck)) + C(u) over
-/// the children in join order.
+/// subtree_contributions() plus the size and depth columns.
 SubtreeData compute_subtree_data(const Tree& tree);
-
-/// S_a(u) = sum_{v in T_u} a^{dep_u(v)} C(v), for all u, in O(n).
-std::vector<double> geometric_subtree_sums(const Tree& tree, double a);
 
 /// Depth of the deepest *binary* subtree rooted at each node: every node
 /// may keep at most two of its children. Used by the Emek et al.

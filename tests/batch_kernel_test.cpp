@@ -5,7 +5,9 @@
 // recurrence run over Tree::postorder()/preorder() — written out here as
 // test-local references — on every tree shape, including a 100k-deep
 // chain and a tree adopted from a mapped v5 snapshot whose columns are
-// still borrowed. The BENCH_* digest trajectory depends on this.
+// still borrowed. The BENCH_* digest trajectory depends on this. The
+// payout audit, Mechanism::max_divergence, must equal compute() plus a
+// compare pass bit for bit, whether or not a mechanism fuses the two.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -186,6 +188,17 @@ RewardVector reference_rewards(const Mechanism& m, const Tree& tree) {
   return out;
 }
 
+/// The audit as one compute() plus a compare pass.
+double reference_divergence(const Mechanism& m, const Tree& tree,
+                            const std::vector<double>& served) {
+  const RewardVector batch = m.compute(tree);
+  double worst = 0.0;
+  for (NodeId u = 1; u < batch.size(); ++u) {
+    worst = std::max(worst, std::fabs(batch[u] - served[u]));
+  }
+  return worst;
+}
+
 // --- Tree shapes --------------------------------------------------------
 
 /// Round-trips `tree` through a v5 snapshot file and returns the tree
@@ -325,10 +338,102 @@ TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
   for (const char* name : kFactoryMechanisms) {
     EXPECT_EQ(make_mechanism(name)->compute(adopted).size(), 2501u) << name;
   }
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    EXPECT_EQ(mechanism->max_divergence(adopted, mechanism->compute(adopted)),
+              0.0)
+        << name;
+  }
   (void)compute_subtree_data(adopted);
   (void)binary_subtree_depths(adopted);
   EXPECT_EQ(adopted.borrowed_column_count(), 8u);
   EXPECT_EQ(adopted.allocation_count(), 0u);
+}
+
+TEST(BatchKernels, MaxDivergenceEqualsComputeAndCompare) {
+  // Served vectors off the batch by a different small amount per node,
+  // with exact entries, a NaN (ignored by the max) and an infinity (the
+  // largest divergence) mixed in: the fused sweeps must fold exactly
+  // what the compare pass folds.
+  const std::vector<Shape> trees = shapes();
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    for (const Shape& shape : trees) {
+      const std::string what = std::string(name) + " on " + shape.name;
+      const RewardVector batch = mechanism->compute(shape.tree);
+      EXPECT_EQ(mechanism->max_divergence(shape.tree, batch), 0.0) << what;
+      std::vector<double> served = batch;
+      for (NodeId u = 1; u < served.size(); ++u) {
+        served[u] += static_cast<double>(u % 7) * 1e-13 * (1.0 + served[u]);
+      }
+      EXPECT_EQ(mechanism->max_divergence(shape.tree, served),
+                reference_divergence(*mechanism, shape.tree, served))
+          << what;
+      if (served.size() > 3) {
+        served[served.size() / 2] = std::nan("");
+        EXPECT_EQ(mechanism->max_divergence(shape.tree, served),
+                  reference_divergence(*mechanism, shape.tree, served))
+            << what << " with a NaN";
+        served[1] = HUGE_VAL;
+        EXPECT_EQ(mechanism->max_divergence(shape.tree, served), HUGE_VAL)
+            << what << " with an infinity";
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, MaxDivergenceReportsAOneUlpFlip) {
+  // One served reward one ulp off, at the first, a middle and the last
+  // participant: the audit returns exactly that difference.
+  const std::vector<Shape> trees = shapes();
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    for (const Shape& shape : trees) {
+      const std::size_t n = shape.tree.node_count();
+      if (n < 2) {
+        continue;
+      }
+      const RewardVector batch = mechanism->compute(shape.tree);
+      for (const std::size_t u : {std::size_t{1}, n / 2, n - 1}) {
+        std::vector<double> served = batch;
+        served[u] = std::nextafter(served[u], HUGE_VAL);
+        const double difference = served[u] - batch[u];
+        ASSERT_GT(difference, 0.0);
+        EXPECT_EQ(mechanism->max_divergence(shape.tree, served), difference)
+            << name << " on " << shape.name << " node " << u;
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, TypeErasedCdrmMatchesTheInlinedInstances) {
+  // CDRM-1 and CDRM-2 sweep with their concrete R; a CdrmMechanism over
+  // the same R as a CdrmFunction takes the type-erased call. Both must
+  // produce the same bits.
+  const BudgetParams budget;
+  const CdrmReciprocal reciprocal(budget, 0.4);
+  const CdrmLogarithmic logarithmic(budget, 0.4);
+  for (const CdrmMechanism* inlined :
+       {static_cast<const CdrmMechanism*>(&reciprocal),
+        static_cast<const CdrmMechanism*>(&logarithmic)}) {
+    const CdrmMechanism erased(
+        budget, "erased", "",
+        [inlined](double x, double y) {
+          return inlined->reward_function(x, y);
+        });
+    for (const Shape& shape : shapes()) {
+      const std::string what = inlined->name() + " on " + shape.name;
+      const RewardVector batch = inlined->compute(shape.tree);
+      expect_bit_equal(erased.compute(shape.tree), batch, what);
+      std::vector<double> served = batch;
+      for (NodeId u = 1; u < served.size(); u += 3) {
+        served[u] = std::nextafter(served[u], 0.0);
+      }
+      EXPECT_EQ(erased.max_divergence(shape.tree, served),
+                inlined->max_divergence(shape.tree, served))
+          << what;
+    }
+  }
 }
 
 TEST(BatchKernels, OnePassRewardsBitEqualToPointQueries) {
@@ -387,7 +492,9 @@ TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
   // dyadic decay keep every aggregate exact, so for the aggregate-engine
   // mechanisms that audit is exactly 0. The perturbed entry is a
   // participant's S(u) (aggregate engine) or A(u) (TDRM chain state,
-  // layout [D | H | A | total]).
+  // layout [D | H | A | total]). A CDRM reward moves with S(u) only by
+  // dR/dy, far below 1, so there the audit must name exactly the
+  // victim's divergence instead of clearing a fixed floor.
   Rng rng(11);
   Tree tree;
   for (NodeId u = 1; u < 400; ++u) {
@@ -397,7 +504,8 @@ TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
   const NodeId victim = 123;
   for (const MechanismKind kind :
        {MechanismKind::kGeometric, MechanismKind::kPreliminaryTdrm,
-        MechanismKind::kTdrm}) {
+        MechanismKind::kTdrm, MechanismKind::kCdrmReciprocal,
+        MechanismKind::kCdrmLogarithmic}) {
     const MechanismPtr mechanism = make_default(kind);
     RewardService source(*mechanism);
     for (NodeId u = 1; u < tree.node_count(); ++u) {
@@ -421,7 +529,14 @@ TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
     RewardService corrupt(*mechanism);
     corrupt.adopt_snapshot(Tree(source.tree()), source.events_applied(),
                            perturbed);
-    EXPECT_GT(corrupt.audit(), 1e-7) << mechanism->display_name();
+    if (dynamic_cast<const CdrmMechanism*>(mechanism.get()) == nullptr) {
+      EXPECT_GT(corrupt.audit(), 1e-7) << mechanism->display_name();
+    } else {
+      const double divergence = std::fabs(
+          corrupt.reward(victim) - mechanism->compute(corrupt.tree())[victim]);
+      EXPECT_GT(divergence, 0.0) << mechanism->display_name();
+      EXPECT_EQ(corrupt.audit(), divergence) << mechanism->display_name();
+    }
   }
 }
 

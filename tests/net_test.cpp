@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -75,6 +77,94 @@ TEST(Protocol, DecodersRejectGarbage) {
       decode_request(encode_request({MsgType::kStats, 0, 0, 0.0}) + "x"),
       ProtocolError);
   EXPECT_THROW(decode_response("\x00"), ProtocolError);
+  // OK_VECTOR counts whose byte size wraps 64 bits must not pass the
+  // bounds check (and then fail in the allocator instead).
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1,
+        ~std::uint64_t{0}}) {
+    std::string payload = "\x83";
+    for (int shift = 0; shift < 64; shift += 8) {
+      payload.push_back(static_cast<char>((count >> shift) & 0xff));
+    }
+    EXPECT_THROW(decode_response(payload), ProtocolError) << count;
+    EXPECT_THROW(decode_response(payload + std::string(16, '\0')),
+                 ProtocolError)
+        << count;
+  }
+}
+
+TEST(Protocol, RewardVectorBytesAreTheLittleEndianArray) {
+  Response response;
+  response.status = Status::kOkVector;
+  response.rewards = {0.0,
+                      -0.0,
+                      std::numeric_limits<double>::denorm_min() * 3,
+                      std::numeric_limits<double>::infinity(),
+                      std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beef}),
+                      1.5};
+  // Byte-by-byte reference: status, u64 count, then each double's bits,
+  // least significant byte first.
+  std::string want = "\x83";
+  const auto put = [&want](std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      want.push_back(static_cast<char>((v >> shift) & 0xff));
+    }
+  };
+  put(response.rewards.size());
+  for (const double reward : response.rewards) {
+    put(std::bit_cast<std::uint64_t>(reward));
+  }
+  EXPECT_EQ(encode_response(response), want);
+  std::string framed = "keep";
+  append_framed_response(framed, response);
+  EXPECT_EQ(framed, "keep" + frame(want));
+
+  const Response decoded = decode_response(want);
+  ASSERT_EQ(decoded.rewards.size(), response.rewards.size());
+  for (std::size_t i = 0; i < response.rewards.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.rewards[i]),
+              std::bit_cast<std::uint64_t>(response.rewards[i]))
+        << i;
+  }
+
+  Response empty;
+  empty.status = Status::kOkVector;
+  EXPECT_EQ(encode_response(empty), std::string("\x83", 1) + std::string(8, '\0'));
+  const Response decoded_empty = decode_response(encode_response(empty));
+  EXPECT_EQ(decoded_empty.status, Status::kOkVector);
+  EXPECT_TRUE(decoded_empty.rewards.empty());
+}
+
+TEST(Protocol, LargestRewardVectorFramesAndOneMoreIsRefused) {
+  // Status byte + u64 count + 8 bytes per reward must fit kMaxFrameBytes
+  // (about 2M participants). One reward more and append_framed_response
+  // throws with `out` untouched — the server then answers kRejected
+  // "response exceeds frame size limit".
+  const std::size_t largest = (kMaxFrameBytes - 9) / 8;
+  Response response;
+  response.status = Status::kOkVector;
+  response.rewards.resize(largest);
+  for (std::size_t i = 0; i < largest; ++i) {
+    response.rewards[i] = static_cast<double>(i) * 0.25;
+  }
+  std::string out = "prefix";
+  append_framed_response(out, response);
+  ASSERT_EQ(out.size(), 6 + 4 + 9 + 8 * largest);
+
+  // Through the frame decoder in socket-sized pieces.
+  FrameDecoder decoder;
+  std::string payload;
+  for (std::size_t at = 6; at < out.size(); at += 65536) {
+    EXPECT_FALSE(decoder.next(&payload));
+    decoder.feed(std::string_view(out).substr(at, 65536));
+  }
+  ASSERT_TRUE(decoder.next(&payload));
+  EXPECT_EQ(decode_response(payload).rewards, response.rewards);
+
+  response.rewards.push_back(1.0);
+  std::string refused = "prefix";
+  EXPECT_THROW(append_framed_response(refused, response), ProtocolError);
+  EXPECT_EQ(refused, "prefix");
 }
 
 TEST(Protocol, FrameDecoderHandlesFragmentation) {

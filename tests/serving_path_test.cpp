@@ -113,37 +113,41 @@ TEST(ServingPath, DeepChainTdrmStreamMatchesBatch) {
   }
 }
 
-/// A TDRM whose compute() counts invocations: the service still selects
-/// the incremental mode (it is-a Tdrm), so serving-path queries must
-/// never reach the batch path.
-class CountingTdrm : public Tdrm {
+/// Mechanisms that count their batch sweeps: compute() and
+/// max_divergence(), the sweep audit() runs (Geometric fuses it, TDRM
+/// and split-proof run compute() under it). The service still selects
+/// the incremental mode for each, so serving-path queries must never
+/// reach either.
+template <typename Base>
+class Counting : public Base {
  public:
-  CountingTdrm() : Tdrm(default_budget(), TdrmParams{}) {}
+  template <typename... Args>
+  explicit Counting(Args... args) : Base(default_budget(), args...) {}
   RewardVector compute(const Tree& tree) const override {
     ++batch_computes;
-    return Tdrm::compute(tree);
+    return Base::compute(tree);
+  }
+  double max_divergence(const Tree& tree,
+                        std::span<const double> served) const override {
+    ++batch_computes;
+    return Base::max_divergence(tree, served);
   }
   mutable int batch_computes = 0;
 };
 
-class CountingGeometric : public GeometricMechanism {
+class CountingTdrm : public Counting<Tdrm> {
  public:
-  CountingGeometric() : GeometricMechanism(default_budget(), 0.5, 0.2) {}
-  RewardVector compute(const Tree& tree) const override {
-    ++batch_computes;
-    return GeometricMechanism::compute(tree);
-  }
-  mutable int batch_computes = 0;
+  CountingTdrm() : Counting(TdrmParams{}) {}
 };
 
-class CountingSplitProof : public SplitProofMechanism {
+class CountingGeometric : public Counting<GeometricMechanism> {
  public:
-  CountingSplitProof() : SplitProofMechanism(default_budget(), 0.1, 0.3) {}
-  RewardVector compute(const Tree& tree) const override {
-    ++batch_computes;
-    return SplitProofMechanism::compute(tree);
-  }
-  mutable int batch_computes = 0;
+  CountingGeometric() : Counting(0.5, 0.2) {}
+};
+
+class CountingSplitProof : public Counting<SplitProofMechanism> {
+ public:
+  CountingSplitProof() : Counting(0.1, 0.3) {}
 };
 
 template <typename CountingMechanism>
@@ -169,7 +173,7 @@ void expect_no_batch_compute_on_serving_path() {
   }
   EXPECT_EQ(mechanism.batch_computes, 0)
       << "serving-path query invoked the batch mechanism";
-  // audit() is *supposed* to run the batch path.
+  // audit() is *supposed* to run a batch sweep.
   (void)service.audit();
   EXPECT_GT(mechanism.batch_computes, 0);
 }
