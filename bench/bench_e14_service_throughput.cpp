@@ -1,29 +1,27 @@
 // E14 — serving-path throughput: the epoll daemon under loopback load.
 //
 // Boots an in-process Server (ephemeral port) hosting C campaigns and
-// drives it with one blocking client connection per campaign — the
-// deterministic mode: each campaign sees exactly the event stream of
-// its connection's Rng fork, so the final reward digests are identical
-// at every --threads/--reactors/--batch/--pipeline setting, and what
-// this bench adds to the BENCH_* trajectory is the serving overhead
-// (requests/s and latency percentiles) rather than mechanism
-// arithmetic.
+// drives it through net::LoadDriver with one connection per campaign —
+// the deterministic mode (src/net/load_driver.h): each campaign sees
+// exactly the event stream of its connection's Rng fork, so the final
+// reward digests are identical at every --threads/--reactors/--batch/
+// --pipeline setting, and what this bench adds to the BENCH_*
+// trajectory is the serving overhead (requests/s and latency
+// percentiles) rather than mechanism arithmetic.
 //
 // Flags: --threads N (campaign sharding inside a 1-reactor server),
-// --reactors N (shared-nothing SO_REUSEPORT loops), --batch B
-// (coalesce event runs into EVENT_BATCH frames; same event stream,
-// fewer frames), --pipeline W (frames in flight per connection),
-// --open-loop RATE (after the measured closed-loop pass, run a second
-// pass at a fixed arrival schedule of RATE requests/s total and record
-// latency percentiles measured from each request's scheduled arrival —
-// the honest queueing view), --json <path>, --campaigns C (default 4),
-// --requests R per campaign (default 4000), --mechanism NAME (default
-// geometric; one of geometric, l-luxor, l-pachira, split-proof, tdrm,
-// cdrm-reciprocal, cdrm-logarithmic — or the short aliases cdrm1,
-// cdrm2, splitproof). Every mechanism except L-Pachira exercises an
-// incremental serving path; the audit gate then also covers
-// incremental-vs-batch divergence, and reward_events_per_sec reports
-// the join/contribute rate the daemon sustained.
+// --reactors N (shared-nothing SO_REUSEPORT loops), --batch B and
+// --pipeline W (the driver's streamed style), --open-loop RATE (after
+// the measured closed-loop pass, a second streamed pass on a fixed
+// arrival schedule of RATE requests/s total, latency measured from
+// each request's scheduled arrival), --json <path>, --campaigns C
+// (default 4), --requests R per campaign (default 4000), --mechanism
+// NAME (default geometric; any make_mechanism name, e.g. l-luxor,
+// l-pachira, split-proof, tdrm, cdrm1, cdrm2). Every mechanism except
+// L-Pachira exercises an incremental serving path; the audit gate then
+// also covers incremental-vs-batch divergence, and
+// reward_events_per_sec reports the join/contribute rate the daemon
+// sustained.
 //
 // --read-scaling {0|1} (default 1) appends a replication read-scaling
 // section: a fresh durable primary plus two WAL-shipped in-memory
@@ -42,8 +40,6 @@
 // final_rewards digest is unaffected.
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -51,11 +47,13 @@
 #include <vector>
 
 #include "bench_harness.h"
-#include "core/registry.h"
+#include "core/factory.h"
 #include "net/client.h"
+#include "net/load_driver.h"
 #include "net/server.h"
 #include "replication/replica.h"
 #include "router/router.h"
+#include "util/args.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -63,193 +61,6 @@
 namespace {
 
 using namespace itree;
-
-struct WorkerResult {
-  std::vector<double> latencies_seconds;
-  std::uint64_t frames = 0;         ///< request frames sent
-  std::uint64_t reward_events = 0;  ///< joins + contributions sent
-};
-
-/// One workload decision — THE request mix. Both drivers consume the
-/// rng through this function, so the per-campaign event sequence (and
-/// the final reward digests) are independent of batching, pipelining
-/// and reactor count.
-struct Decision {
-  bool is_event = false;
-  net::BatchEvent event;          ///< valid when is_event
-  net::MsgType query_type = net::MsgType::kReward;
-  std::uint64_t query_node = 0;
-};
-
-Decision next_decision(Rng& rng, std::uint64_t i,
-                       const std::vector<NodeId>& mine) {
-  Decision decision;
-  if (mine.empty() || rng.bernoulli(0.55)) {
-    decision.is_event = true;
-    decision.event.kind = net::BatchEvent::kJoin;
-    decision.event.node = (mine.empty() || rng.bernoulli(0.15))
-                              ? kRoot
-                              : mine[rng.index(mine.size())];
-    decision.event.amount = rng.uniform(0.0, 3.0);
-  } else if (rng.bernoulli(0.5)) {
-    decision.is_event = true;
-    decision.event.kind = net::BatchEvent::kContribute;
-    decision.event.node = mine[rng.index(mine.size())];
-    decision.event.amount = rng.uniform(0.0, 2.0);
-  } else if (i % 64 == 63) {
-    decision.query_type = net::MsgType::kRewardsBatch;
-  } else {
-    decision.query_type = net::MsgType::kReward;
-    decision.query_node = mine[rng.index(mine.size())];
-  }
-  return decision;
-}
-
-/// Classic closed-loop driver: one frame per request, strict
-/// request/response, latency per round trip.
-void drive(std::uint16_t port, std::uint32_t campaign,
-           std::uint64_t requests, Rng rng, WorkerResult* result) {
-  net::Client client("127.0.0.1", port);
-  std::vector<NodeId> mine;
-  result->latencies_seconds.reserve(requests);
-  for (std::uint64_t i = 0; i < requests; ++i) {
-    const Decision decision = next_decision(rng, i, mine);
-    net::Request request;
-    request.campaign = campaign;
-    if (decision.is_event) {
-      request.type = decision.event.kind == net::BatchEvent::kJoin
-                         ? net::MsgType::kJoin
-                         : net::MsgType::kContribute;
-      request.node = decision.event.node;
-      request.amount = decision.event.amount;
-    } else {
-      request.type = decision.query_type;
-      request.node = decision.query_node;
-    }
-    const double start = monotonic_seconds();
-    const net::Response response = client.call(request);
-    result->latencies_seconds.push_back(monotonic_seconds() - start);
-    ++result->frames;
-    if (decision.is_event) {
-      ++result->reward_events;
-      if (request.type == net::MsgType::kJoin) {
-        mine.push_back(static_cast<NodeId>(response.id));
-      }
-    }
-  }
-}
-
-struct StreamOptions {
-  std::uint32_t batch = 1;
-  std::uint32_t pipeline = 1;
-  double rate_per_connection = 0.0;  ///< > 0: open-loop pacing
-  NodeId next_id = 1;  ///< first id the server will assign (campaign
-                       ///< may hold survivors of an earlier pass)
-};
-
-/// Streamed driver: EVENT_BATCH coalescing + pipelining, optionally
-/// paced on a fixed open-loop arrival schedule. Participant ids are
-/// predicted (the server assigns them sequentially per campaign) and
-/// verified against every EVENT_BATCH response — sound because this
-/// connection is the campaign's only writer.
-void drive_streamed(std::uint16_t port, std::uint32_t campaign,
-                    std::uint64_t requests, Rng rng, StreamOptions options,
-                    WorkerResult* result) {
-  net::Client client("127.0.0.1", port);
-  std::vector<NodeId> mine;
-  NodeId next_id = options.next_id;
-  std::vector<net::BatchEvent> pending;
-  std::vector<std::uint64_t> pending_expected;
-  double pending_reference = 0.0;
-  struct Frame {
-    double reference_time = 0.0;
-    std::vector<std::uint64_t> expected;  ///< empty for query frames
-    bool is_batch = false;
-  };
-  std::deque<Frame> inflight;
-  result->latencies_seconds.reserve(requests);
-  const double start = monotonic_seconds();
-
-  const auto settle_down_to = [&](std::size_t limit) {
-    while (inflight.size() > limit) {
-      const Frame& frame = inflight.front();
-      const net::Response response = client.read_response();
-      if (!response.ok()) {
-        throw net::ServiceError(response.error, response.message);
-      }
-      if (frame.is_batch && response.batch_results != frame.expected) {
-        throw std::runtime_error("EVENT_BATCH id prediction mismatch");
-      }
-      result->latencies_seconds.push_back(monotonic_seconds() -
-                                          frame.reference_time);
-      inflight.pop_front();
-    }
-  };
-  const auto flush_pending = [&] {
-    if (pending.empty()) {
-      return;
-    }
-    net::Request request;
-    request.type = net::MsgType::kEventBatch;
-    request.campaign = campaign;
-    request.batch = std::move(pending);
-    pending.clear();
-    Frame frame;
-    frame.reference_time = pending_reference;
-    frame.expected = std::move(pending_expected);
-    frame.is_batch = true;
-    pending_expected.clear();
-    result->reward_events += request.batch.size();
-    settle_down_to(options.pipeline - 1);
-    client.send_request(request);
-    ++result->frames;
-    inflight.push_back(std::move(frame));
-  };
-
-  for (std::uint64_t i = 0; i < requests; ++i) {
-    double reference = monotonic_seconds();
-    if (options.rate_per_connection > 0.0) {
-      const double scheduled =
-          start + static_cast<double>(i) / options.rate_per_connection;
-      const double now = monotonic_seconds();
-      if (now < scheduled) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(scheduled - now));
-      }
-      reference = scheduled;  // latency charged from the schedule
-    }
-    const Decision decision = next_decision(rng, i, mine);
-    if (decision.is_event) {
-      if (pending.empty()) {
-        pending_reference = reference;
-      }
-      if (decision.event.kind == net::BatchEvent::kJoin) {
-        mine.push_back(next_id);
-        pending_expected.push_back(next_id++);
-      } else {
-        pending_expected.push_back(0);
-      }
-      pending.push_back(decision.event);
-      if (pending.size() >= options.batch) {
-        flush_pending();
-      }
-      continue;
-    }
-    flush_pending();
-    net::Request request;
-    request.type = decision.query_type;
-    request.campaign = campaign;
-    request.node = decision.query_node;
-    Frame frame;
-    frame.reference_time = reference;
-    settle_down_to(options.pipeline - 1);
-    client.send_request(request);
-    ++result->frames;
-    inflight.push_back(std::move(frame));
-  }
-  flush_pending();
-  settle_down_to(0);
-}
 
 /// Read-scaling section: does adding WAL-shipped read replicas buy
 /// reward-query throughput while the primary absorbs a write-heavy
@@ -495,60 +306,6 @@ bool run_read_scaling(itree::BenchHarness& harness,
   return true;
 }
 
-/// Write-only driver for the --shards section: a closed loop of
-/// 64-event EVENT_BATCH frames (joins + contributions), latency per
-/// frame. Participant ids are predicted (this connection is the
-/// campaign's only writer) and verified against every response, so a
-/// misrouted frame fails loudly instead of skewing the digest.
-void drive_write_stream(std::uint16_t port, std::uint32_t campaign,
-                        std::uint64_t events, Rng rng,
-                        WorkerResult* result) {
-  constexpr std::size_t kBatch = 64;
-  net::Client client("127.0.0.1", port);
-  std::vector<NodeId> mine;
-  NodeId next_id = 1;
-  std::vector<net::BatchEvent> batch;
-  std::vector<std::uint64_t> expected;
-  const auto flush = [&] {
-    if (batch.empty()) {
-      return;
-    }
-    const double start = monotonic_seconds();
-    const net::BatchResult acked = client.send_events(campaign, batch);
-    result->latencies_seconds.push_back(monotonic_seconds() - start);
-    if (acked.error != net::ErrorCode::kNone ||
-        acked.results != expected) {
-      throw std::runtime_error("write-scaling: id prediction mismatch");
-    }
-    ++result->frames;
-    result->reward_events += batch.size();
-    batch.clear();
-    expected.clear();
-  };
-  for (std::uint64_t i = 0; i < events; ++i) {
-    net::BatchEvent event;
-    if (mine.empty() || rng.bernoulli(0.35)) {
-      event.kind = net::BatchEvent::kJoin;
-      event.node = (mine.empty() || rng.bernoulli(0.15))
-                       ? kRoot
-                       : mine[rng.index(mine.size())];
-      event.amount = rng.uniform(0.0, 3.0);
-      mine.push_back(next_id);
-      expected.push_back(next_id++);
-    } else {
-      event.kind = net::BatchEvent::kContribute;
-      event.node = mine[rng.index(mine.size())];
-      event.amount = rng.uniform(0.0, 2.0);
-      expected.push_back(0);
-    }
-    batch.push_back(event);
-    if (batch.size() >= kBatch) {
-      flush();
-    }
-  }
-  flush();
-}
-
 /// Router write-scaling section: the same per-campaign write streams
 /// measured against one server directly and against an in-process
 /// itree-router fronting `shards` shard servers. The digests must be
@@ -558,44 +315,40 @@ bool run_write_scaling(itree::BenchHarness& harness,
                        std::uint32_t campaigns,
                        std::uint64_t events_per_campaign,
                        std::size_t shards) {
-  const Rng base(777);
   // Writes are an order of magnitude cheaper than the mixed main-pass
   // load, so the stream is widened to keep each measured pass long
   // enough (thousands of frames) for stable percentiles on busy hosts.
-  const std::uint64_t events = events_per_campaign * 8;
+  // Closed-loop 64-event EVENT_BATCH frames, latency send -> response;
+  // the driver verifies every predicted id, so a misrouted frame fails
+  // loudly instead of skewing the digest.
+  net::LoadDriver writer;
+  writer.connections = campaigns;
+  writer.campaigns = campaigns;
+  writer.requests = events_per_campaign * 8;
+  writer.mix = net::RequestMix::writes_only(0.35);
+  writer.batch = 64;
   struct PassResult {
     double events_per_sec = 0.0;
     double p50_ms = 0.0;
     std::vector<std::vector<double>> rewards;
+    std::string error;
   };
-  const auto run_pass = [&](std::uint16_t port,
-                            std::uint16_t verify_port) {
-    std::vector<WorkerResult> results(campaigns);
-    std::vector<std::thread> writers;
-    const double start = monotonic_seconds();
-    for (std::uint32_t c = 0; c < campaigns; ++c) {
-      writers.emplace_back(drive_write_stream, port, c, events,
-                           base.fork(c), &results[c]);
-    }
-    for (std::thread& writer : writers) {
-      writer.join();
-    }
-    const double elapsed = monotonic_seconds() - start;
+  const auto run_pass = [&](std::uint16_t port) {
+    writer.port = port;
+    const net::LoadReport report = writer.run(Rng(777));
     PassResult pass;
-    std::vector<double> latencies;
-    std::uint64_t events = 0;
-    for (const WorkerResult& result : results) {
-      latencies.insert(latencies.end(), result.latencies_seconds.begin(),
-                       result.latencies_seconds.end());
-      events += result.reward_events;
+    pass.error = report.error;
+    if (!pass.error.empty()) {
+      return pass;
     }
-    pass.events_per_sec = static_cast<double>(events) / elapsed;
-    pass.p50_ms = percentile(latencies, 50) * 1e3;
-    net::Client verifier("127.0.0.1", verify_port);
+    pass.events_per_sec =
+        static_cast<double>(report.events) / report.wall_seconds;
+    pass.p50_ms = percentile(report.latencies_seconds, 50) * 1e3;
+    net::Client verifier("127.0.0.1", port);
     for (std::uint32_t c = 0; c < campaigns; ++c) {
       pass.rewards.push_back(verifier.rewards(c));
     }
-    harness.record_events(events, elapsed);
+    harness.record_events(report.events, report.wall_seconds);
     return pass;
   };
 
@@ -604,7 +357,7 @@ bool run_write_scaling(itree::BenchHarness& harness,
   direct_config.campaigns = campaigns;
   net::Server direct(mechanism, direct_config);
   std::thread direct_loop([&direct] { direct.run(); });
-  const PassResult single = run_pass(direct.port(), direct.port());
+  const PassResult single = run_pass(direct.port());
   {
     net::Client stop("127.0.0.1", direct.port());
     stop.shutdown_server();
@@ -644,7 +397,7 @@ bool run_write_scaling(itree::BenchHarness& harness,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const PassResult routed = run_pass(router.port(), router.port());
+  const PassResult routed = run_pass(router.port());
   router.request_shutdown();
   router_loop.join();
   for (const auto& worker : workers) {
@@ -654,6 +407,12 @@ bool run_write_scaling(itree::BenchHarness& harness,
     loop.join();
   }
 
+  for (const std::string& error : {single.error, routed.error}) {
+    if (!error.empty()) {
+      std::cerr << "write scaling: connection failed: " << error << '\n';
+      return false;
+    }
+  }
   if (routed.rewards != single.rewards) {
     std::cerr << "write scaling: routed rewards diverged from the "
                  "single-process run\n";
@@ -687,135 +446,93 @@ bool run_write_scaling(itree::BenchHarness& harness,
   return true;
 }
 
-int parse_flag(int* argc, char** argv, const std::string& flag,
-               int fallback) {
-  int out = 1;
-  int value = fallback;
-  for (int in = 1; in < *argc; ++in) {
-    if (flag == argv[in] && in + 1 < *argc) {
-      value = std::atoi(argv[++in]);
-      continue;
-    }
-    argv[out++] = argv[in];
-  }
-  *argc = out;
-  return value;
-}
-
-std::string parse_string_flag(int* argc, char** argv,
-                              const std::string& flag,
-                              const std::string& fallback) {
-  int out = 1;
-  std::string value = fallback;
-  for (int in = 1; in < *argc; ++in) {
-    if (flag == argv[in] && in + 1 < *argc) {
-      value = argv[++in];
-      continue;
-    }
-    argv[out++] = argv[in];
-  }
-  *argc = out;
-  return value;
-}
-
-MechanismKind mechanism_by_name(const std::string& name) {
-  const std::pair<const char*, MechanismKind> table[] = {
-      {"geometric", MechanismKind::kGeometric},
-      {"l-luxor", MechanismKind::kLLuxor},
-      {"l-pachira", MechanismKind::kLPachira},
-      {"split-proof", MechanismKind::kSplitProof},
-      {"tdrm", MechanismKind::kTdrm},
-      {"cdrm-reciprocal", MechanismKind::kCdrmReciprocal},
-      {"cdrm-logarithmic", MechanismKind::kCdrmLogarithmic},
-      // Short aliases used by scripts/perf_smoke.sh and itree-loadgen.
-      {"cdrm1", MechanismKind::kCdrmReciprocal},
-      {"cdrm2", MechanismKind::kCdrmLogarithmic},
-      {"splitproof", MechanismKind::kSplitProof},
-  };
-  for (const auto& [key, kind] : table) {
-    if (name == key) {
-      return kind;
-    }
-  }
-  std::cerr << "--mechanism: unknown mechanism '" << name << "'\n";
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   itree::BenchHarness harness("e14_service_throughput", &argc, argv);
-  const auto campaigns = static_cast<std::uint32_t>(
-      parse_flag(&argc, argv, "--campaigns", 4));
-  const auto requests = static_cast<std::uint64_t>(
-      parse_flag(&argc, argv, "--requests", 4000));
-  const auto reactors = static_cast<std::size_t>(
-      parse_flag(&argc, argv, "--reactors", 1));
-  StreamOptions stream;
-  stream.batch =
-      static_cast<std::uint32_t>(parse_flag(&argc, argv, "--batch", 1));
-  stream.pipeline = static_cast<std::uint32_t>(
-      parse_flag(&argc, argv, "--pipeline", 1));
-  const auto open_loop_rate = static_cast<double>(
-      parse_flag(&argc, argv, "--open-loop", 0));
-  const std::string mechanism_name =
-      parse_string_flag(&argc, argv, "--mechanism", "geometric");
-  const bool read_scaling =
-      parse_flag(&argc, argv, "--read-scaling", 1) != 0;
-  const auto shards = static_cast<std::size_t>(
-      parse_flag(&argc, argv, "--shards", 0));
-  if (stream.batch == 0 || stream.pipeline == 0) {
+  ArgParser args;
+  args.add_flag("--campaigns", "campaigns, one connection each (default 4)");
+  args.add_flag("--requests", "requests per campaign (default 4000)");
+  args.add_flag("--reactors", "server reactor loops (default 1)");
+  args.add_flag("--batch", "events per EVENT_BATCH frame (default 1)");
+  args.add_flag("--pipeline", "frames in flight per connection (default 1)");
+  args.add_flag("--open-loop",
+                "offered requests/s of an open-loop second pass "
+                "(default 0 = none)");
+  args.add_flag("--mechanism", "make_mechanism name (default geometric)");
+  args.add_flag("--read-scaling",
+                "0|1: append the read-scaling section (default 1)");
+  args.add_flag("--shards",
+                "append the router write-scaling section over N shards "
+                "(default 0 = off)");
+  net::LoadDriver driver;
+  std::size_t reactors = 1;
+  double open_loop_rate = 0.0;
+  std::string mechanism_name;
+  bool read_scaling = true;
+  std::size_t shards = 0;
+  MechanismPtr mechanism;
+  try {
+    if (!args.parse(argc, argv)) {
+      throw std::invalid_argument(args.error());
+    }
+    driver.campaigns =
+        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 4));
+    driver.connections = driver.campaigns;
+    driver.requests =
+        static_cast<std::uint64_t>(args.get_int_or("--requests", 4000));
+    reactors = static_cast<std::size_t>(args.get_int_or("--reactors", 1));
+    driver.batch = static_cast<std::uint32_t>(args.get_int_or("--batch", 1));
+    driver.pipeline =
+        static_cast<std::uint32_t>(args.get_int_or("--pipeline", 1));
+    open_loop_rate = args.get_double_or("--open-loop", 0.0);
+    mechanism_name = args.get_or("--mechanism", "geometric");
+    read_scaling = args.get_int_or("--read-scaling", 1) != 0;
+    shards = static_cast<std::size_t>(args.get_int_or("--shards", 0));
+    mechanism = make_mechanism(mechanism_name);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << '\n';
+    return 2;
+  }
+  if (driver.batch == 0 || driver.pipeline == 0) {
     std::cerr << "--batch and --pipeline must be >= 1\n";
     return 2;
   }
-  const bool streamed = stream.batch > 1 || stream.pipeline > 1;
+  const std::uint32_t campaigns = driver.campaigns;
+  const std::uint64_t requests = driver.requests;
 
-  const MechanismPtr mechanism =
-      make_default(mechanism_by_name(mechanism_name));
   harness.json().add_digest("mechanism", mechanism->display_name());
   net::ServerConfig config;
   config.campaigns = campaigns;
   config.reactors = reactors;
   net::Server server(*mechanism, config);
   std::thread loop([&server] { server.run(); });
+  const auto failed = [&](const std::string& error) {
+    std::cerr << "connection failed: " << error << '\n';
+    server.request_shutdown();
+    loop.join();
+    return 1;
+  };
 
+  driver.port = server.port();
+  driver.mix = net::RequestMix::service();
   const Rng base(42);
-  std::vector<WorkerResult> results(campaigns);
-  std::vector<std::thread> workers;
-  const double start = monotonic_seconds();
-  for (std::uint32_t c = 0; c < campaigns; ++c) {
-    if (streamed) {
-      workers.emplace_back(drive_streamed, server.port(), c, requests,
-                           base.fork(c), stream, &results[c]);
-    } else {
-      workers.emplace_back(drive, server.port(), c, requests,
-                           base.fork(c), &results[c]);
-    }
+  const net::LoadReport pass = driver.run(base);
+  if (!pass.error.empty()) {
+    return failed(pass.error);
   }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  const double elapsed = monotonic_seconds() - start;
-
-  std::vector<double> latencies;
-  std::uint64_t frames = 0;
-  std::uint64_t reward_events = 0;
-  for (const WorkerResult& result : results) {
-    latencies.insert(latencies.end(), result.latencies_seconds.begin(),
-                     result.latencies_seconds.end());
-    frames += result.frames;
-    reward_events += result.reward_events;
-  }
+  const double elapsed = pass.wall_seconds;
+  const std::vector<double>& latencies = pass.latencies_seconds;
   // finish() derives the per-mechanism reward_events_per_sec metric.
-  harness.record_events(reward_events, elapsed);
+  harness.record_events(pass.events, elapsed);
   const auto total = static_cast<double>(campaigns) *
                      static_cast<double>(requests);
   harness.json().add_metric("reactors", static_cast<double>(reactors));
-  harness.json().add_metric("batch", static_cast<double>(stream.batch));
+  harness.json().add_metric("batch", static_cast<double>(driver.batch));
   harness.json().add_metric("pipeline",
-                            static_cast<double>(stream.pipeline));
+                            static_cast<double>(driver.pipeline));
   harness.json().add_metric("requests", total);
-  harness.json().add_metric("frames", static_cast<double>(frames));
+  harness.json().add_metric("frames", static_cast<double>(pass.frames));
   harness.json().add_metric("throughput_rps", total / elapsed);
   harness.json().add_metric("latency_p50_ms",
                             percentile(latencies, 50) * 1e3);
@@ -828,14 +545,13 @@ int main(int argc, char** argv) {
             << campaigns << " campaign(s) x " << requests
             << " requests, one connection per campaign (deterministic "
                "mode), "
-            << reactors << " reactor(s), batch " << stream.batch
-            << ", pipeline " << stream.pipeline << '\n'
+            << reactors << " reactor(s), batch " << driver.batch
+            << ", pipeline " << driver.pipeline << '\n'
             << compact_number(total, 0) << " requests ("
-            << frames << " frames) in " << compact_number(elapsed, 3)
+            << pass.frames << " frames) in " << compact_number(elapsed, 3)
             << " s -> " << compact_number(total / elapsed, 0)
             << " req/s (" << mechanism_name << ": "
-            << compact_number(static_cast<double>(reward_events) / elapsed,
-                              0)
+            << compact_number(static_cast<double>(pass.events) / elapsed, 0)
             << " reward events/s)\n"
             << "closed-loop latency ms/frame: p50 "
             << compact_number(percentile(latencies, 50) * 1e3, 3)
@@ -849,14 +565,9 @@ int main(int argc, char** argv) {
   net::Client verifier("127.0.0.1", server.port());
   double worst_audit = 0.0;
   std::string all_rendered;
-  std::vector<NodeId> next_ids(campaigns);
   for (std::uint32_t c = 0; c < campaigns; ++c) {
     worst_audit = std::max(worst_audit, verifier.audit(c));
-    const std::vector<double> rewards = verifier.rewards(c);
-    // Ids are dense (0 = root), so the vector size is the next id the
-    // server will assign — the open-loop pass resumes from there.
-    next_ids[c] = static_cast<NodeId>(rewards.size());
-    all_rendered += hex_doubles(rewards);
+    all_rendered += hex_doubles(verifier.rewards(c));
     all_rendered += ';';
   }
   harness.json().add_metric("worst_audit_divergence", worst_audit);
@@ -870,32 +581,18 @@ int main(int argc, char** argv) {
     // each request's *scheduled* arrival — under overload this is the
     // honest number (closed-loop self-throttles and hides the queue).
     // Runs after the digest capture above, so goldens are unaffected.
-    StreamOptions open = stream;
-    open.rate_per_connection =
-        open_loop_rate / static_cast<double>(campaigns);
-    std::vector<WorkerResult> open_results(campaigns);
-    std::vector<std::thread> open_workers;
-    const double open_start = monotonic_seconds();
-    for (std::uint32_t c = 0; c < campaigns; ++c) {
-      StreamOptions per = open;
-      per.next_id = next_ids[c];
-      open_workers.emplace_back(drive_streamed, server.port(), c,
-                                requests, base.fork(campaigns + c), per,
-                                &open_results[c]);
+    // The driver seeds its id prediction from the live campaign size,
+    // so this pass resumes where the main pass left off.
+    net::LoadDriver open = driver;
+    open.rate = open_loop_rate;
+    open.first_stream = campaigns;
+    const net::LoadReport open_pass = open.run(base);
+    if (!open_pass.error.empty()) {
+      return failed(open_pass.error);
     }
-    for (std::thread& worker : open_workers) {
-      worker.join();
-    }
-    const double open_elapsed = monotonic_seconds() - open_start;
-    std::vector<double> open_latencies;
-    std::uint64_t open_events = 0;
-    for (const WorkerResult& result : open_results) {
-      open_latencies.insert(open_latencies.end(),
-                            result.latencies_seconds.begin(),
-                            result.latencies_seconds.end());
-      open_events += result.reward_events;
-    }
-    harness.record_events(open_events, open_elapsed);
+    const double open_elapsed = open_pass.wall_seconds;
+    const std::vector<double>& open_latencies = open_pass.latencies_seconds;
+    harness.record_events(open_pass.events, open_elapsed);
     harness.json().add_metric("open_loop_offered_rps", open_loop_rate);
     harness.json().add_metric("open_loop_achieved_rps",
                               total / open_elapsed);

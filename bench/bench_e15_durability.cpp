@@ -5,10 +5,11 @@
 //
 //   1. What does each fsync policy cost on the serving path? Boots an
 //      in-process Server per policy (never / interval / always) over a
-//      fresh data directory and drives it with a join/contribute-only
-//      ingest workload, one connection per campaign (the deterministic
-//      mode: identical event streams per campaign across policies, so
-//      the recovered reward digests must match bit-for-bit — asserted).
+//      fresh data directory and drives it with net::LoadDriver's
+//      writes-only ingest mix, one connection per campaign (the
+//      deterministic mode: identical event streams per campaign across
+//      policies, so the recovered reward digests must match
+//      bit-for-bit — asserted).
 //   2. How fast is restart? Times `recover_campaigns` over each
 //      policy's directory (drained: snapshot + empty tail) and then
 //      over a WAL-only vs snapshot-compacted directory of the same
@@ -16,7 +17,6 @@
 //
 // Flags: --threads N, --json <path>, --campaigns C (default 3),
 // --requests R per campaign (default 3000).
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <thread>
@@ -25,8 +25,10 @@
 #include "bench_harness.h"
 #include "core/registry.h"
 #include "net/client.h"
+#include "net/load_driver.h"
 #include "net/server.h"
 #include "storage/storage.h"
+#include "util/args.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -35,47 +37,6 @@ namespace {
 
 using namespace itree;
 namespace fs = std::filesystem;
-
-/// Ingest-only load: joins and follow-up contributions, no queries.
-void drive(std::uint16_t port, std::uint32_t campaign,
-           std::uint64_t requests, Rng rng) {
-  net::Client client("127.0.0.1", port);
-  std::vector<NodeId> mine;
-  for (std::uint64_t i = 0; i < requests; ++i) {
-    net::Request request;
-    request.campaign = campaign;
-    if (mine.empty() || rng.bernoulli(0.6)) {
-      request.type = net::MsgType::kJoin;
-      request.node = (mine.empty() || rng.bernoulli(0.15))
-                         ? kRoot
-                         : mine[rng.index(mine.size())];
-      request.amount = rng.uniform(0.0, 3.0);
-    } else {
-      request.type = net::MsgType::kContribute;
-      request.node = mine[rng.index(mine.size())];
-      request.amount = rng.uniform(0.0, 2.0);
-    }
-    const net::Response response = client.call(request);
-    if (request.type == net::MsgType::kJoin) {
-      mine.push_back(static_cast<NodeId>(response.id));
-    }
-  }
-}
-
-int parse_flag(int* argc, char** argv, const std::string& flag,
-               int fallback) {
-  int out = 1;
-  int value = fallback;
-  for (int in = 1; in < *argc; ++in) {
-    if (flag == argv[in] && in + 1 < *argc) {
-      value = std::atoi(argv[++in]);
-      continue;
-    }
-    argv[out++] = argv[in];
-  }
-  *argc = out;
-  return value;
-}
 
 /// Times a read-only recovery pass and renders the recovered rewards.
 double timed_recover(const Mechanism& mechanism, std::size_t campaigns,
@@ -98,10 +59,26 @@ double timed_recover(const Mechanism& mechanism, std::size_t campaigns,
 
 int main(int argc, char** argv) {
   itree::BenchHarness harness("e15_durability", &argc, argv);
-  const auto campaigns = static_cast<std::uint32_t>(
-      parse_flag(&argc, argv, "--campaigns", 3));
-  const auto requests = static_cast<std::uint64_t>(
-      parse_flag(&argc, argv, "--requests", 3000));
+  ArgParser args;
+  args.add_flag("--campaigns", "campaigns, one connection each (default 3)");
+  args.add_flag("--requests", "ingest requests per campaign (default 3000)");
+  net::LoadDriver driver;
+  driver.mix = net::RequestMix::writes_only(0.6);
+  try {
+    if (!args.parse(argc, argv)) {
+      throw std::invalid_argument(args.error());
+    }
+    driver.campaigns =
+        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 3));
+    driver.requests =
+        static_cast<std::uint64_t>(args.get_int_or("--requests", 3000));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << '\n';
+    return 2;
+  }
+  driver.connections = driver.campaigns;
+  const std::uint32_t campaigns = driver.campaigns;
+  const std::uint64_t requests = driver.requests;
 
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
   const Rng base(42);
@@ -128,16 +105,15 @@ int main(int argc, char** argv) {
     net::Server server(*mechanism, config);
     std::thread loop([&server] { server.run(); });
 
-    std::vector<std::thread> workers;
-    const double start = monotonic_seconds();
-    for (std::uint32_t c = 0; c < campaigns; ++c) {
-      workers.emplace_back(drive, server.port(), c, requests,
-                           base.fork(c));
+    driver.port = server.port();
+    const net::LoadReport load = driver.run(base);
+    if (!load.error.empty()) {
+      std::cerr << "connection failed: " << load.error << '\n';
+      server.request_shutdown();
+      loop.join();
+      return 1;
     }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-    const double elapsed = monotonic_seconds() - start;
+    const double elapsed = load.wall_seconds;
     const std::uint64_t fsyncs = server.storage()->wal_fsyncs();
     const double total = static_cast<double>(campaigns) *
                          static_cast<double>(requests);
@@ -197,21 +173,18 @@ int main(int argc, char** argv) {
     config.snapshot_every = with_snapshots ? events / 8 : 0;
     {
       storage::Storage storage(*mechanism, 1, config);
+      // The same writes-only stream a lone writer would send.
       Rng rng(base.fork(991));
-      std::size_t participants = 0;
+      std::vector<NodeId> mine;
       for (std::uint64_t i = 0; i < events; ++i) {
-        if (participants == 0 || rng.bernoulli(0.6)) {
-          const NodeId referrer =
-              (participants == 0 || rng.bernoulli(0.15))
-                  ? kRoot
-                  : static_cast<NodeId>(1 + rng.index(participants));
-          storage.apply(0, JoinEvent{referrer, rng.uniform(0.0, 3.0)});
-          ++participants;
+        const net::BatchEvent event = driver.mix.next(rng, i, mine).event;
+        if (event.kind == net::BatchEvent::kJoin) {
+          storage.apply(0, JoinEvent{static_cast<NodeId>(event.node),
+                                     event.amount});
+          mine.push_back(static_cast<NodeId>(mine.size() + 1));
         } else {
-          storage.apply(
-              0, ContributeEvent{
-                     static_cast<NodeId>(1 + rng.index(participants)),
-                     rng.uniform(0.0, 2.0)});
+          storage.apply(0, ContributeEvent{static_cast<NodeId>(event.node),
+                                           event.amount});
         }
         if (i % 64 == 63) {
           storage.commit();

@@ -27,7 +27,12 @@
 #      final_rewards digest must equal its golden under
 #      scripts/perf_goldens/, and the bench itself fails on audit
 #      divergence >= 1e-9.
-#   3. bench_a3_incremental --scale small — self-gating: fails below a
+#   3. bench_e15_durability at its defaults — one writes-only ingest
+#      stream per campaign through each fsync policy, then WAL-replay vs
+#      snapshot-tail recovery; both reward digests must equal
+#      scripts/perf_goldens/e15_digests.golden (they are identical at
+#      every --threads count).
+#   4. bench_a3_incremental --scale small — self-gating: fails below a
 #      10x incremental-vs-batch speedup for any served mechanism, above
 #      1e-9 divergence, or on a cross-thread-count digest mismatch.
 #
@@ -101,6 +106,14 @@ for mechanism in tdrm cdrm1 geometric; do
     }
   done
 done
+
+echo "== e15 durability: ingest + recovery digests =="
+"$BUILD_DIR/bench/bench_e15_durability" --threads 2 --json "$WORK/e15.json"
+digests_of "$WORK/e15.json" | tee "$WORK/e15_digests.txt"
+diff -u "$GOLDENS/e15_digests.golden" "$WORK/e15_digests.txt" || {
+  echo "e15 reward digests drifted from the golden" >&2
+  exit 1
+}
 
 echo "== a3 incremental-engine speedup + determinism gates =="
 "$BUILD_DIR/bench/bench_a3_incremental" --scale small --threads 2 \

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -110,6 +111,12 @@ class Client {
   /// Blocks for the next response frame. Throws std::runtime_error if
   /// the server closes the connection, ProtocolError on wire garbage.
   Response read_response();
+  /// read_response() bounded by `deadline` (monotonic_seconds() clock):
+  /// std::nullopt when no byte of a frame arrived by then; a frame that
+  /// has started arriving is read to its end. A frame the decoder
+  /// already buffered is returned without waiting, and a past deadline
+  /// still collects what the socket holds.
+  std::optional<Response> read_response_until(double deadline);
 
   /// Writes raw bytes, bypassing the framing layer — lets tests inject
   /// malformed and truncated frames.
