@@ -36,9 +36,11 @@ class BenchHarness {
         char* end = nullptr;
         threads_ = static_cast<std::size_t>(
             std::strtoull(value.c_str(), &end, 10));
-        if (value.empty() || end == nullptr || *end != '\0') {
-          std::cerr << "--threads needs a non-negative integer, got '"
-                    << value << "'\n";
+        // Digits first: strtoull would wrap "-1" to 2^64 - 1.
+        if (value.empty() || value[0] < '0' || value[0] > '9' ||
+            end == nullptr || *end != '\0' || threads_ > kMaxThreadCount) {
+          std::cerr << "--threads needs an integer in [0, "
+                    << kMaxThreadCount << "], got '" << value << "'\n";
           std::exit(2);
         }
         continue;

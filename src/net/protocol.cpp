@@ -1,142 +1,22 @@
 #include "net/protocol.h"
 
-#include <bit>
-#include <cstring>
 #include <span>
+
+#include "util/le_codec.h"
 
 namespace itree::net {
 namespace {
 
-// All integers and doubles travel little-endian. Scalars are written
-// byte by byte, so their encoding does not depend on host endianness; a
-// reward vector is one bulk copy of its IEEE-754 array on a
-// little-endian host and the same byte loop elsewhere.
-//
-// The writers are templates over the output: std::string, or ByteCount,
-// which measures an encoding without writing it.
-
-/// Stands in for the output string to size an encoding exactly.
-struct ByteCount {
-  std::size_t size = 0;
-  void push_back(char) { ++size; }
-  void append(const char*, std::size_t n) { size += n; }
-  ByteCount& operator+=(std::string_view bytes) {
-    size += bytes.size();
-    return *this;
-  }
-};
-
-template <typename Out>
-void put_u8(Out& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-template <typename Out>
-void put_u32(Out& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-template <typename Out>
-void put_u64(Out& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-template <typename Out>
-void put_f64(Out& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-template <typename Out>
-void put_f64_array(Out& out, std::span<const double> values) {
-  if constexpr (std::endian::native == std::endian::little) {
-    out.append(reinterpret_cast<const char*>(values.data()),
-               values.size() * sizeof(double));
-  } else {
-    for (const double v : values) {
-      put_f64(out, v);
-    }
-  }
-}
-
-/// Bounds-checked little-endian reader over one payload.
-class Reader {
- public:
-  explicit Reader(std::string_view payload) : data_(payload) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  /// Fills `out` with out.size() consecutive doubles.
-  void f64_array(std::span<double> out) {
-    need(out.size() * sizeof(double));
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!out.empty()) {
-        std::memcpy(out.data(), data_.data() + pos_,
-                    out.size() * sizeof(double));
-        pos_ += out.size() * sizeof(double);
-      }
-    } else {
-      for (double& v : out) {
-        v = f64();
-      }
-    }
-  }
-
-  std::string bytes(std::size_t n) {
-    need(n);
-    std::string out(data_.substr(pos_, n));
-    pos_ += n;
-    return out;
-  }
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-
-  void finish() const {
-    if (remaining() != 0) {
-      throw ProtocolError("trailing bytes after message body");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (remaining() < n) {
-      throw ProtocolError("message body truncated");
-    }
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
+// All integers and doubles travel little-endian (util/le_codec.h); a
+// reward vector is one bulk copy of its IEEE-754 array. The encoders
+// are templates over the output: std::string, or le::ByteCount, which
+// measures an encoding without writing it.
+using le::put_array;
+using le::put_f64;
+using le::put_u32;
+using le::put_u64;
+using le::put_u8;
+using Reader = le::ByteReader<ProtocolError>;
 
 template <typename Out>
 void encode_error_tail(Out& out, ErrorCode code,
@@ -177,7 +57,7 @@ void encode_response_into(Out& out, const Response& response) {
       break;
     case Status::kOkVector:
       put_u64(out, response.rewards.size());
-      put_f64_array(out, response.rewards);
+      put_array(out, std::span<const double>(response.rewards));
       break;
     case Status::kOkStats:
       put_u64(out, response.stats.events);
@@ -201,27 +81,9 @@ void encode_response_into(Out& out, const Response& response) {
       break;
     }
     case Status::kOkServerStats: {
-      const ServerStatsBody& s = response.server_stats;
-      put_u64(out, s.reactors);
-      put_u64(out, s.sessions_accepted);
-      put_u64(out, s.sessions_closed);
-      put_u64(out, s.requests_served);
-      put_u64(out, s.protocol_errors);
-      put_u64(out, s.sessions_timed_out);
-      put_u64(out, s.backpressure_stalls);
-      put_u64(out, s.events_batched);
-      put_u64(out, s.batch_flushes);
-      put_u64(out, s.requests_forwarded);
-      put_u64(out, s.event_batches);
-      put_u64(out, s.role);
-      put_u64(out, s.committed_seq);
-      put_u64(out, s.applied_seq);
-      put_u64(out, s.primary_seq);
-      put_u64(out, s.repl_records_shipped);
-      put_u64(out, s.token_waits);
-      put_u64(out, s.token_bounces);
-      put_u64(out, s.writes_redirected);
-      put_u64(out, s.stats_seq);
+      for (const ServerStatsField& field : kServerStatsFields) {
+        put_u64(out, response.server_stats.*field.member);
+      }
       break;
     }
     case Status::kOkShardMap: {
@@ -324,7 +186,7 @@ std::string encode_request(const Request& request) {
 }
 
 Request decode_request(std::string_view payload) {
-  Reader reader(payload);
+  Reader reader(payload, "message body");
   Request request;
   const std::uint8_t type = reader.u8();
   switch (static_cast<MsgType>(type)) {
@@ -410,7 +272,7 @@ std::string encode_response(const Response& response) {
 }
 
 Response decode_response(std::string_view payload) {
-  Reader reader(payload);
+  Reader reader(payload, "message body");
   Response response;
   const std::uint8_t status = reader.u8();
   switch (static_cast<Status>(status)) {
@@ -437,7 +299,7 @@ Response decode_response(std::string_view payload) {
         throw ProtocolError("reward vector longer than payload");
       }
       response.rewards.resize(static_cast<std::size_t>(count));
-      reader.f64_array(response.rewards);
+      reader.array(std::span<double>(response.rewards));
       break;
     }
     case Status::kOkStats:
@@ -469,27 +331,9 @@ Response decode_response(std::string_view payload) {
     }
     case Status::kOkServerStats: {
       response.status = Status::kOkServerStats;
-      ServerStatsBody& s = response.server_stats;
-      s.reactors = reader.u64();
-      s.sessions_accepted = reader.u64();
-      s.sessions_closed = reader.u64();
-      s.requests_served = reader.u64();
-      s.protocol_errors = reader.u64();
-      s.sessions_timed_out = reader.u64();
-      s.backpressure_stalls = reader.u64();
-      s.events_batched = reader.u64();
-      s.batch_flushes = reader.u64();
-      s.requests_forwarded = reader.u64();
-      s.event_batches = reader.u64();
-      s.role = reader.u64();
-      s.committed_seq = reader.u64();
-      s.applied_seq = reader.u64();
-      s.primary_seq = reader.u64();
-      s.repl_records_shipped = reader.u64();
-      s.token_waits = reader.u64();
-      s.token_bounces = reader.u64();
-      s.writes_redirected = reader.u64();
-      s.stats_seq = reader.u64();
+      for (const ServerStatsField& field : kServerStatsFields) {
+        response.server_stats.*field.member = reader.u64();
+      }
       break;
     }
     case Status::kOkShardMap: {
@@ -566,7 +410,7 @@ void append_framed_response(std::string& out, const Response& response) {
   // Size the payload first: an invalid or oversized response throws
   // before `out` is touched, and the frame is then written into exactly
   // the room it needs.
-  ByteCount payload;
+  le::ByteCount payload;
   encode_response_into(payload, response);
   if (payload.size == 0 || payload.size > kMaxFrameBytes) {
     throw ProtocolError("frame payload size out of range: " +
@@ -604,12 +448,8 @@ bool FrameDecoder::next(std::string* payload) {
   if (buffer_.size() - consumed_ < 4) {
     return false;
   }
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(buffer_[consumed_ + i]))
-              << (8 * i);
-  }
+  const std::uint32_t length =
+      le::load<std::uint32_t>(buffer_.data() + consumed_);
   if (length == 0 || length > kMaxFrameBytes) {
     corrupt_ = true;
     corruption_ = "frame length " + std::to_string(length) +

@@ -174,15 +174,51 @@ struct ServerStatsBody {
   std::uint64_t writes_redirected = 0;
 
   /// Monotonic per-process poll counter, bumped every time this body is
-  /// served. Consecutive polls of the same process observe strictly
-  /// increasing values, so a poller (the router's SERVER_STATS
-  /// aggregation, loadgen --verify-only) seeing `stats_seq <= previous`
-  /// knows the process restarted and every cumulative counter above
-  /// reset — instead of silently summing counters from a fresh process.
+  /// read (served, or reported at exit). Consecutive polls of the same
+  /// process observe strictly increasing values, so a poller (the
+  /// router's SERVER_STATS aggregation, loadgen --verify-only) seeing
+  /// `stats_seq <= previous` knows the process restarted and every
+  /// cumulative counter above reset — instead of silently summing
+  /// counters from a fresh process.
   std::uint64_t stats_seq = 0;
 
   bool operator==(const ServerStatsBody&) const = default;
 };
+
+/// One SERVER_STATS field: its report name and its member.
+struct ServerStatsField {
+  const char* name;
+  std::uint64_t ServerStatsBody::*member;
+};
+
+/// Every ServerStatsBody field in wire order (each a u64). The codec,
+/// the router's per-shard sum and itree-served's exit report all walk
+/// this table, so a new counter is added here and nowhere else.
+inline constexpr ServerStatsField kServerStatsFields[] = {
+    {"reactors", &ServerStatsBody::reactors},
+    {"sessions_accepted", &ServerStatsBody::sessions_accepted},
+    {"sessions_closed", &ServerStatsBody::sessions_closed},
+    {"requests_served", &ServerStatsBody::requests_served},
+    {"protocol_errors", &ServerStatsBody::protocol_errors},
+    {"sessions_timed_out", &ServerStatsBody::sessions_timed_out},
+    {"backpressure_stalls", &ServerStatsBody::backpressure_stalls},
+    {"events_batched", &ServerStatsBody::events_batched},
+    {"batch_flushes", &ServerStatsBody::batch_flushes},
+    {"requests_forwarded", &ServerStatsBody::requests_forwarded},
+    {"event_batches", &ServerStatsBody::event_batches},
+    {"role", &ServerStatsBody::role},
+    {"committed_seq", &ServerStatsBody::committed_seq},
+    {"applied_seq", &ServerStatsBody::applied_seq},
+    {"primary_seq", &ServerStatsBody::primary_seq},
+    {"repl_records_shipped", &ServerStatsBody::repl_records_shipped},
+    {"token_waits", &ServerStatsBody::token_waits},
+    {"token_bounces", &ServerStatsBody::token_bounces},
+    {"writes_redirected", &ServerStatsBody::writes_redirected},
+    {"stats_seq", &ServerStatsBody::stats_seq},
+};
+static_assert(sizeof(kServerStatsFields) / sizeof(ServerStatsField) * 8 ==
+                  sizeof(ServerStatsBody),
+              "kServerStatsFields must list every ServerStatsBody field");
 
 /// One shard of a router's campaign -> shard map (kOkShardMap).
 struct ShardMapEntry {

@@ -52,7 +52,7 @@ struct ReactorWork {
 class Reactor final : public LoopHandler {
  public:
   /// Per-reactor counter slots; Server::counters() sums them (and the
-  /// loop's transport counters) across reactors into ServerCounters.
+  /// loop's transport counters) across reactors.
   enum Counter : std::size_t {
     kEventsBatched,
     kBatchFlushes,
@@ -307,7 +307,7 @@ void Reactor::route(Session& session, std::uint64_t seq,
   if (request.type == MsgType::kServerStats) {
     Response response;
     response.status = Status::kOkServerStats;
-    response.server_stats = server_.live_server_stats();
+    response.server_stats = server_.counters();
     loop_.deliver(session, seq, response);
     return;
   }
@@ -594,47 +594,28 @@ const RecordingService& Server::campaign(std::size_t index) const {
 
 std::size_t Server::reactor_count() const { return reactors_.size(); }
 
-ServerCounters Server::counters() const {
-  ServerCounters total;
-  for (const auto& reactor : reactors_) {
-    const EventLoop& loop = reactor->loop();
-    total.sessions_accepted += loop.counter(EventLoop::kSessionsAccepted);
-    total.sessions_closed += loop.counter(EventLoop::kSessionsClosed);
-    total.requests_served += loop.counter(EventLoop::kResponsesReleased);
-    total.protocol_errors += loop.counter(EventLoop::kProtocolErrors);
-    total.sessions_timed_out += loop.counter(EventLoop::kSessionsTimedOut);
-    total.backpressure_stalls +=
-        loop.counter(EventLoop::kBackpressureStalls);
-    total.events_batched += reactor->counter(Reactor::kEventsBatched);
-    total.batch_flushes += reactor->counter(Reactor::kBatchFlushes);
-    total.requests_forwarded +=
-        reactor->counter(Reactor::kRequestsForwarded);
-    total.event_batches += reactor->counter(Reactor::kEventBatches);
-    total.token_waits += reactor->counter(Reactor::kTokenWaits);
-    total.token_bounces += reactor->counter(Reactor::kTokenBounces);
-    total.writes_redirected +=
-        reactor->counter(Reactor::kWritesRedirected);
-  }
-  return total;
-}
-
-ServerStatsBody Server::live_server_stats() const {
-  const ServerCounters c = counters();
+ServerStatsBody Server::counters() const {
   ServerStatsBody stats;
   stats.reactors = reactors_.size();
-  stats.sessions_accepted = c.sessions_accepted;
-  stats.sessions_closed = c.sessions_closed;
-  stats.requests_served = c.requests_served;
-  stats.protocol_errors = c.protocol_errors;
-  stats.sessions_timed_out = c.sessions_timed_out;
-  stats.backpressure_stalls = c.backpressure_stalls;
-  stats.events_batched = c.events_batched;
-  stats.batch_flushes = c.batch_flushes;
-  stats.requests_forwarded = c.requests_forwarded;
-  stats.event_batches = c.event_batches;
-  stats.token_waits = c.token_waits;
-  stats.token_bounces = c.token_bounces;
-  stats.writes_redirected = c.writes_redirected;
+  for (const auto& reactor : reactors_) {
+    const EventLoop& loop = reactor->loop();
+    stats.sessions_accepted += loop.counter(EventLoop::kSessionsAccepted);
+    stats.sessions_closed += loop.counter(EventLoop::kSessionsClosed);
+    stats.requests_served += loop.counter(EventLoop::kResponsesReleased);
+    stats.protocol_errors += loop.counter(EventLoop::kProtocolErrors);
+    stats.sessions_timed_out += loop.counter(EventLoop::kSessionsTimedOut);
+    stats.backpressure_stalls +=
+        loop.counter(EventLoop::kBackpressureStalls);
+    stats.events_batched += reactor->counter(Reactor::kEventsBatched);
+    stats.batch_flushes += reactor->counter(Reactor::kBatchFlushes);
+    stats.requests_forwarded +=
+        reactor->counter(Reactor::kRequestsForwarded);
+    stats.event_batches += reactor->counter(Reactor::kEventBatches);
+    stats.token_waits += reactor->counter(Reactor::kTokenWaits);
+    stats.token_bounces += reactor->counter(Reactor::kTokenBounces);
+    stats.writes_redirected +=
+        reactor->counter(Reactor::kWritesRedirected);
+  }
   if (storage_ != nullptr) {
     stats.committed_seq = storage_->committed_seq();
   }

@@ -119,35 +119,6 @@ struct ServerConfig {
   storage::StorageConfig storage;
 };
 
-/// Monotonic operational counters. Each reactor keeps its own atomic
-/// set; Server::counters() sums them (exact once run() returned, a
-/// live snapshot otherwise — also served over the wire as the
-/// SERVER_STATS message without stopping the daemon).
-struct ServerCounters {
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t requests_served = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t sessions_timed_out = 0;
-  std::uint64_t backpressure_stalls = 0;
-  /// Events whose incremental ancestor walk was deferred into a
-  /// coalesced per-campaign flush (dirty-set batching; see
-  /// core/incremental.h). EVENT_BATCH events land here too.
-  std::uint64_t events_batched = 0;
-  /// Coalesced flush passes run (one per campaign per burst).
-  std::uint64_t batch_flushes = 0;
-  /// Requests routed to their owning reactor over an SPSC ring.
-  std::uint64_t requests_forwarded = 0;
-  /// EVENT_BATCH frames decoded.
-  std::uint64_t event_batches = 0;
-  /// REWARD_AT queries parked until the replica applied their token.
-  std::uint64_t token_waits = 0;
-  /// Parked queries bounced at the --serve-stale-ms deadline.
-  std::uint64_t token_bounces = 0;
-  /// Writes rejected with kNotPrimary on a replica.
-  std::uint64_t writes_redirected = 0;
-};
-
 class Server {
  public:
   /// Binds and listens immediately on every reactor's socket (so
@@ -198,10 +169,12 @@ class Server {
   }
   storage::Storage* mutable_storage() { return storage_.get(); }
 
-  /// Sums the per-reactor counters. Exact after run() returns; while
-  /// the loops are live it is a relaxed-atomic snapshot (what the
-  /// SERVER_STATS wire message reports).
-  ServerCounters counters() const;
+  /// The server-wide counters: each reactor's counters summed, plus
+  /// the storage watermark and the replica's lag. Exact after run()
+  /// returns; while the loops are live it is a relaxed-atomic snapshot
+  /// — the body the SERVER_STATS message serves. Every call bumps
+  /// stats_seq.
+  ServerStatsBody counters() const;
 
   std::size_t reactor_count() const;
 
@@ -224,9 +197,6 @@ class Server {
   /// storage engine's locking makes it safe).
   Response handle_replication(const Request& request);
 
-  /// Builds the SERVER_STATS response body from the live counters.
-  ServerStatsBody live_server_stats() const;
-
   ServerConfig config_;
   std::uint16_t port_ = 0;
   const Mechanism* mechanism_ = nullptr;
@@ -239,8 +209,8 @@ class Server {
   std::unique_ptr<storage::Storage> storage_;  ///< null when in-memory
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  /// SERVER_STATS poll counter (ServerStatsBody::stats_seq); mutable
-  /// because serving a read-only stats body bumps it.
+  /// counters() read count (ServerStatsBody::stats_seq); mutable
+  /// because reading the counters bumps it.
   mutable std::atomic<std::uint64_t> stats_seq_{0};
 };
 

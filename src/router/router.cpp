@@ -22,6 +22,7 @@
 #include "net/spsc_ring.h"
 #include "util/bench_json.h"  // monotonic_seconds
 #include "util/io.h"
+#include "util/le_codec.h"
 
 namespace itree::router {
 
@@ -44,18 +45,6 @@ constexpr std::chrono::milliseconds kReconnectCap(640);
 /// Restart-notification ring capacity per reactor; a full ring only
 /// delays the redial to the next backoff attempt, so small is fine.
 constexpr std::size_t kRestartRingCapacity = 64;
-
-/// Little-endian u32 at `offset` of a raw request payload (the routing
-/// peek — the router never decodes a routed frame beyond this).
-std::uint32_t peek_u32(std::string_view payload, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(payload[offset + i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 bool carries_campaign(MsgType type) {
   switch (type) {
@@ -316,7 +305,8 @@ void RouterReactor::on_frame(Session& session, std::uint64_t seq,
                     "message body truncated");
       return;
     }
-    const std::uint32_t campaign = peek_u32(payload, 1);
+    const std::uint32_t campaign =
+        le::load<std::uint32_t>(payload.data() + 1);
     if (campaign >= router_.config_.campaigns) {
       deliver_error(session, seq, ErrorCode::kUnknownCampaign,
                     "unknown campaign " + std::to_string(campaign));
@@ -436,25 +426,14 @@ void RouterReactor::handle_stats_leg(Backend& backend,
         count(kStatsResets);
       }
       backend.last_stats_seq = s.stats_seq;
-      ServerStatsBody& sum = join.sum;
-      sum.reactors += s.reactors;
-      sum.sessions_accepted += s.sessions_accepted;
-      sum.sessions_closed += s.sessions_closed;
-      sum.requests_served += s.requests_served;
-      sum.protocol_errors += s.protocol_errors;
-      sum.sessions_timed_out += s.sessions_timed_out;
-      sum.backpressure_stalls += s.backpressure_stalls;
-      sum.events_batched += s.events_batched;
-      sum.batch_flushes += s.batch_flushes;
-      sum.requests_forwarded += s.requests_forwarded;
-      sum.event_batches += s.event_batches;
-      sum.committed_seq += s.committed_seq;
-      sum.applied_seq += s.applied_seq;
-      sum.primary_seq += s.primary_seq;
-      sum.repl_records_shipped += s.repl_records_shipped;
-      sum.token_waits += s.token_waits;
-      sum.token_bounces += s.token_bounces;
-      sum.writes_redirected += s.writes_redirected;
+      // Every counter adds across shards except the role flag and the
+      // per-process poll counter (the router stamps its own).
+      for (const net::ServerStatsField& field : net::kServerStatsFields) {
+        if (field.member != &ServerStatsBody::role &&
+            field.member != &ServerStatsBody::stats_seq) {
+          join.sum.*field.member += s.*field.member;
+        }
+      }
     }
   } catch (const net::ProtocolError&) {
     if (!join.failed) {

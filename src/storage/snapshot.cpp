@@ -17,10 +17,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "storage/codec.h"
 #include "storage/crc32c.h"
 #include "util/check.h"
 #include "util/io.h"
+#include "util/le_codec.h"
 #include "util/parallel.h"
 
 namespace itree::storage {
@@ -38,82 +38,6 @@ void reject(bool condition, const char* reason) {
 
 constexpr std::uint64_t align_up(std::uint64_t v) {
   return (v + kSnapshotPageSize - 1) / kSnapshotPageSize * kSnapshotPageSize;
-}
-
-// ---- section payloads ----------------------------------------------------
-//
-// Sections are little-endian arrays. On little-endian hardware (every
-// target this repo serves) that is the in-memory representation of the
-// arena columns, so the transfers compile to memcpy; the byte-wise
-// fallback keeps the format well-defined elsewhere.
-
-void write_u32_section(std::string& out, std::size_t offset,
-                       std::span<const NodeId> values) {
-  static_assert(sizeof(NodeId) == 4);
-  if constexpr (std::endian::native == std::endian::little) {
-    // An empty span may carry a null pointer, which memcpy must not see.
-    if (!values.empty()) {
-      std::memcpy(out.data() + offset, values.data(), values.size() * 4);
-    }
-  } else {
-    char* p = out.data() + offset;
-    for (const NodeId v : values) {
-      for (int shift = 0; shift < 32; shift += 8) {
-        *p++ = static_cast<char>((v >> shift) & 0xff);
-      }
-    }
-  }
-}
-
-void write_f64_section(std::string& out, std::size_t offset,
-                       std::span<const double> values) {
-  if constexpr (std::endian::native == std::endian::little) {
-    if (!values.empty()) {
-      std::memcpy(out.data() + offset, values.data(), values.size() * 8);
-    }
-  } else {
-    char* p = out.data() + offset;
-    for (const double d : values) {
-      const auto v = std::bit_cast<std::uint64_t>(d);
-      for (int shift = 0; shift < 64; shift += 8) {
-        *p++ = static_cast<char>((v >> shift) & 0xff);
-      }
-    }
-  }
-}
-
-void read_u32_section(std::string_view src, NodeId* dst, std::size_t count) {
-  if constexpr (std::endian::native == std::endian::little) {
-    if (count > 0) {
-      std::memcpy(dst, src.data(), count * 4);
-    }
-  } else {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(src.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint32_t v = 0;
-      for (int shift = 0; shift < 32; shift += 8) {
-        v |= static_cast<std::uint32_t>(*p++) << shift;
-      }
-      dst[i] = v;
-    }
-  }
-}
-
-void read_f64_section(std::string_view src, double* dst, std::size_t count) {
-  if constexpr (std::endian::native == std::endian::little) {
-    if (count > 0) {
-      std::memcpy(dst, src.data(), count * 8);
-    }
-  } else {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(src.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint64_t v = 0;
-      for (int shift = 0; shift < 64; shift += 8) {
-        v |= static_cast<std::uint64_t>(*p++) << shift;
-      }
-      dst[i] = std::bit_cast<double>(v);
-    }
-  }
 }
 
 // ---- header -------------------------------------------------------------
@@ -204,16 +128,16 @@ V5Header parse_v5_header(std::string_view bytes) {
                                 std::string(kSnapshotMagicV5) + " is read");
   }
   reject(magic == kSnapshotMagicV5, "bad magic");
-  ByteReader fixed(bytes.substr(kSnapshotMagicV5.size(), 8));
-  const std::uint32_t length = fixed.u32();
-  const std::uint32_t expected_crc = fixed.u32();
+  const char* fixed = bytes.data() + kSnapshotMagicV5.size();
+  const std::uint32_t length = le::load<std::uint32_t>(fixed);
+  const std::uint32_t expected_crc = le::load<std::uint32_t>(fixed + 4);
   reject(length <= bytes.size() - kSnapshotMagicV5.size() - 8,
          "header length exceeds file");
   const std::string_view payload =
       bytes.substr(kSnapshotMagicV5.size() + 8, length);
   reject(crc32c(payload) == expected_crc, "header checksum mismatch");
 
-  ByteReader in(payload);
+  le::ByteReader<std::invalid_argument> in(payload, "snapshot header");
   V5Header header;
   header.last_seq = in.u64();
   const std::uint64_t file_size = in.u64();
@@ -342,41 +266,27 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
           Tree::adopt_columns(columns, entry.total_contribution, mapping);
     } else {
       auto owned = std::make_shared<OwnedV5Columns>();
-      const auto copy_u32 = [&](std::vector<NodeId>& dst, std::size_t s) {
-        dst.resize(n);
-        read_u32_section(bytes.substr(entry.offsets[s], n * 4), dst.data(),
-                         n);
+      const auto copy = [&](auto& column, std::size_t s) {
+        column.resize(entry.section_count(s));
+        le::load_array(bytes.data() + entry.offsets[s], std::span(column));
+        return std::span(std::as_const(column));
       };
-      copy_u32(owned->parent, kSecParent);
-      copy_u32(owned->first_child, kSecFirstChild);
-      copy_u32(owned->last_child, kSecLastChild);
-      copy_u32(owned->next_sibling, kSecNextSibling);
-      copy_u32(owned->prev_sibling, kSecPrevSibling);
-      owned->depth.resize(n);
-      read_u32_section(bytes.substr(entry.offsets[kSecDepth], n * 4),
-                       owned->depth.data(), n);
-      owned->contribution.resize(n);
-      read_f64_section(bytes.substr(entry.offsets[kSecContribution], n * 8),
-                       owned->contribution.data(), n);
+      columns.parent = copy(owned->parent, kSecParent);
+      columns.first_child = copy(owned->first_child, kSecFirstChild);
+      columns.last_child = copy(owned->last_child, kSecLastChild);
+      columns.next_sibling = copy(owned->next_sibling, kSecNextSibling);
+      columns.prev_sibling = copy(owned->prev_sibling, kSecPrevSibling);
+      columns.depth = copy(owned->depth, kSecDepth);
+      columns.contribution = copy(owned->contribution, kSecContribution);
       if (entry.skip_count != 0) {
-        copy_u32(owned->jump, kSecSkip);
-        columns.jump = owned->jump;
+        columns.jump = copy(owned->jump, kSecSkip);
       }
-      columns.parent = owned->parent;
-      columns.first_child = owned->first_child;
-      columns.last_child = owned->last_child;
-      columns.next_sibling = owned->next_sibling;
-      columns.prev_sibling = owned->prev_sibling;
-      columns.depth = owned->depth;
-      columns.contribution = owned->contribution;
       campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
                                           std::move(owned));
     }
     campaign.aggregates.resize(entry.aggregate_count);
-    read_f64_section(
-        bytes.substr(entry.offsets[kSecAggregates],
-                     entry.aggregate_count * 8),
-        campaign.aggregates.data(), entry.aggregate_count);
+    le::load_array(bytes.data() + entry.offsets[kSecAggregates],
+                   std::span(campaign.aggregates));
     data.campaigns.push_back(std::move(campaign));
   }
   return data;
@@ -442,54 +352,53 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
   std::string out(file_size, '\0');
   std::string payload;
   payload.reserve(payload_size);
-  put_u64(payload, data.last_seq);
-  put_u64(payload, file_size);
-  put_u32(payload, kSnapshotPageSize);
-  put_u32(payload, static_cast<std::uint32_t>(data.campaigns.size()));
-  put_u32(payload, static_cast<std::uint32_t>(data.mechanism.size()));
+  le::put_u64(payload, data.last_seq);
+  le::put_u64(payload, file_size);
+  le::put_u32(payload, kSnapshotPageSize);
+  le::put_u32(payload, static_cast<std::uint32_t>(data.campaigns.size()));
+  le::put_u32(payload, static_cast<std::uint32_t>(data.mechanism.size()));
   payload += data.mechanism;
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
     const CampaignSnapshot& campaign = data.campaigns[c];
     const Tree& tree = campaign.tree;
     const std::uint64_t n = tree.node_count();
     const auto& offsets = layout[c];
-    write_u32_section(out, offsets[kSecParent], tree.parent_array());
-    write_u32_section(out, offsets[kSecFirstChild], tree.first_child_array());
-    write_u32_section(out, offsets[kSecLastChild], tree.last_child_array());
-    write_u32_section(out, offsets[kSecNextSibling],
-                      tree.next_sibling_array());
-    write_u32_section(out, offsets[kSecPrevSibling],
-                      tree.prev_sibling_array());
-    write_u32_section(out, offsets[kSecDepth], tree.depth_array());
-    write_f64_section(out, offsets[kSecContribution],
-                      tree.contribution_array());
-    write_u32_section(out, offsets[kSecSkip], tree.jump_array());
-    write_f64_section(out, offsets[kSecAggregates], campaign.aggregates);
-    put_u64(payload, campaign.events_applied);
-    put_u64(payload, n);
-    put_u64(payload, campaign.aggregates.size());
-    put_u64(payload, n);  // skip_count: this writer always persists it
-    put_u8(payload, campaign.aggregate_kind);
-    put_f64(payload, tree.total_contribution());
+    const auto store = [&](std::size_t s, auto values) {
+      le::store_array(out.data() + offsets[s], values);
+    };
+    store(kSecParent, tree.parent_array());
+    store(kSecFirstChild, tree.first_child_array());
+    store(kSecLastChild, tree.last_child_array());
+    store(kSecNextSibling, tree.next_sibling_array());
+    store(kSecPrevSibling, tree.prev_sibling_array());
+    store(kSecDepth, tree.depth_array());
+    store(kSecContribution, tree.contribution_array());
+    store(kSecSkip, tree.jump_array());
+    store(kSecAggregates, std::span<const double>(campaign.aggregates));
+    le::put_u64(payload, campaign.events_applied);
+    le::put_u64(payload, n);
+    le::put_u64(payload, campaign.aggregates.size());
+    le::put_u64(payload, n);  // skip_count: this writer always persists it
+    le::put_u8(payload, campaign.aggregate_kind);
+    le::put_f64(payload, tree.total_contribution());
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
-      put_u64(payload, offsets[s]);
+      le::put_u64(payload, offsets[s]);
     }
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
       const std::uint64_t count =
           s == kSecAggregates ? campaign.aggregates.size() : n;
-      put_u32(payload,
-              crc32c({out.data() + offsets[s], count * kV5ElemSize[s]}));
+      le::put_u32(payload,
+                  crc32c({out.data() + offsets[s], count * kV5ElemSize[s]}));
     }
   }
   ensure(payload.size() == payload_size, "snapshot v5: header layout drift");
 
-  std::string header;
-  header.reserve(kSnapshotMagicV5.size() + 8 + payload.size());
-  header += kSnapshotMagicV5;
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  put_u32(header, crc32c(payload));
-  header += payload;
-  std::memcpy(out.data(), header.data(), header.size());
+  char* head = out.data();
+  std::memcpy(head, kSnapshotMagicV5.data(), kSnapshotMagicV5.size());
+  head += kSnapshotMagicV5.size();
+  le::store(head, static_cast<std::uint32_t>(payload.size()));
+  le::store(head + 4, crc32c(payload));
+  std::memcpy(head + 8, payload.data(), payload.size());
   return out;
 }
 

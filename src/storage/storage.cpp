@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -329,7 +330,7 @@ std::optional<NodeId> Storage::apply(std::uint32_t index, const Event& event,
     const std::uint64_t seq = writer_->append(index, event);
     ++counters_.events_appended;
     ++events_since_snapshot_;
-    push_repl_tail_locked(seq, index, event);
+    push_repl_tail_locked(seq);
     if (out_seq != nullptr) {
       *out_seq = seq;
     }
@@ -350,18 +351,18 @@ void Storage::append_replicated(const WalRecord& record) {
   writer_->append(record.campaign, record.event);
   ++counters_.events_appended;
   ++events_since_snapshot_;
-  push_repl_tail_locked(record.seq, record.campaign, record.event);
+  push_repl_tail_locked(record.seq);
 }
 
-void Storage::push_repl_tail_locked(std::uint64_t seq, std::uint32_t campaign,
-                                    const Event& event) {
-  if (config_.repl_tail_records == 0) {
-    return;
+void Storage::push_repl_tail_locked(std::uint64_t seq) {
+  if (repl_tail_.empty()) {
+    repl_tail_first_seq_ = seq;
   }
-  repl_tail_.emplace_back(seq,
-                          encode_wal_record(WalRecord{seq, campaign, event}));
-  while (repl_tail_.size() > config_.repl_tail_records) {
+  const std::string_view record = writer_->last_record();
+  std::copy(record.begin(), record.end(), repl_tail_.emplace_back().begin());
+  if (repl_tail_.size() > kReplTailRecords) {
     repl_tail_.pop_front();
+    ++repl_tail_first_seq_;
   }
 }
 
@@ -384,14 +385,16 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
     // Fast path: a caught-up replica's window lives in the in-memory
     // tail — no disk reads on the steady-state shipping path.
     const std::lock_guard<std::mutex> lock(wal_mutex_);
-    if (!repl_tail_.empty() && from_seq >= repl_tail_.front().first) {
-      window.min_available_seq = repl_tail_.front().first;
-      for (std::size_t i = from_seq - repl_tail_.front().first;
-           i < repl_tail_.size() && window.count < max_records; ++i) {
-        if (repl_tail_[i].first > window.committed_seq) {
-          break;  // appended but not yet committed; never ship it
-        }
-        window.records += repl_tail_[i].second;
+    if (!repl_tail_.empty() && from_seq >= repl_tail_first_seq_) {
+      window.min_available_seq = repl_tail_first_seq_;
+      // Committed records only: anything past committed_seq was
+      // appended but is not yet durable, so it is never shipped.
+      const std::uint64_t end =
+          std::min({repl_tail_first_seq_ + repl_tail_.size(),
+                    window.committed_seq + 1, from_seq + max_records});
+      for (std::uint64_t seq = from_seq; seq < end; ++seq) {
+        const auto& record = repl_tail_[seq - repl_tail_first_seq_];
+        window.records.append(record.data(), record.size());
         ++window.count;
       }
       return window;
@@ -432,7 +435,7 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
         done = true;
         break;
       }
-      window.records += encode_wal_record(record);
+      append_wal_record(window.records, record);
       ++window.count;
       ++expected;
     }

@@ -31,6 +31,7 @@
 //     snap-<seq16>.snap   snapshots, covered watermark in the name
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -64,11 +65,11 @@ struct StorageConfig {
   /// --params text.
   std::string mechanism_name;
   std::string mechanism_params;
-  /// Committed records kept in memory for replication shipping, so a
-  /// caught-up replica never touches the disk path. 0 disables the
-  /// tail buffer (replicas then ship straight from segment files).
-  std::size_t repl_tail_records = 65536;
 };
+
+/// Newest WAL records kept in memory for replication shipping, so a
+/// caught-up replica never touches the disk path.
+inline constexpr std::size_t kReplTailRecords = 65536;
 
 /// Deployment identity, persisted as the MANIFEST file.
 struct Manifest {
@@ -245,9 +246,9 @@ class Storage {
   /// Every campaign's state at the current writer watermark; caller
   /// holds state_mutex_ exclusively.
   SnapshotData capture_locked() const;
-  /// Appends to the replication tail buffer; caller holds wal_mutex_.
-  void push_repl_tail_locked(std::uint64_t seq, std::uint32_t campaign,
-                             const Event& event);
+  /// Copies the record the writer just buffered onto the replication
+  /// tail; caller holds wal_mutex_.
+  void push_repl_tail_locked(std::uint64_t seq);
 
   const Mechanism* mechanism_;
   StorageConfig config_;
@@ -268,9 +269,11 @@ class Storage {
   /// Advanced after the writer's buffer reaches the file. Readable
   /// lock-free by the replication serving path and SERVER_STATS.
   std::atomic<std::uint64_t> committed_seq_{0};
-  /// Recent records in on-disk encoding, (seq, bytes), guarded by
-  /// wal_mutex_; contiguous seqs, capped at repl_tail_records.
-  std::deque<std::pair<std::uint64_t, std::string>> repl_tail_;
+  /// The newest records in their on-disk encoding, guarded by
+  /// wal_mutex_; contiguous seqs from repl_tail_first_seq_, capped at
+  /// kReplTailRecords.
+  std::deque<std::array<char, kWalRecordBytes>> repl_tail_;
+  std::uint64_t repl_tail_first_seq_ = 0;
 };
 
 }  // namespace itree::storage

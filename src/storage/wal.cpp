@@ -12,10 +12,10 @@
 #include <limits>
 #include <stdexcept>
 
-#include "storage/codec.h"
 #include "storage/crc32c.h"
 #include "util/bench_json.h"  // monotonic_seconds
 #include "util/io.h"
+#include "util/le_codec.h"
 
 namespace itree::storage {
 namespace {
@@ -27,26 +27,8 @@ constexpr std::uint8_t kKindContribute = 2;
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-std::string encode_wal_payload(const WalRecord& record) {
-  std::string payload;
-  put_u64(payload, record.seq);
-  if (const auto* join = std::get_if<JoinEvent>(&record.event)) {
-    put_u8(payload, kKindJoin);
-    put_u32(payload, record.campaign);
-    put_u64(payload, join->referrer);
-    put_f64(payload, join->initial_contribution);
-  } else {
-    const auto& contribute = std::get<ContributeEvent>(record.event);
-    put_u8(payload, kKindContribute);
-    put_u32(payload, record.campaign);
-    put_u64(payload, contribute.participant);
-    put_f64(payload, contribute.amount);
-  }
-  return payload;
-}
-
 WalRecord decode_wal_payload(std::string_view payload) {
-  ByteReader in(payload);
+  le::ByteReader<std::invalid_argument> in(payload, "WAL record");
   WalRecord record;
   record.seq = in.u64();
   const std::uint8_t kind = in.u8();
@@ -98,13 +80,27 @@ std::string to_string(FsyncPolicy policy) {
   return "?";
 }
 
+void append_wal_record(std::string& out, const WalRecord& record) {
+  const std::size_t at = out.size();
+  out.resize(at + kWalRecordHeaderBytes);  // length + CRC, filled below
+  le::put_u64(out, record.seq);
+  const auto* join = std::get_if<JoinEvent>(&record.event);
+  const auto* contribute = std::get_if<ContributeEvent>(&record.event);
+  le::put_u8(out, join != nullptr ? kKindJoin : kKindContribute);
+  le::put_u32(out, record.campaign);
+  le::put_u64(out, join != nullptr ? join->referrer : contribute->participant);
+  le::put_f64(out, join != nullptr ? join->initial_contribution
+                                   : contribute->amount);
+  const std::string_view payload =
+      std::string_view(out).substr(at + kWalRecordHeaderBytes);
+  le::store(out.data() + at, static_cast<std::uint32_t>(payload.size()));
+  le::store(out.data() + at + 4, crc32c(payload));
+}
+
 std::string encode_wal_record(const WalRecord& record) {
-  const std::string payload = encode_wal_payload(record);
   std::string out;
-  out.reserve(kWalRecordHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload));
-  out += payload;
+  out.reserve(kWalRecordBytes);
+  append_wal_record(out, record);
   return out;
 }
 
@@ -120,9 +116,9 @@ WalScan scan_wal(std::string_view bytes) {
     if (bytes.size() - pos < kWalRecordHeaderBytes) {
       return stop("torn record header");
     }
-    ByteReader header(bytes.substr(pos, kWalRecordHeaderBytes));
-    const std::uint32_t length = header.u32();
-    const std::uint32_t expected_crc = header.u32();
+    const std::uint32_t length = le::load<std::uint32_t>(bytes.data() + pos);
+    const std::uint32_t expected_crc =
+        le::load<std::uint32_t>(bytes.data() + pos + 4);
     if (length == 0 || length > kMaxWalRecordBytes) {
       return stop("impossible length prefix " + std::to_string(length));
     }
@@ -216,15 +212,12 @@ WalWriter::~WalWriter() {
 
 std::uint64_t WalWriter::append(std::uint32_t campaign,
                                 const Event& event) {
-  WalRecord record;
-  record.seq = next_seq_++;
-  record.campaign = campaign;
-  record.event = event;
+  const std::uint64_t seq = next_seq_++;
   if (fd_ < 0 && buffer_.empty()) {
-    segment_first_seq_ = record.seq;  // first record of the next segment
+    segment_first_seq_ = seq;  // first record of the next segment
   }
-  buffer_ += encode_wal_record(record);
-  return record.seq;
+  append_wal_record(buffer_, WalRecord{seq, campaign, event});
+  return seq;
 }
 
 void WalWriter::open_segment() {

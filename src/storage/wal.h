@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/event.h"
@@ -46,6 +47,9 @@
 namespace itree::storage {
 
 inline constexpr std::size_t kWalRecordHeaderBytes = 8;
+/// Every payload has the one fixed layout above (8+1+4+8+8 bytes), so
+/// every record is exactly this long.
+inline constexpr std::size_t kWalRecordBytes = kWalRecordHeaderBytes + 29;
 /// Hard cap on one record's payload; a length prefix above this is
 /// corruption (or a torn length), never a real record.
 inline constexpr std::uint32_t kMaxWalRecordBytes = 1u << 16;
@@ -73,6 +77,9 @@ struct WalRecord {
 
 /// Encodes one record in the framed on-disk form (header + payload).
 std::string encode_wal_record(const WalRecord& record);
+
+/// encode_wal_record() straight onto the end of `out`.
+void append_wal_record(std::string& out, const WalRecord& record);
 
 /// Result of scanning one segment's bytes.
 struct WalScan {
@@ -113,6 +120,12 @@ class WalWriter {
 
   /// Buffers one event; assigns and returns its sequence number.
   std::uint64_t append(std::uint32_t campaign, const Event& event);
+
+  /// The framed bytes the last append() buffered; valid until the next
+  /// append() or commit().
+  std::string_view last_record() const {
+    return std::string_view(buffer_).substr(buffer_.size() - kWalRecordBytes);
+  }
 
   /// Group commit: writes the buffered records, fsyncs per policy, and
   /// rotates the segment when it outgrew `segment_bytes`. Throws

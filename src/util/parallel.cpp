@@ -1,5 +1,6 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -7,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "util/check.h"
@@ -123,16 +125,23 @@ class ThreadPool {
 
   void spawn(std::size_t workers) {
     stop_ = false;
-    worker_count_ = workers;
     slots_.clear();
     // Slot 0 belongs to calling threads; workers own slots 1..workers.
     for (std::size_t s = 0; s < workers + 1; ++s) {
       slots_.push_back(std::make_unique<Slot>());
     }
-    threads_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, slot = w + 1] { worker_main(slot); });
+    try {
+      threads_.reserve(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        threads_.emplace_back([this, slot = w + 1] { worker_main(slot); });
+      }
+    } catch (...) {
+      // Out of threads part-way: leave a consistent caller-only pool.
+      shutdown();
+      slots_.resize(1);
+      throw;
     }
+    worker_count_ = workers;
   }
 
   void shutdown() {
@@ -237,10 +246,13 @@ void run_chunk_range(const std::function<void(std::size_t)>& body,
 
 std::size_t hardware_thread_count() {
   const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<std::size_t>(n);
+  return std::clamp<std::size_t>(n, 1, kMaxThreadCount);
 }
 
 void set_thread_count(std::size_t n) {
+  require(n <= kMaxThreadCount,
+          "thread count " + std::to_string(n) + " exceeds the cap of " +
+              std::to_string(kMaxThreadCount));
   ThreadPool::instance().resize(n == 0 ? hardware_thread_count() : n);
 }
 

@@ -31,12 +31,16 @@
 
 namespace itree {
 
-/// Threads the hardware supports (>= 1).
+/// The most threads set_thread_count() accepts.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
+/// Threads the hardware supports, in [1, kMaxThreadCount].
 std::size_t hardware_thread_count();
 
 /// Sets the process-wide thread count (callers + pool workers). Resizes
 /// the pool; must not be called concurrently with running parallel work.
-/// n == 0 means hardware_thread_count().
+/// n == 0 means hardware_thread_count(). Throws std::invalid_argument,
+/// leaving the pool as it was, when n > kMaxThreadCount.
 void set_thread_count(std::size_t n);
 
 /// The currently configured thread count (>= 1).

@@ -455,7 +455,7 @@ class FrontEndTest : public NetTest,
       return {c.sessions_timed_out, c.backpressure_stalls};
     }
     stop();
-    const ServerCounters c = server_->counters();
+    const ServerStatsBody c = server_->counters();
     return {c.sessions_timed_out, c.backpressure_stalls};
   }
 

@@ -5,9 +5,12 @@
 // batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "core/registry.h"
 #include "properties/matrix.h"
@@ -115,6 +118,19 @@ TEST(Threads, SetThreadCountIsObservable) {
   EXPECT_EQ(thread_count(), 1u);
   set_thread_count(0);  // 0 = hardware
   EXPECT_EQ(thread_count(), hardware_thread_count());
+}
+
+TEST(Threads, CountsAboveTheCapAreRejectedBeforeThePoolChanges) {
+  ScopedThreads threads(2);
+  EXPECT_THROW(set_thread_count(kMaxThreadCount + 1), std::invalid_argument);
+  EXPECT_THROW(set_thread_count(std::numeric_limits<std::size_t>::max()),
+               std::invalid_argument);
+  EXPECT_EQ(thread_count(), 2u);
+  EXPECT_LE(hardware_thread_count(), kMaxThreadCount);
+  // The pool is untouched and still runs work.
+  std::vector<int> hits(64, 0);
+  parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 64);
 }
 
 TEST(RngFork, IndependentOfConsumption) {

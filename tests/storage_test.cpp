@@ -1447,6 +1447,74 @@ TEST(Storage, SnapshotsCompactTheLogAndBoundRestart) {
   fs::remove_all(dir);
 }
 
+TEST(Storage, ReplicationWindowFromTheTailEqualsTheSegmentFiles) {
+  // Two paths serve a replica: the in-memory tail of the newest
+  // records, and a re-read of the segment files for anything older.
+  // Both must ship the same bytes, respect max_records, and stop at
+  // the committed watermark. The run is long enough that the tail has
+  // dropped its oldest records.
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  const fs::path dir = fresh_dir("itree_storage_repl_window");
+  const std::size_t kCommitted = kReplTailRecords + 500;
+  const std::vector<std::vector<Event>> streams = {
+      make_stream(21, kCommitted / 2 + 10), make_stream(22, kCommitted / 2)};
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  config.segment_bytes = 64u << 10;
+  Storage live(*mechanism, 2, config);
+  for (std::size_t i = 0; i < kCommitted; ++i) {
+    live.apply(static_cast<std::uint32_t>(i % 2), streams[i % 2][i / 2]);
+    if (i % 64 == 63) {
+      live.commit();
+    }
+  }
+  live.commit();
+  for (std::size_t i = kCommitted / 2; i < streams[0].size(); ++i) {
+    live.apply(0, streams[0][i]);  // appended, never committed
+  }
+  ASSERT_EQ(live.committed_seq(), kCommitted);
+  ASSERT_EQ(live.next_seq(), kCommitted + 11);
+
+  // A second engine on the same directory sees only the segment files;
+  // its tail starts empty, so every window comes from disk.
+  Storage from_disk(*mechanism, 2, config);
+  ASSERT_EQ(from_disk.committed_seq(), kCommitted);
+  // The tail holds the newest kReplTailRecords appended records,
+  // including the ten uncommitted ones.
+  const std::uint64_t tail_front = kCommitted + 11 - kReplTailRecords;
+  for (const std::uint64_t from :
+       {std::uint64_t{1}, tail_front - 1, tail_front, tail_front + 1,
+        kCommitted / 2, kCommitted - 3, kCommitted, kCommitted + 1,
+        kCommitted + 5}) {
+    for (const std::uint32_t max_records : {1u, 9u, 500u}) {
+      const ReplicationWindow tail =
+          live.read_replication_window(from, max_records);
+      const ReplicationWindow disk =
+          from_disk.read_replication_window(from, max_records);
+      const std::uint64_t want =
+          from > kCommitted
+              ? 0
+              : std::min<std::uint64_t>(max_records, kCommitted - from + 1);
+      EXPECT_EQ(tail.count, want) << "from " << from << " max " << max_records;
+      EXPECT_EQ(disk.count, want) << "from " << from << " max " << max_records;
+      EXPECT_EQ(tail.records, disk.records)
+          << "from " << from << " max " << max_records;
+      EXPECT_EQ(tail.committed_seq, kCommitted);
+      if (from >= tail_front) {
+        EXPECT_EQ(tail.min_available_seq, tail_front);  // served from memory
+      }
+      const WalScan scan = scan_wal(tail.records);
+      EXPECT_TRUE(scan.clean);
+      ASSERT_EQ(scan.records.size(), want);
+      for (std::size_t r = 0; r < scan.records.size(); ++r) {
+        EXPECT_EQ(scan.records[r].seq, from + r);
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Storage, PreV5ImageIsSkippedByName) {
   // Only ITSNAP05 is read. A newer file carrying an earlier generation's
   // magic is passed over with a warning naming that generation, never

@@ -433,8 +433,13 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args.positional().front();
   try {
-    set_thread_count(static_cast<std::size_t>(
-        args.get_int_or("--threads", 0)));  // 0 = hardware concurrency
+    const std::int64_t threads = args.get_int_or("--threads", 0);
+    if (threads < 0) {
+      std::cerr << "error: --threads must be >= 0 (0 = hardware), got "
+                << threads << '\n';
+      return 2;
+    }
+    set_thread_count(static_cast<std::size_t>(threads));
     if (command == "rewards") {
       return cmd_rewards(args);
     }

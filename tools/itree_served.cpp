@@ -98,8 +98,13 @@ int main(int argc, char** argv) {
   }
 
   try {
-    set_thread_count(
-        static_cast<std::size_t>(args.get_int_or("--threads", 0)));
+    const std::int64_t threads = args.get_int_or("--threads", 0);
+    if (threads < 0) {
+      std::cerr << "itree-served: --threads must be >= 0 (0 = hardware), got "
+                << threads << '\n';
+      return 2;
+    }
+    set_thread_count(static_cast<std::size_t>(threads));
     const MechanismPtr mechanism =
         make_mechanism(args.get_or("--mechanism", "geometric"),
                        parse_param_string(args.get_or("--params", "")));
@@ -191,7 +196,7 @@ int main(int argc, char** argv) {
     server.run();
     g_server = nullptr;
 
-    const net::ServerCounters counters = server.counters();
+    const net::ServerStatsBody counters = server.counters();
     std::cout << "itree-served: drained. sessions accepted "
               << counters.sessions_accepted << ", requests served "
               << counters.requests_served << ", forwarded "
@@ -202,18 +207,14 @@ int main(int argc, char** argv) {
     report << "{\"daemon\":\"itree-served\""
            << ",\"mechanism\":\"" << mechanism->display_name() << '"'
            << ",\"reactors\":" << server.reactor_count()
-           << ",\"threads\":" << thread_count()
-           << ",\"counters\":{"
-           << "\"sessions_accepted\":" << counters.sessions_accepted
-           << ",\"sessions_closed\":" << counters.sessions_closed
-           << ",\"requests_served\":" << counters.requests_served
-           << ",\"protocol_errors\":" << counters.protocol_errors
-           << ",\"sessions_timed_out\":" << counters.sessions_timed_out
-           << ",\"backpressure_stalls\":" << counters.backpressure_stalls
-           << ",\"events_batched\":" << counters.events_batched
-           << ",\"batch_flushes\":" << counters.batch_flushes
-           << ",\"requests_forwarded\":" << counters.requests_forwarded
-           << ",\"event_batches\":" << counters.event_batches << '}';
+           << ",\"threads\":" << thread_count() << ",\"counters\":{";
+    const char* separator = "";
+    for (const net::ServerStatsField& field : net::kServerStatsFields) {
+      report << separator << '"' << field.name
+             << "\":" << counters.*field.member;
+      separator = ",";
+    }
+    report << '}';
     if (server.storage() != nullptr) {
       const storage::StorageCounters& stored =
           server.storage()->counters();
@@ -234,9 +235,6 @@ int main(int argc, char** argv) {
              << ",\"primary_seq\":" << replica_sync->primary_seq()
              << ",\"applied_seq\":" << replica_sync->applied_floor()
              << ",\"records_shipped\":" << replica_sync->records_shipped()
-             << ",\"token_waits\":" << counters.token_waits
-             << ",\"token_bounces\":" << counters.token_bounces
-             << ",\"writes_redirected\":" << counters.writes_redirected
              << ",\"failed\":"
              << (replica_sync->failed() ? "true" : "false") << '}';
     }
