@@ -481,7 +481,8 @@ int main(int argc, char** argv) {
     driver.connections = driver.campaigns;
     driver.requests =
         static_cast<std::uint64_t>(args.get_int_or("--requests", 4000));
-    reactors = static_cast<std::size_t>(args.get_int_or("--reactors", 1));
+    reactors = static_cast<std::size_t>(
+        args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
     driver.batch = static_cast<std::uint32_t>(args.get_int_or("--batch", 1));
     driver.pipeline =
         static_cast<std::uint32_t>(args.get_int_or("--pipeline", 1));

@@ -3,6 +3,11 @@
 # path (docs/perf.md). Runs in seconds, so CI can afford it on every
 # push:
 #
+#   0. bench_e1_property_matrix and bench_a4_adversary — the property
+#      matrix (every mechanism against every checker, SL's outsider
+#      mutations included) and the Sybil-attack tables; their digests
+#      must equal scripts/perf_goldens/{e1,a4}_digests.golden (identical
+#      at every --threads count). Together about a second.
 #   1. bench_e13_scalability --scale small — the 10k-node determinism
 #      probe computes every feasible mechanism's total-reward digest;
 #      the digests must equal scripts/perf_goldens/e13_digests.golden
@@ -53,6 +58,18 @@ trap 'rm -rf "$WORK"' EXIT
 digests_of() {
   grep -o '"[^"]*": "0x[0-9a-f]\{16\}"' "$1" | tr -d '",:'
 }
+
+for bench in e1:bench_e1_property_matrix a4:bench_a4_adversary; do
+  name="${bench%%:*}"
+  echo "== $name digest probe =="
+  "$BUILD_DIR/bench/${bench#*:}" --threads 2 --json "$WORK/$name.json" \
+      > /dev/null
+  digests_of "$WORK/$name.json" | tee "$WORK/${name}_digests.txt"
+  diff -u "$GOLDENS/${name}_digests.golden" "$WORK/${name}_digests.txt" || {
+    echo "$name digests drifted from the checked-in golden" >&2
+    exit 1
+  }
+done
 
 echo "== e13 small-scale digest probe =="
 "$BUILD_DIR/bench/bench_e13_scalability" --scale small --threads 2 \

@@ -117,7 +117,7 @@ class IncrementalSubtreeState {
   const Config& config() const { return config_; }
 
   /// Replay hint: prefetches the rows an event at `u` reads first —
-  /// parent, S, contribution, last_child, depth and skip pointer. `u`
+  /// parent, S, contribution, last_child and depth. `u`
   /// may lie past the tree's end (a join inside the caller's lookahead
   /// window has not been applied yet); it is clamped to the last node.
   void prefetch_rows(NodeId u) const {
@@ -127,15 +127,12 @@ class IncrementalSubtreeState {
     prefetch_read(tree_.contribution_array().data() + u);
     prefetch_read(tree_.last_child_array().data() + u);
     prefetch_read(tree_.depth_array().data() + u);
-    prefetch_read(tree_.jump_array().data() + u);
   }
 
-  /// Replay hint one ancestor level up: loads parent[u] and jump[u]
-  /// (clamped as above) and prefetches both of those nodes' rows.
+  /// Replay hint one ancestor level up: loads parent[u] (clamped as
+  /// above) and prefetches that node's rows.
   void prefetch_ancestor_rows(NodeId u) const {
-    u = clamp_node(u);
-    prefetch_rows(tree_.parent_array()[u]);
-    prefetch_rows(tree_.jump_array()[u]);
+    prefetch_rows(tree_.parent_array()[clamp_node(u)]);
   }
 
   /// [S(0..n-1) | total]: the history-dependent FP accumulators, for

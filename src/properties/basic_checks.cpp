@@ -189,11 +189,15 @@ PropertyReport check_sl(const Mechanism& mechanism,
     const RewardVector before = mechanism.compute(entry.tree);
     for (NodeId u :
          sample_participants(entry.tree, options.max_nodes_per_tree, rng)) {
-      // Collect nodes strictly outside T_u (the imaginary root counts as
-      // a legal join point for outsiders).
+      // Collect nodes strictly outside T_u in ascending id order (the
+      // imaginary root counts as a legal join point for outsiders).
+      std::vector<char> inside(entry.tree.node_count(), 0);
+      for (NodeId v : entry.tree.subtree(u)) {
+        inside[v] = 1;
+      }
       std::vector<NodeId> outside{kRoot};
       for (NodeId v = 1; v < entry.tree.node_count(); ++v) {
-        if (!entry.tree.is_ancestor(u, v)) {
+        if (inside[v] == 0) {
           outside.push_back(v);
         }
       }

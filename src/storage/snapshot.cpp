@@ -75,7 +75,9 @@ struct V5Campaign {
   std::uint64_t events_applied = 0;
   std::uint64_t node_count = 0;  ///< INCLUDING the imaginary root
   std::uint64_t aggregate_count = 0;
-  std::uint64_t skip_count = 0;  ///< 0 (absent) or node_count
+  /// 0 (this writer) or node_count (writers before the seven-column
+  /// arena); the section is CRC-checked but never adopted.
+  std::uint64_t skip_count = 0;
   std::uint8_t aggregate_kind = 0;
   double total_contribution = 0.0;
   std::array<std::uint64_t, kV5SectionCount> offsets = {};
@@ -211,7 +213,7 @@ void verify_v5_sections(std::string_view bytes, const V5Header& header) {
 /// adopted through the buffered (non-mmap or big-endian) path.
 struct OwnedV5Columns {
   std::vector<NodeId> parent, first_child, last_child, next_sibling,
-      prev_sibling, jump;
+      prev_sibling;
   std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
 };
@@ -256,9 +258,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
           reinterpret_cast<const double*>(base +
                                           entry.offsets[kSecContribution]),
           n);
-      if (entry.skip_count != 0) {
-        columns.jump = u32_at(kSecSkip);
-      }
       // adopt_columns re-validates every link invariant (parallel,
       // read-only), so even a CRC-colliding corruption cannot stand up
       // an inconsistent tree.
@@ -278,9 +277,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       columns.prev_sibling = copy(owned->prev_sibling, kSecPrevSibling);
       columns.depth = copy(owned->depth, kSecDepth);
       columns.contribution = copy(owned->contribution, kSecContribution);
-      if (entry.skip_count != 0) {
-        columns.jump = copy(owned->jump, kSecSkip);
-      }
       campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
                                           std::move(owned));
     }
@@ -321,27 +317,23 @@ void write_image_durably(const std::string& dir, std::string_view image,
 std::string encode_snapshot_v5(const SnapshotData& data) {
   // Pass 1: compute the layout. Header record first, then each
   // campaign's nine sections, every section page-aligned. The skip
-  // section is optional in the format but this writer always emits it;
-  // a reader that finds it absent recomputes it.
+  // section is written empty (skip_count 0): it occupies no page, and
+  // its offset is that of the section after it.
   const std::size_t payload_size =
       8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
       data.campaigns.size() * kV5CampaignEntryBytes;
   const std::uint64_t header_bytes =
       align_up(kSnapshotMagicV5.size() + 8 + payload_size);
-  std::vector<std::array<std::uint64_t, kV5SectionCount>> layout;
-  layout.reserve(data.campaigns.size());
+  std::vector<V5Campaign> layout(data.campaigns.size());
   std::uint64_t cursor = header_bytes;
-  for (const CampaignSnapshot& campaign : data.campaigns) {
-    const std::uint64_t n = campaign.tree.node_count();
-    std::array<std::uint64_t, kV5SectionCount> offsets{};
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    V5Campaign& entry = layout[c];
+    entry.node_count = data.campaigns[c].tree.node_count();
+    entry.aggregate_count = data.campaigns[c].aggregates.size();
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
-      offsets[s] = cursor;
-      const std::uint64_t count = s == kSecAggregates
-                                      ? campaign.aggregates.size()
-                                      : n;  // skip always written
-      cursor += align_up(count * kV5ElemSize[s]);
+      entry.offsets[s] = cursor;
+      cursor += align_up(entry.section_count(s) * kV5ElemSize[s]);
     }
-    layout.push_back(offsets);
   }
   const std::uint64_t file_size = cursor;
 
@@ -361,10 +353,9 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
     const CampaignSnapshot& campaign = data.campaigns[c];
     const Tree& tree = campaign.tree;
-    const std::uint64_t n = tree.node_count();
-    const auto& offsets = layout[c];
+    const V5Campaign& entry = layout[c];
     const auto store = [&](std::size_t s, auto values) {
-      le::store_array(out.data() + offsets[s], values);
+      le::store_array(out.data() + entry.offsets[s], values);
     };
     store(kSecParent, tree.parent_array());
     store(kSecFirstChild, tree.first_child_array());
@@ -373,22 +364,19 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
     store(kSecPrevSibling, tree.prev_sibling_array());
     store(kSecDepth, tree.depth_array());
     store(kSecContribution, tree.contribution_array());
-    store(kSecSkip, tree.jump_array());
     store(kSecAggregates, std::span<const double>(campaign.aggregates));
     le::put_u64(payload, campaign.events_applied);
-    le::put_u64(payload, n);
-    le::put_u64(payload, campaign.aggregates.size());
-    le::put_u64(payload, n);  // skip_count: this writer always persists it
+    le::put_u64(payload, entry.node_count);
+    le::put_u64(payload, entry.aggregate_count);
+    le::put_u64(payload, entry.skip_count);
     le::put_u8(payload, campaign.aggregate_kind);
     le::put_f64(payload, tree.total_contribution());
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
-      le::put_u64(payload, offsets[s]);
+      le::put_u64(payload, entry.offsets[s]);
     }
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
-      const std::uint64_t count =
-          s == kSecAggregates ? campaign.aggregates.size() : n;
-      le::put_u32(payload,
-                  crc32c({out.data() + offsets[s], count * kV5ElemSize[s]}));
+      le::put_u32(payload, crc32c({out.data() + entry.offsets[s],
+                                   entry.section_count(s) * kV5ElemSize[s]}));
     }
   }
   ensure(payload.size() == payload_size, "snapshot v5: header layout drift");

@@ -5,11 +5,10 @@
 // cost becomes O(snapshot + WAL tail) instead of O(all events).
 //
 // One on-disk generation, "ITSNAP05", named `snap-<last_seq, 16 hex>.snap`.
-// The image is an immutable, page-aligned copy of the *entire* 8-column
+// The image is an immutable, page-aligned copy of the *entire* 7-column
 // tree arena — parent, first_child, last_child, next_sibling,
-// prev_sibling, depth, contribution, plus the optional skew-binary
-// ancestor-skip column — each as its own page-aligned, individually
-// CRC'd section, with the imaginary root's row included (node_count =
+// prev_sibling, depth, contribution — each as its own page-aligned,
+// individually CRC'd section, with the imaginary root's row included (node_count =
 // participants + 1). A mapped image therefore needs *no link
 // reconstruction at all*: Tree::adopt_columns points the arena columns
 // straight into the read-only mapping (after a parallel O(1)-per-node
@@ -37,8 +36,11 @@
 //           u64 events applied
 //           u64 node count         (INCLUDING the imaginary root)
 //           u64 aggregate count
-//           u64 skip count         (0 = skip section absent, else node
-//                                   count; readers recompute when absent)
+//           u64 skip count         (0 from this writer; node count in
+//                                   images written while the arena kept
+//                                   an ancestor-skip column. Readers
+//                                   accept both, CRC-check the section
+//                                   and never adopt it)
 //           u8  aggregate kind     (server::AggregateKind of the writer:
 //                                   which accumulator family the blob is)
 //           f64 total contribution (the writer's live accumulated C(T) —
@@ -54,6 +56,9 @@
 //       next_sibling / prev_sibling / depth   node count x u32 LE
 //       contribution                          node count x f64 LE
 //       skip                                  skip count x u32 LE
+//                                             (empty from this writer:
+//                                             no page, offset shared
+//                                             with the next section)
 //       aggregates                            aggregate count x f64 LE
 //
 // On little-endian hardware the sections are exactly the live arena's
@@ -102,8 +107,8 @@ struct SnapshotData {
   std::vector<CampaignSnapshot> campaigns;
 };
 
-/// Encodes the full-arena page-aligned image (always writes the
-/// optional skip section).
+/// Encodes the full-arena page-aligned image (the skip section is
+/// written empty).
 std::string encode_snapshot_v5(const SnapshotData& data);
 
 /// Decodes an in-memory image into trees that own copies of its

@@ -20,7 +20,6 @@ constexpr const char* kAdoptViolations[] = {
     "Tree::adopt_columns: depth out of range",
     "Tree::adopt_columns: next-sibling out of range",
     "Tree::adopt_columns: prev-sibling out of range",
-    "Tree::adopt_columns: skip pointer out of range",
 };
 /// The two child-link bits: the only predicates the root row scans.
 constexpr unsigned kAdoptChildLinkBits = 0b11u;
@@ -36,7 +35,6 @@ Tree::Tree() {
   next_sibling_.push_back(kInvalidNode);
   prev_sibling_.push_back(kInvalidNode);
   depth_.push_back(0);
-  jump_.push_back(kRoot);
   contribution_.push_back(0.0);
 }
 
@@ -47,23 +45,11 @@ void Tree::reserve(std::size_t nodes) {
   next_sibling_.reserve(nodes);
   prev_sibling_.reserve(nodes);
   depth_.reserve(nodes);
-  jump_.reserve(nodes);
   contribution_.reserve(nodes);
 }
 
 void Tree::check_node(NodeId u, const char* what) const {
   require(contains(u), std::string(what) + ": node does not exist");
-}
-
-NodeId Tree::jump_for(NodeId parent) const {
-  // Skew-binary skip pointers (Myers' applicative lists): when the two
-  // depth gaps above the parent's jump are equal, the new node skips
-  // both; otherwise it points at the parent. O(1) to maintain, and the
-  // resulting ancestor walks take O(log depth) hops.
-  const NodeId j1 = jump_[parent];
-  const NodeId j2 = jump_[j1];
-  const std::uint32_t d = depth_[parent];
-  return (d - depth_[j1] == depth_[j1] - depth_[j2]) ? j2 : parent;
 }
 
 NodeId Tree::add_node(NodeId parent, double contribution) {
@@ -74,14 +60,12 @@ NodeId Tree::add_node(NodeId parent, double contribution) {
   // invalidate what the chain splice below needs.
   const NodeId tail = last_child_[parent];
   const std::uint32_t parent_depth = depth_[parent];
-  const NodeId jump = jump_for(parent);
   parent_.push_back(parent);
   first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
   prev_sibling_.push_back(tail);
   depth_.push_back(parent_depth + 1);
-  jump_.push_back(jump);
   contribution_.push_back(contribution);
   if (tail == kInvalidNode) {
     first_child_.mut(parent) = id;
@@ -103,8 +87,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
               columns.prev_sibling.size() == n && columns.depth.size() == n &&
               columns.contribution.size() == n,
           "Tree::adopt_columns: column size mismatch");
-  require(columns.jump.empty() || columns.jump.size() == n,
-          "Tree::adopt_columns: skip column size mismatch");
   const NodeId* parent = columns.parent.data();
   const NodeId* first_child = columns.first_child.data();
   const NodeId* last_child = columns.last_child.data();
@@ -117,13 +99,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
               next_sibling[kRoot] == kInvalidNode &&
               prev_sibling[kRoot] == kInvalidNode,
           "Tree::adopt_columns: malformed root row");
-  const bool has_jump = !columns.jump.empty();
-  // Without a skip column, `jump` aliases `parent` for the scan below,
-  // which then passes jump[u] <= parent[u] trivially.
-  const NodeId* jump = has_jump ? columns.jump.data() : parent;
-  if (has_jump) {
-    require(jump[kRoot] == kRoot, "Tree::adopt_columns: root skip pointer");
-  }
 
   // Safety scan, not a semantic one: every load below is indexed by u,
   // so the whole pass streams each column forward at memory-bandwidth
@@ -131,12 +106,12 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   // O(bytes) while a link rebuild (or a cross-link proof, see
   // validate_links()) pays a cache miss per node. The range checks are
   // chosen so that every traversal over the adopted arena terminates
-  // and stays in bounds regardless of the column *values*: parent and
-  // skip pointers strictly precede their node (upward walks reach the
-  // root in <= u steps), child/next-sibling links strictly follow it
-  // (downward walks strictly increase), and ids never reach
-  // node_count. Semantic link integrity is the caller's trust boundary
-  // — the snapshot layer's per-section CRCs.
+  // and stays in bounds regardless of the column *values*: parents
+  // strictly precede their node (upward walks reach the root in <= u
+  // steps), child/next-sibling links strictly follow it (downward walks
+  // strictly increase), and ids never reach node_count. Semantic link
+  // integrity is the caller's trust boundary — the snapshot layer's
+  // per-section CRCs.
   //
   // Each block is one branch-free loop that ORs every node's failed
   // predicates into a mask (bit i = kAdoptViolations[i]); only a
@@ -163,8 +138,7 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
           static_cast<unsigned>(depth[u] - 1u >= u) << 4 |
           static_cast<unsigned>((nx != kInvalidNode) & ((nx <= u) | (nx >= n)))
               << 5 |
-          static_cast<unsigned>((pv != kInvalidNode) & (pv >= u)) << 6 |
-          static_cast<unsigned>(jump[u] > parent[u]) << 7;
+          static_cast<unsigned>((pv != kInvalidNode) & (pv >= u)) << 6;
       // The root row's participant checks were done above; only its
       // child links are scanned here.
       mask |= bad & (u == kRoot ? kAdoptChildLinkBits : ~0u);
@@ -182,21 +156,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   tree.prev_sibling_.borrow(prev_sibling, n);
   tree.depth_.borrow(depth, n);
   tree.contribution_.borrow(contribution, n);
-  if (!columns.jump.empty()) {
-    tree.jump_.borrow(columns.jump.data(), n);
-  } else {
-    // Optional section absent: recompute the skip pointers — a pure
-    // integer function of parent/depth — in one forward scan.
-    std::vector<NodeId> skip(n);
-    skip[kRoot] = kRoot;
-    for (NodeId u = 1; u < n; ++u) {
-      const NodeId p = parent[u];
-      const NodeId j1 = skip[p];
-      const NodeId j2 = skip[j1];
-      skip[u] = (depth[p] - depth[j1] == depth[j1] - depth[j2]) ? j2 : p;
-    }
-    tree.jump_.take(std::move(skip));
-  }
   tree.total_contribution_ = total_contribution;
   tree.keepalive_ = std::move(keepalive);
   return tree;
@@ -210,12 +169,11 @@ void Tree::validate_links() const {
   const NodeId* next_sibling = next_sibling_.data();
   const NodeId* prev_sibling = prev_sibling_.data();
   const std::uint32_t* depth = depth_.data();
-  const NodeId* jump = jump_.data();
   const double* contribution = contribution_.data();
   require(parent[kRoot] == kInvalidNode && depth[kRoot] == 0 &&
              contribution[kRoot] == 0.0 &&
              next_sibling[kRoot] == kInvalidNode &&
-             prev_sibling[kRoot] == kInvalidNode && jump[kRoot] == kRoot,
+             prev_sibling[kRoot] == kInvalidNode,
          "Tree::validate_links: malformed root row");
 
   // Parallel read-only cross-link proof, O(1) per node. The local
@@ -225,7 +183,7 @@ void Tree::validate_links() const {
   // (next == invalid) and starts at the unique first_child (prev ==
   // invalid), so the sibling lists form one chain per parent covering
   // all of its children in ascending id order; depth obeys the parent
-  // recurrence and jump the skew-binary one.
+  // recurrence.
   parallel_for(n, [&](std::size_t ui) {
     const auto u = static_cast<NodeId>(ui);
     if (u != kRoot) {
@@ -252,16 +210,6 @@ void Tree::validate_links() const {
         require(pv < u && parent[pv] == parent[u] && next_sibling[pv] == u,
                "Tree::validate_links: prev-sibling link inconsistent");
       }
-      const NodeId p = parent[u];
-      const NodeId j1 = jump[p];
-      // Bounds before trusting: p's own check runs concurrently, so
-      // never index through an unvalidated value.
-      require(j1 <= p, "Tree::validate_links: skip column inconsistent");
-      const NodeId j2 = jump[j1];
-      require(j2 <= j1, "Tree::validate_links: skip column inconsistent");
-      const NodeId want =
-          (depth[p] - depth[j1] == depth[j1] - depth[j2]) ? j2 : p;
-      require(jump[u] == want, "Tree::validate_links: skip column inconsistent");
     }
     const NodeId fc = first_child[u];
     const NodeId lc = last_child[u];
@@ -327,7 +275,6 @@ void Tree::remove_last_node() {
   next_sibling_.pop_back();
   prev_sibling_.pop_back();
   depth_.pop_back();
-  jump_.pop_back();
   contribution_.pop_back();
 }
 
@@ -336,41 +283,18 @@ std::size_t Tree::depth(NodeId u) const {
   return depth_[u];
 }
 
-NodeId Tree::ancestor_at_depth(NodeId u, std::uint32_t d) const {
-  check_node(u, "Tree::ancestor_at_depth");
-  require(d <= depth_[u],
-          "Tree::ancestor_at_depth: target deeper than the node");
-  // Path-compressed walk: take the skip pointer whenever it does not
-  // overshoot, else a single parent hop. Skew-binary spacing makes this
-  // O(log depth) hops total.
-  while (depth_[u] > d) {
-    const NodeId j = jump_[u];
-    u = depth_[j] >= d ? j : parent_[u];
-  }
-  return u;
-}
-
-bool Tree::is_ancestor(NodeId ancestor, NodeId u) const {
-  check_node(ancestor, "Tree::is_ancestor");
-  check_node(u, "Tree::is_ancestor");
-  if (depth_[ancestor] > depth_[u]) {
-    return false;
-  }
-  return ancestor_at_depth(u, depth_[ancestor]) == ancestor;
-}
-
 std::size_t Tree::allocation_count() const {
   return parent_.allocations() + first_child_.allocations() +
          last_child_.allocations() + next_sibling_.allocations() +
          prev_sibling_.allocations() + depth_.allocations() +
-         jump_.allocations() + contribution_.allocations();
+         contribution_.allocations();
 }
 
 std::size_t Tree::borrowed_column_count() const {
   return static_cast<std::size_t>(parent_.borrowed()) +
          first_child_.borrowed() + last_child_.borrowed() +
          next_sibling_.borrowed() + prev_sibling_.borrowed() +
-         depth_.borrowed() + jump_.borrowed() + contribution_.borrowed();
+         depth_.borrowed() + contribution_.borrowed();
 }
 
 std::vector<NodeId> Tree::subtree(NodeId u) const {
@@ -429,13 +353,12 @@ std::vector<NodeId> Tree::postorder() const {
   return out;
 }
 
+namespace {
+
+/// Copies the subtree of `src` rooted at the forest root `src_node` into
+/// `dst` as a new child of `dst_parent`; returns the id of the copy.
 NodeId graft_subtree(Tree& dst, NodeId dst_parent, const Tree& src,
                      NodeId src_node) {
-  require(src_node != kRoot,
-          "graft_subtree: cannot graft the imaginary root; use graft_forest");
-  require(&dst != &src,
-          "graft_subtree: grafting a tree into itself would walk a "
-          "chain it is mutating");
   const NodeId copied_root =
       dst.add_node(dst_parent, src.contribution(src_node));
   // Pair stack of (src node, its copy's id). Children are *added* in
@@ -452,8 +375,13 @@ NodeId graft_subtree(Tree& dst, NodeId dst_parent, const Tree& src,
   return copied_root;
 }
 
+}  // namespace
+
 std::vector<NodeId> graft_forest(Tree& dst, NodeId dst_parent,
                                  const Tree& src) {
+  require(&dst != &src,
+          "graft_forest: grafting a tree into itself would walk a "
+          "chain it is mutating");
   std::vector<NodeId> copied;
   for (NodeId child : src.children(kRoot)) {
     copied.push_back(graft_subtree(dst, dst_parent, src, child));

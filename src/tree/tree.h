@@ -11,7 +11,7 @@
 // Contributions are mutable (needed by the CCI and SL checkers, and by
 // the "buyer keeps purchasing" MLM view).
 //
-// Layout: eight parallel arrays indexed by NodeId —
+// Layout: seven parallel arrays indexed by NodeId (32 bytes per node) —
 //   parent_        parent id (kInvalidNode for the root)
 //   first_child_   head of the child list (kInvalidNode if leaf)
 //   last_child_    tail of the child list (O(1) append)
@@ -20,10 +20,6 @@
 //                  mirrored postorder walk)
 //   depth_         cached depth (O(1) depth queries; ancestor walks on
 //                  the serving hot path early-exit on it)
-//   jump_          skew-binary ancestor skip pointer (O(1) to maintain
-//                  per append, O(log depth) is_ancestor /
-//                  ancestor_at_depth — the path-compressed walks deep
-//                  eps-chain / RCT shapes need)
 //   contribution_  C(u)
 // Child order is join order, exactly as the old vector-of-vectors arena
 // reported it, so every traversal and hence every FP evaluation order —
@@ -53,14 +49,9 @@ using NodeId = std::uint32_t;
 
 class Tree;
 
-/// Copies the subtree of `src` rooted at `src_node` into `dst` as a new
-/// child of `dst_parent`; returns the id of `src_node`'s copy. `src_node`
-/// must not be the imaginary root (use graft_forest for that).
-NodeId graft_subtree(Tree& dst, NodeId dst_parent, const Tree& src,
-                     NodeId src_node);
-
-/// Copies every forest root of `src` under `dst_parent`; returns the new
-/// ids of the copied forest roots.
+/// Copies every forest root of `src` (with its subtree, sibling order
+/// preserved) under `dst_parent`; returns the new ids of the copied
+/// forest roots. `dst` and `src` must be different trees.
 std::vector<NodeId> graft_forest(Tree& dst, NodeId dst_parent,
                                  const Tree& src);
 
@@ -316,9 +307,7 @@ class ChildRange {
 class Tree {
  public:
   /// The full-arena column set, spans indexed by node id (entry 0 is the
-  /// imaginary root). `jump` may be empty — adopt_columns then
-  /// recomputes the skip pointers from parent/depth (older v5 writers
-  /// may omit the optional section).
+  /// imaginary root).
   struct Columns {
     std::span<const NodeId> parent;
     std::span<const NodeId> first_child;
@@ -327,7 +316,6 @@ class Tree {
     std::span<const NodeId> prev_sibling;
     std::span<const std::uint32_t> depth;
     std::span<const double> contribution;
-    std::span<const NodeId> jump;
   };
 
   /// Creates a tree containing only the imaginary root.
@@ -344,8 +332,8 @@ class Tree {
   /// given spans — zero per-node construction work — and `keepalive` is
   /// pinned for the lifetime of the tree and all its copies (pass the
   /// mmap holder). Adoption runs a *safety* scan, not a semantic one:
-  /// purely sequential range checks (parents and skip
-  /// pointers precede their nodes, sibling/child links stay in
+  /// purely sequential range checks (parents precede their nodes,
+  /// sibling/child links stay in
   /// (u, node_count), contributions non-negative, well-formed root row)
   /// that guarantee every traversal terminates and never reads out of
   /// bounds, at memory-bandwidth cost. Semantic integrity of the links
@@ -362,8 +350,7 @@ class Tree {
   /// Full O(1)-per-node cross-link verification of the arena: sibling
   /// chains mutually inverse, consistent with first/last-child and
   /// strictly id-increasing (which forces exactly the canonical
-  /// append-order chains), depth recurrence, and the skew-binary skip
-  /// recurrence. Parallel, read-only; throws std::invalid_argument on
+  /// append-order chains), and the depth recurrence. Parallel, read-only; throws std::invalid_argument on
   /// the first violation. Tests, fuzzers and paranoid operators run
   /// this after adopt_columns; the serving path relies on the snapshot
   /// CRCs instead (see adopt_columns).
@@ -415,16 +402,6 @@ class Tree {
   /// arena at insertion.
   std::size_t depth(NodeId u) const;
 
-  /// The ancestor of `u` at depth `d` (requires d <= depth(u)).
-  /// O(log depth) via the skew-binary skip column.
-  NodeId ancestor_at_depth(NodeId u, std::uint32_t d) const;
-
-  /// True when `ancestor` lies on the path from `u` to the root
-  /// (a node is an ancestor of itself). O(log depth) — a
-  /// path-compressed walk over the skip column, with an O(1)
-  /// depth-comparison early exit.
-  bool is_ancestor(NodeId ancestor, NodeId u) const;
-
   /// All nodes of the subtree T_u in preorder. O(|T_u|).
   std::vector<NodeId> subtree(NodeId u) const;
 
@@ -463,7 +440,6 @@ class Tree {
     return prev_sibling_.span();
   }
   std::span<const std::uint32_t> depth_array() const { return depth_.span(); }
-  std::span<const NodeId> jump_array() const { return jump_.span(); }
 
   /// Heap allocations the arena has performed across all columns
   /// (growth reallocations and copy-on-write privatizations). A
@@ -471,15 +447,13 @@ class Tree {
   /// tree starts at 0 and pays one per column it mutates.
   std::size_t allocation_count() const;
 
-  /// Columns still backed by externally owned storage (8 right after
+  /// Columns still backed by externally owned storage (7 right after
   /// adopt_columns, dropping as mutations privatize them; 0 for a tree
   /// built through the append path).
   std::size_t borrowed_column_count() const;
 
  private:
   void check_node(NodeId u, const char* what) const;
-  /// The skew-binary skip pointer for a node whose parent is `parent`.
-  NodeId jump_for(NodeId parent) const;
 
   ArenaColumn<NodeId> parent_;
   ArenaColumn<NodeId> first_child_;
@@ -487,7 +461,6 @@ class Tree {
   ArenaColumn<NodeId> next_sibling_;
   ArenaColumn<NodeId> prev_sibling_;
   ArenaColumn<std::uint32_t> depth_;
-  ArenaColumn<NodeId> jump_;
   ArenaColumn<double> contribution_;
   double total_contribution_ = 0.0;
   /// Pins the storage borrowed columns point into (the mmap holder of

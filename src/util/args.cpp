@@ -5,6 +5,24 @@
 #include "util/check.h"
 
 namespace itree {
+namespace {
+
+/// The whole of `text` as an integer, or nullopt.
+std::optional<std::int64_t> parse_integer(const std::string& text) {
+  std::size_t consumed = 0;
+  std::int64_t parsed = 0;
+  try {
+    parsed = std::stoll(text, &consumed);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (consumed != text.size()) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+}  // namespace
 
 void ArgParser::add_flag(const std::string& name, const std::string& help,
                          bool expects_value) {
@@ -82,8 +100,9 @@ double ArgParser::get_double_or(const std::string& name,
   } catch (const std::exception&) {
     consumed = 0;
   }
-  require(consumed == value->size() && !value->empty(),
-          name + ": expected a number, got '" + *value + "'");
+  if (consumed != value->size() || value->empty()) {
+    throw FlagError(name + ": expected a number, got '" + *value + "'");
+  }
   return parsed;
 }
 
@@ -93,16 +112,26 @@ std::int64_t ArgParser::get_int_or(const std::string& name,
   if (!value) {
     return fallback;
   }
-  std::size_t consumed = 0;
-  std::int64_t parsed = fallback;
-  try {
-    parsed = std::stoll(*value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
+  const std::optional<std::int64_t> parsed = parse_integer(*value);
+  if (!parsed) {
+    throw FlagError(name + ": expected an integer, got '" + *value + "'");
   }
-  require(consumed == value->size() && !value->empty(),
-          name + ": expected an integer, got '" + *value + "'");
-  return parsed;
+  return *parsed;
+}
+
+std::int64_t ArgParser::get_int_in(const std::string& name,
+                                   std::int64_t fallback, std::int64_t lo,
+                                   std::int64_t hi) const {
+  const auto value = get(name);
+  if (!value) {
+    return fallback;
+  }
+  const std::optional<std::int64_t> parsed = parse_integer(*value);
+  if (!parsed || *parsed < lo || *parsed > hi) {
+    throw FlagError(name + ": expected an integer in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "], got '" + *value + "'");
+  }
+  return *parsed;
 }
 
 std::string ArgParser::help(const std::string& program_summary) const {

@@ -5,12 +5,21 @@
 // so typos fail loudly.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace itree {
+
+/// A flag value that does not parse or is out of range. The network
+/// tools catch it to exit 2, like an unknown flag.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class ArgParser {
  public:
@@ -27,9 +36,16 @@ class ArgParser {
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name,
                      const std::string& fallback) const;
+  /// Typed accessors: `fallback` when the flag is absent; a value that
+  /// does not parse throws FlagError naming the flag.
   double get_double_or(const std::string& name, double fallback) const;
   std::int64_t get_int_or(const std::string& name,
                           std::int64_t fallback) const;
+  /// get_int_or restricted to [lo, hi]: a value outside it throws
+  /// FlagError ("--port: expected an integer in [0, 65535], got
+  /// '70000'"). The fallback is not range-checked.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& error() const { return error_; }

@@ -367,9 +367,9 @@ TEST(Fuzz, SnapshotV5DecoderNeverCrashesOnMutations) {
   // CRC/geometry check (std::invalid_argument) or decode to data
   // identical to the pristine image — and because the decoder adopts
   // the persisted link columns instead of rebuilding them, a surviving
-  // decode must also reproduce every link, depth and skip pointer and
-  // pass the full cross-link proof. Never a crash, never a giant
-  // allocation, never a silently divergent arena.
+  // decode must also reproduce every link and depth and pass the full
+  // cross-link proof. Never a crash, never a giant allocation, never a
+  // silently divergent arena.
   Tree tree;
   const NodeId a = tree.add_node(kRoot, 2.0);
   const NodeId b = tree.add_node(a, 1.0);
@@ -419,9 +419,6 @@ TEST(Fuzz, SnapshotV5DecoderNeverCrashesOnMutations) {
         ASSERT_EQ(got_tree.children(u).to_vector(),
                   want_tree.children(u).to_vector());
       }
-      ASSERT_TRUE(std::equal(got_tree.jump_array().begin(),
-                             got_tree.jump_array().end(),
-                             want_tree.jump_array().begin()));
       got_tree.validate_links();
     } catch (const std::invalid_argument&) {
     }

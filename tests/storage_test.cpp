@@ -366,8 +366,8 @@ TEST(Snapshot, V5RoundTripsBitExactly) {
   EXPECT_EQ(validate_snapshot_image(image), data.last_seq);
   const SnapshotData decoded = decode_snapshot(image);
   expect_snapshot_equal(decoded, data);
-  // The full arena travels in the image: links, depths and the skip
-  // column come back bit-identical, proven by the cross-link check.
+  // The full arena travels in the image: links and depths come back
+  // bit-identical, proven by the cross-link check.
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
     const Tree& want = data.campaigns[c].tree;
     const Tree& got = decoded.campaigns[c].tree;
@@ -375,8 +375,6 @@ TEST(Snapshot, V5RoundTripsBitExactly) {
       EXPECT_EQ(got.depth(u), want.depth(u));
       EXPECT_EQ(got.children(u).to_vector(), want.children(u).to_vector());
     }
-    EXPECT_TRUE(std::equal(got.jump_array().begin(), got.jump_array().end(),
-                           want.jump_array().begin()));
     EXPECT_EQ(got.total_contribution(), want.total_contribution());
     got.validate_links();
   }
@@ -432,7 +430,7 @@ TEST(Snapshot, MappedV5SnapshotAdoptsTheArenaInPlace) {
     // Zero-rebuild: every tree column still borrows the mapping, and
     // the links prove out without a single per-node construction step.
     for (const CampaignSnapshot& campaign : adopted.campaigns) {
-      EXPECT_EQ(campaign.tree.borrowed_column_count(), 8u);
+      EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
       EXPECT_EQ(campaign.tree.allocation_count(), 0u);
       campaign.tree.validate_links();
     }
@@ -580,7 +578,9 @@ TEST(Snapshot, EveryFlippedHeaderByteIsRejected) {
 
 TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
   // Each section carries its own CRC in the header table: a flip in any
-  // link, depth, contribution, skip or aggregate byte is rejected.
+  // link, depth, contribution or aggregate byte is rejected. (The skip
+  // section is written empty; a present one is covered by
+  // LegacySkipSectionIsVerifiedAndIgnored.)
   const std::string image = encode_snapshot_v5(sample_snapshot_with_blob());
   const std::vector<Region> regions = read_regions(image);
   std::size_t checked = 0;
@@ -596,9 +596,9 @@ TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
       ++checked;
     }
   }
-  // Campaign 0 (4 rows, 4 aggregates): 7 u32 columns + 2 f64 columns;
-  // campaign 1 (root row only, no blob): 7 u32 + 1 f64.
-  EXPECT_EQ(checked, (7 * 4 * 4 + 2 * 4 * 8) + (7 * 4 + 8));
+  // Campaign 0 (4 rows, 4 aggregates): 6 u32 columns + 2 f64 columns;
+  // campaign 1 (root row only, no blob): 6 u32 + 1 f64.
+  EXPECT_EQ(checked, (6 * 4 * 4 + 2 * 4 * 8) + (6 * 4 + 8));
 }
 
 TEST(Snapshot, PagePaddingIsZeroAndNeverRead) {
@@ -689,7 +689,7 @@ TEST(Snapshot, ReencodingWhatAReaderReturnsReproducesTheImage) {
   const SnapshotData adopted =
       MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
           .materialize();
-  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 8u);
+  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 7u);
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
   fs::remove_all(dir);
 }
@@ -765,12 +765,12 @@ TEST(Snapshot, AdoptedTreeMutationsNeverReachTheImageFile) {
   Tree& tree = adopted.campaigns[0].tree;
   const NodeId added = tree.add_node(1, 4.0);
   tree.set_contribution(2, 9.5);
-  EXPECT_LT(tree.borrowed_column_count(), 8u);
+  EXPECT_LT(tree.borrowed_column_count(), 7u);
   EXPECT_EQ(tree.parent(added), 1u);
   EXPECT_EQ(tree.contribution(2), 9.5);
   tree.validate_links();
   // The untouched campaign still borrows every column.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 8u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 7u);
 
   EXPECT_EQ(read_file(path), raw);
   expect_snapshot_equal(MappedSnapshot(path.string()).materialize(), data);
@@ -806,36 +806,114 @@ TEST(Snapshot, ChecksummedButUnsafeArenaIsRejected) {
   fs::remove_all(dir);
 }
 
-TEST(Snapshot, AbsentSkipSectionIsRecomputedOnLoad) {
-  // A skip count of 0 marks the optional skip section absent: readers
-  // rebuild the skip pointers from parent and depth, bit-identically.
-  const fs::path dir = fresh_dir("itree_storage_no_skip");
-  fs::create_directories(dir);
-  const SnapshotData data = sample_snapshot_with_blob();
-  std::string image = encode_snapshot_v5(data);
-  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
-    store_le(image, entry_at(image, c) + 24, 0, 8);
-    reseal_section(image, c, kSkipSection);  // CRC of the empty section
+/// The skew-binary ancestor-skip column (Myers) every image carried
+/// while the arena kept one: a pure function of parent and depth.
+std::vector<std::uint32_t> legacy_skip_column(const Tree& tree) {
+  const std::span<const NodeId> parent = tree.parent_array();
+  const std::span<const std::uint32_t> depth = tree.depth_array();
+  std::vector<std::uint32_t> skip(tree.node_count(), kRoot);
+  for (NodeId u = 1; u < tree.node_count(); ++u) {
+    const NodeId p = parent[u];
+    const NodeId j1 = skip[p];
+    const NodeId j2 = skip[j1];
+    skip[u] = depth[p] - depth[j1] == depth[j1] - depth[j2] ? j2 : p;
   }
-  const auto expect_recomputed = [&](const SnapshotData& got) {
+  return skip;
+}
+
+/// Rewrites a current image into the layout writers produced while the
+/// arena kept a skip column: each campaign gets a full, CRC'd skip
+/// section, appended page-aligned at the end of the file.
+std::string with_legacy_skip_sections(std::string image,
+                                      const SnapshotData& data) {
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    const std::vector<std::uint32_t> skip =
+        legacy_skip_column(data.campaigns[c].tree);
+    const std::size_t at = image.size();
+    image.resize(at + (skip.size() * 4 + kSnapshotPageSize - 1) /
+                          kSnapshotPageSize * kSnapshotPageSize,
+                 '\0');
+    for (std::size_t u = 0; u < skip.size(); ++u) {
+      store_le(image, at + 4 * u, skip[u], 4);
+    }
+    const std::size_t entry = entry_at(image, c);
+    store_le(image, entry + 24, skip.size(), 8);
+    store_le(image, entry + kEntryOffsetsAt + 8 * kSkipSection, at, 8);
+  }
+  store_le(image, kPayloadAt + 8, image.size(), 8);
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    reseal_section(image, c, kSkipSection);
+  }
+  return image;
+}
+
+TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
+  // Images written while the arena had an eighth (ancestor-skip) column
+  // carry it as a full section. Every reader still accepts them and
+  // CRC-checks the section, but never adopts it: the trees come back
+  // bit-equal with seven borrowed columns, and re-encoding writes the
+  // current, skip-free image.
+  const fs::path dir = fresh_dir("itree_storage_legacy_skip");
+  fs::create_directories(dir);
+  SnapshotData data = sample_snapshot_with_blob();
+  Rng rng(1729);
+  CampaignSnapshot large;
+  large.events_applied = 2000;
+  large.tree =
+      random_recursive_tree(2000, uniform_contribution(0.0, 2.0), rng);
+  data.campaigns.push_back(std::move(large));
+  const std::string image = encode_snapshot_v5(data);
+  const std::string legacy = with_legacy_skip_sections(image, data);
+  // One page each for the two small campaigns, two for the large one.
+  ASSERT_EQ(legacy.size(), image.size() + 4 * kSnapshotPageSize);
+  EXPECT_EQ(validate_snapshot_image(legacy), data.last_seq);
+
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  const auto expect_source = [&](const SnapshotData& got) {
     expect_snapshot_equal(got, data);
     for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
       const Tree& tree = got.campaigns[c].tree;
       const Tree& want = data.campaigns[c].tree;
-      ASSERT_EQ(tree.jump_array().size(), want.jump_array().size());
-      EXPECT_TRUE(std::equal(tree.jump_array().begin(),
-                             tree.jump_array().end(),
-                             want.jump_array().begin()));
+      expect_same_tree(tree, want);
+      EXPECT_EQ(tree.total_contribution(), want.total_contribution());
+      EXPECT_EQ(mechanism->compute(tree), mechanism->compute(want));
       tree.validate_links();
     }
   };
-  expect_recomputed(decode_snapshot(image));
-  save_snapshot_image(dir.string(), image, data.last_seq);
-  const SnapshotData adopted =
-      MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
-          .materialize();
-  expect_recomputed(adopted);
-  EXPECT_EQ(adopted.campaigns[0].tree.borrowed_column_count(), 7u);
+  const SnapshotData decoded = decode_snapshot(legacy);
+  expect_source(decoded);
+  EXPECT_EQ(encode_snapshot_v5(decoded), image);
+
+  save_snapshot_image(dir.string(), legacy, data.last_seq);
+  const fs::path path = dir / snapshot_name(data.last_seq);
+  const SnapshotData adopted = MappedSnapshot(path.string()).materialize();
+  expect_source(adopted);
+  for (const CampaignSnapshot& campaign : adopted.campaigns) {
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
+    EXPECT_EQ(campaign.tree.allocation_count(), 0u);
+  }
+  EXPECT_EQ(encode_snapshot_v5(adopted), image);
+
+  // The section is still checksummed: a flipped skip byte is rejected by
+  // every reader, by name.
+  std::string corrupt = legacy;
+  const Region skip = read_regions(corrupt)[1 + 2 * 9 + kSkipSection];
+  corrupt[skip.offset + 4 * 1000] ^= 0x01;
+  write_file(path, corrupt);
+  const auto expect_rejected = [&](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "flipped skip byte accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("skip section checksum mismatch"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected([&] { (void)decode_snapshot(corrupt); });
+  expect_rejected([&] { (void)validate_snapshot_image(corrupt); });
+  expect_rejected([&] { (void)MappedSnapshot(path.string()).materialize(); });
   fs::remove_all(dir);
 }
 
@@ -999,7 +1077,7 @@ TEST(Storage, AdoptRestoreMatchesReplayRestoreForEveryMechanism) {
     SnapshotData mapped =
         MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
             .materialize();
-    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 8u);
+    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 7u);
     RecordingService adopted(*mechanism);
     restore_campaign_from_snapshot(adopted, std::move(mapped.campaigns[0]),
                                    0);
@@ -1568,6 +1646,42 @@ TEST(Storage, PreV5ImageIsSkippedByName) {
                 std::string::npos)
           << error.what();
     }
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Storage, LegacySkipSectionImageRecoversBitExactly) {
+  // A data directory whose snapshot still carries the full skip section
+  // (every image written while the arena kept that column) recovers
+  // through the normal path for every mechanism family: the image is
+  // adopted, the WAL tail replayed, and the tree and rewards equal the
+  // uninterrupted run's bit for bit.
+  const std::vector<std::vector<Event>> streams = {make_stream(808, 120)};
+  for (const MechanismPtr& mechanism : all_mechanisms()) {
+    const fs::path dir = fresh_dir("itree_storage_legacy_skip_recover");
+    StorageConfig config;
+    config.data_dir = dir.string();
+    config.fsync = FsyncPolicy::kNever;
+    run_workload(*mechanism, streams, config, 60);
+    const auto snapshots = list_snapshots(dir.string());
+    ASSERT_EQ(snapshots.size(), 1u);
+    const fs::path path = dir / snapshots[0].second;
+    const std::string image = read_file(path);
+    write_file(path, with_legacy_skip_sections(image, decode_snapshot(image)));
+
+    const RecoveryResult recovered =
+        recover_campaigns(*mechanism, 1, dir.string());
+    EXPECT_TRUE(recovered.report.warnings.empty());
+    EXPECT_TRUE(recovered.report.used_snapshot);
+    EXPECT_EQ(recovered.report.snapshot_seq, snapshots[0].first);
+    RewardService reference(*mechanism);
+    for (const Event& event : streams[0]) {
+      reference.apply(event);
+    }
+    const RewardService& service = recovered.campaigns[0]->service();
+    expect_same_tree(service.tree(), reference.tree());
+    EXPECT_EQ(service.rewards(), reference.rewards())
+        << mechanism->display_name();
     fs::remove_all(dir);
   }
 }

@@ -1,7 +1,6 @@
 // Unit tests for the referral tree substrate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -69,18 +68,6 @@ TEST(Tree, DepthCountsEdgesFromRoot) {
   EXPECT_EQ(tree.depth(c), 3u);
 }
 
-TEST(Tree, IsAncestorIncludesSelfAndRoot) {
-  Tree tree;
-  const NodeId a = tree.add_independent(1.0);
-  const NodeId b = tree.add_node(a, 1.0);
-  const NodeId other = tree.add_independent(1.0);
-  EXPECT_TRUE(tree.is_ancestor(a, b));
-  EXPECT_TRUE(tree.is_ancestor(b, b));
-  EXPECT_TRUE(tree.is_ancestor(kRoot, b));
-  EXPECT_FALSE(tree.is_ancestor(b, a));
-  EXPECT_FALSE(tree.is_ancestor(a, other));
-}
-
 TEST(Tree, SubtreeReturnsPreorderOfDescendants) {
   const Tree tree = parse_tree("(1 (2 (3)) (4))");
   // ids: 1 -> C=1, 2 -> C=2, 3 -> C=3, 4 -> C=4
@@ -125,11 +112,13 @@ TEST(Tree, PostorderHandlesDeepChainsWithoutRecursion) {
   EXPECT_EQ(order.back(), kRoot);
 }
 
-TEST(Tree, GraftSubtreeCopiesStructureAndContributions) {
+TEST(Tree, GraftForestCopiesStructureAndContributions) {
   const Tree src = parse_tree("(5 (3) (2 (1)))");
   Tree dst;
   const NodeId anchor = dst.add_independent(9.0);
-  const NodeId copy = graft_subtree(dst, anchor, src, 1);
+  const std::vector<NodeId> roots = graft_forest(dst, anchor, src);
+  ASSERT_EQ(roots.size(), 1u);
+  const NodeId copy = roots[0];
   EXPECT_DOUBLE_EQ(dst.contribution(copy), 5.0);
   EXPECT_EQ(dst.children(copy).size(), 2u);
   EXPECT_DOUBLE_EQ(dst.subtree_contribution(copy), 11.0);
@@ -147,10 +136,12 @@ TEST(Tree, GraftForestCopiesAllForestRoots) {
   EXPECT_DOUBLE_EQ(dst.subtree_contribution(anchor), 7.0);
 }
 
-TEST(Tree, GraftSubtreeRejectsImaginaryRoot) {
-  const Tree src = parse_tree("(1)");
-  Tree dst;
-  EXPECT_THROW(graft_subtree(dst, kRoot, src, kRoot), std::invalid_argument);
+TEST(Tree, GraftForestRejectsGraftingATreeIntoItself) {
+  // Appending to the tree being walked would chase its own growing
+  // sibling chains; the check fires before any node is added.
+  Tree tree = parse_tree("(1 (2)) (3)");
+  EXPECT_THROW(graft_forest(tree, 1, tree), std::invalid_argument);
+  EXPECT_EQ(to_string(tree), "(1 (2)) (3)");
 }
 
 TEST(Tree, RemoveLastNodeUndoesAnAppend) {
@@ -215,14 +206,14 @@ TEST(Tree, RemoveLastNodeKeepsTheForestRootChainIntact) {
             (std::vector<NodeId>{a, b, c}));
 }
 
-TEST(Tree, GraftSubtreeCarriesContributionsAndDepths) {
-  // Grafting re-anchors the copied subtree: contributions carry over
+TEST(Tree, GraftForestCarriesContributionsAndDepths) {
+  // Grafting re-anchors the copied forest: contributions carry over
   // bit-exactly and the cached depths are recomputed at the new anchor.
   const Tree src = parse_tree("(5 (3 (4)))");  // depths 1, 2, 3
   Tree dst;
   const NodeId a = dst.add_independent(1.0);
   const NodeId b = dst.add_node(a, 1.0);  // depth 2
-  const NodeId copy = graft_subtree(dst, b, src, 1);
+  const NodeId copy = graft_forest(dst, b, src).at(0);
   EXPECT_EQ(dst.depth(copy), 3u);
   EXPECT_EQ(dst.children(copy).size(), 1u);
   EXPECT_EQ(dst.depth(dst.children(copy)[0]), 4u);
@@ -230,63 +221,11 @@ TEST(Tree, GraftSubtreeCarriesContributionsAndDepths) {
   EXPECT_DOUBLE_EQ(dst.subtree_contribution(copy), 12.0);
 }
 
-// --- Skew-binary skip column (path-compressed ancestor walks) -------
-
-TEST(Tree, AncestorAtDepthWalksADeepChain) {
-  Tree tree;
-  std::vector<NodeId> path{kRoot};
-  NodeId tip = kRoot;
-  for (int i = 0; i < 50000; ++i) {
-    tip = tree.add_node(tip, 1.0);
-    path.push_back(tip);
-  }
-  for (const std::uint32_t d : {0u, 1u, 2u, 3u, 1023u, 4096u, 49999u, 50000u}) {
-    EXPECT_EQ(tree.ancestor_at_depth(tip, d), path[d]) << "depth " << d;
-  }
-  EXPECT_TRUE(tree.is_ancestor(path[1], tip));
-  EXPECT_TRUE(tree.is_ancestor(path[25000], tip));
-  EXPECT_FALSE(tree.is_ancestor(tip, path[25000]));
-  tree.validate_links();
-}
-
-TEST(Tree, AncestorAtDepthMatchesAParentWalkOnRandomTrees) {
-  Rng rng(99);
-  const Tree tree =
-      random_recursive_tree(3000, uniform_contribution(0.0, 1.0), rng);
-  tree.validate_links();
-  Rng pick(5);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto u = static_cast<NodeId>(pick.index(tree.node_count()));
-    const auto target =
-        static_cast<std::uint32_t>(pick.index(tree.depth(u) + 1));
-    NodeId want = u;
-    while (tree.depth(want) > target) {
-      want = tree.parent(want);
-    }
-    EXPECT_EQ(tree.ancestor_at_depth(u, target), want);
-    EXPECT_TRUE(tree.is_ancestor(want, u));
-  }
-}
-
-TEST(Tree, SkipColumnSurvivesRemoveLastNodeProbes) {
-  // The probe pattern must leave the skip column exactly as if the
-  // removed node had never existed (remove_last_node pops all columns).
-  Tree tree = parse_tree("(1 (2 (3)) (4))");
-  const std::vector<NodeId> before(tree.jump_array().begin(),
-                                   tree.jump_array().end());
-  tree.add_node(3, 1.0);
-  tree.remove_last_node();
-  const std::vector<NodeId> after(tree.jump_array().begin(),
-                                  tree.jump_array().end());
-  EXPECT_EQ(after, before);
-  tree.validate_links();
-}
-
 // --- Bulk builds: column adoption -----------------------------------
 
 /// Borrow-view of every column of an existing tree (the shape the v5
 /// snapshot decoder hands to adopt_columns).
-Tree::Columns columns_of(const Tree& tree, bool with_jump = true) {
+Tree::Columns columns_of(const Tree& tree) {
   Tree::Columns columns;
   columns.parent = tree.parent_array();
   columns.first_child = tree.first_child_array();
@@ -295,9 +234,6 @@ Tree::Columns columns_of(const Tree& tree, bool with_jump = true) {
   columns.prev_sibling = tree.prev_sibling_array();
   columns.depth = tree.depth_array();
   columns.contribution = tree.contribution_array();
-  if (with_jump) {
-    columns.jump = tree.jump_array();
-  }
   return columns;
 }
 
@@ -315,26 +251,24 @@ struct OwnedColumns {
                      tree.prev_sibling_array().end()),
         depth(tree.depth_array().begin(), tree.depth_array().end()),
         contribution(tree.contribution_array().begin(),
-                     tree.contribution_array().end()),
-        jump(tree.jump_array().begin(), tree.jump_array().end()) {}
+                     tree.contribution_array().end()) {}
 
   Tree::Columns view() const {
-    return {parent,       first_child, last_child,   next_sibling,
-            prev_sibling, depth,       contribution, jump};
+    return {parent,       first_child, last_child,  next_sibling,
+            prev_sibling, depth,       contribution};
   }
 
   std::vector<NodeId> parent, first_child, last_child, next_sibling;
   std::vector<NodeId> prev_sibling;
   std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
-  std::vector<NodeId> jump;
 };
 
 TEST(TreeAdopt, BorrowsEveryColumnAndMatchesTheOriginal) {
   const Tree want = parse_tree("(5 (3 (4) (1)) (2)) (7 (6))");
   const Tree got =
       Tree::adopt_columns(columns_of(want), want.total_contribution(), nullptr);
-  EXPECT_EQ(got.borrowed_column_count(), 8u);
+  EXPECT_EQ(got.borrowed_column_count(), 7u);
   EXPECT_EQ(got.allocation_count(), 0u);
   EXPECT_EQ(got.total_contribution(), want.total_contribution());
   ASSERT_EQ(got.node_count(), want.node_count());
@@ -352,12 +286,12 @@ TEST(TreeAdopt, PrivatizesOnlyTheMutatedColumn) {
   const Tree src = parse_tree("(1 (2) (3))");
   Tree adopted =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
-  EXPECT_EQ(adopted.borrowed_column_count(), 8u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 7u);
 
   // A contribution edit privatizes exactly the contribution column; the
   // source arena stays untouched.
   adopted.set_contribution(2, 9.0);
-  EXPECT_EQ(adopted.borrowed_column_count(), 7u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
   EXPECT_EQ(adopted.allocation_count(), 1u);
   EXPECT_DOUBLE_EQ(adopted.contribution(2), 9.0);
   EXPECT_DOUBLE_EQ(src.contribution(2), 2.0);
@@ -378,24 +312,10 @@ TEST(TreeAdopt, KeepaliveOutlivesTheSourceHandle) {
   src.reset();  // the adopted tree's keepalive still pins the arena
   EXPECT_EQ(to_string(adopted), want);
   Tree copy = adopted;  // copies share the pin (and the borrow)
-  EXPECT_EQ(copy.borrowed_column_count(), 8u);
+  EXPECT_EQ(copy.borrowed_column_count(), 7u);
   adopted = Tree();  // dropping one handle keeps the other alive
   EXPECT_EQ(to_string(copy), want);
   copy.validate_links();
-}
-
-TEST(TreeAdopt, RecomputesTheSkipColumnWhenAbsent) {
-  Rng rng(7);
-  const Tree src =
-      random_recursive_tree(500, fixed_contribution(1.0), rng);
-  const Tree adopted = Tree::adopt_columns(
-      columns_of(src, /*with_jump=*/false), src.total_contribution(), nullptr);
-  EXPECT_EQ(adopted.borrowed_column_count(), 7u);  // jump is recomputed, owned
-  ASSERT_EQ(adopted.jump_array().size(), src.jump_array().size());
-  EXPECT_TRUE(std::equal(adopted.jump_array().begin(),
-                         adopted.jump_array().end(),
-                         src.jump_array().begin()));
-  adopted.validate_links();
 }
 
 TEST(TreeAdopt, RejectsUnsafeColumns) {
@@ -439,11 +359,6 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
     OwnedColumns c(src);
     c.first_child[1] = 2;
     c.last_child[1] = kInvalidNode;  // half-open child interval
-    EXPECT_THROW(adopt(c), std::invalid_argument);
-  }
-  {
-    OwnedColumns c(src);
-    c.jump[2] = 2;  // skip pointers never pass the parent
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
   {
@@ -506,8 +421,6 @@ TEST(TreeAdopt, RejectsUnsafeColumnsAcrossScanBlocks) {
        [&](NodeId u) { c.next_sibling[u] = u; }},
       {"Tree::adopt_columns: prev-sibling out of range",
        [&](NodeId u) { c.prev_sibling[u] = u; }},
-      {"Tree::adopt_columns: skip pointer out of range",
-       [&](NodeId u) { c.jump[u] = u; }},
   };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_thread_count(threads);

@@ -30,6 +30,7 @@
 #include "net/load_driver.h"
 #include "util/args.h"
 #include "util/bench_json.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -108,10 +109,11 @@ int main(int argc, char** argv) {
     // failures print one clean line instead of aborting mid-run.
     net::LoadDriver driver;
     driver.host = args.get_or("--host", "127.0.0.1");
-    driver.port =
-        static_cast<std::uint16_t>(args.get_int_or("--port", 7431));
-    driver.connections =
-        static_cast<std::size_t>(args.get_int_or("--connections", 4));
+    driver.port = static_cast<std::uint16_t>(
+        args.get_int_in("--port", 7431, 0, 65535));
+    // One driver thread per connection.
+    driver.connections = static_cast<std::size_t>(
+        args.get_int_in("--connections", 4, 1, kMaxThreadCount));
     driver.campaigns =
         static_cast<std::uint32_t>(args.get_int_or("--campaigns", 1));
     driver.requests =
@@ -125,8 +127,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(args.get_int_or("--pipeline", 1));
     driver.rate = args.get_double_or("--open-loop", 0.0);
     driver.replicas = parse_endpoints(args.get_or("--replica", ""));
-    if (driver.connections == 0 || driver.campaigns == 0) {
-      std::cerr << "need at least one connection and one campaign\n";
+    if (driver.campaigns == 0) {
+      std::cerr << "need at least one campaign\n";
       return 2;
     }
     if (driver.batch == 0 || driver.pipeline == 0) {
@@ -263,6 +265,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     return 0;
+  } catch (const FlagError& error) {
+    std::cerr << "itree-loadgen: " << error.what() << '\n';
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "itree-loadgen: " << error.what() << '\n';
     return 1;

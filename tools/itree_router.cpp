@@ -40,6 +40,7 @@
 #include "router/supervisor.h"
 #include "util/args.h"
 #include "util/bench_json.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -128,12 +129,12 @@ int main(int argc, char** argv) {
   try {
     router::RouterConfig config;
     config.host = args.get_or("--host", "127.0.0.1");
-    config.port =
-        static_cast<std::uint16_t>(args.get_int_or("--port", 7430));
+    config.port = static_cast<std::uint16_t>(
+        args.get_int_in("--port", 7430, 0, 65535));
     config.campaigns =
         static_cast<std::uint32_t>(args.get_int_or("--campaigns", 1));
-    config.reactors =
-        static_cast<std::size_t>(args.get_int_or("--reactors", 1));
+    config.reactors = static_cast<std::size_t>(
+        args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
     config.idle_timeout_seconds =
         args.get_double_or("--idle-timeout", 0.0);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
@@ -283,6 +284,9 @@ int main(int argc, char** argv) {
     report << '}';
     std::cout << report.str() << '\n';
     return 0;
+  } catch (const FlagError& error) {
+    std::cerr << "itree-router: " << error.what() << '\n';
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "itree-router: " << error.what() << '\n';
     return 1;

@@ -98,25 +98,22 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::int64_t threads = args.get_int_or("--threads", 0);
-    if (threads < 0) {
-      std::cerr << "itree-served: --threads must be >= 0 (0 = hardware), got "
-                << threads << '\n';
-      return 2;
-    }
-    set_thread_count(static_cast<std::size_t>(threads));
+    // Ranged flags first: a bad count is refused before the pool, any
+    // listener or any reactor thread exists.
+    net::ServerConfig config;
+    config.port = static_cast<std::uint16_t>(
+        args.get_int_in("--port", 7431, 0, 65535));
+    config.reactors = static_cast<std::size_t>(
+        args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
+    set_thread_count(static_cast<std::size_t>(
+        args.get_int_in("--threads", 0, 0, kMaxThreadCount)));
     const MechanismPtr mechanism =
         make_mechanism(args.get_or("--mechanism", "geometric"),
                        parse_param_string(args.get_or("--params", "")));
 
-    net::ServerConfig config;
     config.host = args.get_or("--host", "127.0.0.1");
-    config.port = static_cast<std::uint16_t>(
-        args.get_int_or("--port", 7431));
     config.campaigns =
         static_cast<std::size_t>(args.get_int_or("--campaigns", 1));
-    config.reactors =
-        static_cast<std::size_t>(args.get_int_or("--reactors", 1));
     config.idle_timeout_seconds =
         args.get_double_or("--idle-timeout", 0.0);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
@@ -257,6 +254,9 @@ int main(int argc, char** argv) {
            << compact_number(worst_audit, 12) << '}';
     std::cout << report.str() << '\n';
     return 0;
+  } catch (const FlagError& error) {
+    std::cerr << "itree-served: " << error.what() << '\n';
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "itree-served: " << error.what() << '\n';
     return 1;
