@@ -476,27 +476,28 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
       throw std::invalid_argument(args.error());
     }
-    driver.campaigns =
-        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 4));
+    // One connection, hence one driver thread, per campaign.
+    driver.campaigns = static_cast<std::uint32_t>(
+        args.get_int_in("--campaigns", 4, 1, kMaxThreadCount));
     driver.connections = driver.campaigns;
-    driver.requests =
-        static_cast<std::uint64_t>(args.get_int_or("--requests", 4000));
+    driver.requests = static_cast<std::uint64_t>(
+        args.get_int_in("--requests", 4000, 1, net::kMaxRequests));
     reactors = static_cast<std::size_t>(
         args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
-    driver.batch = static_cast<std::uint32_t>(args.get_int_or("--batch", 1));
-    driver.pipeline =
-        static_cast<std::uint32_t>(args.get_int_or("--pipeline", 1));
+    driver.batch = static_cast<std::uint32_t>(
+        args.get_int_in("--batch", 1, 1, net::kMaxBatchEvents));
+    driver.pipeline = static_cast<std::uint32_t>(
+        args.get_int_in("--pipeline", 1, 1, net::kMaxPipeline));
     open_loop_rate = args.get_double_or("--open-loop", 0.0);
     mechanism_name = args.get_or("--mechanism", "geometric");
     read_scaling = args.get_int_or("--read-scaling", 1) != 0;
-    shards = static_cast<std::size_t>(args.get_int_or("--shards", 0));
+    // Campaign c lands on shard c mod N: a shard past the campaign
+    // count would own none.
+    shards = static_cast<std::size_t>(
+        args.get_int_in("--shards", 0, 0, driver.campaigns));
     mechanism = make_mechanism(mechanism_name);
   } catch (const std::invalid_argument& error) {
     std::cerr << error.what() << '\n';
-    return 2;
-  }
-  if (driver.batch == 0 || driver.pipeline == 0) {
-    std::cerr << "--batch and --pipeline must be >= 1\n";
     return 2;
   }
   const std::uint32_t campaigns = driver.campaigns;

@@ -68,10 +68,11 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
       throw std::invalid_argument(args.error());
     }
-    driver.campaigns =
-        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 3));
-    driver.requests =
-        static_cast<std::uint64_t>(args.get_int_or("--requests", 3000));
+    // One connection, hence one driver thread, per campaign.
+    driver.campaigns = static_cast<std::uint32_t>(
+        args.get_int_in("--campaigns", 3, 1, kMaxThreadCount));
+    driver.requests = static_cast<std::uint64_t>(
+        args.get_int_in("--requests", 3000, 1, net::kMaxRequests));
   } catch (const std::invalid_argument& error) {
     std::cerr << error.what() << '\n';
     return 2;

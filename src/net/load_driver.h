@@ -98,6 +98,15 @@ struct LoadReport {
   std::string error;  ///< first connection error; empty on success
 };
 
+/// Most decisions per connection: the driver reserves every latency
+/// sample up front (8 B each, 800 MB per connection at the cap).
+inline constexpr std::uint64_t kMaxRequests = 100'000'000;
+
+/// Most frames one connection keeps in flight. Each holds its predicted
+/// results until answered; a deeper window only queues behind the
+/// daemon's slow-reader backpressure.
+inline constexpr std::uint32_t kMaxPipeline = 1u << 16;
+
 struct LoadDriver {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;

@@ -119,6 +119,17 @@ struct BatchEvent {
 /// Wire bytes of one BatchEvent (kind u8 + node u64 + amount f64).
 inline constexpr std::size_t kBatchEventWireBytes = 17;
 
+/// Most events one EVENT_BATCH frame can carry: its payload (type u8,
+/// campaign u32, count u32, then the events) must fit kMaxFrameBytes.
+inline constexpr std::uint32_t kMaxBatchEvents =
+    (kMaxFrameBytes - 9) / kBatchEventWireBytes;
+
+/// Most campaigns one deployment hosts: the `--campaigns` bound of
+/// every front end and load driver. An empty campaign costs a daemon
+/// about 2.4 KB and one entry of its exit report, so an idle deployment
+/// at the cap stays under 200 MB.
+inline constexpr std::uint32_t kMaxCampaigns = 1u << 16;
+
 /// One client request. `node` is the referrer (kJoin) or the queried /
 /// contributing participant; `amount` is the (initial) contribution.
 /// Fields a message type does not use are ignored by the codec;

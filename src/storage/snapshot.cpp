@@ -209,8 +209,60 @@ void verify_v5_sections(std::string_view bytes, const V5Header& header) {
   });
 }
 
+}  // namespace
+
+/// The image mapping is PROT_READ and MAP_PRIVATE, so none of its pages
+/// is ever a private copy: every one is a clean page of the file, and
+/// image files are never written in place (temp + rename, unlink only).
+/// That makes dropping a copied range safe — a tree copy still
+/// borrowing it re-faults the same bytes from the page cache (or from
+/// the unlinked inode the mapping pins).
+struct MappingHolder final : BorrowedStorage {
+  void* map = nullptr;
+  std::size_t size = 0;
+  std::string fallback;  ///< used when mmap is unavailable
+
+  MappingHolder() = default;
+  MappingHolder(const MappingHolder&) = delete;
+  MappingHolder& operator=(const MappingHolder&) = delete;
+  ~MappingHolder() {
+    if (map != nullptr) {
+      ::munmap(map, size);
+    }
+  }
+
+  std::string_view bytes() const {
+    if (map != nullptr) {
+      return {static_cast<const char*>(map), size};
+    }
+    return fallback;
+  }
+
+  /// Drops the whole pages of a copied section (its padding included)
+  /// from the page tables. The buffered fallback is heap memory and is
+  /// never released.
+  void release(const void* data, std::size_t length) const override {
+    if (map == nullptr) {
+      return;
+    }
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t offset =
+        static_cast<const char*>(data) - static_cast<const char*>(map);
+    const std::size_t lo = (offset + page - 1) / page * page;
+    const std::size_t hi =
+        std::min<std::size_t>(align_up(offset + length), size) / page * page;
+    if (lo < hi) {
+      ::madvise(static_cast<char*>(map) + lo, hi - lo, MADV_DONTNEED);
+    }
+  }
+};
+
+namespace {
+
 /// Owned copies of one campaign's v5 sections — the keepalive of trees
-/// adopted through the buffered (non-mmap or big-endian) path.
+/// adopted through the buffered (non-mmap or big-endian) path. These
+/// trees get no BorrowedStorage: DONTNEED on heap memory would zero
+/// bytes other borrowers still read.
 struct OwnedV5Columns {
   std::vector<NodeId> parent, first_child, last_child, next_sibling,
       prev_sibling;
@@ -221,11 +273,13 @@ struct OwnedV5Columns {
 /// Builds the campaigns from an already CRC-verified v5 image. With
 /// `mapping` set (the mmap path on little-endian hardware) the trees
 /// adopt the image's columns *in place* — zero per-node construction
-/// work, the mapping pinned by each tree's keepalive. Otherwise every
-/// section is copied once (endian-converting if needed) into an owned
-/// holder the trees borrow from instead.
+/// work, the mapping pinned by each tree's keepalive and told of every
+/// column a tree later privatizes. Otherwise every section is copied
+/// once (endian-converting if needed) into an owned holder the trees
+/// borrow from instead. Every section copied out of a mapping is
+/// released to it at once.
 SnapshotData build_v5(std::string_view bytes, const V5Header& header,
-                      std::shared_ptr<const void> mapping) {
+                      std::shared_ptr<const MappingHolder> mapping) {
   constexpr bool kLittleEndian =
       std::endian::native == std::endian::little;
   const bool in_place = kLittleEndian && mapping != nullptr;
@@ -234,6 +288,12 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
   data.mechanism = header.mechanism;
   data.campaigns.reserve(header.campaigns.size());
   for (const V5Campaign& entry : header.campaigns) {
+    const auto release = [&](std::size_t s) {
+      if (mapping != nullptr) {
+        mapping->release(bytes.data() + entry.offsets[s],
+                         entry.section_count(s) * kV5ElemSize[s]);
+      }
+    };
     CampaignSnapshot campaign;
     campaign.events_applied = entry.events_applied;
     campaign.aggregate_kind = entry.aggregate_kind;
@@ -261,13 +321,14 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       // adopt_columns re-validates every link invariant (parallel,
       // read-only), so even a CRC-colliding corruption cannot stand up
       // an inconsistent tree.
-      campaign.tree =
-          Tree::adopt_columns(columns, entry.total_contribution, mapping);
+      campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
+                                          mapping, mapping.get());
     } else {
       auto owned = std::make_shared<OwnedV5Columns>();
       const auto copy = [&](auto& column, std::size_t s) {
         column.resize(entry.section_count(s));
         le::load_array(bytes.data() + entry.offsets[s], std::span(column));
+        release(s);
         return std::span(std::as_const(column));
       };
       columns.parent = copy(owned->parent, kSecParent);
@@ -283,6 +344,7 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
     campaign.aggregates.resize(entry.aggregate_count);
     le::load_array(bytes.data() + entry.offsets[kSecAggregates],
                    std::span(campaign.aggregates));
+    release(kSecAggregates);
     data.campaigns.push_back(std::move(campaign));
   }
   return data;
@@ -469,28 +531,6 @@ std::optional<SnapshotData> load_latest_snapshot(
 
 // ---- MappedSnapshot -----------------------------------------------------
 
-struct MappingHolder {
-  void* map = nullptr;
-  std::size_t size = 0;
-  std::string fallback;  ///< used when mmap is unavailable
-
-  MappingHolder() = default;
-  MappingHolder(const MappingHolder&) = delete;
-  MappingHolder& operator=(const MappingHolder&) = delete;
-  ~MappingHolder() {
-    if (map != nullptr) {
-      ::munmap(map, size);
-    }
-  }
-
-  std::string_view bytes() const {
-    if (map != nullptr) {
-      return {static_cast<const char*>(map), size};
-    }
-    return fallback;
-  }
-};
-
 MappedSnapshot::MappedSnapshot(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -562,7 +602,7 @@ SnapshotData MappedSnapshot::materialize() const {
   verify();
   // Adopt straight out of the mapping when there is one; the buffered
   // fallback copies (std::string gives no alignment guarantee).
-  std::shared_ptr<const void> mapping;
+  std::shared_ptr<const MappingHolder> mapping;
   if (holder_->map != nullptr) {
     mapping = holder_;
   }

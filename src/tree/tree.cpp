@@ -78,7 +78,8 @@ NodeId Tree::add_node(NodeId parent, double contribution) {
 }
 
 Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
-                         std::shared_ptr<const void> keepalive) {
+                         std::shared_ptr<const void> keepalive,
+                         const BorrowedStorage* storage) {
   const std::size_t n = columns.parent.size();
   require(n >= 1, "Tree::adopt_columns: missing the imaginary root");
   require(n < kInvalidNode, "Tree::adopt_columns: impossible node count");
@@ -149,13 +150,13 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   });
 
   Tree tree;
-  tree.parent_.borrow(parent, n);
-  tree.first_child_.borrow(first_child, n);
-  tree.last_child_.borrow(last_child, n);
-  tree.next_sibling_.borrow(next_sibling, n);
-  tree.prev_sibling_.borrow(prev_sibling, n);
-  tree.depth_.borrow(depth, n);
-  tree.contribution_.borrow(contribution, n);
+  tree.parent_.borrow(parent, n, storage);
+  tree.first_child_.borrow(first_child, n, storage);
+  tree.last_child_.borrow(last_child, n, storage);
+  tree.next_sibling_.borrow(next_sibling, n, storage);
+  tree.prev_sibling_.borrow(prev_sibling, n, storage);
+  tree.depth_.borrow(depth, n, storage);
+  tree.contribution_.borrow(contribution, n, storage);
   tree.total_contribution_ = total_contribution;
   tree.keepalive_ = std::move(keepalive);
   return tree;

@@ -31,7 +31,9 @@
 // privatizes a column into owned memory only on that column's first
 // mutation (copy-on-first-mutation, per column, so a read-heavy replica
 // never copies the link columns at all). A keepalive shared_ptr pins the
-// mapping for as long as any borrowing tree (or copy of one) is alive.
+// mapping for as long as any borrowing tree (or copy of one) is alive,
+// and a privatizing column hands the range it just copied back to the
+// mapping's owner (BorrowedStorage), which may drop those pages.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +63,27 @@ inline constexpr NodeId kRoot = 0;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 
+/// The owner of storage that adopted columns borrow (a mapped snapshot
+/// image). A borrowed column that privatizes hands the range it just
+/// copied back through release(). Other copies of the tree may still
+/// borrow that range, so an owner may only drop bytes it can later
+/// re-read bit-equal (clean pages of a read-only file mapping).
+class BorrowedStorage {
+ public:
+  virtual void release(const void* data, std::size_t bytes) const = 0;
+
+ protected:
+  ~BorrowedStorage() = default;
+};
+
 /// One arena column: an owned vector that can instead *borrow* read-only
 /// storage (an mmap-ed snapshot section). Reads always go through
 /// data_/size_; every mutating operation first privatizes a borrowed
-/// column (one bulk copy), after which it behaves exactly like the
-/// vector it wraps. Copying a borrowed column copies the borrow (cheap),
-/// not the bytes — the owner of the borrowed storage (Tree's keepalive)
-/// must outlive every copy.
+/// column (one bulk copy, then the copied range is released to its
+/// storage), after which it behaves exactly like the vector it wraps.
+/// Copying a borrowed column copies the borrow (cheap), not the bytes —
+/// the owner of the borrowed storage (Tree's keepalive) must outlive
+/// every copy.
 template <typename T>
 class ArenaColumn {
  public:
@@ -78,6 +94,7 @@ class ArenaColumn {
       data_ = other.data_;
       size_ = other.size_;
       borrowed_ = true;
+      storage_ = other.storage_;
     } else {
       sync();
     }
@@ -86,6 +103,7 @@ class ArenaColumn {
   ArenaColumn(ArenaColumn&& other) noexcept
       : owned_(std::move(other.owned_)),
         borrowed_(other.borrowed_),
+        storage_(other.storage_),
         allocations_(other.allocations_) {
     // A moved vector keeps its heap buffer, but re-sync anyway so the
     // pointer never dangles on empty/borrowed edge cases.
@@ -102,6 +120,7 @@ class ArenaColumn {
     if (this != &other) {
       owned_ = other.owned_;
       borrowed_ = other.borrowed_;
+      storage_ = other.storage_;
       allocations_ = other.allocations_;
       if (borrowed_) {
         data_ = other.data_;
@@ -117,6 +136,7 @@ class ArenaColumn {
     if (this != &other) {
       owned_ = std::move(other.owned_);
       borrowed_ = other.borrowed_;
+      storage_ = other.storage_;
       allocations_ = other.allocations_;
       if (borrowed_) {
         data_ = other.data_;
@@ -129,16 +149,19 @@ class ArenaColumn {
     return *this;
   }
 
-  /// Points the column at caller-owned read-only storage. The previous
-  /// contents are discarded, and the allocation counter restarts: an
-  /// adopted column reports only the work done since adoption (its
-  /// privatization, if any), not the root-row bootstrap it replaced.
-  void borrow(const T* data, std::size_t size) {
+  /// Points the column at caller-owned read-only storage, released to
+  /// `storage` (when given) once privatized. The previous contents are
+  /// discarded, and the allocation counter restarts: an adopted column
+  /// reports only the work done since adoption (its privatization, if
+  /// any), not the root-row bootstrap it replaced.
+  void borrow(const T* data, std::size_t size,
+              const BorrowedStorage* storage) {
     owned_.clear();
     owned_.shrink_to_fit();
     data_ = data;
     size_ = size;
     borrowed_ = true;
+    storage_ = storage;
     allocations_ = 0;
   }
 
@@ -187,6 +210,7 @@ class ArenaColumn {
   /// path constructs columns as plain vectors first).
   void take(std::vector<T>&& values) {
     borrowed_ = false;
+    storage_ = nullptr;
     ++allocations_;
     owned_ = std::move(values);
     sync();
@@ -195,19 +219,26 @@ class ArenaColumn {
   /// Replaces the contents with an owned copy of `values`.
   void assign(std::span<const T> values) {
     borrowed_ = false;
+    storage_ = nullptr;
     ++allocations_;
     owned_.assign(values.begin(), values.end());
     sync();
   }
 
-  /// Copies borrowed storage into owned memory (no-op when owned).
+  /// Copies borrowed storage into owned memory (no-op when owned), then
+  /// hands the copied range back to its storage: nothing in this column
+  /// reads it again.
   void ensure_owned() {
     if (!borrowed_) {
       return;
     }
     ++allocations_;
     owned_.assign(data_, data_ + size_);
+    if (storage_ != nullptr) {
+      storage_->release(data_, size_ * sizeof(T));
+    }
     borrowed_ = false;
+    storage_ = nullptr;
     sync();
   }
 
@@ -223,6 +254,7 @@ class ArenaColumn {
   void reset() {
     owned_.clear();
     borrowed_ = false;
+    storage_ = nullptr;
     sync();
   }
 
@@ -230,6 +262,9 @@ class ArenaColumn {
   const T* data_ = nullptr;
   std::size_t size_ = 0;
   bool borrowed_ = false;
+  /// Told of the range a privatization copied; null when owned or when
+  /// the borrowed storage has nothing to give back.
+  const BorrowedStorage* storage_ = nullptr;
   std::size_t allocations_ = 0;
 };
 
@@ -343,9 +378,12 @@ class Tree {
   /// never crash, hang, or touch foreign memory. Throws
   /// std::invalid_argument on any violation. `total_contribution` is
   /// the writer's accumulated C(T) (history-dependent FP), adopted
-  /// bit-exactly.
+  /// bit-exactly. When `storage` is given (it must be pinned by
+  /// `keepalive`), each column that later privatizes releases the range
+  /// it copied to it.
   static Tree adopt_columns(const Columns& columns, double total_contribution,
-                            std::shared_ptr<const void> keepalive);
+                            std::shared_ptr<const void> keepalive,
+                            const BorrowedStorage* storage = nullptr);
 
   /// Full O(1)-per-node cross-link verification of the arena: sibling
   /// chains mutually inverse, consistent with first/last-child and

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,6 +210,32 @@ struct DigestCase {
   std::size_t reactors;
 };
 
+/// "Tdrm_1Reactor": the instance name, and what gtest prints for the
+/// param. Its default print is the struct's raw bytes, padding
+/// included, which differ from build to build.
+std::string case_name(const DigestCase& param) {
+  const char* kind = "";
+  switch (param.kind) {
+    case MechanismKind::kTdrm:
+      kind = "Tdrm";
+      break;
+    case MechanismKind::kCdrmReciprocal:
+      kind = "CdrmReciprocal";
+      break;
+    case MechanismKind::kGeometric:
+      kind = "Geometric";
+      break;
+    default:
+      ADD_FAILURE() << "DigestCase kind has no name";
+  }
+  return std::string(kind) + "_" + std::to_string(param.reactors) +
+         (param.reactors == 1 ? "Reactor" : "Reactors");
+}
+
+void PrintTo(const DigestCase& param, std::ostream* out) {
+  *out << case_name(param);
+}
+
 class ReplicaDigestEquality
     : public ReplicationTest,
       public ::testing::WithParamInterface<DigestCase> {};
@@ -247,7 +274,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DigestCase{MechanismKind::kCdrmReciprocal, 1},
                       DigestCase{MechanismKind::kCdrmReciprocal, 2},
                       DigestCase{MechanismKind::kGeometric, 1},
-                      DigestCase{MechanismKind::kGeometric, 2}));
+                      DigestCase{MechanismKind::kGeometric, 2}),
+    [](const ::testing::TestParamInfo<DigestCase>& info) {
+      return case_name(info.param);
+    });
 
 TEST_F(ReplicationTest, InMemoryReplicaBootstrapsFromACompactedPrimary) {
   // Once the primary's log is compacted past seq 1, an in-memory replica

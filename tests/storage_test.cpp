@@ -5,12 +5,15 @@
 // run over the surviving event prefix, for both TDRM (batch path) and
 // CDRM (incremental path) campaigns, at any thread count.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -775,6 +778,178 @@ TEST(Snapshot, AdoptedTreeMutationsNeverReachTheImageFile) {
   EXPECT_EQ(read_file(path), raw);
   expect_snapshot_equal(MappedSnapshot(path.string()).materialize(), data);
   fs::remove_all(dir);
+}
+
+// --- Copied ranges of a mapped image are given back -----------------
+
+/// Resident kB of the mapping that holds `addr`, read from
+/// /proc/self/smaps. (mincore would not do: it reports the page cache,
+/// which keeps the pages MADV_DONTNEED takes out of the page tables.)
+std::size_t mapped_rss_kb(const void* addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto at = reinterpret_cast<std::uintptr_t>(addr);
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long long lo = 0;
+    unsigned long long hi = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &lo, &hi) == 2) {
+      inside = lo <= at && at < hi;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      return std::stoull(line.substr(4));
+    }
+  }
+  ADD_FAILURE() << "no mapping in /proc/self/smaps holds " << addr;
+  return 0;
+}
+
+/// kB a release of a `bytes`-long section must at least drop: its whole
+/// system pages, less two for a system page larger than the image's
+/// (whose section starts and ends need not be aligned to it).
+std::size_t released_kb(std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t pages = bytes / page;
+  return (pages > 2 ? pages - 2 : 0) * page / 1024;
+}
+
+/// Two 100k-participant campaigns with a 2n-entry aggregate blob each:
+/// every section spans many pages.
+SnapshotData paged_snapshot() {
+  Rng rng(41);
+  SnapshotData data;
+  data.last_seq = 5;
+  data.mechanism = "CDRM-1(test)";
+  for (int c = 0; c < 2; ++c) {
+    CampaignSnapshot campaign;
+    campaign.events_applied = 100000;
+    campaign.tree =
+        random_recursive_tree(100000, uniform_contribution(0.0, 2.0), rng);
+    campaign.aggregate_kind = 1;
+    campaign.aggregates.resize(2 * campaign.tree.node_count());
+    for (double& value : campaign.aggregates) {
+      value = rng.uniform(0.0, 5.0);
+    }
+    data.campaigns.push_back(std::move(campaign));
+  }
+  return data;
+}
+
+/// Every column of `got` equals `want`'s, bit for bit.
+void expect_same_columns(const Tree& got, const Tree& want) {
+  const auto same = [](auto a, auto b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  EXPECT_TRUE(same(got.parent_array(), want.parent_array()));
+  EXPECT_TRUE(same(got.first_child_array(), want.first_child_array()));
+  EXPECT_TRUE(same(got.last_child_array(), want.last_child_array()));
+  EXPECT_TRUE(same(got.next_sibling_array(), want.next_sibling_array()));
+  EXPECT_TRUE(same(got.prev_sibling_array(), want.prev_sibling_array()));
+  EXPECT_TRUE(same(got.depth_array(), want.depth_array()));
+  EXPECT_TRUE(same(got.contribution_array(), want.contribution_array()));
+}
+
+TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
+  const fs::path dir = fresh_dir("itree_storage_release_rss");
+  fs::create_directories(dir);
+  const SnapshotData data = paged_snapshot();
+  save_snapshot(dir.string(), data);
+  const MappedSnapshot mapped((dir / snapshot_name(data.last_seq)).string());
+  mapped.verify();  // the CRC walk faults in every section
+  const void* base = mapped.bytes().data();
+  const std::size_t verified = mapped_rss_kb(base);
+  EXPECT_GE(verified, released_kb(mapped.bytes().size()));
+
+  // materialize() copies the aggregate sections out and releases them;
+  // the columns are adopted in place.
+  SnapshotData adopted = mapped.materialize();
+  const std::size_t materialized = mapped_rss_kb(base);
+  std::size_t aggregates_kb = 0;
+  for (const CampaignSnapshot& campaign : data.campaigns) {
+    aggregates_kb += released_kb(campaign.aggregates.size() * sizeof(double));
+  }
+  EXPECT_LE(materialized + aggregates_kb, verified);
+  for (const CampaignSnapshot& campaign : adopted.campaigns) {
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
+  }
+
+  // One append privatizes all seven columns of campaign 0, and each
+  // hands its section back. A release may drop more than its range (a
+  // file page mapped as part of a huge page goes with the whole huge
+  // page), so the columns are read back in first; and the copy of one
+  // column may fault a little of the last one back in (fault-around),
+  // so only half of their bytes must be gone.
+  Tree& tree = adopted.campaigns[0].tree;
+  const std::size_t n = tree.node_count();
+  tree.validate_links();
+  const std::size_t read_back = mapped_rss_kb(base);
+  tree.add_node(1, 1.0);
+  EXPECT_EQ(tree.borrowed_column_count(), 0u);
+  const std::size_t privatized = mapped_rss_kb(base);
+  const std::size_t columns_kb = (6 * sizeof(NodeId) + sizeof(double)) * n / 1024;
+  EXPECT_LE(privatized + columns_kb / 2, read_back);
+
+  // Campaign 1 still serves from the mapping; campaign 0 kept its bytes.
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 7u);
+  expect_same_columns(adopted.campaigns[1].tree, data.campaigns[1].tree);
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_EQ(tree.parent(u), data.campaigns[0].tree.parent(u));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(tree.contribution(u)),
+              std::bit_cast<std::uint64_t>(
+                  data.campaigns[0].tree.contribution(u)));
+  }
+  tree.validate_links();
+  fs::remove_all(dir);
+}
+
+TEST(Snapshot, BorrowersOfAReleasedColumnReadTheImageBitEqual) {
+  const SnapshotData data = paged_snapshot();
+  for (const bool unlink : {false, true}) {
+    SCOPED_TRACE(unlink ? "image file unlinked" : "image file kept");
+    const fs::path dir = fresh_dir("itree_storage_release_borrow");
+    fs::create_directories(dir);
+    save_snapshot(dir.string(), data);
+    const fs::path path = dir / snapshot_name(data.last_seq);
+    const MappedSnapshot mapped(path.string());
+    SnapshotData adopted = mapped.materialize();
+    const Tree copy = adopted.campaigns[0].tree;  // shares the borrow
+    if (unlink) {
+      // Only the mapping pins the inode now; a new image under the same
+      // name (temp + rename, as every writer does) is another file.
+      fs::remove(path);
+      SnapshotData other = data;
+      other.campaigns[0].tree.set_contribution(1, 7.0);
+      save_snapshot(dir.string(), other);
+    }
+    adopted.campaigns[0].tree.add_node(1, 1.0);
+    ASSERT_EQ(adopted.campaigns[0].tree.borrowed_column_count(), 0u);
+
+    // The copy's columns left the page tables with the privatization;
+    // reading them faults the same bytes back in.
+    ASSERT_EQ(copy.borrowed_column_count(), 7u);
+    const std::size_t released = mapped_rss_kb(copy.parent_array().data());
+    expect_same_columns(copy, data.campaigns[0].tree);
+    copy.validate_links();
+    EXPECT_GT(mapped_rss_kb(copy.parent_array().data()), released);
+    // So do the released aggregate sections, on a second materialize.
+    expect_snapshot_equal(mapped.materialize(), data);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Snapshot, BufferedBorrowersNeverSeeAPrivatization) {
+  // decode_snapshot's trees borrow heap copies of the sections, which
+  // are never released: a DONTNEED there would zero live bytes.
+  const SnapshotData data = paged_snapshot();
+  SnapshotData decoded = decode_snapshot(encode_snapshot_v5(data));
+  const Tree copy = decoded.campaigns[0].tree;
+  decoded.campaigns[0].tree.add_node(1, 1.0);
+  decoded.campaigns[0].tree.set_contribution(2, 9.0);
+  EXPECT_EQ(decoded.campaigns[0].tree.borrowed_column_count(), 0u);
+  EXPECT_EQ(copy.borrowed_column_count(), 7u);
+  expect_same_columns(copy, data.campaigns[0].tree);
+  copy.validate_links();
+  expect_same_columns(decoded.campaigns[1].tree, data.campaigns[1].tree);
 }
 
 TEST(Snapshot, ChecksummedButUnsafeArenaIsRejected) {

@@ -1,6 +1,7 @@
 // Unit tests for the referral tree substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -316,6 +317,64 @@ TEST(TreeAdopt, KeepaliveOutlivesTheSourceHandle) {
   adopted = Tree();  // dropping one handle keeps the other alive
   EXPECT_EQ(to_string(copy), want);
   copy.validate_links();
+}
+
+/// Records every range a privatizing column hands back.
+struct RecordingStorage final : BorrowedStorage {
+  struct Range {
+    const void* data;
+    std::size_t bytes;
+  };
+  void release(const void* data, std::size_t bytes) const override {
+    released.push_back({data, bytes});
+  }
+  mutable std::vector<Range> released;
+};
+
+TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
+  const Tree src = parse_tree("(1 (2) (3))");
+  const std::size_t n = src.node_count();
+  auto storage = std::make_shared<RecordingStorage>();
+  Tree adopted = Tree::adopt_columns(columns_of(src), src.total_contribution(),
+                                     storage, storage.get());
+  EXPECT_TRUE(storage->released.empty());
+
+  // One contribution edit: that column's whole span, once.
+  adopted.set_contribution(2, 9.0);
+  adopted.set_contribution(3, 8.0);
+  ASSERT_EQ(storage->released.size(), 1u);
+  EXPECT_EQ(storage->released[0].data, src.contribution_array().data());
+  EXPECT_EQ(storage->released[0].bytes, n * sizeof(double));
+
+  // A copy borrows the six 4-byte columns still borrowed and owns the
+  // contribution column: its append releases exactly those six, and the
+  // original keeps borrowing (and reading) them.
+  Tree copy = adopted;
+  copy.add_node(1, 1.0);
+  ASSERT_EQ(storage->released.size(), 7u);
+  std::vector<const void*> released;
+  for (std::size_t i = 1; i < storage->released.size(); ++i) {
+    released.push_back(storage->released[i].data);
+    EXPECT_EQ(storage->released[i].bytes, n * sizeof(NodeId));
+  }
+  std::vector<const void*> want = {
+      src.parent_array().data(),       src.first_child_array().data(),
+      src.last_child_array().data(),   src.next_sibling_array().data(),
+      src.prev_sibling_array().data(), src.depth_array().data()};
+  std::sort(released.begin(), released.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(released, want);
+  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.node_count(), n);
+  adopted.validate_links();
+
+  // Owned columns never call back, and neither does a tree adopted
+  // without a storage.
+  copy.add_node(2, 1.0);
+  Tree plain =
+      Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
+  plain.add_node(1, 1.0);
+  EXPECT_EQ(storage->released.size(), 7u);
 }
 
 TEST(TreeAdopt, RejectsUnsafeColumns) {

@@ -114,27 +114,19 @@ int main(int argc, char** argv) {
     // One driver thread per connection.
     driver.connections = static_cast<std::size_t>(
         args.get_int_in("--connections", 4, 1, kMaxThreadCount));
-    driver.campaigns =
-        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 1));
-    driver.requests =
-        static_cast<std::uint64_t>(args.get_int_or("--requests", 1000));
+    driver.campaigns = static_cast<std::uint32_t>(
+        args.get_int_in("--campaigns", 1, 1, net::kMaxCampaigns));
+    driver.requests = static_cast<std::uint64_t>(
+        args.get_int_in("--requests", 1000, 1, net::kMaxRequests));
     const Rng base(
         static_cast<std::uint64_t>(args.get_int_or("--seed", 42)));
     const std::string mechanism = args.get_or("--mechanism", "");
-    driver.batch =
-        static_cast<std::uint32_t>(args.get_int_or("--batch", 1));
-    driver.pipeline =
-        static_cast<std::uint32_t>(args.get_int_or("--pipeline", 1));
+    driver.batch = static_cast<std::uint32_t>(
+        args.get_int_in("--batch", 1, 1, net::kMaxBatchEvents));
+    driver.pipeline = static_cast<std::uint32_t>(
+        args.get_int_in("--pipeline", 1, 1, net::kMaxPipeline));
     driver.rate = args.get_double_or("--open-loop", 0.0);
     driver.replicas = parse_endpoints(args.get_or("--replica", ""));
-    if (driver.campaigns == 0) {
-      std::cerr << "need at least one campaign\n";
-      return 2;
-    }
-    if (driver.batch == 0 || driver.pipeline == 0) {
-      std::cerr << "--batch and --pipeline must be >= 1\n";
-      return 2;
-    }
     if (driver.streamed() && driver.connections != driver.campaigns) {
       // Streamed modes predict sequential participant ids, which is
       // only sound when each campaign has exactly one writer.

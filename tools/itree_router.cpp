@@ -26,6 +26,7 @@
 // only once the router is actually usable — after every backend
 // connection came up (or a 10 s grace expired) — so scripts can wait
 // for readiness and scrape the resolved port.
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -131,16 +132,19 @@ int main(int argc, char** argv) {
     config.host = args.get_or("--host", "127.0.0.1");
     config.port = static_cast<std::uint16_t>(
         args.get_int_in("--port", 7430, 0, 65535));
-    config.campaigns =
-        static_cast<std::uint32_t>(args.get_int_or("--campaigns", 1));
+    config.campaigns = static_cast<std::uint32_t>(
+        args.get_int_in("--campaigns", 1, 1, net::kMaxCampaigns));
     config.reactors = static_cast<std::size_t>(
         args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
     config.idle_timeout_seconds =
         args.get_double_or("--idle-timeout", 0.0);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
 
-    const std::size_t spawn =
-        static_cast<std::size_t>(args.get_int_or("--spawn", 0));
+    // Shard s owns the campaigns c with c mod N == s, so a worker past
+    // the campaign count would own none; each worker is a process.
+    const auto spawn = static_cast<std::size_t>(args.get_int_in(
+        "--spawn", 0, 0,
+        std::min<std::int64_t>(config.campaigns, kMaxThreadCount)));
     std::unique_ptr<router::Supervisor> supervisor;
     if (spawn > 0) {
       if (args.has("--shards")) {

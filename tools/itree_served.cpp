@@ -105,6 +105,8 @@ int main(int argc, char** argv) {
         args.get_int_in("--port", 7431, 0, 65535));
     config.reactors = static_cast<std::size_t>(
         args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
+    config.campaigns = static_cast<std::size_t>(
+        args.get_int_in("--campaigns", 1, 1, net::kMaxCampaigns));
     set_thread_count(static_cast<std::size_t>(
         args.get_int_in("--threads", 0, 0, kMaxThreadCount)));
     const MechanismPtr mechanism =
@@ -112,8 +114,6 @@ int main(int argc, char** argv) {
                        parse_param_string(args.get_or("--params", "")));
 
     config.host = args.get_or("--host", "127.0.0.1");
-    config.campaigns =
-        static_cast<std::size_t>(args.get_int_or("--campaigns", 1));
     config.idle_timeout_seconds =
         args.get_double_or("--idle-timeout", 0.0);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
