@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "util/args.h"
 #include "util/bench_json.h"
 #include "util/parallel.h"
 
@@ -25,33 +26,25 @@ namespace itree {
 class BenchHarness {
  public:
   /// Parses and removes --threads/--json (both `--flag value` and
-  /// `--flag=value` forms) from argv, leaving other flags in place.
-  BenchHarness(std::string name, int* argc, char** argv)
-      : json_(std::move(name)) {
-    int out = 0;
-    for (int in = 0; in < *argc; ++in) {
-      const std::string arg = argv[in];
-      std::string value;
-      if (take_flag(arg, "--threads", in, *argc, argv, &value)) {
-        char* end = nullptr;
-        threads_ = static_cast<std::size_t>(
-            std::strtoull(value.c_str(), &end, 10));
-        // Digits first: strtoull would wrap "-1" to 2^64 - 1.
-        if (value.empty() || value[0] < '0' || value[0] > '9' ||
-            end == nullptr || *end != '\0' || threads_ > kMaxThreadCount) {
-          std::cerr << "--threads needs an integer in [0, "
-                    << kMaxThreadCount << "], got '" << value << "'\n";
-          std::exit(2);
-        }
-        continue;
+  /// `--flag=value` forms) from argv, leaving other flags in place. A
+  /// missing value, or a --threads outside [0, kMaxThreadCount], exits
+  /// 2 with the message the network tools give for a bad flag.
+  BenchHarness(const std::string& name, int* argc, char** argv)
+      : json_(name) {
+    ArgParser args;
+    args.add_flag("--threads", "pool threads (0 = hardware concurrency)");
+    args.add_flag("--json", "write the BENCH_*.json record here");
+    try {
+      if (!args.take(argc, argv)) {
+        throw FlagError(args.error());
       }
-      if (take_flag(arg, "--json", in, *argc, argv, &value)) {
-        json_path_ = value;
-        continue;
-      }
-      argv[out++] = argv[in];
+      threads_ = static_cast<std::size_t>(
+          args.get_int_in("--threads", 0, 0, kMaxThreadCount));
+    } catch (const FlagError& error) {
+      std::cerr << name << ": " << error.what() << '\n';
+      std::exit(2);
     }
-    *argc = out;
+    json_path_ = args.get_or("--json", "");
     set_thread_count(threads_);  // 0 = hardware concurrency
     json_.set_threads(thread_count());
     start_ = monotonic_seconds();
@@ -99,25 +92,6 @@ class BenchHarness {
   }
 
  private:
-  /// Matches `--flag value` / `--flag=value`; advances `in` when the
-  /// value was a separate argument.
-  static bool take_flag(const std::string& arg, const std::string& flag,
-                        int& in, int argc, char** argv, std::string* value) {
-    if (arg == flag) {
-      if (in + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        std::exit(2);
-      }
-      *value = argv[++in];
-      return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-      *value = arg.substr(flag.size() + 1);
-      return true;
-    }
-    return false;
-  }
-
   BenchJson json_;
   std::string json_path_;
   std::size_t threads_ = 0;

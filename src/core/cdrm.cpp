@@ -28,12 +28,15 @@ struct LogarithmicReward {
   }
 };
 
-/// The one CDRM kernel: a C(T_u) sweep that hands each participant's
-/// R(x, y), x = C(u) and y = C(T_u) - C(u), to `sink` as u finishes.
+/// The one CDRM kernel: a run of the C(T_u) sweep over ids hi-1 ... lo
+/// (subtree_contribution_run) that hands each participant's R(x, y),
+/// x = C(u) and y = C(T_u) - C(u), to `sink` as u finishes.
 template <typename Reward, typename Sink>
-void price_participants(const Tree& tree, const Reward& reward, Sink&& sink) {
+void price_participants(const Tree& tree, const Reward& reward,
+                        std::span<double> sums, NodeId lo, NodeId hi,
+                        Sink&& sink) {
   const double* contribution = tree.contribution_array().data();
-  (void)subtree_contribution_sweep(tree, [&](NodeId u, double subtree) {
+  subtree_contribution_run(tree, sums, lo, hi, [&](NodeId u, double subtree) {
     if (u == kRoot) {
       return;
     }
@@ -46,19 +49,45 @@ void price_participants(const Tree& tree, const Reward& reward, Sink&& sink) {
 
 template <typename Reward>
 RewardVector cdrm_rewards(const Tree& tree, const Reward& reward) {
-  RewardVector out(tree.node_count(), 0.0);
-  price_participants(tree, reward, [&](NodeId u, double r) { out[u] = r; });
+  const auto n = static_cast<NodeId>(tree.node_count());
+  RewardVector out(n, 0.0);
+  std::vector<double> sums(n);
+  price_participants(tree, reward, sums, 0, n,
+                     [&](NodeId u, double r) { out[u] = r; });
   return out;
 }
 
+/// The block form of the same pricing: R(x, y) from each node's own
+/// contribution x and subtree total x + y. R is evaluated for every
+/// node first and the zero-contribution guard applied in a second pass
+/// over the (cache-resident) block: neither loop has a conditional FP
+/// operation, so both vectorize where R does, and the guarded entries
+/// are the values the per-node hook returns.
 template <typename Reward>
-double cdrm_divergence(const Tree& tree, std::span<const double> served,
+void cdrm_block(std::span<const double> own, std::span<const double> subtree,
+                std::span<double> out, const Reward& reward) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = reward(own[i], subtree[i] - own[i]);
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = (own[i] > 0.0) ? out[i] : 0.0;
+  }
+}
+
+template <typename Reward>
+double cdrm_divergence(const Tree& tree, ServedRewards& served,
                        const Reward& reward) {
   require(served.size() == tree.node_count(),
           "CDRM::max_divergence: one served reward per node id");
+  // The C(T_u) sweep, one served block at a time from the top id down.
+  const auto n = static_cast<NodeId>(tree.node_count());
+  std::vector<double> sums(n);
   double worst = 0.0;
-  price_participants(tree, reward, [&](NodeId u, double r) {
-    worst = fold_divergence(worst, r, served[u]);
+  served.visit_descending([&](const ServedRewards::Block& block) {
+    price_participants(tree, reward, sums, block.first,
+                       block.first + block.count, [&](NodeId u, double r) {
+                         worst = fold_divergence(worst, r, block[u]);
+                       });
   });
   return worst;
 }
@@ -85,7 +114,7 @@ RewardVector CdrmMechanism::compute(const Tree& tree) const {
 }
 
 double CdrmMechanism::max_divergence(const Tree& tree,
-                                     std::span<const double> served) const {
+                                     ServedRewards& served) const {
   return cdrm_divergence(tree, served, function_);
 }
 
@@ -107,8 +136,15 @@ RewardVector CdrmReciprocal::compute(const Tree& tree) const {
 }
 
 double CdrmReciprocal::max_divergence(const Tree& tree,
-                                      std::span<const double> served) const {
+                                      ServedRewards& served) const {
   return cdrm_divergence(tree, served, ReciprocalReward{Phi(), theta_});
+}
+
+void CdrmReciprocal::rewards_from_aggregates(
+    std::span<const double> own, std::span<const double> subtree,
+    std::span<const std::uint32_t> /*binary_depth*/,
+    std::span<double> out) const {
+  cdrm_block(own, subtree, out, ReciprocalReward{Phi(), theta_});
 }
 
 CdrmLogarithmic::CdrmLogarithmic(BudgetParams budget, double theta)
@@ -123,8 +159,15 @@ RewardVector CdrmLogarithmic::compute(const Tree& tree) const {
 }
 
 double CdrmLogarithmic::max_divergence(const Tree& tree,
-                                       std::span<const double> served) const {
+                                       ServedRewards& served) const {
   return cdrm_divergence(tree, served, LogarithmicReward{Phi(), theta_});
+}
+
+void CdrmLogarithmic::rewards_from_aggregates(
+    std::span<const double> own, std::span<const double> subtree,
+    std::span<const std::uint32_t> /*binary_depth*/,
+    std::span<double> out) const {
+  cdrm_block(own, subtree, out, LogarithmicReward{Phi(), theta_});
 }
 
 }  // namespace itree

@@ -41,7 +41,7 @@ class CdrmMechanism : public Mechanism {
   RewardVector compute(const Tree& tree) const override;
   /// The same sweep, folding each R(u) into the maximum instead.
   double max_divergence(const Tree& tree,
-                        std::span<const double> served) const override;
+                        ServedRewards& served) const override;
   PropertySet claimed_properties() const override;
 
   /// CDRM rewards are pure functions R(x_p, y_p) of (own, subtree-self)
@@ -67,16 +67,21 @@ class CdrmMechanism : public Mechanism {
 };
 
 /// Algorithm 5(i): R(p) = (Phi - theta/(1 + x_p + y_p)) * x_p.
-/// Both proven instances run the batch sweeps with their concrete R,
-/// which inlines; their CdrmFunction serves reward_function() and the
-/// aggregate path.
+/// Both proven instances run the batch sweeps and the block kernel
+/// rewards_from_aggregates() with their concrete R, which inlines; their
+/// CdrmFunction serves reward_function() and the per-node aggregate
+/// hook.
 class CdrmReciprocal : public CdrmMechanism {
  public:
   CdrmReciprocal(BudgetParams budget, double theta);
   double theta() const { return theta_; }
   RewardVector compute(const Tree& tree) const override;
   double max_divergence(const Tree& tree,
-                        std::span<const double> served) const override;
+                        ServedRewards& served) const override;
+  void rewards_from_aggregates(std::span<const double> own,
+                               std::span<const double> subtree,
+                               std::span<const std::uint32_t> binary_depth,
+                               std::span<double> out) const override;
 
  private:
   double theta_;
@@ -89,7 +94,11 @@ class CdrmLogarithmic : public CdrmMechanism {
   double theta() const { return theta_; }
   RewardVector compute(const Tree& tree) const override;
   double max_divergence(const Tree& tree,
-                        std::span<const double> served) const override;
+                        ServedRewards& served) const override;
+  void rewards_from_aggregates(std::span<const double> own,
+                               std::span<const double> subtree,
+                               std::span<const std::uint32_t> binary_depth,
+                               std::span<double> out) const override;
 
  private:
   double theta_;

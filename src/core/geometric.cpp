@@ -27,15 +27,30 @@ RewardVector GeometricMechanism::compute(const Tree& tree) const {
   return out;
 }
 
-double GeometricMechanism::max_divergence(
-    const Tree& tree, std::span<const double> served) const {
+void GeometricMechanism::rewards_from_aggregates(
+    std::span<const double> /*own*/, std::span<const double> subtree,
+    std::span<const std::uint32_t> /*binary_depth*/,
+    std::span<double> out) const {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = b_ * subtree[i];
+  }
+}
+
+double GeometricMechanism::max_divergence(const Tree& tree,
+                                          ServedRewards& served) const {
   require(served.size() == tree.node_count(),
           "Geometric::max_divergence: one served reward per node id");
+  // The S_a sweep, one served block at a time from the top id down.
+  const auto n = static_cast<NodeId>(tree.node_count());
+  std::vector<double> sums(n);
   double worst = 0.0;
-  (void)geometric_sum_sweep(tree, a_, [&](NodeId u, double s) {
-    if (u != kRoot) {
-      worst = fold_divergence(worst, s * b_, served[u]);
-    }
+  served.visit_descending([&](const ServedRewards::Block& block) {
+    geometric_sum_run(tree, a_, sums, block.first, block.first + block.count,
+                      [&](NodeId u, double s) {
+                        if (u != kRoot) {
+                          worst = fold_divergence(worst, s * b_, block[u]);
+                        }
+                      });
   });
   return worst;
 }

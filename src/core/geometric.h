@@ -23,7 +23,7 @@ class GeometricMechanism : public Mechanism {
   RewardVector compute(const Tree& tree) const override;
   /// Folds b * S_a(u) into the maximum inside the S_a sweep.
   double max_divergence(const Tree& tree,
-                        std::span<const double> served) const override;
+                        ServedRewards& served) const override;
   PropertySet claimed_properties() const override;
 
   /// R(u) = b * S_a(u): served from the decay-a subtree aggregate, with
@@ -35,6 +35,10 @@ class GeometricMechanism : public Mechanism {
       const NodeAggregates& aggregates) const override {
     return b_ * aggregates.subtree;
   }
+  void rewards_from_aggregates(std::span<const double> own,
+                               std::span<const double> subtree,
+                               std::span<const std::uint32_t> binary_depth,
+                               std::span<double> out) const override;
 
   double a() const { return a_; }
   double b() const { return b_; }

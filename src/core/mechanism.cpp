@@ -1,10 +1,23 @@
 #include "core/mechanism.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace itree {
+
+ServedRewards::ServedRewards(std::size_t size, Fill fill)
+    : size_(size), fill_(std::move(fill)) {
+  block_.resize(std::min(size_, kStreamBlock));
+}
+
+ServedRewards::Block ServedRewards::load(NodeId first, NodeId count) {
+  require(count <= kStreamBlock && first <= size_ && count <= size_ - first,
+          "ServedRewards: block out of range");
+  fill_(first, std::span<double>(block_.data(), count));
+  return Block{block_.data(), first, count};
+}
 
 void BudgetParams::validate() const {
   require(Phi > 0.0 && Phi <= 1.0, "BudgetParams: Phi must be in (0, 1]");
@@ -20,14 +33,35 @@ double Mechanism::reward_from_aggregates(const NodeAggregates&) const {
                          " declares no aggregate support");
 }
 
+void Mechanism::rewards_from_aggregates(
+    std::span<const double> own, std::span<const double> subtree,
+    std::span<const std::uint32_t> binary_depth,
+    std::span<double> out) const {
+  NodeAggregates aggregates;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    aggregates.own = own[i];
+    aggregates.subtree = subtree[i];
+    if (!binary_depth.empty()) {
+      aggregates.binary_depth = binary_depth[i];
+    }
+    out[i] = reward_from_aggregates(aggregates);
+  }
+}
+
 double Mechanism::max_divergence(const Tree& tree,
-                                 std::span<const double> served) const {
+                                 ServedRewards& served) const {
   require(served.size() == tree.node_count(),
           "Mechanism::max_divergence: one served reward per node id");
   const RewardVector batch = compute(tree);
+  const auto n = static_cast<NodeId>(batch.size());
   double worst = 0.0;
-  for (NodeId u = 1; u < batch.size(); ++u) {
-    worst = fold_divergence(worst, batch[u], served[u]);
+  for (NodeId first = 0; first < n; first += kStreamBlock) {
+    const ServedRewards::Block block =
+        served.load(first, std::min<NodeId>(kStreamBlock, n - first));
+    for (NodeId u = std::max<NodeId>(first, 1); u < first + block.count;
+         ++u) {
+      worst = fold_divergence(worst, batch[u], block[u]);
+    }
   }
   return worst;
 }

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -63,6 +64,55 @@ struct AggregateSupport {
   double total_coefficient = 0.0;
 };
 
+/// Entries one streamed block holds: served rewards on the payout path,
+/// WAL records in recovery. Bounds what a stream keeps in memory while
+/// one virtual call covers thousands of entries.
+inline constexpr std::size_t kStreamBlock = 4096;
+
+/// The served reward vector a payout audit checks, read in blocks of at
+/// most kStreamBlock entries, so that the whole vector never has to
+/// exist at once. `fill(first, out)` writes served[first + i] into
+/// out[i]. An audit loads a block, then visits its nodes with no call
+/// in the loop.
+class ServedRewards {
+ public:
+  using Fill = std::function<void(NodeId first, std::span<double> out)>;
+
+  /// One loaded block: served[u] for u in [first, first + count).
+  struct Block {
+    const double* values = nullptr;
+    NodeId first = 0;
+    NodeId count = 0;
+
+    double operator[](NodeId u) const { return values[u - first]; }
+  };
+
+  ServedRewards(std::size_t size, Fill fill);
+
+  std::size_t size() const { return size_; }
+
+  /// Fills and returns served[first, first + count); count <=
+  /// kStreamBlock and the range lies within size(). Overwrites the
+  /// previous block.
+  Block load(NodeId first, NodeId count);
+
+  /// Loads every block from the top id down and calls `run(block)` on
+  /// each: the order of the bottom-up audit sweeps.
+  template <typename Run>
+  void visit_descending(Run&& run) {
+    for (std::size_t hi = size_; hi > 0;) {
+      const std::size_t lo = hi > kStreamBlock ? hi - kStreamBlock : 0;
+      run(load(static_cast<NodeId>(lo), static_cast<NodeId>(hi - lo)));
+      hi = lo;
+    }
+  }
+
+ private:
+  std::size_t size_;
+  Fill fill_;
+  std::vector<double> block_;
+};
+
 struct BudgetParams {
   double Phi = 0.5;   ///< budget fraction, 0 < Phi <= 1
   double phi = 0.05;  ///< fairness floor of phi-RPC, 0 <= phi <= Phi
@@ -94,14 +144,14 @@ class Mechanism {
   virtual RewardVector compute(const Tree& tree) const = 0;
 
   /// Largest |R(u) - served[u]| over the participants (the root entry
-  /// is skipped); `served` has one entry per node id. This is the
-  /// payout audit. Default: compute() plus a compare pass. Mechanisms
-  /// whose kernel is a single bottom-up sweep override it to fold each
-  /// R(u) into the maximum as the sweep finishes u, with no output
-  /// vector; the value is bit-identical either way. Same thread-safety
-  /// contract as compute().
+  /// is skipped); `served` has one entry per node id and is read block
+  /// by block. This is the payout audit. Default: compute() plus an
+  /// ascending compare pass. Mechanisms whose kernel is a single
+  /// bottom-up sweep override it to fold each R(u) into the maximum as
+  /// the sweep finishes u, with no output vector; the value is
+  /// bit-identical either way. Same thread-safety contract as compute().
   virtual double max_divergence(const Tree& tree,
-                                std::span<const double> served) const;
+                                ServedRewards& served) const;
 
   /// Reward of a single participant. Default: full compute; mechanisms
   /// with cheaper single-node paths may override. Same thread-safety
@@ -119,6 +169,18 @@ class Mechanism {
   /// Must be a pure function of `aggregates` (same thread-safety
   /// contract as compute()).
   virtual double reward_from_aggregates(const NodeAggregates& aggregates) const;
+
+  /// Block form of reward_from_aggregates(): out[i] is the reward of
+  /// the node with aggregates (own[i], subtree[i], binary_depth[i]),
+  /// bit for bit. `binary_depth` is empty unless aggregate_support()
+  /// asks for it; the other spans have out.size() entries. One virtual
+  /// call per block: the default loops over reward_from_aggregates(),
+  /// and the mechanisms on the payout path override it with a typed
+  /// loop. Same thread-safety contract as compute().
+  virtual void rewards_from_aggregates(
+      std::span<const double> own, std::span<const double> subtree,
+      std::span<const std::uint32_t> binary_depth,
+      std::span<double> out) const;
 
   /// The property subset the paper claims for this mechanism.
   virtual PropertySet claimed_properties() const = 0;

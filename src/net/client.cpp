@@ -75,17 +75,19 @@ void Client::send_request(const Request& request) {
 }
 
 Response Client::read_response() {
-  std::string payload;
+  // Bytes land straight in the decoder's buffer, which grows once to an
+  // announced frame's size, and the payload is decoded from a view.
+  std::string_view payload;
   while (!decoder_.next(&payload)) {
     if (decoder_.corrupt()) {
       throw ProtocolError("server stream corrupt: " +
                           decoder_.corruption());
     }
-    char buffer[65536];
+    const std::span<char> room = decoder_.recv_room();
     std::size_t received = 0;
-    switch (io::recv_some(fd_, buffer, sizeof(buffer), &received)) {
+    switch (io::recv_some(fd_, room.data(), room.size(), &received)) {
       case io::IoStatus::kProgress:
-        decoder_.feed(buffer, received);
+        decoder_.commit(received);
         break;
       case io::IoStatus::kEof:
         throw std::runtime_error("server closed the connection");

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "util/bench_json.h"  // monotonic_seconds
 #include "util/io.h"
@@ -279,9 +280,9 @@ void EventLoop::on_readable(Session& session) {
     session.last_activity = monotonic_seconds();
   }
 
-  std::string payload;
+  std::string_view payload;
   while (session.decoder.next(&payload)) {
-    handler_.on_frame(session, session.next_seq++, std::move(payload));
+    handler_.on_frame(session, session.next_seq++, payload);
     if (session.broken) {
       return;
     }
@@ -313,6 +314,25 @@ void EventLoop::deliver(Session& session, std::uint64_t seq,
           [&response](std::string& out) { append_response(out, response); });
 }
 
+void EventLoop::deliver(Session& session, std::uint64_t seq,
+                        Response&& response) {
+  if (response.framed.empty()) {
+    deliver(session, seq, std::as_const(response));
+    return;
+  }
+  std::string framed = std::move(response.framed);
+  if (seq != session.next_send) {
+    session.held[seq] = std::move(framed);
+    return;
+  }
+  const std::size_t bytes = framed.size();
+  session.outq.push_back(std::move(framed));
+  released(session, bytes);
+  if (!session.held.empty()) {
+    release_held(session);
+  }
+}
+
 std::string& EventLoop::tail_chunk(Session& session) {
   if (session.outq.empty() ||
       session.outq.back().size() >= kOutChunkBytes) {
@@ -339,8 +359,13 @@ void EventLoop::released(Session& session, std::size_t bytes) {
 void EventLoop::release_held(Session& session) {
   auto it = session.held.begin();
   while (it != session.held.end() && it->first == session.next_send) {
-    tail_chunk(session) += it->second;
-    released(session, it->second.size());
+    const std::size_t bytes = it->second.size();
+    if (bytes >= kOutChunkBytes) {
+      session.outq.push_back(std::move(it->second));  // its own chunk
+    } else {
+      tail_chunk(session) += it->second;
+    }
+    released(session, bytes);
     it = session.held.erase(it);
   }
 }
@@ -527,18 +552,18 @@ bool EventLoop::drain_done(double now) {
 }
 
 io::IoStatus recv_frames(int fd, FrameDecoder& decoder) {
-  char buffer[65536];
   io::IoStatus result = io::IoStatus::kWouldBlock;
   while (true) {
+    const std::span<char> room = decoder.recv_room();
     std::size_t received = 0;
     const io::IoStatus status =
-        io::recv_some(fd, buffer, sizeof(buffer), &received);
+        io::recv_some(fd, room.data(), room.size(), &received);
     if (status != io::IoStatus::kProgress) {
       return status == io::IoStatus::kWouldBlock ? result : status;
     }
-    decoder.feed(buffer, received);
+    decoder.commit(received);
     result = io::IoStatus::kProgress;
-    if (received < sizeof(buffer)) {
+    if (received < room.size()) {
       return result;  // likely drained; epoll is level-triggered anyway
     }
   }

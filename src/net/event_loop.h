@@ -6,19 +6,21 @@
 // and the kernel spreads incoming connections across them), an epoll
 // instance, an eventfd waker, and the client sessions it accepted. It
 // owns everything about moving frames between sockets and its handler:
-//   * reading: recv into the session's FrameDecoder; every complete
-//     payload takes the session's next sequence number and goes to
-//     LoopHandler::on_frame. A corrupt stream (impossible length
-//     prefix) gets one kBadRequest error frame, then the session
-//     closes; an EOF in the middle of a frame discards the partial
-//     frame and counts as a protocol error.
+//   * reading: recv straight into the session's FrameDecoder buffer;
+//     every complete payload takes the session's next sequence number
+//     and goes to LoopHandler::on_frame as a view of that buffer. A
+//     corrupt stream (impossible length prefix) gets one kBadRequest
+//     error frame, then the session closes; an EOF in the middle of a
+//     frame discards the partial frame and counts as a protocol error.
 //   * the per-session sequencer: responses are released to the wire
 //     strictly in request order. An in-order response is framed
 //     straight into the tail output chunk; one that completes early (on
 //     another reactor, or on a faster shard) waits in `held` as framed
 //     bytes until everything before it was released.
 //   * writing: released frames coalesce into 256 KiB chunks, and a
-//     flush gathers up to 64 chunks into one sendmsg.
+//     flush gathers up to 64 chunks into one sendmsg. A response that
+//     comes already framed (a REWARDS vector) or a held frame of at
+//     least a chunk is queued as a chunk of its own, not copied.
 //   * slow-reader backpressure: past max_write_buffer pending bytes a
 //     session is not read until it drains below half the mark.
 //   * idle sessions are closed after idle_timeout_seconds.
@@ -47,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.h"
@@ -96,8 +99,10 @@ class LoopHandler {
  public:
   /// One decoded frame of `session`; answer it with
   /// EventLoop::deliver(session, seq, ...), now or in a later pass.
+  /// `payload` views the session's receive buffer and is valid only
+  /// during the call.
   virtual void on_frame(Session& session, std::uint64_t seq,
-                        std::string&& payload) = 0;
+                        std::string_view payload) = 0;
   /// An fd the handler added with EventLoop::ctl() is ready.
   virtual void on_fd_ready(int /*fd*/, std::uint32_t /*events*/) {}
   /// Once per pass, after the ready events, before output is flushed.
@@ -165,6 +170,10 @@ class EventLoop {
   /// frame size limit.
   void deliver(Session& session, std::uint64_t seq,
                const Response& response);
+  /// As above; a response that arrives already framed
+  /// (Response::framed, a REWARDS vector) is moved into the output
+  /// queue as a chunk of its own instead of being copied.
+  void deliver(Session& session, std::uint64_t seq, Response&& response);
 
   /// The session `slot` names, or nullptr once it closed or broke.
   Session* session_for(const ResponseSlot& slot);
@@ -241,9 +250,10 @@ void EventLoop::deliver(Session& session, std::uint64_t seq,
   }
 }
 
-/// Reads what the non-blocking `fd` has into `decoder`, stopping at the
-/// first short read. kEof / kError: the peer is gone (bytes read before
-/// it are in `decoder`); kProgress: bytes arrived; kWouldBlock: none.
+/// Reads what the non-blocking `fd` has straight into `decoder`'s
+/// buffer (FrameDecoder::recv_room), stopping at the first short read.
+/// kEof / kError: the peer is gone (bytes read before it are in
+/// `decoder`); kProgress: bytes arrived; kWouldBlock: none.
 io::IoStatus recv_frames(int fd, FrameDecoder& decoder);
 
 /// Runs `body(i)` for every i < count — index 0 on the calling thread,

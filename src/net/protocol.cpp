@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 
 #include "util/le_codec.h"
@@ -39,6 +41,10 @@ void decode_error_tail(Reader& reader, Response& response) {
 /// Appends the payload of `response` (no length prefix) to `out`.
 template <typename Out>
 void encode_response_into(Out& out, const Response& response) {
+  if (!response.framed.empty()) {
+    out += std::string_view(response.framed).substr(4);
+    return;
+  }
   put_u8(out, static_cast<std::uint8_t>(response.status));
   switch (response.status) {
     case Status::kOk:
@@ -407,6 +413,10 @@ void append_frame(std::string& out, std::string_view payload) {
 }
 
 void append_framed_response(std::string& out, const Response& response) {
+  if (!response.framed.empty()) {
+    out += response.framed;
+    return;
+  }
   // Size the payload first: an invalid or oversized response throws
   // before `out` is touched, and the frame is then written into exactly
   // the room it needs.
@@ -419,6 +429,19 @@ void append_framed_response(std::string& out, const Response& response) {
   out.reserve(out.size() + 4 + payload.size);
   put_u32(out, static_cast<std::uint32_t>(payload.size));
   encode_response_into(out, response);
+}
+
+void append_vector_frame_header(std::string& out, std::uint64_t count) {
+  constexpr std::uint64_t kHeader = 1 + 8;  // status + count
+  if (count > (kMaxFrameBytes - kHeader) / sizeof(double)) {
+    throw ProtocolError("frame payload size out of range: " +
+                        std::to_string(kHeader + count * sizeof(double)));
+  }
+  const std::uint64_t payload = kHeader + count * sizeof(double);
+  out.reserve(out.size() + 4 + payload);
+  put_u32(out, static_cast<std::uint32_t>(payload));
+  put_u8(out, static_cast<std::uint8_t>(Status::kOkVector));
+  put_u64(out, count);
 }
 
 const std::string& ok_frame() {
@@ -434,45 +457,117 @@ Response error_response(ErrorCode code, std::string message) {
   return response;
 }
 
-void FrameDecoder::feed(const char* data, std::size_t size) {
-  if (corrupt_) {
-    return;  // poisoned: drop everything until the session closes
-  }
-  buffer_.append(data, size);
+namespace {
+
+/// The receive room of the calling thread while no large frame is in
+/// progress; commit() copies what landed in it behind the decoder's
+/// pending bytes.
+std::span<char> recv_scratch() {
+  thread_local const std::unique_ptr<char[]> scratch(
+      new char[FrameDecoder::kRecvBytes]);
+  return {scratch.get(), FrameDecoder::kRecvBytes};
 }
 
-bool FrameDecoder::next(std::string* payload) {
+}  // namespace
+
+void FrameDecoder::feed(const char* data, std::size_t size) {
+  while (size > 0 && !corrupt_) {
+    const std::span<char> room = recv_room();
+    const std::size_t n = std::min(size, room.size());
+    std::memcpy(room.data(), data, n);
+    commit(n);
+    data += n;
+    size -= n;
+  }
+}
+
+std::span<char> FrameDecoder::recv_room() {
+  const std::size_t held = end_ - begin_;
+  std::size_t rest = 0;  // missing bytes of the announced frame
+  if (!corrupt_ && held >= 4) {
+    const std::uint32_t length = le::load<std::uint32_t>(data_.get() + begin_);
+    if (length != 0 && length <= kMaxFrameBytes &&
+        held < 4 + static_cast<std::size_t>(length)) {
+      rest = 4 + static_cast<std::size_t>(length) - held;
+    }
+  }
+  in_scratch_ = rest <= kRecvBytes && capacity_ - held < kRecvBytes;
+  if (in_scratch_) {
+    return recv_scratch();
+  }
+  reserve_room(std::max(rest, kRecvBytes));
+  return {data_.get() + end_, capacity_ - end_};
+}
+
+void FrameDecoder::commit(std::size_t size) {
   if (corrupt_) {
+    return;
+  }
+  if (!in_scratch_) {
+    end_ += std::min(size, capacity_ - end_);
+    return;
+  }
+  size = std::min(size, kRecvBytes);
+  reserve_room(size);
+  std::memcpy(data_.get() + end_, recv_scratch().data(), size);
+  end_ += size;
+}
+
+void FrameDecoder::reserve_room(std::size_t room) {
+  if (begin_ == end_) {
+    begin_ = end_ = 0;  // on a frame boundary: reuse from the start
+  }
+  if (capacity_ - end_ >= room) {
+    return;
+  }
+  const std::size_t held = end_ - begin_;
+  if (capacity_ - held >= room) {
+    // Room enough once the returned prefix is reclaimed.
+    std::memmove(data_.get(), data_.get() + begin_, held);
+  } else {
+    // An announced frame gets exactly its size (a 16 MiB frame does not
+    // leave 32 MiB behind); a run of small frames grows geometrically.
+    const std::size_t capacity = room > kRecvBytes
+                                     ? held + room
+                                     : std::max(held + room, 2 * capacity_);
+    std::unique_ptr<char[]> grown(new char[capacity]);
+    if (held != 0) {
+      std::memcpy(grown.get(), data_.get() + begin_, held);
+    }
+    data_ = std::move(grown);
+    capacity_ = capacity;
+  }
+  begin_ = 0;
+  end_ = held;
+}
+
+bool FrameDecoder::next_frame(std::string_view* frame) {
+  if (corrupt_ || end_ - begin_ < 4) {
     return false;
   }
-  if (buffer_.size() - consumed_ < 4) {
-    return false;
-  }
-  const std::uint32_t length =
-      le::load<std::uint32_t>(buffer_.data() + consumed_);
+  const std::uint32_t length = le::load<std::uint32_t>(data_.get() + begin_);
   if (length == 0 || length > kMaxFrameBytes) {
     corrupt_ = true;
     corruption_ = "frame length " + std::to_string(length) +
                   " outside (0, " + std::to_string(kMaxFrameBytes) + "]";
-    buffer_.clear();
-    consumed_ = 0;
+    begin_ = end_ = 0;
     return false;
   }
-  const std::size_t frame_end = consumed_ + 4 + length;
-  if (buffer_.size() < frame_end) {
-    // Grow once to the announced size (bounded by kMaxFrameBytes above)
-    // instead of doubling through every feed() of a large frame.
-    buffer_.reserve(frame_end);
+  const std::size_t frame_bytes = 4 + static_cast<std::size_t>(length);
+  if (end_ - begin_ < frame_bytes) {
     return false;
   }
-  payload->assign(buffer_, consumed_ + 4, length);
-  consumed_ += 4 + static_cast<std::size_t>(length);
-  // Reclaim consumed prefix once it dominates the buffer, so a
-  // long-lived session does not grow its receive buffer forever.
-  if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
+  *frame = std::string_view(data_.get() + begin_, frame_bytes);
+  begin_ += frame_bytes;
+  return true;
+}
+
+bool FrameDecoder::next(std::string_view* payload) {
+  std::string_view frame;
+  if (!next_frame(&frame)) {
+    return false;
   }
+  *payload = frame.substr(4);
   return true;
 }
 

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -293,6 +295,13 @@ struct Response {
   std::uint64_t seq = 0;        ///< write-ack token / committed seq
   ReplBody repl;                ///< kOkRepl* bodies
   ShardMapBody shard_map;       ///< kOkShardMap
+  /// The whole frame (length prefix included) when the response was
+  /// encoded where it was produced: REWARDS writes its OK_VECTOR
+  /// straight from the campaign's aggregate columns into it (see
+  /// append_vector_frame_header). When non-empty these bytes are the
+  /// response; the codecs emit them as they are and EventLoop queues
+  /// them as their own output chunk, without another copy.
+  std::string framed;
 
   bool ok() const { return status != Status::kError; }
 };
@@ -320,6 +329,15 @@ void append_frame(std::string& out, std::string_view payload);
 /// exceeds kMaxFrameBytes.
 void append_framed_response(std::string& out, const Response& response);
 
+/// Appends the length prefix and the OK_VECTOR header (status, count)
+/// of a frame whose `count` rewards the caller appends next, each as
+/// raw little-endian IEEE-754 (le::put_array), and reserves room for
+/// them. Together the bytes equal append_framed_response() of a
+/// kOkVector response holding the same rewards. Throws ProtocolError
+/// (leaving `out` unchanged) when the payload would exceed
+/// kMaxFrameBytes.
+void append_vector_frame_header(std::string& out, std::uint64_t count);
+
 /// The pre-encoded frame of a plain OK response (CONTRIBUTE ack) — the
 /// most common response byte string, shared so the hot path appends it
 /// without re-encoding.
@@ -328,29 +346,66 @@ const std::string& ok_frame();
 /// Shorthand for an error response.
 Response error_response(ErrorCode code, std::string message);
 
-/// Incremental frame decoder. feed() whatever the socket produced, then
-/// drain complete payloads with next(). Tolerates any fragmentation; a
-/// zero or oversized length prefix poisons the decoder (corrupt()) and
-/// next() returns false forever — the session should send one error
-/// frame and close.
+/// Incremental frame decoder. Bytes arrive through recv_room(): recv()
+/// into it, then commit() the count (feed() is that loop over bytes in
+/// memory); complete frames are then drained with next(). Tolerates any
+/// fragmentation; a zero or oversized length prefix poisons the decoder
+/// (corrupt()) and next() returns false forever — the session should
+/// send one error frame and close.
+///
+/// The decoder only holds what it has buffered: bytes land in a
+/// per-thread scratch buffer and are copied behind the pending partial
+/// frame, except when the frame being received announces more than
+/// kRecvBytes, or the buffer already has kRecvBytes free. Then they
+/// land in place, in one allocation sized to the announced frame, so a
+/// large REWARDS frame is received without a bounce copy while an idle
+/// connection keeps no receive-sized buffer.
 class FrameDecoder {
  public:
+  /// Size of the per-thread scratch buffer, and the least room
+  /// recv_room() offers.
+  static constexpr std::size_t kRecvBytes = 64 * 1024;
+
+  /// Copies `size` bytes in through recv_room()/commit().
   void feed(const char* data, std::size_t size);
   void feed(std::string_view data) { feed(data.data(), data.size()); }
 
-  /// Extracts the next complete payload into *payload; false when more
-  /// bytes are needed (or the stream is corrupt).
-  bool next(std::string* payload);
+  /// Writable room for the next receive, at least kRecvBytes and, once
+  /// a frame's length prefix is in, at least the rest of that frame.
+  /// Either the per-thread scratch buffer or the decoder's own buffer
+  /// (see above); commit() must follow on the same thread before any
+  /// other decoder there asks for room. Invalidates views next()
+  /// returned.
+  std::span<char> recv_room();
+  /// Marks the first `size` bytes of the last recv_room() as received.
+  void commit(std::size_t size);
+
+  /// The next complete payload as a view into the buffer, valid until
+  /// the next feed(), recv_room() or commit(); false when more bytes
+  /// are needed (or the stream is corrupt).
+  bool next(std::string_view* payload);
+  /// next() of the whole frame, length prefix included: what a relay
+  /// forwards byte for byte.
+  bool next_frame(std::string_view* frame);
 
   bool corrupt() const { return corrupt_; }
   const std::string& corruption() const { return corruption_; }
 
   /// Bytes buffered but not yet returned (0 on a frame boundary).
-  std::size_t buffered() const { return buffer_.size() - consumed_; }
+  std::size_t buffered() const { return end_ - begin_; }
+  /// Bytes the decoder's own buffer holds allocated.
+  std::size_t capacity() const { return capacity_; }
 
  private:
-  std::string buffer_;
-  std::size_t consumed_ = 0;
+  /// Makes `room` writable bytes available past end_.
+  void reserve_room(std::size_t room);
+
+  /// Left uninitialized: only received bytes are ever touched.
+  std::unique_ptr<char[]> data_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;  ///< first byte not yet returned
+  std::size_t end_ = 0;    ///< one past the last received byte
+  bool in_scratch_ = false;  ///< the last recv_room() was the scratch
   bool corrupt_ = false;
   std::string corruption_;
 };

@@ -8,6 +8,7 @@
 #include "net/event_loop.h"
 #include "net/spsc_ring.h"
 #include "util/bench_json.h"  // monotonic_seconds
+#include "util/le_codec.h"
 #include "util/parallel.h"
 
 namespace itree::net {
@@ -77,7 +78,7 @@ class Reactor final : public LoopHandler {
 
   // LoopHandler
   void on_frame(Session& session, std::uint64_t seq,
-                std::string&& payload) override;
+                std::string_view payload) override;
   void on_tick() override;
   int timeout_ms() const override;
   bool drain_settled() override;
@@ -166,7 +167,7 @@ std::uint32_t Reactor::owner_of(std::uint32_t campaign) const {
 }
 
 void Reactor::on_frame(Session& session, std::uint64_t seq,
-                       std::string&& payload) {
+                       std::string_view payload) {
   try {
     route(session, seq, decode_request(payload));
   } catch (const ProtocolError& error) {
@@ -280,7 +281,7 @@ void Reactor::dispatch(std::uint32_t origin, const ResponseSlot& token,
                        Response&& response) {
   if (origin == index_) {
     if (Session* session = loop_.session_for(token)) {
-      loop_.deliver(*session, token.seq, response);
+      loop_.deliver(*session, token.seq, std::move(response));
     }
     return;
   }
@@ -398,7 +399,8 @@ void Reactor::drain_response_rings() {
     while (ring->pop(&message)) {
       --outstanding_;
       if (Session* session = loop_.session_for(message.token)) {
-        loop_.deliver(*session, message.token.seq, message.response);
+        loop_.deliver(*session, message.token.seq,
+                      std::move(message.response));
       }
     }
   }
@@ -526,6 +528,30 @@ void Reactor::process_tick() {
     dispatch(work.origin, work.token, std::move(work.response));
   }
 }
+
+namespace {
+
+/// The REWARDS answer, framed once: the OK_VECTOR header, then every
+/// served reward written block by block from the campaign's aggregate
+/// columns into the frame the response carries — no served vector is
+/// built or cached. Too many participants for one frame get the same
+/// kRejected error an oversized encoded response gets.
+Response frame_rewards(const RewardService& service) {
+  Response response;
+  try {
+    append_vector_frame_header(response.framed, service.tree().node_count());
+  } catch (const ProtocolError&) {
+    return error_response(ErrorCode::kRejected,
+                          "response exceeds frame size limit");
+  }
+  service.visit_rewards([&response](NodeId, std::span<const double> block) {
+    le::put_array(response.framed, block);
+  });
+  response.status = Status::kOkVector;
+  return response;
+}
+
+}  // namespace
 
 // --- Server -----------------------------------------------------------
 
@@ -741,9 +767,7 @@ Response Server::apply_request(const Request& request) {
         response.value = campaign.service().reward(node);
         break;
       case MsgType::kRewardsBatch:
-        response.status = Status::kOkVector;
-        response.rewards = campaign.service().rewards();
-        break;
+        return frame_rewards(campaign.service());
       case MsgType::kAudit:
         response.status = Status::kOkValue;
         response.value = campaign.service().audit();

@@ -147,7 +147,7 @@ class RouterReactor final : public net::LoopHandler {
 
   // net::LoopHandler
   void on_frame(Session& session, std::uint64_t seq,
-                std::string&& payload) override;
+                std::string_view payload) override;
   void on_fd_ready(int fd, std::uint32_t events) override;
   void on_tick() override;
   int timeout_ms() const override;
@@ -164,9 +164,9 @@ class RouterReactor final : public net::LoopHandler {
 
   void serve_shard_map(Session& session, std::uint64_t seq);
   void serve_server_stats(Session& session, std::uint64_t seq,
-                          const std::string& payload);
+                          std::string_view payload);
   void handle_stats_leg(Backend& backend, const Pending& pending,
-                        const std::string& payload);
+                        std::string_view payload);
   void complete_stats(StatsJoin& join);
   void forward(Backend& backend, std::string_view payload,
                Pending&& pending);
@@ -290,7 +290,7 @@ void RouterReactor::on_tick() {
 }
 
 void RouterReactor::on_frame(Session& session, std::uint64_t seq,
-                             std::string&& payload) {
+                             std::string_view payload) {
   // The routing peek: type byte + (for campaign frames) the campaign
   // id. Everything else in the payload is the worker's business — the
   // frame crosses the router byte-for-byte, so a malformed body earns
@@ -380,7 +380,7 @@ void RouterReactor::serve_shard_map(Session& session, std::uint64_t seq) {
 }
 
 void RouterReactor::serve_server_stats(Session& session, std::uint64_t seq,
-                                       const std::string& payload) {
+                                       std::string_view payload) {
   // Fail fast before fanning out: a partial sum that silently omits a
   // dead shard would under-report the deployment.
   for (Backend& backend : backends_) {
@@ -406,7 +406,7 @@ void RouterReactor::serve_server_stats(Session& session, std::uint64_t seq,
 
 void RouterReactor::handle_stats_leg(Backend& backend,
                                      const Pending& pending,
-                                     const std::string& payload) {
+                                     std::string_view payload) {
   StatsJoin& join = *pending.stats;
   --join.remaining;
   try {
@@ -556,8 +556,10 @@ void RouterReactor::on_backend_readable(Backend& backend) {
     return;
   }
 
-  std::string payload;
-  while (backend.decoder.next(&payload)) {
+  // Frames are received in place and relayed as views of the decoder's
+  // buffer: each one is copied once, into the session's output.
+  std::string_view frame;
+  while (backend.decoder.next_frame(&frame)) {
     if (backend.pending.empty()) {
       fail_backend(backend, "unsolicited response from worker");
       return;
@@ -565,16 +567,15 @@ void RouterReactor::on_backend_readable(Backend& backend) {
     Pending pending = std::move(backend.pending.front());
     backend.pending.pop_front();
     if (pending.stats != nullptr) {
-      handle_stats_leg(backend, pending, payload);
+      handle_stats_leg(backend, pending, frame.substr(4));
       continue;
     }
     if (Session* session = loop_.session_for(pending.slot)) {
-      // Byte-for-byte relay: re-frame the payload, never re-encode it —
+      // Byte-for-byte relay of the whole frame, never re-encoded —
       // write-ack tokens, NOT_PRIMARY redirects and error details cross
       // unchanged.
-      loop_.deliver(*session, pending.slot.seq, [&payload](std::string& out) {
-        net::append_frame(out, payload);
-      });
+      loop_.deliver(*session, pending.slot.seq,
+                    [frame](std::string& out) { out += frame; });
       count(kResponsesRelayed);
     }
   }

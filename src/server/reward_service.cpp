@@ -1,5 +1,6 @@
 #include "server/reward_service.h"
 
+#include <algorithm>
 #include <iostream>
 #include <span>
 #include <stdexcept>
@@ -271,6 +272,59 @@ double RewardService::reward(NodeId participant) const {
   return rewards()[participant];
 }
 
+void RewardService::fill_rewards(NodeId first, std::span<double> out) const {
+  require(first <= tree().node_count() &&
+              out.size() <= tree().node_count() - first,
+          "RewardService::fill_rewards: block past the last node");
+  if (mode_ == Mode::kBatch) {
+    const RewardVector& batch = rewards();
+    std::copy_n(batch.begin() + first, out.size(), out.begin());
+    return;
+  }
+  // The same arithmetic reward(u) does per node, without its per-call
+  // checks and flush test. The batch mechanism is deliberately not
+  // touched (tests instrument compute() to prove this stays true).
+  ensure_flushed();
+  if (mode_ == Mode::kAggregate) {
+    const std::size_t count = out.size();
+    const std::span<const std::uint32_t> binary_depth =
+        support_.binary_depth
+            ? aggregate_state_->binary_depths().subspan(first, count)
+            : std::span<const std::uint32_t>{};
+    mechanism_->rewards_from_aggregates(
+        aggregate_state_->tree().contribution_array().subspan(first, count),
+        aggregate_state_->subtree_aggregates().subspan(first, count),
+        binary_depth, out);
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const NodeId u = static_cast<NodeId>(first + i);
+      out[i] = u == kRoot ? 0.0 : rct_state_->reward(u);
+    }
+  }
+  if (first == kRoot && !out.empty()) {
+    out[0] = 0.0;
+  }
+}
+
+void RewardService::visit_rewards(const RewardBlockVisitor& visit) const {
+  const std::size_t n = tree().node_count();
+  if (mode_ == Mode::kBatch) {
+    const RewardVector& batch = rewards();
+    for (std::size_t first = 0; first < n; first += kStreamBlock) {
+      visit(static_cast<NodeId>(first),
+            std::span<const double>(batch).subspan(
+                first, std::min(kStreamBlock, n - first)));
+    }
+    return;
+  }
+  double block[kStreamBlock];
+  for (std::size_t first = 0; first < n; first += kStreamBlock) {
+    const std::span<double> out(block, std::min(kStreamBlock, n - first));
+    fill_rewards(static_cast<NodeId>(first), out);
+    visit(static_cast<NodeId>(first), out);
+  }
+}
+
 const RewardVector& RewardService::rewards() const {
   if (mode_ == Mode::kBatch && options_.require_incremental) {
     note_batch_fallback();  // throws
@@ -280,35 +334,8 @@ const RewardVector& RewardService::rewards() const {
       note_batch_fallback();  // logs once
       cached_rewards_ = mechanism_->compute(tree());
     } else {
-      // Fill from the incremental state in one pass — the same
-      // arithmetic reward(u) does per node, without its per-call checks
-      // and flush test. The batch mechanism is deliberately not touched
-      // (tests instrument compute() to prove this stays true).
-      ensure_flushed();
-      const std::size_t n = tree().node_count();
-      cached_rewards_.assign(n, 0.0);
-      if (mode_ == Mode::kAggregate) {
-        const std::span<const double> own =
-            aggregate_state_->tree().contribution_array();
-        const std::span<const double> subtree =
-            aggregate_state_->subtree_aggregates();
-        const std::span<const std::uint32_t> binary_depth =
-            support_.binary_depth ? aggregate_state_->binary_depths()
-                                  : std::span<const std::uint32_t>{};
-        NodeAggregates aggregates;
-        for (NodeId u = 1; u < n; ++u) {
-          aggregates.own = own[u];
-          aggregates.subtree = subtree[u];
-          if (support_.binary_depth) {
-            aggregates.binary_depth = binary_depth[u];
-          }
-          cached_rewards_[u] = mechanism_->reward_from_aggregates(aggregates);
-        }
-      } else {
-        for (NodeId u = 1; u < n; ++u) {
-          cached_rewards_[u] = rct_state_->reward(u);
-        }
-      }
+      cached_rewards_.resize(tree().node_count());
+      fill_rewards(kRoot, cached_rewards_);
     }
     dirty_ = false;
   }
@@ -326,16 +353,28 @@ double RewardService::total_reward() const {
     ensure_flushed();
     return rct_state_->total_reward();
   }
-  return itree::total_reward(rewards());
+  // itree::total_reward(rewards()) without the vector: the same
+  // additions in the same ascending order.
+  double total = 0.0;
+  visit_rewards([&total](NodeId, std::span<const double> block) {
+    for (const double r : block) {
+      total += r;
+    }
+  });
+  return total;
 }
 
 double RewardService::audit() const {
   if (mode_ == Mode::kBatch) {
     return 0.0;
   }
-  // rewards() is the vector REWARDS_BATCH serves, bit-identical to
-  // reward(u); one batch sweep is checked against all of it.
-  return mechanism_->max_divergence(tree(), rewards());
+  // The served values, bit-identical to reward(u), are priced block by
+  // block as the batch sweep reaches them; no served vector is built.
+  ServedRewards served(tree().node_count(),
+                       [this](NodeId first, std::span<double> out) {
+                         fill_rewards(first, out);
+                       });
+  return mechanism_->max_divergence(tree(), served);
 }
 
 }  // namespace itree

@@ -17,13 +17,22 @@
 // a batching service flush lazily, so correctness never depends on the
 // caller pairing the calls.
 //
+// Payout: the served vector is streamed, not kept. fill_rewards() prices
+// one block of ids through Mechanism::rewards_from_aggregates() — one
+// virtual call per block — and visit_rewards() walks the whole vector
+// block by block, so a REWARDS frame, total_reward() and audit() read
+// the aggregate columns directly and leave nothing behind. rewards()
+// materializes the vector for in-process callers (same kernel, same
+// bits); batch-mode services keep it as their cache.
+//
 // `audit()` recomputes from scratch and reports the largest divergence
 // — the operation a real deployment runs before paying out. It is the
 // mechanism's max_divergence(): one batch sweep over the tree, folded
-// against the served vector as it goes.
+// against the served values block by block as it goes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -116,14 +125,42 @@ class RewardService {
   /// Current reward of one participant.
   double reward(NodeId participant) const;
 
-  /// Current rewards of everyone (root entry is 0). Incremental modes
-  /// fill the cache in one pass over their aggregate columns, bit for
-  /// bit what reward(u) returns — the batch mechanism is NOT invoked. The reference stays valid until the next
-  /// applied event. In strict mode (require_incremental) a batch-only
-  /// mechanism throws std::invalid_argument here instead.
+  using RewardBlockVisitor =
+      std::function<void(NodeId first, std::span<const double> block)>;
+
+  /// Writes the served rewards of ids [first, first + out.size()) to
+  /// `out` (the root's entry is 0), bit for bit what reward(u) returns.
+  /// Incremental modes price the block from their aggregate columns in
+  /// one Mechanism::rewards_from_aggregates() call (TDRM per node from
+  /// its chain state) and cache nothing; the batch mechanism is NOT
+  /// invoked. Batch mode copies from rewards(). Throws
+  /// std::invalid_argument when the block runs past the last node.
+  void fill_rewards(NodeId first, std::span<double> out) const;
+
+  /// Calls `visit(first, block)` for consecutive blocks of at most
+  /// kStreamBlock served rewards, in ascending id order, covering every
+  /// node id. Incremental modes fill one stack block at a time with
+  /// fill_rewards(), so no whole vector exists; batch mode visits its
+  /// cached vector. `block` is valid only during the call.
+  void visit_rewards(const RewardBlockVisitor& visit) const;
+
+  /// Current rewards of everyone (root entry is 0), materialized for
+  /// in-process callers: incremental modes fill it with fill_rewards()
+  /// over every id. The reference stays valid until the next applied
+  /// event. In strict mode (require_incremental) a batch-only mechanism
+  /// throws std::invalid_argument here instead. The serving paths
+  /// (REWARDS, AUDIT, STATS) never call it.
   const RewardVector& rewards() const;
 
-  /// Total reward paid if the system settled now.
+  /// Entries rewards() currently holds allocated (0 until it is first
+  /// called on an incremental service).
+  std::size_t materialized_rewards() const {
+    return cached_rewards_.capacity();
+  }
+
+  /// Total reward paid if the system settled now. Without an O(1)
+  /// total, the sum of visit_rewards() in ascending id order: the same
+  /// bits as itree::total_reward(rewards()).
   double total_reward() const;
 
   /// True when the service answers `reward()` from incremental state.
@@ -131,8 +168,9 @@ class RewardService {
 
   /// Largest |incremental - batch| divergence across participants
   /// (0 for batch-mode services): Mechanism::max_divergence() of the
-  /// tree against rewards(), the served vector. A production
-  /// deployment runs this before each payout cycle.
+  /// tree against the served values, which fill_rewards() prices block
+  /// by block as the sweep reaches them. A production deployment runs
+  /// this before each payout cycle.
   double audit() const;
 
   void set_require_incremental(bool strict) {
@@ -168,7 +206,7 @@ class RewardService {
   mutable std::optional<IncrementalRctState> rct_state_;
   Tree batch_tree_;
 
-  mutable RewardVector cached_rewards_;
+  mutable RewardVector cached_rewards_;  ///< rewards(); see there
   mutable bool dirty_ = true;
   mutable bool warned_batch_fallback_ = false;
   std::size_t events_applied_ = 0;

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -20,6 +22,99 @@
 
 namespace itree::storage {
 namespace {
+
+/// The WAL tail's replay in bounded blocks. Records are buffered in
+/// arrival order until kStreamBlock of them are held, then grouped per
+/// campaign (a counting sort that keeps each campaign's order) and
+/// replayed through RecordingService::replay, whose prefetching needs
+/// runs of one campaign's events. Campaigns share no state, so this
+/// rebuilds exactly what the global order does. A campaign whose replay
+/// throws is skipped from then on; finish() rethrows the first error of
+/// the lowest such campaign, the error replaying each campaign's whole
+/// tail in campaign order raises, whatever the block boundaries.
+class TailReplay {
+ public:
+  explicit TailReplay(
+      const std::vector<std::unique_ptr<RecordingService>>& campaigns)
+      : campaigns_(campaigns), next_(campaigns.size(), 0) {
+    block_.reserve(kStreamBlock);
+  }
+
+  void push(std::uint32_t campaign, const Event& event) {
+    block_.push_back({campaign, event});
+    if (block_.size() == kStreamBlock) {
+      flush();
+    }
+  }
+
+  /// Replays what is buffered, then throws the deferred replay error.
+  void finish() {
+    flush();
+    if (!failed_.empty()) {
+      std::rethrow_exception(failed_.begin()->second);
+    }
+  }
+
+  std::uint64_t records() const { return records_; }
+  /// Wall seconds spent replaying so far.
+  double seconds() const { return seconds_; }
+
+ private:
+  struct Entry {
+    std::uint32_t campaign;
+    Event event;
+  };
+
+  void flush() {
+    if (block_.empty()) {
+      return;
+    }
+    const double start = monotonic_seconds();
+    touched_.clear();
+    for (const Entry& entry : block_) {
+      if (next_[entry.campaign]++ == 0) {
+        touched_.push_back(entry.campaign);
+      }
+    }
+    std::size_t at = 0;
+    for (const std::uint32_t c : touched_) {
+      const std::size_t count = next_[c];
+      next_[c] = at;
+      at += count;
+    }
+    grouped_.resize(block_.size());
+    for (const Entry& entry : block_) {
+      grouped_[next_[entry.campaign]++] = entry.event;
+    }
+    std::size_t first = 0;
+    for (const std::uint32_t c : touched_) {
+      const std::size_t last = next_[c];
+      next_[c] = 0;
+      if (!failed_.contains(c)) {
+        try {
+          campaigns_[c]->replay(
+              std::span<const Event>(grouped_).subspan(first, last - first));
+        } catch (...) {
+          failed_.emplace(c, std::current_exception());
+        }
+      }
+      first = last;
+    }
+    records_ += block_.size();
+    block_.clear();
+    seconds_ += monotonic_seconds() - start;
+  }
+
+  const std::vector<std::unique_ptr<RecordingService>>& campaigns_;
+  std::vector<Entry> block_;
+  std::vector<Event> grouped_;
+  /// Campaigns of block_, in the order they first appear.
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::size_t> next_;       ///< per campaign: count, then offset
+  std::map<std::uint32_t, std::exception_ptr> failed_;
+  std::uint64_t records_ = 0;
+  double seconds_ = 0.0;
+};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -179,7 +274,7 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
 
   const auto segments = list_wal_segments(dir);
   std::uint64_t expected_seq = snapshot_seq + 1;
-  std::vector<std::vector<Event>> tails(campaign_count);
+  TailReplay tail(result.campaigns);
   for (std::size_t i = 0; i < segments.size(); ++i) {
     // A segment whose successor starts at or below the snapshot
     // watermark holds only snapshot-covered records; skip reading it.
@@ -187,10 +282,37 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
       continue;
     }
     stage_start = monotonic_seconds();
+    const double replayed_before = tail.seconds();
     const std::string path = dir + "/" + segments[i].second;
-    WalScan scan = scan_wal_file(path);
+    WalSegmentReader reader(path);
     ++result.report.segments_scanned;
-    if (!scan.clean) {
+    // Records are checked and replayed as they stream through the read
+    // window, but a failure is raised only once the segment ended, in a
+    // fixed order that does not depend on where the window or a replay
+    // block stood: damage in a non-final segment first, then the first
+    // sequence or campaign error, then the lowest campaign's first
+    // replay error. Nothing is served before recovery returns, so
+    // events replayed ahead of a failure are never seen.
+    std::string failure;
+    WalRecord record;
+    while (reader.next(&record)) {
+      if (!failure.empty() || record.seq <= snapshot_seq) {
+        continue;  // failed already, or reflected in the snapshot
+      }
+      if (record.seq != expected_seq) {
+        failure = "storage: WAL sequence gap in " + segments[i].second +
+                  ": expected " + std::to_string(expected_seq) +
+                  ", found " + std::to_string(record.seq);
+      } else if (record.campaign >= campaign_count) {
+        failure = "storage: WAL record for campaign " +
+                  std::to_string(record.campaign) + " but deployment has " +
+                  std::to_string(campaign_count);
+      } else {
+        tail.push(record.campaign, record.event);
+        ++expected_seq;
+      }
+    }
+    if (!reader.clean()) {
       if (i + 1 < segments.size()) {
         // A torn tail can only be the *last* thing written. Damage in
         // the middle of the log means committed history is missing;
@@ -198,64 +320,29 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
         throw std::runtime_error("storage: corruption inside non-final WAL "
                                  "segment " +
                                  segments[i].second + " (" +
-                                 scan.truncation_reason +
+                                 reader.truncation_reason() +
                                  "); refusing to skip committed history");
       }
       result.torn_segment_path = path;
-      result.torn_valid_bytes = scan.valid_bytes;
+      result.torn_valid_bytes = reader.valid_bytes();
       result.report.truncated_bytes =
-          std::filesystem::file_size(path) - scan.valid_bytes;
+          std::filesystem::file_size(path) - reader.valid_bytes();
       result.report.warnings.push_back("torn tail in " + segments[i].second +
-                                       " (" + scan.truncation_reason + "): " +
+                                       " (" + reader.truncation_reason() +
+                                       "): " +
                                        std::to_string(
                                            result.report.truncated_bytes) +
                                        " bytes discarded");
     }
-    // Check the whole segment first, then split it per campaign:
-    // campaigns share no state, so replaying each one's events in their
-    // logged order rebuilds exactly what the global order did. The
-    // checking pass also counts, so each split is allocated once at its
-    // exact size, with no transient copies from growth.
-    std::vector<std::size_t> counts(campaign_count, 0);
-    for (const WalRecord& record : scan.records) {
-      if (record.seq <= snapshot_seq) {
-        continue;  // already reflected in the snapshot
-      }
-      if (record.seq != expected_seq) {
-        throw std::runtime_error(
-            "storage: WAL sequence gap in " + segments[i].second +
-            ": expected " + std::to_string(expected_seq) + ", found " +
-            std::to_string(record.seq));
-      }
-      if (record.campaign >= campaign_count) {
-        throw std::runtime_error(
-            "storage: WAL record for campaign " +
-            std::to_string(record.campaign) + " but deployment has " +
-            std::to_string(campaign_count));
-      }
-      ++counts[record.campaign];
-      ++expected_seq;
+    if (!failure.empty()) {
+      throw std::runtime_error(failure);
     }
-    for (std::size_t c = 0; c < campaign_count; ++c) {
-      tails[c].clear();
-      tails[c].reserve(counts[c]);
-    }
-    for (const WalRecord& record : scan.records) {
-      if (record.seq > snapshot_seq) {
-        tails[record.campaign].push_back(record.event);
-      }
-    }
-    // Release the decoded records before the replay privatizes columns.
-    scan = WalScan{};
-    result.report.wal_scan_s += monotonic_seconds() - stage_start;
-
-    stage_start = monotonic_seconds();
-    for (std::size_t c = 0; c < campaign_count; ++c) {
-      result.campaigns[c]->replay(tails[c]);
-      result.report.tail_records += tails[c].size();
-    }
-    result.report.replay_s += monotonic_seconds() - stage_start;
+    tail.finish();
+    const double replayed = tail.seconds() - replayed_before;
+    result.report.replay_s += replayed;
+    result.report.wal_scan_s += monotonic_seconds() - stage_start - replayed;
   }
+  result.report.tail_records = tail.records();
   result.next_seq = expected_seq;
   return result;
 }

@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -104,60 +103,118 @@ std::string encode_wal_record(const WalRecord& record) {
   return out;
 }
 
-WalScan scan_wal(std::string_view bytes) {
-  WalScan scan;
-  std::size_t pos = 0;
-  const auto stop = [&](const std::string& reason) {
-    scan.clean = false;
-    scan.truncation_reason = reason;
-    return scan;
-  };
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kWalRecordHeaderBytes) {
-      return stop("torn record header");
-    }
-    const std::uint32_t length = le::load<std::uint32_t>(bytes.data() + pos);
-    const std::uint32_t expected_crc =
-        le::load<std::uint32_t>(bytes.data() + pos + 4);
-    if (length == 0 || length > kMaxWalRecordBytes) {
-      return stop("impossible length prefix " + std::to_string(length));
-    }
-    if (bytes.size() - pos - kWalRecordHeaderBytes < length) {
-      return stop("torn record payload");
-    }
-    const std::string_view payload =
-        bytes.substr(pos + kWalRecordHeaderBytes, length);
-    if (crc32c(payload) != expected_crc) {
-      return stop("checksum mismatch");
-    }
-    try {
-      scan.records.push_back(decode_wal_payload(payload));
-    } catch (const std::invalid_argument& error) {
-      return stop(error.what());
-    }
-    pos += kWalRecordHeaderBytes + length;
-    scan.valid_bytes = pos;
+WalSegmentReader::WalSegmentReader(std::string_view bytes)
+    : data_(bytes.data()), end_(bytes.size()), at_eof_(true) {}
+
+WalSegmentReader::WalSegmentReader(const std::string& path,
+                                   std::size_t window_bytes)
+    : path_(path),
+      window_(new char[std::max(window_bytes, kMinWindowBytes)]),
+      window_bytes_(std::max(window_bytes, kMinWindowBytes)) {
+  data_ = window_.get();
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
+    throw std::runtime_error("cannot open WAL segment " + path);
   }
+}
+
+WalSegmentReader::~WalSegmentReader() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
+bool WalSegmentReader::fill(std::size_t size) {
+  while (end_ - begin_ < size && !at_eof_) {
+    if (end_ == window_bytes_) {
+      // Slide the record in progress to the front of the window.
+      std::memmove(window_.get(), window_.get() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    const ssize_t n =
+        ::read(fd_, window_.get() + end_, window_bytes_ - end_);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw std::runtime_error("cannot read WAL segment " + path_);
+    }
+    if (n == 0) {
+      at_eof_ = true;
+    }
+    end_ += static_cast<std::size_t>(n);
+  }
+  return end_ - begin_ >= size;
+}
+
+bool WalSegmentReader::stop(std::string reason) {
+  done_ = true;
+  clean_ = false;
+  truncation_reason_ = std::move(reason);
+  return false;
+}
+
+bool WalSegmentReader::next(WalRecord* record) {
+  if (done_) {
+    return false;
+  }
+  if (!fill(kWalRecordHeaderBytes)) {
+    if (end_ == begin_) {
+      done_ = true;  // ended on a record boundary
+      return false;
+    }
+    return stop("torn record header");
+  }
+  const char* header = data_ + begin_;
+  const std::uint32_t length = le::load<std::uint32_t>(header);
+  const std::uint32_t expected_crc = le::load<std::uint32_t>(header + 4);
+  if (length == 0 || length > kMaxWalRecordBytes) {
+    return stop("impossible length prefix " + std::to_string(length));
+  }
+  if (!fill(kWalRecordHeaderBytes + length)) {
+    return stop("torn record payload");
+  }
+  // fill() may have slid the window.
+  const std::string_view payload(data_ + begin_ + kWalRecordHeaderBytes,
+                                 length);
+  if (crc32c(payload) != expected_crc) {
+    return stop("checksum mismatch");
+  }
+  try {
+    *record = decode_wal_payload(payload);
+  } catch (const std::invalid_argument& error) {
+    return stop(error.what());
+  }
+  begin_ += kWalRecordHeaderBytes + length;
+  valid_bytes_ += kWalRecordHeaderBytes + length;
+  return true;
+}
+
+namespace {
+
+WalScan scan_all(WalSegmentReader& reader) {
+  WalScan scan;
+  WalRecord record;
+  while (reader.next(&record)) {
+    scan.records.push_back(std::move(record));
+  }
+  scan.valid_bytes = reader.valid_bytes();
+  scan.clean = reader.clean();
+  scan.truncation_reason = reader.truncation_reason();
   return scan;
 }
 
+}  // namespace
+
+WalScan scan_wal(std::string_view bytes) {
+  WalSegmentReader reader(bytes);
+  return scan_all(reader);
+}
+
 WalScan scan_wal_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    throw std::runtime_error("cannot open WAL segment " + path);
-  }
-  struct ::stat st {};
-  std::string bytes;
-  bool ok = ::fstat(fd, &st) == 0;
-  if (ok) {
-    bytes.resize(static_cast<std::size_t>(st.st_size));
-    ok = io::read_exact(fd, bytes.data(), bytes.size());
-  }
-  ::close(fd);
-  if (!ok) {
-    throw std::runtime_error("cannot read WAL segment " + path);
-  }
-  return scan_wal(bytes);
+  WalSegmentReader reader(path);
+  return scan_all(reader);
 }
 
 std::string wal_segment_name(std::uint64_t first_seq) {

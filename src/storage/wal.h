@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,12 +90,71 @@ struct WalScan {
   std::string truncation_reason;   ///< why scanning stopped early
 };
 
+/// Streams the records of one segment, verified one at a time, with
+/// the scanner's checks and stopping rules: a segment yields exactly
+/// the records, valid_bytes, clean and truncation_reason scan_wal()
+/// reports for its bytes. A file is read through a bounded window, so
+/// recovery holds one window of the segment, never the whole file; a
+/// record that straddles the window's end is slid to its front and
+/// completed by the next read.
+class WalSegmentReader {
+ public:
+  /// Default read window of a segment file.
+  static constexpr std::size_t kWindowBytes = 1u << 20;
+  /// Smallest window: one record of the largest length a prefix may
+  /// announce, so every record the scanner can accept fits.
+  static constexpr std::size_t kMinWindowBytes =
+      kWalRecordHeaderBytes + kMaxWalRecordBytes;
+
+  /// Reads an in-memory segment image.
+  explicit WalSegmentReader(std::string_view bytes);
+  /// Opens a segment file, read through a window of `window_bytes`
+  /// (at least kMinWindowBytes). Throws std::runtime_error when the
+  /// file cannot be opened, or later read.
+  explicit WalSegmentReader(const std::string& path,
+                            std::size_t window_bytes = kWindowBytes);
+  ~WalSegmentReader();
+
+  WalSegmentReader(const WalSegmentReader&) = delete;
+  WalSegmentReader& operator=(const WalSegmentReader&) = delete;
+
+  /// The next CRC-verified record; false once the segment ended on a
+  /// record boundary (clean()) or at the first record that failed a
+  /// check (truncation_reason()). Never throws on arbitrary bytes.
+  bool next(WalRecord* record);
+
+  /// Offset just past the last record next() returned.
+  std::uint64_t valid_bytes() const { return valid_bytes_; }
+  bool clean() const { return clean_; }
+  const std::string& truncation_reason() const { return truncation_reason_; }
+
+ private:
+  /// Reads until `size` bytes past the cursor are buffered or the file
+  /// ended; true when they are.
+  bool fill(std::size_t size);
+  bool stop(std::string reason);
+
+  std::string path_;
+  int fd_ = -1;  ///< -1: in-memory image, all of it in view
+  std::unique_ptr<char[]> window_;
+  std::size_t window_bytes_ = 0;
+  const char* data_ = nullptr;  ///< the window, or the in-memory image
+  std::size_t begin_ = 0;       ///< cursor: the next record's first byte
+  std::size_t end_ = 0;         ///< one past the last buffered byte
+  bool at_eof_ = false;
+  bool done_ = false;
+  std::uint64_t valid_bytes_ = 0;
+  bool clean_ = true;
+  std::string truncation_reason_;
+};
+
 /// Scans a segment image. Never throws on arbitrary bytes: scanning
 /// simply stops at the first invalid record (fuzz contract).
 WalScan scan_wal(std::string_view bytes);
 
-/// Reads and scans a segment file. Throws std::runtime_error only when
-/// the file cannot be opened/read at all.
+/// Reads and scans a segment file through WalSegmentReader's window.
+/// Throws std::runtime_error only when the file cannot be opened/read
+/// at all.
 WalScan scan_wal_file(const std::string& path);
 
 /// Segment file name for a given first sequence number.

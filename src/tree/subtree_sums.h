@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tree/tree.h"
@@ -29,18 +30,19 @@ namespace itree {
 /// fused consumer — the payout audit — reads each value as it is born
 /// instead of making a second pass over a materialized output. The
 /// no-op-visitor instantiations are the plain kernels, so each
-/// recurrence is written exactly once.
+/// recurrence is written exactly once, in its `_run` form: one
+/// descending run of ids hi-1 ... lo finished into `out` (one entry per
+/// node), with every node from hi up already finished. A sweep is the
+/// run over every id; the audit runs it block by block.
 ///
 /// S_a(u) = C(u) + a * S_a(c1) + ... + a * S_a(ck), children in join order.
 template <typename Visit>
-std::vector<double> geometric_sum_sweep(const Tree& tree, double a,
-                                        Visit&& visit) {
-  const std::size_t n = tree.node_count();
+void geometric_sum_run(const Tree& tree, double a, std::span<double> out,
+                       NodeId lo, NodeId hi, Visit&& visit) {
   const NodeId* first_child = tree.first_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   const double* contribution = tree.contribution_array().data();
-  std::vector<double> out(n);
-  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+  for (NodeId u = hi; u-- > lo;) {
     double s = contribution[u];
     for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
       s += a * out[c];
@@ -48,19 +50,25 @@ std::vector<double> geometric_sum_sweep(const Tree& tree, double a,
     out[u] = s;
     visit(u, s);
   }
+}
+
+template <typename Visit>
+std::vector<double> geometric_sum_sweep(const Tree& tree, double a,
+                                        Visit&& visit) {
+  std::vector<double> out(tree.node_count());
+  geometric_sum_run(tree, a, out, 0, static_cast<NodeId>(out.size()),
+                    visit);
   return out;
 }
 
 /// C(T_u) = ((0 + C(T_c1)) + ... + C(T_ck)) + C(u), children in join order.
 template <typename Visit>
-std::vector<double> subtree_contribution_sweep(const Tree& tree,
-                                               Visit&& visit) {
-  const std::size_t n = tree.node_count();
+void subtree_contribution_run(const Tree& tree, std::span<double> out,
+                              NodeId lo, NodeId hi, Visit&& visit) {
   const NodeId* first_child = tree.first_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   const double* contribution = tree.contribution_array().data();
-  std::vector<double> out(n);
-  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
+  for (NodeId u = hi; u-- > lo;) {
     double sum = 0.0;
     for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
       sum += out[c];
@@ -69,6 +77,14 @@ std::vector<double> subtree_contribution_sweep(const Tree& tree,
     out[u] = sum;
     visit(u, sum);
   }
+}
+
+template <typename Visit>
+std::vector<double> subtree_contribution_sweep(const Tree& tree,
+                                               Visit&& visit) {
+  std::vector<double> out(tree.node_count());
+  subtree_contribution_run(tree, out, 0, static_cast<NodeId>(out.size()),
+                           visit);
   return out;
 }
 

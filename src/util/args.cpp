@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/check.h"
@@ -67,6 +68,32 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
     values_[name] = argv[++i];
   }
+  return true;
+}
+
+bool ArgParser::take(int* argc, char** argv) {
+  int kept = std::min(*argc, 1);
+  for (int i = 1; i < *argc; ++i) {
+    const std::string token = argv[i];
+    const std::size_t equals = token.find('=');
+    const std::string name = token.substr(0, equals);
+    const auto it = flags_.find(name);
+    if (token.rfind("--", 0) != 0 || it == flags_.end()) {
+      argv[kept++] = argv[i];
+      continue;
+    }
+    if (!it->second.expects_value) {
+      values_[name] = "true";
+    } else if (equals != std::string::npos) {
+      values_[name] = token.substr(equals + 1);
+    } else if (i + 1 < *argc) {
+      values_[name] = argv[++i];
+    } else {
+      error_ = "flag " + name + " expects a value";
+      return false;
+    }
+  }
+  *argc = kept;
   return true;
 }
 

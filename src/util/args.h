@@ -32,6 +32,13 @@ class ArgParser {
   /// missing values.
   bool parse(int argc, const char* const* argv);
 
+  /// Parses only the declared flags out of argv and removes them,
+  /// leaving argv[0] and every other argument in order for a second
+  /// parser (the bench harness takes --threads/--json this way).
+  /// Returns false (and fills error()) when a declared flag lacks its
+  /// value.
+  bool take(int* argc, char** argv);
+
   bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name,

@@ -102,7 +102,7 @@ class ThreadPool {
                         std::size_t index) {
     // `chunk` is captured by reference: run_chunks blocks until every
     // task of the batch has finished, so the referent outlives the task.
-    return [batch = std::move(batch), &chunk, index] {
+    return [batch = std::move(batch), &chunk, index]() mutable {
       if (!batch->cancelled.load()) {
         try {
           chunk(index);
@@ -114,11 +114,17 @@ class ThreadPool {
           }
         }
       }
-      if (batch->remaining.fetch_sub(1) == 1) {
-        // Lock pairs with the waiter's predicate check so the final
-        // notify cannot slip between its check and its wait.
-        std::lock_guard<std::mutex> lock(batch->mutex);
-        batch->done.notify_all();
+      // Drop this task's reference before the batch can complete, so the
+      // caller always holds the last one: the captured exception is then
+      // released on the thread that rethrew it, never on a worker racing
+      // the caller's handler. The decrement happens under the mutex, so
+      // the caller cannot see zero, return and free the batch while this
+      // task still touches it; the unlock is the task's last access.
+      Batch* const raw = batch.get();
+      batch.reset();
+      std::lock_guard<std::mutex> lock(raw->mutex);
+      if (raw->remaining.fetch_sub(1) == 1) {
+        raw->done.notify_all();
       }
     };
   }

@@ -10,6 +10,7 @@
 // compare pass bit for bit, whether or not a mechanism fuses the two.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "core/cdrm.h"
 #include "core/factory.h"
 #include "core/geometric.h"
+#include "core/incremental.h"
 #include "core/l_transform.h"
 #include "core/normalized.h"
 #include "core/registry.h"
@@ -199,6 +201,18 @@ double reference_divergence(const Mechanism& m, const Tree& tree,
   return worst;
 }
 
+/// Mechanism::max_divergence() of a whole in-memory served vector, read
+/// block by block as RewardService::audit() reads its served values.
+double divergence(const Mechanism& m, const Tree& tree,
+                  std::span<const double> served) {
+  ServedRewards blocks(served.size(),
+                       [served](NodeId first, std::span<double> out) {
+                         std::copy_n(served.begin() + first, out.size(),
+                                     out.begin());
+                       });
+  return m.max_divergence(tree, blocks);
+}
+
 // --- Tree shapes --------------------------------------------------------
 
 /// Round-trips `tree` through a v5 snapshot file and returns the tree
@@ -340,7 +354,7 @@ TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
   }
   for (const char* name : kFactoryMechanisms) {
     const MechanismPtr mechanism = make_mechanism(name);
-    EXPECT_EQ(mechanism->max_divergence(adopted, mechanism->compute(adopted)),
+    EXPECT_EQ(divergence(*mechanism, adopted, mechanism->compute(adopted)),
               0.0)
         << name;
   }
@@ -361,21 +375,21 @@ TEST(BatchKernels, MaxDivergenceEqualsComputeAndCompare) {
     for (const Shape& shape : trees) {
       const std::string what = std::string(name) + " on " + shape.name;
       const RewardVector batch = mechanism->compute(shape.tree);
-      EXPECT_EQ(mechanism->max_divergence(shape.tree, batch), 0.0) << what;
+      EXPECT_EQ(divergence(*mechanism, shape.tree, batch), 0.0) << what;
       std::vector<double> served = batch;
       for (NodeId u = 1; u < served.size(); ++u) {
         served[u] += static_cast<double>(u % 7) * 1e-13 * (1.0 + served[u]);
       }
-      EXPECT_EQ(mechanism->max_divergence(shape.tree, served),
+      EXPECT_EQ(divergence(*mechanism, shape.tree, served),
                 reference_divergence(*mechanism, shape.tree, served))
           << what;
       if (served.size() > 3) {
         served[served.size() / 2] = std::nan("");
-        EXPECT_EQ(mechanism->max_divergence(shape.tree, served),
+        EXPECT_EQ(divergence(*mechanism, shape.tree, served),
                   reference_divergence(*mechanism, shape.tree, served))
             << what << " with a NaN";
         served[1] = HUGE_VAL;
-        EXPECT_EQ(mechanism->max_divergence(shape.tree, served), HUGE_VAL)
+        EXPECT_EQ(divergence(*mechanism, shape.tree, served), HUGE_VAL)
             << what << " with an infinity";
       }
     }
@@ -399,7 +413,7 @@ TEST(BatchKernels, MaxDivergenceReportsAOneUlpFlip) {
         served[u] = std::nextafter(served[u], HUGE_VAL);
         const double difference = served[u] - batch[u];
         ASSERT_GT(difference, 0.0);
-        EXPECT_EQ(mechanism->max_divergence(shape.tree, served), difference)
+        EXPECT_EQ(divergence(*mechanism, shape.tree, served), difference)
             << name << " on " << shape.name << " node " << u;
       }
     }
@@ -429,9 +443,19 @@ TEST(BatchKernels, TypeErasedCdrmMatchesTheInlinedInstances) {
       for (NodeId u = 1; u < served.size(); u += 3) {
         served[u] = std::nextafter(served[u], 0.0);
       }
-      EXPECT_EQ(erased.max_divergence(shape.tree, served),
-                inlined->max_divergence(shape.tree, served))
+      EXPECT_EQ(divergence(erased, shape.tree, served),
+                divergence(*inlined, shape.tree, served))
           << what;
+      // The block kernel: the typed loop against the default one over
+      // the guarded per-node hook.
+      const std::vector<double> subtree =
+          compute_subtree_data(shape.tree).subtree_contribution;
+      const std::span<const double> own = shape.tree.contribution_array();
+      std::vector<double> typed(own.size(), -1.0);
+      std::vector<double> hooked(own.size(), -2.0);
+      inlined->rewards_from_aggregates(own, subtree, {}, typed);
+      erased.rewards_from_aggregates(own, subtree, {}, hooked);
+      expect_bit_equal(hooked, typed, what + " block kernel");
     }
   }
 }
@@ -536,6 +560,145 @@ TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
           corrupt.reward(victim) - mechanism->compute(corrupt.tree())[victim]);
       EXPECT_GT(divergence, 0.0) << mechanism->display_name();
       EXPECT_EQ(corrupt.audit(), divergence) << mechanism->display_name();
+    }
+  }
+}
+
+/// A service serving `tree`, built in O(n) (a join replay of the 100k
+/// chain would walk every ancestor): the tree is adopted with the
+/// aggregate blob an engine built from the same tree exports.
+RewardService serve(const Mechanism& mechanism, const Tree& tree) {
+  RewardService service(mechanism);
+  std::vector<double> blob;
+  const AggregateSupport support = mechanism.aggregate_support();
+  if (support.supported) {
+    blob = IncrementalSubtreeState(
+               IncrementalSubtreeState::Config{support.decay,
+                                               support.binary_depth},
+               tree)
+               .export_aggregates();
+  } else if (const auto* tdrm = dynamic_cast<const Tdrm*>(&mechanism)) {
+    blob = IncrementalRctState(tdrm->params(), tdrm->phi(), tree)
+               .export_aggregates();
+  }
+  service.adopt_snapshot(Tree(tree), tree.participant_count(), blob);
+  return service;
+}
+
+TEST(BatchKernels, BlockKernelBitEqualToPerNodeRewards) {
+  // fill_rewards() prices a block in one rewards_from_aggregates() call
+  // (TDRM per node from its chain state); at every block size each
+  // entry must carry the bits reward(u) returns.
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    RewardService service(*mechanism);
+    if (!service.incremental()) {
+      continue;  // batch mode serves its cached compute()
+    }
+    Rng rng(29);
+    for (int event = 0; event < 9000; ++event) {
+      const std::size_t n = service.tree().participant_count();
+      if (n == 0 || rng.bernoulli(0.7)) {
+        service.apply(JoinEvent{static_cast<NodeId>(rng.index(n + 1)),
+                                rng.bernoulli(0.1) ? 0.0
+                                                   : rng.uniform(0.0, 2.5)});
+      } else {
+        service.apply(ContributeEvent{static_cast<NodeId>(1 + rng.index(n)),
+                                      rng.uniform(0.0, 1.5)});
+      }
+    }
+    const std::size_t n = service.tree().node_count();
+    RewardVector points(n, 0.0);
+    for (NodeId u = 1; u < n; ++u) {
+      points[u] = service.reward(u);
+    }
+    for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{4096}, n}) {
+      RewardVector filled(n, -1.0);
+      for (std::size_t first = 0; first < n; first += block) {
+        service.fill_rewards(
+            static_cast<NodeId>(first),
+            std::span<double>(filled).subspan(first,
+                                              std::min(block, n - first)));
+      }
+      expect_bit_equal(filled, points,
+                       std::string(name) + " blocks of " +
+                           std::to_string(block));
+    }
+    std::vector<double> visited;
+    service.visit_rewards([&](NodeId first, std::span<const double> block) {
+      EXPECT_EQ(first, visited.size());
+      EXPECT_LE(block.size(), kStreamBlock);
+      visited.insert(visited.end(), block.begin(), block.end());
+    });
+    expect_bit_equal(visited, points, std::string(name) + " visited");
+    EXPECT_EQ(service.materialized_rewards(), 0u) << name;
+  }
+}
+
+TEST(BatchKernels, TypedBlockKernelsMatchThePerNodeHook) {
+  // The typed overrides (Geometric, CDRM-1, CDRM-2) against
+  // reward_from_aggregates() on raw aggregates, zero contributions
+  // included.
+  Rng rng(31);
+  std::vector<double> own(5000);
+  std::vector<double> subtree(own.size());
+  std::vector<std::uint32_t> depth(own.size());
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    own[i] = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 4.0);
+    subtree[i] = own[i] + rng.uniform(0.0, 100.0);
+    depth[i] = static_cast<std::uint32_t>(1 + rng.index(20));
+  }
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    const AggregateSupport support = mechanism->aggregate_support();
+    if (!support.supported) {
+      continue;
+    }
+    const std::span<const std::uint32_t> depths =
+        support.binary_depth ? std::span<const std::uint32_t>(depth)
+                             : std::span<const std::uint32_t>{};
+    std::vector<double> want(own.size());
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      want[i] = mechanism->reward_from_aggregates(
+          {own[i], subtree[i], support.binary_depth ? depth[i] : 0u});
+    }
+    std::vector<double> got(own.size(), -1.0);
+    mechanism->rewards_from_aggregates(own, subtree, depths, got);
+    expect_bit_equal(got, want, name);
+  }
+}
+
+TEST(BatchKernels, BlockAuditBitIdenticalOnEveryShape) {
+  // audit() folds the served values block by block as the sweep reaches
+  // them; it must return the bits of the audit over the whole served
+  // vector, max_divergence(tree, rewards()), on every shape.
+  const std::vector<Shape> trees = shapes();
+  for (const char* name : kFactoryMechanisms) {
+    const MechanismPtr mechanism = make_mechanism(name);
+    for (const Shape& shape : trees) {
+      const RewardService service = serve(*mechanism, shape.tree);
+      if (!service.incremental()) {
+        continue;
+      }
+      const std::string what = std::string(name) + " on " + shape.name;
+      const double blocks = service.audit();
+      EXPECT_EQ(service.materialized_rewards(), 0u) << what;
+      const double whole =
+          divergence(*mechanism, service.tree(), service.rewards());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(blocks),
+                std::bit_cast<std::uint64_t>(whole))
+          << what << ": " << blocks << " vs " << whole;
+      double total = 0.0;
+      for (const double r : service.rewards()) {
+        total += r;
+      }
+      if (mechanism->aggregate_support().total_coefficient == 0.0 &&
+          dynamic_cast<const Tdrm*>(mechanism.get()) == nullptr) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(service.total_reward()),
+                  std::bit_cast<std::uint64_t>(total))
+            << what;
+      }
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "storage/crc32c.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
+#include "util/le_codec.h"
 
 namespace itree {
 namespace {
@@ -221,6 +222,34 @@ TEST(FormatGolden, EveryResponseFrame) {
     std::string direct = "prefix";
     net::append_framed_response(direct, cases[i].second);
     EXPECT_EQ(direct, "prefix" + framed) << cases[i].first;
+  }
+}
+
+TEST(FormatGolden, OkVectorFramedOnceKeepsItsGolden) {
+  // REWARDS frames its vector once, header first and rewards appended
+  // block by block; the bytes are the OK_VECTOR golden above.
+  net::Response vector;
+  for (const auto& [name, response] : responses()) {
+    if (name == "OK_VECTOR") {
+      vector = response;
+    }
+  }
+  ASSERT_EQ(vector.status, net::Status::kOkVector);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{4}}) {
+    net::Response framed;
+    framed.status = net::Status::kOkVector;
+    net::append_vector_frame_header(framed.framed, vector.rewards.size());
+    for (std::size_t first = 0; first < vector.rewards.size();
+         first += block) {
+      le::put_array(framed.framed,
+                    std::span<const double>(vector.rewards)
+                        .subspan(first, std::min(block, vector.rewards.size() -
+                                                            first)));
+    }
+    expect_golden(framed.framed, {61, 0xe192b7deu}, "OK_VECTOR framed once");
+    std::string direct;
+    net::append_framed_response(direct, framed);
+    expect_golden(direct, {61, 0xe192b7deu}, "OK_VECTOR appended");
   }
 }
 

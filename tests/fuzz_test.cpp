@@ -120,7 +120,7 @@ TEST(Fuzz, FrameDecoderSurvivesRandomByteStreams) {
           std::min(stream.size() - fed, 1 + rng.index(16));
       decoder.feed(stream.data() + fed, chunk);
       fed += chunk;
-      std::string payload;
+      std::string_view payload;
       while (decoder.next(&payload)) {
         try {
           (void)net::decode_request(payload);
@@ -152,7 +152,7 @@ TEST(Fuzz, TruncatedFramesNeverYieldPayloads) {
     const std::size_t cut = rng.index(framed.size());  // < full length
     net::FrameDecoder decoder;
     decoder.feed(framed.data(), cut);
-    std::string out;
+    std::string_view out;
     EXPECT_FALSE(decoder.next(&out));
     EXPECT_FALSE(decoder.corrupt());
     decoder.feed(framed.data() + cut, framed.size() - cut);
@@ -256,7 +256,7 @@ TEST(Fuzz, BatchedFrameStreamsNeverCrashTheDecoder) {
           std::min(stream.size() - fed, 1 + rng.index(24));
       decoder.feed(stream.data() + fed, chunk);
       fed += chunk;
-      std::string payload;
+      std::string_view payload;
       while (decoder.next(&payload)) {
         try {
           (void)net::decode_request(payload);

@@ -4,7 +4,12 @@
 // disconnects, backpressure, idle timeouts, graceful drain). The
 // transport guarantees of the shared event loop run against both front
 // ends: the server directly and a router in front of it.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -26,6 +31,8 @@
 #include "net/spsc_ring.h"
 #include "router/router.h"
 #include "server/event_log.h"
+#include "util/io.h"
+#include "util/le_codec.h"
 #include "util/rng.h"
 
 namespace itree::net {
@@ -153,7 +160,7 @@ TEST(Protocol, LargestRewardVectorFramesAndOneMoreIsRefused) {
 
   // Through the frame decoder in socket-sized pieces.
   FrameDecoder decoder;
-  std::string payload;
+  std::string_view payload;
   for (std::size_t at = 6; at < out.size(); at += 65536) {
     EXPECT_FALSE(decoder.next(&payload));
     decoder.feed(std::string_view(out).substr(at, 65536));
@@ -175,11 +182,11 @@ TEST(Protocol, FrameDecoderHandlesFragmentation) {
   // Feed byte by byte: frames must pop exactly at their boundaries.
   FrameDecoder decoder;
   std::vector<std::string> payloads;
-  std::string payload;
+  std::string_view payload;
   for (const char byte : stream) {
     decoder.feed(&byte, 1);
     while (decoder.next(&payload)) {
-      payloads.push_back(payload);
+      payloads.emplace_back(payload);
     }
   }
   ASSERT_EQ(payloads.size(), 2u);
@@ -196,12 +203,197 @@ TEST(Protocol, FrameDecoderFlagsOversizedAndZeroLengths) {
       prefix[i] = static_cast<char>((length >> (8 * i)) & 0xff);
     }
     decoder.feed(prefix, sizeof(prefix));
-    std::string payload;
+    std::string_view payload;
     EXPECT_FALSE(decoder.next(&payload));
     EXPECT_TRUE(decoder.corrupt());
     // Poisoned: further bytes are dropped, next() stays false.
     decoder.feed("abcdefgh", 8);
     EXPECT_FALSE(decoder.next(&payload));
+  }
+}
+
+/// An OK_VECTOR of `count` rewards with every bit pattern class: signed
+/// zeros, NaN payloads, subnormals, huge values.
+Response reward_vector(std::size_t count) {
+  Response response;
+  response.status = Status::kOkVector;
+  response.rewards.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    response.rewards[i] =
+        i % 5 == 0   ? (i % 2 == 0 ? 0.0 : -0.0)
+        : i % 5 == 1 ? std::bit_cast<double>(0x7ff8000000000000ull | i)
+        : i % 5 == 2 ? std::numeric_limits<double>::denorm_min() *
+                           static_cast<double>(i)
+                     : static_cast<double>(i) * 1e290 / 3.0;
+  }
+  return response;
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "entry " << i;
+  }
+}
+
+TEST(Protocol, VectorFramedOnceEqualsTheEncodedVector) {
+  // REWARDS writes the header, then the rewards block by block, into the
+  // frame the response carries; those bytes are the encoder's bytes.
+  const Response vector = reward_vector(10007);
+  Response framed;
+  framed.status = Status::kOkVector;
+  append_vector_frame_header(framed.framed, vector.rewards.size());
+  const std::span<const double> all(vector.rewards);
+  for (std::size_t first = 0; first < all.size(); first += 4096) {
+    le::put_array(framed.framed,
+                  all.subspan(first, std::min<std::size_t>(
+                                         4096, all.size() - first)));
+  }
+  EXPECT_EQ(framed.framed, frame(encode_response(vector)));
+  EXPECT_EQ(encode_response(framed), encode_response(vector));
+  std::string direct = "prefix";
+  append_framed_response(direct, framed);
+  EXPECT_EQ(direct, "prefix" + framed.framed);
+  expect_same_bits(decode_response(encode_response(framed)).rewards,
+                   vector.rewards);
+  // One reward more than a frame holds is refused, `out` untouched.
+  std::string refused = "prefix";
+  EXPECT_THROW(
+      append_vector_frame_header(refused, (kMaxFrameBytes - 9) / 8 + 1),
+      ProtocolError);
+  EXPECT_EQ(refused, "prefix");
+}
+
+TEST(Protocol, FrameDecoderReceivesInPlaceAtAnyPieceSize) {
+  // A large OK_VECTOR between two small frames, received in place one
+  // byte at a time and in 1 MiB pieces: the same payloads pop out, and
+  // once a frame's length is in, recv_room() offers the rest of it.
+  const Response vector = reward_vector(300000);
+  const std::string stream = frame(encode_response(Response{})) +
+                             frame(encode_response(vector)) +
+                             frame(encode_response(reward_vector(3)));
+  for (const std::size_t piece : {std::size_t{1}, std::size_t{1} << 20}) {
+    FrameDecoder decoder;
+    std::vector<Response> decoded;
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::span<char> room = decoder.recv_room();
+      ASSERT_GE(room.size(), FrameDecoder::kRecvBytes);
+      const std::size_t n = std::min({piece, room.size(), stream.size() - at});
+      std::copy_n(stream.data() + at, n, room.data());
+      decoder.commit(n);
+      at += n;
+      std::string_view payload;
+      while (decoder.next(&payload)) {
+        decoded.push_back(decode_response(payload));
+      }
+      if (at == 5 + 8) {
+        // The first frame is out and the big frame's prefix is in: the
+        // room holds all of the big frame's rest.
+        const std::size_t big_frame = 4 + 9 + 8 * vector.rewards.size();
+        EXPECT_GE(decoder.recv_room().size(), big_frame - decoder.buffered());
+      }
+    }
+    ASSERT_EQ(decoded.size(), 3u) << "piece " << piece;
+    EXPECT_EQ(decoded[0].status, Status::kOk);
+    expect_same_bits(decoded[1].rewards, vector.rewards);
+    expect_same_bits(decoded[2].rewards, reward_vector(3).rewards);
+    EXPECT_EQ(decoder.buffered(), 0u);
+  }
+}
+
+TEST(Protocol, FrameDecoderHoldsOnlyWhatItBuffers) {
+  // Small frames pass through the per-thread scratch: an idle session
+  // that has only ever received requests holds their bytes, not a
+  // receive-sized buffer. A large frame gets one allocation of its
+  // announced size, not a doubling.
+  const std::string small = frame(encode_request({MsgType::kStats, 4, 0, 0.0}));
+  FrameDecoder decoder;
+  FrameDecoder other;  // shares this thread's scratch
+  for (int i = 0; i < 200; ++i) {
+    for (FrameDecoder* d : {&decoder, &other}) {
+      const std::span<char> room = d->recv_room();
+      ASSERT_GE(room.size(), FrameDecoder::kRecvBytes);
+      std::copy(small.begin(), small.end(), room.begin());
+      d->commit(small.size());
+    }
+    for (FrameDecoder* d : {&decoder, &other}) {
+      std::string_view payload;
+      ASSERT_TRUE(d->next(&payload));
+      EXPECT_EQ(decode_request(payload).campaign, 4u);
+      EXPECT_FALSE(d->next(&payload));
+    }
+  }
+  EXPECT_LE(decoder.capacity(), 2 * small.size());
+  EXPECT_LE(other.capacity(), 2 * small.size());
+
+  const std::string big = frame(encode_response(reward_vector(100000)));
+  decoder.feed(big.data(), 16);
+  decoder.feed(big.data() + 16, big.size() - 16);
+  std::string_view payload;
+  ASSERT_TRUE(decoder.next(&payload));
+  EXPECT_EQ(payload, std::string_view(big).substr(4));
+  EXPECT_LE(decoder.capacity(), big.size());
+}
+
+/// A loopback peer that accepts one connection and writes `stream` to
+/// it in `piece`-byte sends, then closes.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(std::string stream, std::size_t piece) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t length = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), length) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) != 0) {
+      throw std::runtime_error("ScriptedPeer: cannot listen");
+    }
+    port_ = ntohs(addr.sin_port);
+    writer_ = std::thread([this, stream = std::move(stream), piece] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      for (std::size_t at = 0; at < stream.size(); at += piece) {
+        io::send_all(fd, stream.data() + at,
+                     std::min(piece, stream.size() - at));
+      }
+      ::close(fd);
+    });
+  }
+  ~ScriptedPeer() {
+    writer_.join();
+    ::close(listen_fd_);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread writer_;
+};
+
+TEST(ClientReceive, RewardsFrameInAnyPiecesDecodesIdentically) {
+  // net::Client receives straight into its decoder's buffer: a REWARDS
+  // frame sent one byte per send(), or in 1 MiB sends, and the frame
+  // behind it decode to the same bits.
+  const Response small = reward_vector(1500);
+  const Response large = reward_vector(400000);
+  const Response tail = reward_vector(5);
+  for (const auto& [vector, piece] :
+       {std::pair{&small, std::size_t{1}},
+        std::pair{&large, std::size_t{1} << 20}}) {
+    ScriptedPeer peer(frame(encode_response(*vector)) +
+                          frame(encode_response(tail)),
+                      piece);
+    Client client("127.0.0.1", peer.port());
+    expect_same_bits(client.read_response().rewards, vector->rewards);
+    expect_same_bits(client.read_response().rewards, tail.rewards);
   }
 }
 
@@ -550,6 +742,52 @@ INSTANTIATE_TEST_SUITE_P(Mechanisms, LoopbackEquivalence,
                                            MechanismKind::kTdrm));
 
 // --- Routing, errors, robustness ------------------------------------
+
+TEST_F(NetTest, PayoutOverTheWireMaterializesNoServedVector) {
+  // REWARDS is framed straight from the aggregate columns, AUDIT folds
+  // the served values block by block and STATS sums them (CDRM-1 has no
+  // O(1) total): after a payout, no campaign holds a reward vector.
+  // Two reactors, so one campaign's frames cross the reactor ring.
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  ServerConfig config;
+  config.campaigns = 2;
+  config.reactors = 2;
+  start(*mechanism, config);
+  Client client = connect();
+  std::vector<std::unique_ptr<RecordingService>> reference;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    reference.push_back(std::make_unique<RecordingService>(*mechanism));
+    drive_workload(70 + c, 9000, [&](NodeId node, double amount, bool join) {
+      if (join) {
+        reference[c]->join(node, amount);
+      } else {
+        reference[c]->contribute(node, amount);
+      }
+    });
+    std::vector<BatchEvent> events;
+    drive_workload(70 + c, 9000, [&](NodeId node, double amount, bool join) {
+      events.push_back({join ? BatchEvent::kJoin : BatchEvent::kContribute,
+                        node, amount});
+    });
+    ASSERT_TRUE(client.send_events(c, events).complete());
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      const RecordingService& local = *reference[c];
+      expect_same_bits(client.rewards(c), local.service().rewards());
+      EXPECT_EQ(client.audit(c), local.service().audit());
+      const StatsBody stats = client.stats(c);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.total_reward),
+                std::bit_cast<std::uint64_t>(
+                    total_reward(local.service().rewards())));
+    }
+  }
+  stop();
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(server_->campaign(c).service().materialized_rewards(), 0u)
+        << "campaign " << c << " kept a served vector";
+  }
+}
 
 TEST_F(NetTest, RoutesCampaignsIndependently) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);

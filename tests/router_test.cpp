@@ -476,7 +476,7 @@ class FakeShard {
           break;
         }
         decoder.feed(buffer, static_cast<std::size_t>(n));
-        std::string payload;
+        std::string_view payload;
         while (decoder.next(&payload)) {
           const std::string frame = net::frame(canned_);
           if (!io::send_all(fd, frame.data(), frame.size())) {

@@ -128,7 +128,7 @@ class Counting : public Base {
     return Base::compute(tree);
   }
   double max_divergence(const Tree& tree,
-                        std::span<const double> served) const override {
+                        ServedRewards& served) const override {
     ++batch_computes;
     return Base::max_divergence(tree, served);
   }

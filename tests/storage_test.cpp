@@ -1621,6 +1621,350 @@ TEST(Storage, MidLogDamageIsFatalNotSilent) {
   fs::remove_all(dir);
 }
 
+// --- Streamed recovery ------------------------------------------------
+//
+// recover_campaigns() reads each segment through a bounded window and
+// replays in per-campaign blocks. Every case below is also recovered by
+// the whole-segment algorithm it replaced, written out here as a
+// reference: each must either recover bit-equal to it or fail with the
+// same message.
+
+/// What one recovery produced: its error, or its per-campaign rewards
+/// and report.
+struct RecoveryOutcome {
+  std::string error;
+  std::vector<RewardVector> rewards;
+  std::uint64_t next_seq = 0;
+  std::uint64_t tail_records = 0;
+  std::string torn_segment_path;
+  std::uint64_t torn_valid_bytes = 0;
+  std::vector<std::string> warnings;
+};
+
+RecoveryOutcome streamed_recovery(const Mechanism& mechanism,
+                                  std::size_t campaigns,
+                                  const fs::path& dir) {
+  RecoveryOutcome outcome;
+  try {
+    RecoveryResult result =
+        recover_campaigns(mechanism, campaigns, dir.string());
+    for (const auto& campaign : result.campaigns) {
+      outcome.rewards.push_back(campaign->service().rewards());
+    }
+    outcome.next_seq = result.next_seq;
+    outcome.tail_records = result.report.tail_records;
+    outcome.torn_segment_path = result.torn_segment_path;
+    outcome.torn_valid_bytes = result.torn_valid_bytes;
+    outcome.warnings = result.report.warnings;
+  } catch (const std::exception& error) {
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+/// The whole-segment recovery: scan a segment into memory, check every
+/// record, split it per campaign, then replay campaign by campaign.
+RecoveryOutcome whole_segment_recovery(const Mechanism& mechanism,
+                                       std::size_t campaign_count,
+                                       const fs::path& dir) {
+  RecoveryOutcome outcome;
+  try {
+    std::vector<std::unique_ptr<RecordingService>> campaigns;
+    for (std::size_t c = 0; c < campaign_count; ++c) {
+      campaigns.push_back(std::make_unique<RecordingService>(mechanism));
+    }
+    std::uint64_t snapshot_seq = 0;
+    std::vector<std::string> warnings;
+    if (auto snapshot = load_latest_snapshot(dir.string(), &warnings)) {
+      for (std::size_t c = 0; c < campaign_count; ++c) {
+        restore_campaign_from_snapshot(
+            *campaigns[c], std::move(snapshot->campaigns[c]), c);
+      }
+      snapshot_seq = snapshot->last_seq;
+    }
+    const auto segments = list_wal_segments(dir.string());
+    std::uint64_t expected_seq = snapshot_seq + 1;
+    std::uint64_t tail_records = 0;
+    std::string torn_segment_path;
+    std::uint64_t torn_valid_bytes = 0;
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      if (i + 1 < segments.size() &&
+          segments[i + 1].first <= snapshot_seq + 1) {
+        continue;
+      }
+      const std::string path = (dir / segments[i].second).string();
+      const WalScan scan = scan_wal_file(path);
+      if (!scan.clean) {
+        if (i + 1 < segments.size()) {
+          throw std::runtime_error(
+              "storage: corruption inside non-final WAL segment " +
+              segments[i].second + " (" + scan.truncation_reason +
+              "); refusing to skip committed history");
+        }
+        torn_segment_path = path;
+        torn_valid_bytes = scan.valid_bytes;
+        warnings.push_back(
+            "torn tail in " + segments[i].second + " (" +
+            scan.truncation_reason + "): " +
+            std::to_string(fs::file_size(path) - scan.valid_bytes) +
+            " bytes discarded");
+      }
+      std::vector<std::vector<Event>> tails(campaign_count);
+      for (const WalRecord& record : scan.records) {
+        if (record.seq <= snapshot_seq) {
+          continue;
+        }
+        if (record.seq != expected_seq) {
+          throw std::runtime_error(
+              "storage: WAL sequence gap in " + segments[i].second +
+              ": expected " + std::to_string(expected_seq) + ", found " +
+              std::to_string(record.seq));
+        }
+        if (record.campaign >= campaign_count) {
+          throw std::runtime_error(
+              "storage: WAL record for campaign " +
+              std::to_string(record.campaign) + " but deployment has " +
+              std::to_string(campaign_count));
+        }
+        tails[record.campaign].push_back(record.event);
+        ++expected_seq;
+      }
+      for (std::size_t c = 0; c < campaign_count; ++c) {
+        campaigns[c]->replay(tails[c]);
+        tail_records += tails[c].size();
+      }
+    }
+    for (const auto& campaign : campaigns) {
+      outcome.rewards.push_back(campaign->service().rewards());
+    }
+    outcome.next_seq = expected_seq;
+    outcome.tail_records = tail_records;
+    outcome.torn_segment_path = torn_segment_path;
+    outcome.torn_valid_bytes = torn_valid_bytes;
+    outcome.warnings = warnings;
+  } catch (const std::exception& error) {
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+void expect_same_recovery(const Mechanism& mechanism, std::size_t campaigns,
+                          const fs::path& dir, const std::string& what) {
+  const RecoveryOutcome got = streamed_recovery(mechanism, campaigns, dir);
+  const RecoveryOutcome want =
+      whole_segment_recovery(mechanism, campaigns, dir);
+  EXPECT_EQ(got.error, want.error) << what;
+  ASSERT_EQ(got.rewards.size(), want.rewards.size()) << what;
+  for (std::size_t c = 0; c < got.rewards.size(); ++c) {
+    ASSERT_EQ(got.rewards[c].size(), want.rewards[c].size()) << what;
+    for (std::size_t u = 0; u < got.rewards[c].size(); ++u) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rewards[c][u]),
+                std::bit_cast<std::uint64_t>(want.rewards[c][u]))
+          << what << ": campaign " << c << " node " << u;
+    }
+  }
+  EXPECT_EQ(got.next_seq, want.next_seq) << what;
+  EXPECT_EQ(got.tail_records, want.tail_records) << what;
+  EXPECT_EQ(got.torn_segment_path, want.torn_segment_path) << what;
+  EXPECT_EQ(got.torn_valid_bytes, want.torn_valid_bytes) << what;
+  EXPECT_EQ(got.warnings, want.warnings) << what;
+}
+
+/// `count` records of three interleaved campaign streams, seq 1..count:
+/// ~1.1 MB at 30000, so one segment spans more than one read window.
+std::vector<WalRecord> interleaved_records(std::size_t count) {
+  std::vector<std::vector<Event>> streams;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    streams.push_back(make_stream(900 + c, count / 3 + 1));
+  }
+  std::vector<WalRecord> records;
+  for (std::size_t i = 0; i < count; ++i) {
+    records.push_back(WalRecord{i + 1, static_cast<std::uint32_t>(i % 3),
+                                streams[i % 3][i / 3]});
+  }
+  return records;
+}
+
+/// Writes `records` as one segment named after `first_seq`.
+void write_segment(const fs::path& dir, std::uint64_t first_seq,
+                   const std::vector<WalRecord>& records) {
+  fs::create_directories(dir);
+  write_file(dir / wal_segment_name(first_seq), encode_all(records));
+}
+
+TEST(StreamedRecovery, WindowStraddlingRecordsRecoverBitEqual) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_streamed_straddle");
+  const std::vector<WalRecord> records = interleaved_records(30000);
+  // The window ends inside a record: 1 MiB is not a multiple of 37.
+  ASSERT_NE(WalSegmentReader::kWindowBytes % kWalRecordBytes, 0u);
+  ASSERT_GT(records.size() * kWalRecordBytes, WalSegmentReader::kWindowBytes);
+  write_segment(dir, 1, records);
+  expect_same_recovery(*mechanism, 3, dir, "one segment");
+  const RecoveryOutcome got = streamed_recovery(*mechanism, 3, dir);
+  EXPECT_EQ(got.tail_records, records.size());
+  EXPECT_TRUE(got.error.empty()) << got.error;
+
+  // The same records split over two segments, the first ending mid-way
+  // through the second window.
+  fs::remove_all(dir);
+  const std::size_t split = 29000;
+  write_segment(dir, 1, {records.begin(), records.begin() + split});
+  write_segment(dir, split + 1, {records.begin() + split, records.end()});
+  expect_same_recovery(*mechanism, 3, dir, "two segments");
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, ReaderYieldsTheScannersRecordsAtEveryWindow) {
+  const fs::path dir = fresh_dir("itree_streamed_reader");
+  const std::vector<WalRecord> records = interleaved_records(5000);
+  std::string bytes = encode_all(records);
+  bytes += std::string(5, '\x7f');  // a torn tail
+  fs::create_directories(dir);
+  const fs::path path = dir / "segment";
+  write_file(path, bytes);
+  const WalScan want = scan_wal(bytes);
+  for (const std::size_t window :
+       {WalSegmentReader::kMinWindowBytes,
+        WalSegmentReader::kMinWindowBytes + 1, std::size_t{100000},
+        WalSegmentReader::kWindowBytes}) {
+    WalSegmentReader reader(path.string(), window);
+    std::vector<WalRecord> got;
+    WalRecord record;
+    while (reader.next(&record)) {
+      got.push_back(record);
+    }
+    EXPECT_EQ(got, want.records) << "window " << window;
+    EXPECT_EQ(reader.valid_bytes(), want.valid_bytes) << "window " << window;
+    EXPECT_EQ(reader.clean(), want.clean);
+    EXPECT_EQ(reader.truncation_reason(), want.truncation_reason);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, TornTailInTheLastWindowRecoversThePrefix) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_streamed_torn");
+  const std::vector<WalRecord> records = interleaved_records(30000);
+  const std::string bytes = encode_all(records);
+  fs::create_directories(dir);
+  const fs::path path = dir / wal_segment_name(1);
+  // Cuts inside the last window: mid-header, mid-payload, and a flipped
+  // CRC byte of the final record; plus garbage past a clean end.
+  for (const std::size_t cut : {bytes.size() - 3, bytes.size() - 20,
+                                bytes.size() - kWalRecordBytes - 11}) {
+    write_file(path, bytes.substr(0, cut));
+    expect_same_recovery(*mechanism, 3, dir, "cut at " + std::to_string(cut));
+    const RecoveryOutcome got = streamed_recovery(*mechanism, 3, dir);
+    EXPECT_EQ(got.warnings.size(), 1u);
+    EXPECT_LT(got.torn_valid_bytes, cut);
+  }
+  std::string flipped = bytes;
+  flipped[bytes.size() - kWalRecordBytes + 5] ^= 0x01;
+  write_file(path, flipped);
+  expect_same_recovery(*mechanism, 3, dir, "flipped CRC of the last record");
+  write_file(path, bytes + "garbage");
+  expect_same_recovery(*mechanism, 3, dir, "garbage after the last record");
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, DamageInANonFinalSegmentFailsWithTheSameMessage) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_streamed_midlog");
+  const std::vector<WalRecord> records = interleaved_records(31000);
+  const std::size_t split = 30000;
+  const std::vector<WalRecord> first(records.begin(),
+                                     records.begin() + split);
+  const std::vector<WalRecord> second(records.begin() + split,
+                                      records.end());
+  const auto reset = [&] {
+    fs::remove_all(dir);
+    write_segment(dir, 1, first);
+    write_segment(dir, split + 1, second);
+  };
+
+  // A CRC mismatch past the first read window.
+  reset();
+  std::string damaged = encode_all(first);
+  damaged[29000 * kWalRecordBytes + 20] ^= 0x04;
+  write_file(dir / wal_segment_name(1), damaged);
+  expect_same_recovery(*mechanism, 3, dir, "CRC mismatch");
+  EXPECT_NE(streamed_recovery(*mechanism, 3, dir)
+                .error.find("corruption inside non-final WAL segment"),
+            std::string::npos);
+
+  // A sequence gap past the first read window.
+  reset();
+  std::vector<WalRecord> gapped = first;
+  gapped.erase(gapped.begin() + 29500);
+  write_segment(dir, 1, gapped);
+  expect_same_recovery(*mechanism, 3, dir, "sequence gap");
+  EXPECT_NE(streamed_recovery(*mechanism, 3, dir).error.find("expected 29501"),
+            std::string::npos);
+
+  // Both: the damage is reported, as the whole-segment scan did, even
+  // though the gap comes first in the file.
+  damaged = encode_all(gapped);
+  damaged[29800 * kWalRecordBytes + 20] ^= 0x04;
+  write_file(dir / wal_segment_name(1), damaged);
+  expect_same_recovery(*mechanism, 3, dir, "gap then damage");
+  EXPECT_NE(streamed_recovery(*mechanism, 3, dir)
+                .error.find("corruption inside non-final WAL segment"),
+            std::string::npos);
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, RecordPastTheCampaignCountFailsWithTheSameMessage) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_streamed_campaign");
+  std::vector<WalRecord> records = interleaved_records(9000);
+  records[8000].campaign = 7;
+  write_segment(dir, 1, records);
+  expect_same_recovery(*mechanism, 3, dir, "campaign 7 of 3");
+  EXPECT_EQ(streamed_recovery(*mechanism, 3, dir).error,
+            "storage: WAL record for campaign 7 but deployment has 3");
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, ReplayErrorsReportTheLowestFailingCampaign) {
+  // Records that pass every check but that a campaign rejects: the one
+  // reported is the lowest campaign's first, although campaign 2 fails
+  // in an earlier replay block than campaign 1.
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_streamed_replay");
+  std::vector<WalRecord> records = interleaved_records(20000);
+  ASSERT_EQ(records[3002].campaign, 2u);
+  records[3002].event = ContributeEvent{888888, 1.0};
+  write_segment(dir, 1, records);
+  const std::string campaign_2_error =
+      streamed_recovery(*mechanism, 3, dir).error;
+  ASSERT_FALSE(campaign_2_error.empty());
+
+  ASSERT_EQ(records[15001].campaign, 1u);
+  records[15001].event = JoinEvent{777777, 1.0};
+  write_segment(dir, 1, records);
+  expect_same_recovery(*mechanism, 3, dir, "replay errors");
+  const std::string error = streamed_recovery(*mechanism, 3, dir).error;
+  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error, campaign_2_error);
+  fs::remove_all(dir);
+}
+
+TEST(StreamedRecovery, SnapshotCoveredRecordsAreSkipped) {
+  // A snapshot mid-way through a segment: the records it covers are
+  // read past, the rest replayed, as before.
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  const fs::path dir = fresh_dir("itree_streamed_snapshot");
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  config.segment_bytes = 200000;
+  run_workload(*mechanism, {make_stream(71, 6000), make_stream(72, 6000)},
+               config, 4000);
+  expect_same_recovery(*mechanism, 2, dir, "snapshot at 4000");
+  fs::remove_all(dir);
+}
+
 TEST(Storage, ManifestGuardsIdentity) {
   const MechanismPtr tdrm = make_default(MechanismKind::kTdrm);
   const MechanismPtr geometric = make_default(MechanismKind::kGeometric);
