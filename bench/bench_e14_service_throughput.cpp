@@ -488,7 +488,8 @@ int main(int argc, char** argv) {
         args.get_int_in("--batch", 1, 1, net::kMaxBatchEvents));
     driver.pipeline = static_cast<std::uint32_t>(
         args.get_int_in("--pipeline", 1, 1, net::kMaxPipeline));
-    open_loop_rate = args.get_double_or("--open-loop", 0.0);
+    open_loop_rate =
+        args.get_double_in("--open-loop", 0.0, 0.0, kMaxRealFlag);
     mechanism_name = args.get_or("--mechanism", "geometric");
     read_scaling = args.get_int_or("--read-scaling", 1) != 0;
     // Campaign c lands on shard c mod N: a shard past the campaign

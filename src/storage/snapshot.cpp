@@ -78,6 +78,9 @@ struct V5Campaign {
   /// 0 (this writer) or node_count (writers before the seven-column
   /// arena); the section is CRC-checked but never adopted.
   std::uint64_t skip_count = 0;
+  /// Likewise for the prev-sibling section (writers before the six-column
+  /// arena); not stored, but read off the section offsets.
+  std::uint64_t prev_sibling_count = 0;
   std::uint8_t aggregate_kind = 0;
   double total_contribution = 0.0;
   std::array<std::uint64_t, kV5SectionCount> offsets = {};
@@ -85,6 +88,8 @@ struct V5Campaign {
 
   std::uint64_t section_count(std::size_t s) const {
     switch (s) {
+      case kSecPrevSibling:
+        return prev_sibling_count;
       case kSecSkip:
         return skip_count;
       case kSecAggregates:
@@ -166,6 +171,10 @@ V5Header parse_v5_header(std::string_view bytes) {
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
       campaign.crcs[s] = in.u32();
     }
+    campaign.prev_sibling_count =
+        campaign.offsets[kSecPrevSibling] == campaign.offsets[kSecDepth]
+            ? 0
+            : campaign.node_count;
     reject(campaign.node_count >= 1, "missing the imaginary root row");
     reject(campaign.node_count < kInvalidNode, "impossible node count");
     reject(campaign.skip_count == 0 ||
@@ -264,8 +273,7 @@ namespace {
 /// trees get no BorrowedStorage: DONTNEED on heap memory would zero
 /// bytes other borrowers still read.
 struct OwnedV5Columns {
-  std::vector<NodeId> parent, first_child, last_child, next_sibling,
-      prev_sibling;
+  std::vector<NodeId> parent, first_child, last_child, next_sibling;
   std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
 };
@@ -312,7 +320,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       columns.first_child = u32_at(kSecFirstChild);
       columns.last_child = u32_at(kSecLastChild);
       columns.next_sibling = u32_at(kSecNextSibling);
-      columns.prev_sibling = u32_at(kSecPrevSibling);
       columns.depth = u32_at(kSecDepth);
       columns.contribution = std::span<const double>(
           reinterpret_cast<const double*>(base +
@@ -335,7 +342,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       columns.first_child = copy(owned->first_child, kSecFirstChild);
       columns.last_child = copy(owned->last_child, kSecLastChild);
       columns.next_sibling = copy(owned->next_sibling, kSecNextSibling);
-      columns.prev_sibling = copy(owned->prev_sibling, kSecPrevSibling);
       columns.depth = copy(owned->depth, kSecDepth);
       columns.contribution = copy(owned->contribution, kSecContribution);
       campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
@@ -378,9 +384,10 @@ void write_image_durably(const std::string& dir, std::string_view image,
 
 std::string encode_snapshot_v5(const SnapshotData& data) {
   // Pass 1: compute the layout. Header record first, then each
-  // campaign's nine sections, every section page-aligned. The skip
-  // section is written empty (skip_count 0): it occupies no page, and
-  // its offset is that of the section after it.
+  // campaign's nine sections, every section page-aligned. The
+  // prev-sibling and skip sections are written empty (count 0): they
+  // occupy no page, and each shares its offset with the section after
+  // it.
   const std::size_t payload_size =
       8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
       data.campaigns.size() * kV5CampaignEntryBytes;
@@ -423,7 +430,6 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
     store(kSecFirstChild, tree.first_child_array());
     store(kSecLastChild, tree.last_child_array());
     store(kSecNextSibling, tree.next_sibling_array());
-    store(kSecPrevSibling, tree.prev_sibling_array());
     store(kSecDepth, tree.depth_array());
     store(kSecContribution, tree.contribution_array());
     store(kSecAggregates, std::span<const double>(campaign.aggregates));

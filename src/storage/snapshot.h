@@ -5,10 +5,10 @@
 // cost becomes O(snapshot + WAL tail) instead of O(all events).
 //
 // One on-disk generation, "ITSNAP05", named `snap-<last_seq, 16 hex>.snap`.
-// The image is an immutable, page-aligned copy of the *entire* 7-column
-// tree arena — parent, first_child, last_child, next_sibling,
-// prev_sibling, depth, contribution — each as its own page-aligned,
-// individually CRC'd section, with the imaginary root's row included (node_count =
+// The image is an immutable, page-aligned copy of the *entire* 6-column
+// tree arena — parent, first_child, last_child, next_sibling, depth,
+// contribution — each as its own page-aligned, individually CRC'd
+// section, with the imaginary root's row included (node_count =
 // participants + 1). A mapped image therefore needs *no link
 // reconstruction at all*: Tree::adopt_columns points the arena columns
 // straight into the read-only mapping (after a parallel O(1)-per-node
@@ -40,7 +40,11 @@
 //                                   images written while the arena kept
 //                                   an ancestor-skip column. Readers
 //                                   accept both, CRC-check the section
-//                                   and never adopt it)
+//                                   and never adopt it. The
+//                                   prev_sibling section, likewise
+//                                   empty from this writer, has no
+//                                   count field: 0 when its offset
+//                                   equals depth's, else node count)
 //           u8  aggregate kind     (server::AggregateKind of the writer:
 //                                   which accumulator family the blob is)
 //           f64 total contribution (the writer's live accumulated C(T) —
@@ -54,6 +58,7 @@
 //     sections (each page-aligned, zero-padded, in campaign order):
 //       parent / first_child / last_child /
 //       next_sibling / prev_sibling / depth   node count x u32 LE
+//                                             (prev_sibling: see skip)
 //       contribution                          node count x f64 LE
 //       skip                                  skip count x u32 LE
 //                                             (empty from this writer:
@@ -107,8 +112,8 @@ struct SnapshotData {
   std::vector<CampaignSnapshot> campaigns;
 };
 
-/// Encodes the full-arena page-aligned image (the skip section is
-/// written empty).
+/// Encodes the full-arena page-aligned image (the prev-sibling and skip
+/// sections are written empty).
 std::string encode_snapshot_v5(const SnapshotData& data);
 
 /// Decodes an in-memory image into trees that own copies of its

@@ -19,7 +19,6 @@ constexpr const char* kAdoptViolations[] = {
     "Tree::adopt_columns: negative contribution",
     "Tree::adopt_columns: depth out of range",
     "Tree::adopt_columns: next-sibling out of range",
-    "Tree::adopt_columns: prev-sibling out of range",
 };
 /// The two child-link bits: the only predicates the root row scans.
 constexpr unsigned kAdoptChildLinkBits = 0b11u;
@@ -33,7 +32,6 @@ Tree::Tree() {
   first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
-  prev_sibling_.push_back(kInvalidNode);
   depth_.push_back(0);
   contribution_.push_back(0.0);
 }
@@ -43,7 +41,6 @@ void Tree::reserve(std::size_t nodes) {
   first_child_.reserve(nodes);
   last_child_.reserve(nodes);
   next_sibling_.reserve(nodes);
-  prev_sibling_.reserve(nodes);
   depth_.reserve(nodes);
   contribution_.reserve(nodes);
 }
@@ -64,7 +61,6 @@ NodeId Tree::add_node(NodeId parent, double contribution) {
   first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
-  prev_sibling_.push_back(tail);
   depth_.push_back(parent_depth + 1);
   contribution_.push_back(contribution);
   if (tail == kInvalidNode) {
@@ -84,21 +80,18 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   require(n >= 1, "Tree::adopt_columns: missing the imaginary root");
   require(n < kInvalidNode, "Tree::adopt_columns: impossible node count");
   require(columns.first_child.size() == n && columns.last_child.size() == n &&
-              columns.next_sibling.size() == n &&
-              columns.prev_sibling.size() == n && columns.depth.size() == n &&
+              columns.next_sibling.size() == n && columns.depth.size() == n &&
               columns.contribution.size() == n,
           "Tree::adopt_columns: column size mismatch");
   const NodeId* parent = columns.parent.data();
   const NodeId* first_child = columns.first_child.data();
   const NodeId* last_child = columns.last_child.data();
   const NodeId* next_sibling = columns.next_sibling.data();
-  const NodeId* prev_sibling = columns.prev_sibling.data();
   const std::uint32_t* depth = columns.depth.data();
   const double* contribution = columns.contribution.data();
   require(parent[kRoot] == kInvalidNode && depth[kRoot] == 0 &&
               contribution[kRoot] == 0.0 &&
-              next_sibling[kRoot] == kInvalidNode &&
-              prev_sibling[kRoot] == kInvalidNode,
+              next_sibling[kRoot] == kInvalidNode,
           "Tree::adopt_columns: malformed root row");
 
   // Safety scan, not a semantic one: every load below is indexed by u,
@@ -127,7 +120,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
       const NodeId fc = first_child[u];
       const NodeId lc = last_child[u];
       const NodeId nx = next_sibling[u];
-      const NodeId pv = prev_sibling[u];
       const bool leaf = fc == kInvalidNode;
       const bool children_ok = (fc > u) & (fc < n) & (lc >= fc) & (lc < n);
       const unsigned bad =
@@ -138,8 +130,7 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
           // depth in [1, u]; depth 0 wraps to the maximum.
           static_cast<unsigned>(depth[u] - 1u >= u) << 4 |
           static_cast<unsigned>((nx != kInvalidNode) & ((nx <= u) | (nx >= n)))
-              << 5 |
-          static_cast<unsigned>((pv != kInvalidNode) & (pv >= u)) << 6;
+              << 5;
       // The root row's participant checks were done above; only its
       // child links are scanned here.
       mask |= bad & (u == kRoot ? kAdoptChildLinkBits : ~0u);
@@ -154,7 +145,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   tree.first_child_.borrow(first_child, n, storage);
   tree.last_child_.borrow(last_child, n, storage);
   tree.next_sibling_.borrow(next_sibling, n, storage);
-  tree.prev_sibling_.borrow(prev_sibling, n, storage);
   tree.depth_.borrow(depth, n, storage);
   tree.contribution_.borrow(contribution, n, storage);
   tree.total_contribution_ = total_contribution;
@@ -168,63 +158,40 @@ void Tree::validate_links() const {
   const NodeId* first_child = first_child_.data();
   const NodeId* last_child = last_child_.data();
   const NodeId* next_sibling = next_sibling_.data();
-  const NodeId* prev_sibling = prev_sibling_.data();
   const std::uint32_t* depth = depth_.data();
   const double* contribution = contribution_.data();
   require(parent[kRoot] == kInvalidNode && depth[kRoot] == 0 &&
-             contribution[kRoot] == 0.0 &&
-             next_sibling[kRoot] == kInvalidNode &&
-             prev_sibling[kRoot] == kInvalidNode,
-         "Tree::validate_links: malformed root row");
+              contribution[kRoot] == 0.0 &&
+              next_sibling[kRoot] == kInvalidNode,
+          "Tree::validate_links: malformed root row");
 
-  // Parallel read-only cross-link proof, O(1) per node. The local
-  // invariants below force the links to be exactly the canonical
-  // append-order build: per parent, next/prev are mutually inverse and
-  // strictly id-increasing, every chain ends at the unique last_child
-  // (next == invalid) and starts at the unique first_child (prev ==
-  // invalid), so the sibling lists form one chain per parent covering
-  // all of its children in ascending id order; depth obeys the parent
-  // recurrence.
-  parallel_for(n, [&](std::size_t ui) {
-    const auto u = static_cast<NodeId>(ui);
-    if (u != kRoot) {
-      require(parent[u] < u,
-             "Tree::validate_links: parent id does not precede the node");
-      require(contribution[u] >= 0.0,
-             "Tree::validate_links: negative contribution");
-      require(depth[u] == depth[parent[u]] + 1,
-             "Tree::validate_links: depth column inconsistent");
-      const NodeId nx = next_sibling[u];
-      if (nx == kInvalidNode) {
-        require(last_child[parent[u]] == u,
-               "Tree::validate_links: sibling chain tail mismatch");
-      } else {
-        require(nx < n && nx > u && parent[nx] == parent[u] &&
-                   prev_sibling[nx] == u,
-               "Tree::validate_links: next-sibling link inconsistent");
-      }
-      const NodeId pv = prev_sibling[u];
-      if (pv == kInvalidNode) {
-        require(first_child[parent[u]] == u,
-               "Tree::validate_links: sibling chain head mismatch");
-      } else {
-        require(pv < u && parent[pv] == parent[u] && next_sibling[pv] == u,
-               "Tree::validate_links: prev-sibling link inconsistent");
-      }
-    }
-    const NodeId fc = first_child[u];
-    const NodeId lc = last_child[u];
-    if (fc == kInvalidNode) {
-      require(lc == kInvalidNode, "Tree::validate_links: last child of a leaf");
-    } else {
-      require(fc < n && fc > u && parent[fc] == u &&
-                 prev_sibling[fc] == kInvalidNode,
-             "Tree::validate_links: first-child link inconsistent");
-      require(lc < n && lc > u && parent[lc] == u &&
-                 next_sibling[lc] == kInvalidNode,
-             "Tree::validate_links: last-child link inconsistent");
-    }
-  });
+  // One ascending pass replays the appends: `last_seen[p]` is the
+  // largest child of p met so far, so the link after it (p's first_child
+  // while there is none, else its next_sibling) must be the next child
+  // u, and once every node is met it must be kInvalidNode, with
+  // last_child[p] == last_seen[p]. That forces every link to be the one
+  // add_node would have written.
+  std::vector<NodeId> last_seen(n, kInvalidNode);
+  const auto link_after = [&](NodeId p) {
+    return last_seen[p] == kInvalidNode ? first_child[p]
+                                        : next_sibling[last_seen[p]];
+  };
+  for (NodeId u = 1; u < n; ++u) {
+    const NodeId p = parent[u];
+    require(p < u, "Tree::validate_links: parent id does not precede the node");
+    require(contribution[u] >= 0.0,
+            "Tree::validate_links: negative contribution");
+    require(depth[u] == depth[p] + 1,
+            "Tree::validate_links: depth column inconsistent");
+    require(link_after(p) == u,
+            "Tree::validate_links: sibling chain out of join order");
+    last_seen[p] = u;
+  }
+  for (NodeId p = 0; p < n; ++p) {
+    require(link_after(p) == kInvalidNode && last_child[p] == last_seen[p],
+            "Tree::validate_links: sibling chain does not end at the last "
+            "child");
+  }
 }
 
 NodeId Tree::parent(NodeId u) const {
@@ -261,8 +228,12 @@ void Tree::remove_last_node() {
   ensure(last_child_[p] == last,
          "Tree::remove_last_node: the last node must be its parent's "
          "newest child");
-  // Unlink from the parent's child chain in O(1) via the back pointer.
-  const NodeId prev = prev_sibling_[last];
+  // Unlink from the parent's child chain: walk it from the head to the
+  // newest child's predecessor, O(deg(p)).
+  NodeId prev = kInvalidNode;
+  for (NodeId at = first_child_[p]; at != last; at = next_sibling_[at]) {
+    prev = at;
+  }
   last_child_.mut(p) = prev;
   if (prev == kInvalidNode) {
     first_child_.mut(p) = kInvalidNode;
@@ -274,7 +245,6 @@ void Tree::remove_last_node() {
   first_child_.pop_back();
   last_child_.pop_back();
   next_sibling_.pop_back();
-  prev_sibling_.pop_back();
   depth_.pop_back();
   contribution_.pop_back();
 }
@@ -287,15 +257,14 @@ std::size_t Tree::depth(NodeId u) const {
 std::size_t Tree::allocation_count() const {
   return parent_.allocations() + first_child_.allocations() +
          last_child_.allocations() + next_sibling_.allocations() +
-         prev_sibling_.allocations() + depth_.allocations() +
-         contribution_.allocations();
+         depth_.allocations() + contribution_.allocations();
 }
 
 std::size_t Tree::borrowed_column_count() const {
   return static_cast<std::size_t>(parent_.borrowed()) +
          first_child_.borrowed() + last_child_.borrowed() +
-         next_sibling_.borrowed() + prev_sibling_.borrowed() +
-         depth_.borrowed() + contribution_.borrowed();
+         next_sibling_.borrowed() + depth_.borrowed() +
+         contribution_.borrowed();
 }
 
 std::vector<NodeId> Tree::subtree(NodeId u) const {
@@ -331,11 +300,10 @@ double Tree::subtree_contribution(NodeId u) const {
 std::vector<NodeId> Tree::preorder() const { return subtree(kRoot); }
 
 std::vector<NodeId> Tree::postorder() const {
-  // The mirror of subtree(): a last-child/prev-sibling walk visits
-  // parents before children with children right-to-left — exactly the
-  // old forward pass that pushed each child vector in order — and
-  // reversing it yields the same postorder (children left-to-right,
-  // every child before its parent).
+  // Pushing each node's children in join order pops them right to left,
+  // so the walk visits parents before children with children
+  // right-to-left, and reversing it yields the postorder (children
+  // left-to-right, every child before its parent).
   std::vector<NodeId> order;
   order.reserve(node_count());
   std::vector<NodeId> stack{kRoot};
@@ -343,11 +311,8 @@ std::vector<NodeId> Tree::postorder() const {
     const NodeId v = stack.back();
     stack.pop_back();
     order.push_back(v);
-    if (v != kRoot && prev_sibling_[v] != kInvalidNode) {
-      stack.push_back(prev_sibling_[v]);
-    }
-    if (last_child_[v] != kInvalidNode) {
-      stack.push_back(last_child_[v]);
+    for (NodeId c = first_child_[v]; c != kInvalidNode; c = next_sibling_[c]) {
+      stack.push_back(c);
     }
   }
   std::vector<NodeId> out(order.rbegin(), order.rend());

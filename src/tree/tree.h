@@ -11,13 +11,11 @@
 // Contributions are mutable (needed by the CCI and SL checkers, and by
 // the "buyer keeps purchasing" MLM view).
 //
-// Layout: seven parallel arrays indexed by NodeId (32 bytes per node) —
+// Layout: six parallel arrays indexed by NodeId (28 bytes per node) —
 //   parent_        parent id (kInvalidNode for the root)
 //   first_child_   head of the child list (kInvalidNode if leaf)
 //   last_child_    tail of the child list (O(1) append)
 //   next_sibling_  forward sibling chain, in join order
-//   prev_sibling_  backward sibling chain (O(1) remove_last_node and the
-//                  mirrored postorder walk)
 //   depth_         cached depth (O(1) depth queries; ancestor walks on
 //                  the serving hot path early-exit on it)
 //   contribution_  C(u)
@@ -348,7 +346,6 @@ class Tree {
     std::span<const NodeId> first_child;
     std::span<const NodeId> last_child;
     std::span<const NodeId> next_sibling;
-    std::span<const NodeId> prev_sibling;
     std::span<const std::uint32_t> depth;
     std::span<const double> contribution;
   };
@@ -385,11 +382,11 @@ class Tree {
                             std::shared_ptr<const void> keepalive,
                             const BorrowedStorage* storage = nullptr);
 
-  /// Full O(1)-per-node cross-link verification of the arena: sibling
-  /// chains mutually inverse, consistent with first/last-child and
-  /// strictly id-increasing (which forces exactly the canonical
-  /// append-order chains), and the depth recurrence. Parallel, read-only; throws std::invalid_argument on
-  /// the first violation. Tests, fuzzers and paranoid operators run
+  /// Full O(1)-per-node cross-link verification of the arena: every
+  /// child chain is exactly the canonical append-order one, and depth
+  /// obeys the parent recurrence. One read-only ascending pass with an
+  /// O(n) scratch column; throws std::invalid_argument on the first
+  /// violation. Tests, fuzzers and paranoid operators run
   /// this after adopt_columns; the serving path relies on the snapshot
   /// CRCs instead (see adopt_columns).
   void validate_links() const;
@@ -426,11 +423,10 @@ class Tree {
   /// the MLM view). The imaginary root must stay at 0.
   void set_contribution(NodeId u, double contribution);
 
-  /// Removes the most recently added node. In an append-only arena the
-  /// highest id is always a leaf and its parent's newest child, which
-  /// makes add/remove an O(1) "probe" operation (used by the simulator
-  /// to measure marginal rewards without copying the tree). The root
-  /// cannot be removed.
+  /// Removes the most recently added node — always a leaf and its
+  /// parent's newest child — in O(deg(parent)): the "probe" undo the
+  /// simulator uses to measure marginal rewards without copying the
+  /// tree. The root cannot be removed.
   void remove_last_node();
 
   /// C(T): total contribution over all nodes (root contributes 0).
@@ -474,9 +470,6 @@ class Tree {
   std::span<const NodeId> next_sibling_array() const {
     return next_sibling_.span();
   }
-  std::span<const NodeId> prev_sibling_array() const {
-    return prev_sibling_.span();
-  }
   std::span<const std::uint32_t> depth_array() const { return depth_.span(); }
 
   /// Heap allocations the arena has performed across all columns
@@ -485,7 +478,7 @@ class Tree {
   /// tree starts at 0 and pays one per column it mutates.
   std::size_t allocation_count() const;
 
-  /// Columns still backed by externally owned storage (7 right after
+  /// Columns still backed by externally owned storage (6 right after
   /// adopt_columns, dropping as mutations privatize them; 0 for a tree
   /// built through the append path).
   std::size_t borrowed_column_count() const;
@@ -497,7 +490,6 @@ class Tree {
   ArenaColumn<NodeId> first_child_;
   ArenaColumn<NodeId> last_child_;
   ArenaColumn<NodeId> next_sibling_;
-  ArenaColumn<NodeId> prev_sibling_;
   ArenaColumn<std::uint32_t> depth_;
   ArenaColumn<double> contribution_;
   double total_contribution_ = 0.0;

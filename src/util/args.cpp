@@ -161,6 +161,18 @@ std::int64_t ArgParser::get_int_in(const std::string& name,
   return *parsed;
 }
 
+double ArgParser::get_double_in(const std::string& name, double fallback,
+                                double lo, double hi) const {
+  const double parsed = get_double_or(name, fallback);
+  if (has(name) && !(parsed >= lo && parsed <= hi)) {
+    std::ostringstream range;
+    range << name << ": expected a number in [" << lo << ", " << hi
+          << "], got '" << *get(name) << "'";
+    throw FlagError(range.str());
+  }
+  return parsed;
+}
+
 std::string ArgParser::help(const std::string& program_summary) const {
   std::ostringstream out;
   out << program_summary << "\n\nFlags:\n";

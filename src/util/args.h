@@ -21,6 +21,10 @@ class FlagError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// Upper bound of the non-negative real flags (durations, rates): a
+/// duration this long in nanoseconds still fits an int64.
+inline constexpr double kMaxRealFlag = 1e9;
+
 class ArgParser {
  public:
   /// Declares a flag with a help line; `expects_value` false makes it a
@@ -48,11 +52,14 @@ class ArgParser {
   double get_double_or(const std::string& name, double fallback) const;
   std::int64_t get_int_or(const std::string& name,
                           std::int64_t fallback) const;
-  /// get_int_or restricted to [lo, hi]: a value outside it throws
-  /// FlagError ("--port: expected an integer in [0, 65535], got
-  /// '70000'"). The fallback is not range-checked.
+  /// get_int_or / get_double_or restricted to [lo, hi] (NaN is outside
+  /// every range): a value outside it throws FlagError ("--port: expected
+  /// an integer in [0, 65535], got '70000'"). The fallback is not
+  /// range-checked.
   std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
                           std::int64_t lo, std::int64_t hi) const;
+  double get_double_in(const std::string& name, double fallback, double lo,
+                       double hi) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& error() const { return error_; }

@@ -1,5 +1,7 @@
 #include "util/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -251,7 +253,12 @@ void run_chunk_range(const std::function<void(std::size_t)>& body,
 }  // namespace
 
 std::size_t hardware_thread_count() {
-  const unsigned n = std::thread::hardware_concurrency();
+  // The CPUs this thread may run on (cpuset, taskset), not the machine's.
+  cpu_set_t allowed;
+  const std::size_t n =
+      ::sched_getaffinity(0, sizeof(allowed), &allowed) == 0
+          ? static_cast<std::size_t>(CPU_COUNT(&allowed))
+          : std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(n, 1, kMaxThreadCount);
 }
 

@@ -34,7 +34,8 @@ namespace itree {
 /// The most threads set_thread_count() accepts.
 inline constexpr std::size_t kMaxThreadCount = 1024;
 
-/// Threads the hardware supports, in [1, kMaxThreadCount].
+/// CPUs the calling thread may run on (its affinity mask; the hardware
+/// thread count if the mask cannot be read), in [1, kMaxThreadCount].
 std::size_t hardware_thread_count();
 
 /// Sets the process-wide thread count (callers + pool workers). Resizes

@@ -319,7 +319,7 @@ TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
     data.campaigns.push_back(std::move(snap));
   }
   const std::string image = storage::encode_snapshot_v5(data);
-  expect_golden(image, {98304, 0x89b83281u}, "ITSNAP05 image");
+  expect_golden(image, {86016, 0xf17526b3u}, "ITSNAP05 image");
   // What a reader returns re-encodes to the same bytes.
   EXPECT_EQ(storage::encode_snapshot_v5(storage::decode_snapshot(image)),
             image);

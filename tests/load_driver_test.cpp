@@ -132,11 +132,20 @@ TEST_P(FrameStyles, EveryStyleYieldsTheSameRewardBits) {
   EXPECT_EQ(open_loop.streamed(), true);
 }
 
+/// "Loadgen_reactors2": the preset, then the reactor count.
+std::string frame_styles_case_name(
+    const ::testing::TestParamInfo<std::tuple<Preset, std::size_t>>& info) {
+  const auto [preset, reactors] = info.param;
+  return std::string(preset == Preset::kLoadgen ? "Loadgen" : "Service") +
+         "_reactors" + std::to_string(reactors);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PresetsAndReactors, FrameStyles,
     ::testing::Combine(::testing::Values(Preset::kLoadgen,
                                          Preset::kService),
-                       ::testing::Values(std::size_t{1}, std::size_t{2})));
+                       ::testing::Values(std::size_t{1}, std::size_t{2})),
+    frame_styles_case_name);
 
 TEST(LoadDriver, OpenLoopLatencyExcludesTheArrivalGap) {
   // 20 req/s leaves 50 ms between arrivals; a frame answered in well

@@ -736,10 +736,19 @@ TEST_P(LoopbackEquivalence, ServedMatchesInProcessBitForBit) {
   EXPECT_EQ(stats.incremental, reference.service().incremental());
 }
 
+/// A mechanism's name as a test-name piece ("CDRM-1" -> "CDRM1").
+std::string mechanism_case_name(
+    const ::testing::TestParamInfo<MechanismKind>& info) {
+  std::string name = make_default(info.param)->name();
+  std::erase(name, '-');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Mechanisms, LoopbackEquivalence,
                          ::testing::Values(MechanismKind::kGeometric,
                                            MechanismKind::kCdrmReciprocal,
-                                           MechanismKind::kTdrm));
+                                           MechanismKind::kTdrm),
+                         mechanism_case_name);
 
 // --- Routing, errors, robustness ------------------------------------
 
@@ -1250,7 +1259,8 @@ TEST_P(ReactorInvariance, RewardBitsIgnoreReactorCountAndWireStyle) {
 INSTANTIATE_TEST_SUITE_P(Mechanisms, ReactorInvariance,
                          ::testing::Values(MechanismKind::kGeometric,
                                            MechanismKind::kCdrmReciprocal,
-                                           MechanismKind::kTdrm));
+                                           MechanismKind::kTdrm),
+                         mechanism_case_name);
 
 TEST_F(NetTest, CrossReactorResponsesStayInRequestOrder) {
   // One connection touching four campaigns behind two reactors: at

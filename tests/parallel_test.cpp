@@ -4,6 +4,7 @@
 // matrix, the Sybil attack search, corpus generation and simulation
 // batches.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -118,6 +119,26 @@ TEST(Threads, SetThreadCountIsObservable) {
   EXPECT_EQ(thread_count(), 1u);
   set_thread_count(0);  // 0 = hardware
   EXPECT_EQ(thread_count(), hardware_thread_count());
+}
+
+TEST(Threads, HardwareCountFollowsTheAffinityMask) {
+  // Pinned to one allowed CPU, the default pool size is 1 however many
+  // CPUs the machine has. The original mask is restored afterwards.
+  cpu_set_t original;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(hardware_thread_count(),
+            std::min<std::size_t>(CPU_COUNT(&original), kMaxThreadCount));
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = hardware_thread_count();
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(Threads, CountsAboveTheCapAreRejectedBeforeThePoolChanges) {

@@ -4,7 +4,10 @@
 // registry defaults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "core/cdrm.h"
 #include "core/geometric.h"
@@ -18,6 +21,19 @@ namespace itree {
 namespace {
 
 BudgetParams budget() { return BudgetParams{.Phi = 0.5, .phi = 0.05}; }
+
+/// A grid point as a test-name piece: each field as `name` + value, with
+/// the decimal point spelled `p` ("a0p85_bFraction1").
+std::string grid_name(
+    std::initializer_list<std::pair<const char*, double>> fields) {
+  std::ostringstream out;
+  for (const auto& [name, value] : fields) {
+    out << (out.tellp() > 0 ? "_" : "") << name << value;
+  }
+  std::string text = out.str();
+  std::replace(text.begin(), text.end(), '.', 'p');
+  return text;
+}
 
 /// A small but adversarial tree set reused by all sweeps.
 std::vector<Tree> sweep_trees() {
@@ -88,7 +104,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GeometricParams{0.1, 0.0}, GeometricParams{0.1, 1.0},
                       GeometricParams{0.5, 0.0}, GeometricParams{0.5, 0.5},
                       GeometricParams{0.85, 0.0},
-                      GeometricParams{0.85, 1.0}));
+                      GeometricParams{0.85, 1.0}),
+    [](const ::testing::TestParamInfo<GeometricParams>& info) {
+      return grid_name(
+          {{"a", info.param.a}, {"bFraction", info.param.b_fraction}});
+    });
 
 // --- TDRM family -------------------------------------------------------------
 
@@ -154,7 +174,13 @@ INSTANTIATE_TEST_SUITE_P(
         TdrmParams{.lambda = 0.4, .mu = 10.0, .a = 0.5, .b = 0.4},
         TdrmParams{.lambda = 0.4, .mu = 1.0, .a = 0.1, .b = 0.8},
         TdrmParams{.lambda = 0.4, .mu = 1.0, .a = 0.9, .b = 0.05},
-        TdrmParams{.lambda = 0.44, .mu = 2.0, .a = 0.3, .b = 0.6}));
+        TdrmParams{.lambda = 0.44, .mu = 2.0, .a = 0.3, .b = 0.6}),
+    [](const ::testing::TestParamInfo<TdrmParams>& info) {
+      return grid_name({{"lambda", info.param.lambda},
+                        {"mu", info.param.mu},
+                        {"a", info.param.a},
+                        {"b", info.param.b}});
+    });
 
 // --- CDRM family -------------------------------------------------------------
 
@@ -211,7 +237,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PachiraSweep,
     ::testing::Values(PachiraGridParams{0.1, 0.5}, PachiraGridParams{0.1, 5.0},
                       PachiraGridParams{0.5, 1.0}, PachiraGridParams{1.0, 1.0},
-                      PachiraGridParams{0.2, 2.0}));
+                      PachiraGridParams{0.2, 2.0}),
+    [](const ::testing::TestParamInfo<PachiraGridParams>& info) {
+      return grid_name({{"beta", info.param.beta}, {"delta", info.param.delta}});
+    });
 
 }  // namespace
 }  // namespace itree

@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/registry.h"
 #include "server/event_log.h"
@@ -71,6 +72,14 @@ TEST_P(ServiceEquivalence, IncrementalAndBatchAgreeOnRandomStreams) {
   EXPECT_NEAR(service.total_reward(), total_reward(batch), 1e-6);
 }
 
+/// A mechanism's name as a test-name piece ("CDRM-1" -> "CDRM1").
+std::string mechanism_case_name(
+    const ::testing::TestParamInfo<MechanismKind>& info) {
+  std::string name = make_default(info.param)->name();
+  std::erase(name, '-');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(IncrementalMechanisms, ServiceEquivalence,
                          ::testing::Values(MechanismKind::kGeometric,
                                            MechanismKind::kLLuxor,
@@ -78,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(IncrementalMechanisms, ServiceEquivalence,
                                            MechanismKind::kCdrmLogarithmic,
                                            MechanismKind::kSplitProof,
                                            MechanismKind::kTdrm,
-                                           MechanismKind::kLPachira));
+                                           MechanismKind::kLPachira),
+                         mechanism_case_name);
 
 TEST(RewardServiceTest, RejectsBadEvents) {
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);

@@ -433,7 +433,7 @@ TEST(Snapshot, MappedV5SnapshotAdoptsTheArenaInPlace) {
     // Zero-rebuild: every tree column still borrows the mapping, and
     // the links prove out without a single per-node construction step.
     for (const CampaignSnapshot& campaign : adopted.campaigns) {
-      EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
+      EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
       EXPECT_EQ(campaign.tree.allocation_count(), 0u);
       campaign.tree.validate_links();
     }
@@ -503,6 +503,8 @@ constexpr std::size_t kEntryOffsetsAt = 8 * 4 + 1 + 8;
 constexpr std::size_t kEntryCrcsAt = kEntryOffsetsAt + 9 * 8;
 // Section order within an entry.
 constexpr std::size_t kParentSection = 0;
+constexpr std::size_t kPrevSiblingSection = 4;
+constexpr std::size_t kDepthSection = 5;
 constexpr std::size_t kSkipSection = 7;
 constexpr std::size_t kAggregatesSection = 8;
 
@@ -533,12 +535,17 @@ std::vector<Region> read_regions(std::string_view image) {
     const std::size_t nodes = load_le(image, entry + 8, 8);
     const std::size_t aggregates = load_le(image, entry + 16, 8);
     const std::size_t skips = load_le(image, entry + 24, 8);
+    const auto offset = [&](std::size_t s) {
+      return load_le(image, entry + kEntryOffsetsAt + 8 * s, 8);
+    };
+    // An empty prev-sibling section shares the depth section's offset.
+    const std::size_t prevs =
+        offset(kPrevSiblingSection) == offset(kDepthSection) ? 0 : nodes;
     const std::array<std::size_t, 9> bytes = {
-        nodes * 4, nodes * 4, nodes * 4, nodes * 4,    nodes * 4,
+        nodes * 4, nodes * 4, nodes * 4, nodes * 4,    prevs * 4,
         nodes * 4, nodes * 8, skips * 4, aggregates * 8};
     for (std::size_t s = 0; s < bytes.size(); ++s) {
-      regions.push_back(
-          {load_le(image, entry + kEntryOffsetsAt + 8 * s, 8), bytes[s]});
+      regions.push_back({offset(s), bytes[s]});
     }
   }
   return regions;
@@ -581,8 +588,9 @@ TEST(Snapshot, EveryFlippedHeaderByteIsRejected) {
 
 TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
   // Each section carries its own CRC in the header table: a flip in any
-  // link, depth, contribution or aggregate byte is rejected. (The skip
-  // section is written empty; a present one is covered by
+  // link, depth, contribution or aggregate byte is rejected. (The
+  // prev-sibling and skip sections are written empty; present ones are
+  // covered by LegacyPrevSiblingSectionIsVerifiedAndIgnored and
   // LegacySkipSectionIsVerifiedAndIgnored.)
   const std::string image = encode_snapshot_v5(sample_snapshot_with_blob());
   const std::vector<Region> regions = read_regions(image);
@@ -599,9 +607,9 @@ TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
       ++checked;
     }
   }
-  // Campaign 0 (4 rows, 4 aggregates): 6 u32 columns + 2 f64 columns;
-  // campaign 1 (root row only, no blob): 6 u32 + 1 f64.
-  EXPECT_EQ(checked, (6 * 4 * 4 + 2 * 4 * 8) + (6 * 4 + 8));
+  // Campaign 0 (4 rows, 4 aggregates): 5 u32 columns + 2 f64 columns;
+  // campaign 1 (root row only, no blob): 5 u32 + 1 f64.
+  EXPECT_EQ(checked, (5 * 4 * 4 + 2 * 4 * 8) + (5 * 4 + 8));
 }
 
 TEST(Snapshot, PagePaddingIsZeroAndNeverRead) {
@@ -692,7 +700,7 @@ TEST(Snapshot, ReencodingWhatAReaderReturnsReproducesTheImage) {
   const SnapshotData adopted =
       MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
           .materialize();
-  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 7u);
+  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 6u);
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
   fs::remove_all(dir);
 }
@@ -768,12 +776,12 @@ TEST(Snapshot, AdoptedTreeMutationsNeverReachTheImageFile) {
   Tree& tree = adopted.campaigns[0].tree;
   const NodeId added = tree.add_node(1, 4.0);
   tree.set_contribution(2, 9.5);
-  EXPECT_LT(tree.borrowed_column_count(), 7u);
+  EXPECT_LT(tree.borrowed_column_count(), 6u);
   EXPECT_EQ(tree.parent(added), 1u);
   EXPECT_EQ(tree.contribution(2), 9.5);
   tree.validate_links();
   // The untouched campaign still borrows every column.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 7u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 6u);
 
   EXPECT_EQ(read_file(path), raw);
   expect_snapshot_equal(MappedSnapshot(path.string()).materialize(), data);
@@ -844,7 +852,6 @@ void expect_same_columns(const Tree& got, const Tree& want) {
   EXPECT_TRUE(same(got.first_child_array(), want.first_child_array()));
   EXPECT_TRUE(same(got.last_child_array(), want.last_child_array()));
   EXPECT_TRUE(same(got.next_sibling_array(), want.next_sibling_array()));
-  EXPECT_TRUE(same(got.prev_sibling_array(), want.prev_sibling_array()));
   EXPECT_TRUE(same(got.depth_array(), want.depth_array()));
   EXPECT_TRUE(same(got.contribution_array(), want.contribution_array()));
 }
@@ -870,10 +877,10 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   }
   EXPECT_LE(materialized + aggregates_kb, verified);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
   }
 
-  // One append privatizes all seven columns of campaign 0, and each
+  // One append privatizes all six columns of campaign 0, and each
   // hands its section back. A release may drop more than its range (a
   // file page mapped as part of a huge page goes with the whole huge
   // page), so the columns are read back in first; and the copy of one
@@ -886,11 +893,11 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   tree.add_node(1, 1.0);
   EXPECT_EQ(tree.borrowed_column_count(), 0u);
   const std::size_t privatized = mapped_rss_kb(base);
-  const std::size_t columns_kb = (6 * sizeof(NodeId) + sizeof(double)) * n / 1024;
+  const std::size_t columns_kb = (5 * sizeof(NodeId) + sizeof(double)) * n / 1024;
   EXPECT_LE(privatized + columns_kb / 2, read_back);
 
   // Campaign 1 still serves from the mapping; campaign 0 kept its bytes.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 7u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 6u);
   expect_same_columns(adopted.campaigns[1].tree, data.campaigns[1].tree);
   for (NodeId u = 0; u < n; ++u) {
     ASSERT_EQ(tree.parent(u), data.campaigns[0].tree.parent(u));
@@ -926,7 +933,7 @@ TEST(Snapshot, BorrowersOfAReleasedColumnReadTheImageBitEqual) {
 
     // The copy's columns left the page tables with the privatization;
     // reading them faults the same bytes back in.
-    ASSERT_EQ(copy.borrowed_column_count(), 7u);
+    ASSERT_EQ(copy.borrowed_column_count(), 6u);
     const std::size_t released = mapped_rss_kb(copy.parent_array().data());
     expect_same_columns(copy, data.campaigns[0].tree);
     copy.validate_links();
@@ -946,7 +953,7 @@ TEST(Snapshot, BufferedBorrowersNeverSeeAPrivatization) {
   decoded.campaigns[0].tree.add_node(1, 1.0);
   decoded.campaigns[0].tree.set_contribution(2, 9.0);
   EXPECT_EQ(decoded.campaigns[0].tree.borrowed_column_count(), 0u);
-  EXPECT_EQ(copy.borrowed_column_count(), 7u);
+  EXPECT_EQ(copy.borrowed_column_count(), 6u);
   expect_same_columns(copy, data.campaigns[0].tree);
   copy.validate_links();
   expect_same_columns(decoded.campaigns[1].tree, data.campaigns[1].tree);
@@ -996,39 +1003,74 @@ std::vector<std::uint32_t> legacy_skip_column(const Tree& tree) {
   return skip;
 }
 
-/// Rewrites a current image into the layout writers produced while the
-/// arena kept a skip column: each campaign gets a full, CRC'd skip
-/// section, appended page-aligned at the end of the file.
-std::string with_legacy_skip_sections(std::string image,
-                                      const SnapshotData& data) {
+/// The backward sibling chain every image carried while the arena kept
+/// a prev-sibling column: the inverse of next_sibling.
+std::vector<std::uint32_t> legacy_prev_sibling_column(const Tree& tree) {
+  const std::span<const NodeId> next = tree.next_sibling_array();
+  std::vector<std::uint32_t> prev(tree.node_count(), kInvalidNode);
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (next[u] != kInvalidNode) {
+      prev[next[u]] = u;
+    }
+  }
+  return prev;
+}
+
+/// Rewrites a current image into the layout of an older writer: each
+/// campaign gets a full, CRC'd `section` holding `column(tree)`, appended
+/// page-aligned at the end of the file. `count_at` is the entry field
+/// that stores the section's count, 0 when readers derive it from the
+/// section's offset.
+std::string with_legacy_sections(
+    std::string image, const SnapshotData& data, std::size_t section,
+    std::size_t count_at,
+    std::vector<std::uint32_t> (*column)(const Tree&)) {
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
-    const std::vector<std::uint32_t> skip =
-        legacy_skip_column(data.campaigns[c].tree);
+    const std::vector<std::uint32_t> values = column(data.campaigns[c].tree);
     const std::size_t at = image.size();
-    image.resize(at + (skip.size() * 4 + kSnapshotPageSize - 1) /
+    image.resize(at + (values.size() * 4 + kSnapshotPageSize - 1) /
                           kSnapshotPageSize * kSnapshotPageSize,
                  '\0');
-    for (std::size_t u = 0; u < skip.size(); ++u) {
-      store_le(image, at + 4 * u, skip[u], 4);
+    for (std::size_t u = 0; u < values.size(); ++u) {
+      store_le(image, at + 4 * u, values[u], 4);
     }
     const std::size_t entry = entry_at(image, c);
-    store_le(image, entry + 24, skip.size(), 8);
-    store_le(image, entry + kEntryOffsetsAt + 8 * kSkipSection, at, 8);
+    if (count_at != 0) {
+      store_le(image, entry + count_at, values.size(), 8);
+    }
+    store_le(image, entry + kEntryOffsetsAt + 8 * section, at, 8);
   }
   store_le(image, kPayloadAt + 8, image.size(), 8);
   for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
-    reseal_section(image, c, kSkipSection);
+    reseal_section(image, c, section);
   }
   return image;
 }
 
-TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
-  // Images written while the arena had an eighth (ancestor-skip) column
-  // carry it as a full section. Every reader still accepts them and
-  // CRC-checks the section, but never adopts it: the trees come back
-  // bit-equal with seven borrowed columns, and re-encoding writes the
-  // current, skip-free image.
-  const fs::path dir = fresh_dir("itree_storage_legacy_skip");
+/// The layout writers produced while the arena kept a skip column.
+std::string with_legacy_skip_sections(std::string image,
+                                      const SnapshotData& data) {
+  return with_legacy_sections(std::move(image), data, kSkipSection, 24,
+                              legacy_skip_column);
+}
+
+/// The layout writers produced while the arena kept a prev-sibling
+/// column.
+std::string with_legacy_prev_sibling_sections(std::string image,
+                                              const SnapshotData& data) {
+  return with_legacy_sections(std::move(image), data, kPrevSiblingSection, 0,
+                              legacy_prev_sibling_column);
+}
+
+/// An image carrying a full legacy `section` (written by `legacy_writer`)
+/// restores bit-equal on the buffered and the mapped path — columns,
+/// aggregates and rewards — with every arena column borrowed, and
+/// re-encodes to the current image. The section is still checksummed: a
+/// flipped byte in it is rejected by every reader with `mismatch`.
+void expect_legacy_section_ignored(
+    const char* dir_name, std::size_t section, const char* mismatch,
+    std::string (*legacy_writer)(std::string, const SnapshotData&)) {
+  const fs::path dir = fresh_dir(dir_name);
   fs::create_directories(dir);
   SnapshotData data = sample_snapshot_with_blob();
   Rng rng(1729);
@@ -1038,7 +1080,7 @@ TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
       random_recursive_tree(2000, uniform_contribution(0.0, 2.0), rng);
   data.campaigns.push_back(std::move(large));
   const std::string image = encode_snapshot_v5(data);
-  const std::string legacy = with_legacy_skip_sections(image, data);
+  const std::string legacy = legacy_writer(image, data);
   // One page each for the two small campaigns, two for the large one.
   ASSERT_EQ(legacy.size(), image.size() + 4 * kSnapshotPageSize);
   EXPECT_EQ(validate_snapshot_image(legacy), data.last_seq);
@@ -1050,6 +1092,7 @@ TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
       const Tree& tree = got.campaigns[c].tree;
       const Tree& want = data.campaigns[c].tree;
       expect_same_tree(tree, want);
+      expect_same_columns(tree, want);
       EXPECT_EQ(tree.total_contribution(), want.total_contribution());
       EXPECT_EQ(mechanism->compute(tree), mechanism->compute(want));
       tree.validate_links();
@@ -1064,25 +1107,22 @@ TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
   const SnapshotData adopted = MappedSnapshot(path.string()).materialize();
   expect_source(adopted);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 7u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
     EXPECT_EQ(campaign.tree.allocation_count(), 0u);
   }
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
 
-  // The section is still checksummed: a flipped skip byte is rejected by
-  // every reader, by name.
   std::string corrupt = legacy;
-  const Region skip = read_regions(corrupt)[1 + 2 * 9 + kSkipSection];
-  corrupt[skip.offset + 4 * 1000] ^= 0x01;
+  const Region region = read_regions(corrupt)[1 + 2 * 9 + section];
+  ASSERT_EQ(region.length, 2001u * 4);
+  corrupt[region.offset + 4 * 1000] ^= 0x01;
   write_file(path, corrupt);
   const auto expect_rejected = [&](const auto& read) {
     try {
       read();
-      ADD_FAILURE() << "flipped skip byte accepted";
+      ADD_FAILURE() << "flipped legacy section byte accepted";
     } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what())
-                    .find("skip section checksum mismatch"),
-                std::string::npos)
+      EXPECT_NE(std::string(error.what()).find(mismatch), std::string::npos)
           << error.what();
     }
   };
@@ -1090,6 +1130,26 @@ TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
   expect_rejected([&] { (void)validate_snapshot_image(corrupt); });
   expect_rejected([&] { (void)MappedSnapshot(path.string()).materialize(); });
   fs::remove_all(dir);
+}
+
+TEST(Snapshot, LegacySkipSectionIsVerifiedAndIgnored) {
+  // Images written while the arena had an ancestor-skip column carry it
+  // as a full section. Every reader still accepts them and CRC-checks
+  // the section, but never adopts it, and re-encoding writes the
+  // current, skip-free image.
+  expect_legacy_section_ignored("itree_storage_legacy_skip", kSkipSection,
+                                "skip section checksum mismatch",
+                                with_legacy_skip_sections);
+}
+
+TEST(Snapshot, LegacyPrevSiblingSectionIsVerifiedAndIgnored) {
+  // Images written while the arena kept a prev-sibling back pointer
+  // carry it as a full section, its count implied by an offset of its
+  // own. Every reader CRC-checks it and never adopts it.
+  expect_legacy_section_ignored("itree_storage_legacy_prev",
+                                kPrevSiblingSection,
+                                "prev-sibling section checksum mismatch",
+                                with_legacy_prev_sibling_sections);
 }
 
 TEST(Snapshot, HeaderFieldsAreCheckedBeyondTheChecksum) {
@@ -1252,7 +1312,7 @@ TEST(Storage, AdoptRestoreMatchesReplayRestoreForEveryMechanism) {
     SnapshotData mapped =
         MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
             .materialize();
-    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 7u);
+    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 6u);
     RecordingService adopted(*mechanism);
     restore_campaign_from_snapshot(adopted, std::move(mapped.campaigns[0]),
                                    0);
@@ -2186,7 +2246,12 @@ TEST(Storage, LegacySkipSectionImageRecoversBitExactly) {
     ASSERT_EQ(snapshots.size(), 1u);
     const fs::path path = dir / snapshots[0].second;
     const std::string image = read_file(path);
-    write_file(path, with_legacy_skip_sections(image, decode_snapshot(image)));
+    // Every image written before the arena lost its skip column also
+    // carried a full prev-sibling section.
+    const SnapshotData source = decode_snapshot(image);
+    write_file(path, with_legacy_skip_sections(
+                         with_legacy_prev_sibling_sections(image, source),
+                         source));
 
     const RecoveryResult recovered =
         recover_campaigns(*mechanism, 1, dir.string());

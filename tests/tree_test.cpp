@@ -232,7 +232,6 @@ Tree::Columns columns_of(const Tree& tree) {
   columns.first_child = tree.first_child_array();
   columns.last_child = tree.last_child_array();
   columns.next_sibling = tree.next_sibling_array();
-  columns.prev_sibling = tree.prev_sibling_array();
   columns.depth = tree.depth_array();
   columns.contribution = tree.contribution_array();
   return columns;
@@ -248,19 +247,16 @@ struct OwnedColumns {
                    tree.last_child_array().end()),
         next_sibling(tree.next_sibling_array().begin(),
                      tree.next_sibling_array().end()),
-        prev_sibling(tree.prev_sibling_array().begin(),
-                     tree.prev_sibling_array().end()),
         depth(tree.depth_array().begin(), tree.depth_array().end()),
         contribution(tree.contribution_array().begin(),
                      tree.contribution_array().end()) {}
 
   Tree::Columns view() const {
-    return {parent,       first_child, last_child,  next_sibling,
-            prev_sibling, depth,       contribution};
+    return {parent, first_child, last_child, next_sibling, depth,
+            contribution};
   }
 
   std::vector<NodeId> parent, first_child, last_child, next_sibling;
-  std::vector<NodeId> prev_sibling;
   std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
 };
@@ -269,7 +265,7 @@ TEST(TreeAdopt, BorrowsEveryColumnAndMatchesTheOriginal) {
   const Tree want = parse_tree("(5 (3 (4) (1)) (2)) (7 (6))");
   const Tree got =
       Tree::adopt_columns(columns_of(want), want.total_contribution(), nullptr);
-  EXPECT_EQ(got.borrowed_column_count(), 7u);
+  EXPECT_EQ(got.borrowed_column_count(), 6u);
   EXPECT_EQ(got.allocation_count(), 0u);
   EXPECT_EQ(got.total_contribution(), want.total_contribution());
   ASSERT_EQ(got.node_count(), want.node_count());
@@ -287,12 +283,12 @@ TEST(TreeAdopt, PrivatizesOnlyTheMutatedColumn) {
   const Tree src = parse_tree("(1 (2) (3))");
   Tree adopted =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
-  EXPECT_EQ(adopted.borrowed_column_count(), 7u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
 
   // A contribution edit privatizes exactly the contribution column; the
   // source arena stays untouched.
   adopted.set_contribution(2, 9.0);
-  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
   EXPECT_EQ(adopted.allocation_count(), 1u);
   EXPECT_DOUBLE_EQ(adopted.contribution(2), 9.0);
   EXPECT_DOUBLE_EQ(src.contribution(2), 2.0);
@@ -313,7 +309,7 @@ TEST(TreeAdopt, KeepaliveOutlivesTheSourceHandle) {
   src.reset();  // the adopted tree's keepalive still pins the arena
   EXPECT_EQ(to_string(adopted), want);
   Tree copy = adopted;  // copies share the pin (and the borrow)
-  EXPECT_EQ(copy.borrowed_column_count(), 7u);
+  EXPECT_EQ(copy.borrowed_column_count(), 6u);
   adopted = Tree();  // dropping one handle keeps the other alive
   EXPECT_EQ(to_string(copy), want);
   copy.validate_links();
@@ -346,25 +342,25 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   EXPECT_EQ(storage->released[0].data, src.contribution_array().data());
   EXPECT_EQ(storage->released[0].bytes, n * sizeof(double));
 
-  // A copy borrows the six 4-byte columns still borrowed and owns the
-  // contribution column: its append releases exactly those six, and the
+  // A copy borrows the five 4-byte columns still borrowed and owns the
+  // contribution column: its append releases exactly those five, and the
   // original keeps borrowing (and reading) them.
   Tree copy = adopted;
   copy.add_node(1, 1.0);
-  ASSERT_EQ(storage->released.size(), 7u);
+  ASSERT_EQ(storage->released.size(), 6u);
   std::vector<const void*> released;
   for (std::size_t i = 1; i < storage->released.size(); ++i) {
     released.push_back(storage->released[i].data);
     EXPECT_EQ(storage->released[i].bytes, n * sizeof(NodeId));
   }
   std::vector<const void*> want = {
-      src.parent_array().data(),       src.first_child_array().data(),
-      src.last_child_array().data(),   src.next_sibling_array().data(),
-      src.prev_sibling_array().data(), src.depth_array().data()};
+      src.parent_array().data(), src.first_child_array().data(),
+      src.last_child_array().data(), src.next_sibling_array().data(),
+      src.depth_array().data()};
   std::sort(released.begin(), released.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(released, want);
-  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
   EXPECT_EQ(adopted.node_count(), n);
   adopted.validate_links();
 
@@ -374,7 +370,7 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   Tree plain =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
   plain.add_node(1, 1.0);
-  EXPECT_EQ(storage->released.size(), 7u);
+  EXPECT_EQ(storage->released.size(), 6u);
 }
 
 TEST(TreeAdopt, RejectsUnsafeColumns) {
@@ -407,11 +403,6 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
     c.next_sibling[2] = 2;  // sibling chains must strictly increase
     EXPECT_THROW(adopt(c), std::invalid_argument);
     c.next_sibling[2] = 99;  // out of bounds
-    EXPECT_THROW(adopt(c), std::invalid_argument);
-  }
-  {
-    OwnedColumns c(src);
-    c.prev_sibling[2] = 3;  // prev links must strictly decrease
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
   {
@@ -478,8 +469,6 @@ TEST(TreeAdopt, RejectsUnsafeColumnsAcrossScanBlocks) {
        [&](NodeId u) { c.depth[u] = u + 1; }},
       {"Tree::adopt_columns: next-sibling out of range",
        [&](NodeId u) { c.next_sibling[u] = u; }},
-      {"Tree::adopt_columns: prev-sibling out of range",
-       [&](NodeId u) { c.prev_sibling[u] = u; }},
   };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_thread_count(threads);
@@ -510,6 +499,27 @@ TEST(TreeAdopt, ValidateLinksCatchesSafeButInconsistentLinks) {
       Tree::adopt_columns(c.view(), src.total_contribution(), nullptr);
   EXPECT_THROW(adopted.validate_links(), std::invalid_argument);
   src.validate_links();  // the untampered arena proves clean
+
+  // Chains that pass every local test (each link in range, strictly
+  // increasing, within one parent, ending at last_child) yet are not the
+  // canonical append-order chain. Children of 1 are 2, 3, 4.
+  const Tree fan = parse_tree("(1 (2) (3) (4))");
+  const auto validates = [&](const OwnedColumns& columns) {
+    const Tree tree =
+        Tree::adopt_columns(columns.view(), fan.total_contribution(), nullptr);
+    tree.validate_links();
+  };
+  {
+    OwnedColumns shared(fan);
+    shared.next_sibling[2] = 4;  // 2 and 3 both point at 4; 3 is skipped
+    EXPECT_THROW(validates(shared), std::invalid_argument);
+  }
+  {
+    OwnedColumns skipped(fan);
+    skipped.first_child[1] = 3;  // the chain 3 -> 4 never reaches 2
+    EXPECT_THROW(validates(skipped), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(validates(OwnedColumns(fan)));
 }
 
 TEST(TreeIo, RoundTripsSExpressions) {

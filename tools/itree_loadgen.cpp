@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
         args.get_int_in("--batch", 1, 1, net::kMaxBatchEvents));
     driver.pipeline = static_cast<std::uint32_t>(
         args.get_int_in("--pipeline", 1, 1, net::kMaxPipeline));
-    driver.rate = args.get_double_or("--open-loop", 0.0);
+    driver.rate = args.get_double_in("--open-loop", 0.0, 0.0, kMaxRealFlag);
     driver.replicas = parse_endpoints(args.get_or("--replica", ""));
     if (driver.streamed() && driver.connections != driver.campaigns) {
       // Streamed modes predict sequential participant ids, which is

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     config.reactors = static_cast<std::size_t>(
         args.get_int_in("--reactors", 1, 1, kMaxThreadCount));
     config.idle_timeout_seconds =
-        args.get_double_or("--idle-timeout", 0.0);
+        args.get_double_in("--idle-timeout", 0.0, 0.0, kMaxRealFlag);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
 
     // Shard s owns the campaigns c with c mod N == s, so a worker past

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -115,16 +116,17 @@ int main(int argc, char** argv) {
 
     config.host = args.get_or("--host", "127.0.0.1");
     config.idle_timeout_seconds =
-        args.get_double_or("--idle-timeout", 0.0);
+        args.get_double_in("--idle-timeout", 0.0, 0.0, kMaxRealFlag);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
     config.require_incremental = args.has("--require-incremental");
     config.storage.data_dir = args.get_or("--data-dir", "");
     config.storage.fsync =
         storage::parse_fsync_policy(args.get_or("--fsync", "interval"));
     config.storage.fsync_interval_seconds =
-        args.get_double_or("--fsync-interval", 0.02);
+        args.get_double_in("--fsync-interval", 0.02, 0.0, kMaxRealFlag);
     config.storage.snapshot_every = static_cast<std::uint64_t>(
-        args.get_int_or("--snapshot-every", 0));
+        args.get_int_in("--snapshot-every", 0, 0,
+                        std::numeric_limits<std::int64_t>::max()));
     config.storage.mechanism_name = args.get_or("--mechanism", "geometric");
     config.storage.mechanism_params = args.get_or("--params", "");
 
@@ -135,9 +137,11 @@ int main(int argc, char** argv) {
       replica_options.primary_host = primary_host;
       replica_options.primary_port = primary_port;
       replica_options.serve_stale_seconds =
-          args.get_double_or("--serve-stale-ms", 1000.0) / 1000.0;
+          args.get_double_in("--serve-stale-ms", 1000.0, 0.0, kMaxRealFlag) /
+          1000.0;
       replica_options.poll_interval_seconds =
-          args.get_double_or("--repl-poll-ms", 2.0) / 1000.0;
+          args.get_double_in("--repl-poll-ms", 2.0, 0.0, kMaxRealFlag) /
+          1000.0;
       // The campaign count comes from the primary, not from flags (the
       // mechanism still must be configured to match; the bootstrap
       // validates it against the primary's display name). A durable
