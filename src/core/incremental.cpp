@@ -131,18 +131,12 @@ NodeId IncrementalSubtreeState::add_leaf(NodeId parent, double contribution) {
   const NodeId leaf = tree_.add_node(parent, contribution);
   sums_.push_back(0.0);
   if (config_.track_binary_depth) {
-    // Integer shape maintenance stays immediate even in batch mode —
-    // it is exact in any order, and later events may query BD.
     bd_.push_back(1);
     bd_first_.push_back(0);
     bd_second_.push_back(0);
     binary_depth_child_changed(parent, 0, 1);
   }
-  if (batching_) {
-    pending_.push_back({leaf, contribution});
-  } else {
-    bubble_up(leaf, contribution);
-  }
+  bubble_up(leaf, contribution);
   return leaf;
 }
 
@@ -152,52 +146,19 @@ void IncrementalSubtreeState::add_contribution(NodeId u, double delta) {
   require(delta >= 0.0,
           "IncrementalSubtreeState::add_contribution: delta must be >= 0");
   tree_.set_contribution(u, tree_.contribution(u) + delta);
-  if (batching_) {
-    pending_.push_back({u, delta});
-  } else {
-    bubble_up(u, delta);
-  }
-}
-
-void IncrementalSubtreeState::flush_batch() {
-  // Replaying in arrival order runs the identical additions in the
-  // identical sequence as per-event processing — bit-for-bit equal.
-  for (const PendingWalk& walk : pending_) {
-    bubble_up(walk.from, walk.delta);
-  }
-  pending_.clear();
-  batching_ = false;
+  bubble_up(u, delta);
 }
 
 double IncrementalSubtreeState::subtree_aggregate(NodeId u) const {
   require(u < sums_.size(), "IncrementalSubtreeState::subtree_aggregate");
-  require(pending_.empty(),
-          "IncrementalSubtreeState: pending batched walks; flush_batch() "
-          "before querying");
   return sums_[u];
 }
 
 std::span<const double> IncrementalSubtreeState::subtree_aggregates() const {
-  require(pending_.empty(),
-          "IncrementalSubtreeState: pending batched walks; flush_batch() "
-          "before querying");
   return sums_;
 }
 
-double IncrementalSubtreeState::x_of(NodeId u) const {
-  require(tree_.contains(u) && u != kRoot,
-          "IncrementalSubtreeState::x_of: not a participant");
-  return tree_.contribution(u);
-}
-
-double IncrementalSubtreeState::y_of(NodeId u) const {
-  return subtree_aggregate(u) - x_of(u);
-}
-
 double IncrementalSubtreeState::total_aggregate() const {
-  require(pending_.empty(),
-          "IncrementalSubtreeState: pending batched walks; flush_batch() "
-          "before querying");
   return total_sum_;
 }
 
@@ -216,9 +177,6 @@ std::span<const std::uint32_t> IncrementalSubtreeState::binary_depths()
 }
 
 std::vector<double> IncrementalSubtreeState::export_aggregates() const {
-  require(pending_.empty(),
-          "IncrementalSubtreeState: pending batched walks; flush_batch() "
-          "before exporting");
   std::vector<double> blob = sums_;
   blob.push_back(total_sum_);
   return blob;
@@ -233,7 +191,7 @@ void IncrementalSubtreeState::import_aggregates(
 }
 
 void IncrementalSubtreeState::adopt_tree(Tree&& tree) {
-  require(tree_.node_count() == 1 && pending_.empty(),
+  require(tree_.node_count() == 1,
           "IncrementalSubtreeState::adopt_tree: state already has nodes");
   tree_ = std::move(tree);
   sums_.assign(tree_.node_count(), 0.0);
@@ -347,19 +305,6 @@ void IncrementalRctState::bubble_up(NodeId w, double dd) {
   }
 }
 
-void IncrementalRctState::apply_pending() {
-  for (const PendingWalk& walk : pending_) {
-    total_agg_ += walk.total_add;
-    bubble_up(walk.parent, walk.dd);
-  }
-  pending_.clear();
-}
-
-void IncrementalRctState::flush_batch() {
-  apply_pending();
-  batching_ = false;
-}
-
 NodeId IncrementalRctState::add_leaf(NodeId parent, double contribution) {
   const NodeId leaf = tree_.add_node(parent, contribution);
   n_.push_back(0);
@@ -368,18 +313,10 @@ NodeId IncrementalRctState::add_leaf(NodeId parent, double contribution) {
   agg_.push_back(0.0);
   w_.push_back(0.0);
   p_.push_back(0.0);
-  // The leaf's own chain reads nothing upstream (D(leaf) = 0), so it is
-  // built immediately even in batch mode — only the ancestor walk and
-  // the total add defer, with dd and A(leaf) captured now. Earlier
-  // pending walks cannot touch a node that did not exist yet, so the
-  // captured values equal what per-event processing would have used.
+  // The leaf's chain reads nothing upstream (D(leaf) = 0).
   rebuild_chain(leaf);
-  if (batching_) {
-    pending_.push_back({parent, params_.a * h_[leaf], agg_[leaf]});
-  } else {
-    total_agg_ += agg_[leaf];
-    bubble_up(parent, params_.a * h_[leaf]);
-  }
+  total_agg_ += agg_[leaf];
+  bubble_up(parent, params_.a * h_[leaf]);
   return leaf;
 }
 
@@ -388,13 +325,6 @@ void IncrementalRctState::add_contribution(NodeId u, double delta) {
           "IncrementalRctState::add_contribution: bad node");
   require(delta >= 0.0,
           "IncrementalRctState::add_contribution: delta must be >= 0");
-  // rebuild_chain reads D(u), H(u) and A(u), which pending walks may
-  // still owe — drain them first (in order), then apply immediately.
-  // This preserves exact event order, so batched streams stay
-  // bit-identical to per-event ones.
-  if (!pending_.empty()) {
-    apply_pending();
-  }
   tree_.set_contribution(u, tree_.contribution(u) + delta);
   const double old_h = h_[u];
   const double old_agg = agg_[u];
@@ -410,25 +340,11 @@ void IncrementalRctState::add_contribution(NodeId u, double delta) {
 double IncrementalRctState::reward(NodeId u) const {
   require(tree_.contains(u) && u != kRoot,
           "IncrementalRctState::reward: not a participant");
-  require(pending_.empty(),
-          "IncrementalRctState: pending batched walks; flush_batch() "
-          "before querying");
   return scale_ * agg_[u] + phi_ * tree_.contribution(u);
 }
 
 double IncrementalRctState::total_reward() const {
-  require(pending_.empty(),
-          "IncrementalRctState: pending batched walks; flush_batch() "
-          "before querying");
   return scale_ * total_agg_ + phi_ * tree_.total_contribution();
-}
-
-double IncrementalRctState::chain_aggregate(NodeId u) const {
-  require(u < agg_.size(), "IncrementalRctState::chain_aggregate");
-  require(pending_.empty(),
-          "IncrementalRctState: pending batched walks; flush_batch() "
-          "before querying");
-  return agg_[u];
 }
 
 std::size_t IncrementalRctState::chain_length(NodeId u) const {
@@ -437,9 +353,6 @@ std::size_t IncrementalRctState::chain_length(NodeId u) const {
 }
 
 std::vector<double> IncrementalRctState::export_aggregates() const {
-  require(pending_.empty(),
-          "IncrementalRctState: pending batched walks; flush_batch() "
-          "before exporting");
   const std::size_t n = tree_.node_count();
   std::vector<double> blob;
   blob.reserve(3 * n + 1);
@@ -485,7 +398,7 @@ void IncrementalRctState::import_aggregates(const std::vector<double>& blob) {
 }
 
 void IncrementalRctState::adopt_tree(Tree&& tree) {
-  require(tree_.node_count() == 1 && pending_.empty(),
+  require(tree_.node_count() == 1,
           "IncrementalRctState::adopt_tree: state already has nodes");
   tree_ = std::move(tree);
   const std::size_t n = tree_.node_count();

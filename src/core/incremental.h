@@ -19,15 +19,10 @@
 //     aggregates on the *virtual* Reward Computation Tree, never
 //     materializing it.
 //
-// Dirty-ancestor batching: both states support begin_batch() /
-// flush_batch(). In batch mode the FP ancestor walks of a burst of
-// events are deferred and replayed — in exact arrival order — by
-// flush_batch(), so the server can coalesce a tick's events into one
-// cache-warm pass per campaign before answering reward queries. Because
-// the deferred walks run the identical arithmetic in the identical
-// order, batched processing is bit-for-bit equal to per-event
-// processing (tests assert this), which keeps WAL-replay crash
-// recovery bit-exact regardless of how the live run was batched.
+// Each event's ancestor walk runs inside the call that applies it, so
+// the state is complete between any two calls: a query or a snapshot
+// export never finds work owed, and WAL replay (one call per logged
+// event) runs the same arithmetic in the same order as the live run.
 // Tests verify event-by-event equivalence with the batch mechanisms.
 #pragma once
 
@@ -67,40 +62,19 @@ class IncrementalSubtreeState {
   explicit IncrementalSubtreeState(const Tree& initial)
       : IncrementalSubtreeState(Config{}, initial) {}
 
-  /// A join: adds a leaf and updates ancestors in O(depth). In batch
-  /// mode the FP walk is deferred (the id assignment, the tree update
-  /// and the integer BD maintenance are always immediate).
+  /// A join: adds a leaf and updates ancestors in O(depth).
   NodeId add_leaf(NodeId parent, double contribution);
 
   /// A purchase: raises C(u) by delta (>= 0) and updates ancestors.
   void add_contribution(NodeId u, double delta);
 
-  /// Enters batch mode: subsequent events queue their ancestor walks.
-  void begin_batch() { batching_ = true; }
-
-  /// Replays every queued walk in arrival order and leaves batch mode.
-  /// Bit-for-bit equal to having processed the events one by one.
-  void flush_batch();
-
-  bool batching() const { return batching_; }
-  std::size_t pending_walks() const { return pending_.size(); }
-
-  /// S(u) = sum_{v in T_u} decay^{dep_u(v)} C(v). Requires no pending
-  /// walks (the serving layer flushes before querying).
+  /// S(u) = sum_{v in T_u} decay^{dep_u(v)} C(v); with decay = 1 the
+  /// plain total C(T_u).
   double subtree_aggregate(NodeId u) const;
 
   /// S(u) for every node, indexed by id (the column behind
-  /// subtree_aggregate()). Requires no pending walks.
+  /// subtree_aggregate()).
   std::span<const double> subtree_aggregates() const;
-
-  /// Alias for the decay = 1 reading: C(T_u).
-  double subtree_contribution(NodeId u) const {
-    return subtree_aggregate(u);
-  }
-
-  /// CDRM inputs for participant u: x = C(u), y = C(T_u) - C(u).
-  double x_of(NodeId u) const;
-  double y_of(NodeId u) const;
 
   /// Sum of S(u) over participants — maintained in O(1) per event.
   double total_aggregate() const;
@@ -155,11 +129,6 @@ class IncrementalSubtreeState {
   void adopt_tree(Tree&& tree);
 
  private:
-  struct PendingWalk {
-    NodeId from;
-    double delta;
-  };
-
   /// Adds `delta` at `from` and decay-scaled along the root path,
   /// accumulating the participant total.
   void bubble_up(NodeId from, double delta);
@@ -188,8 +157,6 @@ class IncrementalSubtreeState {
   std::vector<std::uint32_t> bd_;
   std::vector<std::uint32_t> bd_first_;
   std::vector<std::uint32_t> bd_second_;
-  bool batching_ = false;
-  std::vector<PendingWalk> pending_;
 };
 
 /// Maintains TDRM rewards on a growing tree in O(depth) per join and
@@ -216,13 +183,6 @@ class IncrementalSubtreeState {
 /// The per-event cost is therefore O(depth_RCT) — the chain lengths
 /// along u's ancestor path — matching the ISSUE bound.
 ///
-/// Batch mode (begin_batch/flush_batch) defers join walks: the leaf's
-/// chain is still built immediately (it reads nothing upstream), but
-/// the total-aggregate add and the ancestor walk queue until flush. A
-/// purchase *flushes first* — rebuild_chain reads D(u), which pending
-/// walks may still owe — then applies immediately, preserving exact
-/// event order and hence bit-equality with per-event processing.
-///
 /// The maintained values track the batch mechanism to FP accumulation
 /// error (audited to ~1e-12 event-by-event in tests); they are exactly
 /// reproducible from the event stream, which the crash-safe snapshot
@@ -243,24 +203,11 @@ class IncrementalRctState {
   /// bubbles the head-sum delta to the ancestors.
   void add_contribution(NodeId u, double delta);
 
-  /// Enters batch mode (see class comment).
-  void begin_batch() { batching_ = true; }
-
-  /// Replays queued join walks in arrival order; leaves batch mode.
-  void flush_batch();
-
-  bool batching() const { return batching_; }
-  std::size_t pending_walks() const { return pending_.size(); }
-
-  /// R(u) = (lambda/mu)*b * A(u) + phi * C(u). O(1). Requires no
-  /// pending walks.
+  /// R(u) = (lambda/mu)*b * A(u) + phi * C(u). O(1).
   double reward(NodeId u) const;
 
   /// Sum of R(u) over all participants. O(1).
   double total_reward() const;
-
-  /// A(u): the chain aggregate sum_i c_i * S_i (exposed for tests).
-  double chain_aggregate(NodeId u) const;
 
   /// N_u currently assumed for u's chain (exposed for tests).
   std::size_t chain_length(NodeId u) const;
@@ -287,22 +234,12 @@ class IncrementalRctState {
   void adopt_tree(Tree&& tree);
 
  private:
-  struct PendingWalk {
-    NodeId parent;     ///< walk start (the joined leaf's parent)
-    double dd;         ///< a * H(leaf), captured at event time
-    double total_add;  ///< A(leaf), owed to total_agg_
-  };
-
   /// Recomputes N/H/A/W/P for u's chain from C(u) and D(u). O(N_u).
   /// The caller owns the total_agg_ adjustment.
   void rebuild_chain(NodeId u);
 
-  /// Applies a pending increase `dd` of D(w) and walks to the root.
+  /// Applies an increase `dd` of D(w) and walks to the root.
   void bubble_up(NodeId w, double dd);
-
-  /// Replays pending_ in order (does not leave batch mode; purchases
-  /// use this mid-batch).
-  void apply_pending();
 
   TdrmParams params_;
   double phi_;
@@ -316,8 +253,6 @@ class IncrementalRctState {
   std::vector<double> p_;         // dH/dD
   std::vector<double> chain_;     // scratch: per-level S during rebuild
   double total_agg_ = 0.0;        // sum of A(u) over participants
-  bool batching_ = false;
-  std::vector<PendingWalk> pending_;
 };
 
 }  // namespace itree

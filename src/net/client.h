@@ -86,7 +86,7 @@ class Client {
   double audit(std::uint32_t campaign);
   StatsBody stats(std::uint32_t campaign);
   /// Submits many reward events in one EVENT_BATCH frame — one round
-  /// trip and one server-side coalesced flush for the whole span. An
+  /// trip and one response frame for the whole span. An
   /// in-protocol rejection is reported in the result, not thrown (the
   /// applied prefix is real state either way); wire-level failures
   /// still throw.

@@ -171,6 +171,9 @@ struct ServerStatsBody {
   std::uint64_t protocol_errors = 0;
   std::uint64_t sessions_timed_out = 0;
   std::uint64_t backpressure_stalls = 0;
+  /// Events in each tick's per-campaign runs of consecutive write
+  /// frames (an EVENT_BATCH counts its applied events), and the number
+  /// of such runs; a replica counts its runs of shipped records.
   std::uint64_t events_batched = 0;
   std::uint64_t batch_flushes = 0;
   std::uint64_t requests_forwarded = 0;

@@ -216,34 +216,29 @@ void Reactor::apply_feed() {
   if (!feed->drain(index_, &feed_items_)) {
     return;
   }
+  // events_batched / batch_flushes count the events and the runs of
+  // consecutive events for one campaign.
   std::uint64_t through = 0;
-  RecordingService* batching = nullptr;
+  std::optional<std::uint32_t> run_campaign;
   std::uint64_t batched = 0;
+  std::uint64_t runs = 0;
   for (const ReplicaFeed::Item& item : feed_items_) {
     if (item.is_event) {
-      RecordingService* campaign = server_.campaigns_[item.campaign];
-      if (campaign != batching) {
-        if (batching != nullptr) {
-          batching->flush_batch();
-          count(kBatchFlushes);
-        }
-        campaign->begin_batch();
-        batching = campaign;
+      if (run_campaign != item.campaign) {
+        run_campaign = item.campaign;
+        ++runs;
       }
       // A shipped record was validated by the primary; a rejection here
       // means the histories diverged, and the throw fail-stops the
       // replica rather than serving silently wrong rewards.
-      campaign->apply(item.event);
+      server_.campaigns_[item.campaign]->apply(item.event);
       ++batched;
     }
     if (item.through > through) {
       through = item.through;
     }
   }
-  if (batching != nullptr) {
-    batching->flush_batch();
-    count(kBatchFlushes);
-  }
+  count(kBatchFlushes, runs);
   count(kEventsBatched, batched);
   if (through > 0) {
     feed->note_applied(index_, through);
@@ -459,46 +454,33 @@ void Reactor::process_tick() {
     }
     it->second.push_back(i);
   }
-  // Dirty-set batching: a burst of events for one campaign defers its
-  // per-event ancestor walks and replays them in one coalesced pass —
-  // flushed before any query frame in the burst, so answers are always
-  // current (and bit-identical to per-event processing; see
-  // core/incremental.h). EVENT_BATCH frames join the same coalesced
-  // pass. Stats are per-group locals summed afterwards: groups may run
-  // on pool threads and must not race on the counters.
+  // Every request applies in full before the next one runs, so a query
+  // always reads current state. events_batched / batch_flushes count
+  // the events in each campaign's runs of consecutive write frames and
+  // the number of such runs. Stats are per-group locals summed
+  // afterwards: groups may run on pool threads and must not race on
+  // the counters.
   struct GroupStats {
     std::uint64_t batched = 0;
-    std::uint64_t flushes = 0;
+    std::uint64_t runs = 0;
   };
   std::vector<GroupStats> group_stats(order.size());
   const auto run_group = [&](std::size_t g) {
-    const std::uint32_t campaign_index = order[g];
-    RecordingService* campaign = server_.campaigns_[campaign_index];
-    bool batching = false;
-    for (const std::size_t i : groups[campaign_index]) {
+    bool in_run = false;
+    for (const std::size_t i : groups[order[g]]) {
       ReactorWork& work = tick[i];
       const MsgType type = work.request.type;
       const bool is_event = is_write(type);
-      if (is_event && !batching) {
-        campaign->begin_batch();
-        batching = true;
-      } else if (!is_event && batching) {
-        campaign->flush_batch();
-        batching = false;
-        ++group_stats[g].flushes;
+      if (is_event && !in_run) {
+        ++group_stats[g].runs;
       }
+      in_run = is_event;
       work.response = server_.apply_request(work.request);
-      if (is_event && batching) {
-        if (type == MsgType::kEventBatch) {
-          group_stats[g].batched += work.response.batch_results.size();
-        } else if (work.response.status != Status::kError) {
-          ++group_stats[g].batched;
-        }
+      if (type == MsgType::kEventBatch) {
+        group_stats[g].batched += work.response.batch_results.size();
+      } else if (is_event && work.response.status != Status::kError) {
+        ++group_stats[g].batched;
       }
-    }
-    if (batching) {
-      campaign->flush_batch();
-      ++group_stats[g].flushes;
     }
   };
   // With one reactor the process-wide pool shards campaigns exactly as
@@ -514,7 +496,7 @@ void Reactor::process_tick() {
   }
   for (const GroupStats& stats : group_stats) {
     count(kEventsBatched, stats.batched);
-    count(kBatchFlushes, stats.flushes);
+    count(kBatchFlushes, stats.runs);
   }
 
   if (server_.storage_ != nullptr) {

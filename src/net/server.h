@@ -11,8 +11,8 @@
 // (one per ordered reactor pair; net/spsc_ring.h) and its response
 // travels back the same way.
 //
-// Each tick groups the decoded requests by campaign (dirty-set
-// batching per campaign, EVENT_BATCH frames applied in one pass) and
+// Each tick groups the decoded requests by campaign, applies each
+// request in full (an EVENT_BATCH frame's events one by one) and
 // group-commits the storage engine *before* any response is flushed
 // (ack-after-durable). Campaigns are disjoint state and within a
 // campaign arrival order is preserved, so with one connection per

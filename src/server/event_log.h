@@ -86,10 +86,6 @@ class RecordingService {
     service_.apply(ContributeEvent{participant, amount});
   }
 
-  /// Batch-coalescing passthroughs (see RewardService::begin_batch).
-  void begin_batch() { service_.begin_batch(); }
-  void flush_batch() { service_.flush_batch(); }
-
   void set_require_incremental(bool strict) {
     service_.set_require_incremental(strict);
   }

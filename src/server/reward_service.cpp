@@ -132,52 +132,6 @@ void RewardService::replay(std::span<const Event> events) {
   }
 }
 
-void RewardService::begin_batch() {
-  switch (mode_) {
-    case Mode::kAggregate:
-      aggregate_state_->begin_batch();
-      break;
-    case Mode::kTdrm:
-      rct_state_->begin_batch();
-      break;
-    case Mode::kBatch:
-      break;  // batch-compute mode has no per-event walks to defer
-  }
-}
-
-void RewardService::flush_batch() {
-  switch (mode_) {
-    case Mode::kAggregate:
-      aggregate_state_->flush_batch();
-      break;
-    case Mode::kTdrm:
-      rct_state_->flush_batch();
-      break;
-    case Mode::kBatch:
-      break;
-  }
-}
-
-bool RewardService::batching() const {
-  switch (mode_) {
-    case Mode::kAggregate:
-      return aggregate_state_->batching();
-    case Mode::kTdrm:
-      return rct_state_->batching();
-    case Mode::kBatch:
-      break;
-  }
-  return false;
-}
-
-void RewardService::ensure_flushed() const {
-  if (mode_ == Mode::kAggregate && aggregate_state_->batching()) {
-    aggregate_state_->flush_batch();
-  } else if (mode_ == Mode::kTdrm && rct_state_->batching()) {
-    rct_state_->flush_batch();
-  }
-}
-
 void RewardService::note_batch_fallback() const {
   if (options_.require_incremental) {
     throw std::invalid_argument("RewardService: mechanism '" +
@@ -225,7 +179,6 @@ void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
 }
 
 std::vector<double> RewardService::export_aggregates() const {
-  ensure_flushed();
   switch (mode_) {
     case Mode::kAggregate:
       return aggregate_state_->export_aggregates();
@@ -254,7 +207,6 @@ double RewardService::reward(NodeId participant) const {
           "RewardService::reward: unknown participant");
   switch (mode_) {
     case Mode::kAggregate: {
-      ensure_flushed();
       NodeAggregates aggregates;
       aggregates.own = aggregate_state_->tree().contribution(participant);
       aggregates.subtree = aggregate_state_->subtree_aggregate(participant);
@@ -264,7 +216,6 @@ double RewardService::reward(NodeId participant) const {
       return mechanism_->reward_from_aggregates(aggregates);
     }
     case Mode::kTdrm:
-      ensure_flushed();
       return rct_state_->reward(participant);
     case Mode::kBatch:
       break;
@@ -282,9 +233,8 @@ void RewardService::fill_rewards(NodeId first, std::span<double> out) const {
     return;
   }
   // The same arithmetic reward(u) does per node, without its per-call
-  // checks and flush test. The batch mechanism is deliberately not
-  // touched (tests instrument compute() to prove this stays true).
-  ensure_flushed();
+  // checks. The batch mechanism is deliberately not touched (tests
+  // instrument compute() to prove this stays true).
   if (mode_ == Mode::kAggregate) {
     const std::size_t count = out.size();
     const std::span<const std::uint32_t> binary_depth =
@@ -346,11 +296,9 @@ double RewardService::total_reward() const {
   if (mode_ == Mode::kAggregate && support_.total_coefficient > 0.0) {
     // R(u) = coeff * S(u) summed over participants: O(1) from the
     // engine's running total.
-    ensure_flushed();
     return support_.total_coefficient * aggregate_state_->total_aggregate();
   }
   if (mode_ == Mode::kTdrm) {
-    ensure_flushed();
     return rct_state_->total_reward();
   }
   // itree::total_reward(rewards()) without the vector: the same

@@ -11,11 +11,9 @@
 // with a stable error when `require_incremental` is set (strict serving
 // deployments want a loud failure, not a silent O(n)-per-query cliff).
 //
-// Batching: begin_batch()/flush_batch() let the serving layer coalesce
-// a burst of events into one deferred ancestor-walk pass (see
-// core/incremental.h for the bit-exactness contract). Reward queries on
-// a batching service flush lazily, so correctness never depends on the
-// caller pairing the calls.
+// Every apply() finishes its event's ancestor walk before it returns,
+// so the engine state is complete between calls and no const query
+// writes it (rewards() fills only its own cache).
 //
 // Payout: the served vector is streamed, not kept. fill_rewards() prices
 // one block of ids through Mechanism::rewards_from_aggregates() — one
@@ -86,17 +84,11 @@ class RewardService {
   /// Throws like apply(); events before the failing one stay applied.
   void replay(std::span<const Event> events);
 
-  /// Enters batch mode: incremental ancestor walks of subsequent events
-  /// are deferred until flush_batch() (or the next reward query, which
-  /// flushes lazily). No-op in batch-compute mode.
-  void begin_batch();
-
-  /// Replays deferred walks in arrival order and leaves batch mode.
-  /// Bit-for-bit equal to per-event processing.
-  void flush_batch();
-
-  /// True while begin_batch() is in effect on the incremental state.
-  bool batching() const;
+  /// No-ops, kept only because perfbench/load.cpp still brackets its
+  /// frames with them (as SnapshotFormat survives for the same reason).
+  /// Each apply() already runs its event's walk.
+  void begin_batch() {}
+  void flush_batch() {}
 
   /// Restores a freshly constructed service from a checkpoint: moves
   /// the tree straight into the incremental state's arena and
@@ -185,12 +177,6 @@ class RewardService {
  private:
   enum class Mode { kBatch, kAggregate, kTdrm };
 
-  /// Flushes a lazily-pending batch before a query reads aggregates.
-  /// The states are mutable for exactly this: queries are logically
-  /// const (the flushed values are the values per-event processing
-  /// would already hold).
-  void ensure_flushed() const;
-
   /// Throws (strict) or warns once (lenient) before a batch compute on
   /// the serving path.
   void note_batch_fallback() const;
@@ -200,10 +186,9 @@ class RewardService {
   Mode mode_ = Mode::kBatch;
   AggregateSupport support_;  // valid when mode_ == kAggregate
 
-  // Exactly one of these backs the service, per mode_ (mutable for the
-  // lazy flush — see ensure_flushed()).
-  mutable std::optional<IncrementalSubtreeState> aggregate_state_;
-  mutable std::optional<IncrementalRctState> rct_state_;
+  // Exactly one of these backs the service, per mode_.
+  std::optional<IncrementalSubtreeState> aggregate_state_;
+  std::optional<IncrementalRctState> rct_state_;
   Tree batch_tree_;
 
   mutable RewardVector cached_rewards_;  ///< rewards(); see there

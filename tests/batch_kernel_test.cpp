@@ -462,16 +462,13 @@ TEST(BatchKernels, TypeErasedCdrmMatchesTheInlinedInstances) {
 
 TEST(BatchKernels, OnePassRewardsBitEqualToPointQueries) {
   // rewards() fills its cache in one pass over the aggregate columns;
-  // each entry must carry the bits reward(u) returns, after plain
-  // events and after a deferred batch alike.
+  // each entry must carry the bits reward(u) returns, in every phase of
+  // a growing stream.
   for (const char* name : kFactoryMechanisms) {
     const MechanismPtr mechanism = make_mechanism(name);
     RewardService service(*mechanism);
     Rng rng(23);
-    for (const bool batch : {false, true, false}) {
-      if (batch) {
-        service.begin_batch();
-      }
+    for (int phase = 0; phase < 3; ++phase) {
       for (int event = 0; event < 300; ++event) {
         const std::size_t n = service.tree().participant_count();
         if (n == 0 || rng.bernoulli(0.6)) {
@@ -482,13 +479,12 @@ TEST(BatchKernels, OnePassRewardsBitEqualToPointQueries) {
                                         rng.uniform(0.0, 1.5)});
         }
       }
-      const RewardVector all = service.rewards();  // flushes the batch
+      const RewardVector all = service.rewards();
       RewardVector points(all.size(), 0.0);
       for (NodeId u = 1; u < points.size(); ++u) {
         points[u] = service.reward(u);
       }
       expect_bit_equal(all, points, name);
-      service.flush_batch();
     }
   }
 }

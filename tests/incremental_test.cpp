@@ -1,6 +1,5 @@
 // Tests for the incremental reward-maintenance states: event-by-event
-// equivalence with the batch mechanisms, binary-depth maintenance, and
-// the bit-exactness contract of dirty-set batching.
+// equivalence with the batch mechanisms and binary-depth maintenance.
 #include <gtest/gtest.h>
 
 #include "core/geometric.h"
@@ -8,7 +7,6 @@
 #include "tree/generators.h"
 #include "tree/io.h"
 #include "tree/subtree_sums.h"
-#include "util/strings.h"
 
 namespace itree {
 namespace {
@@ -101,7 +99,7 @@ TEST(IncrementalAggregate, GeometricRewardMatchesMechanism) {
   const NodeId a = state.add_leaf(kRoot, 5.0);
   state.add_leaf(a, 3.0);
   const RewardVector batch = mechanism.compute(state.tree());
-  const NodeAggregates aggregates{.own = state.x_of(a),
+  const NodeAggregates aggregates{.own = state.tree().contribution(a),
                                   .subtree = state.subtree_aggregate(a)};
   EXPECT_NEAR(mechanism.reward_from_aggregates(aggregates), batch[a],
               1e-12);
@@ -110,7 +108,8 @@ TEST(IncrementalAggregate, GeometricRewardMatchesMechanism) {
 TEST(IncrementalAggregate, RejectsRootQueriesAndBadUpdates) {
   IncrementalSubtreeState state = geometric_state(0.5);
   const NodeId a = state.add_leaf(kRoot, 1.0);
-  EXPECT_THROW(state.x_of(kRoot), std::invalid_argument);
+  EXPECT_THROW(state.subtree_aggregate(99), std::invalid_argument);
+  EXPECT_THROW(state.add_contribution(kRoot, 1.0), std::invalid_argument);
   EXPECT_THROW(state.add_contribution(a, -1.0), std::invalid_argument);
   EXPECT_THROW(state.add_contribution(99, 1.0), std::invalid_argument);
   EXPECT_THROW(state.binary_depth(a), std::invalid_argument)
@@ -125,7 +124,7 @@ TEST(IncrementalSubtree, MatchesBatchOnRandomStream) {
   }
   const SubtreeData batch = compute_subtree_data(state.tree());
   for (NodeId u = 0; u < state.tree().node_count(); ++u) {
-    EXPECT_NEAR(state.subtree_contribution(u),
+    EXPECT_NEAR(state.subtree_aggregate(u),
                 batch.subtree_contribution[u], 1e-9);
   }
 }
@@ -135,17 +134,19 @@ TEST(IncrementalSubtree, XYSplitMatchesDefinition) {
   const NodeId a = state.add_leaf(kRoot, 2.0);
   const NodeId b = state.add_leaf(a, 3.0);
   state.add_leaf(b, 1.5);
-  EXPECT_DOUBLE_EQ(state.x_of(a), 2.0);
-  EXPECT_DOUBLE_EQ(state.y_of(a), 4.5);
-  EXPECT_DOUBLE_EQ(state.y_of(b), 1.5);
-  EXPECT_THROW(state.x_of(kRoot), std::invalid_argument);
+  // CDRM's split: x = C(u), y = C(T_u) - C(u).
+  EXPECT_DOUBLE_EQ(state.tree().contribution(a), 2.0);
+  EXPECT_DOUBLE_EQ(state.subtree_aggregate(a) - state.tree().contribution(a),
+                   4.5);
+  EXPECT_DOUBLE_EQ(state.subtree_aggregate(b) - state.tree().contribution(b),
+                   1.5);
 }
 
 TEST(IncrementalSubtree, BuildsFromExistingTree) {
   const Tree tree = parse_tree("(2 (3 (1.5)))");
   IncrementalSubtreeState state(tree);
-  EXPECT_DOUBLE_EQ(state.subtree_contribution(1), 6.5);
-  EXPECT_DOUBLE_EQ(state.subtree_contribution(2), 4.5);
+  EXPECT_DOUBLE_EQ(state.subtree_aggregate(1), 6.5);
+  EXPECT_DOUBLE_EQ(state.subtree_aggregate(2), 4.5);
 }
 
 // --- binary-depth maintenance --------------------------------------
@@ -210,94 +211,6 @@ TEST(IncrementalBinaryDepth, RebuiltFromTreeMatchesMaintained) {
   for (NodeId u = 1; u < state.tree().node_count(); ++u) {
     ASSERT_EQ(state.binary_depth(u), rebuilt.binary_depth(u));
   }
-}
-
-// --- dirty-set batching --------------------------------------------
-
-std::string aggregate_bits(const IncrementalSubtreeState& state) {
-  return hex_doubles(state.export_aggregates());
-}
-
-TEST(IncrementalBatching, BatchedStreamIsBitIdenticalToPerEvent) {
-  for (double decay : {1.0, 0.4}) {
-    Rng per_event_rng(77);
-    Rng batched_rng(77);
-    IncrementalSubtreeState per_event = geometric_state(decay);
-    IncrementalSubtreeState batched = geometric_state(decay);
-    for (int burst = 0; burst < 20; ++burst) {
-      batched.begin_batch();
-      for (int event = 0; event < 25; ++event) {
-        random_event(per_event, per_event_rng);
-        random_event(batched, batched_rng);
-      }
-      EXPECT_GT(batched.pending_walks(), 0u);
-      batched.flush_batch();
-      ASSERT_EQ(aggregate_bits(per_event), aggregate_bits(batched))
-          << "decay " << decay << " burst " << burst;
-    }
-  }
-}
-
-TEST(IncrementalBatching, QueriesRequireAFlush) {
-  IncrementalSubtreeState state = geometric_state(1.0);
-  const NodeId a = state.add_leaf(kRoot, 1.0);
-  state.begin_batch();
-  state.add_contribution(a, 2.0);
-  EXPECT_THROW(state.subtree_aggregate(a), std::invalid_argument);
-  EXPECT_THROW(state.total_aggregate(), std::invalid_argument);
-  EXPECT_THROW(state.export_aggregates(), std::invalid_argument);
-  state.flush_batch();
-  EXPECT_DOUBLE_EQ(state.subtree_aggregate(a), 3.0);
-  EXPECT_FALSE(state.batching());
-}
-
-TEST(IncrementalBatching, RctBatchedJoinsAreBitIdenticalToPerEvent) {
-  const TdrmParams params{};
-  auto rct_event = [](IncrementalRctState& state, Rng& rng) {
-    if (state.tree().participant_count() == 0 || rng.bernoulli(0.7)) {
-      const NodeId parent =
-          state.tree().participant_count() == 0 || rng.bernoulli(0.1)
-              ? kRoot
-              : static_cast<NodeId>(
-                    1 + rng.index(state.tree().participant_count()));
-      state.add_leaf(parent, rng.uniform(0.0, 4.0));
-    } else {
-      // Purchases drain the pending queue internally (they must read
-      // current chain state) and then apply eagerly — still in order.
-      state.add_contribution(
-          static_cast<NodeId>(
-              1 + rng.index(state.tree().participant_count())),
-          rng.uniform(0.0, 2.0));
-    }
-  };
-  Rng per_event_rng(91);
-  Rng batched_rng(91);
-  IncrementalRctState per_event(params, 0.05);
-  IncrementalRctState batched(params, 0.05);
-  for (int burst = 0; burst < 15; ++burst) {
-    batched.begin_batch();
-    for (int event = 0; event < 30; ++event) {
-      rct_event(per_event, per_event_rng);
-      rct_event(batched, batched_rng);
-    }
-    batched.flush_batch();
-    ASSERT_EQ(hex_doubles(per_event.export_aggregates()),
-              hex_doubles(batched.export_aggregates()))
-        << "burst " << burst;
-  }
-}
-
-TEST(IncrementalBatching, RctQueriesRequireAFlush) {
-  const TdrmParams params{};
-  IncrementalRctState state(params, 0.05);
-  const NodeId a = state.add_leaf(kRoot, 1.0);
-  state.begin_batch();
-  state.add_leaf(a, 2.0);
-  EXPECT_EQ(state.pending_walks(), 1u);
-  EXPECT_THROW(state.reward(a), std::invalid_argument);
-  EXPECT_THROW(state.total_reward(), std::invalid_argument);
-  state.flush_batch();
-  EXPECT_NO_THROW(state.reward(a));
 }
 
 }  // namespace

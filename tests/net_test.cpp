@@ -15,6 +15,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <span>
@@ -34,6 +35,7 @@
 #include "util/io.h"
 #include "util/le_codec.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace itree::net {
 namespace {
@@ -1331,6 +1333,110 @@ TEST_F(NetTest, LiveServerStatsReflectServingWithoutStopping) {
   // And the summed totals agree with the post-drain counters.
   stop();
   EXPECT_EQ(server_->counters().event_batches, 1u);
+}
+
+TEST_F(NetTest, SequentialRequestsPinTheWriteRunCounters) {
+  // One reactor and one sequential client, so every request is a tick
+  // of its own: each JOIN is a run of one event, the EVENT_BATCH a run
+  // of ten, and the REWARD query adds nothing. perfbench's
+  // net.events_per_flush is events_batched / batch_flushes.
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  start(*mechanism);
+  Client client = connect();
+  for (int i = 0; i < 4; ++i) {
+    client.join(0, kRoot, 1.0);
+  }
+  const std::vector<BatchEvent> batch(10, {BatchEvent::kContribute, 1, 0.5});
+  ASSERT_TRUE(client.send_events(0, batch).complete());
+  client.reward(0, 1);
+  const ServerStatsBody stats = client.server_stats();
+  EXPECT_EQ(stats.events_batched, 14u);
+  EXPECT_EQ(stats.batch_flushes, 5u);
+}
+
+TEST_F(NetTest, PeriodicSnapshotsAcrossReactorsCaptureWholeCampaigns) {
+  // A periodic snapshot is taken by whichever reactor's commit finds it
+  // due, and it reads every campaign, including the one the other
+  // reactor is applying an EVENT_BATCH to at that moment. Each
+  // campaign must be whole whenever no apply() is running: the served
+  // state audits below 1e-9 and recovery from the latest periodic snapshot
+  // plus the WAL tail reproduces it bit for bit. Under ThreadSanitizer
+  // this case also fails if a snapshot writes a campaign's state.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "itree_net_test_snapshot_reactors";
+  fs::remove_all(dir);
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  ServerConfig config;
+  config.campaigns = 2;  // campaign c is owned by reactor c
+  config.reactors = 2;
+  config.storage.data_dir = dir.string();
+  config.storage.snapshot_every = 300;
+  config.storage.mechanism_name = "geometric";
+  start(*mechanism, config);
+
+  static constexpr std::size_t kFrame = 64;
+  static constexpr std::size_t kWindow = 8;  // frames in flight per connection
+  static constexpr int kEventsPerCampaign = 12800;
+  std::vector<std::thread> writers;
+  for (std::uint32_t campaign = 0; campaign < 2; ++campaign) {
+    writers.emplace_back([this, campaign] {
+      std::vector<BatchEvent> events;
+      drive_workload(campaign + 41, kEventsPerCampaign,
+                     [&](NodeId node, double amount, bool is_join) {
+                       events.push_back({is_join ? BatchEvent::kJoin
+                                                 : BatchEvent::kContribute,
+                                         node, amount});
+                     });
+      Client client = connect();
+      std::size_t in_flight = 0;
+      for (std::size_t at = 0; at < events.size() || in_flight > 0;) {
+        if (at < events.size() && in_flight < kWindow) {
+          Request request;
+          request.type = MsgType::kEventBatch;
+          request.campaign = campaign;
+          request.batch.assign(
+              events.begin() + static_cast<std::ptrdiff_t>(at),
+              events.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(at + kFrame, events.size())));
+          at += request.batch.size();
+          client.send_request(request);
+          ++in_flight;
+          continue;
+        }
+        const Response response = client.read_response();
+        EXPECT_EQ(response.status, Status::kOkBatch);
+        EXPECT_EQ(response.batch_results.size(), kFrame);
+        --in_flight;
+      }
+    });
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+
+  Client probe = connect();
+  std::vector<std::vector<double>> served;
+  std::vector<double> audits;
+  for (std::uint32_t campaign = 0; campaign < 2; ++campaign) {
+    audits.push_back(probe.audit(campaign));
+    EXPECT_LT(audits.back(), 1e-9) << "campaign " << campaign;
+    served.push_back(probe.rewards(campaign));
+  }
+  // Every response went out after its tick's commit wrote the records,
+  // and the idle server writes nothing more: the directory is stable.
+  const storage::RecoveryResult recovered =
+      storage::recover_campaigns(*mechanism, 2, dir.string());
+  EXPECT_TRUE(recovered.report.used_snapshot);
+  for (std::uint32_t campaign = 0; campaign < 2; ++campaign) {
+    const RewardService& service = recovered.campaigns[campaign]->service();
+    EXPECT_EQ(hex_doubles(service.rewards()), hex_doubles(served[campaign]))
+        << "campaign " << campaign;
+    EXPECT_EQ(service.audit(), audits[campaign]) << "campaign " << campaign;
+  }
+  stop();
+  EXPECT_GE(server_->storage()->counters().snapshots_written, 20u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

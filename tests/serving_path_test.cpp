@@ -343,52 +343,6 @@ TEST(ServingPath, AggregateRoundTripIsBitExact) {
   }
 }
 
-/// Replays one fixed stream with or without dirty-set batching (bursts
-/// of 40 events between begin_batch/flush_batch) and returns the bit
-/// rendering of the final rewards.
-std::string bursty_stream_reward_bits(const Mechanism& mechanism,
-                                      std::uint64_t seed, bool batched) {
-  RewardService service(mechanism);
-  Rng rng(seed);
-  for (int burst = 0; burst < 10; ++burst) {
-    if (batched) {
-      service.begin_batch();
-    }
-    for (int event = 0; event < 40; ++event) {
-      const std::size_t n = service.tree().participant_count();
-      if (n == 0 || rng.bernoulli(0.6)) {
-        const NodeId parent =
-            (n == 0 || rng.bernoulli(0.15))
-                ? kRoot
-                : static_cast<NodeId>(1 + rng.index(n));
-        service.apply(JoinEvent{parent, rng.uniform(0.0, 2.0)});
-      } else {
-        service.apply(ContributeEvent{
-            static_cast<NodeId>(1 + rng.index(n)), rng.uniform(0.0, 1.5)});
-      }
-    }
-    if (batched) {
-      service.flush_batch();
-    }
-  }
-  return hex_doubles(service.rewards());
-}
-
-TEST(ServingPath, DirtySetBatchingIsBitIdenticalToPerEvent) {
-  // The server coalesces a tick's events between begin_batch and
-  // flush_batch; the deferred ancestor walks replay in arrival order,
-  // so the final bits must be indistinguishable from per-event updates
-  // — including TDRM purchases, which drain the pending queue early.
-  for (MechanismKind kind :
-       {MechanismKind::kGeometric, MechanismKind::kCdrmReciprocal,
-        MechanismKind::kSplitProof, MechanismKind::kTdrm}) {
-    const MechanismPtr mechanism = make_default(kind);
-    EXPECT_EQ(bursty_stream_reward_bits(*mechanism, 777, false),
-              bursty_stream_reward_bits(*mechanism, 777, true))
-        << mechanism->display_name();
-  }
-}
-
 TEST(ServingPath, StrictModeRejectsBatchFallbackWithStableError) {
   // L-Pachira has no incremental path; under require_incremental the
   // service must answer reward queries with a stable error instead of
