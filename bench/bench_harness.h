@@ -4,16 +4,19 @@
 // The harness strips the two flags from argv (so a bench's own flag
 // parsing sees only the rest), applies the thread count to the
 // process-wide pool, starts the wall clock, and on finish()
-// writes {bench, threads, wall_seconds, peak_rss_bytes, metrics,
+// writes {bench, threads, host, wall_seconds, peak_rss_bytes, metrics,
 // digests} to the JSON path — the BENCH_*.json perf-trajectory format
-// that accumulates across PRs. Benches that drive an event stream call
+// that accumulates across PRs. `host` names the machine and build
+// (probe_host()). Benches that drive an event stream call
 // record_events(); finish() then also derives reward_events_per_sec.
 #pragma once
 
 #include <sys/resource.h>
+#include <sys/utsname.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -47,7 +50,41 @@ class BenchHarness {
     json_path_ = args.get_or("--json", "");
     set_thread_count(threads_);  // 0 = hardware concurrency
     json_.set_threads(thread_count());
+    json_.set_host(probe_host());
     start_ = monotonic_seconds();
+  }
+
+  /// The machine and build this bench runs on. Reads only
+  /// /proc/cpuinfo (one "processor" entry per online CPU, and the first
+  /// "model name") and uname(); the build type and git revision are the
+  /// ones the build tree was configured with (CMakeLists.txt).
+  static BenchHost probe_host() {
+    BenchHost host;
+    host.allowed_cpus = hardware_thread_count();
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+      if (line.rfind("processor", 0) == 0) {
+        ++host.nproc;
+      } else if (host.cpu_model.empty() && line.rfind("model name", 0) == 0) {
+        const std::size_t colon = line.find(':');
+        const std::size_t value =
+            colon == std::string::npos
+                ? colon
+                : line.find_first_not_of(" \t", colon + 1);
+        if (value != std::string::npos) {
+          host.cpu_model = line.substr(value);
+        }
+      }
+    }
+    if (host.cpu_model.empty()) {
+      host.cpu_model = "unknown";
+    }
+    struct utsname name {};
+    host.kernel_release = ::uname(&name) == 0 ? name.release : "unknown";
+    host.build_type = ITREE_BUILD_TYPE;
+    host.git_revision = ITREE_GIT_REVISION;
+    return host;
   }
 
   BenchJson& json() { return json_; }

@@ -43,7 +43,9 @@
 #
 # Digests gate, timings do not: CI machines are too noisy to assert
 # wall time, so slowdowns are tracked via the BENCH_*.json trajectory
-# instead while *behaviour* drift fails the build.
+# instead while *behaviour* drift fails the build. A number without its
+# machine says nothing, so every JSON written here must also carry the
+# harness's host object (host.nproc and host.cpu_model at least).
 #
 # Usage: scripts/perf_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -56,7 +58,17 @@ trap 'rm -rf "$WORK"' EXIT
 # Pulls the "digests" entries out of a BENCH-format JSON file, one
 # `name 0x...` pair per line (our own writer's stable formatting).
 digests_of() {
+  check_host "$1"
   grep -o '"[^"]*": "0x[0-9a-f]\{16\}"' "$1" | tr -d '",:'
+}
+
+# Fails unless the BENCH-format JSON file names its host: the harness
+# writes `"host": {"nproc": N, ..., "cpu_model": "...", ...}`.
+check_host() {
+  grep -q '"host": {"nproc": [0-9][0-9]*,.*"cpu_model": "[^"]' "$1" || {
+    echo "$1 lacks host.nproc or host.cpu_model" >&2
+    exit 1
+  }
 }
 
 for bench in e1:bench_e1_property_matrix a4:bench_a4_adversary; do
@@ -97,6 +109,7 @@ if [[ "${PERF_SMOKE_V5_GATE:-0}" == "1" ]]; then
   # divergence.
   "$BUILD_DIR/bench/bench_e13_scalability" --scale giant \
       --giant-nodes 10000000 --json "$WORK/e13_gate.json"
+  check_host "$WORK/e13_gate.json"
 fi
 
 # Each mechanism runs twice: the classic single-reactor per-frame mode
@@ -135,5 +148,6 @@ diff -u "$GOLDENS/e15_digests.golden" "$WORK/e15_digests.txt" || {
 echo "== a3 incremental-engine speedup + determinism gates =="
 "$BUILD_DIR/bench/bench_a3_incremental" --scale small --threads 2 \
     --json "$WORK/a3.json"
+check_host "$WORK/a3.json"
 
 echo "perf smoke passed"

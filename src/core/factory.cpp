@@ -1,6 +1,8 @@
 #include "core/factory.h"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/cdrm.h"
 #include "core/geometric.h"
@@ -35,8 +37,8 @@ void expect_consumed(const ParamMap& params, const std::string& name) {
     }
     unknown += key;
   }
-  require(false,
-          "make_mechanism: unknown parameter(s) for " + name + ": " + unknown);
+  throw std::invalid_argument("make_mechanism: unknown parameter(s) for " +
+                              name + ": " + unknown);
 }
 
 }  // namespace
@@ -54,21 +56,28 @@ ParamMap parse_param_string(const std::string& text) {
     }
     entry = entry.substr(first, last - first + 1);
     const auto equals = entry.find('=');
-    require(equals != std::string::npos && equals > 0,
-            "parse_param_string: expected key=value, got '" + entry + "'");
+    if (equals == std::string::npos || equals == 0) {
+      throw std::invalid_argument(
+          "parse_param_string: expected key=value, got '" + entry + "'");
+    }
     const std::string key = entry.substr(0, equals);
     const std::string value = entry.substr(equals + 1);
     try {
       std::size_t consumed = 0;
       const double parsed = std::stod(value, &consumed);
-      require(consumed == value.size(),
-              "parse_param_string: bad value in '" + entry + "'");
-      require(params.emplace(key, parsed).second,
-              "parse_param_string: duplicate key '" + key + "'");
+      if (consumed != value.size()) {
+        throw std::invalid_argument("parse_param_string: bad value in '" +
+                                    entry + "'");
+      }
+      if (!params.emplace(key, parsed).second) {
+        throw std::invalid_argument("parse_param_string: duplicate key '" +
+                                    key + "'");
+      }
     } catch (const std::invalid_argument&) {
       throw;
     } catch (const std::exception&) {
-      require(false, "parse_param_string: bad value in '" + entry + "'");
+      throw std::invalid_argument("parse_param_string: bad value in '" +
+                                  entry + "'");
     }
   }
   return params;
@@ -118,7 +127,8 @@ MechanismPtr make_mechanism(const std::string& name, const ParamMap& params,
     const double theta = take(remaining, "theta", 0.4);
     mechanism = std::make_unique<CdrmLogarithmic>(budget, theta);
   } else {
-    require(false, "make_mechanism: unknown mechanism '" + name + "'");
+    throw std::invalid_argument("make_mechanism: unknown mechanism '" + name +
+                                "'");
   }
   expect_consumed(remaining, name);
   return mechanism;

@@ -1,6 +1,7 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "tree/subtree_sums.h"
 #include "util/check.h"
@@ -182,20 +183,15 @@ std::vector<double> IncrementalSubtreeState::export_aggregates() const {
   return blob;
 }
 
-void IncrementalSubtreeState::import_aggregates(
-    const std::vector<double>& blob) {
-  require(blob.size() == tree_.node_count() + 1,
-          "IncrementalSubtreeState::import_aggregates: blob size mismatch");
-  sums_.assign(blob.begin(), blob.end() - 1);
-  total_sum_ = blob.back();
-}
-
-void IncrementalSubtreeState::adopt_tree(Tree&& tree) {
+void IncrementalSubtreeState::adopt(Tree&& tree, std::vector<double> blob) {
   require(tree_.node_count() == 1,
-          "IncrementalSubtreeState::adopt_tree: state already has nodes");
+          "IncrementalSubtreeState::adopt: state already has nodes");
+  require(blob.size() == tree.node_count() + 1,
+          "IncrementalSubtreeState::adopt: blob size mismatch");
   tree_ = std::move(tree);
-  sums_.assign(tree_.node_count(), 0.0);
-  total_sum_ = 0.0;
+  total_sum_ = blob.back();
+  blob.pop_back();
+  sums_ = std::move(blob);
   if (config_.track_binary_depth) {
     rebuild_binary_depths();
   }
@@ -363,23 +359,32 @@ std::vector<double> IncrementalRctState::export_aggregates() const {
   return blob;
 }
 
-void IncrementalRctState::import_aggregates(const std::vector<double>& blob) {
-  const std::size_t n = tree_.node_count();
+void IncrementalRctState::adopt(Tree&& tree, std::vector<double> blob) {
+  require(tree_.node_count() == 1,
+          "IncrementalRctState::adopt: state already has nodes");
+  const std::size_t n = tree.node_count();
   require(blob.size() == 3 * n + 1,
-          "IncrementalRctState::import_aggregates: blob size mismatch");
-  d_.assign(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(n));
-  h_.assign(blob.begin() + static_cast<std::ptrdiff_t>(n),
-            blob.begin() + static_cast<std::ptrdiff_t>(2 * n));
-  agg_.assign(blob.begin() + static_cast<std::ptrdiff_t>(2 * n),
-              blob.begin() + static_cast<std::ptrdiff_t>(3 * n));
+          "IncrementalRctState::adopt: blob size mismatch");
+  tree_ = std::move(tree);
+  const auto at = [&blob](std::size_t i) {
+    return blob.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  d_.assign(at(0), at(n));
+  h_.assign(at(n), at(2 * n));
+  agg_.assign(at(2 * n), at(3 * n));
   total_agg_ = blob.back();
   // N, W, P are pure functions of the contributions — recompute them
   // (exactly) instead of trusting the blob or a rebuild of the
-  // history-dependent accumulators above.
+  // history-dependent accumulators above. The fresh state's root row
+  // (all zero) stays; participants are appended, not zero-filled first.
   const double a = params_.a;
   const double mu = params_.mu;
+  const std::span<const double> contribution = tree_.contribution_array();
+  n_.reserve(n);
+  w_.reserve(n);
+  p_.reserve(n);
   for (NodeId u = 1; u < n; ++u) {
-    const double c = tree_.contribution(u);
+    const double c = contribution[u];
     const std::size_t len = rct_chain_length(c, mu);
     const double head_c = c - static_cast<double>(len - 1) * mu;
     double weight = 0.0;
@@ -391,24 +396,10 @@ void IncrementalRctState::import_aggregates(const std::vector<double>& blob) {
         pw *= a;
       }
     }
-    n_[u] = static_cast<std::uint32_t>(len);
-    w_[u] = weight;
-    p_[u] = pw;
+    n_.push_back(static_cast<std::uint32_t>(len));
+    w_.push_back(weight);
+    p_.push_back(pw);
   }
-}
-
-void IncrementalRctState::adopt_tree(Tree&& tree) {
-  require(tree_.node_count() == 1,
-          "IncrementalRctState::adopt_tree: state already has nodes");
-  tree_ = std::move(tree);
-  const std::size_t n = tree_.node_count();
-  n_.assign(n, 0);
-  d_.assign(n, 0.0);
-  h_.assign(n, 0.0);
-  agg_.assign(n, 0.0);
-  w_.assign(n, 0.0);
-  p_.assign(n, 0.0);
-  total_agg_ = 0.0;
 }
 
 }  // namespace itree

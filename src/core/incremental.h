@@ -115,18 +115,13 @@ class IncrementalSubtreeState {
   /// restored tree shape.
   std::vector<double> export_aggregates() const;
 
-  /// Restores accumulators exported by export_aggregates() from a state
-  /// over an identical tree.
-  void import_aggregates(const std::vector<double>& blob);
-
-  /// Bulk restore: takes ownership of a checkpointed tree with the FP
-  /// accumulators zeroed; the caller must immediately
-  /// import_aggregates() a blob exported over an identical tree (the
-  /// import overwrites every FP value, so adopt + import resumes
-  /// bit-identically without any ancestor walks). Binary depths, a pure
-  /// integer function of the shape, are rebuilt exactly. Requires a
-  /// fresh state.
-  void adopt_tree(Tree&& tree);
+  /// Bulk restore: takes ownership of a checkpointed tree and of `blob`,
+  /// the export_aggregates() of a state over an identical tree. The
+  /// blob's storage becomes the S column as is (no copy, no zero-fill),
+  /// so the state resumes bit-identically without any ancestor walks.
+  /// Binary depths, a pure integer function of the shape, are rebuilt
+  /// exactly. Requires a fresh state.
+  void adopt(Tree&& tree, std::vector<double> blob);
 
  private:
   /// Adds `delta` at `from` and decay-scaled along the root path,
@@ -186,7 +181,7 @@ class IncrementalSubtreeState {
 /// The maintained values track the batch mechanism to FP accumulation
 /// error (audited to ~1e-12 event-by-event in tests); they are exactly
 /// reproducible from the event stream, which the crash-safe snapshot
-/// path relies on via export_aggregates()/import_aggregates().
+/// path relies on via export_aggregates()/adopt().
 class IncrementalRctState {
  public:
   /// `phi` is the fairness floor of the budget (Mechanism::phi()).
@@ -221,17 +216,13 @@ class IncrementalRctState {
   /// differ in final ulps). Layout: 3 * node_count() + 1 doubles.
   std::vector<double> export_aggregates() const;
 
-  /// Restores accumulators exported by export_aggregates() from a state
-  /// over an identical tree. The pure-shape scalars (N, W, P) are
-  /// recomputed from contributions, which is exact.
-  void import_aggregates(const std::vector<double>& blob);
-
-  /// Bulk restore counterpart of IncrementalSubtreeState::adopt_tree:
-  /// takes ownership of a checkpointed tree with every chain
-  /// accumulator zeroed; the mandatory import_aggregates() that follows
-  /// overwrites the FP state and recomputes N/W/P exactly. Requires a
-  /// fresh state.
-  void adopt_tree(Tree&& tree);
+  /// Bulk restore counterpart of IncrementalSubtreeState::adopt: takes
+  /// ownership of a checkpointed tree and restores D/H/A from `blob`,
+  /// the export_aggregates() of a state over an identical tree, each
+  /// column written once. The pure-shape scalars (N, W, P) are
+  /// recomputed from contributions, which is exact. Requires a fresh
+  /// state.
+  void adopt(Tree&& tree, std::vector<double> blob);
 
  private:
   /// Recomputes N/H/A/W/P for u's chain from C(u) and D(u). O(N_u).

@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "net/event_loop.h"
 #include "net/spsc_ring.h"
@@ -110,6 +109,25 @@ class Reactor final : public LoopHandler {
 
   /// This tick's campaign work, in arrival order (local + forwarded).
   std::vector<ReactorWork> inbox_;
+  /// One campaign's share of a tick: its requests are
+  /// grouped_[first, last), in arrival order, plus its counters.
+  struct TickGroup {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    std::uint64_t batched = 0;
+    std::uint64_t runs = 0;
+  };
+  /// process_tick() scratch, kept across ticks so that a steady tick
+  /// allocates nothing: the work being applied (swapped with inbox_, so
+  /// both keep their capacity), the campaigns it touches in
+  /// first-arrival order, per campaign a request count and then a next
+  /// free slot (all zero between ticks), the tick's indices grouped by
+  /// campaign, and one TickGroup per touched campaign.
+  std::vector<ReactorWork> tick_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> group_next_;
+  std::vector<std::uint32_t> grouped_;
+  std::vector<TickGroup> groups_;
   /// Replica mode: REWARD_AT queries whose token is beyond the applied
   /// floor, waiting (until `deadline`) for the feed to catch up.
   struct ParkedQuery {
@@ -156,6 +174,7 @@ Reactor::Reactor(Server& server, std::size_t index, std::uint16_t port)
         std::make_unique<SpscRing<CrossResponse>>(kRingCapacity));
   }
   pushed_since_wake_.assign(peers, 0);
+  group_next_.assign(server_.campaigns_.size(), 0);
 }
 
 std::size_t Reactor::reactor_count() const {
@@ -414,8 +433,7 @@ void Reactor::process_tick() {
   if (inbox_.empty()) {
     return;
   }
-  std::vector<ReactorWork> tick;
-  tick.swap(inbox_);
+  tick_.swap(inbox_);
   if (server_.replica_feed_ != nullptr) {
     // Read-your-writes: a REWARD_AT whose token is past the applied
     // floor parks until the feed catches up (or the staleness deadline
@@ -426,60 +444,68 @@ void Reactor::process_tick() {
     const double deadline =
         monotonic_seconds() + server_.serve_stale_seconds_;
     std::size_t kept = 0;
-    for (ReactorWork& work : tick) {
+    for (ReactorWork& work : tick_) {
       if (work.request.type == MsgType::kRewardAt &&
           work.request.seq > floor) {
         count(kTokenWaits);
         parked_.push_back(ParkedQuery{work.origin, work.token,
                                       std::move(work.request), deadline});
       } else {
-        tick[kept++] = std::move(work);
+        tick_[kept++] = std::move(work);
       }
     }
-    tick.resize(kept);
-    if (tick.empty()) {
+    tick_.resize(kept);
+    if (tick_.empty()) {
       return;
     }
   }
-  // Group work by campaign; each group keeps arrival order, so a
-  // campaign's event sequence is independent of reactor placement and
-  // thread count.
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> groups;
-  std::vector<std::uint32_t> order;
-  for (std::size_t i = 0; i < tick.size(); ++i) {
-    const std::uint32_t campaign = tick[i].request.campaign;
-    auto [it, inserted] = groups.try_emplace(campaign);
-    if (inserted) {
-      order.push_back(campaign);
+  // Group work by campaign with a counting pass; each group keeps
+  // arrival order, so a campaign's event sequence is independent of
+  // reactor placement and thread count.
+  touched_.clear();
+  for (const ReactorWork& work : tick_) {
+    if (group_next_[work.request.campaign]++ == 0) {
+      touched_.push_back(work.request.campaign);
     }
-    it->second.push_back(i);
+  }
+  groups_.resize(touched_.size());
+  std::uint32_t at = 0;
+  for (std::size_t g = 0; g < touched_.size(); ++g) {
+    std::uint32_t& next = group_next_[touched_[g]];
+    groups_[g] = TickGroup{at, at + next};
+    at += next;
+    next = groups_[g].first;
+  }
+  grouped_.resize(tick_.size());
+  for (std::size_t i = 0; i < tick_.size(); ++i) {
+    grouped_[group_next_[tick_[i].request.campaign]++] =
+        static_cast<std::uint32_t>(i);
+  }
+  for (const std::uint32_t campaign : touched_) {
+    group_next_[campaign] = 0;
   }
   // Every request applies in full before the next one runs, so a query
   // always reads current state. events_batched / batch_flushes count
   // the events in each campaign's runs of consecutive write frames and
-  // the number of such runs. Stats are per-group locals summed
-  // afterwards: groups may run on pool threads and must not race on
-  // the counters.
-  struct GroupStats {
-    std::uint64_t batched = 0;
-    std::uint64_t runs = 0;
-  };
-  std::vector<GroupStats> group_stats(order.size());
+  // the number of such runs. Each group counts into its own TickGroup,
+  // summed afterwards: groups may run on pool threads and must not race
+  // on the counters.
   const auto run_group = [&](std::size_t g) {
+    TickGroup& group = groups_[g];
     bool in_run = false;
-    for (const std::size_t i : groups[order[g]]) {
-      ReactorWork& work = tick[i];
+    for (std::uint32_t k = group.first; k < group.last; ++k) {
+      ReactorWork& work = tick_[grouped_[k]];
       const MsgType type = work.request.type;
       const bool is_event = is_write(type);
       if (is_event && !in_run) {
-        ++group_stats[g].runs;
+        ++group.runs;
       }
       in_run = is_event;
       work.response = server_.apply_request(work.request);
       if (type == MsgType::kEventBatch) {
-        group_stats[g].batched += work.response.batch_results.size();
+        group.batched += work.response.batch_results.size();
       } else if (is_event && work.response.status != Status::kError) {
-        ++group_stats[g].batched;
+        ++group.batched;
       }
     }
   };
@@ -487,16 +513,16 @@ void Reactor::process_tick() {
   // the classic single-loop server did; with several reactors the
   // reactors themselves are the parallelism and each tick runs its
   // groups serially (shared-nothing, no pool contention).
-  if (reactor_count() == 1 && order.size() > 1) {
-    parallel_for(order.size(), run_group);
+  if (reactor_count() == 1 && groups_.size() > 1) {
+    parallel_for(groups_.size(), run_group);
   } else {
-    for (std::size_t g = 0; g < order.size(); ++g) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
       run_group(g);
     }
   }
-  for (const GroupStats& stats : group_stats) {
-    count(kEventsBatched, stats.batched);
-    count(kBatchFlushes, stats.runs);
+  for (const TickGroup& group : groups_) {
+    count(kEventsBatched, group.batched);
+    count(kBatchFlushes, group.runs);
   }
 
   if (server_.storage_ != nullptr) {
@@ -506,9 +532,10 @@ void Reactor::process_tick() {
     server_.storage_->commit();
   }
 
-  for (ReactorWork& work : tick) {
+  for (ReactorWork& work : tick_) {
     dispatch(work.origin, work.token, std::move(work.response));
   }
+  tick_.clear();
 }
 
 namespace {

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -14,9 +16,9 @@ namespace {
 
 [[noreturn]] void bad_line(const std::string& why, std::size_t line_number,
                            const std::string& line) {
-  require(false, "EventLog::parse: " + why + " on line " +
-                     std::to_string(line_number) + ": '" + line + "'");
-  std::abort();  // unreachable; require always throws on false
+  throw std::invalid_argument("EventLog::parse: " + why + " on line " +
+                              std::to_string(line_number) + ": '" + line +
+                              "'");
 }
 
 /// Strict whole-token u64: rejects empty, signs, and trailing characters

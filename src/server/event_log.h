@@ -100,12 +100,13 @@ class RecordingService {
   void replay(std::span<const Event> events) { service_.replay(events); }
 
   /// Restores a fresh service from a checkpoint (see
-  /// RewardService::adopt_snapshot): the tree is moved straight into
-  /// the service's arena and the accumulators are imported from the
-  /// blob. Incremental services require a non-empty matching blob.
+  /// RewardService::adopt_snapshot): the tree and the accumulator blob
+  /// are moved straight into the service. Incremental services require
+  /// a non-empty matching blob.
   void adopt_snapshot(Tree&& tree, std::uint64_t events_applied,
-                      const std::vector<double>& aggregates) {
-    service_.adopt_snapshot(std::move(tree), events_applied, aggregates);
+                      std::vector<double> aggregates) {
+    service_.adopt_snapshot(std::move(tree), events_applied,
+                            std::move(aggregates));
   }
 
   const RewardService& service() const { return service_; }

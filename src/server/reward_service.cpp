@@ -147,7 +147,7 @@ void RewardService::note_batch_fallback() const {
 }
 
 void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
-                                   const std::vector<double>& aggregates) {
+                                   std::vector<double> aggregates) {
   require(this->tree().node_count() == 1 && events_applied_ == 0,
           "RewardService::adopt_snapshot: service already has state");
   require(events_applied >= tree.participant_count(),
@@ -158,15 +158,13 @@ void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
       require(!aggregates.empty(),
               "RewardService::adopt_snapshot: incremental service needs the "
               "aggregate blob");
-      aggregate_state_->adopt_tree(std::move(tree));
-      aggregate_state_->import_aggregates(aggregates);
+      aggregate_state_->adopt(std::move(tree), std::move(aggregates));
       break;
     case Mode::kTdrm:
       require(!aggregates.empty(),
               "RewardService::adopt_snapshot: incremental service needs the "
               "aggregate blob");
-      rct_state_->adopt_tree(std::move(tree));
-      rct_state_->import_aggregates(aggregates);
+      rct_state_->adopt(std::move(tree), std::move(aggregates));
       break;
     case Mode::kBatch:
       // Batch rewards are a pure function of the tree; a stray blob

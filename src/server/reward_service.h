@@ -91,9 +91,10 @@ class RewardService {
   void flush_batch() {}
 
   /// Restores a freshly constructed service from a checkpoint: moves
-  /// the tree straight into the incremental state's arena and
-  /// overwrites the FP accumulators from `aggregates`, the blob
-  /// export_aggregates() produced on the snapshotting service — so the
+  /// the tree straight into the incremental state's arena and takes
+  /// the FP accumulators from `aggregates`, the blob
+  /// export_aggregates() produced on the snapshotting service (pass it
+  /// by move and the aggregate engine keeps its storage) — so the
   /// restored state is bit-identical to the uninterrupted run's, at
   /// O(n) column-adoption cost. Incremental modes require a non-empty
   /// blob (whose family must match aggregate_kind(); sizes are
@@ -104,7 +105,7 @@ class RewardService {
   /// straight from the page cache, and the first mutating event
   /// privatizes only the columns it touches.
   void adopt_snapshot(Tree&& tree, std::size_t events_applied,
-                      const std::vector<double>& aggregates);
+                      std::vector<double> aggregates);
 
   /// Flattens this service's incremental FP accumulators into an opaque
   /// double blob for snapshot persistence. Empty in batch mode.

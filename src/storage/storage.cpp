@@ -232,7 +232,7 @@ void restore_campaign_from_snapshot(RecordingService& campaign,
         "; refusing a restore that cannot resume bit for bit");
   }
   campaign.adopt_snapshot(std::move(snap.tree), snap.events_applied,
-                          snap.aggregates);
+                          std::move(snap.aggregates));
 }
 
 RecoveryResult recover_campaigns(const Mechanism& mechanism,
@@ -267,8 +267,9 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
     result.report.used_snapshot = true;
     result.report.snapshot_seq = snapshot_seq;
   }
-  // The services copied the aggregate blobs; free the decoded image
-  // before the tail replay grows the heap.
+  // The aggregate engines took their blobs by move (TDRM's chain state
+  // copied its three columns out of its blob); free what is left of
+  // the decoded image before the tail replay grows the heap.
   snapshot.reset();
   result.report.snapshot_s = monotonic_seconds() - stage_start;
 

@@ -125,13 +125,13 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
 
 /// Restores one freshly-constructed campaign from a decoded snapshot —
 /// the policy shared by recover_campaigns() and replica bootstrap:
-/// check the aggregate kind byte, then adopt the tree and import the
-/// blob (RewardService::adopt_snapshot). A blob of another accumulator
-/// family, or an incremental service without one, can only come from a
-/// foreign image (a service's mode is a pure function of its
-/// mechanism), so both throw std::runtime_error naming campaign `index`
-/// and the two kinds instead of serving a state that cannot resume bit
-/// for bit.
+/// check the aggregate kind byte, then move the tree and the blob into
+/// the service (RewardService::adopt_snapshot). A blob of another
+/// accumulator family, or an incremental service without one, can only
+/// come from a foreign image (a service's mode is a pure function of
+/// its mechanism), so both throw std::runtime_error naming campaign
+/// `index` and the two kinds instead of serving a state that cannot
+/// resume bit for bit.
 void restore_campaign_from_snapshot(RecordingService& campaign,
                                     CampaignSnapshot&& snap,
                                     std::size_t index);

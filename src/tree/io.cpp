@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -41,9 +43,10 @@ class Parser {
   }
 
   void expect(char ch) {
-    require(!at_end() && text_[pos_] == ch,
-            std::string("parse_tree: expected '") + ch + "' at offset " +
-                std::to_string(pos_));
+    if (at_end() || text_[pos_] != ch) {
+      throw std::invalid_argument(std::string("parse_tree: expected '") + ch +
+                                  "' at offset " + std::to_string(pos_));
+    }
     ++pos_;
   }
 
@@ -55,20 +58,24 @@ class Parser {
             text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
     }
-    require(pos_ > start, "parse_tree: expected a number at offset " +
-                              std::to_string(start));
+    if (pos_ == start) {
+      throw std::invalid_argument("parse_tree: expected a number at offset " +
+                                  std::to_string(start));
+    }
     const std::string token = text_.substr(start, pos_ - start);
     std::size_t consumed = 0;
     double value = 0.0;
     try {
       value = std::stod(token, &consumed);
     } catch (const std::exception&) {
-      require(false, "parse_tree: malformed number '" + token +
-                         "' at offset " + std::to_string(start));
+      throw std::invalid_argument("parse_tree: malformed number '" + token +
+                                  "' at offset " + std::to_string(start));
     }
-    require(consumed == token.size(),
-            "parse_tree: trailing characters in number '" + token +
-                "' at offset " + std::to_string(start));
+    if (consumed != token.size()) {
+      throw std::invalid_argument(
+          "parse_tree: trailing characters in number '" + token +
+          "' at offset " + std::to_string(start));
+    }
     return value;
   }
 
@@ -163,23 +170,32 @@ Tree parse_edge_list(const std::string& text) {
     double contribution = 0.0;
     char comma1 = 0, comma2 = 0;
     fields >> id >> comma1 >> parent >> comma2 >> contribution;
-    require(!fields.fail() && comma1 == ',' && comma2 == ',',
-            "parse_edge_list: malformed line " + std::to_string(line_number));
+    if (fields.fail() || comma1 != ',' || comma2 != ',') {
+      throw std::invalid_argument("parse_edge_list: malformed line " +
+                                  std::to_string(line_number));
+    }
     require(id >= 1, "parse_edge_list: node ids start at 1");
-    require(parent < id,
-            "parse_edge_list: parent id must be smaller than the node's "
-            "(line " + std::to_string(line_number) + ")");
+    if (parent >= id) {
+      throw std::invalid_argument(
+          "parse_edge_list: parent id must be smaller than the node's "
+          "(line " +
+          std::to_string(line_number) + ")");
+    }
     if (rows.size() < id) {
       rows.resize(id, Row{kInvalidNode, 0.0});
     }
-    require(rows[id - 1].parent == kInvalidNode,
-            "parse_edge_list: duplicate node id " + std::to_string(id));
+    if (rows[id - 1].parent != kInvalidNode) {
+      throw std::invalid_argument("parse_edge_list: duplicate node id " +
+                                  std::to_string(id));
+    }
     rows[id - 1] = Row{static_cast<NodeId>(parent), contribution};
   }
   Tree tree;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    require(rows[i].parent != kInvalidNode,
-            "parse_edge_list: missing node id " + std::to_string(i + 1));
+    if (rows[i].parent == kInvalidNode) {
+      throw std::invalid_argument("parse_edge_list: missing node id " +
+                                  std::to_string(i + 1));
+    }
     tree.add_node(rows[i].parent, rows[i].contribution);
   }
   return tree;

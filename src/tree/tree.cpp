@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.h"
 #include "util/parallel.h"
@@ -46,7 +47,11 @@ void Tree::reserve(std::size_t nodes) {
 }
 
 void Tree::check_node(NodeId u, const char* what) const {
-  require(contains(u), std::string(what) + ": node does not exist");
+  // The message is formatted only on the throwing branch: this check
+  // guards every ancestor step of an event's walk.
+  if (!contains(u)) [[unlikely]] {
+    throw std::invalid_argument(std::string(what) + ": node does not exist");
+  }
 }
 
 NodeId Tree::add_node(NodeId parent, double contribution) {

@@ -88,7 +88,14 @@ void BenchJson::add_digest(const std::string& name,
 std::string BenchJson::to_string() const {
   std::ostringstream out;
   out << "{\n  \"bench\": \"" << json_escape(bench_) << "\",\n"
-      << "  \"threads\": " << threads_ << ",\n  \"metrics\": {";
+      << "  \"threads\": " << threads_ << ",\n"
+      << "  \"host\": {\"nproc\": " << host_.nproc
+      << ", \"allowed_cpus\": " << host_.allowed_cpus
+      << ", \"cpu_model\": \"" << json_escape(host_.cpu_model)
+      << "\", \"kernel_release\": \"" << json_escape(host_.kernel_release)
+      << "\", \"build_type\": \"" << json_escape(host_.build_type)
+      << "\", \"git_revision\": \"" << json_escape(host_.git_revision)
+      << "\"},\n  \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    \""
         << json_escape(metrics_[i].first)

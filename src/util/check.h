@@ -4,23 +4,21 @@
 // throw std::invalid_argument on violation (the paper's parameter
 // constraints, e.g. `b <= (1-a)*Phi`, are enforced here so an invalid
 // mechanism can never be instantiated).
+//
+// Only literal messages are accepted. A `const std::string&` overload
+// would let a call site format its message (`"..." + std::to_string(x)`)
+// before the check runs, paying a heap allocation on every *passing*
+// call; on a per-ancestor-step check that cost several times the walk
+// it guarded. A message that needs formatting belongs on the throwing
+// branch: `if (!cond) throw std::invalid_argument(...)`.
 #pragma once
 
 #include <stdexcept>
-#include <string>
 
 namespace itree {
 
-/// Throws std::invalid_argument with `message` when `condition` is false.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) {
-    throw std::invalid_argument(message);
-  }
-}
-
-/// Literal-message overload: nothing is constructed on the success
-/// path, so per-node validation loops (Tree::adopt_columns) stay
-/// allocation-free.
+/// Throws std::invalid_argument with `message` when `condition` is
+/// false. Nothing is constructed on the success path.
 inline void require(bool condition, const char* message) {
   if (!condition) [[unlikely]] {
     throw std::invalid_argument(message);
@@ -29,12 +27,6 @@ inline void require(bool condition, const char* message) {
 
 /// Throws std::logic_error — used for internal invariants that indicate a
 /// bug in this library rather than caller error.
-inline void ensure(bool condition, const std::string& message) {
-  if (!condition) {
-    throw std::logic_error(message);
-  }
-}
-
 inline void ensure(bool condition, const char* message) {
   if (!condition) [[unlikely]] {
     throw std::logic_error(message);

@@ -10,6 +10,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -263,9 +264,11 @@ std::size_t hardware_thread_count() {
 }
 
 void set_thread_count(std::size_t n) {
-  require(n <= kMaxThreadCount,
-          "thread count " + std::to_string(n) + " exceeds the cap of " +
-              std::to_string(kMaxThreadCount));
+  if (n > kMaxThreadCount) {
+    throw std::invalid_argument("thread count " + std::to_string(n) +
+                                " exceeds the cap of " +
+                                std::to_string(kMaxThreadCount));
+  }
   ThreadPool::instance().resize(n == 0 ? hardware_thread_count() : n);
 }
 
