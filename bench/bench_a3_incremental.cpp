@@ -153,10 +153,6 @@ double run_large_stream(BenchHarness& harness, const LargeStreamSpec& spec,
   // Incremental pass over the full stream.
   Rng rng(seed);
   RewardService service(*mechanism);
-  if (!service.incremental()) {
-    std::cerr << prefix << " service is not incremental\n";
-    std::exit(1);
-  }
   double sink = 0.0;
   std::vector<double> latencies;
   latencies.reserve(events);

@@ -17,9 +17,9 @@
 // each request's scheduled arrival), --json <path>, --campaigns C
 // (default 4), --requests R per campaign (default 4000), --mechanism
 // NAME (default geometric; any make_mechanism name, e.g. l-luxor,
-// l-pachira, split-proof, tdrm, cdrm1, cdrm2). Every mechanism except
-// L-Pachira exercises an incremental serving path; the audit gate then
-// also covers incremental-vs-batch divergence, and
+// l-pachira, split-proof, tdrm, cdrm1, cdrm2). Every mechanism is
+// served incrementally (the aggregate engine, or TDRM's chain state);
+// the audit gate then also covers incremental-vs-batch divergence, and
 // reward_events_per_sec reports the join/contribute rate the daemon
 // sustained.
 //

@@ -37,9 +37,7 @@ int main() {
   contribute(ada, 2.0);
   const NodeId eve = join(cai, 1.0);
 
-  std::cout << "Live mechanism: " << live->display_name()
-            << (service.incremental() ? " (incremental fast path)\n"
-                                      : " (batch path)\n")
+  std::cout << "Live mechanism: " << live->display_name() << '\n'
             << "Events applied: " << service.events_applied() << "\n\n";
 
   TextTable table({"participant", "reward now"});

@@ -57,15 +57,16 @@ RewardVector cdrm_rewards(const Tree& tree, const Reward& reward) {
   return out;
 }
 
-/// The block form of the same pricing: R(x, y) from each node's own
-/// contribution x and subtree total x + y. R is evaluated for every
-/// node first and the zero-contribution guard applied in a second pass
-/// over the (cache-resident) block: neither loop has a conditional FP
-/// operation, so both vectorize where R does, and the guarded entries
-/// are the values the per-node hook returns.
+/// The pricing hook's form of the same pricing: R(x, y) from each
+/// node's own contribution x and subtree total x + y. R is evaluated
+/// for every node first and the zero-contribution guard applied in a
+/// second pass over the (cache-resident) block: neither loop has a
+/// conditional FP operation, so both vectorize where R does.
 template <typename Reward>
-void cdrm_block(std::span<const double> own, std::span<const double> subtree,
+void cdrm_block(const AggregateView& view, NodeId first,
                 std::span<double> out, const Reward& reward) {
+  const double* own = view.tree.contribution_array().data() + first;
+  const double* subtree = view.subtree.data() + first;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = reward(own[i], subtree[i] - own[i]);
   }
@@ -118,6 +119,18 @@ double CdrmMechanism::max_divergence(const Tree& tree,
   return cdrm_divergence(tree, served, function_);
 }
 
+void CdrmMechanism::rewards_from_aggregates(const AggregateView& view,
+                                            NodeId first,
+                                            std::span<double> out) const {
+  // Guard first: an arbitrary R need not be defined at x = 0.
+  const double* own = view.tree.contribution_array().data() + first;
+  const double* subtree = view.subtree.data() + first;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double x = own[i];
+    out[i] = (x > 0.0) ? function_(x, subtree[i] - x) : 0.0;
+  }
+}
+
 PropertySet CdrmMechanism::claimed_properties() const {
   // Theorem 5 + Theorem 3: everything except URO, and therefore PO
   // (property (iii) caps R below Phi*x <= x).
@@ -141,10 +154,8 @@ double CdrmReciprocal::max_divergence(const Tree& tree,
 }
 
 void CdrmReciprocal::rewards_from_aggregates(
-    std::span<const double> own, std::span<const double> subtree,
-    std::span<const std::uint32_t> /*binary_depth*/,
-    std::span<double> out) const {
-  cdrm_block(own, subtree, out, ReciprocalReward{Phi(), theta_});
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  cdrm_block(view, first, out, ReciprocalReward{Phi(), theta_});
 }
 
 CdrmLogarithmic::CdrmLogarithmic(BudgetParams budget, double theta)
@@ -164,10 +175,8 @@ double CdrmLogarithmic::max_divergence(const Tree& tree,
 }
 
 void CdrmLogarithmic::rewards_from_aggregates(
-    std::span<const double> own, std::span<const double> subtree,
-    std::span<const std::uint32_t> /*binary_depth*/,
-    std::span<double> out) const {
-  cdrm_block(own, subtree, out, LogarithmicReward{Phi(), theta_});
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  cdrm_block(view, first, out, LogarithmicReward{Phi(), theta_});
 }
 
 }  // namespace itree

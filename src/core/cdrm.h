@@ -49,13 +49,9 @@ class CdrmMechanism : public Mechanism {
   AggregateSupport aggregate_support() const override {
     return {.supported = true, .decay = 1.0};
   }
-  double reward_from_aggregates(
-      const NodeAggregates& aggregates) const override {
-    const double x = aggregates.own;
-    // Same zero-contribution guard as the batch kernel: R(x, y) is only
-    // constrained for x > 0.
-    return (x > 0.0) ? function_(x, aggregates.subtree - x) : 0.0;
-  }
+  /// R(x, y) per node over the type-erased CdrmFunction.
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
 
   /// Evaluates the underlying R(x, y).
   double reward_function(double x, double y) const { return function_(x, y); }
@@ -67,10 +63,9 @@ class CdrmMechanism : public Mechanism {
 };
 
 /// Algorithm 5(i): R(p) = (Phi - theta/(1 + x_p + y_p)) * x_p.
-/// Both proven instances run the batch sweeps and the block kernel
+/// Both proven instances run the batch sweeps and the pricing hook
 /// rewards_from_aggregates() with their concrete R, which inlines; their
-/// CdrmFunction serves reward_function() and the per-node aggregate
-/// hook.
+/// CdrmFunction serves reward_function().
 class CdrmReciprocal : public CdrmMechanism {
  public:
   CdrmReciprocal(BudgetParams budget, double theta);
@@ -78,9 +73,7 @@ class CdrmReciprocal : public CdrmMechanism {
   RewardVector compute(const Tree& tree) const override;
   double max_divergence(const Tree& tree,
                         ServedRewards& served) const override;
-  void rewards_from_aggregates(std::span<const double> own,
-                               std::span<const double> subtree,
-                               std::span<const std::uint32_t> binary_depth,
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
                                std::span<double> out) const override;
 
  private:
@@ -95,9 +88,7 @@ class CdrmLogarithmic : public CdrmMechanism {
   RewardVector compute(const Tree& tree) const override;
   double max_divergence(const Tree& tree,
                         ServedRewards& served) const override;
-  void rewards_from_aggregates(std::span<const double> own,
-                               std::span<const double> subtree,
-                               std::span<const std::uint32_t> binary_depth,
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
                                std::span<double> out) const override;
 
  private:

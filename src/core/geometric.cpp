@@ -28,9 +28,8 @@ RewardVector GeometricMechanism::compute(const Tree& tree) const {
 }
 
 void GeometricMechanism::rewards_from_aggregates(
-    std::span<const double> /*own*/, std::span<const double> subtree,
-    std::span<const std::uint32_t> /*binary_depth*/,
-    std::span<double> out) const {
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  const double* subtree = view.subtree.data() + first;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = b_ * subtree[i];
   }

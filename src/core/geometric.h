@@ -31,13 +31,7 @@ class GeometricMechanism : public Mechanism {
   AggregateSupport aggregate_support() const override {
     return {.supported = true, .decay = a_, .total_coefficient = b_};
   }
-  double reward_from_aggregates(
-      const NodeAggregates& aggregates) const override {
-    return b_ * aggregates.subtree;
-  }
-  void rewards_from_aggregates(std::span<const double> own,
-                               std::span<const double> subtree,
-                               std::span<const std::uint32_t> binary_depth,
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
                                std::span<double> out) const override;
 
   double a() const { return a_; }

@@ -28,30 +28,50 @@ IncrementalSubtreeState::IncrementalSubtreeState(Config config,
     : config_(config), tree_(initial) {
   require(config_.decay > 0.0 && config_.decay <= 1.0,
           "IncrementalSubtreeState: decay must be in (0, 1]");
-  sums_ = geometric_subtree_sums(tree_, config_.decay);
-  for (NodeId u = 1; u < tree_.node_count(); ++u) {
-    total_sum_ += sums_[u];
-  }
+  rebuild_sums();
   if (config_.track_binary_depth) {
     rebuild_binary_depths();
   }
 }
 
+void IncrementalSubtreeState::rebuild_sums() {
+  sums_ = geometric_subtree_sums(tree_, config_.decay);
+  const std::span<const double> contribution = tree_.contribution_array();
+  total_sum_ = 0.0;
+  for (NodeId u = 1; u < tree_.node_count(); ++u) {
+    total_sum_ += config_.own_weighted_total ? contribution[u] * sums_[u]
+                                             : sums_[u];
+  }
+}
+
+template <bool kOwnWeighted>
 void IncrementalSubtreeState::bubble_up(NodeId from, double delta) {
   // A contribution change of `delta` at `from` changes S(w) by
   // decay^{dep_w(from)} * delta for every ancestor w. total_sum_ gains
   // the same geometric series along the path, excluding the root.
+  // Own-weighted, the total is sum_u C(u) * S(u): each ancestor's term
+  // gains C(w) * scaled, and `from`'s (whose C already includes delta)
+  // gains (C_new + S_old) * delta — c^2 for a join. Every term is >= 0.
   NodeId w = from;
   double scaled = delta;
+  const double* contribution = tree_.contribution_array().data();
+  double weight = kOwnWeighted ? contribution[from] + sums_[from] : 1.0;
   while (true) {
     sums_[w] += scaled;
     if (w != kRoot) {
-      total_sum_ += scaled;
+      if constexpr (kOwnWeighted) {
+        total_sum_ += weight * scaled;
+      } else {
+        total_sum_ += scaled;
+      }
     }
     if (w == kRoot) {
       break;
     }
     w = tree_.parent(w);
+    if constexpr (kOwnWeighted) {
+      weight = contribution[w];
+    }
     scaled *= config_.decay;
     // Underflow early exit: delta >= 0 and decay in (0, 1] keep scaled
     // non-negative, so once it hits +0.0 every remaining ancestor would
@@ -137,7 +157,11 @@ NodeId IncrementalSubtreeState::add_leaf(NodeId parent, double contribution) {
     bd_second_.push_back(0);
     binary_depth_child_changed(parent, 0, 1);
   }
-  bubble_up(leaf, contribution);
+  if (config_.own_weighted_total) {
+    bubble_up<true>(leaf, contribution);
+  } else {
+    bubble_up<false>(leaf, contribution);
+  }
   return leaf;
 }
 
@@ -147,7 +171,11 @@ void IncrementalSubtreeState::add_contribution(NodeId u, double delta) {
   require(delta >= 0.0,
           "IncrementalSubtreeState::add_contribution: delta must be >= 0");
   tree_.set_contribution(u, tree_.contribution(u) + delta);
-  bubble_up(u, delta);
+  if (config_.own_weighted_total) {
+    bubble_up<true>(u, delta);
+  } else {
+    bubble_up<false>(u, delta);
+  }
 }
 
 double IncrementalSubtreeState::subtree_aggregate(NodeId u) const {
@@ -186,12 +214,16 @@ std::vector<double> IncrementalSubtreeState::export_aggregates() const {
 void IncrementalSubtreeState::adopt(Tree&& tree, std::vector<double> blob) {
   require(tree_.node_count() == 1,
           "IncrementalSubtreeState::adopt: state already has nodes");
-  require(blob.size() == tree.node_count() + 1,
+  require(blob.empty() || blob.size() == tree.node_count() + 1,
           "IncrementalSubtreeState::adopt: blob size mismatch");
   tree_ = std::move(tree);
-  total_sum_ = blob.back();
-  blob.pop_back();
-  sums_ = std::move(blob);
+  if (blob.empty()) {
+    rebuild_sums();
+  } else {
+    total_sum_ = blob.back();
+    blob.pop_back();
+    sums_ = std::move(blob);
+  }
   if (config_.track_binary_depth) {
     rebuild_binary_depths();
   }
@@ -212,10 +244,7 @@ IncrementalRctState::IncrementalRctState(const TdrmParams& params, double phi)
   p_.push_back(0.0);
 }
 
-IncrementalRctState::IncrementalRctState(const TdrmParams& params, double phi,
-                                         const Tree& initial)
-    : IncrementalRctState(params, phi) {
-  tree_ = initial;
+void IncrementalRctState::rebuild_all() {
   const std::size_t n = tree_.node_count();
   n_.assign(n, 0);
   d_.assign(n, 0.0);
@@ -363,9 +392,13 @@ void IncrementalRctState::adopt(Tree&& tree, std::vector<double> blob) {
   require(tree_.node_count() == 1,
           "IncrementalRctState::adopt: state already has nodes");
   const std::size_t n = tree.node_count();
-  require(blob.size() == 3 * n + 1,
+  require(blob.empty() || blob.size() == 3 * n + 1,
           "IncrementalRctState::adopt: blob size mismatch");
   tree_ = std::move(tree);
+  if (blob.empty()) {
+    rebuild_all();
+    return;
+  }
   const auto at = [&blob](std::size_t i) {
     return blob.begin() + static_cast<std::ptrdiff_t>(i);
   };

@@ -14,7 +14,8 @@
 //     (decay = 1 gives the plain total C(T_u) that CDRM's (x, y) split
 //     needs; decay = a gives the geometric sum S_a(u)), optionally plus
 //     the binary-subtree depth BD(u) the split-proof mechanism prices
-//     on. Mechanisms consume it via Mechanism::reward_from_aggregates().
+//     on, and one running total. Mechanisms price from it through
+//     Mechanism::rewards_from_aggregates().
 //   * IncrementalRctState: maintains the TDRM (Algorithm 4) chain
 //     aggregates on the *virtual* Reward Computation Tree, never
 //     materializing it.
@@ -46,6 +47,8 @@ class IncrementalSubtreeState {
   struct Config {
     double decay = 1.0;  ///< per-level weight, in (0, 1]
     bool track_binary_depth = false;
+    /// total_aggregate() is sum_u C(u) * S(u) instead of sum_u S(u).
+    bool own_weighted_total = false;
   };
 
   /// Plain totals, no binary depth (Config{} — spelled as two
@@ -76,7 +79,8 @@ class IncrementalSubtreeState {
   /// subtree_aggregate()).
   std::span<const double> subtree_aggregates() const;
 
-  /// Sum of S(u) over participants — maintained in O(1) per event.
+  /// Sum of S(u) over participants — or, under own_weighted_total, of
+  /// C(u) * S(u) — maintained in O(1) per ancestor step.
   double total_aggregate() const;
 
   /// BD(u): depth of the deepest embeddable binary subtree (Strahler
@@ -119,14 +123,21 @@ class IncrementalSubtreeState {
   /// the export_aggregates() of a state over an identical tree. The
   /// blob's storage becomes the S column as is (no copy, no zero-fill),
   /// so the state resumes bit-identically without any ancestor walks.
+  /// An empty blob (an image that kept no accumulators) rebuilds them
+  /// from the tree in O(n) instead, as the building constructor does.
   /// Binary depths, a pure integer function of the shape, are rebuilt
   /// exactly. Requires a fresh state.
   void adopt(Tree&& tree, std::vector<double> blob);
 
  private:
   /// Adds `delta` at `from` and decay-scaled along the root path,
-  /// accumulating the participant total.
+  /// accumulating the participant total (own-weighted when kOwnWeighted;
+  /// see bubble_up's definition).
+  template <bool kOwnWeighted>
   void bubble_up(NodeId from, double delta);
+
+  /// Recomputes S and the total from tree_ in O(n).
+  void rebuild_sums();
 
   /// Records that `child`'s BD changed (old_bd == 0: a new child) and
   /// propagates top-two-child updates upward until BD stabilizes.
@@ -145,7 +156,7 @@ class IncrementalSubtreeState {
   Config config_;
   Tree tree_;
   std::vector<double> sums_;  ///< S per node
-  double total_sum_ = 0.0;    ///< sum of S over participants
+  double total_sum_ = 0.0;    ///< see total_aggregate()
   // Binary-depth maintenance (track_binary_depth only): BD plus the
   // top-two child BDs per node, so a child's change updates the parent
   // in O(1) and propagation stops as soon as BD is unchanged.
@@ -187,10 +198,6 @@ class IncrementalRctState {
   /// `phi` is the fairness floor of the budget (Mechanism::phi()).
   IncrementalRctState(const TdrmParams& params, double phi);
 
-  /// Builds from an existing tree in O(sum of chain lengths).
-  IncrementalRctState(const TdrmParams& params, double phi,
-                      const Tree& initial);
-
   /// A join: adds a leaf, builds its chain, bubbles in O(depth).
   NodeId add_leaf(NodeId parent, double contribution);
 
@@ -220,11 +227,15 @@ class IncrementalRctState {
   /// ownership of a checkpointed tree and restores D/H/A from `blob`,
   /// the export_aggregates() of a state over an identical tree, each
   /// column written once. The pure-shape scalars (N, W, P) are
-  /// recomputed from contributions, which is exact. Requires a fresh
-  /// state.
+  /// recomputed from contributions, which is exact. An empty blob
+  /// rebuilds every chain from the tree instead, in O(sum of chain
+  /// lengths). Requires a fresh state.
   void adopt(Tree&& tree, std::vector<double> blob);
 
  private:
+  /// Rebuilds every chain and the total from tree_, children first.
+  void rebuild_all();
+
   /// Recomputes N/H/A/W/P for u's chain from C(u) and D(u). O(N_u).
   /// The caller owns the total_agg_ adjustment.
   void rebuild_chain(NodeId u);

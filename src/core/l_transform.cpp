@@ -1,5 +1,7 @@
 #include "core/l_transform.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -59,12 +61,15 @@ AggregateSupport LLuxorMechanism::aggregate_support() const {
           .total_coefficient = Phi() * (1.0 - luxor_.delta())};
 }
 
-double LLuxorMechanism::reward_from_aggregates(
-    const NodeAggregates& aggregates) const {
+void LLuxorMechanism::rewards_from_aggregates(
+    const AggregateView& view, NodeId first, std::span<double> out) const {
   // The effective geometric coefficient b = Phi*(1-delta); the subtree
   // aggregate is S_delta(u).
   const double b = Phi() * (1.0 - luxor_.delta());
-  return b * aggregates.subtree;
+  const double* subtree = view.subtree.data() + first;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = b * subtree[i];
+  }
 }
 
 PropertySet LLuxorMechanism::claimed_properties() const {
@@ -87,6 +92,30 @@ std::string LPachiraMechanism::params_string() const {
 
 RewardVector LPachiraMechanism::compute(const Tree& tree) const {
   return scaled_shares(pachira_, tree, Phi());
+}
+
+void LPachiraMechanism::rewards_from_aggregates(
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  // Pachira::shares() followed by scaled_shares(), on the served C(T_u):
+  // Phi*C(T) * (pi(S_u/C(T)) - sum over children c of pi(S_c/C(T))).
+  const double total = view.tree.total_contribution();
+  if (total <= 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const double scale = Phi() * total;
+  const double* subtree = view.subtree.data();
+  const NodeId* first_child = view.tree.first_child_array().data();
+  const NodeId* next_sibling = view.tree.next_sibling_array().data();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const NodeId u = static_cast<NodeId>(first + i);
+    double share = pachira_.pi(subtree[u] / total);
+    for (NodeId child = first_child[u]; child != kInvalidNode;
+         child = next_sibling[child]) {
+      share -= pachira_.pi(subtree[child] / total);
+    }
+    out[i] = share * scale;
+  }
 }
 
 PropertySet LPachiraMechanism::claimed_properties() const {

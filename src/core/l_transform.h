@@ -51,8 +51,8 @@ class LLuxorMechanism : public Mechanism {
   /// L-Luxor(delta) == Geometric(a=delta, b=Phi*(1-delta)), so the
   /// serving path is the decay-delta aggregate with that coefficient.
   AggregateSupport aggregate_support() const override;
-  double reward_from_aggregates(
-      const NodeAggregates& aggregates) const override;
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
 
   double delta() const { return luxor_.delta(); }
 
@@ -70,6 +70,15 @@ class LPachiraMechanism : public Mechanism {
   std::string params_string() const override;
   RewardVector compute(const Tree& tree) const override;
   PropertySet claimed_properties() const override;
+
+  /// share(u) telescopes over C(T_u) and the children's C(T_c), so the
+  /// plain (decay = 1) subtree total serves L-Pachira: a point read
+  /// costs O(1 + deg u) pi evaluations, a full pass about 2n.
+  AggregateSupport aggregate_support() const override {
+    return {.supported = true, .decay = 1.0};
+  }
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
 
   double beta() const { return pachira_.beta(); }
   double delta() const { return pachira_.delta(); }

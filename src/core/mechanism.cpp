@@ -28,24 +28,10 @@ Mechanism::Mechanism(BudgetParams budget) : budget_(budget) {
   budget_.validate();
 }
 
-double Mechanism::reward_from_aggregates(const NodeAggregates&) const {
-  throw std::logic_error("Mechanism::reward_from_aggregates: " + name() +
+void Mechanism::rewards_from_aggregates(const AggregateView&, NodeId,
+                                        std::span<double>) const {
+  throw std::logic_error("Mechanism::rewards_from_aggregates: " + name() +
                          " declares no aggregate support");
-}
-
-void Mechanism::rewards_from_aggregates(
-    std::span<const double> own, std::span<const double> subtree,
-    std::span<const std::uint32_t> binary_depth,
-    std::span<double> out) const {
-  NodeAggregates aggregates;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    aggregates.own = own[i];
-    aggregates.subtree = subtree[i];
-    if (!binary_depth.empty()) {
-      aggregates.binary_depth = binary_depth[i];
-    }
-    out[i] = reward_from_aggregates(aggregates);
-  }
 }
 
 double Mechanism::max_divergence(const Tree& tree,

@@ -9,9 +9,13 @@
 // Each mechanism has exactly one batch form, compute(const Tree&), which
 // sweeps the tree's arena columns in place (tree/subtree_sums.h explains
 // the descending-id sweep and why it is bit-identical to a postorder
-// walk). Serving deployments avoid it altogether through the aggregate
-// hooks below. RewardService::audit() checks the served rewards once
-// per payout through max_divergence(), which runs the same sweep.
+// walk). Serving deployments avoid it altogether: every factory
+// mechanism except TDRM (which keeps its own RCT chain state) declares
+// aggregate_support() and prices through one hook,
+// rewards_from_aggregates(), over the aggregates the engine keeps — for
+// one entry on a point read, for one block on a payout.
+// RewardService::audit() checks the served rewards once per payout
+// through max_divergence(), which runs the same sweep.
 #pragma once
 
 #include <algorithm>
@@ -31,37 +35,43 @@ namespace itree {
 /// Rewards indexed by NodeId; entry kRoot is always 0.
 using RewardVector = std::vector<double>;
 
-/// The per-participant ancestor aggregates a serving deployment
-/// maintains incrementally (core/incremental.h): everything a
-/// topology-light mechanism needs to price one participant in O(1).
-struct NodeAggregates {
-  /// C(u): the participant's own contribution.
-  double own = 0.0;
-  /// The decay-weighted subtree sum sum_{v in T_u} decay^{dep_u(v)} C(v)
-  /// under the decay this mechanism declared in aggregate_support().
-  /// With decay == 1 this is the plain subtree total C(T_u).
-  double subtree = 0.0;
-  /// BD(u), the deepest embeddable binary subtree (Strahler depth);
-  /// only populated when aggregate_support().binary_depth is set.
-  std::uint32_t binary_depth = 0;
-};
-
 /// A mechanism's declaration of how the generic ancestor-aggregate
-/// engine can serve it. When `supported`, RewardService maintains one
-/// decay-weighted subtree sum per node (plus the binary depth if
-/// requested) in O(depth) per event and answers reward queries through
-/// reward_from_aggregates() in O(1) — batch compute() never runs on the
-/// serving path.
+/// engine (core/incremental.h) can serve it. When `supported`,
+/// RewardService maintains one decay-weighted subtree sum per node (plus
+/// the binary depth if requested) in O(depth) per event and prices
+/// rewards through rewards_from_aggregates() — batch compute() never
+/// runs on the serving path.
 struct AggregateSupport {
   bool supported = false;
   /// Per-level weight of the maintained subtree sum, in (0, 1].
   double decay = 1.0;
   /// Additionally maintain BD(u) (the split-proof mechanism's input).
   bool binary_depth = false;
+  /// Keep the engine's running total as sum_u C(u) * S(u) instead of
+  /// sum_u S(u) (the normalized preliminary TDRM's raw reward total).
+  bool own_weighted_total = false;
   /// When > 0: the total reward is total_coefficient * (sum over
   /// participants of their subtree aggregate), answerable in O(1).
   /// 0 means "sum the per-participant rewards".
   double total_coefficient = 0.0;
+};
+
+/// What the aggregate engine keeps for one campaign, as the pricing
+/// hook reads it. Every span is indexed by node id.
+struct AggregateView {
+  /// The campaign tree: own contributions C(u), the child links and
+  /// C(T).
+  const Tree& tree;
+  /// S(u), the decay-weighted subtree sum sum_{v in T_u}
+  /// decay^{dep_u(v)} C(v) under the decay of aggregate_support(); with
+  /// decay == 1 the plain subtree total C(T_u).
+  std::span<const double> subtree;
+  /// BD(u), the deepest embeddable binary subtree (Strahler depth);
+  /// empty unless aggregate_support().binary_depth.
+  std::span<const std::uint32_t> binary_depth;
+  /// The engine's running total: sum_u S(u) over the participants, or
+  /// sum_u C(u) * S(u) under own_weighted_total.
+  double total = 0.0;
 };
 
 /// Entries one streamed block holds: served rewards on the payout path,
@@ -159,28 +169,20 @@ class Mechanism {
   virtual double reward_of(const Tree& tree, NodeId u) const;
 
   /// How the generic ancestor-aggregate engine can serve this
-  /// mechanism; default: not at all (batch mode). Overriders must also
-  /// implement reward_from_aggregates() with arithmetic matching their
-  /// serving-path expectations (tests audit incremental vs batch).
+  /// mechanism; default: not at all. Overriders must also implement
+  /// rewards_from_aggregates() with arithmetic matching compute() (tests
+  /// audit served against batch).
   virtual AggregateSupport aggregate_support() const { return {}; }
 
-  /// O(1) reward from the maintained aggregates. Only called when
-  /// aggregate_support().supported; the base throws std::logic_error.
-  /// Must be a pure function of `aggregates` (same thread-safety
-  /// contract as compute()).
-  virtual double reward_from_aggregates(const NodeAggregates& aggregates) const;
-
-  /// Block form of reward_from_aggregates(): out[i] is the reward of
-  /// the node with aggregates (own[i], subtree[i], binary_depth[i]),
-  /// bit for bit. `binary_depth` is empty unless aggregate_support()
-  /// asks for it; the other spans have out.size() entries. One virtual
-  /// call per block: the default loops over reward_from_aggregates(),
-  /// and the mechanisms on the payout path override it with a typed
-  /// loop. Same thread-safety contract as compute().
-  virtual void rewards_from_aggregates(
-      std::span<const double> own, std::span<const double> subtree,
-      std::span<const std::uint32_t> binary_depth,
-      std::span<double> out) const;
+  /// The one pricing hook: out[i] is the reward of node first + i, read
+  /// from the engine's aggregates. RewardService calls it for one entry
+  /// on a point read and for one block on a payout, so both carry the
+  /// same bits. Only called when aggregate_support().supported, and
+  /// never for the root; the base throws std::logic_error. Same
+  /// thread-safety contract as compute().
+  virtual void rewards_from_aggregates(const AggregateView& view,
+                                       NodeId first,
+                                       std::span<double> out) const;
 
   /// The property subset the paper claims for this mechanism.
   virtual PropertySet claimed_properties() const = 0;

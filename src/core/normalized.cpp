@@ -32,6 +32,21 @@ RewardVector NormalizedPreliminaryTdrm::compute(const Tree& tree) const {
   return out;
 }
 
+void NormalizedPreliminaryTdrm::rewards_from_aggregates(
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  raw_.rewards_from_aggregates(view, first, out);
+  // compute()'s rule, with the raw total read from the engine instead
+  // of summed over the vector.
+  const double total = raw_.b() * view.total;
+  const double cap = Phi() * view.tree.total_contribution();
+  if (total > cap && total > 0.0) {
+    const double scale = cap / total;
+    for (double& r : out) {
+      r *= scale;
+    }
+  }
+}
+
 PropertySet NormalizedPreliminaryTdrm::claimed_properties() const {
   // What survives the global rescaling (measured; see
   // normalized_test.cpp): the budget is restored, CCI/PO/URO remain, and

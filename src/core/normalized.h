@@ -31,6 +31,17 @@ class NormalizedPreliminaryTdrm : public Mechanism {
   /// The scaling factor applied for this tree (1 when within budget).
   double scale_for(const Tree& tree) const;
 
+  /// raw(u) = C(u) * b * S_a(u) is PreliminaryTDRM's, and the raw total
+  /// b * sum_u C(u) * S_a(u) is the engine's own-weighted running total,
+  /// so the aggregate engine serves the rescaled rewards too.
+  AggregateSupport aggregate_support() const override {
+    return {.supported = true,
+            .decay = raw_.a(),
+            .own_weighted_total = true};
+  }
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
+
  private:
   PreliminaryTdrm raw_;
 };

@@ -34,13 +34,17 @@ RewardVector SplitProofMechanism::compute(const Tree& tree) const {
   return out;
 }
 
-double SplitProofMechanism::reward_from_aggregates(
-    const NodeAggregates& aggregates) const {
+void SplitProofMechanism::rewards_from_aggregates(
+    const AggregateView& view, NodeId first, std::span<double> out) const {
   // Identical expression to compute(), so the serving path is
   // bit-for-bit the batch reward (BD is an integer, maintained exactly).
-  const double depth_bonus =
-      1.0 - std::exp2(1.0 - static_cast<double>(aggregates.binary_depth));
-  return aggregates.own * (b_ + lambda_ * depth_bonus);
+  const double* own = view.tree.contribution_array().data() + first;
+  const std::uint32_t* depth = view.binary_depth.data() + first;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double depth_bonus =
+        1.0 - std::exp2(1.0 - static_cast<double>(depth[i]));
+    out[i] = own[i] * (b_ + lambda_ * depth_bonus);
+  }
 }
 
 PropertySet SplitProofMechanism::claimed_properties() const {

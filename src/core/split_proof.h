@@ -42,8 +42,8 @@ class SplitProofMechanism : public Mechanism {
   AggregateSupport aggregate_support() const override {
     return {.supported = true, .decay = 1.0, .binary_depth = true};
   }
-  double reward_from_aggregates(
-      const NodeAggregates& aggregates) const override;
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
 
   double b() const { return b_; }
   double lambda() const { return lambda_; }

@@ -26,6 +26,15 @@ RewardVector PreliminaryTdrm::compute(const Tree& tree) const {
   return out;
 }
 
+void PreliminaryTdrm::rewards_from_aggregates(
+    const AggregateView& view, NodeId first, std::span<double> out) const {
+  const double* own = view.tree.contribution_array().data() + first;
+  const double* subtree = view.subtree.data() + first;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = own[i] * b_ * subtree[i];
+  }
+}
+
 PropertySet PreliminaryTdrm::claimed_properties() const {
   // "Not a correct reward mechanism" (Alg. 3): the quadratic form loses
   // the budget constraint; phi-RPC also has no floor for small

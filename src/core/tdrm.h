@@ -39,10 +39,8 @@ class PreliminaryTdrm : public Mechanism {
   AggregateSupport aggregate_support() const override {
     return {.supported = true, .decay = a_};
   }
-  double reward_from_aggregates(
-      const NodeAggregates& aggregates) const override {
-    return aggregates.own * b_ * aggregates.subtree;
-  }
+  void rewards_from_aggregates(const AggregateView& view, NodeId first,
+                               std::span<double> out) const override;
 
   double a() const { return a_; }
   double b() const { return b_; }

@@ -30,6 +30,9 @@ constexpr double kDrainDeadlineSeconds = 5.0;
 /// Response chunks are coalesced up to this size, then a fresh chunk
 /// starts; a flush gathers up to kMaxFlushIov chunks into one sendmsg.
 constexpr std::size_t kOutChunkBytes = 256 * 1024;
+/// Largest drained chunk kept as the loop's spare: one per loop, so
+/// its memory does not grow with the number of sessions.
+constexpr std::size_t kSpareChunkBytes = 64 * 1024;
 constexpr int kMaxFlushIov = 64;
 
 /// One vectored sendmsg(MSG_NOSIGNAL) attempt with EINTR retry (the
@@ -336,7 +339,10 @@ void EventLoop::deliver(Session& session, std::uint64_t seq,
 std::string& EventLoop::tail_chunk(Session& session) {
   if (session.outq.empty() ||
       session.outq.back().size() >= kOutChunkBytes) {
-    session.outq.emplace_back();
+    // Reuses the spare's buffer when there is one; leaves it empty.
+    session.outq.push_back(std::move(spare_chunk_));
+    spare_chunk_.clear();
+    session.outq.back().clear();
   }
   return session.outq.back();
 }
@@ -399,6 +405,10 @@ void EventLoop::flush(Session& session) {
         const std::size_t avail = front.size() - session.front_sent;
         if (sent >= avail) {
           sent -= avail;
+          if (front.capacity() <= kSpareChunkBytes &&
+              front.capacity() > spare_chunk_.capacity()) {
+            spare_chunk_ = std::move(front);
+          }
           session.outq.pop_front();
           session.front_sent = 0;
         } else {

@@ -20,7 +20,10 @@
 //   * writing: released frames coalesce into 256 KiB chunks, and a
 //     flush gathers up to 64 chunks into one sendmsg. A response that
 //     comes already framed (a REWARDS vector) or a held frame of at
-//     least a chunk is queued as a chunk of its own, not copied.
+//     least a chunk is queued as a chunk of its own, not copied. The
+//     loop keeps one drained chunk of at most 64 KiB capacity as a
+//     spare for the next new chunk of any session, so a connection
+//     that drains between responses does not allocate per response.
 //   * slow-reader backpressure: past max_write_buffer pending bytes a
 //     session is not read until it drains below half the mark.
 //   * idle sessions are closed after idle_timeout_seconds.
@@ -230,6 +233,7 @@ class EventLoop {
   std::uint64_t next_serial_ = 0;
   std::vector<std::unique_ptr<Session>> sessions_;  ///< indexed by fd
   std::vector<int> touched_;  ///< fds with queued output this pass
+  std::string spare_chunk_;   ///< a drained out-queue chunk; see tail_chunk
   std::atomic<std::uint64_t> counters_[kCounterCount] = {};
 };
 

@@ -155,6 +155,8 @@ struct StatsBody {
   std::uint64_t events = 0;
   std::uint64_t participants = 0;
   double total_reward = 0.0;
+  /// Always true since every served mechanism is incremental; kept so
+  /// the STATS wire format does not change.
   bool incremental = false;
 
   bool operator==(const StatsBody&) const = default;

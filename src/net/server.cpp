@@ -588,12 +588,6 @@ Server::Server(const Mechanism& mechanism, ServerConfig config)
       campaigns_.push_back(owned_campaigns_.back().get());
     }
   }
-  // After recovery: recovery itself only applies events, which strict
-  // mode never rejects.
-  for (RecordingService* campaign : campaigns_) {
-    campaign->set_require_incremental(config_.require_incremental);
-  }
-
   reactors_.reserve(config_.reactors);
   reactors_.push_back(std::make_unique<Reactor>(*this, 0, config_.port));
   port_ = reactors_[0]->loop().port();
@@ -787,7 +781,8 @@ Response Server::apply_request(const Request& request) {
         response.stats.participants =
             campaign.service().tree().participant_count();
         response.stats.total_reward = campaign.service().total_reward();
-        response.stats.incremental = campaign.service().incremental();
+        // Every served mechanism is incremental; the wire field stays.
+        response.stats.incremental = true;
         break;
       case MsgType::kShutdown:
       case MsgType::kServerStats:

@@ -105,11 +105,6 @@ struct ServerConfig {
   /// Whether a SHUTDOWN frame drains the server (a private deployment
   /// convenience; disable when clients are untrusted).
   bool allow_remote_shutdown = true;
-  /// Strict serving mode: reward queries on a mechanism without an
-  /// incremental path are rejected with a stable error frame instead of
-  /// silently running an O(n) batch compute per query (see
-  /// RewardServiceOptions::require_incremental).
-  bool require_incremental = false;
   /// Crash-safe persistence, active when `storage.data_dir` is
   /// non-empty: state recovers from the data directory at startup,
   /// every accepted event is WAL-logged, and each reactor tick

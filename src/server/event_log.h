@@ -75,19 +75,14 @@ class EventLog {
 /// compacted log (EventLog::from_tree) when a text form is wanted.
 class RecordingService {
  public:
-  explicit RecordingService(const Mechanism& mechanism,
-                            RewardServiceOptions options = {})
-      : service_(mechanism, options) {}
+  explicit RecordingService(const Mechanism& mechanism)
+      : service_(mechanism) {}
 
   NodeId join(NodeId referrer, double initial_contribution) {
     return service_.apply(JoinEvent{referrer, initial_contribution});
   }
   void contribute(NodeId participant, double amount) {
     service_.apply(ContributeEvent{participant, amount});
-  }
-
-  void set_require_incremental(bool strict) {
-    service_.set_require_incremental(strict);
   }
 
   /// Applies any event (join or contribute); returns the assigned id
@@ -101,8 +96,8 @@ class RecordingService {
 
   /// Restores a fresh service from a checkpoint (see
   /// RewardService::adopt_snapshot): the tree and the accumulator blob
-  /// are moved straight into the service. Incremental services require
-  /// a non-empty matching blob.
+  /// are moved straight into the service. An empty blob rebuilds the
+  /// accumulators from the tree.
   void adopt_snapshot(Tree&& tree, std::uint64_t events_applied,
                       std::vector<double> aggregates) {
     service_.adopt_snapshot(std::move(tree), events_applied,

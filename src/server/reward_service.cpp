@@ -1,7 +1,6 @@
 #include "server/reward_service.h"
 
 #include <algorithm>
-#include <iostream>
 #include <span>
 #include <stdexcept>
 
@@ -10,34 +9,26 @@
 
 namespace itree {
 
-RewardService::RewardService(const Mechanism& mechanism,
-                             RewardServiceOptions options)
-    : mechanism_(&mechanism), options_(options) {
+RewardService::RewardService(const Mechanism& mechanism)
+    : mechanism_(&mechanism), support_(mechanism.aggregate_support()) {
   // Mechanisms declare their own aggregate needs; the service just
   // instantiates the matching engine. TDRM's chain state is the one
   // bespoke path left (its aggregates live on the virtual RCT, not the
   // referral tree).
-  support_ = mechanism_->aggregate_support();
   if (support_.supported) {
-    mode_ = Mode::kAggregate;
     aggregate_state_.emplace(IncrementalSubtreeState::Config{
-        support_.decay, support_.binary_depth});
+        support_.decay, support_.binary_depth, support_.own_weighted_total});
   } else if (const auto* tdrm = dynamic_cast<const Tdrm*>(mechanism_)) {
-    mode_ = Mode::kTdrm;
     rct_state_.emplace(tdrm->params(), tdrm->phi());
+  } else {
+    throw std::invalid_argument("RewardService: mechanism '" +
+                                mechanism_->display_name() +
+                                "' has no incremental serving path");
   }
 }
 
 const Tree& RewardService::tree() const {
-  switch (mode_) {
-    case Mode::kAggregate:
-      return aggregate_state_->tree();
-    case Mode::kTdrm:
-      return rct_state_->tree();
-    case Mode::kBatch:
-      break;
-  }
-  return batch_tree_;
+  return aggregate_state_ ? aggregate_state_->tree() : rct_state_->tree();
 }
 
 NodeId RewardService::apply(const JoinEvent& event) {
@@ -45,20 +36,11 @@ NodeId RewardService::apply(const JoinEvent& event) {
           "RewardService: initial contribution must be >= 0");
   // Counter and cache state change only after the event validated and
   // applied: a rejected event must leave the service untouched.
-  NodeId id = kInvalidNode;
-  switch (mode_) {
-    case Mode::kAggregate:
-      id = aggregate_state_->add_leaf(event.referrer,
-                                      event.initial_contribution);
-      break;
-    case Mode::kTdrm:
-      id = rct_state_->add_leaf(event.referrer, event.initial_contribution);
-      break;
-    case Mode::kBatch:
-      id = batch_tree_.add_node(event.referrer,
-                                event.initial_contribution);
-      break;
-  }
+  const NodeId id =
+      aggregate_state_
+          ? aggregate_state_->add_leaf(event.referrer,
+                                       event.initial_contribution)
+          : rct_state_->add_leaf(event.referrer, event.initial_contribution);
   ++events_applied_;
   dirty_ = true;
   return id;
@@ -66,21 +48,10 @@ NodeId RewardService::apply(const JoinEvent& event) {
 
 void RewardService::apply(const ContributeEvent& event) {
   require(event.amount >= 0.0, "RewardService: amount must be >= 0");
-  switch (mode_) {
-    case Mode::kAggregate:
-      aggregate_state_->add_contribution(event.participant, event.amount);
-      break;
-    case Mode::kTdrm:
-      rct_state_->add_contribution(event.participant, event.amount);
-      break;
-    case Mode::kBatch:
-      require(batch_tree_.contains(event.participant) &&
-                  event.participant != kRoot,
-              "RewardService: unknown participant");
-      batch_tree_.set_contribution(
-          event.participant,
-          batch_tree_.contribution(event.participant) + event.amount);
-      break;
+  if (aggregate_state_) {
+    aggregate_state_->add_contribution(event.participant, event.amount);
+  } else {
+    rct_state_->add_contribution(event.participant, event.amount);
   }
   ++events_applied_;
   dirty_ = true;
@@ -108,7 +79,7 @@ NodeId event_node(const Event& event) {
 }  // namespace
 
 void RewardService::replay(std::span<const Event> events) {
-  if (mode_ != Mode::kAggregate) {
+  if (!aggregate_state_) {
     for (const Event& event : events) {
       apply(event);
     }
@@ -132,20 +103,6 @@ void RewardService::replay(std::span<const Event> events) {
   }
 }
 
-void RewardService::note_batch_fallback() const {
-  if (options_.require_incremental) {
-    throw std::invalid_argument("RewardService: mechanism '" +
-                                mechanism_->display_name() +
-                                "' has no incremental serving path");
-  }
-  if (!warned_batch_fallback_) {
-    warned_batch_fallback_ = true;
-    std::cerr << "reward service: falling back to O(n) batch compute for "
-              << mechanism_->display_name()
-              << " (no incremental path); further fallbacks not logged\n";
-  }
-}
-
 void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
                                    std::vector<double> aggregates) {
   require(this->tree().node_count() == 1 && events_applied_ == 0,
@@ -153,118 +110,74 @@ void RewardService::adopt_snapshot(Tree&& tree, std::size_t events_applied,
   require(events_applied >= tree.participant_count(),
           "RewardService::adopt_snapshot: event counter below "
           "participant count");
-  switch (mode_) {
-    case Mode::kAggregate:
-      require(!aggregates.empty(),
-              "RewardService::adopt_snapshot: incremental service needs the "
-              "aggregate blob");
-      aggregate_state_->adopt(std::move(tree), std::move(aggregates));
-      break;
-    case Mode::kTdrm:
-      require(!aggregates.empty(),
-              "RewardService::adopt_snapshot: incremental service needs the "
-              "aggregate blob");
-      rct_state_->adopt(std::move(tree), std::move(aggregates));
-      break;
-    case Mode::kBatch:
-      // Batch rewards are a pure function of the tree; a stray blob
-      // from a differently-configured writer is irrelevant here.
-      batch_tree_ = std::move(tree);
-      break;
+  if (aggregate_state_) {
+    aggregate_state_->adopt(std::move(tree), std::move(aggregates));
+  } else {
+    rct_state_->adopt(std::move(tree), std::move(aggregates));
   }
   events_applied_ = events_applied;
   dirty_ = true;
 }
 
 std::vector<double> RewardService::export_aggregates() const {
-  switch (mode_) {
-    case Mode::kAggregate:
-      return aggregate_state_->export_aggregates();
-    case Mode::kTdrm:
-      return rct_state_->export_aggregates();
-    case Mode::kBatch:
-      break;
-  }
-  return {};
+  return aggregate_state_ ? aggregate_state_->export_aggregates()
+                          : rct_state_->export_aggregates();
 }
 
 AggregateKind RewardService::aggregate_kind() const {
-  switch (mode_) {
-    case Mode::kAggregate:
-      return AggregateKind::kAggregateEngine;
-    case Mode::kTdrm:
-      return AggregateKind::kRctChain;
-    case Mode::kBatch:
-      break;
-  }
-  return AggregateKind::kNone;
+  return aggregate_state_ ? AggregateKind::kAggregateEngine
+                          : AggregateKind::kRctChain;
+}
+
+AggregateView RewardService::aggregate_view() const {
+  return AggregateView{
+      .tree = aggregate_state_->tree(),
+      .subtree = aggregate_state_->subtree_aggregates(),
+      .binary_depth = support_.binary_depth
+                          ? aggregate_state_->binary_depths()
+                          : std::span<const std::uint32_t>{},
+      .total = aggregate_state_->total_aggregate()};
 }
 
 double RewardService::reward(NodeId participant) const {
   require(participant != kRoot && tree().contains(participant),
           "RewardService::reward: unknown participant");
-  switch (mode_) {
-    case Mode::kAggregate: {
-      NodeAggregates aggregates;
-      aggregates.own = aggregate_state_->tree().contribution(participant);
-      aggregates.subtree = aggregate_state_->subtree_aggregate(participant);
-      if (support_.binary_depth) {
-        aggregates.binary_depth = aggregate_state_->binary_depth(participant);
-      }
-      return mechanism_->reward_from_aggregates(aggregates);
-    }
-    case Mode::kTdrm:
-      return rct_state_->reward(participant);
-    case Mode::kBatch:
-      break;
+  if (!aggregate_state_) {
+    return rct_state_->reward(participant);
   }
-  return rewards()[participant];
+  double out = 0.0;
+  mechanism_->rewards_from_aggregates(aggregate_view(), participant,
+                                      std::span<double>(&out, 1));
+  return out;
 }
 
 void RewardService::fill_rewards(NodeId first, std::span<double> out) const {
   require(first <= tree().node_count() &&
               out.size() <= tree().node_count() - first,
           "RewardService::fill_rewards: block past the last node");
-  if (mode_ == Mode::kBatch) {
-    const RewardVector& batch = rewards();
-    std::copy_n(batch.begin() + first, out.size(), out.begin());
+  if (out.empty()) {
     return;
   }
-  // The same arithmetic reward(u) does per node, without its per-call
-  // checks. The batch mechanism is deliberately not touched (tests
-  // instrument compute() to prove this stays true).
-  if (mode_ == Mode::kAggregate) {
-    const std::size_t count = out.size();
-    const std::span<const std::uint32_t> binary_depth =
-        support_.binary_depth
-            ? aggregate_state_->binary_depths().subspan(first, count)
-            : std::span<const std::uint32_t>{};
-    mechanism_->rewards_from_aggregates(
-        aggregate_state_->tree().contribution_array().subspan(first, count),
-        aggregate_state_->subtree_aggregates().subspan(first, count),
-        binary_depth, out);
-  } else {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const NodeId u = static_cast<NodeId>(first + i);
-      out[i] = u == kRoot ? 0.0 : rct_state_->reward(u);
-    }
-  }
-  if (first == kRoot && !out.empty()) {
+  // The hook is never asked for the root: its entry is 0 here.
+  if (first == kRoot) {
     out[0] = 0.0;
+    out = out.subspan(1);
+    first = 1;
+  }
+  // The same arithmetic reward(u) does, without its per-call checks.
+  // The batch mechanism is deliberately not touched (tests instrument
+  // compute() to prove this stays true).
+  if (aggregate_state_) {
+    mechanism_->rewards_from_aggregates(aggregate_view(), first, out);
+    return;
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = rct_state_->reward(static_cast<NodeId>(first + i));
   }
 }
 
 void RewardService::visit_rewards(const RewardBlockVisitor& visit) const {
   const std::size_t n = tree().node_count();
-  if (mode_ == Mode::kBatch) {
-    const RewardVector& batch = rewards();
-    for (std::size_t first = 0; first < n; first += kStreamBlock) {
-      visit(static_cast<NodeId>(first),
-            std::span<const double>(batch).subspan(
-                first, std::min(kStreamBlock, n - first)));
-    }
-    return;
-  }
   double block[kStreamBlock];
   for (std::size_t first = 0; first < n; first += kStreamBlock) {
     const std::span<double> out(block, std::min(kStreamBlock, n - first));
@@ -274,29 +187,21 @@ void RewardService::visit_rewards(const RewardBlockVisitor& visit) const {
 }
 
 const RewardVector& RewardService::rewards() const {
-  if (mode_ == Mode::kBatch && options_.require_incremental) {
-    note_batch_fallback();  // throws
-  }
   if (dirty_) {
-    if (mode_ == Mode::kBatch) {
-      note_batch_fallback();  // logs once
-      cached_rewards_ = mechanism_->compute(tree());
-    } else {
-      cached_rewards_.resize(tree().node_count());
-      fill_rewards(kRoot, cached_rewards_);
-    }
+    cached_rewards_.resize(tree().node_count());
+    fill_rewards(kRoot, cached_rewards_);
     dirty_ = false;
   }
   return cached_rewards_;
 }
 
 double RewardService::total_reward() const {
-  if (mode_ == Mode::kAggregate && support_.total_coefficient > 0.0) {
+  if (aggregate_state_ && support_.total_coefficient > 0.0) {
     // R(u) = coeff * S(u) summed over participants: O(1) from the
     // engine's running total.
     return support_.total_coefficient * aggregate_state_->total_aggregate();
   }
-  if (mode_ == Mode::kTdrm) {
+  if (rct_state_) {
     return rct_state_->total_reward();
   }
   // itree::total_reward(rewards()) without the vector: the same
@@ -311,9 +216,6 @@ double RewardService::total_reward() const {
 }
 
 double RewardService::audit() const {
-  if (mode_ == Mode::kBatch) {
-    return 0.0;
-  }
   // The served values, bit-identical to reward(u), are priced block by
   // block as the batch sweep reaches them; no served vector is built.
   ServedRewards served(tree().node_count(),

@@ -1,27 +1,26 @@
 // Event-sourced reward service: the deployment-facing API.
 //
-// Wraps a mechanism behind an event stream. Mechanisms that declare
-// aggregate support (Mechanism::aggregate_support() — Geometric,
-// L-Luxor, the CDRM family, split-proof, PreliminaryTDRM) are served by
-// the generic ancestor-aggregate engine (core/incremental.h): O(depth)
-// per event, O(1) per reward query via
-// Mechanism::reward_from_aggregates(). TDRM keeps its dedicated
-// virtual-RCT chain state. Every other mechanism falls back to a
-// dirty-cached batch computation — logged once per service, or rejected
-// with a stable error when `require_incremental` is set (strict serving
-// deployments want a loud failure, not a silent O(n)-per-query cliff).
+// Wraps a mechanism behind an event stream. Every factory mechanism is
+// served incrementally, in one of two modes:
+//   * the generic ancestor-aggregate engine (core/incremental.h) for
+//     every mechanism that declares Mechanism::aggregate_support() —
+//     Geometric, L-Luxor, L-Pachira, the CDRM family, split-proof and
+//     both preliminary TDRMs: O(depth) per event, and rewards priced
+//     through the one hook Mechanism::rewards_from_aggregates();
+//   * TDRM's dedicated virtual-RCT chain state.
+// A mechanism with neither (a generic L-transform, say) is refused by
+// the constructor, once, instead of being served by O(n) recomputes.
 //
 // Every apply() finishes its event's ancestor walk before it returns,
 // so the engine state is complete between calls and no const query
 // writes it (rewards() fills only its own cache).
 //
 // Payout: the served vector is streamed, not kept. fill_rewards() prices
-// one block of ids through Mechanism::rewards_from_aggregates() — one
-// virtual call per block — and visit_rewards() walks the whole vector
-// block by block, so a REWARDS frame, total_reward() and audit() read
-// the aggregate columns directly and leave nothing behind. rewards()
-// materializes the vector for in-process callers (same kernel, same
-// bits); batch-mode services keep it as their cache.
+// one block of ids through the pricing hook — one virtual call per
+// block — and visit_rewards() walks the whole vector block by block, so
+// a REWARDS frame, total_reward() and audit() read the aggregate
+// columns directly and leave nothing behind. rewards() materializes the
+// vector for in-process callers (same kernel, same bits).
 //
 // `audit()` recomputes from scratch and reports the largest divergence
 // — the operation a real deployment runs before paying out. It is the
@@ -46,25 +45,19 @@ namespace itree {
 /// (storage/snapshot.h), so recovery can detect a blob written by a
 /// differently-configured service instead of mis-importing it.
 enum class AggregateKind : std::uint8_t {
-  kNone = 0,             ///< batch mode: no accumulators
+  /// No accumulators: written only by earlier batch-mode services.
+  /// Recovery rebuilds such a campaign from its tree.
+  kNone = 0,
   kAggregateEngine = 1,  ///< IncrementalSubtreeState blob
   kRctChain = 2,         ///< IncrementalRctState blob (TDRM)
 };
 
-struct RewardServiceOptions {
-  /// Strict serving mode: reward queries on a mechanism without an
-  /// incremental path throw std::invalid_argument (a stable,
-  /// client-visible rejection) instead of silently running a batch
-  /// compute per query. Events still apply either way.
-  bool require_incremental = false;
-};
-
 class RewardService {
  public:
-  /// The mechanism must outlive the service. An incremental fast path is
-  /// selected automatically when the mechanism supports one.
-  explicit RewardService(const Mechanism& mechanism,
-                         RewardServiceOptions options = {});
+  /// The mechanism must outlive the service. Throws
+  /// std::invalid_argument naming it when the mechanism has neither
+  /// aggregate support nor TDRM's chain state.
+  explicit RewardService(const Mechanism& mechanism);
 
   /// Applies a join; returns the assigned participant id.
   NodeId apply(const JoinEvent& event);
@@ -96,10 +89,12 @@ class RewardService {
   /// export_aggregates() produced on the snapshotting service (pass it
   /// by move and the aggregate engine keeps its storage) — so the
   /// restored state is bit-identical to the uninterrupted run's, at
-  /// O(n) column-adoption cost. Incremental modes require a non-empty
-  /// blob (whose family must match aggregate_kind(); sizes are
-  /// validated). Batch mode ignores the blob. The service must not have
-  /// applied any events yet. A tree adopted from a mapped snapshot
+  /// O(n) column-adoption cost. The blob's family must match
+  /// aggregate_kind() (sizes are validated). An empty blob rebuilds the
+  /// accumulators from the tree in O(n) — within FP accumulation error
+  /// of the original run, not bit for bit; recovery allows that only
+  /// for kind-0 images (storage.h). The service must not have applied
+  /// any events yet. A tree adopted from a mapped snapshot
   /// (Tree::adopt_columns) moves in with its columns still
   /// *borrowing* the mapping — the service then serves reward queries
   /// straight from the page cache, and the first mutating event
@@ -108,7 +103,7 @@ class RewardService {
                       std::vector<double> aggregates);
 
   /// Flattens this service's incremental FP accumulators into an opaque
-  /// double blob for snapshot persistence. Empty in batch mode.
+  /// double blob for snapshot persistence.
   std::vector<double> export_aggregates() const;
 
   /// The accumulator family export_aggregates() produces — persisted as
@@ -123,30 +118,27 @@ class RewardService {
 
   /// Writes the served rewards of ids [first, first + out.size()) to
   /// `out` (the root's entry is 0), bit for bit what reward(u) returns.
-  /// Incremental modes price the block from their aggregate columns in
-  /// one Mechanism::rewards_from_aggregates() call (TDRM per node from
-  /// its chain state) and cache nothing; the batch mechanism is NOT
-  /// invoked. Batch mode copies from rewards(). Throws
-  /// std::invalid_argument when the block runs past the last node.
+  /// The aggregate engine prices the block in one
+  /// Mechanism::rewards_from_aggregates() call, TDRM per node from its
+  /// chain state; nothing is cached and the batch mechanism is NOT
+  /// invoked. Throws std::invalid_argument when the block runs past the
+  /// last node.
   void fill_rewards(NodeId first, std::span<double> out) const;
 
   /// Calls `visit(first, block)` for consecutive blocks of at most
   /// kStreamBlock served rewards, in ascending id order, covering every
-  /// node id. Incremental modes fill one stack block at a time with
-  /// fill_rewards(), so no whole vector exists; batch mode visits its
-  /// cached vector. `block` is valid only during the call.
+  /// node id. One stack block at a time is filled with fill_rewards(),
+  /// so no whole vector exists. `block` is valid only during the call.
   void visit_rewards(const RewardBlockVisitor& visit) const;
 
   /// Current rewards of everyone (root entry is 0), materialized for
-  /// in-process callers: incremental modes fill it with fill_rewards()
-  /// over every id. The reference stays valid until the next applied
-  /// event. In strict mode (require_incremental) a batch-only mechanism
-  /// throws std::invalid_argument here instead. The serving paths
-  /// (REWARDS, AUDIT, STATS) never call it.
+  /// in-process callers with fill_rewards() over every id. The
+  /// reference stays valid until the next applied event. The serving
+  /// paths (REWARDS, AUDIT, STATS) never call it.
   const RewardVector& rewards() const;
 
   /// Entries rewards() currently holds allocated (0 until it is first
-  /// called on an incremental service).
+  /// called).
   std::size_t materialized_rewards() const {
     return cached_rewards_.capacity();
   }
@@ -156,45 +148,30 @@ class RewardService {
   /// bits as itree::total_reward(rewards()).
   double total_reward() const;
 
-  /// True when the service answers `reward()` from incremental state.
-  bool incremental() const { return mode_ != Mode::kBatch; }
-
-  /// Largest |incremental - batch| divergence across participants
-  /// (0 for batch-mode services): Mechanism::max_divergence() of the
-  /// tree against the served values, which fill_rewards() prices block
-  /// by block as the sweep reaches them. A production deployment runs
-  /// this before each payout cycle.
+  /// Largest |incremental - batch| divergence across participants:
+  /// Mechanism::max_divergence() of the tree against the served values,
+  /// which fill_rewards() prices block by block as the sweep reaches
+  /// them. A production deployment runs this before each payout cycle.
   double audit() const;
-
-  void set_require_incremental(bool strict) {
-    options_.require_incremental = strict;
-  }
-  const RewardServiceOptions& options() const { return options_; }
 
   const Tree& tree() const;
   const Mechanism& mechanism() const { return *mechanism_; }
   std::size_t events_applied() const { return events_applied_; }
 
  private:
-  enum class Mode { kBatch, kAggregate, kTdrm };
-
-  /// Throws (strict) or warns once (lenient) before a batch compute on
-  /// the serving path.
-  void note_batch_fallback() const;
+  /// What the pricing hook reads: the engine's columns and total.
+  AggregateView aggregate_view() const;
 
   const Mechanism* mechanism_;
-  RewardServiceOptions options_;
-  Mode mode_ = Mode::kBatch;
-  AggregateSupport support_;  // valid when mode_ == kAggregate
+  AggregateSupport support_;
 
-  // Exactly one of these backs the service, per mode_.
+  // Exactly one of these backs the service: the aggregate engine when
+  // support_.supported, TDRM's chain state otherwise.
   std::optional<IncrementalSubtreeState> aggregate_state_;
   std::optional<IncrementalRctState> rct_state_;
-  Tree batch_tree_;
 
   mutable RewardVector cached_rewards_;  ///< rewards(); see there
   mutable bool dirty_ = true;
-  mutable bool warned_batch_fallback_ = false;
   std::size_t events_applied_ = 0;
 };
 

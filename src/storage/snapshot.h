@@ -101,8 +101,8 @@ struct CampaignSnapshot {
   Tree tree;
   /// server::AggregateKind of the writing service.
   std::uint8_t aggregate_kind = 0;
-  /// RewardService::export_aggregates() at snapshot time; empty for
-  /// batch-mode services.
+  /// RewardService::export_aggregates() at snapshot time; empty only in
+  /// kind-0 images of earlier batch-mode services.
   std::vector<double> aggregates;
 };
 

@@ -220,8 +220,11 @@ void restore_campaign_from_snapshot(RecordingService& campaign,
   const auto expected_kind = static_cast<std::uint8_t>(service_kind);
   const bool foreign_blob =
       !snap.aggregates.empty() && snap.aggregate_kind != expected_kind;
+  // A kind-0 image without a blob comes from a batch-mode writer, which
+  // kept no accumulators: adopt_snapshot() rebuilds them from the tree.
   const bool missing_blob =
-      snap.aggregates.empty() && service_kind != AggregateKind::kNone;
+      snap.aggregates.empty() &&
+      snap.aggregate_kind != static_cast<std::uint8_t>(AggregateKind::kNone);
   if (foreign_blob || missing_blob) {
     throw std::runtime_error(
         "storage: campaign " + std::to_string(index) +

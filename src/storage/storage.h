@@ -126,12 +126,14 @@ RecoveryResult recover_campaigns(const Mechanism& mechanism,
 /// Restores one freshly-constructed campaign from a decoded snapshot —
 /// the policy shared by recover_campaigns() and replica bootstrap:
 /// check the aggregate kind byte, then move the tree and the blob into
-/// the service (RewardService::adopt_snapshot). A blob of another
-/// accumulator family, or an incremental service without one, can only
-/// come from a foreign image (a service's mode is a pure function of
-/// its mechanism), so both throw std::runtime_error naming campaign
-/// `index` and the two kinds instead of serving a state that cannot
-/// resume bit for bit.
+/// the service (RewardService::adopt_snapshot). A kind-0 campaign
+/// without a blob was written by a batch-mode service, which kept no
+/// accumulators; the service rebuilds them from the tree in O(n). A
+/// blob of another accumulator family, or a missing blob of any other
+/// kind, can only come from a foreign image (a service's mode is a pure
+/// function of its mechanism), so both throw std::runtime_error naming
+/// campaign `index` and the two kinds instead of serving a state that
+/// cannot resume bit for bit.
 void restore_campaign_from_snapshot(RecordingService& campaign,
                                     CampaignSnapshot&& snap,
                                     std::size_t index);

@@ -446,16 +446,16 @@ TEST(BatchKernels, TypeErasedCdrmMatchesTheInlinedInstances) {
       EXPECT_EQ(divergence(erased, shape.tree, served),
                 divergence(*inlined, shape.tree, served))
           << what;
-      // The block kernel: the typed loop against the default one over
-      // the guarded per-node hook.
+      // The pricing hook: the typed two-pass loop against the guarded
+      // per-node loop over the CdrmFunction.
       const std::vector<double> subtree =
           compute_subtree_data(shape.tree).subtree_contribution;
-      const std::span<const double> own = shape.tree.contribution_array();
-      std::vector<double> typed(own.size(), -1.0);
-      std::vector<double> hooked(own.size(), -2.0);
-      inlined->rewards_from_aggregates(own, subtree, {}, typed);
-      erased.rewards_from_aggregates(own, subtree, {}, hooked);
-      expect_bit_equal(hooked, typed, what + " block kernel");
+      const AggregateView view{.tree = shape.tree, .subtree = subtree};
+      std::vector<double> typed(subtree.size(), -1.0);
+      std::vector<double> hooked(subtree.size(), -2.0);
+      inlined->rewards_from_aggregates(view, 0, typed);
+      erased.rewards_from_aggregates(view, 0, hooked);
+      expect_bit_equal(hooked, typed, what + " pricing hook");
     }
   }
 }
@@ -561,23 +561,11 @@ TEST(BatchKernels, AuditCatchesAPerturbedAggregateBlob) {
 }
 
 /// A service serving `tree`, built in O(n) (a join replay of the 100k
-/// chain would walk every ancestor): the tree is adopted with the
-/// aggregate blob an engine built from the same tree exports.
+/// chain would walk every ancestor): the tree is adopted with an empty
+/// blob, so the service rebuilds its accumulators from it.
 RewardService serve(const Mechanism& mechanism, const Tree& tree) {
   RewardService service(mechanism);
-  std::vector<double> blob;
-  const AggregateSupport support = mechanism.aggregate_support();
-  if (support.supported) {
-    blob = IncrementalSubtreeState(
-               IncrementalSubtreeState::Config{support.decay,
-                                               support.binary_depth},
-               tree)
-               .export_aggregates();
-  } else if (const auto* tdrm = dynamic_cast<const Tdrm*>(&mechanism)) {
-    blob = IncrementalRctState(tdrm->params(), tdrm->phi(), tree)
-               .export_aggregates();
-  }
-  service.adopt_snapshot(Tree(tree), tree.participant_count(), blob);
+  service.adopt_snapshot(Tree(tree), tree.participant_count(), {});
   return service;
 }
 
@@ -588,9 +576,6 @@ TEST(BatchKernels, BlockKernelBitEqualToPerNodeRewards) {
   for (const char* name : kFactoryMechanisms) {
     const MechanismPtr mechanism = make_mechanism(name);
     RewardService service(*mechanism);
-    if (!service.incremental()) {
-      continue;  // batch mode serves its cached compute()
-    }
     Rng rng(29);
     for (int event = 0; event < 9000; ++event) {
       const std::size_t n = service.tree().participant_count();
@@ -633,34 +618,44 @@ TEST(BatchKernels, BlockKernelBitEqualToPerNodeRewards) {
 }
 
 TEST(BatchKernels, TypedBlockKernelsMatchThePerNodeHook) {
-  // The typed overrides (Geometric, CDRM-1, CDRM-2) against
-  // reward_from_aggregates() on raw aggregates, zero contributions
-  // included.
+  // The pricing hook over one block against the same hook asked for one
+  // entry at a time (what reward(u) does), on raw aggregates no tree
+  // would produce, zero contributions included: bit for bit. The total
+  // puts the normalized TDRM's raw rewards over budget, so its scale is
+  // applied.
   Rng rng(31);
-  std::vector<double> own(5000);
-  std::vector<double> subtree(own.size());
-  std::vector<std::uint32_t> depth(own.size());
-  for (std::size_t i = 0; i < own.size(); ++i) {
-    own[i] = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 4.0);
-    subtree[i] = own[i] + rng.uniform(0.0, 100.0);
-    depth[i] = static_cast<std::uint32_t>(1 + rng.index(20));
+  Tree tree;
+  for (NodeId u = 1; u < 5000; ++u) {
+    tree.add_node(static_cast<NodeId>(rng.index(u)),
+                  rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 4.0));
+  }
+  const std::size_t n = tree.node_count();
+  std::vector<double> subtree(n);
+  std::vector<std::uint32_t> depth(n);
+  for (NodeId u = 0; u < n; ++u) {
+    subtree[u] = tree.contribution(u) + rng.uniform(0.0, 100.0);
+    depth[u] = static_cast<std::uint32_t>(1 + rng.index(20));
   }
   for (const char* name : kFactoryMechanisms) {
     const MechanismPtr mechanism = make_mechanism(name);
     const AggregateSupport support = mechanism->aggregate_support();
     if (!support.supported) {
-      continue;
+      continue;  // TDRM prices from its chain state
     }
-    const std::span<const std::uint32_t> depths =
-        support.binary_depth ? std::span<const std::uint32_t>(depth)
-                             : std::span<const std::uint32_t>{};
-    std::vector<double> want(own.size());
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      want[i] = mechanism->reward_from_aggregates(
-          {own[i], subtree[i], support.binary_depth ? depth[i] : 0u});
+    const AggregateView view{
+        .tree = tree,
+        .subtree = subtree,
+        .binary_depth = support.binary_depth
+                            ? std::span<const std::uint32_t>(depth)
+                            : std::span<const std::uint32_t>{},
+        .total = 1e6};
+    std::vector<double> want(n - 1);
+    for (NodeId u = 1; u < n; ++u) {
+      mechanism->rewards_from_aggregates(view, u,
+                                         std::span<double>(&want[u - 1], 1));
     }
-    std::vector<double> got(own.size(), -1.0);
-    mechanism->rewards_from_aggregates(own, subtree, depths, got);
+    std::vector<double> got(n - 1, -1.0);
+    mechanism->rewards_from_aggregates(view, 1, got);
     expect_bit_equal(got, want, name);
   }
 }
@@ -674,11 +669,9 @@ TEST(BatchKernels, BlockAuditBitIdenticalOnEveryShape) {
     const MechanismPtr mechanism = make_mechanism(name);
     for (const Shape& shape : trees) {
       const RewardService service = serve(*mechanism, shape.tree);
-      if (!service.incremental()) {
-        continue;
-      }
       const std::string what = std::string(name) + " on " + shape.name;
       const double blocks = service.audit();
+      EXPECT_LT(blocks, 1e-9) << what;
       EXPECT_EQ(service.materialized_rewards(), 0u) << what;
       const double whole =
           divergence(*mechanism, service.tree(), service.rewards());

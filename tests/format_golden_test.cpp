@@ -288,7 +288,8 @@ TEST(FormatGolden, WalSegmentOfAFixedStream) {
 
 TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
   // One campaign per aggregate kind: geometric (aggregate engine), TDRM
-  // (RCT chain) and L-Pachira (batch, no accumulators).
+  // (RCT chain) and L-Pachira written the way a batch-mode service wrote
+  // it (kind 0, no accumulators), which readers still accept.
   storage::SnapshotData data;
   data.last_seq = 0x123456;
   data.mechanism = "golden mixed deployment";
@@ -310,12 +311,14 @@ TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
         service.apply(ContributeEvent{1 + (i * 5) % n, 0.3 * (i % 7)});
       }
     }
-    ASSERT_EQ(service.aggregate_kind(), kinds[c].second) << kinds[c].first;
     storage::CampaignSnapshot snap;
     snap.events_applied = service.events_applied();
     snap.tree = service.tree();
-    snap.aggregate_kind = static_cast<std::uint8_t>(service.aggregate_kind());
-    snap.aggregates = service.export_aggregates();
+    snap.aggregate_kind = static_cast<std::uint8_t>(kinds[c].second);
+    if (kinds[c].second != AggregateKind::kNone) {
+      ASSERT_EQ(service.aggregate_kind(), kinds[c].second) << kinds[c].first;
+      snap.aggregates = service.export_aggregates();
+    }
     data.campaigns.push_back(std::move(snap));
   }
   const std::string image = storage::encode_snapshot_v5(data);

@@ -7,6 +7,7 @@
 #include "tree/generators.h"
 #include "tree/io.h"
 #include "tree/subtree_sums.h"
+#include "util/rng.h"
 
 namespace itree {
 namespace {
@@ -99,10 +100,53 @@ TEST(IncrementalAggregate, GeometricRewardMatchesMechanism) {
   const NodeId a = state.add_leaf(kRoot, 5.0);
   state.add_leaf(a, 3.0);
   const RewardVector batch = mechanism.compute(state.tree());
-  const NodeAggregates aggregates{.own = state.tree().contribution(a),
-                                  .subtree = state.subtree_aggregate(a)};
-  EXPECT_NEAR(mechanism.reward_from_aggregates(aggregates), batch[a],
-              1e-12);
+  const AggregateView view{.tree = state.tree(),
+                           .subtree = state.subtree_aggregates()};
+  double reward = -1.0;
+  mechanism.rewards_from_aggregates(view, a, std::span<double>(&reward, 1));
+  EXPECT_NEAR(reward, batch[a], 1e-12);
+}
+
+TEST(IncrementalAggregate, OwnWeightedTotalTracksAFreshSum) {
+  // Under own_weighted_total the running total is sum_u C(u) * S(u):
+  // each ancestor step adds C(w) * scaled, the event's own node
+  // (C_new + S_old) * delta. It must track a fresh sum over the
+  // maintained columns, and the building constructor and an empty-blob
+  // adopt must rebuild it from the tree alone.
+  const IncrementalSubtreeState::Config config{.decay = 0.5,
+                                               .own_weighted_total = true};
+  IncrementalSubtreeState state(config);
+  Rng rng(5);
+  for (int event = 0; event < 3000; ++event) {
+    const std::size_t n = state.tree().participant_count();
+    if (n == 0 || rng.bernoulli(0.6)) {
+      state.add_leaf(static_cast<NodeId>(rng.index(n + 1)),
+                     rng.uniform(0.0, 10.0));
+    } else {
+      state.add_contribution(static_cast<NodeId>(1 + rng.index(n)),
+                             rng.uniform(0.0, 10.0));
+    }
+  }
+  double fresh = 0.0;
+  for (NodeId u = 1; u < state.tree().node_count(); ++u) {
+    fresh += state.tree().contribution(u) * state.subtree_aggregate(u);
+  }
+  EXPECT_NEAR(state.total_aggregate(), fresh, 1e-12 * fresh);
+
+  const IncrementalSubtreeState built(config, state.tree());
+  EXPECT_NEAR(built.total_aggregate(), fresh, 1e-12 * fresh);
+  IncrementalSubtreeState adopted(config);
+  adopted.adopt(Tree(state.tree()), {});
+  EXPECT_EQ(adopted.total_aggregate(), built.total_aggregate());
+  EXPECT_EQ(adopted.export_aggregates(), built.export_aggregates());
+  // The plain total is untouched by the new bit.
+  const IncrementalSubtreeState plain(
+      IncrementalSubtreeState::Config{.decay = 0.5}, state.tree());
+  double sum = 0.0;
+  for (NodeId u = 1; u < state.tree().node_count(); ++u) {
+    sum += plain.subtree_aggregate(u);
+  }
+  EXPECT_EQ(plain.total_aggregate(), sum);
 }
 
 TEST(IncrementalAggregate, RejectsRootQueriesAndBadUpdates) {

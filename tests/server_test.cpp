@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "core/factory.h"
+#include "core/l_transform.h"
 #include "core/registry.h"
 #include "server/event_log.h"
 #include "server/reward_service.h"
@@ -20,14 +22,33 @@ TEST(RewardServiceTest, SelectsIncrementalModeWhereSupported) {
   const MechanismPtr tdrm = make_default(MechanismKind::kTdrm);
   const MechanismPtr split_proof = make_default(MechanismKind::kSplitProof);
   const MechanismPtr lpachira = make_default(MechanismKind::kLPachira);
-  EXPECT_TRUE(RewardService(*geometric).incremental());
-  EXPECT_TRUE(RewardService(*lluxor).incremental());
-  EXPECT_TRUE(RewardService(*cdrm).incremental());
-  EXPECT_TRUE(RewardService(*tdrm).incremental());
-  EXPECT_TRUE(RewardService(*split_proof).incremental());
-  // L-Pachira's reward depends on a global order statistic, so it is
-  // the one mechanism left on the batch path.
-  EXPECT_FALSE(RewardService(*lpachira).incremental());
+  const MechanismPtr normalized =
+      make_mechanism("norm-preliminary-tdrm", parse_param_string(""));
+  for (const Mechanism* mechanism :
+       {geometric.get(), lluxor.get(), cdrm.get(), split_proof.get(),
+        lpachira.get(), normalized.get()}) {
+    EXPECT_EQ(RewardService(*mechanism).aggregate_kind(),
+              AggregateKind::kAggregateEngine)
+        << mechanism->display_name();
+  }
+  // TDRM's aggregates live on the virtual RCT, not the referral tree.
+  EXPECT_EQ(RewardService(*tdrm).aggregate_kind(), AggregateKind::kRctChain);
+}
+
+TEST(RewardServiceTest, RefusesAMechanismWithoutAnIncrementalPath) {
+  // A generic L-transform declares no aggregate support: the service
+  // refuses it once, at construction, naming it.
+  const LTransformMechanism generic(default_budget(),
+                                    std::make_unique<Pachira>(0.2, 2.0),
+                                    PropertySet::all());
+  try {
+    RewardService service(generic);
+    ADD_FAILURE() << "constructed a service for " << generic.display_name();
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "RewardService: mechanism 'L-Pachira()' has no incremental "
+                 "serving path");
+  }
 }
 
 TEST(RewardServiceTest, JoinAndContributeUpdateRewards) {
@@ -41,11 +62,14 @@ TEST(RewardServiceTest, JoinAndContributeUpdateRewards) {
   EXPECT_EQ(service.events_applied(), 3u);
 }
 
-class ServiceEquivalence
-    : public ::testing::TestWithParam<MechanismKind> {};
+/// Parameterized by factory name (core/factory.h): every mechanism the
+/// daemon can serve, including NormPreliminaryTDRM, which has no
+/// MechanismKind.
+class ServiceEquivalence : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ServiceEquivalence, IncrementalAndBatchAgreeOnRandomStreams) {
-  const MechanismPtr mechanism = make_default(GetParam());
+  const MechanismPtr mechanism =
+      make_mechanism(GetParam(), parse_param_string(""));
   RewardService service(*mechanism);
   Rng rng(61);
   for (int event = 0; event < 250; ++event) {
@@ -74,20 +98,17 @@ TEST_P(ServiceEquivalence, IncrementalAndBatchAgreeOnRandomStreams) {
 
 /// A mechanism's name as a test-name piece ("CDRM-1" -> "CDRM1").
 std::string mechanism_case_name(
-    const ::testing::TestParamInfo<MechanismKind>& info) {
-  std::string name = make_default(info.param)->name();
+    const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = make_mechanism(info.param, parse_param_string(""))->name();
   std::erase(name, '-');
   return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(IncrementalMechanisms, ServiceEquivalence,
-                         ::testing::Values(MechanismKind::kGeometric,
-                                           MechanismKind::kLLuxor,
-                                           MechanismKind::kCdrmReciprocal,
-                                           MechanismKind::kCdrmLogarithmic,
-                                           MechanismKind::kSplitProof,
-                                           MechanismKind::kTdrm,
-                                           MechanismKind::kLPachira),
+                         ::testing::Values("geometric", "l-luxor", "cdrm-1",
+                                           "cdrm-2", "split-proof", "tdrm",
+                                           "l-pachira", "preliminary-tdrm",
+                                           "norm-preliminary-tdrm"),
                          mechanism_case_name);
 
 TEST(RewardServiceTest, RejectsBadEvents) {
@@ -119,18 +140,6 @@ TEST(RewardServiceTest, ErrorPathsLeaveStateUntouched) {
   EXPECT_EQ(service.events_applied(), 1u);
   EXPECT_EQ(service.tree().participant_count(), 1u);
   EXPECT_EQ(service.reward(a), before);
-}
-
-TEST(RewardServiceTest, AuditOnBatchModeMechanismIsExactlyZero) {
-  // L-Pachira has no incremental fast path: the service serves the
-  // batch answer itself, so there is nothing to diverge from.
-  const MechanismPtr lpachira = make_default(MechanismKind::kLPachira);
-  RewardService service(*lpachira);
-  ASSERT_FALSE(service.incremental());
-  const NodeId a = service.apply(JoinEvent{kRoot, 3.0});
-  service.apply(JoinEvent{a, 2.0});
-  service.apply(ContributeEvent{a, 1.5});
-  EXPECT_EQ(service.audit(), 0.0);
 }
 
 TEST(EventLogTest, SerializeParseRoundTrip) {

@@ -1,7 +1,7 @@
-// Tests for the incremental TDRM serving path: event-by-event agreement
-// with the batch mechanism on randomized streams (including purchases
-// that cross mu boundaries and change the eps-chain length), the
-// no-batch-compute guarantee of rewards() in incremental modes, and
+// Tests for the incremental serving paths: event-by-event agreement of
+// TDRM with the batch mechanism on randomized streams (including
+// purchases that cross mu boundaries and change the eps-chain length),
+// the no-batch-compute guarantee of every serving query, and
 // thread-count invariance of the final reward bits.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 
 #include "core/geometric.h"
 #include "core/incremental.h"
+#include "core/l_transform.h"
+#include "core/normalized.h"
 #include "core/rct.h"
 #include "core/registry.h"
 #include "core/split_proof.h"
@@ -60,7 +62,6 @@ TEST(IncrementalRct, ChainLengthTracksMuBoundaries) {
 void run_tdrm_stream(std::uint64_t seed, int events) {
   const MechanismPtr mechanism = make_default(MechanismKind::kTdrm);
   RewardService service(*mechanism);
-  ASSERT_TRUE(service.incremental());
   Rng rng(seed);
   for (int event = 0; event < events; ++event) {
     const std::size_t n = service.tree().participant_count();
@@ -114,10 +115,10 @@ TEST(ServingPath, DeepChainTdrmStreamMatchesBatch) {
 }
 
 /// Mechanisms that count their batch sweeps: compute() and
-/// max_divergence(), the sweep audit() runs (Geometric fuses it, TDRM
-/// and split-proof run compute() under it). The service still selects
-/// the incremental mode for each, so serving-path queries must never
-/// reach either.
+/// max_divergence(), the sweep audit() runs (Geometric fuses it, the
+/// others run compute() under it). The service still selects the
+/// incremental mode for each, so serving-path queries must never reach
+/// either.
 template <typename Base>
 class Counting : public Base {
  public:
@@ -150,12 +151,22 @@ class CountingSplitProof : public Counting<SplitProofMechanism> {
   CountingSplitProof() : Counting(0.1, 0.3) {}
 };
 
+class CountingLPachira : public Counting<LPachiraMechanism> {
+ public:
+  CountingLPachira() : Counting(0.2, 2.0) {}
+};
+
+class CountingNormalizedTdrm : public Counting<NormalizedPreliminaryTdrm> {
+ public:
+  CountingNormalizedTdrm() : Counting(0.5, 0.2) {}
+};
+
 template <typename CountingMechanism>
 void expect_no_batch_compute_on_serving_path() {
   CountingMechanism mechanism;
   RewardService service(mechanism);
-  ASSERT_TRUE(service.incremental());
   Rng rng(55);
+  double block[7];
   std::vector<NodeId> ids;
   for (int event = 0; event < 60; ++event) {
     if (ids.empty() || rng.bernoulli(0.7)) {
@@ -166,9 +177,14 @@ void expect_no_batch_compute_on_serving_path() {
       service.apply(ContributeEvent{ids[rng.index(ids.size())],
                                     rng.uniform(0.0, 1.0)});
     }
-    // The full serving API: single query, batch query, total.
+    // The full serving API: single query, a block, the vector, the
+    // streamed vector REWARDS frames and the total STATS reports.
     (void)service.reward(ids.front());
+    const std::size_t n = service.tree().node_count();
+    service.fill_rewards(
+        0, std::span<double>(block, std::min<std::size_t>(7, n)));
     (void)service.rewards();
+    service.visit_rewards([](NodeId, std::span<const double>) {});
     (void)service.total_reward();
   }
   EXPECT_EQ(mechanism.batch_computes, 0)
@@ -190,6 +206,14 @@ TEST(ServingPath, SplitProofRewardsNeverInvokeBatchCompute) {
   expect_no_batch_compute_on_serving_path<CountingSplitProof>();
 }
 
+TEST(ServingPath, LPachiraRewardsNeverInvokeBatchCompute) {
+  expect_no_batch_compute_on_serving_path<CountingLPachira>();
+}
+
+TEST(ServingPath, NormalizedTdrmRewardsNeverInvokeBatchCompute) {
+  expect_no_batch_compute_on_serving_path<CountingNormalizedTdrm>();
+}
+
 /// Drives `events` seeded events through a service on the generalized
 /// aggregate engine and compares the final incremental reward vector
 /// against one batch compute. Long streams (the acceptance criterion
@@ -200,7 +224,6 @@ void run_aggregate_stream(MechanismKind kind, int events,
                           std::uint64_t seed) {
   const MechanismPtr mechanism = make_default(kind);
   RewardService service(*mechanism);
-  ASSERT_TRUE(service.incremental()) << mechanism->display_name();
   Rng rng(seed);
   for (int event = 0; event < events; ++event) {
     const std::size_t n = service.tree().participant_count();
@@ -290,7 +313,8 @@ TEST(ServingPath, AggregateRoundTripIsBitExact) {
   for (MechanismKind kind :
        {MechanismKind::kTdrm, MechanismKind::kGeometric,
         MechanismKind::kLLuxor, MechanismKind::kCdrmReciprocal,
-        MechanismKind::kCdrmLogarithmic, MechanismKind::kSplitProof}) {
+        MechanismKind::kCdrmLogarithmic, MechanismKind::kSplitProof,
+        MechanismKind::kLPachira}) {
     const MechanismPtr mechanism = make_default(kind);
     RewardService original(*mechanism);
     Rng rng(91);
@@ -341,32 +365,6 @@ TEST(ServingPath, AggregateRoundTripIsBitExact) {
               hex_doubles(original.rewards()))
         << mechanism->display_name();
   }
-}
-
-TEST(ServingPath, StrictModeRejectsBatchFallbackWithStableError) {
-  // L-Pachira has no incremental path; under require_incremental the
-  // service must answer reward queries with a stable error instead of
-  // silently running O(n) batch computes on the serving path.
-  const MechanismPtr mechanism = make_default(MechanismKind::kLPachira);
-  RewardService service(*mechanism,
-                        RewardServiceOptions{.require_incremental = true});
-  ASSERT_FALSE(service.incremental());
-  const NodeId u = service.apply(JoinEvent{kRoot, 1.0});
-  service.apply(ContributeEvent{u, 0.5});  // events still apply fine
-  EXPECT_EQ(service.events_applied(), 2u);
-  EXPECT_THROW(service.rewards(), std::invalid_argument);
-  EXPECT_THROW(service.reward(u), std::invalid_argument);
-  EXPECT_THROW(service.total_reward(), std::invalid_argument);
-  // The error is stable, not corrupting: lifting strict mode serves the
-  // same state via the batch path.
-  service.set_require_incremental(false);
-  EXPECT_EQ(service.rewards().size(), service.tree().node_count());
-  // Incremental mechanisms are unaffected by strict mode.
-  const MechanismPtr geometric = make_default(MechanismKind::kGeometric);
-  RewardService strict_ok(*geometric,
-                          RewardServiceOptions{.require_incremental = true});
-  strict_ok.apply(JoinEvent{kRoot, 2.0});
-  EXPECT_NO_THROW(strict_ok.rewards());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // semantics, snapshot round-trips and corruption fallback, and the
 // headline recovery invariant — at every possible crash point the
 // recovered per-campaign rewards are bit-identical to an uninterrupted
-// run over the surviving event prefix, for both TDRM (batch path) and
-// CDRM (incremental path) campaigns, at any thread count.
+// run over the surviving event prefix, for TDRM (RCT chain state) and
+// for CDRM-1, L-Pachira and the normalized preliminary TDRM (aggregate
+// engine) campaigns, at any thread count.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -1366,6 +1367,57 @@ TEST(Storage, KindMismatchedBlobFailsStop) {
   expect_fail_stop(1, {});          // right family, but no blob
 }
 
+TEST(Storage, BatchModeImageRebuildsItsAccumulators) {
+  // Earlier batch-mode services wrote their campaigns with kind 0 and no
+  // blob. Such an image restores: the service rebuilds its accumulators
+  // from the tree in O(n), serves within the audit tolerance of the
+  // uninterrupted run, and keeps doing so under further traffic.
+  const fs::path dir = fresh_dir("itree_storage_kind0");
+  for (const char* name :
+       {"l-pachira", "norm-preliminary-tdrm", "geometric", "tdrm"}) {
+    const MechanismPtr mechanism =
+        make_mechanism(name, parse_param_string(""));
+    RewardService original(*mechanism);
+    for (const Event& event : make_stream(616, 200)) {
+      original.apply(event);
+    }
+    SnapshotData data;
+    data.last_seq = 200;
+    data.mechanism = mechanism->display_name();
+    CampaignSnapshot snap;
+    snap.events_applied = original.events_applied();
+    snap.tree = original.tree();
+    snap.aggregate_kind = static_cast<std::uint8_t>(AggregateKind::kNone);
+    data.campaigns.push_back(std::move(snap));
+    fs::create_directories(dir);
+    save_snapshot(dir.string(), data);
+    SnapshotData mapped =
+        MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
+            .materialize();
+    RecordingService restored(*mechanism);
+    restore_campaign_from_snapshot(restored, std::move(mapped.campaigns[0]),
+                                   0);
+    EXPECT_EQ(restored.service().events_applied(),
+              original.events_applied());
+    const auto expect_close = [&](const char* when) {
+      EXPECT_LT(restored.service().audit(), 1e-9) << name << when;
+      const RewardVector& got = restored.service().rewards();
+      const RewardVector& want = original.rewards();
+      ASSERT_EQ(got.size(), want.size()) << name << when;
+      for (std::size_t u = 0; u < want.size(); ++u) {
+        ASSERT_NEAR(got[u], want[u], 1e-9) << name << when << " node " << u;
+      }
+    };
+    expect_close(" after restore");
+    for (const Event& event : make_stream(617, 60)) {
+      restored.apply(event);
+      original.apply(event);
+    }
+    expect_close(" after more traffic");
+    fs::remove_all(dir);
+  }
+}
+
 // --- Storage engine -------------------------------------------------
 
 /// Applies `count` events of each stream through a Storage in `dir`,
@@ -1452,6 +1504,14 @@ TEST(Storage, CrashAtEveryByteRecoversAPrefixBitExactlyTdrm) {
 
 TEST(Storage, CrashAtEveryByteRecoversAPrefixBitExactlyCdrm) {
   crash_sweep("cdrm-1");
+}
+
+TEST(Storage, CrashAtEveryByteRecoversAPrefixBitExactlyLPachira) {
+  crash_sweep("l-pachira");
+}
+
+TEST(Storage, CrashAtEveryByteRecoversAPrefixBitExactlyNormalizedTdrm) {
+  crash_sweep("norm-preliminary-tdrm");
 }
 
 TEST(Storage, RecoveredStateIsIdenticalAtEveryThreadCount) {
@@ -2271,10 +2331,10 @@ TEST(Storage, LegacySkipSectionImageRecoversBitExactly) {
 }
 
 TEST(Storage, RestoreSnapshotMatchesTheOriginalServiceBitExactly) {
-  for (const MechanismKind kind :
-       {MechanismKind::kTdrm, MechanismKind::kCdrmReciprocal,
-        MechanismKind::kGeometric}) {
-    const MechanismPtr mechanism = make_default(kind);
+  for (const char* name : {"tdrm", "cdrm-1", "geometric", "l-pachira",
+                           "norm-preliminary-tdrm"}) {
+    const MechanismPtr mechanism =
+        make_mechanism(name, parse_param_string(""));
     RewardService original(*mechanism);
     for (const Event& event : make_stream(777, 100)) {
       original.apply(event);

@@ -231,9 +231,7 @@ int cmd_replay(const ArgParser& args) {
   const EventLog log = EventLog::load(positional[1]);
   const RewardService service = log.replay(*mechanism);
   std::cout << "replayed " << log.size() << " events under "
-            << mechanism->display_name() << " ("
-            << (service.incremental() ? "incremental" : "batch")
-            << " mode)\n"
+            << mechanism->display_name() << '\n'
             << "participants " << service.tree().participant_count()
             << ", total contribution "
             << compact_number(service.tree().total_contribution(), 6)

@@ -73,10 +73,6 @@ int main(int argc, char** argv) {
                 "shutdown)");
   args.add_flag("--no-remote-shutdown",
                 "ignore SHUTDOWN frames (signals only)", false);
-  args.add_flag("--require-incremental",
-                "reject reward queries (stable error frame) instead of "
-                "falling back to O(n) batch computes when the mechanism "
-                "has no incremental serving path", false);
   args.add_flag("--reactors",
                 "shared-nothing epoll reactor threads, each with its own "
                 "SO_REUSEPORT listener (default 1)");
@@ -118,7 +114,6 @@ int main(int argc, char** argv) {
     config.idle_timeout_seconds =
         args.get_double_in("--idle-timeout", 0.0, 0.0, kMaxRealFlag);
     config.allow_remote_shutdown = !args.has("--no-remote-shutdown");
-    config.require_incremental = args.has("--require-incremental");
     config.storage.data_dir = args.get_or("--data-dir", "");
     config.storage.fsync =
         storage::parse_fsync_policy(args.get_or("--fsync", "interval"));
