@@ -3,6 +3,7 @@
 // Adoption depends on the interaction of incentive pull (the CSI margin)
 // with network structure (hubs vs local clustering).
 #include "bench_harness.h"
+#include <algorithm>
 #include <iostream>
 
 #include "core/registry.h"
@@ -37,10 +38,9 @@ int main(int argc, char** argv) {
     for (const MechanismPtr& mechanism : all_feasible_mechanisms()) {
       const NetworkCampaignOutcome outcome =
           run_network_campaign(*mechanism, *entry.graph);
-      std::size_t max_depth = 0;
-      for (NodeId u = 1; u < outcome.tree.node_count(); ++u) {
-        max_depth = std::max(max_depth, outcome.tree.depth(u));
-      }
+      const std::vector<std::uint32_t> depths = node_depths(outcome.tree);
+      const std::uint32_t max_depth =
+          *std::max_element(depths.begin(), depths.end());
       table.add_row(
           {outcome.mechanism, TextTable::num(outcome.adoption, 3),
            outcome.half_adoption_epoch > 0

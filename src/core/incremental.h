@@ -95,7 +95,7 @@ class IncrementalSubtreeState {
   const Config& config() const { return config_; }
 
   /// Replay hint: prefetches the rows an event at `u` reads first —
-  /// parent, S, contribution, last_child and depth. `u`
+  /// parent, S, contribution and last_child. `u`
   /// may lie past the tree's end (a join inside the caller's lookahead
   /// window has not been applied yet); it is clamped to the last node.
   void prefetch_rows(NodeId u) const {
@@ -104,7 +104,6 @@ class IncrementalSubtreeState {
     prefetch_read(sums_.data() + u);
     prefetch_read(tree_.contribution_array().data() + u);
     prefetch_read(tree_.last_child_array().data() + u);
-    prefetch_read(tree_.depth_array().data() + u);
   }
 
   /// Replay hint one ancestor level up: loads parent[u] (clamped as

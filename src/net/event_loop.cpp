@@ -261,7 +261,8 @@ void EventLoop::accept_ready() {
     session->serial = ++next_serial_;
     session->last_activity = monotonic_seconds();
     session->reading = !reads_paused_;
-    if (!ctl(EPOLL_CTL_ADD, fd, session->reading ? EPOLLIN : 0u)) {
+    session->events = session->reading ? EPOLLIN : 0u;
+    if (!ctl(EPOLL_CTL_ADD, fd, session->events)) {
       ::close(fd);
       continue;
     }
@@ -462,9 +463,15 @@ void EventLoop::maybe_resume_reading(Session& session) {
 }
 
 void EventLoop::update_interest(Session& session) {
-  ctl(EPOLL_CTL_MOD, session.fd,
-      (session.reading && !draining_ ? EPOLLIN : 0u) |
-          (session.out_bytes > 0 ? EPOLLOUT : 0u));
+  const std::uint32_t events = (session.reading && !draining_ ? EPOLLIN : 0u) |
+                               (session.out_bytes > 0 ? EPOLLOUT : 0u);
+  if (events == session.events) {
+    return;  // level-triggered: the registered mask still holds
+  }
+  count(kInterestUpdates);
+  if (ctl(EPOLL_CTL_MOD, session.fd, events)) {
+    session.events = events;  // a failed MOD is retried on the next call
+  }
 }
 
 void EventLoop::set_reads_paused(bool paused) {

@@ -23,7 +23,9 @@
 //     least a chunk is queued as a chunk of its own, not copied. The
 //     loop keeps one drained chunk of at most 64 KiB capacity as a
 //     spare for the next new chunk of any session, so a connection
-//     that drains between responses does not allocate per response.
+//     that drains between responses does not allocate per response;
+//     the out-queue keeps its slot capacity too. A flush that leaves a
+//     session's epoll mask as registered issues no EPOLL_CTL_MOD.
 //   * slow-reader backpressure: past max_write_buffer pending bytes a
 //     session is not read until it drains below half the mark.
 //   * idle sessions are closed after idle_timeout_seconds.
@@ -46,7 +48,6 @@
 #include <atomic>
 #include <concepts>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
@@ -68,6 +69,33 @@ struct ResponseSlot {
   std::uint64_t seq = 0;
 };
 
+/// A FIFO of output chunks that keeps its capacity: a vector of slots
+/// and a head index, compacted in place (moves, no allocation) once the
+/// popped prefix is half of it.
+class ChunkQueue {
+ public:
+  bool empty() const { return head_ == slots_.size(); }
+  std::size_t size() const { return slots_.size() - head_; }
+  std::string& operator[](std::size_t i) { return slots_[head_ + i]; }
+  std::string& front() { return slots_[head_]; }
+  std::string& back() { return slots_.back(); }
+  void push_back(std::string&& chunk) { slots_.push_back(std::move(chunk)); }
+
+  /// Drops the front chunk and frees its buffer (a caller that wants
+  /// the buffer moves it out first).
+  void pop_front() {
+    std::string().swap(slots_[head_++]);
+    if (2 * head_ >= slots_.size()) {
+      slots_.erase(slots_.begin(), slots_.begin() + head_);
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<std::string> slots_;
+  std::size_t head_ = 0;
+};
+
 /// One accepted client connection.
 struct Session {
   int fd = -1;
@@ -75,7 +103,7 @@ struct Session {
   FrameDecoder decoder;
   /// Framed responses awaiting the wire; front_sent is the prefix of
   /// the front chunk already sent, out_bytes the total pending.
-  std::deque<std::string> outq;
+  ChunkQueue outq;
   std::size_t front_sent = 0;
   std::size_t out_bytes = 0;
   /// Sequencer: every decoded frame takes next_seq; responses are
@@ -84,7 +112,10 @@ struct Session {
   std::uint64_t next_send = 0;
   std::map<std::uint64_t, std::string> held;
   double last_activity = 0.0;
-  bool reading = true;  ///< EPOLLIN registered
+  /// The epoll mask registered for fd; update_interest() skips the
+  /// EPOLL_CTL_MOD when the mask it computes equals it.
+  std::uint32_t events = 0;
+  bool reading = true;  ///< EPOLLIN wanted
   bool close_after_flush = false;
   bool broken = false;   ///< hard error / EOF: close this pass
   bool touched = false;  ///< queued output since the last flush
@@ -132,6 +163,9 @@ class EventLoop {
     kCorruptStreams,
     kSessionsTimedOut,
     kBackpressureStalls,
+    /// EPOLL_CTL_MOD calls for sessions (not reported in server stats):
+    /// a session whose mask does not change makes none.
+    kInterestUpdates,
     kCounterCount,
   };
 

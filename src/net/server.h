@@ -155,8 +155,6 @@ class Server {
   /// outlive it. The feed's consumer count must equal reactor_count().
   void attach_replica(ReplicaFeed* feed, double serve_stale_seconds);
 
-  bool is_replica() const { return replica_feed_ != nullptr; }
-
   /// Mutable campaign/storage access for replica bootstrap (snapshot
   /// restore + tail replay before run(); src/replication only).
   RecordingService& mutable_campaign(std::size_t index) {

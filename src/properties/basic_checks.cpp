@@ -109,6 +109,7 @@ PropertyReport check_csi(const Mechanism& mechanism,
   const std::vector<double> joiner_contributions = {0.3, 1.0, 10.0};
   for (const CorpusTree& entry : corpus) {
     const RewardVector before = mechanism.compute(entry.tree);
+    const std::vector<std::uint32_t> depth = node_depths(entry.tree);
     for (NodeId u :
          sample_participants(entry.tree, options.max_nodes_per_tree, rng)) {
       // CSI is quantified over *contributing* participants: a node with
@@ -126,7 +127,7 @@ PropertyReport check_csi(const Mechanism& mechanism,
       // solicitation.
       std::vector<NodeId> shallow;
       for (NodeId v : entry.tree.subtree(u)) {
-        if (entry.tree.depth(v) <= entry.tree.depth(u) + 3) {
+        if (depth[v] <= depth[u] + 3) {
           shallow.push_back(v);
         }
       }

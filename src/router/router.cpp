@@ -108,6 +108,9 @@ class RouterReactor final : public net::LoopHandler {
     net::Endpoint address;
     std::string endpoint;  ///< original "host:port" for error frames
     int fd = -1;
+    /// The epoll mask registered for fd (set by each dial's
+    /// EPOLL_CTL_ADD); update_backend_interest() skips an unchanged one.
+    std::uint32_t events = 0;
     bool connecting = false;
     bool ever_connected = false;
     FrameDecoder decoder;
@@ -122,6 +125,9 @@ class RouterReactor final : public net::LoopHandler {
 
     bool connected() const { return fd >= 0 && !connecting; }
     std::size_t out_bytes() const { return out.size() - out_sent; }
+    std::uint32_t wanted_events() const {
+      return EPOLLIN | (connecting || out_bytes() > 0 ? EPOLLOUT : 0u);
+    }
   };
 
   RouterReactor(Router& router, std::uint16_t port);
@@ -505,10 +511,8 @@ void RouterReactor::start_connect(Backend& backend) {
     return;
   }
   backend.connecting = rc != 0;
-  if (!loop_.ctl(EPOLL_CTL_ADD, backend.fd,
-                 EPOLLIN | (backend.connecting || backend.out_bytes() > 0
-                                ? EPOLLOUT
-                                : 0u))) {
+  backend.events = backend.wanted_events();
+  if (!loop_.ctl(EPOLL_CTL_ADD, backend.fd, backend.events)) {
     ::close(backend.fd);
     backend.fd = -1;
     schedule_reconnect(backend);
@@ -671,13 +675,13 @@ void RouterReactor::flush_backend(Backend& backend) {
 }
 
 void RouterReactor::update_backend_interest(Backend& backend) {
-  if (backend.fd < 0) {
+  const std::uint32_t events = backend.wanted_events();
+  if (backend.fd < 0 || events == backend.events) {
     return;
   }
-  loop_.ctl(EPOLL_CTL_MOD, backend.fd,
-            EPOLLIN | (backend.connecting || backend.out_bytes() > 0
-                           ? EPOLLOUT
-                           : 0u));
+  if (loop_.ctl(EPOLL_CTL_MOD, backend.fd, events)) {
+    backend.events = events;  // a failed MOD is retried on the next call
+  }
 }
 
 void RouterReactor::drain_restart_ring() {

@@ -166,7 +166,7 @@ EpochStats SimulationEngine::step() {
   stats.reward_gini = gini(std::move(participant_rewards));
   stats.mean_marginal_reward =
       (marginal_stats.count() > 0) ? marginal_stats.mean() : 0.0;
-  const std::span<const std::uint32_t> depth = tree_.depth_array();
+  const std::vector<std::uint32_t> depth = node_depths(tree_);
   stats.max_depth =
       static_cast<double>(*std::max_element(depth.begin(), depth.end()));
 

@@ -79,8 +79,10 @@ struct V5Campaign {
   /// arena); the section is CRC-checked but never adopted.
   std::uint64_t skip_count = 0;
   /// Likewise for the prev-sibling section (writers before the six-column
+  /// arena) and the depth section (writers before the five-column
   /// arena); not stored, but read off the section offsets.
   std::uint64_t prev_sibling_count = 0;
+  std::uint64_t depth_count = 0;
   std::uint8_t aggregate_kind = 0;
   double total_contribution = 0.0;
   std::array<std::uint64_t, kV5SectionCount> offsets = {};
@@ -90,6 +92,8 @@ struct V5Campaign {
     switch (s) {
       case kSecPrevSibling:
         return prev_sibling_count;
+      case kSecDepth:
+        return depth_count;
       case kSecSkip:
         return skip_count;
       case kSecAggregates:
@@ -171,8 +175,13 @@ V5Header parse_v5_header(std::string_view bytes) {
     for (std::size_t s = 0; s < kV5SectionCount; ++s) {
       campaign.crcs[s] = in.u32();
     }
+    // An empty section shares its offset with the section after it.
     campaign.prev_sibling_count =
         campaign.offsets[kSecPrevSibling] == campaign.offsets[kSecDepth]
+            ? 0
+            : campaign.node_count;
+    campaign.depth_count =
+        campaign.offsets[kSecDepth] == campaign.offsets[kSecContribution]
             ? 0
             : campaign.node_count;
     reject(campaign.node_count >= 1, "missing the imaginary root row");
@@ -274,7 +283,6 @@ namespace {
 /// bytes other borrowers still read.
 struct OwnedV5Columns {
   std::vector<NodeId> parent, first_child, last_child, next_sibling;
-  std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
 };
 
@@ -284,8 +292,10 @@ struct OwnedV5Columns {
 /// work, the mapping pinned by each tree's keepalive and told of every
 /// column a tree later privatizes. Otherwise every section is copied
 /// once (endian-converting if needed) into an owned holder the trees
-/// borrow from instead. Every section copied out of a mapping is
-/// released to it at once.
+/// borrow from instead. Every section not adopted in place is released
+/// to the mapping, campaign by campaign, once every tree is adopted: a
+/// release may drop a whole huge page, and a later campaign's adopt
+/// scan would fault it, the released range included, back in.
 SnapshotData build_v5(std::string_view bytes, const V5Header& header,
                       std::shared_ptr<const MappingHolder> mapping) {
   constexpr bool kLittleEndian =
@@ -296,12 +306,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
   data.mechanism = header.mechanism;
   data.campaigns.reserve(header.campaigns.size());
   for (const V5Campaign& entry : header.campaigns) {
-    const auto release = [&](std::size_t s) {
-      if (mapping != nullptr) {
-        mapping->release(bytes.data() + entry.offsets[s],
-                         entry.section_count(s) * kV5ElemSize[s]);
-      }
-    };
     CampaignSnapshot campaign;
     campaign.events_applied = entry.events_applied;
     campaign.aggregate_kind = entry.aggregate_kind;
@@ -320,7 +324,6 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       columns.first_child = u32_at(kSecFirstChild);
       columns.last_child = u32_at(kSecLastChild);
       columns.next_sibling = u32_at(kSecNextSibling);
-      columns.depth = u32_at(kSecDepth);
       columns.contribution = std::span<const double>(
           reinterpret_cast<const double*>(base +
                                           entry.offsets[kSecContribution]),
@@ -335,23 +338,34 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
       const auto copy = [&](auto& column, std::size_t s) {
         column.resize(entry.section_count(s));
         le::load_array(bytes.data() + entry.offsets[s], std::span(column));
-        release(s);
         return std::span(std::as_const(column));
       };
       columns.parent = copy(owned->parent, kSecParent);
       columns.first_child = copy(owned->first_child, kSecFirstChild);
       columns.last_child = copy(owned->last_child, kSecLastChild);
       columns.next_sibling = copy(owned->next_sibling, kSecNextSibling);
-      columns.depth = copy(owned->depth, kSecDepth);
       columns.contribution = copy(owned->contribution, kSecContribution);
       campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
                                           std::move(owned));
     }
-    campaign.aggregates.resize(entry.aggregate_count);
-    le::load_array(bytes.data() + entry.offsets[kSecAggregates],
-                   std::span(campaign.aggregates));
-    release(kSecAggregates);
     data.campaigns.push_back(std::move(campaign));
+  }
+  for (std::size_t c = 0; c < header.campaigns.size(); ++c) {
+    const V5Campaign& entry = header.campaigns[c];
+    std::vector<double>& aggregates = data.campaigns[c].aggregates;
+    aggregates.resize(entry.aggregate_count);
+    le::load_array(bytes.data() + entry.offsets[kSecAggregates],
+                   std::span(aggregates));
+    // Every section not adopted in place is done with: copied, or only
+    // CRC-checked (prev_sibling, depth and skip, which only earlier
+    // writers filled).
+    for (std::size_t s = 0; s < kV5SectionCount && mapping != nullptr; ++s) {
+      const bool adopted = s <= kSecNextSibling || s == kSecContribution;
+      if (!(in_place && adopted)) {
+        mapping->release(bytes.data() + entry.offsets[s],
+                         entry.section_count(s) * kV5ElemSize[s]);
+      }
+    }
   }
   return data;
 }
@@ -385,9 +399,9 @@ void write_image_durably(const std::string& dir, std::string_view image,
 std::string encode_snapshot_v5(const SnapshotData& data) {
   // Pass 1: compute the layout. Header record first, then each
   // campaign's nine sections, every section page-aligned. The
-  // prev-sibling and skip sections are written empty (count 0): they
-  // occupy no page, and each shares its offset with the section after
-  // it.
+  // prev-sibling, depth and skip sections are written empty (count 0):
+  // they occupy no page, and each shares its offset with the section
+  // after it.
   const std::size_t payload_size =
       8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
       data.campaigns.size() * kV5CampaignEntryBytes;
@@ -430,7 +444,6 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
     store(kSecFirstChild, tree.first_child_array());
     store(kSecLastChild, tree.last_child_array());
     store(kSecNextSibling, tree.next_sibling_array());
-    store(kSecDepth, tree.depth_array());
     store(kSecContribution, tree.contribution_array());
     store(kSecAggregates, std::span<const double>(campaign.aggregates));
     le::put_u64(payload, campaign.events_applied);

@@ -5,8 +5,8 @@
 // cost becomes O(snapshot + WAL tail) instead of O(all events).
 //
 // One on-disk generation, "ITSNAP05", named `snap-<last_seq, 16 hex>.snap`.
-// The image is an immutable, page-aligned copy of the *entire* 6-column
-// tree arena — parent, first_child, last_child, next_sibling, depth,
+// The image is an immutable, page-aligned copy of the *entire* 5-column
+// tree arena — parent, first_child, last_child, next_sibling,
 // contribution — each as its own page-aligned, individually CRC'd
 // section, with the imaginary root's row included (node_count =
 // participants + 1). A mapped image therefore needs *no link
@@ -36,15 +36,9 @@
 //           u64 events applied
 //           u64 node count         (INCLUDING the imaginary root)
 //           u64 aggregate count
-//           u64 skip count         (0 from this writer; node count in
-//                                   images written while the arena kept
-//                                   an ancestor-skip column. Readers
-//                                   accept both, CRC-check the section
-//                                   and never adopt it. The
-//                                   prev_sibling section, likewise
-//                                   empty from this writer, has no
-//                                   count field: 0 when its offset
-//                                   equals depth's, else node count)
+//           u64 skip count         (0 from this writer; node count from
+//                                   writers whose arena kept an
+//                                   ancestor-skip column)
 //           u8  aggregate kind     (server::AggregateKind of the writer:
 //                                   which accumulator family the blob is)
 //           f64 total contribution (the writer's live accumulated C(T) —
@@ -58,13 +52,15 @@
 //     sections (each page-aligned, zero-padded, in campaign order):
 //       parent / first_child / last_child /
 //       next_sibling / prev_sibling / depth   node count x u32 LE
-//                                             (prev_sibling: see skip)
 //       contribution                          node count x f64 LE
 //       skip                                  skip count x u32 LE
-//                                             (empty from this writer:
-//                                             no page, offset shared
-//                                             with the next section)
 //       aggregates                            aggregate count x f64 LE
+//
+// prev_sibling, depth and skip are columns earlier arenas kept. This
+// writer emits them empty: no page, the offset shared with the next
+// section. prev_sibling and depth have no count field: a reader takes
+// 0 when the offset equals the next section's and node count
+// otherwise. Readers CRC-check a full one and never adopt it.
 //
 // On little-endian hardware the sections are exactly the live arena's
 // columns, so encode is memcpy-class and load is an mmap plus one CRC
@@ -112,8 +108,8 @@ struct SnapshotData {
   std::vector<CampaignSnapshot> campaigns;
 };
 
-/// Encodes the full-arena page-aligned image (the prev-sibling and skip
-/// sections are written empty).
+/// Encodes the full-arena page-aligned image (the prev-sibling, depth
+/// and skip sections are written empty).
 std::string encode_snapshot_v5(const SnapshotData& data);
 
 /// Decodes an in-memory image into trees that own copies of its

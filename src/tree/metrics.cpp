@@ -19,7 +19,7 @@ TreeMetrics compute_metrics(const Tree& tree) {
     return metrics;
   }
 
-  const std::span<const std::uint32_t> depths = tree.depth_array();
+  const std::vector<std::uint32_t> depths = node_depths(tree);
   const std::vector<std::uint32_t> strahler = binary_subtree_depths(tree);
 
   OnlineStats depth_stats;

@@ -26,8 +26,7 @@ SubtreeData compute_subtree_data(const Tree& tree) {
         }
         out.subtree_size[u] = size;
       });
-  const std::span<const std::uint32_t> depth = tree.depth_array();
-  out.depth.assign(depth.begin(), depth.end());
+  out.depth = node_depths(tree);
   return out;
 }
 

@@ -13,7 +13,7 @@
 // Each node's FP operations therefore read the same finished values in
 // the same order as a postorder walk, and the results are bit-identical
 // to it (asserted by tests/batch_kernel_test.cpp). Top-down values come
-// from the arena's depth column or an ascending-id sweep.
+// from an ascending-id sweep (node_depths).
 #pragma once
 
 #include <cstdint>

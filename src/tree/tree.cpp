@@ -18,7 +18,6 @@ constexpr const char* kAdoptViolations[] = {
     "Tree::adopt_columns: child link out of range",
     "Tree::adopt_columns: parent id does not precede the node",
     "Tree::adopt_columns: negative contribution",
-    "Tree::adopt_columns: depth out of range",
     "Tree::adopt_columns: next-sibling out of range",
 };
 /// The two child-link bits: the only predicates the root row scans.
@@ -33,7 +32,6 @@ Tree::Tree() {
   first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
-  depth_.push_back(0);
   contribution_.push_back(0.0);
 }
 
@@ -42,7 +40,6 @@ void Tree::reserve(std::size_t nodes) {
   first_child_.reserve(nodes);
   last_child_.reserve(nodes);
   next_sibling_.reserve(nodes);
-  depth_.reserve(nodes);
   contribution_.reserve(nodes);
 }
 
@@ -61,12 +58,10 @@ NodeId Tree::add_node(NodeId parent, double contribution) {
   // Read the link state *before* any push_back: a reallocation must not
   // invalidate what the chain splice below needs.
   const NodeId tail = last_child_[parent];
-  const std::uint32_t parent_depth = depth_[parent];
   parent_.push_back(parent);
   first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
-  depth_.push_back(parent_depth + 1);
   contribution_.push_back(contribution);
   if (tail == kInvalidNode) {
     first_child_.mut(parent) = id;
@@ -85,17 +80,15 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   require(n >= 1, "Tree::adopt_columns: missing the imaginary root");
   require(n < kInvalidNode, "Tree::adopt_columns: impossible node count");
   require(columns.first_child.size() == n && columns.last_child.size() == n &&
-              columns.next_sibling.size() == n && columns.depth.size() == n &&
+              columns.next_sibling.size() == n &&
               columns.contribution.size() == n,
           "Tree::adopt_columns: column size mismatch");
   const NodeId* parent = columns.parent.data();
   const NodeId* first_child = columns.first_child.data();
   const NodeId* last_child = columns.last_child.data();
   const NodeId* next_sibling = columns.next_sibling.data();
-  const std::uint32_t* depth = columns.depth.data();
   const double* contribution = columns.contribution.data();
-  require(parent[kRoot] == kInvalidNode && depth[kRoot] == 0 &&
-              contribution[kRoot] == 0.0 &&
+  require(parent[kRoot] == kInvalidNode && contribution[kRoot] == 0.0 &&
               next_sibling[kRoot] == kInvalidNode,
           "Tree::adopt_columns: malformed root row");
 
@@ -132,10 +125,8 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
           static_cast<unsigned>(!leaf & !children_ok) << 1 |
           static_cast<unsigned>(parent[u] >= u) << 2 |
           static_cast<unsigned>(!(contribution[u] >= 0.0)) << 3 |
-          // depth in [1, u]; depth 0 wraps to the maximum.
-          static_cast<unsigned>(depth[u] - 1u >= u) << 4 |
           static_cast<unsigned>((nx != kInvalidNode) & ((nx <= u) | (nx >= n)))
-              << 5;
+              << 4;
       // The root row's participant checks were done above; only its
       // child links are scanned here.
       mask |= bad & (u == kRoot ? kAdoptChildLinkBits : ~0u);
@@ -150,7 +141,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   tree.first_child_.borrow(first_child, n, storage);
   tree.last_child_.borrow(last_child, n, storage);
   tree.next_sibling_.borrow(next_sibling, n, storage);
-  tree.depth_.borrow(depth, n, storage);
   tree.contribution_.borrow(contribution, n, storage);
   tree.total_contribution_ = total_contribution;
   tree.keepalive_ = std::move(keepalive);
@@ -163,10 +153,8 @@ void Tree::validate_links() const {
   const NodeId* first_child = first_child_.data();
   const NodeId* last_child = last_child_.data();
   const NodeId* next_sibling = next_sibling_.data();
-  const std::uint32_t* depth = depth_.data();
   const double* contribution = contribution_.data();
-  require(parent[kRoot] == kInvalidNode && depth[kRoot] == 0 &&
-              contribution[kRoot] == 0.0 &&
+  require(parent[kRoot] == kInvalidNode && contribution[kRoot] == 0.0 &&
               next_sibling[kRoot] == kInvalidNode,
           "Tree::validate_links: malformed root row");
 
@@ -186,8 +174,6 @@ void Tree::validate_links() const {
     require(p < u, "Tree::validate_links: parent id does not precede the node");
     require(contribution[u] >= 0.0,
             "Tree::validate_links: negative contribution");
-    require(depth[u] == depth[p] + 1,
-            "Tree::validate_links: depth column inconsistent");
     require(link_after(p) == u,
             "Tree::validate_links: sibling chain out of join order");
     last_seen[p] = u;
@@ -250,26 +236,37 @@ void Tree::remove_last_node() {
   first_child_.pop_back();
   last_child_.pop_back();
   next_sibling_.pop_back();
-  depth_.pop_back();
   contribution_.pop_back();
 }
 
 std::size_t Tree::depth(NodeId u) const {
   check_node(u, "Tree::depth");
-  return depth_[u];
+  std::size_t depth = 0;
+  for (NodeId at = parent_[u]; at != kInvalidNode; at = parent_[at]) {
+    ++depth;
+  }
+  return depth;
+}
+
+std::vector<std::uint32_t> node_depths(const Tree& tree) {
+  const std::span<const NodeId> parent = tree.parent_array();
+  std::vector<std::uint32_t> depth(parent.size(), 0);
+  for (std::size_t u = 1; u < parent.size(); ++u) {
+    depth[u] = depth[parent[u]] + 1;
+  }
+  return depth;
 }
 
 std::size_t Tree::allocation_count() const {
   return parent_.allocations() + first_child_.allocations() +
          last_child_.allocations() + next_sibling_.allocations() +
-         depth_.allocations() + contribution_.allocations();
+         contribution_.allocations();
 }
 
 std::size_t Tree::borrowed_column_count() const {
   return static_cast<std::size_t>(parent_.borrowed()) +
          first_child_.borrowed() + last_child_.borrowed() +
-         next_sibling_.borrowed() + depth_.borrowed() +
-         contribution_.borrowed();
+         next_sibling_.borrowed() + contribution_.borrowed();
 }
 
 std::vector<NodeId> Tree::subtree(NodeId u) const {

@@ -11,14 +11,16 @@
 // Contributions are mutable (needed by the CCI and SL checkers, and by
 // the "buyer keeps purchasing" MLM view).
 //
-// Layout: six parallel arrays indexed by NodeId (28 bytes per node) —
+// Layout: five parallel arrays indexed by NodeId (24 bytes per node) —
 //   parent_        parent id (kInvalidNode for the root)
 //   first_child_   head of the child list (kInvalidNode if leaf)
 //   last_child_    tail of the child list (O(1) append)
 //   next_sibling_  forward sibling chain, in join order
-//   depth_         cached depth (O(1) depth queries; ancestor walks on
-//                  the serving hot path early-exit on it)
 //   contribution_  C(u)
+// No depth is stored: pricing reads depth relative to an ancestor,
+// which the engine's ancestor walk carries; depth(u) walks the parent
+// chain, and node_depths() fills every node's depth in one ascending
+// pass (parents precede their children).
 // Child order is join order, exactly as the old vector-of-vectors arena
 // reported it, so every traversal and hence every FP evaluation order —
 // and the BENCH digest trajectory — is unchanged.
@@ -346,7 +348,6 @@ class Tree {
     std::span<const NodeId> first_child;
     std::span<const NodeId> last_child;
     std::span<const NodeId> next_sibling;
-    std::span<const std::uint32_t> depth;
     std::span<const double> contribution;
   };
 
@@ -383,12 +384,11 @@ class Tree {
                             const BorrowedStorage* storage = nullptr);
 
   /// Full O(1)-per-node cross-link verification of the arena: every
-  /// child chain is exactly the canonical append-order one, and depth
-  /// obeys the parent recurrence. One read-only ascending pass with an
-  /// O(n) scratch column; throws std::invalid_argument on the first
-  /// violation. Tests, fuzzers and paranoid operators run
-  /// this after adopt_columns; the serving path relies on the snapshot
-  /// CRCs instead (see adopt_columns).
+  /// child chain is exactly the canonical append-order one. One
+  /// read-only ascending pass with an O(n) scratch column; throws
+  /// std::invalid_argument on the first violation. Tests, fuzzers and
+  /// paranoid operators run this after adopt_columns; the serving path
+  /// relies on the snapshot CRCs instead (see adopt_columns).
   void validate_links() const;
 
   /// Adds a participant with the given contribution as a child of
@@ -432,8 +432,8 @@ class Tree {
   /// C(T): total contribution over all nodes (root contributes 0).
   double total_contribution() const { return total_contribution_; }
 
-  /// Depth of `u`: number of edges from the root. O(1) — cached in the
-  /// arena at insertion.
+  /// Depth of `u`: number of edges from the root. O(depth) — a parent
+  /// walk; bulk readers use node_depths().
   std::size_t depth(NodeId u) const;
 
   /// All nodes of the subtree T_u in preorder. O(|T_u|).
@@ -470,7 +470,6 @@ class Tree {
   std::span<const NodeId> next_sibling_array() const {
     return next_sibling_.span();
   }
-  std::span<const std::uint32_t> depth_array() const { return depth_.span(); }
 
   /// Heap allocations the arena has performed across all columns
   /// (growth reallocations and copy-on-write privatizations). A
@@ -478,7 +477,7 @@ class Tree {
   /// tree starts at 0 and pays one per column it mutates.
   std::size_t allocation_count() const;
 
-  /// Columns still backed by externally owned storage (6 right after
+  /// Columns still backed by externally owned storage (5 right after
   /// adopt_columns, dropping as mutations privatize them; 0 for a tree
   /// built through the append path).
   std::size_t borrowed_column_count() const;
@@ -490,12 +489,15 @@ class Tree {
   ArenaColumn<NodeId> first_child_;
   ArenaColumn<NodeId> last_child_;
   ArenaColumn<NodeId> next_sibling_;
-  ArenaColumn<std::uint32_t> depth_;
   ArenaColumn<double> contribution_;
   double total_contribution_ = 0.0;
   /// Pins the storage borrowed columns point into (the mmap holder of
   /// an adopted v5 image); shared across copies of the tree.
   std::shared_ptr<const void> keepalive_;
 };
+
+/// Every node's depth (edges from the root), indexed by id: one
+/// ascending O(n) pass, valid because parent(u) < u.
+std::vector<std::uint32_t> node_depths(const Tree& tree);
 
 }  // namespace itree

@@ -1,5 +1,6 @@
 #include "util/strings.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -31,6 +32,13 @@ std::string compact_number(double value, int max_decimals) {
     }
   }
   return text;
+}
+
+std::string shortest_number(double value) {
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, result.ptr);
 }
 
 std::string yes_no(bool value) { return value ? "yes" : "no"; }

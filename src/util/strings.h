@@ -13,6 +13,10 @@ std::string join(const std::vector<std::string>& parts,
 /// Formats a double compactly: fixed-point, trailing zeros trimmed.
 std::string compact_number(double value, int max_decimals = 6);
 
+/// The shortest decimal text that reads back as exactly `value`
+/// (std::to_chars): a nonzero value however small never prints as 0.
+std::string shortest_number(double value);
+
 /// "yes"/"no" rendering for property matrices.
 std::string yes_no(bool value);
 

@@ -6,9 +6,15 @@
 // from a mapped ITSNAP05 image (its parent column still borrowing the
 // mapping) after the one write that privatizes what a contribute
 // writes. A check that formats its message on the success path shows
-// up here as one allocation per ancestor step.
+// up here as one allocation per ancestor step. An in-process daemon
+// answers warm single-frame requests without allocating either.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -18,14 +24,18 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/factory.h"
+#include "net/protocol.h"
+#include "net/server.h"
 #include "server/event.h"
 #include "server/reward_service.h"
 #include "storage/snapshot.h"
 #include "tree/tree.h"
+#include "util/le_codec.h"
 #include "util/rng.h"
 
 namespace {
@@ -192,6 +202,90 @@ TEST(AllocFreeTdrm, ContributePathAllocatesNothingOnceTheChainScratchFits) {
   // scratch for all of them.
   service->apply(JoinEvent{kRoot, 10000.0});
   expect_hot_paths_allocation_free(*service);
+}
+
+/// Writes `frame` whole and reads one response frame into `buffer`
+/// over the blocking socket `fd`, allocating nothing; returns the
+/// response's status byte (0 on a transport failure).
+std::uint8_t round_trip(int fd, const std::string& frame,
+                        std::array<char, 256>& buffer) {
+  if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(frame.size())) {
+    return 0;
+  }
+  const auto read_exactly = [&](std::size_t length) {
+    for (std::size_t got = 0; got < length;) {
+      const ssize_t n = ::recv(fd, buffer.data() + got, length - got, 0);
+      if (n <= 0) {
+        return false;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  if (!read_exactly(4)) {
+    return 0;
+  }
+  const auto length = le::load<std::uint32_t>(buffer.data());
+  if (length == 0 || length > buffer.size() || !read_exactly(length)) {
+    return 0;
+  }
+  return static_cast<std::uint8_t>(buffer[0]);
+}
+
+TEST(AllocFreeDaemon, WarmSingleFrameRequestsAllocateNothing) {
+  // A raw-socket client sends pre-encoded frames and reads into a fixed
+  // buffer, so every allocation counted is the daemon's: decoding,
+  // applying, framing the response into the session's out-queue and
+  // flushing it. Warm-up sizes the out-queue ring, the spare chunk and
+  // the tree's columns.
+  const MechanismPtr mechanism = make_mechanism("geometric", {});
+  net::Server server(*mechanism, net::ServerConfig{});
+  std::thread loop([&] { server.run(); });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  using net::MsgType;
+  std::vector<std::string> frames;
+  frames.push_back(net::frame(
+      net::encode_request({MsgType::kJoin, 0, kRoot, 1.0})));
+  for (std::uint64_t node = 1; node <= 8; ++node) {
+    frames.push_back(net::frame(
+        net::encode_request({MsgType::kJoin, 0, node, 1.0})));
+  }
+  const std::string contribute =
+      net::frame(net::encode_request({MsgType::kContribute, 0, 5, 0.25}));
+  const std::string reward =
+      net::frame(net::encode_request({MsgType::kReward, 0, 5, 0.0}));
+  std::array<char, 256> buffer{};
+  for (const std::string& join : frames) {
+    EXPECT_EQ(round_trip(fd, join, buffer),
+              static_cast<std::uint8_t>(net::Status::kOkId));
+  }
+  for (int i = 0; i < 64; ++i) {
+    round_trip(fd, contribute, buffer);
+    round_trip(fd, reward, buffer);
+  }
+  std::size_t ok = 0;
+  const std::size_t allocations = allocations_in([&] {
+    for (int i = 0; i < 128; ++i) {
+      ok += round_trip(fd, contribute, buffer) ==
+            static_cast<std::uint8_t>(net::Status::kOk);
+      ok += round_trip(fd, reward, buffer) ==
+            static_cast<std::uint8_t>(net::Status::kOkValue);
+    }
+  });
+  EXPECT_EQ(ok, 256u);
+  EXPECT_EQ(allocations, 0u);
+  ::close(fd);
+  server.request_shutdown();
+  loop.join();
 }
 
 TEST(AllocFreeChecks, BadNodeStillThrowsTheFormattedMessage) {

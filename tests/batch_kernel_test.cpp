@@ -268,7 +268,7 @@ std::vector<Shape> shapes() {
   out.push_back({"after-remove-last-node", std::move(shrunk)});
   Tree adopted = adopt_through_v5(random_recursive_tree(
       2000, capped_contribution(pareto_contribution(0.5, 1.2), 40.0), rng));
-  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
   out.push_back({"v5-adopted", std::move(adopted)});
   return out;
 }
@@ -360,7 +360,7 @@ TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
   }
   (void)compute_subtree_data(adopted);
   (void)binary_subtree_depths(adopted);
-  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
   EXPECT_EQ(adopted.allocation_count(), 0u);
 }
 

@@ -121,6 +121,40 @@ TEST(RandomTrees, BoundedDepthRespectsTheBound) {
   }
 }
 
+TEST(RandomTrees, DepthsAgreeWithATopDownRecount) {
+  // Tree::depth walks the parent chain and node_depths sweeps ids
+  // upward; both must equal depths counted top-down along the child
+  // links, on every generator's shape.
+  Rng rng(9);
+  const std::vector<Tree> trees = {
+      make_chain(50, 1.0),
+      make_star(20, 2.0, 0.5),
+      make_kary(4, 3, 1.0),
+      make_caterpillar(6, 3, 1.0),
+      random_recursive_tree(500, uniform_contribution(0.0, 2.0), rng),
+      preferential_attachment_tree(500, fixed_contribution(1.0), rng),
+      bounded_depth_tree(500, 5, fixed_contribution(1.0), rng),
+  };
+  for (const Tree& tree : trees) {
+    std::vector<std::size_t> want(tree.node_count(), 0);
+    std::vector<NodeId> stack{kRoot};
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      for (NodeId c : tree.children(u)) {
+        want[c] = want[u] + 1;
+        stack.push_back(c);
+      }
+    }
+    const std::vector<std::uint32_t> depths = node_depths(tree);
+    ASSERT_EQ(depths.size(), tree.node_count());
+    for (NodeId u = 0; u < tree.node_count(); ++u) {
+      ASSERT_EQ(tree.depth(u), want[u]) << to_string(tree);
+      ASSERT_EQ(depths[u], want[u]) << to_string(tree);
+    }
+  }
+}
+
 TEST(RandomTrees, IndependentJoinProbabilityOneMakesAForestOfRoots) {
   Rng rng(8);
   const GrowthOptions all_independent{.independent_join_probability = 1.0};

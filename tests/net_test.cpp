@@ -27,6 +27,7 @@
 #include "core/registry.h"
 #include "net/client.h"
 #include "net/endpoint.h"
+#include "net/event_loop.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/spsc_ring.h"
@@ -566,6 +567,50 @@ TEST(SpscRing, TwoThreadHandoffPreservesEverySlot) {
   }
   producer.join();
   EXPECT_TRUE(ring.empty());
+}
+
+// --- The event loop alone ------------------------------------------
+
+/// Answers every frame with a plain OK at once.
+class OkHandler final : public LoopHandler {
+ public:
+  void on_frame(Session& session, std::uint64_t seq,
+                std::string_view /*payload*/) override {
+    loop->deliver(session, seq, Response{});
+  }
+  EventLoop* loop = nullptr;
+};
+
+TEST(EventLoopInterest, RoundTripsLeaveTheRegisteredMaskAlone) {
+  // A response flushed in the pass that produced it leaves the session
+  // wanting EPOLLIN only, the mask accept registered with EPOLL_CTL_ADD,
+  // so no round trip issues an EPOLL_CTL_MOD: the interest-update count
+  // stays at its post-accept value, 0.
+  OkHandler handler;
+  EventLoop loop(handler, EventLoop::Options{});
+  handler.loop = &loop;
+  std::thread thread([&] { loop.run(); });
+  constexpr int kRoundTrips = 200;
+  int answered = 0;
+  {
+    Client client("127.0.0.1", loop.port());
+    for (int i = 0; i < kRoundTrips; ++i) {
+      client.send_request({MsgType::kStats, 0});
+      answered += client.read_response().status == Status::kOk;
+    }
+  }  // the client hangs up: its session closes with EPOLL_CTL_DEL
+  for (int attempt = 0;
+       attempt < 2000 && loop.counter(EventLoop::kSessionsClosed) == 0;
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.request_drain();
+  thread.join();
+  EXPECT_EQ(answered, kRoundTrips);
+  EXPECT_EQ(loop.counter(EventLoop::kSessionsClosed), 1u);
+  EXPECT_EQ(loop.counter(EventLoop::kResponsesReleased),
+            static_cast<std::uint64_t>(kRoundTrips));
+  EXPECT_EQ(loop.counter(EventLoop::kInterestUpdates), 0u);
 }
 
 // --- Server fixture -------------------------------------------------

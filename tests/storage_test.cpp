@@ -434,7 +434,7 @@ TEST(Snapshot, MappedV5SnapshotAdoptsTheArenaInPlace) {
     // Zero-rebuild: every tree column still borrows the mapping, and
     // the links prove out without a single per-node construction step.
     for (const CampaignSnapshot& campaign : adopted.campaigns) {
-      EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
+      EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
       EXPECT_EQ(campaign.tree.allocation_count(), 0u);
       campaign.tree.validate_links();
     }
@@ -506,6 +506,7 @@ constexpr std::size_t kEntryCrcsAt = kEntryOffsetsAt + 9 * 8;
 constexpr std::size_t kParentSection = 0;
 constexpr std::size_t kPrevSiblingSection = 4;
 constexpr std::size_t kDepthSection = 5;
+constexpr std::size_t kContributionSection = 6;
 constexpr std::size_t kSkipSection = 7;
 constexpr std::size_t kAggregatesSection = 8;
 
@@ -539,12 +540,15 @@ std::vector<Region> read_regions(std::string_view image) {
     const auto offset = [&](std::size_t s) {
       return load_le(image, entry + kEntryOffsetsAt + 8 * s, 8);
     };
-    // An empty prev-sibling section shares the depth section's offset.
+    // An empty prev-sibling section shares the depth section's offset,
+    // an empty depth section the contribution section's.
     const std::size_t prevs =
         offset(kPrevSiblingSection) == offset(kDepthSection) ? 0 : nodes;
+    const std::size_t depths =
+        offset(kDepthSection) == offset(kContributionSection) ? 0 : nodes;
     const std::array<std::size_t, 9> bytes = {
-        nodes * 4, nodes * 4, nodes * 4, nodes * 4,    prevs * 4,
-        nodes * 4, nodes * 8, skips * 4, aggregates * 8};
+        nodes * 4,  nodes * 4, nodes * 4, nodes * 4,    prevs * 4,
+        depths * 4, nodes * 8, skips * 4, aggregates * 8};
     for (std::size_t s = 0; s < bytes.size(); ++s) {
       regions.push_back({offset(s), bytes[s]});
     }
@@ -589,9 +593,10 @@ TEST(Snapshot, EveryFlippedHeaderByteIsRejected) {
 
 TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
   // Each section carries its own CRC in the header table: a flip in any
-  // link, depth, contribution or aggregate byte is rejected. (The
-  // prev-sibling and skip sections are written empty; present ones are
-  // covered by LegacyPrevSiblingSectionIsVerifiedAndIgnored and
+  // link, contribution or aggregate byte is rejected. (The prev-sibling,
+  // depth and skip sections are written empty; present ones are covered
+  // by LegacyPrevSiblingSectionIsVerifiedAndIgnored,
+  // LegacyDepthSectionIsVerifiedAndIgnored and
   // LegacySkipSectionIsVerifiedAndIgnored.)
   const std::string image = encode_snapshot_v5(sample_snapshot_with_blob());
   const std::vector<Region> regions = read_regions(image);
@@ -608,9 +613,9 @@ TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
       ++checked;
     }
   }
-  // Campaign 0 (4 rows, 4 aggregates): 5 u32 columns + 2 f64 columns;
-  // campaign 1 (root row only, no blob): 5 u32 + 1 f64.
-  EXPECT_EQ(checked, (5 * 4 * 4 + 2 * 4 * 8) + (5 * 4 + 8));
+  // Campaign 0 (4 rows, 4 aggregates): 4 u32 columns + 2 f64 columns;
+  // campaign 1 (root row only, no blob): 4 u32 + 1 f64.
+  EXPECT_EQ(checked, (4 * 4 * 4 + 2 * 4 * 8) + (4 * 4 + 8));
 }
 
 TEST(Snapshot, PagePaddingIsZeroAndNeverRead) {
@@ -701,7 +706,7 @@ TEST(Snapshot, ReencodingWhatAReaderReturnsReproducesTheImage) {
   const SnapshotData adopted =
       MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
           .materialize();
-  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 5u);
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
   fs::remove_all(dir);
 }
@@ -777,12 +782,12 @@ TEST(Snapshot, AdoptedTreeMutationsNeverReachTheImageFile) {
   Tree& tree = adopted.campaigns[0].tree;
   const NodeId added = tree.add_node(1, 4.0);
   tree.set_contribution(2, 9.5);
-  EXPECT_LT(tree.borrowed_column_count(), 6u);
+  EXPECT_LT(tree.borrowed_column_count(), 5u);
   EXPECT_EQ(tree.parent(added), 1u);
   EXPECT_EQ(tree.contribution(2), 9.5);
   tree.validate_links();
   // The untouched campaign still borrows every column.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 5u);
 
   EXPECT_EQ(read_file(path), raw);
   expect_snapshot_equal(MappedSnapshot(path.string()).materialize(), data);
@@ -853,7 +858,6 @@ void expect_same_columns(const Tree& got, const Tree& want) {
   EXPECT_TRUE(same(got.first_child_array(), want.first_child_array()));
   EXPECT_TRUE(same(got.last_child_array(), want.last_child_array()));
   EXPECT_TRUE(same(got.next_sibling_array(), want.next_sibling_array()));
-  EXPECT_TRUE(same(got.depth_array(), want.depth_array()));
   EXPECT_TRUE(same(got.contribution_array(), want.contribution_array()));
 }
 
@@ -878,10 +882,10 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   }
   EXPECT_LE(materialized + aggregates_kb, verified);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
   }
 
-  // One append privatizes all six columns of campaign 0, and each
+  // One append privatizes all five columns of campaign 0, and each
   // hands its section back. A release may drop more than its range (a
   // file page mapped as part of a huge page goes with the whole huge
   // page), so the columns are read back in first; and the copy of one
@@ -894,11 +898,11 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   tree.add_node(1, 1.0);
   EXPECT_EQ(tree.borrowed_column_count(), 0u);
   const std::size_t privatized = mapped_rss_kb(base);
-  const std::size_t columns_kb = (5 * sizeof(NodeId) + sizeof(double)) * n / 1024;
+  const std::size_t columns_kb = (4 * sizeof(NodeId) + sizeof(double)) * n / 1024;
   EXPECT_LE(privatized + columns_kb / 2, read_back);
 
   // Campaign 1 still serves from the mapping; campaign 0 kept its bytes.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 5u);
   expect_same_columns(adopted.campaigns[1].tree, data.campaigns[1].tree);
   for (NodeId u = 0; u < n; ++u) {
     ASSERT_EQ(tree.parent(u), data.campaigns[0].tree.parent(u));
@@ -934,7 +938,7 @@ TEST(Snapshot, BorrowersOfAReleasedColumnReadTheImageBitEqual) {
 
     // The copy's columns left the page tables with the privatization;
     // reading them faults the same bytes back in.
-    ASSERT_EQ(copy.borrowed_column_count(), 6u);
+    ASSERT_EQ(copy.borrowed_column_count(), 5u);
     const std::size_t released = mapped_rss_kb(copy.parent_array().data());
     expect_same_columns(copy, data.campaigns[0].tree);
     copy.validate_links();
@@ -954,7 +958,7 @@ TEST(Snapshot, BufferedBorrowersNeverSeeAPrivatization) {
   decoded.campaigns[0].tree.add_node(1, 1.0);
   decoded.campaigns[0].tree.set_contribution(2, 9.0);
   EXPECT_EQ(decoded.campaigns[0].tree.borrowed_column_count(), 0u);
-  EXPECT_EQ(copy.borrowed_column_count(), 6u);
+  EXPECT_EQ(copy.borrowed_column_count(), 5u);
   expect_same_columns(copy, data.campaigns[0].tree);
   copy.validate_links();
   expect_same_columns(decoded.campaigns[1].tree, data.campaigns[1].tree);
@@ -993,7 +997,7 @@ TEST(Snapshot, ChecksummedButUnsafeArenaIsRejected) {
 /// while the arena kept one: a pure function of parent and depth.
 std::vector<std::uint32_t> legacy_skip_column(const Tree& tree) {
   const std::span<const NodeId> parent = tree.parent_array();
-  const std::span<const std::uint32_t> depth = tree.depth_array();
+  const std::vector<std::uint32_t> depth = node_depths(tree);
   std::vector<std::uint32_t> skip(tree.node_count(), kRoot);
   for (NodeId u = 1; u < tree.node_count(); ++u) {
     const NodeId p = parent[u];
@@ -1063,6 +1067,22 @@ std::string with_legacy_prev_sibling_sections(std::string image,
                               legacy_prev_sibling_column);
 }
 
+/// The layout writers produced while the arena kept a depth column: a
+/// full depth section, and the empty prev-sibling section sharing its
+/// offset.
+std::string with_legacy_depth_sections(std::string image,
+                                       const SnapshotData& data) {
+  image = with_legacy_sections(std::move(image), data, kDepthSection, 0,
+                               node_depths);
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    const std::size_t offsets = entry_at(image, c) + kEntryOffsetsAt;
+    store_le(image, offsets + 8 * kPrevSiblingSection,
+             load_le(image, offsets + 8 * kDepthSection, 8), 8);
+  }
+  reseal_header(image);
+  return image;
+}
+
 /// An image carrying a full legacy `section` (written by `legacy_writer`)
 /// restores bit-equal on the buffered and the mapped path — columns,
 /// aggregates and rewards — with every arena column borrowed, and
@@ -1108,7 +1128,7 @@ void expect_legacy_section_ignored(
   const SnapshotData adopted = MappedSnapshot(path.string()).materialize();
   expect_source(adopted);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 6u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
     EXPECT_EQ(campaign.tree.allocation_count(), 0u);
   }
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
@@ -1151,6 +1171,15 @@ TEST(Snapshot, LegacyPrevSiblingSectionIsVerifiedAndIgnored) {
                                 kPrevSiblingSection,
                                 "prev-sibling section checksum mismatch",
                                 with_legacy_prev_sibling_sections);
+}
+
+TEST(Snapshot, LegacyDepthSectionIsVerifiedAndIgnored) {
+  // Images written while the arena cached each node's depth carry it as
+  // a full section, its count implied by an offset of its own. Every
+  // reader CRC-checks it and never adopts it.
+  expect_legacy_section_ignored("itree_storage_legacy_depth", kDepthSection,
+                                "depth section checksum mismatch",
+                                with_legacy_depth_sections);
 }
 
 TEST(Snapshot, HeaderFieldsAreCheckedBeyondTheChecksum) {
@@ -1313,7 +1342,7 @@ TEST(Storage, AdoptRestoreMatchesReplayRestoreForEveryMechanism) {
     SnapshotData mapped =
         MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
             .materialize();
-    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 6u);
+    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 5u);
     RecordingService adopted(*mechanism);
     restore_campaign_from_snapshot(adopted, std::move(mapped.campaigns[0]),
                                    0);
@@ -2307,11 +2336,13 @@ TEST(Storage, LegacySkipSectionImageRecoversBitExactly) {
     const fs::path path = dir / snapshots[0].second;
     const std::string image = read_file(path);
     // Every image written before the arena lost its skip column also
-    // carried a full prev-sibling section.
+    // carried full prev-sibling and depth sections.
     const SnapshotData source = decode_snapshot(image);
-    write_file(path, with_legacy_skip_sections(
-                         with_legacy_prev_sibling_sections(image, source),
-                         source));
+    write_file(path,
+               with_legacy_skip_sections(
+                   with_legacy_prev_sibling_sections(
+                       with_legacy_depth_sections(image, source), source),
+                   source));
 
     const RecoveryResult recovered =
         recover_campaigns(*mechanism, 1, dir.string());

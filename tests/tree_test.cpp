@@ -209,7 +209,7 @@ TEST(Tree, RemoveLastNodeKeepsTheForestRootChainIntact) {
 
 TEST(Tree, GraftForestCarriesContributionsAndDepths) {
   // Grafting re-anchors the copied forest: contributions carry over
-  // bit-exactly and the cached depths are recomputed at the new anchor.
+  // bit-exactly and depths follow the new anchor.
   const Tree src = parse_tree("(5 (3 (4)))");  // depths 1, 2, 3
   Tree dst;
   const NodeId a = dst.add_independent(1.0);
@@ -232,7 +232,6 @@ Tree::Columns columns_of(const Tree& tree) {
   columns.first_child = tree.first_child_array();
   columns.last_child = tree.last_child_array();
   columns.next_sibling = tree.next_sibling_array();
-  columns.depth = tree.depth_array();
   columns.contribution = tree.contribution_array();
   return columns;
 }
@@ -247,17 +246,14 @@ struct OwnedColumns {
                    tree.last_child_array().end()),
         next_sibling(tree.next_sibling_array().begin(),
                      tree.next_sibling_array().end()),
-        depth(tree.depth_array().begin(), tree.depth_array().end()),
         contribution(tree.contribution_array().begin(),
                      tree.contribution_array().end()) {}
 
   Tree::Columns view() const {
-    return {parent, first_child, last_child, next_sibling, depth,
-            contribution};
+    return {parent, first_child, last_child, next_sibling, contribution};
   }
 
   std::vector<NodeId> parent, first_child, last_child, next_sibling;
-  std::vector<std::uint32_t> depth;
   std::vector<double> contribution;
 };
 
@@ -265,7 +261,7 @@ TEST(TreeAdopt, BorrowsEveryColumnAndMatchesTheOriginal) {
   const Tree want = parse_tree("(5 (3 (4) (1)) (2)) (7 (6))");
   const Tree got =
       Tree::adopt_columns(columns_of(want), want.total_contribution(), nullptr);
-  EXPECT_EQ(got.borrowed_column_count(), 6u);
+  EXPECT_EQ(got.borrowed_column_count(), 5u);
   EXPECT_EQ(got.allocation_count(), 0u);
   EXPECT_EQ(got.total_contribution(), want.total_contribution());
   ASSERT_EQ(got.node_count(), want.node_count());
@@ -283,12 +279,12 @@ TEST(TreeAdopt, PrivatizesOnlyTheMutatedColumn) {
   const Tree src = parse_tree("(1 (2) (3))");
   Tree adopted =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
-  EXPECT_EQ(adopted.borrowed_column_count(), 6u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
 
   // A contribution edit privatizes exactly the contribution column; the
   // source arena stays untouched.
   adopted.set_contribution(2, 9.0);
-  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
   EXPECT_EQ(adopted.allocation_count(), 1u);
   EXPECT_DOUBLE_EQ(adopted.contribution(2), 9.0);
   EXPECT_DOUBLE_EQ(src.contribution(2), 2.0);
@@ -309,7 +305,7 @@ TEST(TreeAdopt, KeepaliveOutlivesTheSourceHandle) {
   src.reset();  // the adopted tree's keepalive still pins the arena
   EXPECT_EQ(to_string(adopted), want);
   Tree copy = adopted;  // copies share the pin (and the borrow)
-  EXPECT_EQ(copy.borrowed_column_count(), 6u);
+  EXPECT_EQ(copy.borrowed_column_count(), 5u);
   adopted = Tree();  // dropping one handle keeps the other alive
   EXPECT_EQ(to_string(copy), want);
   copy.validate_links();
@@ -342,12 +338,12 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   EXPECT_EQ(storage->released[0].data, src.contribution_array().data());
   EXPECT_EQ(storage->released[0].bytes, n * sizeof(double));
 
-  // A copy borrows the five 4-byte columns still borrowed and owns the
-  // contribution column: its append releases exactly those five, and the
+  // A copy borrows the four 4-byte columns still borrowed and owns the
+  // contribution column: its append releases exactly those four, and the
   // original keeps borrowing (and reading) them.
   Tree copy = adopted;
   copy.add_node(1, 1.0);
-  ASSERT_EQ(storage->released.size(), 6u);
+  ASSERT_EQ(storage->released.size(), 5u);
   std::vector<const void*> released;
   for (std::size_t i = 1; i < storage->released.size(); ++i) {
     released.push_back(storage->released[i].data);
@@ -355,12 +351,11 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   }
   std::vector<const void*> want = {
       src.parent_array().data(), src.first_child_array().data(),
-      src.last_child_array().data(), src.next_sibling_array().data(),
-      src.depth_array().data()};
+      src.last_child_array().data(), src.next_sibling_array().data()};
   std::sort(released.begin(), released.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(released, want);
-  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
   EXPECT_EQ(adopted.node_count(), n);
   adopted.validate_links();
 
@@ -370,7 +365,7 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   Tree plain =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
   plain.add_node(1, 1.0);
-  EXPECT_EQ(storage->released.size(), 6u);
+  EXPECT_EQ(storage->released.size(), 5u);
 }
 
 TEST(TreeAdopt, RejectsUnsafeColumns) {
@@ -393,13 +388,6 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
   }
   {
     OwnedColumns c(src);
-    c.depth[2] = 0;  // participants sit strictly below the root
-    EXPECT_THROW(adopt(c), std::invalid_argument);
-    c.depth[2] = 3;  // deeper than its id allows
-    EXPECT_THROW(adopt(c), std::invalid_argument);
-  }
-  {
-    OwnedColumns c(src);
     c.next_sibling[2] = 2;  // sibling chains must strictly increase
     EXPECT_THROW(adopt(c), std::invalid_argument);
     c.next_sibling[2] = 99;  // out of bounds
@@ -418,7 +406,7 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
   }
   {
     OwnedColumns c(src);
-    c.depth.pop_back();  // column size mismatch
+    c.next_sibling.pop_back();  // column size mismatch
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
 }
@@ -463,10 +451,6 @@ TEST(TreeAdopt, RejectsUnsafeColumnsAcrossScanBlocks) {
        [&](NodeId u) { c.parent[u] = u; }},
       {"Tree::adopt_columns: negative contribution",
        [&](NodeId u) { c.contribution[u] = -1.0; }},
-      {"Tree::adopt_columns: depth out of range",
-       [&](NodeId u) { c.depth[u] = 0; }},
-      {"Tree::adopt_columns: depth out of range",
-       [&](NodeId u) { c.depth[u] = u + 1; }},
       {"Tree::adopt_columns: next-sibling out of range",
        [&](NodeId u) { c.next_sibling[u] = u; }},
   };

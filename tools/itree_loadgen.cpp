@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
                 << stats.participants << ", events " << stats.events
                 << ", total reward "
                 << compact_number(stats.total_reward, 6) << ", audit "
-                << compact_number(divergence, 12) << ", rewards digest "
+                << shortest_number(divergence) << ", rewards digest "
                 << digest_hex(digest) << '\n';
     }
     // One SERVER_STATS poll closes the verify pass. Its stats_seq is

@@ -238,8 +238,8 @@ int cmd_replay(const ArgParser& args) {
             << '\n'
             << "total reward "
             << compact_number(service.total_reward(), 6)
-            << ", audit divergence "
-            << compact_number(service.audit(), 12) << '\n';
+            << ", audit divergence " << shortest_number(service.audit())
+            << '\n';
   if (args.has("--digest")) {
     std::cout << "rewards digest "
               << digest_hex(fnv1a64(hex_doubles(service.rewards()))) << '\n';
@@ -289,8 +289,7 @@ int cmd_recover(const ArgParser& args) {
               << service.tree().participant_count() << ", events "
               << service.events_applied() << ", total reward "
               << compact_number(service.total_reward(), 6) << ", audit "
-              << compact_number(service.audit(), 12)
-              << ", rewards digest "
+              << shortest_number(service.audit()) << ", rewards digest "
               << digest_hex(fnv1a64(hex_doubles(service.rewards())))
               << '\n';
   }

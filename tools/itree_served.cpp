@@ -247,10 +247,10 @@ int main(int argc, char** argv) {
              << ",\"total_reward\":"
              << compact_number(service.total_reward(), 6)
              << ",\"audit_divergence\":"
-             << compact_number(divergence, 12) << '}';
+             << shortest_number(divergence) << '}';
     }
     report << "],\"worst_audit_divergence\":"
-           << compact_number(worst_audit, 12) << '}';
+           << shortest_number(worst_audit) << '}';
     std::cout << report.str() << '\n';
     return 0;
   } catch (const FlagError& error) {
