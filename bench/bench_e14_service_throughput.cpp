@@ -9,8 +9,9 @@
 // trajectory is the serving overhead (requests/s and latency
 // percentiles) rather than mechanism arithmetic.
 //
-// Flags: --threads N (campaign sharding inside a 1-reactor server),
-// --reactors N (shared-nothing SO_REUSEPORT loops), --batch B and
+// Flags: --threads N (the worker pool; the served path does not use
+// it), --reactors N (SO_REUSEPORT loops, each applying its own
+// sessions' requests under per-campaign locks), --batch B and
 // --pipeline W (the driver's streamed style), --open-loop RATE (after
 // the measured closed-loop pass, a second streamed pass on a fixed
 // arrival schedule of RATE requests/s total, latency measured from

@@ -173,11 +173,14 @@ struct ServerStatsBody {
   std::uint64_t protocol_errors = 0;
   std::uint64_t sessions_timed_out = 0;
   std::uint64_t backpressure_stalls = 0;
-  /// Events in each tick's per-campaign runs of consecutive write
-  /// frames (an EVENT_BATCH counts its applied events), and the number
-  /// of such runs; a replica counts its runs of shipped records.
+  /// Events in each tick's runs of consecutive write frames for one
+  /// campaign (an EVENT_BATCH counts its applied events), and the
+  /// number of such runs. A replica's shipped records are counted in
+  /// repl_records_shipped instead.
   std::uint64_t events_batched = 0;
   std::uint64_t batch_flushes = 0;
+  /// Always 0: every reactor applies its own sessions' requests. The
+  /// field keeps the frame's layout.
   std::uint64_t requests_forwarded = 0;
   std::uint64_t event_batches = 0;
 

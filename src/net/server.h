@@ -1,36 +1,35 @@
 // Multi-reactor epoll reward-service daemon core.
 //
-// One Server hosts N campaigns behind `config.reactors` shared-nothing
-// reactor threads. Each reactor runs its own net::EventLoop
-// (net/event_loop.h), which owns the transport: the port-sharing
-// listener, sessions, in-order response release, backpressure, the idle
-// sweep and the drain. Campaign c is owned by reactor (c mod reactors),
-// and only that reactor applies c's events and queries — the hot loop
-// never shares mechanism state. A request arriving on a session of
-// another reactor is forwarded to the owner over a lock-free SPSC ring
-// (one per ordered reactor pair; net/spsc_ring.h) and its response
-// travels back the same way.
+// One Server hosts N campaigns behind `config.reactors` reactor
+// threads. Each reactor runs its own net::EventLoop (net/event_loop.h),
+// which owns the transport: the port-sharing listener, sessions,
+// in-order response release, backpressure, the idle sweep and the
+// drain. A reactor applies its own sessions' requests, whatever their
+// campaign: every campaign has one mutex, taken inside
+// Server::apply_request, so a campaign's events apply one at a time in
+// the order the reactors reach them, and a query always reads a state
+// between two events. A replica's puller applies shipped records
+// under the same lock (Server::apply_shipped).
 //
-// Each tick groups the decoded requests by campaign, applies each
-// request in full (an EVENT_BATCH frame's events one by one) and
-// group-commits the storage engine *before* any response is flushed
-// (ack-after-durable). Campaigns are disjoint state and within a
-// campaign arrival order is preserved, so with one connection per
-// campaign the whole deployment is bit-deterministic at any reactor or
-// thread count — which the loopback tests and bench_e14 assert.
+// Each tick applies the decoded requests in arrival order, each in
+// full (an EVENT_BATCH frame's events one by one), and group-commits
+// the storage engine *before* any response is flushed
+// (ack-after-durable). Campaigns are disjoint state, so with one
+// connection per campaign the whole deployment is bit-deterministic at
+// any reactor count — which the loopback tests and bench_e14 assert.
 //
 // Beyond the transport guarantees (tests/net_test.cpp): a malformed
 // payload gets an error frame and the session stays open; an
 // EVENT_BATCH frame is all-or-nothing at the framing layer; and
-// request_shutdown() (async-signal-safe) also settles in-flight
-// cross-reactor traffic and checkpoints the storage engine when one is
-// configured before run() returns.
+// request_shutdown() (async-signal-safe) also checkpoints the storage
+// engine when one is configured before run() returns.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,37 +43,23 @@ namespace itree::net {
 
 class Reactor;  // internal to server.cpp
 
-/// The stream of primary records feeding a replica server's reactors.
+/// The stream of primary records feeding a replica server.
 /// Implemented by replication::ReplicaSync (src/replication); the
 /// interface lives here so net does not depend on the replication
-/// library. One consumer slot per reactor; campaign c's records go to
-/// consumer (c mod reactors), watermark-only items go to every
-/// consumer so lag floors advance even on reactors that own no
-/// campaigns of the current batch.
+/// library. Its puller thread applies every shipped record through
+/// Server::apply_shipped, then advances applied_floor() and wakes the
+/// reactors, so parked REWARD_AT reads are re-checked.
 class ReplicaFeed {
  public:
-  struct Item {
-    std::uint32_t campaign = 0;
-    bool is_event = false;    ///< false: watermark advance only
-    Event event;              ///< valid when is_event
-    std::uint64_t through = 0;  ///< applied floor after this item
-  };
-
   virtual ~ReplicaFeed() = default;
 
-  /// Starts the shipping thread; `wakers[i]` pokes consumer i's
-  /// reactor after a push. Called by Server::run() before the reactors
-  /// start.
-  virtual void start(std::vector<std::function<void()>> wakers) = 0;
+  /// Starts the shipping thread; it calls `wake_reactors` after each
+  /// applied batch. Called by Server::run() before the reactors start.
+  virtual void start(std::function<void()> wake_reactors) = 0;
   /// Stops and joins the shipping thread (idempotent).
   virtual void stop() = 0;
-  /// Moves consumer `consumer`'s pending items into *out (appending).
-  /// Returns false when there was nothing pending.
-  virtual bool drain(std::size_t consumer, std::vector<Item>* out) = 0;
-  /// Consumer `consumer` finished applying everything up to `through`.
-  virtual void note_applied(std::size_t consumer, std::uint64_t through) = 0;
-  /// min over consumers of their applied watermark — every record at
-  /// or below it is visible to queries on every campaign.
+  /// Every record at or below it is applied and visible to queries on
+  /// every campaign.
   virtual std::uint64_t applied_floor() const = 0;
   /// The primary's committed sequence as of the last exchange.
   virtual std::uint64_t primary_seq() const = 0;
@@ -92,9 +77,8 @@ struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; see Server::port()
   std::size_t campaigns = 1;
   /// Reactor threads, each with its own listener on the shared port and
-  /// its own epoll loop. Campaign c is owned by reactor (c mod
-  /// reactors). 1 preserves the classic single-loop behaviour
-  /// (cross-reactor machinery idle).
+  /// its own epoll loop. Each applies the requests of the sessions it
+  /// accepted, for any campaign, under that campaign's lock.
   std::size_t reactors = 1;
   /// Sessions with no traffic for this long are closed; 0 disables.
   double idle_timeout_seconds = 0.0;
@@ -148,12 +132,16 @@ class Server {
   const storage::Storage* storage() const { return storage_.get(); }
 
   /// Turns this server into a read replica: writes bounce with a
-  /// kNotPrimary redirect, `feed`'s records are applied by the owning
-  /// reactors, and REWARD_AT queries whose token is beyond the applied
-  /// floor wait up to `serve_stale_seconds` before bouncing with
-  /// kReplicaLagging. Must be called before run(); the feed must
-  /// outlive it. The feed's consumer count must equal reactor_count().
+  /// kNotPrimary redirect, `feed` applies the primary's records, and
+  /// REWARD_AT queries whose token is beyond the applied floor wait up
+  /// to `serve_stale_seconds` before bouncing with kReplicaLagging.
+  /// Must be called before run(); the feed must outlive it.
   void attach_replica(ReplicaFeed* feed, double serve_stale_seconds);
+
+  /// Applies one record shipped from the primary to its campaign,
+  /// under the campaign's lock (any thread; the replica's puller).
+  /// Throws when the service rejects it: the histories diverged.
+  void apply_shipped(std::uint32_t campaign_index, const Event& event);
 
   /// Mutable campaign/storage access for replica bootstrap (snapshot
   /// restore + tail replay before run(); src/replication only).
@@ -182,7 +170,7 @@ class Server {
                                     const Event& event,
                                     std::uint64_t* out_seq = nullptr);
 
-  /// Executes one campaign-owning request (called only by the owning
+  /// Executes one campaign request under the campaign's lock (any
   /// reactor, inside its tick).
   Response apply_request(const Request& request);
 
@@ -199,6 +187,13 @@ class Server {
   /// Observers into either owned_campaigns_ or storage_'s campaigns.
   std::vector<RecordingService*> campaigns_;
   std::vector<std::unique_ptr<RecordingService>> owned_campaigns_;
+  /// One per campaign, held for each apply_request / apply_shipped;
+  /// a cache line each, so reactors on different campaigns do not
+  /// contend on one.
+  struct alignas(64) CampaignLock {
+    std::mutex mutex;
+  };
+  std::vector<CampaignLock> campaign_locks_;
   std::unique_ptr<storage::Storage> storage_;  ///< null when in-memory
 
   std::vector<std::unique_ptr<Reactor>> reactors_;

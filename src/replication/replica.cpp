@@ -27,10 +27,15 @@ std::uint64_t local_tail_seq(const std::string& dir) {
   }
   const auto segments = storage::list_wal_segments(dir);
   if (!segments.empty()) {
+    // Streamed through the reader's window: only the last sequence is
+    // kept, never the segment's records.
     const auto& [first_seq, name] = segments.back();
-    const storage::WalScan scan = storage::scan_wal_file(dir + "/" + name);
-    const std::uint64_t wal_tail =
-        scan.records.empty() ? first_seq - 1 : scan.records.back().seq;
+    storage::WalSegmentReader reader(dir + "/" + name);
+    std::uint64_t wal_tail = first_seq - 1;
+    storage::WalRecord record;
+    while (reader.next(&record)) {
+      wal_tail = record.seq;
+    }
     tail = std::max(tail, wal_tail);
   }
   return tail;
@@ -137,12 +142,7 @@ ReplicaSync::ReplicaSync(const Mechanism& mechanism, net::Server& server,
     bootstrap_from_snapshot(info);
   }
   catch_up();
-
-  consumers_.reserve(server.reactor_count());
-  for (std::size_t i = 0; i < server.reactor_count(); ++i) {
-    consumers_.push_back(std::make_unique<Consumer>());
-    consumers_.back()->applied.store(shipped_, std::memory_order_release);
-  }
+  applied_.store(shipped_, std::memory_order_release);
 }
 
 ReplicaSync::~ReplicaSync() { stop(); }
@@ -191,35 +191,12 @@ void ReplicaSync::catch_up() {
       }
       return;  // nothing below the committed watermark left to ship
     }
-    // Pre-thread bootstrap: apply directly, no consumer queues yet.
-    for (const storage::WalRecord& record : batch.records) {
-      if (record.campaign >= server_->campaign_count()) {
-        throw std::runtime_error(
-            "replica: shipped record for unknown campaign " +
-            std::to_string(record.campaign));
-      }
-      if (storage_ != nullptr) {
-        storage_->append_replicated(record);
-      }
-      server_->mutable_campaign(record.campaign).apply(record.event);
-    }
-    if (storage_ != nullptr) {
-      storage_->commit();
-    }
-    shipped_ = batch.records.back().seq;
-    records_shipped_.fetch_add(batch.records.size(),
-                               std::memory_order_relaxed);
+    apply_batch(batch.records);
   }
 }
 
-void ReplicaSync::start(std::vector<std::function<void()>> wakers) {
-  if (wakers.size() != consumers_.size()) {
-    throw std::logic_error("ReplicaSync: waker count " +
-                           std::to_string(wakers.size()) +
-                           " does not match consumer count " +
-                           std::to_string(consumers_.size()));
-  }
-  wakers_ = std::move(wakers);
+void ReplicaSync::start(std::function<void()> wake_reactors) {
+  wake_reactors_ = std::move(wake_reactors);
   stop_.store(false, std::memory_order_release);
   puller_ = std::thread(&ReplicaSync::pull_loop, this);
 }
@@ -231,33 +208,8 @@ void ReplicaSync::stop() {
   }
 }
 
-bool ReplicaSync::drain(std::size_t consumer, std::vector<Item>* out) {
-  Consumer& slot = *consumers_.at(consumer);
-  std::lock_guard lock(slot.mutex);
-  if (slot.items.empty()) {
-    return false;
-  }
-  out->insert(out->end(), std::make_move_iterator(slot.items.begin()),
-              std::make_move_iterator(slot.items.end()));
-  slot.items.clear();
-  return true;
-}
-
-void ReplicaSync::note_applied(std::size_t consumer,
-                               std::uint64_t through) {
-  // Single writer per slot (its reactor), so load+store suffices.
-  Consumer& slot = *consumers_.at(consumer);
-  if (through > slot.applied.load(std::memory_order_relaxed)) {
-    slot.applied.store(through, std::memory_order_release);
-  }
-}
-
 std::uint64_t ReplicaSync::applied_floor() const {
-  std::uint64_t floor = ~std::uint64_t{0};
-  for (const auto& slot : consumers_) {
-    floor = std::min(floor, slot->applied.load(std::memory_order_acquire));
-  }
-  return consumers_.empty() ? 0 : floor;
+  return applied_.load(std::memory_order_acquire);
 }
 
 std::uint64_t ReplicaSync::primary_seq() const {
@@ -289,8 +241,9 @@ void ReplicaSync::fatal(const std::string& reason) {
   failed_.store(true, std::memory_order_release);
 }
 
-void ReplicaSync::dispatch_batch(std::vector<storage::WalRecord> records) {
-  // Persist first: the watermark item published below is a durability
+void ReplicaSync::apply_batch(
+    const std::vector<storage::WalRecord>& records) {
+  // Persist first: the applied floor published below is a durability
   // promise (a REWARD_AT token at or below it must survive a replica
   // restart on durable replicas).
   for (const storage::WalRecord& record : records) {
@@ -306,33 +259,17 @@ void ReplicaSync::dispatch_batch(std::vector<storage::WalRecord> records) {
   if (storage_ != nullptr) {
     storage_->commit();
   }
-
-  const std::uint64_t through = records.back().seq;
-  // Group per consumer locally so each inbox is locked once per batch.
-  std::vector<std::vector<Item>> grouped(consumers_.size());
-  for (storage::WalRecord& record : records) {
-    Item item;
-    item.campaign = record.campaign;
-    item.is_event = true;
-    item.event = std::move(record.event);
-    grouped[record.campaign % consumers_.size()].push_back(std::move(item));
+  // A shipped record was validated by the primary; a rejection here
+  // means the histories diverged, and the throw fail-stops the replica
+  // rather than serving silently wrong rewards.
+  for (const storage::WalRecord& record : records) {
+    server_->apply_shipped(record.campaign, record.event);
   }
-  for (std::size_t i = 0; i < consumers_.size(); ++i) {
-    // Every consumer gets the watermark (reactors owning no campaign
-    // of this batch must still advance their floor).
-    Item watermark;
-    watermark.through = through;
-    grouped[i].push_back(std::move(watermark));
-    Consumer& slot = *consumers_[i];
-    std::lock_guard lock(slot.mutex);
-    slot.items.insert(slot.items.end(),
-                      std::make_move_iterator(grouped[i].begin()),
-                      std::make_move_iterator(grouped[i].end()));
-  }
-  shipped_ = through;
+  shipped_ = records.back().seq;
   records_shipped_.fetch_add(records.size(), std::memory_order_relaxed);
-  for (const auto& wake : wakers_) {
-    wake();
+  applied_.store(shipped_, std::memory_order_release);
+  if (wake_reactors_) {
+    wake_reactors_();
   }
 }
 
@@ -403,7 +340,7 @@ void ReplicaSync::pull_loop() {
       continue;
     }
     try {
-      dispatch_batch(std::move(batch.records));
+      apply_batch(batch.records);
     } catch (const std::exception& error) {
       // Divergent histories or an unknown campaign: fail-stop. The
       // replica keeps serving its last applied state.

@@ -6,24 +6,26 @@
 // start, local recovery plus WAL tail replay for a durable restart —
 // and then runs a puller thread that continuously fetches committed
 // WAL records over REPL_SEGMENT, persists them locally (durable
-// replicas), and hands them to the owning reactors through the
-// net::ReplicaFeed interface. All shipped bytes are the primary's
-// on-disk record encoding, so the replica CRC-verifies them with the
-// same scanner recovery uses (scan_wal); a torn or bit-flipped batch
-// yields only its clean prefix and the remainder is re-requested from
-// the last good sequence — never a crash, never a silent desync.
+// replicas), and applies them to their campaigns under the server's
+// campaign locks (net::Server::apply_shipped). All shipped bytes are
+// the primary's on-disk record encoding, so the replica CRC-verifies
+// them with the same scanner recovery uses (scan_wal); a torn or
+// bit-flipped batch yields only its clean prefix and the remainder is
+// re-requested from the last good sequence — never a crash, never a
+// silent desync.
 //
-// Consistency. The puller advances per-consumer watermarks only after
-// the records are durable locally (storage commit), and reactors
-// advance their applied floors only after the services absorbed the
-// events; REWARD_AT tokens are gated on that floor by the server. An
-// unrecoverable condition (divergent histories, mechanism mismatch,
-// compaction gap) sets failed() and stops shipping — the replica keeps
+// Consistency. The puller applies a batch only after it is durable
+// locally (storage commit), and advances the applied floor only after
+// the whole batch is applied; REWARD_AT tokens are gated on that floor
+// by the server. An unrecoverable condition (divergent histories,
+// mechanism mismatch, compaction gap, a shipped record the service
+// rejects) sets failed() and stops shipping — the replica keeps
 // serving its last applied state rather than guessing (fail-stop).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -86,8 +88,8 @@ PrimaryInfo probe_primary(const ReplicaOptions& options);
 PrimaryInfo prepare_replica_data_dir(const std::string& data_dir,
                                      const ReplicaOptions& options);
 
-/// The replica's feed implementation. Construct after the Server (its
-/// reactor count fixes the consumer topology) and before run():
+/// The replica's feed implementation. Construct after the Server and
+/// before run():
 ///
 ///     net::Server server(mechanism, config);
 ///     replication::ReplicaSync sync(mechanism, server, options);
@@ -113,10 +115,8 @@ class ReplicaSync : public net::ReplicaFeed {
   ReplicaSync& operator=(const ReplicaSync&) = delete;
 
   // --- net::ReplicaFeed ---------------------------------------------
-  void start(std::vector<std::function<void()>> wakers) override;
+  void start(std::function<void()> wake_reactors) override;
   void stop() override;
-  bool drain(std::size_t consumer, std::vector<Item>* out) override;
-  void note_applied(std::size_t consumer, std::uint64_t through) override;
   std::uint64_t applied_floor() const override;
   std::uint64_t primary_seq() const override;
   std::uint64_t records_shipped() const override;
@@ -127,21 +127,14 @@ class ReplicaSync : public net::ReplicaFeed {
   std::string last_error() const;
 
  private:
-  /// One reactor's inbox plus its applied watermark.
-  struct Consumer {
-    std::mutex mutex;
-    std::vector<Item> items;             ///< guarded by mutex
-    std::atomic<std::uint64_t> applied{0};
-  };
-
   void bootstrap_from_snapshot(const PrimaryInfo& info);
   /// Fetches and applies records synchronously until caught up to the
   /// primary's committed sequence (constructor only, pre-threads).
   void catch_up();
   void pull_loop();
-  /// Persists, enqueues and publishes one validated batch. Throws on
+  /// Persists, applies and publishes one validated batch. Throws on
   /// divergence (fail-stop).
-  void dispatch_batch(std::vector<storage::WalRecord> records);
+  void apply_batch(const std::vector<storage::WalRecord>& records);
   void fatal(const std::string& reason);
 
   const Mechanism* mechanism_;
@@ -151,13 +144,14 @@ class ReplicaSync : public net::ReplicaFeed {
   storage::Storage* storage_;  ///< null for an in-memory replica
 
   std::unique_ptr<ReplClient> client_;
-  std::vector<std::unique_ptr<Consumer>> consumers_;
-  std::vector<std::function<void()>> wakers_;
+  std::function<void()> wake_reactors_;  ///< empty until start()
   std::thread puller_;
 
-  /// Last sequence handed to dispatch (puller thread only outside the
+  /// Last sequence applied (puller thread only outside the
   /// constructor).
   std::uint64_t shipped_ = 0;
+  /// shipped_, published for the reactors' token gate.
+  std::atomic<std::uint64_t> applied_{0};
 
   std::atomic<std::uint64_t> primary_seq_{0};
   std::atomic<std::uint64_t> records_shipped_{0};

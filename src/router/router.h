@@ -12,7 +12,7 @@
 // routes to the same shard that issued it (same campaign, same modulo),
 // so read-your-writes survives the indirection (docs/sharding.md).
 //
-// Each reactor (shared-nothing, like net/server.h) runs its own
+// Each reactor (shared-nothing) runs its own
 // net::EventLoop (net/event_loop.h) for the client sessions and keeps
 // one pooled, pipelined connection per shard in the same epoll set.
 // Workers answer strictly in request order per connection, so a FIFO of

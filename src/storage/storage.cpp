@@ -504,6 +504,9 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
   if (from_seq < window.min_available_seq) {
     return window;  // compacted away; replica must re-bootstrap
   }
+  // Each segment streams through WalSegmentReader's window and the
+  // read stops at max_records or the committed watermark, so a lagging
+  // replica's fetch decodes what it ships, not whole segments.
   std::uint64_t expected = from_seq;
   bool done = false;
   for (std::size_t i = 0; i < segments.size() && !done; ++i) {
@@ -511,24 +514,24 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
     if (i + 1 < segments.size() && segments[i + 1].first <= from_seq) {
       continue;
     }
-    WalScan scan;
     try {
-      scan = scan_wal_file(config_.data_dir + "/" + segments[i].second);
+      WalSegmentReader reader(config_.data_dir + "/" + segments[i].second);
+      WalRecord record;
+      while (!done && reader.next(&record)) {
+        if (record.seq < from_seq) {
+          continue;
+        }
+        if (record.seq != expected || record.seq > window.committed_seq) {
+          done = true;
+          break;
+        }
+        append_wal_record(window.records, record);
+        ++window.count;
+        ++expected;
+        done = window.count >= max_records || expected > window.committed_seq;
+      }
     } catch (const std::runtime_error&) {
       break;  // deleted by concurrent compaction
-    }
-    for (const WalRecord& record : scan.records) {
-      if (record.seq < from_seq) {
-        continue;
-      }
-      if (record.seq != expected || record.seq > window.committed_seq ||
-          window.count >= max_records) {
-        done = true;
-        break;
-      }
-      append_wal_record(window.records, record);
-      ++window.count;
-      ++expected;
     }
   }
   return window;

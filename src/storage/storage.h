@@ -179,8 +179,8 @@ class Storage {
   /// and logs it. Exceptions from the service propagate and nothing is
   /// logged. Safe to call concurrently for *different* campaigns (the
   /// WAL append is serialized internally, snapshots are excluded via a
-  /// shared lock); per campaign the caller must apply serially, as the
-  /// owning reactor's campaign groups do. When `out_seq` is non-null it
+  /// shared lock); per campaign the caller must apply serially, as
+  /// net::Server's per-campaign lock does. When `out_seq` is non-null it
   /// receives the WAL sequence assigned to the event — the write-ack
   /// consistency token (durable only after the next commit()).
   std::optional<NodeId> apply(std::uint32_t index, const Event& event,
@@ -189,8 +189,8 @@ class Storage {
   /// Replica-side ingest: logs a record shipped from the primary,
   /// asserting it continues the local sequence exactly (a gap or
   /// repeat means the streams diverged — fail stop). The caller is the
-  /// single replication puller thread; the shipped event must also be
-  /// applied to the owning campaign by its reactor.
+  /// single replication puller thread, which then applies the shipped
+  /// event to its campaign.
   void append_replicated(const WalRecord& record);
 
   /// Primary-side shipping: committed records from `from_seq` on
@@ -258,7 +258,7 @@ class Storage {
   std::unique_ptr<WalWriter> writer_;
   /// Two-level locking for the multi-reactor server. state_mutex_ is
   /// held shared by apply()/commit() (reactors run concurrently;
-  /// per-campaign serialization is the caller's ownership discipline)
+  /// per-campaign serialization is the caller's campaign lock)
   /// and exclusively by snapshots, which must observe every campaign
   /// at one quiesced watermark. wal_mutex_ nests inside it and
   /// serializes the cross-campaign WAL writer. Lock order:

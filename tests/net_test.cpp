@@ -1310,10 +1310,9 @@ INSTANTIATE_TEST_SUITE_P(Mechanisms, ReactorInvariance,
                          mechanism_case_name);
 
 TEST_F(NetTest, CrossReactorResponsesStayInRequestOrder) {
-  // One connection touching four campaigns behind two reactors: at
-  // least two campaigns are owned by the reactor that did NOT accept
-  // the connection, so their requests ride the forwarding rings — and
-  // the per-session sequencer must still release every response in
+  // One connection touching four campaigns behind two reactors: its
+  // reactor applies every campaign's requests under each campaign's
+  // lock, and the per-session sequencer must release every response in
   // exact request order.
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
   ServerConfig config;
@@ -1345,8 +1344,94 @@ TEST_F(NetTest, CrossReactorResponsesStayInRequestOrder) {
         << "round " << i;
   }
   stop();
-  EXPECT_GT(server_->counters().requests_forwarded, 0u)
-      << "the layout must actually exercise cross-reactor forwarding";
+  EXPECT_EQ(server_->counters().requests_forwarded, 0u);
+}
+
+TEST_F(NetTest, SharedCampaignAcrossReactorsAppliesEveryEventOnce) {
+  // Six classic clients on one campaign behind two reactors: the kernel
+  // spreads the sessions over both listeners, so both reactors apply
+  // JOINs and CONTRIBUTEs to the same campaign and read it, each under
+  // the campaign's lock. Every event must land exactly once, join ids
+  // must be unique and contiguous, the served state must audit to
+  // zero, and the WAL (appended under the same lock) must recover it
+  // bit for bit.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "itree_net_test_shared_campaign";
+  fs::remove_all(dir);
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  ServerConfig config;
+  config.campaigns = 1;
+  config.reactors = 2;
+  config.storage.data_dir = dir.string();
+  config.storage.mechanism_name = "geometric";
+  start(*mechanism, config);
+
+  constexpr int kClients = 6;
+  constexpr int kRequests = 400;
+  std::vector<std::vector<NodeId>> joined(kClients);
+  std::vector<std::uint64_t> events(kClients, 0);
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      try {
+        Client client = connect();
+        Rng rng(900 + static_cast<std::uint64_t>(t));
+        std::vector<NodeId>& mine = joined[t];
+        for (int i = 0; i < kRequests; ++i) {
+          const double draw = rng.uniform(0.0, 1.0);
+          if (mine.empty() || draw < 0.4) {
+            const NodeId referrer = mine.empty() || rng.bernoulli(0.2)
+                                        ? kRoot
+                                        : mine[rng.index(mine.size())];
+            mine.push_back(client.join(0, referrer, 0.5));
+            ++events[t];
+          } else if (draw < 0.7) {
+            client.contribute(0, mine[rng.index(mine.size())], 0.25);
+            ++events[t];
+          } else if (draw < 0.9) {
+            if (!(client.reward(0, mine[rng.index(mine.size())]) >= 0.0)) {
+              throw std::runtime_error("negative reward");
+            }
+          } else if (client.stats(0).events < events[t]) {
+            throw std::runtime_error("STATS missed this session's events");
+          }
+        }
+      } catch (const std::exception& error) {
+        errors[t] = error.what();
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  std::uint64_t total_events = 0;
+  std::vector<NodeId> ids;
+  for (int t = 0; t < kClients; ++t) {
+    EXPECT_EQ(errors[t], "") << "client " << t;
+    total_events += events[t];
+    ids.insert(ids.end(), joined[t].begin(), joined[t].end());
+  }
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(ids[i], static_cast<NodeId>(i + 1)) << "join ids must be "
+                                                     "unique and contiguous";
+  }
+
+  Client probe = connect();
+  const StatsBody stats = probe.stats(0);
+  EXPECT_EQ(stats.events, total_events);
+  EXPECT_EQ(stats.participants, ids.size());
+  EXPECT_EQ(probe.audit(0), 0.0);
+  const std::vector<double> served = probe.rewards(0);
+  const storage::RecoveryResult recovered =
+      storage::recover_campaigns(*mechanism, 1, dir.string());
+  EXPECT_EQ(hex_doubles(recovered.campaigns[0]->service().rewards()),
+            hex_doubles(served));
+  stop();
+  EXPECT_EQ(server_->counters().requests_forwarded, 0u);
+  fs::remove_all(dir);
 }
 
 TEST_F(NetTest, LiveServerStatsReflectServingWithoutStopping) {
@@ -1401,8 +1486,8 @@ TEST_F(NetTest, SequentialRequestsPinTheWriteRunCounters) {
 
 TEST_F(NetTest, PeriodicSnapshotsAcrossReactorsCaptureWholeCampaigns) {
   // A periodic snapshot is taken by whichever reactor's commit finds it
-  // due, and it reads every campaign, including the one the other
-  // reactor is applying an EVENT_BATCH to at that moment. Each
+  // due, and it reads every campaign, including one another reactor is
+  // applying an EVENT_BATCH to at that moment. Each
   // campaign must be whole whenever no apply() is running: the served
   // state audits below 1e-9 and recovery from the latest periodic snapshot
   // plus the WAL tail reproduces it bit for bit. Under ThreadSanitizer
@@ -1413,7 +1498,7 @@ TEST_F(NetTest, PeriodicSnapshotsAcrossReactorsCaptureWholeCampaigns) {
   fs::remove_all(dir);
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
   ServerConfig config;
-  config.campaigns = 2;  // campaign c is owned by reactor c
+  config.campaigns = 2;  // one writer connection each
   config.reactors = 2;
   config.storage.data_dir = dir.string();
   config.storage.snapshot_every = 300;

@@ -315,6 +315,57 @@ TEST_F(ReplicationTest, ReadYourWritesThroughTheToken) {
   }
 }
 
+TEST_F(ReplicationTest,
+       TwoReactorReplicaAnswersTokenReadsWhileThePullerApplies) {
+  // Four writer/reader pairs on campaign 0: each writes to the primary,
+  // then reads its write back from a 2-reactor replica with the
+  // write-ack token while the replica's puller applies the other
+  // pairs' records to the same campaign. Every participant joins under
+  // the root and only its own writer touches it, so its reward is fixed
+  // once its writes are applied: a token read must return exactly
+  // that, and the drained replica must equal the primary bit for bit.
+  start_primary(MechanismKind::kGeometric, 2);
+  ServerHandle& replica = start_replica("", 2);
+
+  constexpr int kPairs = 4;
+  constexpr int kRounds = 40;
+  std::vector<std::string> errors(kPairs);
+  std::vector<std::thread> pairs;
+  for (int p = 0; p < kPairs; ++p) {
+    pairs.emplace_back([&, p] {
+      try {
+        Client writer = primary_->connect();
+        Client reader = replica.connect();
+        for (int round = 0; round < kRounds; ++round) {
+          const NodeId id = writer.join(0, kRoot, 1.0 + p);
+          writer.contribute(0, id, 0.25 * (round + 1));
+          const std::uint64_t token = writer.last_write_seq();
+          const double got = reader.reward_query_at(0, id, token);
+          const double want = writer.reward(0, id);
+          if (got != want) {
+            throw std::runtime_error(
+                "token read of node " + std::to_string(id) + " returned " +
+                std::to_string(got) + ", want " + std::to_string(want));
+          }
+        }
+      } catch (const std::exception& error) {
+        errors[p] = error.what();
+      }
+    });
+  }
+  for (std::thread& pair : pairs) {
+    pair.join();
+  }
+  for (int p = 0; p < kPairs; ++p) {
+    EXPECT_EQ(errors[p], "") << "pair " << p;
+  }
+  Client primary = primary_->connect();
+  const std::uint64_t committed = primary.server_stats().committed_seq;
+  EXPECT_EQ(committed, std::uint64_t{2 * kPairs * kRounds});
+  wait_caught_up(replica, committed);
+  expect_bit_identical(replica);
+}
+
 TEST_F(ReplicationTest, FarFutureTokenBouncesAsLagging) {
   start_primary(MechanismKind::kGeometric);
   ServerHandle& replica = start_replica("", 1, /*serve_stale_seconds=*/0.05);

@@ -1,8 +1,9 @@
 // `itree-served` — the epoll reward-service daemon.
 //
 // Boots one Server hosting N campaigns of the chosen mechanism behind
-// `--reactors` shared-nothing epoll loops (SO_REUSEPORT; see
-// net/server.h) and serves the binary wire protocol (docs/protocol.md)
+// `--reactors` epoll loops (SO_REUSEPORT; each applies its own
+// sessions' requests under per-campaign locks, see net/server.h) and
+// serves the binary wire protocol (docs/protocol.md)
 // until SIGTERM / SIGINT / a SHUTDOWN frame, then drains gracefully and
 // prints an exit report: one human-readable summary line plus one
 // machine-readable JSON object (counters, per-campaign state, worst
@@ -74,8 +75,8 @@ int main(int argc, char** argv) {
   args.add_flag("--no-remote-shutdown",
                 "ignore SHUTDOWN frames (signals only)", false);
   args.add_flag("--reactors",
-                "shared-nothing epoll reactor threads, each with its own "
-                "SO_REUSEPORT listener (default 1)");
+                "epoll reactor threads, each with its own SO_REUSEPORT "
+                "listener, applying its sessions' requests (default 1)");
   args.add_flag("--replica-of",
                 "run as a read replica of the primary at HOST:PORT: "
                 "bootstrap from its snapshot/WAL, apply its shipped "
@@ -87,8 +88,8 @@ int main(int argc, char** argv) {
                 "replica: puller idle-poll cadence in milliseconds "
                 "(default 2)");
   args.add_flag("--threads",
-                "worker threads for campaign sharding when --reactors is 1 "
-                "(default: hardware)");
+                "worker threads for recovery's parallel CRC and adopt "
+                "passes (default: hardware)");
   if (!args.parse(argc, argv)) {
     std::cerr << args.error() << '\n';
     return 2;
@@ -148,8 +149,8 @@ int main(int argc, char** argv) {
               : replication::prepare_replica_data_dir(
                     config.storage.data_dir, replica_options);
       config.campaigns = info.campaigns;
-      // Replica reactors apply shipped records outside the storage
-      // state lock; commit-triggered snapshots must not run.
+      // The replica's puller applies shipped records outside the
+      // storage state lock; commit-triggered snapshots must not run.
       config.storage.snapshot_every = 0;
     }
 
@@ -195,8 +196,7 @@ int main(int argc, char** argv) {
     const net::ServerStatsBody counters = server.counters();
     std::cout << "itree-served: drained. sessions accepted "
               << counters.sessions_accepted << ", requests served "
-              << counters.requests_served << ", forwarded "
-              << counters.requests_forwarded << ", protocol errors "
+              << counters.requests_served << ", protocol errors "
               << counters.protocol_errors << '\n';
     // Machine-readable exit report: one JSON object on one line.
     std::ostringstream report;
