@@ -26,6 +26,11 @@
 
 namespace itree {
 
+/// The source revision the bench was built from ("<12 hex>",
+/// "<12 hex>-dirty" or "unknown"), generated on every build by
+/// cmake/git_revision.cmake.
+extern const char* const kBuildRevision;
+
 class BenchHarness {
  public:
   /// Parses and removes --threads/--json (both `--flag value` and
@@ -83,7 +88,7 @@ class BenchHarness {
     struct utsname name {};
     host.kernel_release = ::uname(&name) == 0 ? name.release : "unknown";
     host.build_type = ITREE_BUILD_TYPE;
-    host.git_revision = ITREE_GIT_REVISION;
+    host.git_revision = kBuildRevision;
     return host;
   }
 

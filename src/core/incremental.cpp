@@ -131,11 +131,10 @@ void IncrementalSubtreeState::rebuild_binary_depths() {
   bd_second_.assign(n, 0);
   // parent(u) < u: a descending sweep finishes every child first. Pure
   // integer work, so the visiting order cannot change the result.
-  const NodeId* first_child = tree_.first_child_array().data();
+  const NodeId* last_child = tree_.last_child_array().data();
   const NodeId* next_sibling = tree_.next_sibling_array().data();
   for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
-    for (NodeId child = first_child[u]; child != kInvalidNode;
-         child = next_sibling[child]) {
+    for_each_child(last_child, next_sibling, u, [&](NodeId child) {
       const std::uint32_t d = bd_[child];
       if (d > bd_first_[u]) {
         bd_second_[u] = bd_first_[u];
@@ -143,7 +142,7 @@ void IncrementalSubtreeState::rebuild_binary_depths() {
       } else if (d > bd_second_[u]) {
         bd_second_[u] = d;
       }
-    }
+    });
     bd_[u] = std::max({1u, bd_first_[u], bd_second_[u] + 1});
   }
 }

@@ -105,15 +105,15 @@ void LPachiraMechanism::rewards_from_aggregates(
   }
   const double scale = Phi() * total;
   const double* subtree = view.subtree.data();
-  const NodeId* first_child = view.tree.first_child_array().data();
+  const NodeId* last_child = view.tree.last_child_array().data();
   const NodeId* next_sibling = view.tree.next_sibling_array().data();
   for (std::size_t i = 0; i < out.size(); ++i) {
     const NodeId u = static_cast<NodeId>(first + i);
-    double share = pachira_.pi(subtree[u] / total);
-    for (NodeId child = first_child[u]; child != kInvalidNode;
-         child = next_sibling[child]) {
-      share -= pachira_.pi(subtree[child] / total);
-    }
+    const double share = fold_children(
+        last_child, next_sibling, u, pachira_.pi(subtree[u] / total),
+        [&](double acc, NodeId child) {
+          return acc - pachira_.pi(subtree[child] / total);
+        });
     out[i] = share * scale;
   }
 }

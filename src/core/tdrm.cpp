@@ -98,7 +98,7 @@ RewardVector Tdrm::compute(const Tree& tree) const {
   // operation-for-operation, so the results are bit-identical while
   // touching O(n + total chain length) memory sequentially.
   const std::size_t n = tree.node_count();
-  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* last_child = tree.last_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   const double* contribution = tree.contribution_array().data();
   const double a = params_.a;
@@ -121,10 +121,9 @@ RewardVector Tdrm::compute(const Tree& tree) const {
 
     // Geometric sums bottom-up along the chain. Only the tail sees the
     // children.
-    double s = (len == 1) ? head_contribution : mu;
-    for (NodeId v = first_child[u]; v != kInvalidNode; v = next_sibling[v]) {
-      s += a * heads[v];
-    }
+    double s = fold_children(
+        last_child, next_sibling, u, (len == 1) ? head_contribution : mu,
+        [&](double acc, NodeId v) { return acc + a * heads[v]; });
     chain[len - 1] = s;
     for (std::size_t i = len - 1; i-- > 0;) {
       const double ci = (i == 0) ? head_contribution : mu;

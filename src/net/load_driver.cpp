@@ -38,9 +38,20 @@ Decision RequestMix::next(Rng& rng, std::uint64_t i,
 
 namespace {
 
+struct MonotonicClock final : LoadClock {
+  double now() const override { return monotonic_seconds(); }
+  void sleep_until(double t) const override {
+    const double wait = t - monotonic_seconds();
+    if (wait > 0.0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+    }
+  }
+  double read_deadline(double t) const override { return t; }
+};
+
 /// Classic style: one frame per decision, strict request/response.
-void drive_classic(const LoadDriver& driver, std::uint32_t campaign,
-                   Rng rng, LoadReport* report) {
+void drive_classic(const LoadDriver& driver, const LoadClock& clock,
+                   std::uint32_t campaign, Rng rng, LoadReport* report) {
   Client client = Client::connect_with_retry(driver.host, driver.port);
   // Read split: queries go to the replicas, events stay on `client`,
   // so the event stream and the final digests are untouched.
@@ -71,7 +82,7 @@ void drive_classic(const LoadDriver& driver, std::uint32_t campaign,
         request.seq = client.last_write_seq();
       }
     }
-    const double start = monotonic_seconds();
+    const double start = clock.now();
     Response response;
     try {
       response = target->call(request);
@@ -84,7 +95,7 @@ void drive_classic(const LoadDriver& driver, std::uint32_t campaign,
           (target == &client ? "primary" : "replica") +
           "): " + error.what());
     }
-    report->latencies_seconds.push_back(monotonic_seconds() - start);
+    report->latencies_seconds.push_back(clock.now() - start);
     ++report->frames;
     if (decision.is_event) {
       ++report->events;
@@ -105,8 +116,8 @@ struct InflightFrame {
 
 /// Streamed style: EVENT_BATCH coalescing with predicted join ids, a
 /// pipeline window and optional open-loop pacing.
-void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
-                    Rng rng, LoadReport* report) {
+void drive_streamed(const LoadDriver& driver, const LoadClock& clock,
+                    std::uint32_t campaign, Rng rng, LoadReport* report) {
   Client client = Client::connect_with_retry(driver.host, driver.port);
   // Seeding from live state lets streamed runs compose: a second pass
   // against the same daemon keeps predicting correctly.
@@ -134,8 +145,7 @@ void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
           "EVENT_BATCH response does not match the predicted id "
           "sequence (is another writer sharing this campaign?)");
     }
-    report->latencies_seconds.push_back(monotonic_seconds() -
-                                        frame.reference_time);
+    report->latencies_seconds.push_back(clock.now() - frame.reference_time);
     inflight.pop_front();
   };
   const auto settle_down_to = [&](std::size_t limit) {
@@ -148,7 +158,7 @@ void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
     // socket, and responses must keep draining meanwhile.
     settle_down_to(driver.pipeline - 1);
     if (rate == 0.0) {
-      frame.reference_time = monotonic_seconds();
+      frame.reference_time = clock.now();
     }
     client.send_request(request);
     ++report->frames;
@@ -163,7 +173,7 @@ void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
     pending.batch.clear();
   };
 
-  const double start = monotonic_seconds();
+  const double start = clock.now();
   for (std::uint64_t i = 0; i < driver.requests; ++i) {
     double scheduled = 0.0;
     if (rate > 0.0) {
@@ -172,17 +182,13 @@ void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
       scheduled = start + static_cast<double>(i) / rate;
       while (!inflight.empty()) {
         const std::optional<Response> response =
-            client.read_response_until(scheduled);
+            client.read_response_until(clock.read_deadline(scheduled));
         if (!response) {
           break;
         }
         settle(*response);
       }
-      const double now = monotonic_seconds();
-      if (now < scheduled) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(scheduled - now));
-      }
+      clock.sleep_until(scheduled);
     }
     const Decision decision = driver.mix.next(rng, i, mine);
     if (decision.is_event) {
@@ -214,20 +220,25 @@ void drive_streamed(const LoadDriver& driver, std::uint32_t campaign,
 
 }  // namespace
 
-LoadReport LoadDriver::run(const Rng& base) const {
+const LoadClock& monotonic_clock() {
+  static const MonotonicClock clock;
+  return clock;
+}
+
+LoadReport LoadDriver::run(const Rng& base, const LoadClock& clock) const {
   std::vector<LoadReport> reports(connections);
   std::vector<std::thread> threads;
   threads.reserve(connections);
-  const double start = monotonic_seconds();
+  const double start = clock.now();
   for (std::size_t c = 0; c < connections; ++c) {
-    threads.emplace_back([this, &base, &reports, c] {
+    threads.emplace_back([this, &base, &clock, &reports, c] {
       const auto campaign = static_cast<std::uint32_t>(c % campaigns);
       const Rng rng = base.fork(first_stream + c);
       try {
         if (streamed()) {
-          drive_streamed(*this, campaign, rng, &reports[c]);
+          drive_streamed(*this, clock, campaign, rng, &reports[c]);
         } else {
-          drive_classic(*this, campaign, rng, &reports[c]);
+          drive_classic(*this, clock, campaign, rng, &reports[c]);
         }
       } catch (const std::exception& error) {
         reports[c].error = error.what();
@@ -238,7 +249,7 @@ LoadReport LoadDriver::run(const Rng& base) const {
     thread.join();
   }
   LoadReport merged;
-  merged.wall_seconds = monotonic_seconds() - start;
+  merged.wall_seconds = clock.now() - start;
   for (const LoadReport& report : reports) {
     merged.latencies_seconds.insert(merged.latencies_seconds.end(),
                                     report.latencies_seconds.begin(),

@@ -41,6 +41,9 @@
 // first decision, so server-side queueing under overload is charged
 // honestly. Responses that arrive while the driver waits for the next
 // arrival are settled at once, so a frame is never charged the gap.
+// Every timestamp comes from a LoadClock (the monotonic clock unless a
+// test injects its own), so the schedule arithmetic can be checked
+// without depending on how fast the host answers.
 //
 // A failing connection (server error, lost connection, id-prediction
 // miss) stops and records the error in the report; nothing is thrown
@@ -98,6 +101,25 @@ struct LoadReport {
   std::string error;  ///< first connection error; empty on success
 };
 
+/// The time source of a run: latency timestamps and the open-loop
+/// schedule. Called from every connection's thread.
+class LoadClock {
+ public:
+  /// Current time in seconds.
+  virtual double now() const = 0;
+  /// Blocks until now() >= `t`.
+  virtual void sleep_until(double t) const = 0;
+  /// The monotonic_seconds() deadline up to which the driver reads
+  /// responses while it waits for time `t` (the next arrival).
+  virtual double read_deadline(double t) const = 0;
+
+ protected:
+  ~LoadClock() = default;
+};
+
+/// monotonic_seconds(), with real sleeps: the clock of every real run.
+const LoadClock& monotonic_clock();
+
 /// Most decisions per connection: the driver reserves every latency
 /// sample up front (8 B each, 800 MB per connection at the cap).
 inline constexpr std::uint64_t kMaxRequests = 100'000'000;
@@ -123,7 +145,8 @@ struct LoadDriver {
   bool streamed() const { return batch > 1 || pipeline > 1 || rate > 0.0; }
 
   /// Runs every connection on its own thread and merges the reports.
-  LoadReport run(const Rng& base) const;
+  LoadReport run(const Rng& base,
+                 const LoadClock& clock = monotonic_clock()) const;
 };
 
 }  // namespace itree::net

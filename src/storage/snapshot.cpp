@@ -83,6 +83,10 @@ struct V5Campaign {
   /// arena); not stored, but read off the section offsets.
   std::uint64_t prev_sibling_count = 0;
   std::uint64_t depth_count = 0;
+  /// 0 (this writer) or node_count (pre-ring writers, whose
+  /// next-sibling section is a chain the reader closes into rings with
+  /// it); read off the section offsets too.
+  std::uint64_t first_child_count = 0;
   std::uint8_t aggregate_kind = 0;
   double total_contribution = 0.0;
   std::array<std::uint64_t, kV5SectionCount> offsets = {};
@@ -90,6 +94,8 @@ struct V5Campaign {
 
   std::uint64_t section_count(std::size_t s) const {
     switch (s) {
+      case kSecFirstChild:
+        return first_child_count;
       case kSecPrevSibling:
         return prev_sibling_count;
       case kSecDepth:
@@ -176,6 +182,10 @@ V5Header parse_v5_header(std::string_view bytes) {
       campaign.crcs[s] = in.u32();
     }
     // An empty section shares its offset with the section after it.
+    campaign.first_child_count =
+        campaign.offsets[kSecFirstChild] == campaign.offsets[kSecLastChild]
+            ? 0
+            : campaign.node_count;
     campaign.prev_sibling_count =
         campaign.offsets[kSecPrevSibling] == campaign.offsets[kSecDepth]
             ? 0
@@ -282,9 +292,34 @@ namespace {
 /// trees get no BorrowedStorage: DONTNEED on heap memory would zero
 /// bytes other borrowers still read.
 struct OwnedV5Columns {
-  std::vector<NodeId> parent, first_child, last_child, next_sibling;
+  std::vector<NodeId> parent, last_child, next_sibling;
   std::vector<double> contribution;
 };
+
+/// The pre-ring conversion: a pre-ring image keeps each child list as a
+/// head pointer (its first-child section) and a chain whose newest
+/// child's next-sibling link is kInvalidNode. Closing every chain — the
+/// newest child links on to the oldest — turns the chain into the ring
+/// the arena reads, built once into owned memory.
+std::vector<NodeId> close_sibling_rings(std::string_view bytes,
+                                        const V5Campaign& entry,
+                                        std::span<const NodeId> last_child) {
+  const std::size_t n = entry.node_count;
+  std::vector<NodeId> ring(n);
+  le::load_array(bytes.data() + entry.offsets[kSecNextSibling],
+                 std::span(ring));
+  const char* first_child = bytes.data() + entry.offsets[kSecFirstChild];
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto oldest = le::load<NodeId>(first_child + p * sizeof(NodeId));
+    if (oldest == kInvalidNode) {
+      continue;
+    }
+    reject(oldest < n && last_child[p] < n,
+           "pre-ring child link out of range");
+    ring[last_child[p]] = oldest;
+  }
+  return ring;
+}
 
 /// Builds the campaigns from an already CRC-verified v5 image. With
 /// `mapping` set (the mmap path on little-endian hardware) the trees
@@ -295,7 +330,10 @@ struct OwnedV5Columns {
 /// borrow from instead. Every section not adopted in place is released
 /// to the mapping, campaign by campaign, once every tree is adopted: a
 /// release may drop a whole huge page, and a later campaign's adopt
-/// scan would fault it, the released range included, back in.
+/// scan would fault it, the released range included, back in. A pre-ring
+/// campaign (full first-child section) gets its rings built once
+/// (close_sibling_rings), which the tree owns from the start; the next
+/// image it writes has the ring layout.
 SnapshotData build_v5(std::string_view bytes, const V5Header& header,
                       std::shared_ptr<const MappingHolder> mapping) {
   constexpr bool kLittleEndian =
@@ -310,7 +348,10 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
     campaign.events_applied = entry.events_applied;
     campaign.aggregate_kind = entry.aggregate_kind;
     const std::size_t n = entry.node_count;
+    const bool pre_ring = entry.first_child_count != 0;
     Tree::Columns columns;
+    std::shared_ptr<const void> keepalive = mapping;
+    const BorrowedStorage* storage = mapping.get();
     if (in_place) {
       // Page-aligned sections in a page-aligned mapping: the arena
       // columns ARE these bytes.
@@ -321,18 +362,12 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
             n);
       };
       columns.parent = u32_at(kSecParent);
-      columns.first_child = u32_at(kSecFirstChild);
       columns.last_child = u32_at(kSecLastChild);
       columns.next_sibling = u32_at(kSecNextSibling);
       columns.contribution = std::span<const double>(
           reinterpret_cast<const double*>(base +
                                           entry.offsets[kSecContribution]),
           n);
-      // adopt_columns re-validates every link invariant (parallel,
-      // read-only), so even a CRC-colliding corruption cannot stand up
-      // an inconsistent tree.
-      campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
-                                          mapping, mapping.get());
     } else {
       auto owned = std::make_shared<OwnedV5Columns>();
       const auto copy = [&](auto& column, std::size_t s) {
@@ -341,26 +376,46 @@ SnapshotData build_v5(std::string_view bytes, const V5Header& header,
         return std::span(std::as_const(column));
       };
       columns.parent = copy(owned->parent, kSecParent);
-      columns.first_child = copy(owned->first_child, kSecFirstChild);
       columns.last_child = copy(owned->last_child, kSecLastChild);
-      columns.next_sibling = copy(owned->next_sibling, kSecNextSibling);
+      if (!pre_ring) {
+        columns.next_sibling = copy(owned->next_sibling, kSecNextSibling);
+      }
       columns.contribution = copy(owned->contribution, kSecContribution);
+      keepalive = std::move(owned);
+      storage = nullptr;
+    }
+    // adopt_columns re-runs the safety scan (parallel, read-only), so
+    // even a CRC-colliding corruption cannot stand up a tree whose
+    // traversals loop or leave the arena.
+    if (pre_ring) {
+      campaign.tree = Tree::adopt_columns(
+          columns, close_sibling_rings(bytes, entry, columns.last_child),
+          entry.total_contribution, std::move(keepalive), storage);
+    } else {
       campaign.tree = Tree::adopt_columns(columns, entry.total_contribution,
-                                          std::move(owned));
+                                          std::move(keepalive), storage);
     }
     data.campaigns.push_back(std::move(campaign));
   }
   for (std::size_t c = 0; c < header.campaigns.size(); ++c) {
     const V5Campaign& entry = header.campaigns[c];
     std::vector<double>& aggregates = data.campaigns[c].aggregates;
+    // Room to grow: a subtree-sum blob becomes the live S column, which
+    // gains a row per join. The reserve is address space until a join
+    // touches it, and spares the first joins a full copy.
+    aggregates.reserve(2 * entry.aggregate_count);
     aggregates.resize(entry.aggregate_count);
     le::load_array(bytes.data() + entry.offsets[kSecAggregates],
                    std::span(aggregates));
     // Every section not adopted in place is done with: copied, or only
     // CRC-checked (prev_sibling, depth and skip, which only earlier
-    // writers filled).
+    // writers filled), or read once by the pre-ring conversion
+    // (first_child, and the chain it closed into rings).
+    const bool pre_ring = entry.first_child_count != 0;
     for (std::size_t s = 0; s < kV5SectionCount && mapping != nullptr; ++s) {
-      const bool adopted = s <= kSecNextSibling || s == kSecContribution;
+      const bool adopted = s == kSecParent || s == kSecLastChild ||
+                           (s == kSecNextSibling && !pre_ring) ||
+                           s == kSecContribution;
       if (!(in_place && adopted)) {
         mapping->release(bytes.data() + entry.offsets[s],
                          entry.section_count(s) * kV5ElemSize[s]);
@@ -399,9 +454,9 @@ void write_image_durably(const std::string& dir, std::string_view image,
 std::string encode_snapshot_v5(const SnapshotData& data) {
   // Pass 1: compute the layout. Header record first, then each
   // campaign's nine sections, every section page-aligned. The
-  // prev-sibling, depth and skip sections are written empty (count 0):
-  // they occupy no page, and each shares its offset with the section
-  // after it.
+  // first-child, prev-sibling, depth and skip sections are written empty
+  // (count 0): they occupy no page, and each shares its offset with the
+  // section after it.
   const std::size_t payload_size =
       8 + 8 + 4 + 4 + 4 + data.mechanism.size() +
       data.campaigns.size() * kV5CampaignEntryBytes;
@@ -441,7 +496,6 @@ std::string encode_snapshot_v5(const SnapshotData& data) {
       le::store_array(out.data() + entry.offsets[s], values);
     };
     store(kSecParent, tree.parent_array());
-    store(kSecFirstChild, tree.first_child_array());
     store(kSecLastChild, tree.last_child_array());
     store(kSecNextSibling, tree.next_sibling_array());
     store(kSecContribution, tree.contribution_array());

@@ -5,8 +5,8 @@
 // cost becomes O(snapshot + WAL tail) instead of O(all events).
 //
 // One on-disk generation, "ITSNAP05", named `snap-<last_seq, 16 hex>.snap`.
-// The image is an immutable, page-aligned copy of the *entire* 5-column
-// tree arena — parent, first_child, last_child, next_sibling,
+// The image is an immutable, page-aligned copy of the *entire* 4-column
+// tree arena — parent, last_child, next_sibling (the sibling rings),
 // contribution — each as its own page-aligned, individually CRC'd
 // section, with the imaginary root's row included (node_count =
 // participants + 1). A mapped image therefore needs *no link
@@ -56,11 +56,16 @@
 //       skip                                  skip count x u32 LE
 //       aggregates                            aggregate count x f64 LE
 //
-// prev_sibling, depth and skip are columns earlier arenas kept. This
-// writer emits them empty: no page, the offset shared with the next
-// section. prev_sibling and depth have no count field: a reader takes
-// 0 when the offset equals the next section's and node count
-// otherwise. Readers CRC-check a full one and never adopt it.
+// first_child, prev_sibling, depth and skip are columns earlier arenas
+// kept. This writer emits them empty: no page, the offset shared with
+// the next section. first_child, prev_sibling and depth have no count
+// field: a reader takes 0 when the offset equals the next section's and
+// node count otherwise. Readers CRC-check a full one and never adopt
+// it. A full first_child section marks a pre-ring image, whose
+// next_sibling section is a chain ending in kInvalidNode at each newest
+// child: the reader closes every chain into a ring (the newest child
+// links on to the first-child entry) in owned memory, once, and the
+// next snapshot of that arena is written in the ring layout.
 //
 // On little-endian hardware the sections are exactly the live arena's
 // columns, so encode is memcpy-class and load is an mmap plus one CRC
@@ -108,8 +113,8 @@ struct SnapshotData {
   std::vector<CampaignSnapshot> campaigns;
 };
 
-/// Encodes the full-arena page-aligned image (the prev-sibling, depth
-/// and skip sections are written empty).
+/// Encodes the full-arena page-aligned image (the first-child,
+/// prev-sibling, depth and skip sections are written empty).
 std::string encode_snapshot_v5(const SnapshotData& data);
 
 /// Decodes an in-memory image into trees that own copies of its

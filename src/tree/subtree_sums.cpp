@@ -13,18 +13,17 @@ std::vector<double> subtree_contributions(const Tree& tree) {
 }
 
 SubtreeData compute_subtree_data(const Tree& tree) {
-  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* last_child = tree.last_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   SubtreeData out;
   out.subtree_size.resize(tree.node_count());
   out.subtree_contribution =
       subtree_contribution_sweep(tree, [&](NodeId u, double) {
-        std::uint32_t size = 1;
-        for (NodeId c = first_child[u]; c != kInvalidNode;
-             c = next_sibling[c]) {
-          size += out.subtree_size[c];
-        }
-        out.subtree_size[u] = size;
+        out.subtree_size[u] = fold_children(
+            last_child, next_sibling, u, std::uint32_t{1},
+            [&](std::uint32_t size, NodeId c) {
+              return size + out.subtree_size[c];
+            });
       });
   out.depth = node_depths(tree);
   return out;
@@ -40,13 +39,13 @@ std::vector<std::uint32_t> binary_subtree_depths(const Tree& tree) {
   // constant depth no matter how long it grows, which is exactly why
   // that mechanism fails CSI.
   const std::size_t n = tree.node_count();
-  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* last_child = tree.last_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   std::vector<std::uint32_t> out(n);
   for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
     std::uint32_t first = 0;   // largest child depth
     std::uint32_t second = 0;  // second largest child depth
-    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
+    for_each_child(last_child, next_sibling, u, [&](NodeId c) {
       const std::uint32_t d = out[c];
       if (d > first) {
         second = first;
@@ -54,7 +53,7 @@ std::vector<std::uint32_t> binary_subtree_depths(const Tree& tree) {
       } else if (d > second) {
         second = d;
       }
-    }
+    });
     out[u] = std::max<std::uint32_t>({1, first, second + 1});
   }
   return out;

@@ -8,8 +8,8 @@
 // Every kernel walks the Tree arena's own columns in place (no copy,
 // no materialized traversal): every tree has parent(u) < u, so a sweep
 // over u = n-1 ... 0 finishes all children before their parent, and
-// each node pulls its children's values along the first_child /
-// next_sibling chain — the join order postorder also visits them in.
+// each node folds its children's values around its sibling ring
+// (fold_children) — the join order postorder also visits them in.
 // Each node's FP operations therefore read the same finished values in
 // the same order as a postorder walk, and the results are bit-identical
 // to it (asserted by tests/batch_kernel_test.cpp). Top-down values come
@@ -39,14 +39,13 @@ namespace itree {
 template <typename Visit>
 void geometric_sum_run(const Tree& tree, double a, std::span<double> out,
                        NodeId lo, NodeId hi, Visit&& visit) {
-  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* last_child = tree.last_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   const double* contribution = tree.contribution_array().data();
   for (NodeId u = hi; u-- > lo;) {
-    double s = contribution[u];
-    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
-      s += a * out[c];
-    }
+    const double s = fold_children(
+        last_child, next_sibling, u, contribution[u],
+        [&](double acc, NodeId c) { return acc + a * out[c]; });
     out[u] = s;
     visit(u, s);
   }
@@ -65,15 +64,14 @@ std::vector<double> geometric_sum_sweep(const Tree& tree, double a,
 template <typename Visit>
 void subtree_contribution_run(const Tree& tree, std::span<double> out,
                               NodeId lo, NodeId hi, Visit&& visit) {
-  const NodeId* first_child = tree.first_child_array().data();
+  const NodeId* last_child = tree.last_child_array().data();
   const NodeId* next_sibling = tree.next_sibling_array().data();
   const double* contribution = tree.contribution_array().data();
   for (NodeId u = hi; u-- > lo;) {
-    double sum = 0.0;
-    for (NodeId c = first_child[u]; c != kInvalidNode; c = next_sibling[c]) {
-      sum += out[c];
-    }
-    sum += contribution[u];
+    const double sum =
+        fold_children(last_child, next_sibling, u, 0.0,
+                      [&](double acc, NodeId c) { return acc + out[c]; }) +
+        contribution[u];
     out[u] = sum;
     visit(u, sum);
   }

@@ -14,14 +14,13 @@ namespace {
 /// Tree::adopt_columns' safety predicates, one mask bit each; a failing
 /// scan block reports its lowest set bit.
 constexpr const char* kAdoptViolations[] = {
-    "Tree::adopt_columns: last child of a leaf",
     "Tree::adopt_columns: child link out of range",
     "Tree::adopt_columns: parent id does not precede the node",
     "Tree::adopt_columns: negative contribution",
     "Tree::adopt_columns: next-sibling out of range",
 };
-/// The two child-link bits: the only predicates the root row scans.
-constexpr unsigned kAdoptChildLinkBits = 0b11u;
+/// The child-link bit: the only predicate the root row scans.
+constexpr unsigned kAdoptChildLinkBits = 0b1u;
 /// Nodes per adopt_columns scan block (one parallel_for task each).
 constexpr std::size_t kAdoptScanBlock = 1u << 16;
 
@@ -29,7 +28,6 @@ constexpr std::size_t kAdoptScanBlock = 1u << 16;
 
 Tree::Tree() {
   parent_.push_back(kInvalidNode);
-  first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
   next_sibling_.push_back(kInvalidNode);
   contribution_.push_back(0.0);
@@ -37,7 +35,6 @@ Tree::Tree() {
 
 void Tree::reserve(std::size_t nodes) {
   parent_.reserve(nodes);
-  first_child_.reserve(nodes);
   last_child_.reserve(nodes);
   next_sibling_.reserve(nodes);
   contribution_.reserve(nodes);
@@ -56,16 +53,16 @@ NodeId Tree::add_node(NodeId parent, double contribution) {
   require(contribution >= 0.0, "Tree::add_node: contribution must be >= 0");
   const auto id = static_cast<NodeId>(parent_.size());
   // Read the link state *before* any push_back: a reallocation must not
-  // invalidate what the chain splice below needs.
+  // invalidate what the ring splice below needs. The new node goes in
+  // after the newest child, so it links on to the oldest (or, as a lone
+  // child, to itself).
   const NodeId tail = last_child_[parent];
+  const NodeId oldest = tail == kInvalidNode ? id : next_sibling_[tail];
   parent_.push_back(parent);
-  first_child_.push_back(kInvalidNode);
   last_child_.push_back(kInvalidNode);
-  next_sibling_.push_back(kInvalidNode);
+  next_sibling_.push_back(oldest);
   contribution_.push_back(contribution);
-  if (tail == kInvalidNode) {
-    first_child_.mut(parent) = id;
-  } else {
+  if (tail != kInvalidNode) {
     next_sibling_.mut(tail) = id;
   }
   last_child_.mut(parent) = id;
@@ -79,12 +76,10 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   const std::size_t n = columns.parent.size();
   require(n >= 1, "Tree::adopt_columns: missing the imaginary root");
   require(n < kInvalidNode, "Tree::adopt_columns: impossible node count");
-  require(columns.first_child.size() == n && columns.last_child.size() == n &&
-              columns.next_sibling.size() == n &&
+  require(columns.last_child.size() == n && columns.next_sibling.size() == n &&
               columns.contribution.size() == n,
           "Tree::adopt_columns: column size mismatch");
   const NodeId* parent = columns.parent.data();
-  const NodeId* first_child = columns.first_child.data();
   const NodeId* last_child = columns.last_child.data();
   const NodeId* next_sibling = columns.next_sibling.data();
   const double* contribution = columns.contribution.data();
@@ -100,10 +95,11 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   // chosen so that every traversal over the adopted arena terminates
   // and stays in bounds regardless of the column *values*: parents
   // strictly precede their node (upward walks reach the root in <= u
-  // steps), child/next-sibling links strictly follow it (downward walks
-  // strictly increase), and ids never reach node_count. Semantic link
-  // integrity is the caller's trust boundary — the snapshot layer's
-  // per-section CRCs.
+  // steps), newest-child links strictly follow it, every participant's
+  // ring link is a participant id, and the child walk (child_after)
+  // only ever climbs from a node towards its newest child. Semantic
+  // link integrity is the caller's trust boundary — the snapshot
+  // layer's per-section CRCs.
   //
   // Each block is one branch-free loop that ORs every node's failed
   // predicates into a mask (bit i = kAdoptViolations[i]); only a
@@ -115,20 +111,16 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
     unsigned mask = 0;
     for (std::size_t ui = lo; ui < hi; ++ui) {
       const auto u = static_cast<NodeId>(ui);
-      const NodeId fc = first_child[u];
       const NodeId lc = last_child[u];
       const NodeId nx = next_sibling[u];
-      const bool leaf = fc == kInvalidNode;
-      const bool children_ok = (fc > u) & (fc < n) & (lc >= fc) & (lc < n);
+      const bool child_bad = (lc != kInvalidNode) & ((lc <= u) | (lc >= n));
       const unsigned bad =
-          static_cast<unsigned>(leaf & (lc != kInvalidNode)) |
-          static_cast<unsigned>(!leaf & !children_ok) << 1 |
-          static_cast<unsigned>(parent[u] >= u) << 2 |
-          static_cast<unsigned>(!(contribution[u] >= 0.0)) << 3 |
-          static_cast<unsigned>((nx != kInvalidNode) & ((nx <= u) | (nx >= n)))
-              << 4;
+          static_cast<unsigned>(child_bad) |
+          static_cast<unsigned>(parent[u] >= u) << 1 |
+          static_cast<unsigned>(!(contribution[u] >= 0.0)) << 2 |
+          static_cast<unsigned>((nx == kRoot) | (nx >= n)) << 3;
       // The root row's participant checks were done above; only its
-      // child links are scanned here.
+      // child link is scanned here.
       mask |= bad & (u == kRoot ? kAdoptChildLinkBits : ~0u);
     }
     if (mask != 0) {
@@ -138,7 +130,6 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
 
   Tree tree;
   tree.parent_.borrow(parent, n, storage);
-  tree.first_child_.borrow(first_child, n, storage);
   tree.last_child_.borrow(last_child, n, storage);
   tree.next_sibling_.borrow(next_sibling, n, storage);
   tree.contribution_.borrow(contribution, n, storage);
@@ -147,10 +138,22 @@ Tree Tree::adopt_columns(const Columns& columns, double total_contribution,
   return tree;
 }
 
+Tree Tree::adopt_columns(Columns columns, std::vector<NodeId>&& ring,
+                         double total_contribution,
+                         std::shared_ptr<const void> keepalive,
+                         const BorrowedStorage* storage) {
+  columns.next_sibling = ring;
+  Tree tree = adopt_columns(columns, total_contribution, std::move(keepalive),
+                            storage);
+  // Moving the vector keeps its buffer: the column owns exactly the
+  // bytes the scan just vouched for.
+  tree.next_sibling_.take(std::move(ring));
+  return tree;
+}
+
 void Tree::validate_links() const {
   const std::size_t n = node_count();
   const NodeId* parent = parent_.data();
-  const NodeId* first_child = first_child_.data();
   const NodeId* last_child = last_child_.data();
   const NodeId* next_sibling = next_sibling_.data();
   const double* contribution = contribution_.data();
@@ -158,30 +161,33 @@ void Tree::validate_links() const {
               next_sibling[kRoot] == kInvalidNode,
           "Tree::validate_links: malformed root row");
 
-  // One ascending pass replays the appends: `last_seen[p]` is the
-  // largest child of p met so far, so the link after it (p's first_child
-  // while there is none, else its next_sibling) must be the next child
-  // u, and once every node is met it must be kInvalidNode, with
-  // last_child[p] == last_seen[p]. That forces every link to be the one
-  // add_node would have written.
-  std::vector<NodeId> last_seen(n, kInvalidNode);
-  const auto link_after = [&](NodeId p) {
-    return last_seen[p] == kInvalidNode ? first_child[p]
-                                        : next_sibling[last_seen[p]];
-  };
+  // One ascending pass replays the appends: `newest[p]` is the largest
+  // child of p met so far and `oldest[p]` the smallest, so the ring link
+  // out of newest[p] must be the next child u; once every node is met,
+  // last_child[p] must be newest[p] and the ring must close from it back
+  // to oldest[p]. That forces every link to be the one add_node would
+  // have written.
+  std::vector<NodeId> newest(n, kInvalidNode);
+  std::vector<NodeId> oldest(n, kInvalidNode);
   for (NodeId u = 1; u < n; ++u) {
     const NodeId p = parent[u];
     require(p < u, "Tree::validate_links: parent id does not precede the node");
     require(contribution[u] >= 0.0,
             "Tree::validate_links: negative contribution");
-    require(link_after(p) == u,
-            "Tree::validate_links: sibling chain out of join order");
-    last_seen[p] = u;
+    if (newest[p] == kInvalidNode) {
+      oldest[p] = u;
+    } else {
+      require(next_sibling[newest[p]] == u,
+              "Tree::validate_links: sibling ring out of join order");
+    }
+    newest[p] = u;
   }
   for (NodeId p = 0; p < n; ++p) {
-    require(link_after(p) == kInvalidNode && last_child[p] == last_seen[p],
-            "Tree::validate_links: sibling chain does not end at the last "
-            "child");
+    require(last_child[p] == newest[p],
+            "Tree::validate_links: last child is not the newest child");
+    require(newest[p] == kInvalidNode || next_sibling[newest[p]] == oldest[p],
+            "Tree::validate_links: sibling ring does not close at the "
+            "oldest child");
   }
 }
 
@@ -192,7 +198,7 @@ NodeId Tree::parent(NodeId u) const {
 
 ChildRange Tree::children(NodeId u) const {
   check_node(u, "Tree::children");
-  return ChildRange(next_sibling_.data(), first_child_[u]);
+  return ChildRange(next_sibling_.data(), u, last_child_[u]);
 }
 
 double Tree::contribution(NodeId u) const {
@@ -213,27 +219,23 @@ void Tree::set_contribution(NodeId u, double contribution) {
 void Tree::remove_last_node() {
   require(parent_.size() > 1, "Tree::remove_last_node: no participants");
   const NodeId last = static_cast<NodeId>(parent_.size() - 1);
-  ensure(first_child_[last] == kInvalidNode,
+  ensure(last_child_[last] == kInvalidNode,
          "Tree::remove_last_node: the last node must be a leaf");
   const NodeId p = parent_[last];
   ensure(last_child_[p] == last,
          "Tree::remove_last_node: the last node must be its parent's "
          "newest child");
-  // Unlink from the parent's child chain: walk it from the head to the
-  // newest child's predecessor, O(deg(p)).
-  NodeId prev = kInvalidNode;
-  for (NodeId at = first_child_[p]; at != last; at = next_sibling_[at]) {
-    prev = at;
-  }
+  // Unsplice from the parent's ring: the child folded just before the
+  // newest one is its predecessor (none for a lone child), O(deg(p)).
+  const NodeId prev = fold_children(
+      last_child_.data(), next_sibling_.data(), p, kInvalidNode,
+      [last](NodeId before, NodeId c) { return c == last ? before : c; });
   last_child_.mut(p) = prev;
-  if (prev == kInvalidNode) {
-    first_child_.mut(p) = kInvalidNode;
-  } else {
-    next_sibling_.mut(prev) = kInvalidNode;
+  if (prev != kInvalidNode) {
+    next_sibling_.mut(prev) = next_sibling_[last];
   }
   total_contribution_ -= contribution_[last];
   parent_.pop_back();
-  first_child_.pop_back();
   last_child_.pop_back();
   next_sibling_.pop_back();
   contribution_.pop_back();
@@ -258,37 +260,38 @@ std::vector<std::uint32_t> node_depths(const Tree& tree) {
 }
 
 std::size_t Tree::allocation_count() const {
-  return parent_.allocations() + first_child_.allocations() +
-         last_child_.allocations() + next_sibling_.allocations() +
-         contribution_.allocations();
+  return parent_.allocations() + last_child_.allocations() +
+         next_sibling_.allocations() + contribution_.allocations();
 }
 
 std::size_t Tree::borrowed_column_count() const {
   return static_cast<std::size_t>(parent_.borrowed()) +
-         first_child_.borrowed() + last_child_.borrowed() +
-         next_sibling_.borrowed() + contribution_.borrowed();
+         last_child_.borrowed() + next_sibling_.borrowed() +
+         contribution_.borrowed();
 }
 
 std::vector<NodeId> Tree::subtree(NodeId u) const {
   check_node(u, "Tree::subtree");
   std::vector<NodeId> out;
-  // First-child/next-sibling preorder: popping v visits it, then its
-  // first child (pushed last) before its next sibling — the same order
-  // as the old walk that pushed each child vector reversed. The start
-  // node's own siblings are outside the subtree and never pushed.
+  // Preorder: popping v visits it, then pushes its children reversed, so
+  // they pop in join order — the same order as the old walk that pushed
+  // each child vector reversed.
   std::vector<NodeId> stack{u};
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
     out.push_back(v);
-    if (v != u && next_sibling_[v] != kInvalidNode) {
-      stack.push_back(next_sibling_[v]);
-    }
-    if (first_child_[v] != kInvalidNode) {
-      stack.push_back(first_child_[v]);
-    }
+    const std::size_t mark = stack.size();
+    push_children(v, stack);
+    std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(mark),
+                 stack.end());
   }
   return out;
+}
+
+void Tree::push_children(NodeId u, std::vector<NodeId>& stack) const {
+  for_each_child(last_child_.data(), next_sibling_.data(), u,
+                 [&stack](NodeId c) { stack.push_back(c); });
 }
 
 double Tree::subtree_contribution(NodeId u) const {
@@ -313,9 +316,7 @@ std::vector<NodeId> Tree::postorder() const {
     const NodeId v = stack.back();
     stack.pop_back();
     order.push_back(v);
-    for (NodeId c = first_child_[v]; c != kInvalidNode; c = next_sibling_[c]) {
-      stack.push_back(c);
-    }
+    push_children(v, stack);
   }
   std::vector<NodeId> out(order.rbegin(), order.rend());
   return out;

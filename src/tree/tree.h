@@ -11,12 +11,21 @@
 // Contributions are mutable (needed by the CCI and SL checkers, and by
 // the "buyer keeps purchasing" MLM view).
 //
-// Layout: five parallel arrays indexed by NodeId (24 bytes per node) —
+// Layout: four parallel arrays indexed by NodeId (20 bytes per node) —
 //   parent_        parent id (kInvalidNode for the root)
-//   first_child_   head of the child list (kInvalidNode if leaf)
-//   last_child_    tail of the child list (O(1) append)
-//   next_sibling_  forward sibling chain, in join order
+//   last_child_    newest child (kInvalidNode if leaf): the only child
+//                  pointer, and the entry into the sibling ring
+//   next_sibling_  circular sibling ring, in join order: the child that
+//                  joined after this one, and for the newest child the
+//                  oldest (a lone child points at itself; the root,
+//                  which is nobody's child, holds kInvalidNode)
 //   contribution_  C(u)
+// A join splices the new node in after its parent's newest child: O(1),
+// touching the same rows a head/tail list would. Child ids ascend in
+// join order, so the one child walk (fold_children) starts at
+// next_sibling_[last_child_[u]] and climbs the ring up to
+// last_child_[u]; a link that does not ascend ends the walk, so even a
+// corrupt arena cannot make a traversal loop.
 // No depth is stored: pricing reads depth relative to an ancestor,
 // which the engine's ancestor walk carries; depth(u) walks the parent
 // chain, and node_depths() fills every node's depth in one ascending
@@ -36,6 +45,7 @@
 // mapping's owner (BorrowedStorage), which may drop those pages.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -180,7 +190,12 @@ class ArenaColumn {
   }
 
   void push_back(const T& value) {
-    ensure_owned();
+    // An append into a borrowed column privatizes straight into room to
+    // grow: the copy is made once, and the growth it would otherwise
+    // trigger at once (a second copy, a second round of page faults)
+    // never happens. Reserved capacity stays address space until
+    // appends touch it.
+    ensure_owned(2 * size_);
     if (owned_.size() == owned_.capacity()) {
       ++allocations_;
     }
@@ -198,7 +213,7 @@ class ArenaColumn {
     if (n <= size_) {
       return;  // capacity hint already satisfied (or a borrowed prefix)
     }
-    ensure_owned();
+    ensure_owned(n);
     if (n > owned_.capacity()) {
       ++allocations_;
       owned_.reserve(n);
@@ -225,14 +240,16 @@ class ArenaColumn {
     sync();
   }
 
-  /// Copies borrowed storage into owned memory (no-op when owned), then
-  /// hands the copied range back to its storage: nothing in this column
-  /// reads it again.
-  void ensure_owned() {
+  /// Copies borrowed storage into owned memory with room for at least
+  /// `capacity` entries (no-op when owned), then hands the copied range
+  /// back to its storage: nothing in this column reads it again. A
+  /// slot write (mut) keeps an exact copy.
+  void ensure_owned(std::size_t capacity = 0) {
     if (!borrowed_) {
       return;
     }
     ++allocations_;
+    owned_.reserve(std::max(capacity, size_));
     owned_.assign(data_, data_ + size_);
     if (storage_ != nullptr) {
       storage_->release(data_, size_ * sizeof(T));
@@ -268,8 +285,54 @@ class ArenaColumn {
   std::size_t allocations_ = 0;
 };
 
+/// The child after `from` on a sibling ring that ends at `last`, given
+/// `link`, the ring link read out of `from` (for the first step, `from`
+/// is the parent and `link` is next_sibling[last], the oldest child).
+/// Child ids ascend in join order, so a sound link lies in
+/// (from, last]; any other link — only a corrupt arena holds one — is
+/// taken as `last`, which ends the walk. Every child walk therefore
+/// climbs strictly from the parent to `last` and terminates in bounds.
+inline NodeId child_after(NodeId link, NodeId from, NodeId last) {
+  return link > from && link < last ? link : last;
+}
+
+/// The one child walk: folds `op(acc, child)` over the children of `u`
+/// in join order (ascending id), reading the arena's last_child and
+/// next_sibling columns in place, and returns the result. Every batch
+/// kernel, audit and traversal iterates children through this helper
+/// (or ChildRange, which steps with the same child_after), so each
+/// node's FP operations read its children in one fixed order.
+template <typename T, typename Op>
+inline T fold_children(const NodeId* last_child, const NodeId* next_sibling,
+                       NodeId u, T acc, Op&& op) {
+  const NodeId last = last_child[u];
+  if (last == kInvalidNode) {
+    return acc;
+  }
+  // The steps past the first are child_after's with one compare: a link
+  // past `last` ends the loop just as `last` itself does.
+  for (NodeId c = child_after(next_sibling[last], u, last); c < last;) {
+    acc = op(acc, c);
+    const NodeId link = next_sibling[c];
+    c = link > c ? link : last;
+  }
+  return op(acc, last);
+}
+
+/// fold_children for a visitor that keeps its own state: calls
+/// `visit(child)` for each child of `u` in join order.
+template <typename Visit>
+inline void for_each_child(const NodeId* last_child,
+                           const NodeId* next_sibling, NodeId u,
+                           Visit&& visit) {
+  fold_children(last_child, next_sibling, u, 0, [&](int, NodeId c) {
+    visit(c);
+    return 0;
+  });
+}
+
 /// A node's children as a lightweight view over the arena's sibling
-/// chain, in join order (the order the old per-node child vectors kept).
+/// ring, in join order (the order the old per-node child vectors kept).
 /// Valid until the next structural mutation of the tree.
 class ChildRange {
  public:
@@ -282,12 +345,13 @@ class ChildRange {
     using reference = NodeId;
 
     iterator() = default;
-    iterator(const NodeId* next_sibling, NodeId at)
-        : next_sibling_(next_sibling), at_(at) {}
+    iterator(const NodeId* next_sibling, NodeId at, NodeId last)
+        : next_sibling_(next_sibling), at_(at), last_(last) {}
 
     NodeId operator*() const { return at_; }
     iterator& operator++() {
-      at_ = next_sibling_[at_];
+      at_ = at_ == last_ ? kInvalidNode
+                         : child_after(next_sibling_[at_], at_, last_);
       return *this;
     }
     iterator operator++(int) {
@@ -301,33 +365,31 @@ class ChildRange {
    private:
     const NodeId* next_sibling_ = nullptr;
     NodeId at_ = kInvalidNode;
+    NodeId last_ = kInvalidNode;
   };
 
-  ChildRange(const NodeId* next_sibling, NodeId first)
-      : next_sibling_(next_sibling), first_(first) {}
+  /// The children of `u`, whose newest child is `last`.
+  ChildRange(const NodeId* next_sibling, NodeId u, NodeId last)
+      : next_sibling_(next_sibling),
+        first_(last == kInvalidNode
+                   ? kInvalidNode
+                   : child_after(next_sibling[last], u, last)),
+        last_(last) {}
 
-  iterator begin() const { return {next_sibling_, first_}; }
-  iterator end() const { return {next_sibling_, kInvalidNode}; }
+  iterator begin() const { return {next_sibling_, first_, last_}; }
+  iterator end() const { return {next_sibling_, kInvalidNode, last_}; }
 
   bool empty() const { return first_ == kInvalidNode; }
   NodeId front() const { return first_; }
 
-  /// Number of children — O(degree), it walks the chain.
+  /// Number of children — O(degree), it walks the ring.
   std::size_t size() const {
-    std::size_t count = 0;
-    for (NodeId at = first_; at != kInvalidNode; at = next_sibling_[at]) {
-      ++count;
-    }
-    return count;
+    return static_cast<std::size_t>(std::distance(begin(), end()));
   }
 
   /// i-th child in join order — O(i).
   NodeId operator[](std::size_t i) const {
-    NodeId at = first_;
-    while (i-- > 0) {
-      at = next_sibling_[at];
-    }
-    return at;
+    return *std::next(begin(), static_cast<std::ptrdiff_t>(i));
   }
 
   std::vector<NodeId> to_vector() const {
@@ -337,6 +399,7 @@ class ChildRange {
  private:
   const NodeId* next_sibling_;
   NodeId first_;
+  NodeId last_;
 };
 
 class Tree {
@@ -345,7 +408,6 @@ class Tree {
   /// imaginary root).
   struct Columns {
     std::span<const NodeId> parent;
-    std::span<const NodeId> first_child;
     std::span<const NodeId> last_child;
     std::span<const NodeId> next_sibling;
     std::span<const double> contribution;
@@ -366,9 +428,10 @@ class Tree {
   /// pinned for the lifetime of the tree and all its copies (pass the
   /// mmap holder). Adoption runs a *safety* scan, not a semantic one:
   /// purely sequential range checks (parents precede their nodes,
-  /// sibling/child links stay in
-  /// (u, node_count), contributions non-negative, well-formed root row)
-  /// that guarantee every traversal terminates and never reads out of
+  /// last-child links stay in (u, node_count), ring links in
+  /// [1, node_count), contributions non-negative, well-formed root row)
+  /// that, with the child walk's ascending-link rule (child_after),
+  /// guarantee every traversal terminates and never reads out of
   /// bounds, at memory-bandwidth cost. Semantic integrity of the links
   /// is the caller's trust boundary — the snapshot layer's per-section
   /// CRCs — and can be proven on demand with validate_links(); a
@@ -383,9 +446,18 @@ class Tree {
                             std::shared_ptr<const void> keepalive,
                             const BorrowedStorage* storage = nullptr);
 
+  /// adopt_columns over a sibling ring the caller built in memory (the
+  /// snapshot reader's conversion of a pre-ring image) instead of
+  /// `columns.next_sibling`: the ring gets the same safety scan, and
+  /// the tree owns it from the start — nothing to privatize later.
+  static Tree adopt_columns(Columns columns, std::vector<NodeId>&& ring,
+                            double total_contribution,
+                            std::shared_ptr<const void> keepalive,
+                            const BorrowedStorage* storage = nullptr);
+
   /// Full O(1)-per-node cross-link verification of the arena: every
-  /// child chain is exactly the canonical append-order one. One
-  /// read-only ascending pass with an O(n) scratch column; throws
+  /// sibling ring is exactly the canonical append-order one. One
+  /// read-only ascending pass with two O(n) scratch columns; throws
   /// std::invalid_argument on the first violation. Tests, fuzzers and
   /// paranoid operators run this after adopt_columns; the serving path
   /// relies on the snapshot CRCs instead (see adopt_columns).
@@ -424,9 +496,11 @@ class Tree {
   void set_contribution(NodeId u, double contribution);
 
   /// Removes the most recently added node — always a leaf and its
-  /// parent's newest child — in O(deg(parent)): the "probe" undo the
-  /// simulator uses to measure marginal rewards without copying the
-  /// tree. The root cannot be removed.
+  /// parent's newest child — in O(deg(parent)) (the ring is walked to
+  /// the newest child's predecessor): the "probe" undo the simulator
+  /// uses to measure marginal rewards without copying the tree. The
+  /// arena afterwards is bit-identical to the one before the add. The
+  /// root cannot be removed.
   void remove_last_node();
 
   /// C(T): total contribution over all nodes (root contributes 0).
@@ -461,9 +535,6 @@ class Tree {
   std::span<const double> contribution_array() const {
     return contribution_.span();
   }
-  std::span<const NodeId> first_child_array() const {
-    return first_child_.span();
-  }
   std::span<const NodeId> last_child_array() const {
     return last_child_.span();
   }
@@ -477,16 +548,17 @@ class Tree {
   /// tree starts at 0 and pays one per column it mutates.
   std::size_t allocation_count() const;
 
-  /// Columns still backed by externally owned storage (5 right after
+  /// Columns still backed by externally owned storage (4 right after
   /// adopt_columns, dropping as mutations privatize them; 0 for a tree
   /// built through the append path).
   std::size_t borrowed_column_count() const;
 
  private:
   void check_node(NodeId u, const char* what) const;
+  /// Pushes u's children onto `stack` in join order.
+  void push_children(NodeId u, std::vector<NodeId>& stack) const;
 
   ArenaColumn<NodeId> parent_;
-  ArenaColumn<NodeId> first_child_;
   ArenaColumn<NodeId> last_child_;
   ArenaColumn<NodeId> next_sibling_;
   ArenaColumn<double> contribution_;

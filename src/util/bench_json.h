@@ -29,7 +29,8 @@ struct BenchHost {
   std::string cpu_model;         ///< /proc/cpuinfo "model name"
   std::string kernel_release;    ///< uname -r
   std::string build_type;        ///< CMAKE_BUILD_TYPE
-  std::string git_revision;      ///< configured revision, or "unknown"
+  std::string git_revision;      ///< build-time revision, "-dirty" if
+                                 ///< modified, or "unknown"
 };
 
 /// Collects metrics and digests for one bench run and writes them as a

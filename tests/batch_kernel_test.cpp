@@ -1,7 +1,7 @@
 // Tests for the batch kernels (tree/subtree_sums.h and every
 // Mechanism::compute), which sweep the Tree arena's columns in place:
-// descending ids for bottom-up passes, pulling children along the
-// sibling chain. Each result must be bit-for-bit equal to the classic
+// descending ids for bottom-up passes, folding children around the
+// sibling ring. Each result must be bit-for-bit equal to the classic
 // recurrence run over Tree::postorder()/preorder() — written out here as
 // test-local references — on every tree shape, including a 100k-deep
 // chain and a tree adopted from a mapped v5 snapshot whose columns are
@@ -268,7 +268,7 @@ std::vector<Shape> shapes() {
   out.push_back({"after-remove-last-node", std::move(shrunk)});
   Tree adopted = adopt_through_v5(random_recursive_tree(
       2000, capped_contribution(pareto_contribution(0.5, 1.2), 40.0), rng));
-  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
   out.push_back({"v5-adopted", std::move(adopted)});
   return out;
 }
@@ -288,7 +288,7 @@ void expect_bit_equal(const std::vector<double>& got,
 TEST(BatchKernels, EveryShapeNumbersParentsBeforeChildren) {
   // The descending-id sweep is a valid postorder only because every
   // parent has a smaller id than its children, and it pulls exactly the
-  // children the sibling chain lists.
+  // children the sibling ring lists.
   for (const Shape& shape : shapes()) {
     std::size_t listed = 0;
     for (NodeId u = 0; u < shape.tree.node_count(); ++u) {
@@ -343,6 +343,153 @@ TEST(BatchKernels, EveryFactoryMechanismBitEqualToPostorderReference) {
   }
 }
 
+/// A referral tree grown one join at a time: each joiner is referred by
+/// the imaginary root with probability `p_root`, else — with
+/// probability `recent` — by one of the 16 most recent joiners, else by
+/// a uniformly drawn participant.
+Tree grown_tree(std::size_t participants, double p_root, double recent,
+                Rng& rng) {
+  Tree tree;
+  for (std::size_t i = 0; i < participants; ++i) {
+    const auto n = static_cast<std::int64_t>(tree.participant_count());
+    NodeId parent = kRoot;
+    if (n > 0 && !rng.bernoulli(p_root)) {
+      parent = static_cast<NodeId>(
+          rng.bernoulli(recent) ? rng.uniform_int(std::max<std::int64_t>(
+                                                      1, n - 15),
+                                                  n)
+                                : rng.uniform_int(1, n));
+    }
+    tree.add_node(parent, rng.uniform(0.0, 3.0));
+  }
+  return tree;
+}
+
+/// Join order read off the parent column alone: ids ascend in join
+/// order, so each node's children are the ids naming it, ascending.
+std::vector<std::vector<NodeId>> join_order_children(const Tree& tree) {
+  std::vector<std::vector<NodeId>> kids(tree.node_count());
+  for (NodeId u = 1; u < tree.node_count(); ++u) {
+    kids[tree.parent(u)].push_back(u);
+  }
+  return kids;
+}
+
+TEST(BatchKernels, RingFoldKeepsJoinOrderOnRandomRootHeavyAndDeepTrees) {
+  // Property test of the sibling ring: on random, root-heavy and deep
+  // trees (fresh and adopted from a mapped image), ChildRange yields the
+  // join order the parent column alone implies, postorder() is a
+  // postorder of exactly those lists, and every batch kernel stays
+  // bit-equal to the postorder references.
+  for (const std::uint64_t seed : {3u, 17u, 101u}) {
+    Rng rng(seed);
+    std::vector<Shape> trees;
+    trees.push_back({"random", grown_tree(4000, 0.0, 0.0, rng)});
+    trees.push_back({"root-heavy", grown_tree(4000, 0.15, 0.0, rng)});
+    trees.push_back({"deep", grown_tree(4000, 0.0, 0.9, rng)});
+    trees.push_back({"deep-adopted",
+                     adopt_through_v5(grown_tree(4000, 0.0, 0.9, rng))});
+    for (const Shape& shape : trees) {
+      const std::string what =
+          shape.name + " seed " + std::to_string(seed);
+      const Tree& tree = shape.tree;
+      const auto kids = join_order_children(tree);
+      for (NodeId u = 0; u < tree.node_count(); ++u) {
+        ASSERT_EQ(tree.children(u).to_vector(), kids[u]) << what << " " << u;
+      }
+      std::vector<bool> done(tree.node_count(), false);
+      for (const NodeId u : tree.postorder()) {
+        for (const NodeId child : kids[u]) {
+          ASSERT_TRUE(done[child]) << what;
+        }
+        done[u] = true;
+      }
+      tree.validate_links();
+      for (const double a : {0.3, 0.9}) {
+        expect_bit_equal(geometric_subtree_sums(tree, a),
+                         reference_geometric_sums(tree, a), what + " S_a");
+      }
+      const SubtreeData data = compute_subtree_data(tree);
+      const SubtreeData want = reference_subtree_data(tree);
+      expect_bit_equal(data.subtree_contribution, want.subtree_contribution,
+                       what + " C(T_u)");
+      EXPECT_EQ(data.subtree_size, want.subtree_size) << what;
+      EXPECT_EQ(binary_subtree_depths(tree), reference_binary_depths(tree))
+          << what;
+      for (const char* name : kFactoryMechanisms) {
+        const MechanismPtr mechanism = make_mechanism(name);
+        expect_bit_equal(mechanism->compute(tree),
+                         reference_rewards(*mechanism, tree),
+                         std::string(name) + " on " + what);
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, CorruptRingsTerminateInBounds) {
+  // Rings that pass the adoption safety scan (every link a participant
+  // id) but are not rings: a back link, a cycle that never reaches the
+  // newest child, an out-of-order link past it, and an oldest-child
+  // link that points up the tree. Every kernel, the payout audit and
+  // ChildRange must still terminate without leaving the arena (ASan
+  // builds check the latter); only validate_links() objects. Node 1
+  // has children 2..7, node 2 has children 8..10.
+  Tree src;
+  const NodeId p = src.add_independent(1.0);
+  for (int i = 0; i < 6; ++i) {
+    src.add_node(p, 1.0 + i);
+  }
+  for (int i = 0; i < 3; ++i) {
+    src.add_node(2, 0.5 + i);
+  }
+  const std::vector<std::pair<std::string, std::pair<NodeId, NodeId>>>
+      corruptions = {
+          {"back link", {4, 3}},
+          {"cycle", {5, 3}},
+          {"out-of-order link", {3, 9}},
+          {"oldest child above the parent", {7, 1}},
+          {"oldest child is the parent", {10, 2}},
+      };
+  for (const auto& [name, link] : corruptions) {
+    std::vector<NodeId> parent(src.parent_array().begin(),
+                               src.parent_array().end());
+    std::vector<NodeId> last_child(src.last_child_array().begin(),
+                                   src.last_child_array().end());
+    std::vector<NodeId> next_sibling(src.next_sibling_array().begin(),
+                                     src.next_sibling_array().end());
+    std::vector<double> contribution(src.contribution_array().begin(),
+                                      src.contribution_array().end());
+    next_sibling[link.first] = link.second;
+    const Tree::Columns columns{parent, last_child, next_sibling,
+                                contribution};
+    Tree tree =
+        Tree::adopt_columns(columns, src.total_contribution(), nullptr);
+    EXPECT_THROW(tree.validate_links(), std::invalid_argument) << name;
+    const std::size_t n = tree.node_count();
+    for (NodeId u = 0; u < n; ++u) {
+      std::size_t steps = 0;
+      for (const NodeId child : tree.children(u)) {
+        ASSERT_GT(child, u) << name;
+        ASSERT_LT(child, n) << name;
+        ASSERT_LE(++steps, n) << name;
+      }
+    }
+    (void)tree.postorder();
+    (void)tree.preorder();
+    (void)compute_subtree_data(tree);
+    (void)binary_subtree_depths(tree);
+    for (const char* mechanism_name : kFactoryMechanisms) {
+      const MechanismPtr mechanism = make_mechanism(mechanism_name);
+      const RewardVector rewards = mechanism->compute(tree);
+      EXPECT_EQ(rewards.size(), n) << name << " " << mechanism_name;
+      (void)divergence(*mechanism, tree, rewards);
+      RewardService service(*mechanism);
+      service.adopt_snapshot(Tree(tree), tree.participant_count(), {});
+      (void)service.audit();
+    }
+  }
+}
+
 TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
   // Every kernel computes on a mapped v5 tree in place (its results are
   // checked on the "v5-adopted" shape above): no column is copied.
@@ -360,7 +507,7 @@ TEST(BatchKernels, KernelsReadBorrowedColumnsWithoutPrivatizing) {
   }
   (void)compute_subtree_data(adopted);
   (void)binary_subtree_depths(adopted);
-  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
   EXPECT_EQ(adopted.allocation_count(), 0u);
 }
 

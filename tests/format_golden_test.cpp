@@ -12,9 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/factory.h"
 #include "net/protocol.h"
@@ -286,18 +290,24 @@ TEST(FormatGolden, WalSegmentOfAFixedStream) {
 
 // --- ITSNAP05 image -------------------------------------------------
 
-TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
-  // One campaign per aggregate kind: geometric (aggregate engine), TDRM
-  // (RCT chain) and L-Pachira written the way a batch-mode service wrote
-  // it (kind 0, no accumulators), which readers still accept.
-  storage::SnapshotData data;
-  data.last_seq = 0x123456;
-  data.mechanism = "golden mixed deployment";
-  const std::vector<std::pair<std::string, AggregateKind>> kinds = {
+/// Mechanism name and aggregate kind of each golden campaign.
+const std::vector<std::pair<std::string, AggregateKind>>& golden_kinds() {
+  static const std::vector<std::pair<std::string, AggregateKind>> kinds = {
       {"geometric", AggregateKind::kAggregateEngine},
       {"tdrm", AggregateKind::kRctChain},
       {"l-pachira", AggregateKind::kNone},
   };
+  return kinds;
+}
+
+/// One campaign per aggregate kind: geometric (aggregate engine), TDRM
+/// (RCT chain) and L-Pachira written the way a batch-mode service wrote
+/// it (kind 0, no accumulators), which readers still accept.
+storage::SnapshotData three_kind_deployment() {
+  storage::SnapshotData data;
+  data.last_seq = 0x123456;
+  data.mechanism = "golden mixed deployment";
+  const auto& kinds = golden_kinds();
   for (std::size_t c = 0; c < kinds.size(); ++c) {
     const MechanismPtr mechanism =
         make_mechanism(kinds[c].first, parse_param_string(""));
@@ -316,18 +326,94 @@ TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
     snap.tree = service.tree();
     snap.aggregate_kind = static_cast<std::uint8_t>(kinds[c].second);
     if (kinds[c].second != AggregateKind::kNone) {
-      ASSERT_EQ(service.aggregate_kind(), kinds[c].second) << kinds[c].first;
+      EXPECT_EQ(service.aggregate_kind(), kinds[c].second) << kinds[c].first;
       snap.aggregates = service.export_aggregates();
     }
     data.campaigns.push_back(std::move(snap));
   }
-  const std::string image = storage::encode_snapshot_v5(data);
-  // The depth section is written empty (three campaigns x one page
-  // fewer than the six-column arena's {86016, 0xf17526b3}).
-  expect_golden(image, {73728, 0xb7215e97u}, "ITSNAP05 image");
+  return data;
+}
+
+TEST(FormatGolden, SnapshotImageOfAThreeKindDeployment) {
+  const std::string image =
+      storage::encode_snapshot_v5(three_kind_deployment());
+  // The first-child section is written empty and next_sibling holds the
+  // sibling rings (three campaigns x one page fewer than the pre-ring
+  // image's {73728, 0xb7215e97}, tests/data/itsnap05_pre_ring.snap).
+  expect_golden(image, {61440, 0x05a832aau}, "ITSNAP05 image");
   // What a reader returns re-encodes to the same bytes.
   EXPECT_EQ(storage::encode_snapshot_v5(storage::decode_snapshot(image)),
             image);
+}
+
+/// Services restored from `data`, one per campaign.
+std::vector<std::unique_ptr<RewardService>> restore(
+    storage::SnapshotData data, std::vector<MechanismPtr>& mechanisms) {
+  std::vector<std::unique_ptr<RewardService>> services;
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    mechanisms.push_back(
+        make_mechanism(golden_kinds()[c].first, parse_param_string("")));
+    auto service = std::make_unique<RewardService>(*mechanisms.back());
+    storage::CampaignSnapshot& snap = data.campaigns[c];
+    service->adopt_snapshot(std::move(snap.tree), snap.events_applied,
+                            std::move(snap.aggregates));
+    services.push_back(std::move(service));
+  }
+  return services;
+}
+
+TEST(FormatGolden, PreRingImageRestoresLikeTheRingGolden) {
+  // The golden deployment's image as the five-column arena wrote it: a
+  // full first-child section and next_sibling as a chain. Every reader
+  // converts it to rings on restore, so it restores bit for bit like
+  // the ring golden, and writes the ring golden back out.
+  const std::string pre_ring =
+      read_file(fs::path(ITREE_TEST_DATA_DIR) / "itsnap05_pre_ring.snap");
+  expect_golden(pre_ring, {73728, 0xb7215e97u}, "pre-ring ITSNAP05 image");
+  const std::string ring =
+      storage::encode_snapshot_v5(three_kind_deployment());
+  EXPECT_EQ(storage::validate_snapshot_image(pre_ring), 0x123456u);
+
+  const storage::SnapshotData decoded = storage::decode_snapshot(pre_ring);
+  EXPECT_EQ(storage::encode_snapshot_v5(decoded), ring);
+  for (const storage::CampaignSnapshot& campaign : decoded.campaigns) {
+    campaign.tree.validate_links();
+  }
+
+  // The mapped path adopts every other column in place and owns the
+  // rings it built.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("itree_pre_ring_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  storage::save_snapshot_image(dir.string(), pre_ring, 0x123456);
+  std::vector<std::string> warnings;
+  std::optional<storage::SnapshotData> mapped =
+      storage::load_latest_snapshot(dir.string(), &warnings);
+  ASSERT_TRUE(mapped.has_value());
+  EXPECT_TRUE(warnings.empty());
+  EXPECT_EQ(storage::encode_snapshot_v5(*mapped), ring);
+  for (const storage::CampaignSnapshot& campaign : mapped->campaigns) {
+    campaign.tree.validate_links();
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 3u);
+  }
+
+  // Restored services price every participant identically.
+  std::vector<MechanismPtr> mechanisms;
+  const auto from_pre_ring = restore(std::move(*mapped), mechanisms);
+  const auto from_ring = restore(storage::decode_snapshot(ring), mechanisms);
+  for (std::size_t c = 0; c < from_ring.size(); ++c) {
+    const std::vector<double> got = from_pre_ring[c]->rewards();
+    const std::vector<double> want = from_ring[c]->rewards();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t u = 0; u < want.size(); ++u) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[u]),
+                std::bit_cast<std::uint64_t>(want[u]))
+          << golden_kinds()[c].first << " node " << u;
+    }
+    EXPECT_EQ(from_pre_ring[c]->audit(), from_ring[c]->audit());
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

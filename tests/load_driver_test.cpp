@@ -5,6 +5,7 @@
 // connection failures land in the report instead of escaping a thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <memory>
@@ -147,9 +148,29 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{2})),
     frame_styles_case_name);
 
+/// A clock that stands still while the driver reads responses and jumps
+/// straight to each scheduled arrival when the driver sleeps: every
+/// response comes back at the instant its frame was sent, so a latency
+/// above zero is exactly the schedule arithmetic charging a wait.
+class SteppedClock final : public LoadClock {
+ public:
+  double now() const override { return now_; }
+  void sleep_until(double t) const override { now_ = std::max(now_, t); }
+  /// Waits for in-flight responses (up to 5 s of real time) only while
+  /// the next arrival is still ahead.
+  double read_deadline(double t) const override {
+    return monotonic_seconds() + (t > now_ ? 5.0 : 0.0);
+  }
+
+ private:
+  mutable double now_ = 0.0;
+};
+
 TEST(LoadDriver, OpenLoopLatencyExcludesTheArrivalGap) {
-  // 20 req/s leaves 50 ms between arrivals; a frame answered in well
-  // under a millisecond must not be charged the wait for the next one.
+  // 20 req/s leaves 50 ms between arrivals; a frame answered before the
+  // next arrival must not be charged the wait for it. The stepped clock
+  // makes every answer instant, so the bound below holds however busy
+  // the host is, and fails only if the wait is charged.
   const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
   Served served(*mechanism, 1, 1);
   LoadDriver driver;
@@ -157,10 +178,13 @@ TEST(LoadDriver, OpenLoopLatencyExcludesTheArrivalGap) {
   driver.requests = 10;
   driver.pipeline = 4;
   driver.rate = 20.0;
-  const LoadReport report = driver.run(Rng(42));
+  const SteppedClock clock;
+  const LoadReport report = driver.run(Rng(42), clock);
   ASSERT_EQ(report.error, "");
   ASSERT_EQ(report.latencies_seconds.size(), report.frames);
   EXPECT_LT(percentile(report.latencies_seconds, 50), 5e-3);
+  // The run did wait out the schedule: ten arrivals 50 ms apart.
+  EXPECT_DOUBLE_EQ(report.wall_seconds, 9 / 20.0);
 }
 
 TEST(LoadDriver, SharedCampaignReportsTheIdPredictionMiss) {

@@ -434,7 +434,7 @@ TEST(Snapshot, MappedV5SnapshotAdoptsTheArenaInPlace) {
     // Zero-rebuild: every tree column still borrows the mapping, and
     // the links prove out without a single per-node construction step.
     for (const CampaignSnapshot& campaign : adopted.campaigns) {
-      EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
+      EXPECT_EQ(campaign.tree.borrowed_column_count(), 4u);
       EXPECT_EQ(campaign.tree.allocation_count(), 0u);
       campaign.tree.validate_links();
     }
@@ -504,6 +504,9 @@ constexpr std::size_t kEntryOffsetsAt = 8 * 4 + 1 + 8;
 constexpr std::size_t kEntryCrcsAt = kEntryOffsetsAt + 9 * 8;
 // Section order within an entry.
 constexpr std::size_t kParentSection = 0;
+constexpr std::size_t kFirstChildSection = 1;
+constexpr std::size_t kLastChildSection = 2;
+constexpr std::size_t kNextSiblingSection = 3;
 constexpr std::size_t kPrevSiblingSection = 4;
 constexpr std::size_t kDepthSection = 5;
 constexpr std::size_t kContributionSection = 6;
@@ -540,14 +543,17 @@ std::vector<Region> read_regions(std::string_view image) {
     const auto offset = [&](std::size_t s) {
       return load_le(image, entry + kEntryOffsetsAt + 8 * s, 8);
     };
-    // An empty prev-sibling section shares the depth section's offset,
-    // an empty depth section the contribution section's.
+    // An empty first-child section shares the last-child section's
+    // offset, an empty prev-sibling section the depth section's, an
+    // empty depth section the contribution section's.
+    const std::size_t firsts =
+        offset(kFirstChildSection) == offset(kLastChildSection) ? 0 : nodes;
     const std::size_t prevs =
         offset(kPrevSiblingSection) == offset(kDepthSection) ? 0 : nodes;
     const std::size_t depths =
         offset(kDepthSection) == offset(kContributionSection) ? 0 : nodes;
     const std::array<std::size_t, 9> bytes = {
-        nodes * 4,  nodes * 4, nodes * 4, nodes * 4,    prevs * 4,
+        nodes * 4,  firsts * 4, nodes * 4, nodes * 4,    prevs * 4,
         depths * 4, nodes * 8, skips * 4, aggregates * 8};
     for (std::size_t s = 0; s < bytes.size(); ++s) {
       regions.push_back({offset(s), bytes[s]});
@@ -593,9 +599,10 @@ TEST(Snapshot, EveryFlippedHeaderByteIsRejected) {
 
 TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
   // Each section carries its own CRC in the header table: a flip in any
-  // link, contribution or aggregate byte is rejected. (The prev-sibling,
-  // depth and skip sections are written empty; present ones are covered
-  // by LegacyPrevSiblingSectionIsVerifiedAndIgnored,
+  // link, contribution or aggregate byte is rejected. (The first-child,
+  // prev-sibling, depth and skip sections are written empty; present
+  // ones are covered by PreRingImagesAreClosedIntoRingsByEveryReader,
+  // LegacyPrevSiblingSectionIsVerifiedAndIgnored,
   // LegacyDepthSectionIsVerifiedAndIgnored and
   // LegacySkipSectionIsVerifiedAndIgnored.)
   const std::string image = encode_snapshot_v5(sample_snapshot_with_blob());
@@ -613,9 +620,9 @@ TEST(Snapshot, EveryFlippedSectionByteIsRejected) {
       ++checked;
     }
   }
-  // Campaign 0 (4 rows, 4 aggregates): 4 u32 columns + 2 f64 columns;
-  // campaign 1 (root row only, no blob): 4 u32 + 1 f64.
-  EXPECT_EQ(checked, (4 * 4 * 4 + 2 * 4 * 8) + (4 * 4 + 8));
+  // Campaign 0 (4 rows, 4 aggregates): 3 u32 columns + 2 f64 columns;
+  // campaign 1 (root row only, no blob): 3 u32 + 1 f64.
+  EXPECT_EQ(checked, (3 * 4 * 4 + 2 * 4 * 8) + (3 * 4 + 8));
 }
 
 TEST(Snapshot, PagePaddingIsZeroAndNeverRead) {
@@ -706,7 +713,7 @@ TEST(Snapshot, ReencodingWhatAReaderReturnsReproducesTheImage) {
   const SnapshotData adopted =
       MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
           .materialize();
-  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.campaigns[2].tree.borrowed_column_count(), 4u);
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
   fs::remove_all(dir);
 }
@@ -782,12 +789,12 @@ TEST(Snapshot, AdoptedTreeMutationsNeverReachTheImageFile) {
   Tree& tree = adopted.campaigns[0].tree;
   const NodeId added = tree.add_node(1, 4.0);
   tree.set_contribution(2, 9.5);
-  EXPECT_LT(tree.borrowed_column_count(), 5u);
+  EXPECT_LT(tree.borrowed_column_count(), 4u);
   EXPECT_EQ(tree.parent(added), 1u);
   EXPECT_EQ(tree.contribution(2), 9.5);
   tree.validate_links();
   // The untouched campaign still borrows every column.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 4u);
 
   EXPECT_EQ(read_file(path), raw);
   expect_snapshot_equal(MappedSnapshot(path.string()).materialize(), data);
@@ -855,7 +862,6 @@ void expect_same_columns(const Tree& got, const Tree& want) {
            std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
   };
   EXPECT_TRUE(same(got.parent_array(), want.parent_array()));
-  EXPECT_TRUE(same(got.first_child_array(), want.first_child_array()));
   EXPECT_TRUE(same(got.last_child_array(), want.last_child_array()));
   EXPECT_TRUE(same(got.next_sibling_array(), want.next_sibling_array()));
   EXPECT_TRUE(same(got.contribution_array(), want.contribution_array()));
@@ -882,7 +888,7 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   }
   EXPECT_LE(materialized + aggregates_kb, verified);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 4u);
   }
 
   // One append privatizes all five columns of campaign 0, and each
@@ -898,11 +904,12 @@ TEST(Snapshot, CopiedSectionsLeaveThePageTables) {
   tree.add_node(1, 1.0);
   EXPECT_EQ(tree.borrowed_column_count(), 0u);
   const std::size_t privatized = mapped_rss_kb(base);
-  const std::size_t columns_kb = (4 * sizeof(NodeId) + sizeof(double)) * n / 1024;
+  const std::size_t columns_kb =
+      (3 * sizeof(NodeId) + sizeof(double)) * n / 1024;
   EXPECT_LE(privatized + columns_kb / 2, read_back);
 
   // Campaign 1 still serves from the mapping; campaign 0 kept its bytes.
-  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.campaigns[1].tree.borrowed_column_count(), 4u);
   expect_same_columns(adopted.campaigns[1].tree, data.campaigns[1].tree);
   for (NodeId u = 0; u < n; ++u) {
     ASSERT_EQ(tree.parent(u), data.campaigns[0].tree.parent(u));
@@ -938,7 +945,7 @@ TEST(Snapshot, BorrowersOfAReleasedColumnReadTheImageBitEqual) {
 
     // The copy's columns left the page tables with the privatization;
     // reading them faults the same bytes back in.
-    ASSERT_EQ(copy.borrowed_column_count(), 5u);
+    ASSERT_EQ(copy.borrowed_column_count(), 4u);
     const std::size_t released = mapped_rss_kb(copy.parent_array().data());
     expect_same_columns(copy, data.campaigns[0].tree);
     copy.validate_links();
@@ -958,7 +965,7 @@ TEST(Snapshot, BufferedBorrowersNeverSeeAPrivatization) {
   decoded.campaigns[0].tree.add_node(1, 1.0);
   decoded.campaigns[0].tree.set_contribution(2, 9.0);
   EXPECT_EQ(decoded.campaigns[0].tree.borrowed_column_count(), 0u);
-  EXPECT_EQ(copy.borrowed_column_count(), 5u);
+  EXPECT_EQ(copy.borrowed_column_count(), 4u);
   expect_same_columns(copy, data.campaigns[0].tree);
   copy.validate_links();
   expect_same_columns(decoded.campaigns[1].tree, data.campaigns[1].tree);
@@ -1128,7 +1135,7 @@ void expect_legacy_section_ignored(
   const SnapshotData adopted = MappedSnapshot(path.string()).materialize();
   expect_source(adopted);
   for (const CampaignSnapshot& campaign : adopted.campaigns) {
-    EXPECT_EQ(campaign.tree.borrowed_column_count(), 5u);
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 4u);
     EXPECT_EQ(campaign.tree.allocation_count(), 0u);
   }
   EXPECT_EQ(encode_snapshot_v5(adopted), image);
@@ -1180,6 +1187,115 @@ TEST(Snapshot, LegacyDepthSectionIsVerifiedAndIgnored) {
   expect_legacy_section_ignored("itree_storage_legacy_depth", kDepthSection,
                                 "depth section checksum mismatch",
                                 with_legacy_depth_sections);
+}
+
+/// Each node's oldest child, as the first-child column pre-ring images
+/// carried it (kInvalidNode for a leaf).
+std::vector<std::uint32_t> legacy_first_child_column(const Tree& tree) {
+  std::vector<std::uint32_t> first(tree.node_count(), kInvalidNode);
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (!tree.children(u).empty()) {
+      first[u] = tree.children(u).front();
+    }
+  }
+  return first;
+}
+
+/// The layout writers produced before the sibling ring: a full
+/// first-child section, and next_sibling as a chain that ends in
+/// kInvalidNode at each newest child.
+std::string with_pre_ring_sections(std::string image,
+                                   const SnapshotData& data) {
+  image = with_legacy_sections(std::move(image), data, kFirstChildSection, 0,
+                               legacy_first_child_column);
+  for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+    const Tree& tree = data.campaigns[c].tree;
+    const std::size_t next = read_regions(image)[1 + c * 9 +
+                                                 kNextSiblingSection]
+                                 .offset;
+    for (const NodeId newest : tree.last_child_array()) {
+      if (newest != kInvalidNode) {
+        store_le(image, next + 4 * newest, kInvalidNode, 4);
+      }
+    }
+    reseal_section(image, c, kNextSiblingSection);
+  }
+  return image;
+}
+
+TEST(Snapshot, PreRingImagesAreClosedIntoRingsByEveryReader) {
+  // An image from before the sibling ring restores bit-equal on the
+  // buffered and the mapped path: every reader closes its chains into
+  // rings once, in owned memory, adopts every other column in place, and
+  // the re-encoded image is the ring layout. Its first-child section is
+  // checksummed, and a first-child link out of range is rejected.
+  const fs::path dir = fresh_dir("itree_storage_pre_ring");
+  fs::create_directories(dir);
+  SnapshotData data = sample_snapshot_with_blob();
+  Rng rng(4099);
+  CampaignSnapshot large;
+  large.events_applied = 2000;
+  large.tree = random_recursive_tree(2000, uniform_contribution(0.0, 2.0), rng);
+  data.campaigns.push_back(std::move(large));
+  const std::string image = encode_snapshot_v5(data);
+  const std::string pre_ring = with_pre_ring_sections(image, data);
+  ASSERT_EQ(pre_ring.size(), image.size() + 4 * kSnapshotPageSize);
+  EXPECT_EQ(validate_snapshot_image(pre_ring), data.last_seq);
+
+  const auto expect_source = [&](const SnapshotData& got) {
+    expect_snapshot_equal(got, data);
+    for (std::size_t c = 0; c < data.campaigns.size(); ++c) {
+      expect_same_columns(got.campaigns[c].tree, data.campaigns[c].tree);
+      got.campaigns[c].tree.validate_links();
+    }
+  };
+  const SnapshotData decoded = decode_snapshot(pre_ring);
+  expect_source(decoded);
+  EXPECT_EQ(encode_snapshot_v5(decoded), image);
+
+  save_snapshot_image(dir.string(), pre_ring, data.last_seq);
+  const fs::path path = dir / snapshot_name(data.last_seq);
+  SnapshotData adopted = MappedSnapshot(path.string()).materialize();
+  expect_source(adopted);
+  for (const CampaignSnapshot& campaign : adopted.campaigns) {
+    EXPECT_EQ(campaign.tree.borrowed_column_count(), 3u);
+    EXPECT_EQ(campaign.tree.allocation_count(), 1u);  // the ring
+  }
+  EXPECT_EQ(encode_snapshot_v5(adopted), image);
+  Tree& tree = adopted.campaigns[2].tree;
+  const NodeId joined = tree.add_node(7, 1.0);
+  EXPECT_EQ(tree.children(7).to_vector().back(), joined);
+  tree.validate_links();
+
+  std::string corrupt = pre_ring;
+  const Region first = read_regions(corrupt)[1 + 2 * 9 + kFirstChildSection];
+  ASSERT_EQ(first.length, 2001u * 4);
+  corrupt[first.offset + 4 * 1000] ^= 0x01;
+  write_file(path, corrupt);
+  const auto expect_rejected = [&](const char* reason, const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "accepted: " << reason;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+          << error.what();
+    }
+  };
+  const char* mismatch = "first-child section checksum mismatch";
+  expect_rejected(mismatch, [&] { (void)decode_snapshot(corrupt); });
+  expect_rejected(mismatch, [&] { (void)validate_snapshot_image(corrupt); });
+  expect_rejected(mismatch,
+                  [&] { (void)MappedSnapshot(path.string()).materialize(); });
+
+  corrupt = pre_ring;
+  store_le(corrupt, first.offset + 4 * 1, 2001, 4);
+  reseal_section(corrupt, 2, kFirstChildSection);
+  write_file(path, corrupt);
+  const char* range = "pre-ring child link out of range";
+  expect_rejected(range, [&] { (void)decode_snapshot(corrupt); });
+  expect_rejected(range,
+                  [&] { (void)MappedSnapshot(path.string()).materialize(); });
+  fs::remove_all(dir);
 }
 
 TEST(Snapshot, HeaderFieldsAreCheckedBeyondTheChecksum) {
@@ -1342,7 +1458,7 @@ TEST(Storage, AdoptRestoreMatchesReplayRestoreForEveryMechanism) {
     SnapshotData mapped =
         MappedSnapshot((dir / snapshot_name(data.last_seq)).string())
             .materialize();
-    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 5u);
+    EXPECT_EQ(mapped.campaigns[0].tree.borrowed_column_count(), 4u);
     RecordingService adopted(*mechanism);
     restore_campaign_from_snapshot(adopted, std::move(mapped.campaigns[0]),
                                    0);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -194,6 +196,75 @@ TEST(Tree, RemoveLastNodeUnlinksOnlyTheNewestSibling) {
   EXPECT_DOUBLE_EQ(tree.total_contribution(), 11.0);
 }
 
+/// Every arena column of `tree`, copied: the probe's bit-identity check.
+struct ArenaBits {
+  explicit ArenaBits(const Tree& tree)
+      : parent(tree.parent_array().begin(), tree.parent_array().end()),
+        last_child(tree.last_child_array().begin(),
+                   tree.last_child_array().end()),
+        next_sibling(tree.next_sibling_array().begin(),
+                     tree.next_sibling_array().end()) {
+    for (const double c : tree.contribution_array()) {
+      contribution.push_back(std::bit_cast<std::uint64_t>(c));
+    }
+  }
+  bool operator==(const ArenaBits&) const = default;
+
+  std::vector<NodeId> parent, last_child, next_sibling;
+  std::vector<std::uint64_t> contribution;
+};
+
+TEST(TreeRing, JoinsSpliceAfterTheNewestChildAndCloseTheRing) {
+  Tree tree;
+  const NodeId p = tree.add_independent(1.0);
+  const NodeId a = tree.add_node(p, 1.0);
+  EXPECT_EQ(tree.last_child_array()[p], a);
+  EXPECT_EQ(tree.next_sibling_array()[a], a);  // a lone child
+  const NodeId b = tree.add_node(p, 1.0);
+  const NodeId c = tree.add_node(p, 1.0);
+  EXPECT_EQ(tree.last_child_array()[p], c);
+  EXPECT_EQ(tree.next_sibling_array()[a], b);
+  EXPECT_EQ(tree.next_sibling_array()[b], c);
+  EXPECT_EQ(tree.next_sibling_array()[c], a);  // newest -> oldest
+  EXPECT_EQ(tree.next_sibling_array()[kRoot], kInvalidNode);
+  EXPECT_EQ(tree.children(p).to_vector(), (std::vector<NodeId>{a, b, c}));
+  EXPECT_EQ(tree.children(p).size(), 3u);
+  EXPECT_EQ(tree.children(p)[1], b);
+  EXPECT_EQ(tree.children(p).front(), a);
+  EXPECT_TRUE(tree.children(a).empty());
+  tree.validate_links();
+}
+
+TEST(TreeRing, ProbeOnOneTwoAndManyChildRingsIsBitIdentical) {
+  // The simulator's probe (add a child, measure, remove it) against
+  // parents that end up with a 1-, 2- and 8-child ring: removal must
+  // restore every column bit for bit — the predecessor's link back to
+  // the oldest child and the parent's newest-child pointer included.
+  Tree tree;
+  const NodeId lone = tree.add_independent(1.0);  // 0 children
+  const NodeId pair = tree.add_independent(1.0);  // 1 child
+  tree.add_node(pair, 2.0);
+  const NodeId many = tree.add_independent(1.0);  // 7 children
+  for (int i = 0; i < 7; ++i) {
+    tree.add_node(many, 0.5 * i);
+  }
+  for (const NodeId p : {lone, pair, many}) {
+    const ArenaBits before(tree);
+    const std::vector<NodeId> kids = tree.children(p).to_vector();
+    const double total = tree.total_contribution();
+    const NodeId probe = tree.add_node(p, 1.5);
+    std::vector<NodeId> want = kids;
+    want.push_back(probe);
+    EXPECT_EQ(tree.children(p).to_vector(), want);
+    EXPECT_EQ(tree.next_sibling_array()[probe], want.front());
+    tree.validate_links();
+    tree.remove_last_node();
+    EXPECT_TRUE(ArenaBits(tree) == before) << "parent " << p;
+    EXPECT_EQ(tree.total_contribution(), total);
+    tree.validate_links();
+  }
+}
+
 TEST(Tree, RemoveLastNodeKeepsTheForestRootChainIntact) {
   // Same invariant at the imaginary root's child list (forest roots).
   Tree tree;
@@ -229,7 +300,6 @@ TEST(Tree, GraftForestCarriesContributionsAndDepths) {
 Tree::Columns columns_of(const Tree& tree) {
   Tree::Columns columns;
   columns.parent = tree.parent_array();
-  columns.first_child = tree.first_child_array();
   columns.last_child = tree.last_child_array();
   columns.next_sibling = tree.next_sibling_array();
   columns.contribution = tree.contribution_array();
@@ -240,8 +310,6 @@ Tree::Columns columns_of(const Tree& tree) {
 struct OwnedColumns {
   explicit OwnedColumns(const Tree& tree)
       : parent(tree.parent_array().begin(), tree.parent_array().end()),
-        first_child(tree.first_child_array().begin(),
-                    tree.first_child_array().end()),
         last_child(tree.last_child_array().begin(),
                    tree.last_child_array().end()),
         next_sibling(tree.next_sibling_array().begin(),
@@ -250,10 +318,10 @@ struct OwnedColumns {
                      tree.contribution_array().end()) {}
 
   Tree::Columns view() const {
-    return {parent, first_child, last_child, next_sibling, contribution};
+    return {parent, last_child, next_sibling, contribution};
   }
 
-  std::vector<NodeId> parent, first_child, last_child, next_sibling;
+  std::vector<NodeId> parent, last_child, next_sibling;
   std::vector<double> contribution;
 };
 
@@ -261,7 +329,7 @@ TEST(TreeAdopt, BorrowsEveryColumnAndMatchesTheOriginal) {
   const Tree want = parse_tree("(5 (3 (4) (1)) (2)) (7 (6))");
   const Tree got =
       Tree::adopt_columns(columns_of(want), want.total_contribution(), nullptr);
-  EXPECT_EQ(got.borrowed_column_count(), 5u);
+  EXPECT_EQ(got.borrowed_column_count(), 4u);
   EXPECT_EQ(got.allocation_count(), 0u);
   EXPECT_EQ(got.total_contribution(), want.total_contribution());
   ASSERT_EQ(got.node_count(), want.node_count());
@@ -279,19 +347,22 @@ TEST(TreeAdopt, PrivatizesOnlyTheMutatedColumn) {
   const Tree src = parse_tree("(1 (2) (3))");
   Tree adopted =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
-  EXPECT_EQ(adopted.borrowed_column_count(), 5u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
 
   // A contribution edit privatizes exactly the contribution column; the
   // source arena stays untouched.
   adopted.set_contribution(2, 9.0);
-  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 3u);
   EXPECT_EQ(adopted.allocation_count(), 1u);
   EXPECT_DOUBLE_EQ(adopted.contribution(2), 9.0);
   EXPECT_DOUBLE_EQ(src.contribution(2), 2.0);
 
-  // An append touches every column.
+  // An append touches every column. The contribution column grows once;
+  // the three it privatizes are copied straight into room to grow, one
+  // allocation each, with no second copy for the append.
   adopted.add_node(1, 1.0);
   EXPECT_EQ(adopted.borrowed_column_count(), 0u);
+  EXPECT_EQ(adopted.allocation_count(), 5u);
   EXPECT_EQ(adopted.node_count(), src.node_count() + 1);
   EXPECT_EQ(src.node_count(), 4u);
   adopted.validate_links();
@@ -305,7 +376,7 @@ TEST(TreeAdopt, KeepaliveOutlivesTheSourceHandle) {
   src.reset();  // the adopted tree's keepalive still pins the arena
   EXPECT_EQ(to_string(adopted), want);
   Tree copy = adopted;  // copies share the pin (and the borrow)
-  EXPECT_EQ(copy.borrowed_column_count(), 5u);
+  EXPECT_EQ(copy.borrowed_column_count(), 4u);
   adopted = Tree();  // dropping one handle keeps the other alive
   EXPECT_EQ(to_string(copy), want);
   copy.validate_links();
@@ -338,24 +409,24 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   EXPECT_EQ(storage->released[0].data, src.contribution_array().data());
   EXPECT_EQ(storage->released[0].bytes, n * sizeof(double));
 
-  // A copy borrows the four 4-byte columns still borrowed and owns the
-  // contribution column: its append releases exactly those four, and the
+  // A copy borrows the three 4-byte columns still borrowed and owns the
+  // contribution column: its append releases exactly those three, and the
   // original keeps borrowing (and reading) them.
   Tree copy = adopted;
   copy.add_node(1, 1.0);
-  ASSERT_EQ(storage->released.size(), 5u);
+  ASSERT_EQ(storage->released.size(), 4u);
   std::vector<const void*> released;
   for (std::size_t i = 1; i < storage->released.size(); ++i) {
     released.push_back(storage->released[i].data);
     EXPECT_EQ(storage->released[i].bytes, n * sizeof(NodeId));
   }
-  std::vector<const void*> want = {
-      src.parent_array().data(), src.first_child_array().data(),
-      src.last_child_array().data(), src.next_sibling_array().data()};
+  std::vector<const void*> want = {src.parent_array().data(),
+                                   src.last_child_array().data(),
+                                   src.next_sibling_array().data()};
   std::sort(released.begin(), released.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(released, want);
-  EXPECT_EQ(adopted.borrowed_column_count(), 4u);
+  EXPECT_EQ(adopted.borrowed_column_count(), 3u);
   EXPECT_EQ(adopted.node_count(), n);
   adopted.validate_links();
 
@@ -365,7 +436,7 @@ TEST(TreeAdopt, PrivatizingReleasesExactlyTheCopiedRange) {
   Tree plain =
       Tree::adopt_columns(columns_of(src), src.total_contribution(), nullptr);
   plain.add_node(1, 1.0);
-  EXPECT_EQ(storage->released.size(), 5u);
+  EXPECT_EQ(storage->released.size(), 4u);
 }
 
 TEST(TreeAdopt, RejectsUnsafeColumns) {
@@ -388,15 +459,18 @@ TEST(TreeAdopt, RejectsUnsafeColumns) {
   }
   {
     OwnedColumns c(src);
-    c.next_sibling[2] = 2;  // sibling chains must strictly increase
+    c.next_sibling[2] = kRoot;  // the root is nobody's sibling
     EXPECT_THROW(adopt(c), std::invalid_argument);
     c.next_sibling[2] = 99;  // out of bounds
+    EXPECT_THROW(adopt(c), std::invalid_argument);
+    c.next_sibling[2] = kInvalidNode;  // a participant is on a ring
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
   {
     OwnedColumns c(src);
-    c.first_child[1] = 2;
-    c.last_child[1] = kInvalidNode;  // half-open child interval
+    c.last_child[1] = 1;  // a newest child must follow its parent
+    EXPECT_THROW(adopt(c), std::invalid_argument);
+    c.last_child[1] = 99;  // out of bounds
     EXPECT_THROW(adopt(c), std::invalid_argument);
   }
   {
@@ -437,22 +511,14 @@ TEST(TreeAdopt, RejectsUnsafeColumnsAcrossScanBlocks) {
     std::function<void(NodeId)> apply;
   };
   const std::vector<Corruption> corruptions = {
-      {"Tree::adopt_columns: last child of a leaf",
-       [&](NodeId u) {
-         c.first_child[u] = kInvalidNode;
-         c.last_child[u] = u + 1;
-       }},
       {"Tree::adopt_columns: child link out of range",
-       [&](NodeId u) {
-         c.first_child[u] = u + 1;
-         c.last_child[u] = kInvalidNode;
-       }},
+       [&](NodeId u) { c.last_child[u] = u; }},
       {"Tree::adopt_columns: parent id does not precede the node",
        [&](NodeId u) { c.parent[u] = u; }},
       {"Tree::adopt_columns: negative contribution",
        [&](NodeId u) { c.contribution[u] = -1.0; }},
       {"Tree::adopt_columns: next-sibling out of range",
-       [&](NodeId u) { c.next_sibling[u] = u; }},
+       [&](NodeId u) { c.next_sibling[u] = kRoot; }},
   };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_thread_count(threads);
@@ -477,16 +543,15 @@ TEST(TreeAdopt, ValidateLinksCatchesSafeButInconsistentLinks) {
   // it. This is the CRC-collision backstop tests and fuzzers run.
   const Tree src = parse_tree("(1 (2))");
   OwnedColumns c(src);
-  c.first_child[1] = kInvalidNode;
   c.last_child[1] = kInvalidNode;
   const Tree adopted =
       Tree::adopt_columns(c.view(), src.total_contribution(), nullptr);
   EXPECT_THROW(adopted.validate_links(), std::invalid_argument);
   src.validate_links();  // the untampered arena proves clean
 
-  // Chains that pass every local test (each link in range, strictly
-  // increasing, within one parent, ending at last_child) yet are not the
-  // canonical append-order chain. Children of 1 are 2, 3, 4.
+  // Rings that pass every local test (each link in range, within one
+  // parent, closing at last_child) yet are not the canonical
+  // append-order ring. Children of 1 are 2, 3, 4.
   const Tree fan = parse_tree("(1 (2) (3) (4))");
   const auto validates = [&](const OwnedColumns& columns) {
     const Tree tree =
@@ -500,7 +565,7 @@ TEST(TreeAdopt, ValidateLinksCatchesSafeButInconsistentLinks) {
   }
   {
     OwnedColumns skipped(fan);
-    skipped.first_child[1] = 3;  // the chain 3 -> 4 never reaches 2
+    skipped.next_sibling[4] = 3;  // the ring 3 -> 4 -> 3 never reaches 2
     EXPECT_THROW(validates(skipped), std::invalid_argument);
   }
   EXPECT_NO_THROW(validates(OwnedColumns(fan)));
